@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race faults obs fuzz scrape chaos loadsmoke golden cover bench bench-json benchgate hypotheses soak clean
+.PHONY: ci vet build test bench-check race faults obs fuzz scrape chaos loadsmoke golden cover bench bench-json benchgate hypotheses soak clean
 
-ci: vet build race faults obs fuzz scrape chaos loadsmoke cover hypotheses
+ci: vet build bench-check race faults obs fuzz scrape chaos loadsmoke cover hypotheses
 
 vet:
 	$(GO) vet ./...
@@ -15,6 +15,16 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The repository benchmark (BENCHMARK.json, bench/) is its own module, so
+# the root `go build ./... && go test ./...` never compiles it — yet it
+# calls internal APIs (serve.New, serve.NewRegistry, serve.ParseQuery, ...)
+# through the `replace flexile => ../` directive. Vet and test it here
+# (~15 s) so an internal-API refactor fails CI instead of failing the
+# benchmark driver.
+bench-check:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
 
 # The experiments package regenerates whole figures per test; under the
 # race detector on few cores that exceeds Go's default 10m per-package

@@ -1,7 +1,7 @@
-// Command flexile-serve is the online allocation daemon: it loads a
-// serving artifact produced by `flexile -artifact` or `flexile-exp
-// -artifact`, then answers failure-state allocation queries over HTTP
-// from a per-scenario cache with single-flight recomputation.
+// Command flexile-serve is the online allocation daemon: it loads serving
+// artifacts produced by `flexile -artifact` or `flexile-exp -artifact`,
+// then answers failure-state allocation queries over HTTP from a
+// per-scenario cache with single-flight recomputation.
 //
 // Usage:
 //
@@ -12,8 +12,10 @@
 //	curl localhost:8080/metrics        # Prometheus exposition
 //	curl localhost:8080/readyz         # readiness (503 during reloads)
 //
-// With -artifact-dir the daemon instead serves a whole registry of named
-// artifacts (every *.flxa in the directory; the basename is the name):
+// The daemon is always a registry of named artifacts. -artifact F is a
+// one-entry registry pinned to that file (named after its basename, so
+// the named routes below and /v1/artifacts work there too);
+// -artifact-dir D serves every *.flxa in the directory:
 //
 //	flexile-serve -artifact-dir ./artifacts -listen :8080
 //	curl 'localhost:8080/v1/artifacts/ibm/alloc?failed=3'
@@ -21,13 +23,13 @@
 //	curl -d '{"queries":[{"artifact":"ibm","failed":[3]}]}' localhost:8080/v1/alloc/batch
 //	curl localhost:8080/v1/artifacts   # per-artifact status
 //
-// SIGHUP reloads the artifact atomically (a failed reload keeps the old
-// one serving, and repeated failures trip a circuit breaker that
-// suppresses further attempts for -breaker-cooldown); in registry mode it
-// rescans the directory, reloading per name so one corrupt artifact never
-// blocks its neighbors. SIGINT/SIGTERM flip /readyz to 503 first, drain
-// in-flight requests for up to -drain-timeout, then exit. With -metrics
-// the aggregated serving counters are printed as JSON on exit.
+// SIGHUP reloads every artifact atomically and per name — a failed reload
+// (corrupt or vanished file) keeps the old state serving and never blocks
+// a neighbor; repeated failures trip a circuit breaker that suppresses
+// further attempts for -breaker-cooldown — and with -artifact-dir rescans
+// the directory. SIGINT/SIGTERM flip /readyz to 503 first, drain in-flight
+// requests for up to -drain-timeout, then exit. With -metrics the
+// aggregated serving counters are printed as JSON on exit.
 //
 // Overload resilience (DESIGN.md §13): -default-deadline sheds requests
 // predicted to miss their deadline (clients override per request with
@@ -64,9 +66,9 @@ import (
 )
 
 func main() {
-	artifact := flag.String("artifact", "", "serving artifact file (this or -artifact-dir is required; see flexile -artifact)")
+	artifact := flag.String("artifact", "", "serve this one artifact file as a one-entry registry (this or -artifact-dir is required; see flexile -artifact)")
 	artifactDir := flag.String("artifact-dir", "", "serve every *.flxa in this directory as a named registry")
-	defaultArtifact := flag.String("default-artifact", "", "registry artifact answering requests with no artifact name")
+	defaultArtifact := flag.String("default-artifact", "", "artifact answering requests that name none (default: the sole artifact)")
 	maxBatch := flag.Int("max-batch", serve.DefaultMaxBatch, "max queries per POST /v1/alloc/batch request")
 	listen := flag.String("listen", "127.0.0.1:8080", "listen address")
 	debugListen := flag.String("debug-listen", "", "optional admin listener serving /metrics and /debug/pprof (keep it private)")
@@ -121,22 +123,13 @@ func main() {
 		MaxBatch:         *maxBatch,
 		DefaultArtifact:  *defaultArtifact,
 	}
-	var srv service
-	source := *artifact
+	source, open := *artifact, serve.New
 	if *artifactDir != "" {
-		source = *artifactDir
-		reg, err := serve.NewRegistry(*artifactDir, cfg)
-		if err != nil {
-			fatal(err)
-		}
-		logger.Info("registry loaded", "dir", *artifactDir, "artifacts", len(reg.Names()))
-		srv = reg
-	} else {
-		single, err := serve.New(*artifact, cfg)
-		if err != nil {
-			fatal(err)
-		}
-		srv = single
+		source, open = *artifactDir, serve.NewRegistry
+	}
+	srv, err := open(source, cfg)
+	if err != nil {
+		fatal(err)
 	}
 
 	stopHUP := srv.WatchHUP(func(err error) {
@@ -152,6 +145,7 @@ func main() {
 	go func() { done <- hs.ListenAndServe() }()
 	logger.Info("serving",
 		"artifact", source,
+		"artifacts", len(srv.Names()),
 		"listen", *listen,
 		"cache_size", *cacheSize,
 		"workers", *workers)
@@ -216,17 +210,6 @@ func main() {
 		}
 		logger.Info("wrote trace", "path", *tracePath)
 	}
-}
-
-// service is the common daemon surface of a single-artifact serve.Server
-// and a multi-artifact serve.Registry.
-type service interface {
-	http.Handler
-	WatchHUP(func(error)) func()
-	BeginDrain()
-	Close()
-	MetricsHandler() http.Handler
-	DebugRequestsHandler() http.Handler
 }
 
 // newLogger builds the process logger: slog text on stderr, or JSON lines

@@ -27,7 +27,7 @@ import (
 // bit mismatches), the live registry and listener, per-artifact oracle
 // bodies, and the goroutine baseline for Quiesce.
 type RegistryHarness struct {
-	Reg   *serve.Registry
+	Reg   *serve.Server
 	TS    *httptest.Server
 	Dir   string
 	Names []string

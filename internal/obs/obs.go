@@ -234,6 +234,32 @@ type ServeMetrics struct {
 	BatchDeduped  int64 `json:"batch_deduped"`
 }
 
+// Add accumulates d into m. m is a plain (non-atomic) delta a caller builds
+// up locally — one per batch request, say — before flushing it with a
+// single Collector.AddServe.
+func (m *ServeMetrics) Add(d ServeMetrics) {
+	m.Requests += d.Requests
+	m.BadRequests += d.BadRequests
+	m.CacheHits += d.CacheHits
+	m.CacheMisses += d.CacheMisses
+	m.Recomputes += d.Recomputes
+	m.FlightShared += d.FlightShared
+	m.Reloads += d.Reloads
+	m.ReloadErrors += d.ReloadErrors
+	m.GateWaits += d.GateWaits
+	m.QuotaRejects += d.QuotaRejects
+	m.DeadlineShed += d.DeadlineShed
+	m.DeadlineExpired += d.DeadlineExpired
+	m.RecomputeErrors += d.RecomputeErrors
+	m.Degraded += d.Degraded
+	m.BreakerTrips += d.BreakerTrips
+	m.BreakerRejects += d.BreakerRejects
+	m.ReloadsSkipped += d.ReloadsSkipped
+	m.BatchRequests += d.BatchRequests
+	m.BatchEntries += d.BatchEntries
+	m.BatchDeduped += d.BatchDeduped
+}
+
 // LatencyID names one of the collector's built-in latency histograms.
 type LatencyID int
 

@@ -97,3 +97,24 @@ func TestServeMetricsJSONKeys(t *testing.T) {
 		}
 	}
 }
+
+// TestServeMetricsAddCoversEveryField fills every counter with a distinct
+// value by reflection, so a field added to ServeMetrics but forgotten in
+// Add (the local merge) or AddServe (the atomic flush) fails here.
+func TestServeMetricsAddCoversEveryField(t *testing.T) {
+	var d ServeMetrics
+	v := reflect.ValueOf(&d).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(int64(i + 1))
+	}
+	var sum ServeMetrics
+	sum.Add(d)
+	if !reflect.DeepEqual(sum, d) {
+		t.Fatalf("Add dropped a field: got %+v, want %+v", sum, d)
+	}
+	c := New()
+	c.AddServe(d)
+	if got := c.Snapshot().Serve; !reflect.DeepEqual(got, d) {
+		t.Fatalf("AddServe dropped a field: got %+v, want %+v", got, d)
+	}
+}

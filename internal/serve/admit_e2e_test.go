@@ -153,7 +153,7 @@ func TestDeadlineShedOnArrival(t *testing.T) {
 		defer close(occupied)
 		doAlloc(t, ts.URL, "1", nil)
 	}()
-	waitFor(t, func() bool { return srv.gate.InUse() == 1 })
+	waitFor(t, func() bool { return soleEngine(t, srv).gate.InUse() == 1 })
 
 	// A miss with a deadline far below the ~40ms EWMA must be shed on
 	// arrival: no queueing, no recompute.
@@ -215,7 +215,7 @@ func TestDeadlineDetachedRecompute(t *testing.T) {
 
 	// Let the detached solve finish; its side effects must land.
 	close(release)
-	waitFor(t, func() bool { return srv.st.load().cache.len() == 1 })
+	waitFor(t, func() bool { return soleEngine(t, srv).st.Load().cache.len() == 1 })
 	if resp, _ := doAlloc(t, ts.URL, "0", nil); resp.Header.Get("X-Flexile-Cache") != "hit" {
 		t.Fatalf("detached solve did not fill the cache: %q", resp.Header.Get("X-Flexile-Cache"))
 	}
@@ -389,7 +389,7 @@ func TestDrainFlipsReadyFirst(t *testing.T) {
 	resp.Body.Close()
 
 	srv.BeginDrain()
-	if !srv.Draining() {
+	if !srv.draining.Load() {
 		t.Fatal("Draining() false after BeginDrain")
 	}
 	resp, err = http.Get(ts.URL + "/readyz")

@@ -2,12 +2,10 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -25,9 +23,9 @@ const DefaultMaxBatch = 64
 const maxBatchBody = 8 << 20
 
 // BatchQuery is one allocation query inside a batch request. Artifact
-// selects the registry entry ("" means the request's default artifact; a
-// single-artifact server accepts only ""); Failed is the failure state in
-// the same form as the single-query POST body.
+// names the artifact ("" means the one the request itself addresses);
+// Failed is the failure state in the same form as the single-query POST
+// body.
 type BatchQuery struct {
 	Artifact string `json:"artifact,omitempty"`
 	Failed   []int  `json:"failed"`
@@ -73,17 +71,9 @@ func ParseBatchRequest(data []byte, maxBatch int) (*BatchRequest, error) {
 	if maxBatch <= 0 {
 		maxBatch = DefaultMaxBatch
 	}
-	if len(data) > maxBatchBody {
-		return nil, fmt.Errorf("%w: batch body of %d bytes exceeds %d", ErrBadRequest, len(data), maxBatchBody)
-	}
 	var req BatchRequest
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("%w: trailing data after batch object", ErrBadRequest)
+	if err := decodeStrict(data, maxBatchBody, "batch body", "batch", &req); err != nil {
+		return nil, err
 	}
 	if len(req.Queries) == 0 {
 		return nil, fmt.Errorf("%w: batch carries no queries", ErrBadRequest)
@@ -92,137 +82,109 @@ func ParseBatchRequest(data []byte, maxBatch int) (*BatchRequest, error) {
 		return nil, fmt.Errorf("%w: %d queries exceed the %d-query batch limit", ErrBadRequest, len(req.Queries), maxBatch)
 	}
 	for i := range req.Queries {
-		ar := AllocRequest{Failed: req.Queries[i].Failed}
-		if err := canonicalize(&ar); err != nil {
+		var err error
+		if req.Queries[i].Failed, err = canonicalize(req.Queries[i].Failed); err != nil {
 			return nil, fmt.Errorf("query %d: %w", i, err)
 		}
-		req.Queries[i].Failed = ar.Failed
 	}
 	return &req, nil
 }
 
-// artifactResolver maps a batch query's artifact name to the server that
-// owns it. A single-artifact Server resolves only the empty name (to
-// itself); a Registry resolves names to loaded entries and applies its
-// default-artifact rule. The returned name is the resolved display name
-// ("" for a bare single-artifact server).
-type artifactResolver interface {
-	resolveArtifact(name string) (*Server, string, error)
-}
-
-// resolveArtifact implements artifactResolver for a standalone Server: it
-// owns exactly one unnamed artifact.
-func (s *Server) resolveArtifact(name string) (*Server, string, error) {
-	if name != "" {
-		return nil, "", fmt.Errorf("unknown artifact %q", name)
+// readBatch reads a batch request: the envelope and its one deadline.
+func (s *Server) readBatch(r *http.Request) (*BatchRequest, time.Duration, error) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBatchBody+1))
+	if err != nil {
+		return nil, 0, fmt.Errorf("reading body: %w", err)
 	}
-	return s, "", nil
+	req, err := ParseBatchRequest(body, s.cfg.MaxBatch)
+	if err != nil {
+		return nil, 0, err
+	}
+	deadline, err := admit.ParseDeadline(r.Header.Get("X-Request-Deadline"), s.cfg.DefaultDeadline)
+	return req, deadline, err
 }
 
-// handleBatch serves POST /v1/alloc/batch for a single-artifact server.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	serveBatch(w, r, s, s.cfg)
+// groupKey identifies one unique (artifact, failure state) across a batch.
+type groupKey struct {
+	eng *engine
+	key string // failedKey of the query
 }
 
-// batchGroup is one unique (server, failure state) across a batch: the
-// first query with that key computes, later duplicates copy its result.
+// batchGroup is the queries of a batch sharing one groupKey: the first
+// computes, later duplicates copy its result.
 type batchGroup struct {
-	srv     *Server
-	name    string
+	groupKey
 	req     *AllocRequest
 	members []int // request positions answered by this group
 	res     allocResult
-	d       obs.ServeMetrics
 }
 
-// serveBatch is the shared POST /v1/alloc/batch implementation behind both
-// a standalone Server and a Registry (DESIGN.md §14). One HTTP request
-// carries many allocation queries; each query keeps per-entry admission
-// semantics (quota on the resolved server's buckets, deadline, breaker),
-// duplicates of the same (artifact, failure-state) pair are answered once,
-// and unique misses fan out concurrently through each server's existing
-// gate/flight pipeline. Entry bodies are the exact bytes the single-query
-// path would have written.
-func serveBatch(w http.ResponseWriter, r *http.Request, res artifactResolver, cfg Config) {
+// handleBatch serves POST /v1/alloc/batch (DESIGN.md §14). One HTTP
+// request carries many allocation queries; a query that names no artifact
+// rides the request's own addressing (path segment, header, default rule).
+// Each query keeps per-entry admission semantics (quota on the resolved
+// engine's buckets, deadline, breaker), duplicates of the same (artifact,
+// failure-state) pair are answered once, and unique misses fan out
+// concurrently through each engine's existing gate/flight pipeline. Entry
+// bodies are the exact bytes the single-query path would have written.
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	col := cfg.collector()
-	var top obs.ServeMetrics
-	top.BatchRequests = 1
+	top := obs.ServeMetrics{BatchRequests: 1}
 	defer func() {
-		if col != nil {
-			col.AddServe(top)
-			col.ObserveLatency(obs.LatServeRequest, time.Since(start))
-		}
+		s.col.AddServe(top)
+		s.col.ObserveLatency(obs.LatServeRequest, time.Since(start))
 	}()
 	// The top-level lapper tiles the serial phases of the batch (parse →
 	// admit → flight barrier → write); each stage-2 group records its own
 	// nested spans from its goroutine.
 	tr := obs.ReqTraceFrom(r.Context())
-	lap := &lapper{tr: tr, col: col, last: start}
+	lap := &lapper{tr: tr, col: s.col, last: start}
 
-	body, rerr := io.ReadAll(io.LimitReader(r.Body, maxBatchBody+1))
-	if rerr != nil {
-		top.BadRequests = 1
-		writeError(w, http.StatusBadRequest, "reading body: "+rerr.Error())
-		return
-	}
-	req, err := ParseBatchRequest(body, cfg.maxBatch())
+	req, deadline, err := s.readBatch(r)
 	if err != nil {
 		top.BadRequests = 1
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	deadline, derr := admit.ParseDeadline(r.Header.Get("X-Request-Deadline"), cfg.DefaultDeadline)
-	if derr != nil {
-		top.BadRequests = 1
-		writeError(w, http.StatusBadRequest, derr.Error())
-		return
-	}
 	lap.Lap("parse", obs.LatStageParse)
 	top.BatchEntries = int64(len(req.Queries))
 	tenant := r.Header.Get("X-Tenant")
+	def := addressed(r)
 
-	waitCtx := r.Context()
-	if deadline > 0 {
-		var cancel context.CancelFunc
-		waitCtx, cancel = context.WithDeadline(waitCtx, start.Add(deadline))
-		defer cancel()
-	}
+	waitCtx, cancel := waitContext(r, start, deadline)
+	defer cancel()
 
 	// Stage 1 (serial, cheap): resolve each query's artifact, charge its
-	// tenant quota on the owning server, and group duplicates. Entries
-	// rejected here never reach a worker.
-	type groupKey struct {
-		srv *Server
-		key string
-	}
+	// tenant quota on the owning engine, and group duplicates. Entries
+	// rejected here never reach a worker. acct accumulates each engine's
+	// counters so one batch costs each collector a single add.
 	entries := make([]BatchEntry, len(req.Queries))
 	groups := make(map[groupKey]*batchGroup)
-	perSrv := make(map[*Server]*obs.ServeMetrics)
+	acct := make(map[*engine]*obs.ServeMetrics)
 	var order []*batchGroup
 	for i, qy := range req.Queries {
-		srv, name, rerr := res.resolveArtifact(qy.Artifact)
+		name := qy.Artifact
+		if name == "" {
+			name = def
+		}
+		eng, rerr := s.resolve(name)
 		if rerr != nil {
 			top.BadRequests++
 			entries[i] = BatchEntry{Status: http.StatusNotFound, Artifact: qy.Artifact, Scenario: -1, Error: rerr.Error()}
 			continue
 		}
-		d := perSrv[srv]
-		if d == nil {
-			d = &obs.ServeMetrics{}
-			perSrv[srv] = d
+		if acct[eng] == nil {
+			acct[eng] = new(obs.ServeMetrics)
 		}
-		d.Requests++
-		if ok, retry := srv.quota.Allow(tenant); !ok {
-			d.QuotaRejects++
-			entries[i] = BatchEntry{Status: http.StatusTooManyRequests, Artifact: name, Scenario: -1,
-				Shed: "quota", RetryAfter: admit.RetryAfterSeconds(retry), Error: "tenant quota exceeded"}
+		if refusal, ok := eng.admit(tenant); !ok {
+			acct[eng].Add(refusal.metrics())
+			entries[i] = batchEntry(eng.name, refusal)
 			continue
 		}
-		gk := groupKey{srv, failedKey(qy.Failed)}
+		gk := groupKey{eng, failedKey(qy.Failed)}
 		g := groups[gk]
 		if g == nil {
-			g = &batchGroup{srv: srv, name: name, req: &AllocRequest{Failed: qy.Failed}}
+			g = &batchGroup{groupKey: gk, req: &AllocRequest{Failed: qy.Failed}}
 			groups[gk] = g
 			order = append(order, g)
 		} else {
@@ -232,7 +194,7 @@ func serveBatch(w http.ResponseWriter, r *http.Request, res artifactResolver, cf
 	}
 	lap.Lap("admit", obs.LatStageAdmit)
 
-	// Stage 2 (concurrent): one allocate per unique group; the per-server
+	// Stage 2 (concurrent): one allocate per unique group; the per-engine
 	// gate still bounds actual recomputation concurrency, so a wide batch
 	// cannot stampede the solver any harder than wide single requests.
 	var wg sync.WaitGroup
@@ -240,44 +202,31 @@ func serveBatch(w http.ResponseWriter, r *http.Request, res artifactResolver, cf
 		wg.Add(1)
 		go func(g *batchGroup) {
 			defer wg.Done()
-			glap := &lapper{tr: tr, col: col, last: time.Now(), nested: true, tag: failedKey(g.req.Failed)}
-			g.res = g.srv.allocate(waitCtx, g.srv.st.load(), g.req, deadline, &g.d, glap)
+			glap := &lapper{tr: tr, col: g.eng.col, last: time.Now(), nested: true, tag: g.key}
+			g.res = g.eng.allocate(waitCtx, g.req, deadline)
+			glap.alloc(g.res)
 		}(g)
 	}
 	wg.Wait()
 	lap.Lap("flight", obs.LatStageFlight)
 
+	// Every member entry is a request; the group's disposition is counted
+	// once, so per-artifact and fleet counters see batch entries exactly
+	// like single requests plus BatchDeduped copies.
 	for _, g := range order {
-		d := perSrv[g.srv]
-		d.BadRequests += g.d.BadRequests
-		d.CacheHits += g.d.CacheHits
-		d.CacheMisses += g.d.CacheMisses
-		d.FlightShared += g.d.FlightShared
-		d.DeadlineShed += g.d.DeadlineShed
-		d.DeadlineExpired += g.d.DeadlineExpired
-		d.QuotaRejects += g.d.QuotaRejects
-		d.BreakerRejects += g.d.BreakerRejects
-		d.Degraded += g.d.Degraded
+		m := g.res.metrics()
+		m.Requests = int64(len(g.members))
+		acct[g.eng].Add(m)
 		for pos, i := range g.members {
-			e := batchEntry(g.name, g.res)
+			e := batchEntry(g.eng.name, g.res)
 			if pos > 0 && e.Status == http.StatusOK && !e.Degraded {
 				e.Cache = "dedup"
 			}
 			entries[i] = e
 		}
 	}
-	// Flush per-server dispositions into each server's own collector (a
-	// registry child rolls them up to the aggregate), so per-artifact and
-	// fleet counters both see batch entries exactly like single requests.
-	keys := make([]*Server, 0, len(perSrv))
-	for srv := range perSrv {
-		keys = append(keys, srv)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].path < keys[j].path })
-	for _, srv := range keys {
-		if c := srv.cfg.collector(); c != nil {
-			c.AddServe(*perSrv[srv])
-		}
+	for eng, d := range acct {
+		eng.col.AddServe(*d)
 	}
 
 	w.Header().Set("Content-Type", "application/json")
@@ -291,7 +240,7 @@ func serveBatch(w http.ResponseWriter, r *http.Request, res artifactResolver, cf
 // O(total body bytes) pass that dominated warm-cache batch latency — and
 // byte-splicing is also the stronger form of the bit-identity contract:
 // the cached single-request bytes land on the wire untouched.
-func writeBatchResponse(w io.Writer, entries []BatchEntry) error {
+func writeBatchResponse(w io.Writer, entries []BatchEntry) {
 	buf := bytes.NewBuffer(make([]byte, 0, 1024))
 	buf.WriteString(`{"results":[`)
 	for i := range entries {
@@ -300,10 +249,7 @@ func writeBatchResponse(w io.Writer, entries []BatchEntry) error {
 		}
 		body := entries[i].Body
 		entries[i].Body = nil
-		meta, err := json.Marshal(&entries[i])
-		if err != nil {
-			return err
-		}
+		meta, _ := json.Marshal(&entries[i]) // ints and strings: cannot fail
 		if len(body) == 0 {
 			buf.Write(meta)
 			continue
@@ -315,16 +261,14 @@ func writeBatchResponse(w io.Writer, entries []BatchEntry) error {
 		buf.WriteByte('}')
 	}
 	buf.WriteString("]}\n")
-	_, err := w.Write(buf.Bytes())
-	return err
+	w.Write(buf.Bytes())
 }
 
 // batchEntry renders an allocResult as one batch response entry, the
-// field-for-field analog of Server.writeResult's headers.
+// field-for-field analog of writeResult's headers.
 func batchEntry(name string, r allocResult) BatchEntry {
-	e := BatchEntry{Status: r.status, Artifact: name, Scenario: r.scenario}
+	e := BatchEntry{Status: r.status, Artifact: name, Scenario: r.scenario, Shed: r.shed}
 	if r.shed != "" {
-		e.Shed = r.shed
 		e.RetryAfter = admit.RetryAfterSeconds(r.retry)
 	}
 	if r.status == http.StatusOK {

@@ -25,18 +25,10 @@ import (
 // the serving port.
 
 // DebugRequestsHandler returns the /debug/requests handler over the
-// server's trace ring. With no ring configured the handler answers 404.
+// server's trace ring; one ring, so one page, covers every artifact. With
+// no ring configured the handler answers 404.
 func (s *Server) DebugRequestsHandler() http.Handler {
-	return debugRequestsHandler(s.cfg.Ring)
-}
-
-// DebugRequestsHandler returns the fleet /debug/requests handler; the ring
-// is shared by every artifact server, so one page covers all of them.
-func (r *Registry) DebugRequestsHandler() http.Handler {
-	return debugRequestsHandler(r.cfg.Ring)
-}
-
-func debugRequestsHandler(ring *obs.TraceRing) http.Handler {
+	ring := s.cfg.Ring
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if ring == nil {
 			writeError(w, http.StatusNotFound, "request tracing is not enabled (no trace ring configured)")
@@ -45,7 +37,11 @@ func debugRequestsHandler(ring *obs.TraceRing) http.Handler {
 		recent, slowest, errored := ring.Recent(), ring.Slowest(), ring.Errored()
 		switch r.URL.Query().Get("format") {
 		case "", "html":
-			writeDebugHTML(w, ring.Total(), recent, slowest, errored)
+			w.Header().Set("Content-Type", "text/html; charset=utf-8")
+			debugTmpl.Execute(w, struct {
+				Total                    uint64
+				Recent, Slowest, Errored []obs.TraceSnapshot
+			}{ring.Total(), recent, slowest, errored})
 		case "json":
 			w.Header().Set("Content-Type", "application/json")
 			enc := json.NewEncoder(w)
@@ -145,12 +141,4 @@ func fmtSpans(spans []obs.SpanRec) string {
 		parts = append(parts, s)
 	}
 	return strings.Join(parts, " · ")
-}
-
-func writeDebugHTML(w http.ResponseWriter, total uint64, recent, slowest, errored []obs.TraceSnapshot) {
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	debugTmpl.Execute(w, struct {
-		Total                    uint64
-		Recent, Slowest, Errored []obs.TraceSnapshot
-	}{total, recent, slowest, errored})
 }

@@ -145,21 +145,21 @@ func FuzzResolveArtifactName(f *testing.F) {
 	f.Add(".hidden")
 	f.Add("alpha\x00")
 	f.Fuzz(func(t *testing.T, name string) {
-		srv, resolved, err := reg.resolveArtifact(name)
+		eng, err := reg.resolve(name)
 		if err != nil {
-			if srv != nil {
-				t.Fatal("resolveArtifact returned both a server and an error")
+			if eng != nil {
+				t.Fatal("resolve returned both an engine and an error")
 			}
 			return
 		}
-		if srv == nil {
-			t.Fatalf("resolveArtifact(%q) returned neither server nor error", name)
+		if eng == nil {
+			t.Fatalf("resolve(%q) returned neither engine nor error", name)
 		}
-		if !ValidArtifactName(resolved) {
-			t.Fatalf("resolved to invalid name %q", resolved)
+		if !ValidArtifactName(eng.name) {
+			t.Fatalf("resolved to invalid name %q", eng.name)
 		}
-		if name != "" && resolved != name {
-			t.Fatalf("resolveArtifact(%q) resolved to different name %q", name, resolved)
+		if name != "" && eng.name != name {
+			t.Fatalf("resolve(%q) resolved to different name %q", name, eng.name)
 		}
 	})
 }

@@ -175,7 +175,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 	// The artifact-identity gauge carries the live checksum.
-	st := srv.st.load()
+	st := soleEngine(t, srv).st.Load()
 	if !strings.Contains(text, `checksum="`+st.checksum+`"`) {
 		t.Errorf("metrics page missing artifact checksum label")
 	}
@@ -257,7 +257,7 @@ func TestMetricsScrapeConcurrentWithHammer(t *testing.T) {
 
 	// Quiescent cross-check: the histogram count must equal the request
 	// counter exactly once the hammer stops.
-	snap := srv.cfg.collector().Snapshot()
+	snap := srv.col.Snapshot()
 	if snap.Latency.ServeRequest.Count != uint64(snap.Serve.Requests) {
 		t.Fatalf("latency count %d != requests %d",
 			snap.Latency.ServeRequest.Count, snap.Serve.Requests)
@@ -341,7 +341,7 @@ func TestAccessLogRecords(t *testing.T) {
 	if len(recs) != 4 {
 		t.Fatalf("got %d access records, want 4:\n%s", len(recs), buf.String())
 	}
-	scen0 := srv.st.load().scenIndex["0"] // scenario index for failed=[0]
+	scen0 := soleEngine(t, srv).st.Load().scenIndex["0"] // scenario index for failed=[0]
 	for i, want := range []record{
 		{Cache: "miss", Status: 200, Scenario: scen0},
 		{Cache: "hit", Status: 200, Scenario: scen0},
@@ -394,7 +394,7 @@ func TestAccessLogSampling(t *testing.T) {
 		t.Fatalf("sampled %d of %d records with LogEvery=5, want %d", logged, total, total/5)
 	}
 	// Counters are never sampled: all requests are in the collector.
-	if s := srv.cfg.collector().Snapshot().Serve; s.Requests != total {
+	if s := srv.col.Snapshot().Serve; s.Requests != total {
 		t.Fatalf("requests counter = %d, want %d", s.Requests, total)
 	}
 }

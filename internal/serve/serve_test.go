@@ -74,6 +74,17 @@ func writeArtifact(t testing.TB) (path string, inst *te.Instance, off *flexschem
 	return path, s.inst, s.off, s.opt
 }
 
+// soleEngine returns the engine behind a one-artifact server, for tests
+// that watch its gate, loaded state or flight table directly.
+func soleEngine(t testing.TB, s *Server) *engine {
+	t.Helper()
+	eng, err := s.resolve("")
+	if err != nil {
+		t.Fatalf("soleEngine: %v", err)
+	}
+	return eng
+}
+
 func TestArtifactRoundTrip(t *testing.T) {
 	s, err := solvedTriangle()
 	if err != nil {

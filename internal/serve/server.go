@@ -1,62 +1,48 @@
 package serve
 
 import (
-	"container/list"
 	"context"
-	"crypto/rand"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
 
-	"flexile/internal/admit"
 	"flexile/internal/obs"
-	"flexile/internal/obs/expo"
-	"flexile/internal/par"
-	flexscheme "flexile/internal/scheme/flexile"
-	"flexile/internal/te"
 )
 
-// maxRequestBody bounds how much of an allocation request body the server
-// will read; a failure state for even the largest supported topology fits
-// in far less.
-const maxRequestBody = 1 << 20
-
-// Config tunes a Server.
+// Config tunes a Server and every artifact engine it loads.
 type Config struct {
 	// CacheSize is the per-artifact allocation-cache capacity in entries
 	// (one entry per scenario). 0 disables caching: every query recomputes
 	// (still deduplicated by single-flight). Negative means unbounded.
 	CacheSize int
-	// Workers bounds concurrent recomputations (par.Workers convention:
-	// 0 = NumCPU, negative = 1).
+	// Workers bounds concurrent recomputations per artifact (par.Workers
+	// convention: 0 = NumCPU, negative = 1).
 	Workers int
 	// Obs receives serving counters; nil falls back to obs.Global().
 	Obs *obs.Collector
 	// LoadHook, when non-nil, runs at the start of every artifact
-	// (re)load with a monotonically increasing attempt number. An error
-	// fails the load; tests use it with internal/faultinject to exercise
-	// the reload-failure path.
+	// (re)load with a per-artifact monotonically increasing attempt number.
+	// An error fails the load; tests use it with internal/faultinject to
+	// exercise the reload-failure path.
 	LoadHook func(attempt int) error
 	// Log receives structured access records (one per request, sampled by
-	// LogEvery) and lifecycle events (artifact loads, reload failures, gate
-	// saturation). Nil disables logging entirely — the request hot path
-	// then takes no logging branches at all.
+	// LogEvery) and lifecycle events (artifact loads, reload failures,
+	// breaker trips, drain). Nil disables logging entirely — the request hot
+	// path then takes no logging branches at all.
 	Log *slog.Logger
-	// LogEvery samples access records: n > 1 logs one request in every n.
-	// 0 and 1 log every request. Lifecycle events are never sampled.
+	// LogEvery samples access records: n > 1 logs one request in every n
+	// of the process's traffic. 0 and 1 log every request. Lifecycle events
+	// are never sampled.
 	LogEvery int
 
 	// --- overload resilience (DESIGN.md §13) ---
@@ -94,28 +80,26 @@ type Config struct {
 	// --- multi-artifact registry + batch API (DESIGN.md §14) ---
 
 	// MaxBatch bounds how many queries one POST /v1/alloc/batch request
-	// may carry. 0 means DefaultMaxBatch; negative is clamped to 1.
+	// may carry. 0 (or negative) means DefaultMaxBatch.
 	MaxBatch int
-	// DefaultArtifact names the registry entry that answers requests
-	// carrying no artifact name (no X-Flexile-Artifact header, bare
-	// /v1/... path). Only a Registry reads it; a single-artifact Server
-	// is its own default. Empty means: the sole artifact when the
-	// registry holds exactly one, otherwise named addressing is required.
+	// DefaultArtifact names the artifact that answers requests carrying
+	// no artifact name (no X-Flexile-Artifact header, bare /v1/... path).
+	// Empty means: the sole artifact when exactly one is loaded, otherwise
+	// named addressing is required.
 	DefaultArtifact string
 
 	// --- request-scoped tracing (DESIGN.md §16) ---
 
-	// Ring receives finished request traces and backs GET /debug/requests.
-	// Nil disables request tracing entirely (requests still get an
-	// X-Request-Id). A Registry shares one ring across its artifact
-	// servers.
+	// Ring receives finished request traces and backs GET /debug/requests;
+	// one ring covers every artifact. Nil disables request tracing entirely
+	// (requests still get an X-Request-Id).
 	Ring *obs.TraceRing
 	// TraceEvery samples request tracing: n > 1 traces one request in
-	// every n, 1 (or any negative value) traces every request, and 0
-	// picks DefaultTraceEvery — sampling is the h-trace-overhead budget's
-	// lever, amortizing the per-trace cost below 2% of a warm-cache hit.
-	// An incoming traceparent with the sampled flag always forces tracing
-	// regardless of TraceEvery.
+	// every n of the process's traffic, 1 (or any negative value) traces
+	// every request, and 0 picks DefaultTraceEvery — sampling is the
+	// h-trace-overhead budget's lever, amortizing the per-trace cost below
+	// 2% of a warm-cache hit. An incoming traceparent with the sampled flag
+	// always forces tracing regardless of TraceEvery.
 	TraceEvery int
 }
 
@@ -126,348 +110,238 @@ type Config struct {
 // (hypotheses/h-trace-overhead).
 const DefaultTraceEvery = 16
 
-func (c Config) maxBatch() int {
-	switch {
-	case c.MaxBatch == 0:
-		return DefaultMaxBatch
-	case c.MaxBatch < 0:
-		return 1
+// ArtifactExt is the artifact file extension NewRegistry scans for; the
+// basename minus the extension is the artifact's name.
+const ArtifactExt = ".flxa"
+
+// maxArtifactName bounds artifact name length; names are filenames and
+// metric label values, so they stay short and printable.
+const maxArtifactName = 64
+
+// ValidArtifactName reports whether name may address an artifact: 1–64
+// characters from [a-zA-Z0-9._-], not starting with '.' or '-'. The charset
+// keeps names safe as path segments, header values, and Prometheus label
+// values without escaping.
+func ValidArtifactName(name string) bool {
+	if name == "" || len(name) > maxArtifactName {
+		return false
 	}
-	return c.MaxBatch
-}
-
-func (c Config) collector() *obs.Collector {
-	if c.Obs != nil {
-		return c.Obs
+	if name[0] == '.' || name[0] == '-' {
+		return false
 	}
-	return obs.Global()
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		switch {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9':
+		case c == '.' || c == '_' || c == '-':
+		default:
+			return false
+		}
+	}
+	return true
 }
 
-// state is everything derived from one loaded artifact. A reload builds a
-// complete new state and swaps the pointer; in-flight requests finish
-// against the state they started with, so a swap can never mix two
-// artifacts' data, and the old state's cache dies with it.
-type state struct {
-	art      *Artifact
-	inst     *te.Instance
-	off      *flexscheme.OfflineResult
-	opt      flexscheme.Options
-	checksum string
-	loadedAt time.Time
-	// scenIndex maps a canonical failed-edge key to a scenario index.
-	scenIndex map[string]int
-	cache     *lruCache
-	flight    par.Flight[int, []byte]
-}
-
-// Server answers allocation queries from a loaded artifact. It is an
-// http.Handler; see Routes for the endpoint list.
+// Server is the one serving front end (DESIGN.md §10): always a registry
+// of named artifact engines under one HTTP layer. New pins it to a single
+// file, NewRegistry fills it from a directory; routing, reload, drain and
+// metrics are the same code for one artifact and for many. Each artifact
+// has its own engine, so a corrupt or failing one cannot poison its
+// neighbors.
+//
+// Routes. A per-artifact route names its artifact by path segment, else by
+// the X-Flexile-Artifact header, else by the default rule
+// (Config.DefaultArtifact, else the sole loaded artifact); the three forms
+// answer byte-identically.
+//
+//	GET|POST /v1/alloc        /v1/artifacts/{name}/alloc        one query (?failed=3,7 or {"failed":[3,7]})
+//	POST     /v1/alloc/batch  /v1/artifacts/{name}/alloc/batch  many queries, each naming its artifact
+//	GET      /v1/info         /v1/artifacts/{name}/info         artifact identity and sizes
+//	GET      /v1/scenarios    /v1/artifacts/{name}/scenarios    enumerated failure states
+//	GET      /v1/artifacts                                      one status row per artifact
+//	GET      /healthz  /readyz  /metrics                        liveness, readiness, exposition page
+//
+// The last three describe a one-entry registry as that artifact (top-level
+// checksum, unlabelled gauges) and a larger one as a fleet (name→checksum
+// map, artifact-labelled families).
 type Server struct {
-	cfg  Config
-	path string
-	mux  *http.ServeMux
-	gate *par.Gate
+	cfg Config
+	col *obs.Collector // fleet aggregate the engines' collectors roll up into; may be nil
+	mux *http.ServeMux
+	// scan lists the artifact files to serve, name → path, reporting files
+	// with unusable names in err; a nil map means the scan itself failed.
+	scan func() (files map[string]string, err error)
 
-	// base outlives any single request: detached recomputations queue on
-	// the gate under it, so a client disconnect cannot cancel the solve
-	// other waiters are riding. Close cancels it at server teardown.
-	base       context.Context
-	cancelBase context.CancelFunc
-
-	// quota and the two breakers are nil when disabled in Config — the
-	// admit package's nil receivers admit everything.
-	quota         *admit.Quota
-	compBreaker   *admit.Breaker
-	reloadBreaker *admit.Breaker
-
-	// stale is the last-known-good store backing degraded responses:
-	// failedKey → the last successfully computed response bytes, kept
-	// across artifact swaps and recompute failures. Entries are only
-	// served with an explicit X-Flexile-Degraded marker when the live
-	// path cannot answer (stale-while-revalidate).
-	staleMu sync.RWMutex
-	stale   map[string][]byte
-
-	reloadMu  sync.Mutex // serializes Reload (attempt numbering + swap order)
-	attempts  int
-	reloading atomic.Bool // true while a (re)load is decoding — /readyz says 503
-	draining  atomic.Bool // true after BeginDrain — /readyz says 503 for LB drain
-	logSeq    atomic.Int64
-	traceSeq  atomic.Int64
-	st        atomicState
+	reloadMu sync.Mutex // serializes Reload sweeps
+	// engines is replaced wholesale by Reload, so routing reads it without
+	// a lock. Every member has a loaded state.
+	engines  atomic.Pointer[engineSet]
+	draining atomic.Bool // true after BeginDrain — /readyz says 503 for LB drain
+	logSeq   atomic.Int64
+	traceSeq atomic.Int64
 }
 
-// atomicState is a tiny wrapper so Server needs no generics import just
-// for atomic.Pointer[state].
-type atomicState struct {
-	mu sync.RWMutex
-	s  *state
+// engineSet is one immutable snapshot of the loaded artifacts.
+type engineSet struct {
+	byName map[string]*engine
+	sorted []*engine // by name
 }
 
-func (a *atomicState) load() *state {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.s
-}
-
-func (a *atomicState) store(s *state) {
-	a.mu.Lock()
-	a.s = s
-	a.mu.Unlock()
-}
-
-// New loads the artifact at path and returns a ready server. The initial
-// load uses the same validation and hook path as SIGHUP reloads.
+// New serves the single artifact file at path: a one-entry registry pinned
+// to that file, named after its basename. If the file vanishes or turns
+// corrupt, Reload fails and the loaded state keeps serving.
 func New(path string, cfg Config) (*Server, error) {
-	s := &Server{
-		cfg:   cfg,
-		path:  path,
-		gate:  par.NewGate(cfg.Workers),
-		quota: admit.NewQuota(admit.QuotaConfig{Rate: cfg.TenantRate, Burst: cfg.TenantBurst}),
-		stale: make(map[string][]byte),
+	files := map[string]string{strings.TrimSuffix(filepath.Base(path), ArtifactExt): path}
+	return newServer(cfg, path, func() (map[string]string, error) { return files, nil })
+}
+
+// NewRegistry serves every *.flxa file in dir as a named artifact; Reload
+// rescans the directory, so files may come and go. Startup is strict —
+// any invalid artifact or an empty directory fails — because a process
+// that boots must be able to answer for every name it advertises; later
+// Reloads degrade per name instead (the previous state keeps serving).
+func NewRegistry(dir string, cfg Config) (*Server, error) {
+	return newServer(cfg, dir, func() (map[string]string, error) {
+		paths, err := filepath.Glob(filepath.Join(dir, "*"+ArtifactExt))
+		if err != nil {
+			return nil, fmt.Errorf("serve: scan %s: %w", dir, err)
+		}
+		files := make(map[string]string, len(paths))
+		var errs []error
+		for _, p := range paths {
+			name := strings.TrimSuffix(filepath.Base(p), ArtifactExt)
+			if !ValidArtifactName(name) {
+				errs = append(errs, fmt.Errorf("serve: invalid artifact name %q (%s)", name, p))
+				continue
+			}
+			files[name] = p
+		}
+		return files, errors.Join(errs...)
+	})
+}
+
+func newServer(cfg Config, source string, scan func() (map[string]string, error)) (*Server, error) {
+	s := &Server{cfg: cfg, col: cfg.Obs, scan: scan}
+	if s.col == nil {
+		s.col = obs.Global()
 	}
-	bcfg := admit.BreakerConfig{Threshold: cfg.BreakerThreshold, Cooldown: cfg.BreakerCooldown}
-	s.compBreaker = admit.NewBreaker(bcfg)
-	s.reloadBreaker = admit.NewBreaker(bcfg)
-	s.base, s.cancelBase = context.WithCancel(context.Background())
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("GET /healthz", s.handleHealth)
-	s.mux.HandleFunc("GET /readyz", s.handleReady)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /v1/info", s.handleInfo)
-	s.mux.HandleFunc("GET /v1/scenarios", s.handleScenarios)
-	s.mux.HandleFunc("GET /v1/alloc", s.handleAlloc)
-	s.mux.HandleFunc("POST /v1/alloc", s.handleAlloc)
-	s.mux.HandleFunc("POST /v1/alloc/batch", s.handleBatch)
+	s.engines.Store(&engineSet{})
+	s.routes()
 	if err := s.Reload(); err != nil {
+		s.Close()
 		return nil, err
+	}
+	set := s.engines.Load()
+	if len(set.sorted) == 0 {
+		return nil, fmt.Errorf("serve: no %s artifacts in %s", ArtifactExt, source)
+	}
+	if def := cfg.DefaultArtifact; def != "" && set.byName[def] == nil {
+		s.Close()
+		return nil, fmt.Errorf("serve: default artifact %q not found in %s", def, source)
 	}
 	return s, nil
 }
 
-// --- request ids and access logging ---
-
-// reqIDPrefix makes request ids unique across processes; the per-process
-// counter makes them unique within one.
-var reqIDPrefix = func() string {
-	b := make([]byte, 6)
-	rand.Read(b)
-	return hex.EncodeToString(b)
-}()
-
-var reqIDSeq atomic.Uint64
-
-func nextRequestID() string {
-	return reqIDPrefix + "-" + strconv.FormatUint(reqIDSeq.Add(1), 10)
-}
-
-// accessRecorder captures the response status and size for the access log;
-// handlers that know more (the allocation path) type-assert their
-// ResponseWriter back to it and fill in the query-shaped fields.
-type accessRecorder struct {
-	http.ResponseWriter
-	status   int
-	bytes    int
-	scenario int    // matched scenario index, -1 when none
-	cache    string // hit | miss | shared | none
-}
-
-func (a *accessRecorder) WriteHeader(code int) {
-	if a.status == 0 {
-		a.status = code
-	}
-	a.ResponseWriter.WriteHeader(code)
-}
-
-func (a *accessRecorder) Write(b []byte) (int, error) {
-	if a.status == 0 {
-		a.status = http.StatusOK
-	}
-	n, err := a.ResponseWriter.Write(b)
-	a.bytes += n
-	return n, err
-}
-
-// ServeHTTP implements http.Handler. Every request gets an X-Request-Id
-// (the caller's, else a generated one) echoed in the response, tracing or
-// logging configured or not, so shed responses stay correlatable. Sampled
-// requests additionally get a request trace (Config.Ring, DESIGN.md §16)
-// and, with logging configured, one structured access record per LogEvery.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	rid, tr, r2 := beginRequest(s.cfg, &s.traceSeq, w, r)
-	lg := s.cfg.Log
-	logged := lg != nil && (s.cfg.LogEvery <= 1 || s.logSeq.Add(1)%int64(s.cfg.LogEvery) == 0)
-	if !logged && tr == nil {
-		s.mux.ServeHTTP(w, r2)
-		return
-	}
-	rec := &accessRecorder{ResponseWriter: w, scenario: -1, cache: "none"}
-	start := time.Now()
-	s.mux.ServeHTTP(rec, r2)
-	if rec.status == 0 {
-		rec.status = http.StatusOK
-	}
-	if logged {
-		attrs := []slog.Attr{
-			slog.String("request_id", rid),
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.Int("scenario", rec.scenario),
-			slog.String("cache", rec.cache),
-			slog.Int("status", rec.status),
-			slog.Int("bytes", rec.bytes),
-			slog.Duration("dur", time.Since(start)),
-		}
-		if tr != nil {
-			attrs = append(attrs, slog.String("trace_id", tr.TraceID))
-		}
-		lg.LogAttrs(r.Context(), slog.LevelInfo, "request", attrs...)
-	}
-	endRequest(s.cfg, tr, rec)
-}
-
-// ErrReloadSuppressed wraps reload attempts short-circuited by the open
-// reload breaker: after BreakerThreshold consecutive reload failures the
-// server stops re-reading and re-validating the (presumably still broken)
-// artifact file until the cooldown admits a probe. The previous artifact
-// keeps serving throughout.
-var ErrReloadSuppressed = errors.New("serve: reload suppressed by open breaker")
-
-// Reload re-reads the artifact file, validates it, and atomically swaps it
-// in. On any failure — including a panic while decoding or instantiating —
-// the previous artifact keeps serving and the error is returned. The
-// allocation cache starts empty after a successful reload. When the reload
-// breaker is open the attempt is suppressed entirely (no file read, no
-// LoadHook) and a wrapped ErrReloadSuppressed is returned.
-func (s *Server) Reload() (err error) {
+// Reload sweeps the artifact files: loaded names reload through their own
+// engine (so each name has its own reload breaker — one artifact flapping
+// corrupt cannot suppress its neighbors' reloads), new files are loaded
+// fresh, and names whose files left the scan are dropped and closed.
+// Per-name failures are joined into the returned error; every other name
+// still (re)loads, and a name that fails to reload keeps serving its
+// previous state.
+func (s *Server) Reload() error {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	if ok, retry := s.reloadBreaker.Allow(); !ok {
-		if c := s.cfg.collector(); c != nil {
-			c.AddServe(obs.ServeMetrics{ReloadsSkipped: 1})
-		}
-		if lg := s.cfg.Log; lg != nil {
-			lg.LogAttrs(context.Background(), slog.LevelWarn, "reload suppressed",
-				slog.String("path", s.path),
-				slog.Duration("retry_after", retry))
-		}
-		return fmt.Errorf("%w (retry in %v)", ErrReloadSuppressed, retry)
+	files, err := s.scan()
+	if files == nil {
+		return err
 	}
-	s.reloading.Store(true)
-	s.attempts++
-	attempt := s.attempts
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("serve: reload panic: %v", r)
+	errs := []error{err}
+	names := make([]string, 0, len(files))
+	for name := range files {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	old := s.engines.Load()
+	next := &engineSet{byName: make(map[string]*engine, len(names))}
+	for _, name := range names {
+		eng := old.byName[name]
+		fresh := eng == nil
+		if fresh {
+			eng = newEngine(name, files[name], s.cfg, s.col)
 		}
-		s.reloading.Store(false)
-		var tripped bool
-		if err != nil {
-			tripped = s.reloadBreaker.Failure()
-		} else {
-			s.reloadBreaker.Success()
-		}
-		if c := s.cfg.collector(); c != nil {
-			d := obs.ServeMetrics{Reloads: 1}
-			if err != nil {
-				d.ReloadErrors = 1
-			}
-			if tripped {
-				d.BreakerTrips = 1
-			}
-			c.AddServe(d)
-		}
-		if tripped {
-			if lg := s.cfg.Log; lg != nil {
-				lg.LogAttrs(context.Background(), slog.LevelError, "reload breaker opened",
-					slog.Int("attempt", attempt),
-					slog.String("path", s.path))
+		if rerr := eng.reload(); rerr != nil {
+			errs = append(errs, fmt.Errorf("artifact %q: %w", name, rerr))
+			if fresh { // never loaded: nothing to keep serving
+				eng.cancelBase()
+				continue
 			}
 		}
-		if lg := s.cfg.Log; lg != nil {
-			if err != nil {
-				lg.LogAttrs(context.Background(), slog.LevelError, "artifact load failed",
-					slog.Int("attempt", attempt),
-					slog.String("path", s.path),
-					slog.String("error", err.Error()))
-			} else if st := s.st.load(); st != nil {
-				lg.LogAttrs(context.Background(), slog.LevelInfo, "artifact loaded",
-					slog.Int("attempt", attempt),
-					slog.String("path", s.path),
-					slog.String("topology", st.art.TopoName),
-					slog.String("checksum", st.checksum),
-					slog.Int("scenarios", len(st.art.Scenarios)))
-			}
-		}
-	}()
-	if hook := s.cfg.LoadHook; hook != nil {
-		if herr := hook(attempt); herr != nil {
-			return fmt.Errorf("serve: load hook: %w", herr)
+		next.byName[name] = eng
+		next.sorted = append(next.sorted, eng)
+	}
+	s.engines.Store(next)
+	for name, eng := range old.byName {
+		if next.byName[name] == nil {
+			eng.cancelBase()
 		}
 	}
-	data, rerr := os.ReadFile(s.path)
-	if rerr != nil {
-		return fmt.Errorf("serve: read artifact: %w", rerr)
-	}
-	st, berr := newState(data, s.cfg.CacheSize)
-	if berr != nil {
-		return berr
-	}
-	s.st.store(st)
-	return nil
+	return errors.Join(errs...)
 }
 
-func newState(data []byte, cacheSize int) (*state, error) {
-	art, err := Decode(data)
-	if err != nil {
-		return nil, err
+// resolve maps an artifact name to its engine: "" resolves through the
+// default rule (Config.DefaultArtifact, else the sole loaded artifact),
+// anything else must name a loaded artifact. The error text is stable per
+// name so unknown-artifact 404 bodies are deterministic.
+func (s *Server) resolve(name string) (*engine, error) {
+	set := s.engines.Load()
+	if name == "" {
+		if name = s.cfg.DefaultArtifact; name == "" {
+			if len(set.sorted) == 1 {
+				return set.sorted[0], nil
+			}
+			return nil, fmt.Errorf("artifact name required: %d artifacts loaded and no default configured", len(set.sorted))
+		}
 	}
-	inst, off, opt, err := art.Instantiate()
-	if err != nil {
-		return nil, err
+	if !ValidArtifactName(name) {
+		return nil, fmt.Errorf("invalid artifact name %q", name)
 	}
-	st := &state{
-		art:       art,
-		inst:      inst,
-		off:       off,
-		opt:       opt,
-		checksum:  art.Checksum(),
-		loadedAt:  time.Now(),
-		scenIndex: make(map[string]int, len(art.Scenarios)),
-		cache:     newLRUCache(cacheSize),
+	eng := set.byName[name]
+	if eng == nil {
+		return nil, fmt.Errorf("unknown artifact %q", name)
 	}
-	for q, sc := range art.Scenarios {
-		st.scenIndex[failedKey(sc.Failed)] = q
-	}
-	return st, nil
+	return eng, nil
 }
 
-// WatchHUP installs a SIGHUP handler that reloads the artifact until stop
-// is called. Reload errors are reported through onErr (which may be nil)
-// and leave the previous artifact serving.
+// Names returns the sorted names of the loaded artifacts.
+func (s *Server) Names() []string {
+	set := s.engines.Load()
+	names := make([]string, len(set.sorted))
+	for i, eng := range set.sorted {
+		names[i] = eng.name
+	}
+	return names
+}
+
+// WatchHUP installs a SIGHUP handler that calls Reload until stop is
+// called. Reload errors are reported through onErr (which may be nil) and
+// leave the previous state of every failing artifact serving.
 func (s *Server) WatchHUP(onErr func(error)) (stop func()) {
 	ch := make(chan os.Signal, 1)
 	signal.Notify(ch, syscall.SIGHUP)
-	done := make(chan struct{})
 	finished := make(chan struct{})
 	go func() {
 		defer close(finished)
-		for {
-			select {
-			case <-ch:
-				if err := s.Reload(); err != nil && onErr != nil {
-					onErr(err)
-				}
-			case <-done:
-				return
+		for range ch {
+			if err := s.Reload(); err != nil && onErr != nil {
+				onErr(err)
 			}
 		}
 	}()
 	var once sync.Once
 	return func() {
 		once.Do(func() {
-			signal.Stop(ch)
-			close(done)
+			signal.Stop(ch) // no send can follow Stop, so closing ch is safe
+			close(ch)
 			<-finished
 		})
 	}
@@ -487,667 +361,11 @@ func (s *Server) BeginDrain() {
 	}
 }
 
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-// Close cancels the server's base context, releasing any detached
-// recomputations still queued on the gate. Call it after the HTTP
-// listener has shut down; the server must not serve requests afterwards.
-func (s *Server) Close() { s.cancelBase() }
-
-// --- stale last-known-good store (degraded responses) ---
-
-// staleCap bounds the last-known-good store. Keys are enumerated failure
-// states, so the bound is a safety net against pathological artifact
-// churn, not a working-set limit.
-const staleCap = 65536
-
-func (s *Server) staleGet(key string) ([]byte, bool) {
-	s.staleMu.RLock()
-	defer s.staleMu.RUnlock()
-	b, ok := s.stale[key]
-	return b, ok
-}
-
-func (s *Server) stalePut(key string, body []byte) {
-	s.staleMu.Lock()
-	defer s.staleMu.Unlock()
-	if _, exists := s.stale[key]; !exists && len(s.stale) >= staleCap {
-		// At capacity: drop an arbitrary entry. Losing a stale answer only
-		// costs a future degraded response, never a correct one.
-		for k := range s.stale {
-			delete(s.stale, k)
-			break
-		}
+// Close releases every artifact's detached recomputations still queued on
+// its gate. Call it after the HTTP listener has shut down; the server must
+// not serve requests afterwards.
+func (s *Server) Close() {
+	for _, eng := range s.engines.Load().sorted {
+		eng.cancelBase()
 	}
-	s.stale[key] = body
-}
-
-// --- request parsing ---
-
-// AllocRequest is a failure-state allocation query: the set of failed
-// edges, canonicalized (sorted, deduplicated) by the parsers.
-type AllocRequest struct {
-	Failed []int `json:"failed"`
-}
-
-// ErrBadRequest is wrapped by every request-parse failure.
-var ErrBadRequest = errors.New("serve: bad request")
-
-// ParseRequest parses a JSON allocation-request body. Arbitrary bytes
-// yield a wrapped ErrBadRequest, never a panic; edge ids are validated
-// non-negative and bounded, then sorted and deduplicated.
-func ParseRequest(data []byte) (*AllocRequest, error) {
-	if len(data) > maxRequestBody {
-		return nil, fmt.Errorf("%w: body of %d bytes exceeds %d", ErrBadRequest, len(data), maxRequestBody)
-	}
-	var req AllocRequest
-	d := json.NewDecoder(strings.NewReader(string(data)))
-	d.DisallowUnknownFields()
-	if err := d.Decode(&req); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	if d.More() {
-		return nil, fmt.Errorf("%w: trailing data after request object", ErrBadRequest)
-	}
-	if err := canonicalize(&req); err != nil {
-		return nil, err
-	}
-	return &req, nil
-}
-
-// ParseQuery parses the GET form of an allocation query: a "failed"
-// parameter holding a comma-separated edge list ("" or absent means no
-// failures). Same guarantees as ParseRequest.
-func ParseQuery(failed string) (*AllocRequest, error) {
-	req := &AllocRequest{}
-	if failed != "" {
-		for _, part := range strings.Split(failed, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil {
-				return nil, fmt.Errorf("%w: failed edge %q: %v", ErrBadRequest, part, err)
-			}
-			req.Failed = append(req.Failed, v)
-		}
-	}
-	if err := canonicalize(req); err != nil {
-		return nil, err
-	}
-	return req, nil
-}
-
-func canonicalize(req *AllocRequest) error {
-	if len(req.Failed) > maxEdges {
-		return fmt.Errorf("%w: %d failed edges exceeds %d", ErrBadRequest, len(req.Failed), maxEdges)
-	}
-	for _, e := range req.Failed {
-		if e < 0 || e >= maxEdges {
-			return fmt.Errorf("%w: edge id %d out of range", ErrBadRequest, e)
-		}
-	}
-	sort.Ints(req.Failed)
-	out := req.Failed[:0]
-	for i, e := range req.Failed {
-		if i == 0 || e != req.Failed[i-1] {
-			out = append(out, e)
-		}
-	}
-	req.Failed = out
-	return nil
-}
-
-// failedKey canonicalizes a sorted failed-edge list into a map key.
-func failedKey(failed []int) string {
-	if len(failed) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	for i, e := range failed {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(e))
-	}
-	return b.String()
-}
-
-// --- handlers ---
-
-// AllocResponse is the JSON allocation answer. Frac and X carry the exact
-// float64 values te.MaxMin produced (Go's JSON encoding is shortest-form
-// round-trip exact), so two servers loading the same artifact — or the
-// server and a direct library call — produce byte-identical bodies.
-type AllocResponse struct {
-	// Scenario is the matched scenario index.
-	Scenario int `json:"scenario"`
-	// Prob is that scenario's probability.
-	Prob float64 `json:"prob"`
-	// Frac[f] is the fraction of demand allocated to flow f.
-	Frac []float64 `json:"frac"`
-	// X[k][i][t] is the per-tunnel allocation.
-	X [][][]float64 `json:"x"`
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(errorResponse{Error: msg})
-}
-
-func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	resp := map[string]any{"ok": true}
-	if st := s.st.load(); st != nil {
-		resp["version"] = ArtifactVersion
-		resp["checksum"] = st.checksum
-		resp["loaded_at"] = st.loadedAt.UTC().Format(time.RFC3339Nano)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
-}
-
-// handleReady is the readiness probe, distinct from the /healthz liveness
-// probe: not-ready (503 with a JSON reason) before the first artifact has
-// decoded, while a hot reload is decoding a replacement, and after
-// BeginDrain; the previous artifact keeps answering /v1/alloc throughout,
-// so load balancers drain traffic without dropping in-flight queries.
-func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if s.draining.Load() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(map[string]any{"ready": false, "reason": "draining"})
-		return
-	}
-	if s.reloading.Load() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(map[string]any{"ready": false, "reason": "artifact reload in progress"})
-		return
-	}
-	st := s.st.load()
-	if st == nil {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(map[string]any{"ready": false, "reason": "no artifact loaded"})
-		return
-	}
-	json.NewEncoder(w).Encode(map[string]any{"ready": true, "checksum": st.checksum})
-}
-
-// handleMetrics renders the Prometheus exposition page: the collector's
-// epoch-consistent snapshot, live server gauges, and Go runtime telemetry.
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", expo.ContentType)
-	expo.WritePage(w, s.cfg.collector(), s.extraMetrics)
-}
-
-// MetricsHandler exposes the /metrics page as a standalone handler so an
-// admin listener can mount it next to pprof without routing application
-// traffic.
-func (s *Server) MetricsHandler() http.Handler { return http.HandlerFunc(s.handleMetrics) }
-
-// extraMetrics appends point-in-time gauges over live server state to a
-// metrics page — values outside the Collector because they are levels, not
-// deltas.
-func (s *Server) extraMetrics(e *expo.Encoder) {
-	st := s.st.load()
-	ready := 0.0
-	if st != nil && !s.reloading.Load() && !s.draining.Load() {
-		ready = 1
-	}
-	e.Gauge("flexile_serve_ready", "Whether /readyz currently reports ready.", ready)
-	e.Gauge("flexile_serve_gate_in_use", "Recomputation-gate slots currently held.", float64(s.gate.InUse()))
-	e.Gauge("flexile_serve_gate_capacity", "Total recomputation-gate slots.", float64(s.gate.Cap()))
-	e.Gauge("flexile_serve_gate_waiters", "Recomputations currently queued for a gate slot.", float64(s.gate.Waiters()))
-	e.Gauge("flexile_serve_gate_estimated_wait_seconds", "Predicted queue wait for a new arrival (EWMA of hold times).", s.gate.EstimatedWait().Seconds())
-	if s.quota != nil {
-		e.Gauge("flexile_serve_quota_tenants", "Tenant token buckets currently tracked.", float64(s.quota.Tenants()))
-	}
-	if s.compBreaker != nil && s.reloadBreaker != nil {
-		e.GaugeVec("flexile_serve_breaker_state", "Circuit-breaker state (0 closed, 1 open, 2 half-open).",
-			[]float64{float64(s.compBreaker.State()), float64(s.reloadBreaker.State())},
-			[][]expo.Label{
-				{{Name: "breaker", Value: "recompute"}},
-				{{Name: "breaker", Value: "reload"}},
-			})
-	}
-	if st != nil {
-		e.Gauge("flexile_serve_cache_entries", "Allocation-cache entries resident.", float64(st.cache.len()))
-		e.Gauge("flexile_serve_flight_in_flight", "Distinct scenarios with a recomputation in flight.", float64(st.flight.InFlight()))
-		e.Gauge("flexile_artifact_info", "Identity of the loaded serving artifact (value is always 1).", 1,
-			expo.Label{Name: "version", Value: strconv.Itoa(ArtifactVersion)},
-			expo.Label{Name: "checksum", Value: st.checksum},
-			expo.Label{Name: "topology", Value: st.art.TopoName})
-	}
-}
-
-func (s *Server) handleInfo(w http.ResponseWriter, _ *http.Request) {
-	st := s.st.load()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
-		"topology":  st.art.TopoName,
-		"version":   ArtifactVersion,
-		"checksum":  st.checksum,
-		"loaded_at": st.loadedAt.UTC().Format(time.RFC3339Nano),
-		"nodes":     st.art.NumNodes,
-		"edges":     len(st.art.Edges),
-		"classes":   len(st.art.Classes),
-		"pairs":     len(st.art.Pairs),
-		"scenarios": len(st.art.Scenarios),
-		"gamma":     st.art.Gamma,
-	})
-}
-
-func (s *Server) handleScenarios(w http.ResponseWriter, _ *http.Request) {
-	st := s.st.load()
-	type scen struct {
-		Index  int     `json:"index"`
-		Prob   float64 `json:"prob"`
-		Failed []int   `json:"failed"`
-	}
-	out := make([]scen, len(st.art.Scenarios))
-	for q, sc := range st.art.Scenarios {
-		failed := sc.Failed
-		if failed == nil {
-			failed = []int{}
-		}
-		out[q] = scen{Index: q, Prob: sc.Prob, Failed: failed}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(out)
-}
-
-// writeShed refuses a request at admission: Retry-After carries the
-// backoff hint in whole seconds, X-Flexile-Shed names the admission stage
-// that refused (quota | deadline | breaker) so clients and the chaos
-// harness can tell the paths apart.
-func writeShed(w http.ResponseWriter, code int, reason string, retryAfter time.Duration, msg string) {
-	w.Header().Set("Retry-After", strconv.Itoa(admit.RetryAfterSeconds(retryAfter)))
-	w.Header().Set("X-Flexile-Shed", reason)
-	writeError(w, code, msg)
-}
-
-// allocResult is the outcome of one allocation query after admission —
-// independent of how it is written back. The single-request handler maps
-// it onto the PR 7 wire format verbatim (headers and bodies unchanged);
-// the batch handler embeds it as one entry of the envelope, so the two
-// paths cannot drift apart.
-type allocResult struct {
-	status   int
-	body     []byte        // marshaled AllocResponse; nil unless status 200
-	errMsg   string        // error text; "" unless status != 200
-	cache    string        // hit | miss | shared | stale | "" (non-200)
-	shed     string        // quota | deadline | breaker | "" (not shed)
-	retry    time.Duration // Retry-After hint when shed != ""
-	degraded bool          // body came from the stale last-known-good store
-	scenario int           // matched scenario index, -1 when none
-}
-
-// allocate runs the post-parse stages of the staged admission pipeline
-// (DESIGN.md §13) for one canonical failure-state query against one loaded
-// state:
-//
-//  1. scenario lookup → 404
-//  2. cache hit → answer immediately
-//  3. deadline-aware admission: predicted gate wait > deadline → 503 shed
-//  4. recompute-breaker short circuit → stale degraded answer or 503
-//  5. detached single-flight recompute; the caller waits at most waitCtx,
-//     the computation itself always completes
-//
-// Disposition counters accumulate into d (the caller flushes them), so one
-// batch request can account many queries with a single collector add.
-func (s *Server) allocate(waitCtx context.Context, st *state, req *AllocRequest, deadline time.Duration, d *obs.ServeMetrics, lap *lapper) allocResult {
-	key := failedKey(req.Failed)
-	q, ok := st.scenIndex[key]
-	if !ok {
-		d.BadRequests++
-		lap.Lap("cache", obs.LatStageCache)
-		return allocResult{status: http.StatusNotFound, scenario: -1,
-			errMsg: fmt.Sprintf("no enumerated scenario matches failed edges %v", req.Failed)}
-	}
-
-	if body, ok := st.cache.get(q); ok {
-		d.CacheHits++
-		lap.Lap("cache", obs.LatStageCache)
-		return allocResult{status: http.StatusOK, scenario: q, cache: "hit", body: body}
-	}
-	d.CacheMisses++
-	lap.Lap("cache", obs.LatStageCache)
-	// Everything from here to the return — admission, breaker, and the
-	// single-flight wait — is the "flight" stage.
-	defer lap.Lap("flight", obs.LatStageFlight)
-
-	// Deadline-aware admission: a miss that would queue past its deadline
-	// is refused now, while the refusal is still cheap, instead of
-	// occupying a waiter slot to certain failure.
-	if deadline > 0 {
-		if est := s.gate.EstimatedWait(); est > deadline {
-			d.DeadlineShed++
-			return allocResult{status: http.StatusServiceUnavailable, scenario: q, shed: "deadline", retry: est,
-				errMsg: fmt.Sprintf("predicted queue wait %v exceeds request deadline %v", est, deadline)}
-		}
-	}
-
-	// Recompute breaker: while open, don't touch the failing solve path —
-	// serve the last known good answer, explicitly marked degraded, or
-	// shed if this failure state has never been answered.
-	if ok, retry := s.compBreaker.Allow(); !ok {
-		d.BreakerRejects++
-		if stale, degOK := s.staleGet(key); degOK {
-			d.Degraded++
-			return allocResult{status: http.StatusOK, scenario: q, cache: "stale", degraded: true, body: stale}
-		}
-		return allocResult{status: http.StatusServiceUnavailable, scenario: q, shed: "breaker", retry: retry,
-			errMsg: "recompute breaker open and no stale answer for this failure state"}
-	}
-
-	// Admitted. The wait is bounded by the request deadline and the client
-	// connection; the recomputation itself runs detached under the
-	// server's lifetime, so neither a disconnect nor a deadline can fail
-	// the computation other waiters are riding (or waste the solve — the
-	// result still lands in the cache).
-	body, cerr, shared := st.flight.DoDetached(waitCtx, q, func() ([]byte, error) {
-		return s.recompute(st, q, key, lap.tr)
-	})
-	if shared {
-		d.FlightShared++
-	}
-	if cerr != nil {
-		if errors.Is(cerr, context.DeadlineExceeded) || errors.Is(cerr, context.Canceled) {
-			// Deadline or client gone while waiting; the detached solve
-			// continues for whoever asks next.
-			d.DeadlineExpired++
-			return allocResult{status: http.StatusServiceUnavailable, scenario: q, shed: "deadline", retry: s.gate.EstimatedWait(),
-				errMsg: "deadline expired before the allocation completed"}
-		}
-		// The recomputation itself failed: degrade to the last known good
-		// answer when one exists.
-		if stale, degOK := s.staleGet(key); degOK {
-			d.Degraded++
-			return allocResult{status: http.StatusOK, scenario: q, cache: "stale", degraded: true, body: stale}
-		}
-		return allocResult{status: http.StatusInternalServerError, scenario: q, errMsg: cerr.Error()}
-	}
-	cache := "miss"
-	if shared {
-		cache = "shared"
-	}
-	return allocResult{status: http.StatusOK, scenario: q, cache: cache, body: body}
-}
-
-// writeResult renders an allocResult in the single-request wire format —
-// exactly the headers and bodies the pre-batch server produced.
-func (s *Server) writeResult(w http.ResponseWriter, rec *accessRecorder, res allocResult) {
-	if res.shed != "" {
-		writeShed(w, res.status, res.shed, res.retry, res.errMsg)
-		return
-	}
-	if res.status != http.StatusOK {
-		writeError(w, res.status, res.errMsg)
-		return
-	}
-	if res.degraded {
-		s.serveDegraded(w, rec, res.body)
-		return
-	}
-	if rec != nil {
-		rec.cache = res.cache
-	}
-	hdr := "miss"
-	if res.cache == "hit" {
-		hdr = "hit"
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Flexile-Cache", hdr)
-	w.Write(res.body)
-}
-
-// handleAlloc is the allocation query path, staged so overload is refused
-// as early and cheaply as possible (DESIGN.md §13):
-//
-//  1. tenant quota (token bucket, X-Tenant) → 429 + Retry-After
-//  2. deadline parse (X-Request-Deadline, -default-deadline)
-//  3. request parse (unchanged)
-//  4. allocate: lookup → cache → deadline admission → breaker → flight
-func (s *Server) handleAlloc(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	col := s.cfg.collector()
-	var d obs.ServeMetrics
-	d.Requests = 1
-	defer func() {
-		if col != nil {
-			col.AddServe(d)
-			col.ObserveLatency(obs.LatServeRequest, time.Since(start))
-		}
-	}()
-	rec, _ := w.(*accessRecorder) // non-nil only on logged or traced requests
-	lap := &lapper{tr: obs.ReqTraceFrom(r.Context()), col: col, last: start}
-	finish := func(res allocResult) {
-		if rec != nil && res.scenario >= 0 {
-			rec.scenario = res.scenario
-		}
-		s.writeResult(w, rec, res)
-		lap.Lap("write", obs.LatStageWrite)
-	}
-
-	if ok, retry := s.quota.Allow(r.Header.Get("X-Tenant")); !ok {
-		d.QuotaRejects = 1
-		lap.Lap("admit", obs.LatStageAdmit)
-		finish(allocResult{status: http.StatusTooManyRequests, scenario: -1, shed: "quota", retry: retry,
-			errMsg: "tenant quota exceeded"})
-		return
-	}
-	deadline, derr := admit.ParseDeadline(r.Header.Get("X-Request-Deadline"), s.cfg.DefaultDeadline)
-	if derr != nil {
-		d.BadRequests = 1
-		lap.Lap("admit", obs.LatStageAdmit)
-		finish(allocResult{status: http.StatusBadRequest, scenario: -1, errMsg: derr.Error()})
-		return
-	}
-	lap.Lap("admit", obs.LatStageAdmit)
-
-	var req *AllocRequest
-	var err error
-	if r.Method == http.MethodPost {
-		body, rerr := io.ReadAll(io.LimitReader(r.Body, maxRequestBody+1))
-		if rerr != nil {
-			d.BadRequests = 1
-			lap.Lap("parse", obs.LatStageParse)
-			finish(allocResult{status: http.StatusBadRequest, scenario: -1, errMsg: "reading body: " + rerr.Error()})
-			return
-		}
-		req, err = ParseRequest(body)
-	} else {
-		req, err = ParseQuery(r.URL.Query().Get("failed"))
-	}
-	if err != nil {
-		d.BadRequests = 1
-		lap.Lap("parse", obs.LatStageParse)
-		finish(allocResult{status: http.StatusBadRequest, scenario: -1, errMsg: err.Error()})
-		return
-	}
-	lap.Lap("parse", obs.LatStageParse)
-
-	waitCtx := r.Context()
-	if deadline > 0 {
-		var cancel context.CancelFunc
-		waitCtx, cancel = context.WithDeadline(waitCtx, start.Add(deadline))
-		defer cancel()
-	}
-	finish(s.allocate(waitCtx, s.st.load(), req, deadline, &d, lap))
-}
-
-// serveDegraded answers from the last-known-good store: HTTP 200 with the
-// explicit X-Flexile-Degraded marker so clients can tell a stale answer
-// (possibly computed from a previous artifact) from a live one.
-func (s *Server) serveDegraded(w http.ResponseWriter, rec *accessRecorder, body []byte) {
-	if rec != nil {
-		rec.cache = "stale"
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Flexile-Cache", "stale")
-	w.Header().Set("X-Flexile-Degraded", "stale")
-	w.Write(body)
-}
-
-// recompute is the detached single-flight executor for one scenario: it
-// queues on the gate under the server's base context (never a request's),
-// runs the Online solve, feeds the recompute breaker, and on success
-// fills both the per-artifact cache and the last-known-good store — side
-// effects that land even if every waiter has already given up. Counters
-// are flushed directly to the collector because the executor can outlive
-// the request whose handler spawned it; tr is the leading waiter's trace
-// (possibly nil) and receives nested queue/recompute spans, which no-op
-// if that request has already finished.
-func (s *Server) recompute(st *state, q int, key string, tr *obs.ReqTrace) ([]byte, error) {
-	col := s.cfg.collector()
-	if !s.gate.TryEnter() {
-		if col != nil {
-			col.AddServe(obs.ServeMetrics{GateWaits: 1})
-		}
-		if lg := s.cfg.Log; lg != nil {
-			lg.LogAttrs(context.Background(), slog.LevelDebug, "gate saturated",
-				slog.Int("scenario", q),
-				slog.Int("capacity", s.gate.Cap()),
-				slog.Int("waiters", s.gate.Waiters()))
-		}
-		queued := time.Now()
-		if gerr := s.gate.Enter(s.base); gerr != nil {
-			return nil, fmt.Errorf("serve: server closed while queued for recompute: %w", gerr)
-		}
-		if col != nil {
-			col.ObserveLatency(obs.LatQueueWait, time.Since(queued))
-		}
-		tr.AddSpan("queue", queued, time.Now(), true)
-	}
-	entered := time.Now()
-	defer func() {
-		s.gate.ObserveHold(time.Since(entered))
-		s.gate.Leave()
-	}()
-
-	var body []byte
-	err := func() (rerr error) {
-		// A panicking solve must still feed the breaker, so recover here
-		// rather than leaving it to the flight's safety net.
-		defer func() {
-			if r := recover(); r != nil {
-				rerr = fmt.Errorf("serve: recompute panic: %v", r)
-			}
-		}()
-		if hook := s.cfg.ComputeHook; hook != nil {
-			if herr := hook(q); herr != nil {
-				return herr
-			}
-		}
-		var cerr error
-		body, cerr = computeAlloc(st, q)
-		return cerr
-	}()
-	solved := time.Now()
-	if col != nil {
-		col.ObserveLatency(obs.LatStageRecompute, solved.Sub(entered))
-	}
-	tr.AddSpan("recompute", entered, solved, true)
-	if err != nil {
-		tripped := s.compBreaker.Failure()
-		if col != nil {
-			dm := obs.ServeMetrics{RecomputeErrors: 1}
-			if tripped {
-				dm.BreakerTrips = 1
-			}
-			col.AddServe(dm)
-		}
-		if tripped {
-			if lg := s.cfg.Log; lg != nil {
-				lg.LogAttrs(context.Background(), slog.LevelError, "recompute breaker opened",
-					slog.Int("scenario", q),
-					slog.String("error", err.Error()))
-			}
-		}
-		return nil, err
-	}
-	s.compBreaker.Success()
-	if col != nil {
-		col.AddServe(obs.ServeMetrics{Recomputes: 1})
-	}
-	st.cache.put(q, body)
-	s.stalePut(key, body)
-	return body, nil
-}
-
-// computeAlloc runs the online allocation for scenario q and marshals the
-// response once; the cached bytes are served verbatim thereafter, so hits
-// and misses are bit-identical by construction.
-func computeAlloc(st *state, q int) ([]byte, error) {
-	res, err := flexscheme.Online(st.inst, st.off, q, st.opt)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(AllocResponse{
-		Scenario: q,
-		Prob:     st.art.Scenarios[q].Prob,
-		Frac:     res.Frac,
-		X:        res.X,
-	})
-}
-
-// --- allocation cache ---
-
-// lruCache is a size-bounded scenario→response cache. capacity 0 disables
-// it (get always misses, put is a no-op); negative capacity is unbounded.
-type lruCache struct {
-	mu       sync.Mutex
-	capacity int
-	ll       *list.List
-	items    map[int]*list.Element
-}
-
-type lruEntry struct {
-	key  int
-	body []byte
-}
-
-func newLRUCache(capacity int) *lruCache {
-	return &lruCache{capacity: capacity, ll: list.New(), items: make(map[int]*list.Element)}
-}
-
-func (c *lruCache) get(key int) ([]byte, bool) {
-	if c.capacity == 0 {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry).body, true
-}
-
-func (c *lruCache) put(key int, body []byte) {
-	if c.capacity == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		el.Value.(*lruEntry).body = body
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.ll.PushFront(&lruEntry{key: key, body: body})
-	if c.capacity > 0 && c.ll.Len() > c.capacity {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*lruEntry).key)
-	}
-}
-
-func (c *lruCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }

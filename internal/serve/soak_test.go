@@ -309,8 +309,9 @@ func TestServeSoakSustainedOverload(t *testing.T) {
 
 	// Quiesce: detached recomputes finish, connections close, and the
 	// goroutine count returns to its pre-storm baseline.
-	st := srv.st.load()
-	waitFor(t, func() bool { return st.flight.InFlight() == 0 && srv.gate.InUse() == 0 })
+	eng := soleEngine(t, srv)
+	st := eng.st.Load()
+	waitFor(t, func() bool { return st.flight.InFlight() == 0 && eng.gate.InUse() == 0 })
 	ts.Close()
 	srv.Close()
 	http.DefaultClient.CloseIdleConnections()

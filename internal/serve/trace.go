@@ -2,7 +2,6 @@ package serve
 
 import (
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"flexile/internal/obs"
@@ -23,27 +22,26 @@ import (
 
 // beginRequest assigns and echoes the request id (generating one when the
 // caller sent none), decides trace sampling, and — for sampled requests —
-// returns a started trace plus the request rewrapped with the trace on its
-// context and a traceparent response header announcing our span. Shared by
-// Server.ServeHTTP and the Registry's batch handler, which bypasses any
-// child server's ServeHTTP.
-func beginRequest(cfg Config, traceSeq *atomic.Int64, w http.ResponseWriter, r *http.Request) (string, *obs.ReqTrace, *http.Request) {
+// returns a started trace (recording the path as the client sent it) plus
+// the request rewrapped with the trace on its context and a traceparent
+// response header announcing our span.
+func (s *Server) beginRequest(w http.ResponseWriter, r *http.Request) (string, *obs.ReqTrace, *http.Request) {
 	rid := r.Header.Get("X-Request-Id")
 	if rid == "" {
 		rid = nextRequestID()
 	}
 	w.Header().Set("X-Request-Id", rid)
-	if cfg.Ring == nil {
+	if s.cfg.Ring == nil {
 		return rid, nil, r
 	}
 	tc, hasParent := obs.ParseTraceparent(r.Header.Get("traceparent"))
 	sampled := hasParent && tc.Sampled
 	if !sampled {
-		n := cfg.TraceEvery
+		n := s.cfg.TraceEvery
 		if n == 0 {
 			n = DefaultTraceEvery
 		}
-		sampled = n <= 1 || traceSeq.Add(1)%int64(n) == 0
+		sampled = n <= 1 || s.traceSeq.Add(1)%int64(n) == 0
 	}
 	if !sampled {
 		return rid, nil, r
@@ -57,27 +55,6 @@ func beginRequest(cfg Config, traceSeq *atomic.Int64, w http.ResponseWriter, r *
 	tr.Tenant = r.Header.Get("X-Tenant")
 	w.Header().Set("traceparent", tr.Traceparent())
 	return rid, tr, r.WithContext(obs.WithReqTrace(r.Context(), tr))
-}
-
-// endRequest finishes a traced request: the summary latches from the
-// access recorder (shed reason from the response header the shed writers
-// set), the trace lands in the ring, and — when a tracer is attached —
-// on the chrome://tracing timeline. A nil trace is a no-op.
-func endRequest(cfg Config, tr *obs.ReqTrace, rec *accessRecorder) {
-	if tr == nil {
-		return
-	}
-	status := rec.status
-	if status == 0 {
-		status = http.StatusOK
-	}
-	tr.Finish(status, rec.bytes, rec.scenario, rec.cache, rec.Header().Get("X-Flexile-Shed"))
-	cfg.Ring.Add(tr)
-	if col := cfg.collector(); col != nil {
-		if sink := col.TraceSink(); sink != nil {
-			sink.RecordRequest(tr.Snapshot())
-		}
-	}
 }
 
 // lapper records the stage spans of one request. Laps share one continuous
@@ -98,19 +75,26 @@ type lapper struct {
 
 // Lap closes the stage that began at the previous lap (or construction):
 // one span on the trace, one observation into the stage histogram.
-func (l *lapper) Lap(name string, id obs.LatencyID) {
-	if l == nil {
+func (l *lapper) Lap(name string, id obs.LatencyID) { l.lapAt(name, id, time.Now()) }
+
+// alloc closes the stages of one engine.allocate call: cache, and — for a
+// query that went past it — flight (admission, breaker, single-flight wait).
+func (l *lapper) alloc(res allocResult) {
+	if res.missedAt.IsZero() {
+		l.Lap("cache", obs.LatStageCache)
 		return
 	}
-	now := time.Now()
+	l.lapAt("cache", obs.LatStageCache, res.missedAt)
+	l.Lap("flight", obs.LatStageFlight)
+}
+
+func (l *lapper) lapAt(name string, id obs.LatencyID, now time.Time) {
 	if l.tr != nil {
 		if l.tag != "" {
 			name = name + ":" + l.tag
 		}
 		l.tr.AddSpan(name, l.last, now, l.nested)
 	}
-	if l.col != nil {
-		l.col.ObserveLatency(id, now.Sub(l.last))
-	}
+	l.col.ObserveLatency(id, now.Sub(l.last))
 	l.last = now
 }
