@@ -269,6 +269,11 @@ func BenchmarkOnlineAllocation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// The online phase takes no context, so its LP work lands on the
+	// process-global collector: the counts that explain the time.
+	col := obs.New()
+	obs.SetGlobal(col)
+	defer obs.SetGlobal(nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := 1 + i%(len(inst.Scenarios)-1)
@@ -276,6 +281,9 @@ func BenchmarkOnlineAllocation(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	m := col.Snapshot().LP
+	b.ReportMetric(float64(m.Pivots)/float64(b.N), "pivots/op")
+	b.ReportMetric(float64(m.Solves)/float64(b.N), "lp-solves/op")
 }
 
 // BenchmarkServeQuery measures the serving path end to end (request parse

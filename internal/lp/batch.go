@@ -70,6 +70,9 @@ type Variant struct {
 type BatchSolver struct {
 	bp *BatchProblem
 	s  *simplex
+	// ownVals is set once SetColumn has given this solver a private copy of
+	// the coefficient values; until then s.colVal aliases the BatchProblem's.
+	ownVals bool
 }
 
 // NewSolver returns a solver with its own workspace over the compiled
@@ -98,6 +101,73 @@ func (bs *BatchSolver) Solve(v Variant, opts Options) (*Solution, error) {
 // freshly built Problem with the same Options: the reused workspace is
 // fully reinitialized per solve, so no state leaks between variants.
 func (bs *BatchSolver) SolveCtx(ctx context.Context, v Variant, opts Options) (*Solution, error) {
+	return bs.run(ctx, v, opts, (*simplex).solve)
+}
+
+// ResolveCtx optimizes one variant in place: the solve starts from the
+// basis the solver's previous solve ended on and from the factorization it
+// still holds, so there is no reset to the logical basis and no O(m³)
+// refactorization — nonbasic variables move to their (possibly changed)
+// bounds, the basic values are recomputed through the held inverse, and
+// phase 1 repairs whatever the bound change broke. It is the re-solve
+// pattern of a ladder of near-identical LPs (te.MaxMin's water-filling
+// levels). When the solver holds no factorization — first solve, or the
+// previous one failed — it behaves exactly like SolveCtx, Options.StartBasis
+// included. The answer is an optimal solution of the variant but, unlike
+// SolveCtx, depends on the solves that came before: a degenerate LP may
+// finish on another optimal vertex.
+func (bs *BatchSolver) ResolveCtx(ctx context.Context, v Variant, opts Options) (*Solution, error) {
+	return bs.run(ctx, v, opts, (*simplex).resolve)
+}
+
+// SetColumn overwrites the coefficients of structural column j: vals has one
+// entry per row, read at the rows of the column's compiled sparsity pattern
+// and required to be zero everywhere else (the pattern is fixed at Compile;
+// an explicit zero added at build time reserves a slot). The change is
+// private to this solver. A held factorization stays exact: a basic column
+// is first swapped out of the basis for a row logical.
+func (bs *BatchSolver) SetColumn(j int, vals []float64) error {
+	s := bs.s
+	if j < 0 || j >= s.n {
+		return fmt.Errorf("lp: SetColumn column %d out of range [0,%d)", j, s.n)
+	}
+	if len(vals) != s.m {
+		return fmt.Errorf("lp: SetColumn has %d entries, want %d", len(vals), s.m)
+	}
+	nz := 0
+	for _, v := range vals {
+		if v != 0 {
+			nz++
+		}
+	}
+	lo, hi := s.colPtr[j], s.colPtr[j+1]
+	for k := lo; k < hi; k++ {
+		if vals[s.colIdx[k]] != 0 {
+			nz--
+		}
+	}
+	if nz != 0 {
+		return fmt.Errorf("lp: SetColumn column %q has %d nonzeros outside its compiled pattern", s.p.colName[j], nz)
+	}
+	if s.held && s.status[j] == basic {
+		if err := s.evict(j); err != nil {
+			s.held = false
+		}
+	}
+	if !bs.ownVals {
+		s.colVal = append([]float64(nil), s.colVal...)
+		bs.ownVals = true
+	}
+	for k := lo; k < hi; k++ {
+		s.colVal[k] = vals[s.colIdx[k]]
+	}
+	return nil
+}
+
+// run is the shared body of SolveCtx and ResolveCtx: load the variant, arm
+// cancellation, optimize (from a fresh basis or the held one), and flush the
+// counters.
+func (bs *BatchSolver) run(ctx context.Context, v Variant, opts Options, optimize func(*simplex) (*Solution, error)) (*Solution, error) {
 	col := obs.From(ctx)
 	var start time.Time
 	if col != nil {
@@ -121,7 +191,7 @@ func (bs *BatchSolver) SolveCtx(ctx context.Context, v Variant, opts Options) (*
 	if d, ok := ctx.Deadline(); ok && (s.deadline.IsZero() || d.Before(s.deadline)) {
 		s.deadline = d
 	}
-	sol, err := s.solve()
+	sol, err := optimize(s)
 	if col != nil {
 		elapsed := time.Since(start)
 		col.AddLP(s.metrics(sol, err, elapsed))
@@ -173,11 +243,10 @@ func (s *simplex) reinit(v Variant, opts Options) error {
 	s.opts = opts.withDefaults(m, n)
 
 	// Per-solve counters and flags, exactly the zero state of newSimplex.
-	// Basis state (status, xval, basis, inBpos, xB, binv) needs no clearing:
-	// solve() rebuilds it via resetToLogicalBasis/installBasis before any
-	// read.
+	// Basis state (status, xval, basis, inBpos, xB, binv, sinceRefactor)
+	// needs no clearing: solve() rebuilds it via resetToLogicalBasis/
+	// installBasis before any read, and resolve() continues from it.
 	s.pivots = 0
-	s.sinceRefactor = 0
 	s.phase1Pivots = 0
 	s.phase2Pivots = 0
 	s.boundFlips = 0

@@ -206,7 +206,7 @@ type Solution struct {
 type Options struct {
 	// MaxIters bounds total pivots; 0 means automatic (scales with size).
 	MaxIters int
-	// Tol is the feasibility/optimality tolerance; 0 means 1e-9.
+	// Tol is the feasibility/optimality tolerance; 0 means DefaultTol.
 	Tol float64
 	// RefactorEvery forces a refactorization of the basis inverse after
 	// this many pivots; 0 means automatic.
@@ -236,9 +236,14 @@ type Options struct {
 	EtaUpdates bool
 }
 
+// DefaultTol is the feasibility/optimality tolerance of a solve whose
+// Options leave Tol zero. Callers that hand one solve's answer to the next as
+// bounds (te.MaxMin) size their slacks against it.
+const DefaultTol = 1e-9
+
 func (o Options) withDefaults(m, n int) Options {
 	if o.Tol == 0 {
-		o.Tol = 1e-9
+		o.Tol = DefaultTol
 	}
 	if o.MaxIters == 0 {
 		o.MaxIters = 2000 + 40*(m+n)

@@ -72,6 +72,11 @@ type simplex struct {
 	pivots        int
 	sinceRefactor int
 
+	// held reports that status/basis/binv/etas describe a consistent
+	// factorization left by the previous solve on this workspace — what
+	// BatchSolver.ResolveCtx continues from.
+	held bool
+
 	// Per-solve observability counters. Kept as plain ints in this
 	// single-goroutine state and flushed once per solve into the obs
 	// collector (see SolveCtx) so the hot loop never touches an atomic.
@@ -247,6 +252,41 @@ func (s *simplex) solve() (*Solution, error) {
 		}
 	}
 
+	return s.optimizeFromBasis()
+}
+
+// resolve is solve without the restart: it keeps the basis and the
+// factorization the previous solve left in the workspace and only moves the
+// nonbasic variables onto the new bounds. With nothing held it is solve.
+func (s *simplex) resolve() (*Solution, error) {
+	if !s.held {
+		return s.solve()
+	}
+	if err := s.validate(); err != nil {
+		return nil, err
+	}
+	for v := 0; v < s.n+s.m; v++ {
+		switch st := s.status[v]; {
+		case st == basic:
+		case st == nonbasicLower && !math.IsInf(s.lb[v], -1):
+			s.xval[v] = s.lb[v]
+		case st == nonbasicUpper && !math.IsInf(s.ub[v], 1):
+			s.xval[v] = s.ub[v]
+		default:
+			// Free, or resting on a bound that no longer exists.
+			s.xval[v], s.status[v] = initialValue(s.lb[v], s.ub[v])
+		}
+	}
+	s.recomputeXB()
+	s.warmAccepted = true
+	return s.optimizeFromBasis()
+}
+
+// optimizeFromBasis runs the two-phase simplex from the installed basis,
+// with one restart from the logical basis if the factorization degrades
+// beyond repair, and records whether the workspace ends in a state resolve
+// can continue from.
+func (s *simplex) optimizeFromBasis() (*Solution, error) {
 	if s.opts.Bland {
 		s.blandActs++
 	}
@@ -259,7 +299,39 @@ func (s *simplex) solve() (*Solution, error) {
 		s.resetToLogicalBasis()
 		sol, err = s.optimize(&iters)
 	}
+	s.held = err == nil
 	return sol, err
+}
+
+// evict makes the basic structural variable v nonbasic without disturbing
+// the rest of the basis, so its column can change under a held
+// factorization. Row r of B⁻¹ (r = v's basis position) is nonzero exactly
+// at the rows whose logical is nonbasic — a basic logical at position p
+// contributes δ_rp — so one of those logicals can always take v's place;
+// the one with the largest pivot element is chosen. v settles on the
+// nearest bound of its current value.
+func (s *simplex) evict(v int) error {
+	if len(s.etas) > 0 {
+		// The dense rows below are only the true inverse with an empty
+		// eta file.
+		if err := s.refactor(); err != nil {
+			return err
+		}
+	}
+	m, r := s.m, s.inBpos[v]
+	row := s.binv[r*m : r*m+m]
+	q, best := -1, 0.0
+	for i, b := range row {
+		if a := math.Abs(b); a > best && s.status[s.n+i] != basic {
+			q, best = s.n+i, a
+		}
+	}
+	if q < 0 {
+		return ErrSingularBasis
+	}
+	s.ftran(q)
+	s.pivot(q, r, 0, 1)
+	return nil
 }
 
 // optimize runs phase 1 then perturbed-and-polished phase 2 from the

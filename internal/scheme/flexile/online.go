@@ -16,8 +16,20 @@ import (
 // higher class is pinned when a lower class is solved, so routing for all
 // classes is decided jointly.
 func Online(inst *te.Instance, off *OfflineResult, q int, opt Options) (*te.MaxMinResult, error) {
+	mo, err := OnlineOptions(inst, off, q, opt)
+	if err != nil {
+		return nil, err
+	}
+	return te.MaxMin(inst, inst.Scenarios[q], mo)
+}
+
+// OnlineOptions is the max-min problem Online solves for scenario q: the
+// floors the offline result promises (critical flows' pre-decided
+// bandwidth, the γ bound) over the scenario's demands. Split out so tests
+// can hand the same problem to a reference solver.
+func OnlineOptions(inst *te.Instance, off *OfflineResult, q int, opt Options) (te.MaxMinOptions, error) {
 	if q < 0 || q >= len(inst.Scenarios) {
-		return nil, fmt.Errorf("flexile: scenario %d out of range", q)
+		return te.MaxMinOptions{}, fmt.Errorf("flexile: scenario %d out of range", q)
 	}
 	opt = opt.withDefaults(inst.NumFlows() * len(inst.Scenarios))
 	minFrac := make([]float64, inst.NumFlows())
@@ -67,12 +79,12 @@ func Online(inst *te.Instance, off *OfflineResult, q int, opt Options) (*te.MaxM
 			}
 		}
 	}
-	return te.MaxMin(inst, inst.Scenarios[q], te.MaxMinOptions{
+	return te.MaxMinOptions{
 		Domain:  te.FractionDomain,
 		MinFrac: minFrac,
 		Demands: inst.ScenDemandVector(q),
 		LP:      opt.LP,
-	})
+	}, nil
 }
 
 // Scheme is the complete Flexile system: the offline decomposition run
