@@ -1,9 +1,9 @@
-# Tier-1 verification plus the perf-trajectory tooling. `make ci` is what
+# Tier-1 verification and the instrument checks. `make ci` is what
 # .github/workflows/ci.yml runs; it must stay green on every PR.
 
 GO ?= go
 
-.PHONY: ci vet build test bench-check race faults obs fuzz scrape chaos loadsmoke golden cover bench bench-json benchgate hypotheses soak clean
+.PHONY: ci vet build test bench-check bench-align race faults obs fuzz scrape chaos loadsmoke golden cover bench hypotheses soak
 
 ci: vet build bench-check race faults obs fuzz scrape chaos loadsmoke cover hypotheses
 
@@ -25,6 +25,26 @@ test:
 bench-check:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
+
+# The harness's known defect, made checkable: bench/host.go's reference
+# kernel (main.eliminate), whose reading scales every workload's setup_s,
+# runs ~13 % slower when the linker places it on the odd 32-byte residue
+# of a 64-byte line — and any edit to code linked into the harness moves it
+# in 32-byte steps, so such an edit can read as +13-30 % setup_s on all
+# seven workloads at once with nothing actually slower. Build the harness
+# the way bench/run.sh does, print the symbol, and fail unless its address
+# is 0 mod 64. If it fails, find which edit to harness-linked code moved
+# it; the real fix (an alignment-insensitive kernel, or the address
+# recorded in host.* and checked by -compare) needs a benchmark-only PR.
+BENCH_BUILD := $(CURDIR)/.bench_build
+bench-align:
+	@mkdir -p $(BENCH_BUILD)/bin $(BENCH_BUILD)/gocache $(BENCH_BUILD)/gotmp $(BENCH_BUILD)/gopath $(BENCH_BUILD)/config
+	@GOCACHE=$(BENCH_BUILD)/gocache GOTMPDIR=$(BENCH_BUILD)/gotmp GOPATH=$(BENCH_BUILD)/gopath \
+		XDG_CONFIG_HOME=$(BENCH_BUILD)/config GOENV=off GOFLAGS= GOTOOLCHAIN=local GOPROXY=off GOWORK=off \
+		$(GO) build -C bench -o $(BENCH_BUILD)/bin/flexile-bench .
+	@set -- $$($(GO) tool nm $(BENCH_BUILD)/bin/flexile-bench | grep ' main\.eliminate$$'); \
+		[ -n "$$1" ] || { echo "FAIL: main.eliminate not found"; exit 1; }; echo "$$*"; \
+		[ $$(( 0x$$1 % 64 )) -eq 0 ] || { echo "FAIL: 0x$$1 is $$(( 0x$$1 % 64 )) mod 64: every setup_s will read high"; exit 1; }
 
 # The experiments package regenerates whole figures per test; under the
 # race detector on few cores that exceeds Go's default 10m per-package
@@ -70,9 +90,9 @@ scrape:
 chaos:
 	$(GO) test -race -timeout 15m -count=1 -run 'TestChaos' ./internal/chaos/
 
-# Load-generator smoke (DESIGN.md §14): build the real flexile-serve and
+# Load-generator smoke (DESIGN.md §13): build the real flexile-serve and
 # flexile-load binaries, drive a short seeded open-loop storm at a
-# two-artifact registry, and assert the benchjson report parses with sane
+# two-artifact registry, and assert the JSON summary parses with sane
 # p99 latency, zero unexplained sheds, and client-side hit/dedup/entry
 # counts that exactly match the server's own /metrics counters.
 loadsmoke:
@@ -107,30 +127,12 @@ cover:
 		if (t+0 < f+0) { printf "FAIL: total coverage %.1f%% is below the floor %.1f%%\n", t, f; exit 1 } \
 		printf "coverage %.1f%% (floor %.1f%%)\n", t, f }'
 
-# Record the per-PR performance trajectory: run every benchmark once and
-# convert the text output into a JSON record (BENCH_<tag>.json). TAG
-# defaults to the next free integer index, so a plain `make bench-json`
-# appends BENCH_<n>.json to the trajectory; TestBenchFiles enforces that
-# the checked-in indices stay exactly 0..n-1.
-TAG ?= $(shell i=0; while [ -e BENCH_$$i.json ]; do i=$$((i+1)); done; echo $$i)
+# Smoke-run the compiled-in benchmarks (paper figures, online allocation,
+# serve paths). They report reproduction metrics and rough timings;
+# performance comparisons are the bench/ harness's job (BENCHMARK.json).
 BENCHTIME ?= 1x
-
 bench:
 	$(GO) test -bench . -run '^$$' -benchtime $(BENCHTIME) .
-
-bench-json:
-	$(GO) test -bench . -run '^$$' -benchtime $(BENCHTIME) . | tee BENCH_$(TAG).txt
-	$(GO) run ./cmd/flexile-exp -benchjson BENCH_$(TAG).txt -o BENCH_$(TAG).json
-	rm -f BENCH_$(TAG).txt
-
-# Performance gate for the warm-started batched offline solve (DESIGN.md
-# §12): warm must stay ≥2× faster wall-clock than the default cold solve
-# on the IBM gate workload. Timing-sensitive, so it is opt-in via the
-# BENCHGATE env var rather than part of the plain test battery. The CI
-# gate itself moved to `make hypotheses` (h-warm-speedup); this target
-# stays for strict manual runs of the original 2× threshold.
-benchgate:
-	BENCHGATE=1 $(GO) test -run 'TestBenchGateWarmSpeedup' -count=1 -v .
 
 # The hypothesis gate (DESIGN.md §15): run every named experiment at the
 # quick tier from its fixed seed and require (a) each hypothesis's own
@@ -148,6 +150,3 @@ hypotheses:
 SOAK_DURATION ?= 20s
 soak:
 	$(GO) run ./cmd/flexile-hyp -tier soak -soak-duration $(SOAK_DURATION)
-
-clean:
-	rm -f BENCH_*.txt

@@ -289,9 +289,9 @@ func BenchmarkOnlineAllocation(b *testing.B) {
 // BenchmarkServeQuery measures the serving path end to end (request parse
 // → scenario lookup → allocation → JSON): a cold miss recomputes the
 // online allocation, a warm hit returns the cached marshaled bytes. Both
-// report p50/p99 request latency so BENCH_*.json tracks tail behavior of
-// the serving layer, not just the offline solve; the hit path must be
-// orders of magnitude cheaper than a miss.
+// report p50/p99 request latency, so the run shows tail behavior of the
+// serving layer, not just the offline solve; the hit path must be orders
+// of magnitude cheaper than a miss.
 func BenchmarkServeQuery(b *testing.B) {
 	inst, err := tinyCfg().SingleClass("IBM")
 	if err != nil {
@@ -367,9 +367,8 @@ func BenchmarkServeQuery(b *testing.B) {
 	})
 	// overload runs the admission pipeline hot: a tight per-tenant quota
 	// sheds part of the serial request stream, and a scripted two-failure
-	// burst trips the recompute breaker. The reported shed-rate and
-	// breaker-trips land in BENCH_*.json so the perf trajectory tracks the
-	// overload path alongside the happy paths.
+	// burst trips the recompute breaker; shed-rate and breaker-trips are
+	// reported alongside the happy paths' latencies.
 	b.Run("overload", func(b *testing.B) {
 		collector := obs.New()
 		var computes atomic.Int64

@@ -9,14 +9,12 @@
 //	flexile-exp -fig gamma -topo Quest
 //	flexile-exp -fig 10 -workers 1 # force a sequential topology sweep
 //
-//	go test -bench . -run '^$' | flexile-exp -benchjson - -o BENCH_pr1.json
 //	flexile-exp -artifact quest.flxa -topo Quest   # export a serving artifact
 //
 // Figures: 1, 5, 6, 9, 10, 11, 12, 13, 14, 15, 18, gamma, table2, all.
 // Scales: tiny (seconds-minutes), small (minutes), paper (§6 full, hours).
 // -workers controls the per-topology fan-out (0 = all cores); results are
-// identical for every worker count. -benchjson converts `go test -bench`
-// text output ("-" = stdin) into a BENCH_*.json performance record.
+// identical for every worker count.
 //
 // Stdout carries exactly the rendered experiment results (plus the
 // -metrics JSON when requested) — byte-identical across runs and safe to
@@ -36,7 +34,6 @@ import (
 	"time"
 
 	"flexile"
-	"flexile/internal/benchjson"
 	"flexile/internal/experiments"
 	"flexile/internal/obs"
 )
@@ -64,8 +61,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	artifactOut := fs.String("artifact", "", "solve -topo offline and write a flexile-serve artifact to this file instead of running figures")
 	warm := fs.Bool("warm", false, "warm-start the -artifact offline solve from cached bases (figure runs always solve cold so goldens stay pinned)")
 	batch := fs.Bool("batch", true, "use the compiled batch LP path for the -artifact offline solve (bit-identical to the unbatched oracle)")
-	benchIn := fs.String("benchjson", "", "parse `go test -bench` output from this file (- = stdin) and emit JSON instead of running figures")
-	outPath := fs.String("o", "", "output path for -benchjson (default stdout)")
 	metrics := fs.Bool("metrics", false, "emit the aggregated solver metrics as JSON on stdout after the figures")
 	tracePath := fs.String("trace", "", "write a chrome://tracing timeline of the solves to this file")
 	logJSON := fs.Bool("logjson", false, "emit stderr diagnostics as JSON log lines instead of text")
@@ -81,10 +76,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	collector, tracer := installObs(*metrics, *tracePath)
-
-	if *benchIn != "" {
-		return emitBenchJSON(*benchIn, *outPath, stdout, logger)
-	}
 
 	if *artifactOut != "" {
 		opt := flexile.DesignOptions{MaxIterations: 5, Workers: *workers, Timeout: *timeout,
@@ -253,39 +244,5 @@ func exportArtifact(topoName string, seed int64, opt flexile.DesignOptions, out 
 		"scenarios", len(inst.Scenarios),
 		"bytes", len(blob),
 		"path", out)
-	return nil
-}
-
-// emitBenchJSON parses `go test -bench` text output and writes the
-// BENCH_*.json performance record.
-func emitBenchJSON(in, out string, stdout io.Writer, lg *slog.Logger) error {
-	var r io.Reader = os.Stdin
-	if in != "-" {
-		f, err := os.Open(in)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		r = f
-	}
-	rep, err := benchjson.Parse(r)
-	if err != nil {
-		return err
-	}
-	var w io.Writer = stdout
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := benchjson.Write(w, rep, time.Now()); err != nil {
-		return err
-	}
-	if out != "" {
-		lg.Info("wrote benchmark records", "count", len(rep.Results), "path", out)
-	}
 	return nil
 }

@@ -1,6 +1,7 @@
 // Command flexile-load drives seeded open-loop traffic against a live
-// flexile-serve instance and reports latency percentiles, shed-rate, and
-// goodput as benchjson (the BENCH_*.json trajectory format).
+// flexile-serve instance and prints a JSON summary: counts by disposition,
+// latency percentiles, generator lag, goodput, and whether the run is
+// valid.
 //
 // Usage:
 //
@@ -14,7 +15,11 @@
 // against the same server issue identical streams (-plan prints the
 // stream as JSON and exits, which is how the e2e suite proves it).
 // Arrivals are open-loop: a slow server faces mounting concurrency
-// instead of a backing-off client, so shed-rate measurements are honest.
+// instead of a backing-off client, so shed-rate measurements are honest —
+// and every latency is counted from the moment the request was due, not
+// from when it was sent, so a stall in the server or in this generator
+// shows up in the requests it delayed. A run whose generator fell behind
+// (lag p99 over load.MaxLagP99) reports "valid": false.
 package main
 
 import (
@@ -28,7 +33,6 @@ import (
 	"strings"
 	"time"
 
-	"flexile/internal/benchjson"
 	"flexile/internal/load"
 )
 
@@ -44,8 +48,7 @@ func main() {
 	hotFrac := flag.Float64("hot-frac", 0.8, "fraction of queries drawn from the hot scenario set (0 = uniform)")
 	hotSet := flag.Int("hot-set", 4, "hot-set size per artifact")
 	planOnly := flag.Bool("plan", false, "print the materialized request stream as JSON and exit without firing")
-	name := flag.String("name", "LoadAlloc", "benchmark name for the benchjson result")
-	outPath := flag.String("o", "", "write the benchjson report here instead of stdout")
+	outPath := flag.String("o", "", "write the summary (or -plan) here instead of stdout")
 	flag.Parse()
 	if *target == "" {
 		fatal(errors.New("-target is required"))
@@ -101,25 +104,32 @@ func main() {
 		return
 	}
 
-	stats, err := load.Run(ctx, base, plan, cfg)
-	if err != nil {
+	stats := load.NewStats(nil) // a live server: no oracle to compare bodies with
+	if err := load.Run(ctx, base, plan, cfg, stats.Add); err != nil {
 		fatal(err)
 	}
-	if len(stats.FailedIDs) > 0 {
+	sum := stats.Summary()
+	if len(sum.FailedIDs) > 0 {
 		// The ids double as X-Request-Id on the wire, so each one names the
 		// exact server-side trace at /debug/requests (and the access-log
 		// record) for the failed sample.
 		fmt.Fprintf(os.Stderr, "flexile-load: %d errored entries; failed request ids: %s\n",
-			stats.Errors, strings.Join(stats.FailedIDs, ", "))
+			sum.Errors, strings.Join(sum.FailedIDs, ", "))
 	}
-	rep := stats.Report(*name)
-	rep.Meta = map[string]string{
-		"target": base,
-		"seed":   fmt.Sprint(*seed),
-		"qps":    fmt.Sprint(*qps),
-		"batch":  fmt.Sprint(*batch),
+	if !sum.Valid {
+		fmt.Fprintf(os.Stderr, "flexile-load: generator lag p99 %.1fms exceeds %v: latencies include the generator's own stalls\n",
+			sum.LagP99Ms, load.MaxLagP99)
 	}
-	if err := benchjson.Write(out, rep, time.Now()); err != nil {
+	enc := json.NewEncoder(out)
+	enc.SetIndent("", "  ")
+	err = enc.Encode(struct {
+		Target string  `json:"target"`
+		Seed   uint64  `json:"seed"`
+		QPS    float64 `json:"qps"`
+		Batch  int     `json:"batch"`
+		load.Summary
+	}{base, *seed, *qps, *batch, sum})
+	if err != nil {
 		fatal(err)
 	}
 }

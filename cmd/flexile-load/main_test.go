@@ -16,45 +16,8 @@ import (
 	"testing"
 	"time"
 
-	"flexile/internal/benchjson"
-	"flexile/internal/failure"
-	flexscheme "flexile/internal/scheme/flexile"
-	"flexile/internal/serve"
-	"flexile/internal/te"
-	"flexile/internal/topo"
-	"flexile/internal/tunnels"
+	"flexile/internal/chaos"
 )
-
-// writeArtifactDir solves two scaled triangle instances and writes them as
-// a registry directory: alpha.flxa and beta.flxa with different demands.
-func writeArtifactDir(t *testing.T) string {
-	t.Helper()
-	dir := t.TempDir()
-	for i, name := range []string{"alpha", "beta"} {
-		tp := topo.Triangle()
-		inst := te.NewInstance(tp, []te.Class{
-			{Name: "single", Beta: 0.99, Weight: 1, Tunnels: tunnels.SingleClass(3)},
-		})
-		scale := float64(1 + 2*i)
-		inst.Demand[0][0] = scale
-		inst.Demand[0][1] = scale
-		inst.LinkProbs = []float64{0.01, 0.01, 0.01}
-		inst.Scenarios = failure.Enumerate(inst.LinkProbs, 0)
-		opt := flexscheme.Options{Workers: 2}
-		off, err := flexscheme.Offline(inst, opt)
-		if err != nil {
-			t.Fatalf("offline solve (%s): %v", name, err)
-		}
-		art, err := serve.Build(inst, off, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name+serve.ArtifactExt), art.Encode(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dir
-}
 
 func freePort(t *testing.T) string {
 	t.Helper()
@@ -116,7 +79,7 @@ func scrapeCounters(t *testing.T, url string) map[string]float64 {
 
 // TestLoadEndToEnd builds the real flexile-serve and flexile-load binaries,
 // drives a short seeded storm at a two-artifact registry, and checks three
-// contracts: the benchjson report parses and accounts every entry with zero
+// contracts: the JSON summary parses and accounts every entry with zero
 // errors and zero sheds, the client-side hit/shed/entry counts match the
 // server's own /metrics counters, and -plan output is a pure function of
 // the seed.
@@ -133,7 +96,11 @@ func TestLoadEndToEnd(t *testing.T) {
 		}
 	}
 
-	dir := writeArtifactDir(t)
+	// Two triangle artifacts with different demands, as a registry directory.
+	dir := t.TempDir()
+	if _, err := chaos.Build(dir, "alpha", "beta"); err != nil {
+		t.Fatal(err)
+	}
 	addr := freePort(t)
 	daemon := exec.Command(serveBin, "-artifact-dir", dir, "-listen", addr)
 	daemon.Stderr = io.Discard
@@ -176,44 +143,53 @@ func TestLoadEndToEnd(t *testing.T) {
 		t.Fatalf("flexile-load: %v\n%s", err, out)
 	}
 
-	f, err := os.Open(outPath)
+	raw, err := os.ReadFile(outPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	rep := new(benchjson.Report)
-	if err := json.NewDecoder(f).Decode(rep); err != nil {
-		t.Fatalf("report is not benchjson: %v", err)
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatalf("summary is not JSON: %v\n%s", err, raw)
 	}
-	if len(rep.Results) != 1 || rep.Results[0].Name != "LoadAlloc" {
-		t.Fatalf("unexpected report shape: %+v", rep)
+	num := func(key string) float64 {
+		t.Helper()
+		v, ok := m[key].(float64)
+		if !ok {
+			t.Fatalf("summary has no number %q: %s", key, raw)
+		}
+		return v
 	}
-	m := rep.Results[0].Metrics
-	if m["entries"] <= 0 {
-		t.Fatalf("no entries recorded: %v", m)
+	if m["target"] != base || num("seed") != 42 || num("batch") != 4 {
+		t.Fatalf("summary does not name its run: %s", raw)
 	}
-	if m["errors"] != 0 || m["shed"] != 0 {
-		t.Fatalf("unloaded server shed or errored: %v", m)
+	if num("entries") <= 0 {
+		t.Fatalf("no entries recorded: %s", raw)
 	}
-	if m["ok"] != m["entries"] {
-		t.Fatalf("ok=%v of %v entries: %v", m["ok"], m["entries"], m)
+	if num("errors") != 0 || num("shed") != 0 {
+		t.Fatalf("unloaded server shed or errored: %s", raw)
 	}
-	if m["p99-ns"] <= 0 || m["p99-ns"] < m["p50-ns"] {
-		t.Fatalf("latency percentiles malformed: p50=%v p99=%v", m["p50-ns"], m["p99-ns"])
+	if num("ok") != num("entries") {
+		t.Fatalf("ok=%v of %v entries: %s", num("ok"), num("entries"), raw)
 	}
-	if m["goodput-qps"] <= 0 {
-		t.Fatalf("goodput-qps = %v", m["goodput-qps"])
+	if num("p99_ms") <= 0 || num("p99_ms") < num("p50_ms") {
+		t.Fatalf("latency percentiles malformed: p50=%v p99=%v", num("p50_ms"), num("p99_ms"))
+	}
+	if num("goodput_qps") <= 0 {
+		t.Fatalf("goodput_qps = %v", num("goodput_qps"))
+	}
+	if _, ok := m["valid"].(bool); !ok || num("lag_p99_ms") < 0 {
+		t.Fatalf("summary does not say whether the generator kept up: %s", raw)
 	}
 
 	// Cross-check against the server's own counters: every batch entry is a
 	// request, hit counts agree, dedup counts agree, nothing was shed.
 	counters := scrapeCounters(t, base+"/metrics")
 	for metric, want := range map[string]float64{
-		"flexile_serve_requests_total":       m["entries"],
-		"flexile_serve_batch_requests_total": m["req"],
-		"flexile_serve_batch_entries_total":  m["entries"],
-		"flexile_serve_batch_deduped_total":  m["dedup"],
-		"flexile_serve_cache_hits_total":     m["hits"],
+		"flexile_serve_requests_total":       num("entries"),
+		"flexile_serve_batch_requests_total": num("requests"),
+		"flexile_serve_batch_entries_total":  num("entries"),
+		"flexile_serve_batch_deduped_total":  num("dedup"),
+		"flexile_serve_cache_hits_total":     num("hits"),
 		"flexile_serve_deadline_shed_total":  0,
 		"flexile_serve_quota_rejects_total":  0,
 	} {

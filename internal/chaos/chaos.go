@@ -1,39 +1,32 @@
-// Package chaos is a seeded storm harness for the allocation server: it
-// drives a live serve.Server over a loopback listener through scripted
-// overload, failing-solve, corrupt-reload and client-disconnect storms,
-// and verifies the overload contract (DESIGN.md §13) from the outside —
-// every refusal is an explicit shed with a Retry-After hint, every
-// non-degraded success is bit-identical to the library's Online result,
-// degraded answers are marked, and nothing leaks once the storm passes.
+// Package chaos is what a storm test needs besides the request engine
+// (internal/load): the fixture — n small triangle artifacts on disk, a live
+// serve.Server over them on a loopback listener, and the library's own
+// answer for every (artifact, scenario) as the oracle — the faults a test
+// can schedule against it (Corrupt, Restore), and the invariants checked
+// from the outside afterwards (Get: live and oracle-exact; Quiesce: nothing
+// leaked). The serving contract itself is load.Contract; storms are
+// load.Storm runs whose requests Harness.Storm draws from the seed.
 //
-// Determinism contract: client behavior (scenario choice, think-time
-// jitter, disconnect timing) is a pure function of StormConfig.Seed via
-// splitmix64, so a chaos failure reproduces under the same seed. Faults
-// inside the server are scripted separately with internal/faultinject or
-// a Config.ComputeHook by the individual storm tests.
-//
-// The package imports testing for setup fatals; it is linked only into
-// test binaries.
+// Determinism contract: client behavior (artifact and scenario choice,
+// think-time jitter) is a pure function of StormConfig.Seed, so a chaos
+// failure reproduces under the same seed. Faults inside the server are
+// scripted separately with internal/faultinject or a Config.ComputeHook by
+// the individual storm tests.
 package chaos
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
-	"testing"
 	"time"
 
 	"flexile/internal/failure"
+	"flexile/internal/load"
 	flexscheme "flexile/internal/scheme/flexile"
 	"flexile/internal/serve"
 	"flexile/internal/te"
@@ -41,159 +34,203 @@ import (
 	"flexile/internal/tunnels"
 )
 
-// rng is a splitmix64 stream: deterministic, platform-independent, and
-// cheap to fork (each storm client derives its own from the storm seed).
-type rng struct{ s uint64 }
+// Fixture is a set of triangle artifacts on disk with their oracle bodies.
+// Artifact i carries demands scaled by 1+2i, so the oracle bodies differ
+// per artifact and a cross-artifact routing mixup surfaces as a bit
+// mismatch; all of them enumerate the same failure scenarios.
+type Fixture struct {
+	Dir   string
+	Names []string
 
-func (r *rng) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	x := r.s
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	blobs  map[string][]byte   // valid artifact bytes per name
+	oracle map[string][][]byte // name → scenario → marshaled Online answer
+	failed [][]int             // scenario → failure state
+	index  map[string]int      // fmt.Sprint(failure state) → scenario
 }
 
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
+// Build solves one triangle instance per name, writes each as
+// <dir>/<name>.flxa and computes its oracle body for every scenario.
+func Build(dir string, names ...string) (*Fixture, error) {
+	f := &Fixture{
+		Dir:    dir,
+		Names:  names,
+		blobs:  make(map[string][]byte),
+		oracle: make(map[string][][]byte),
+		index:  make(map[string]int),
+	}
+	for i, name := range names {
+		inst := te.NewInstance(topo.Triangle(), []te.Class{
+			{Name: "single", Beta: 0.99, Weight: 1, Tunnels: tunnels.SingleClass(3)},
+		})
+		scale := float64(1 + 2*i)
+		inst.Demand[0][0] = scale
+		inst.Demand[0][1] = scale
+		inst.LinkProbs = []float64{0.01, 0.01, 0.01}
+		inst.Scenarios = failure.Enumerate(inst.LinkProbs, 0)
+		opt := flexscheme.Options{Workers: 2}
+		off, err := flexscheme.Offline(inst, opt)
+		if err != nil {
+			return nil, fmt.Errorf("chaos: offline solve (%s): %w", name, err)
+		}
+		art, err := serve.Build(inst, off, opt)
+		if err != nil {
+			return nil, fmt.Errorf("chaos: build artifact (%s): %w", name, err)
+		}
+		f.blobs[name] = art.Encode()
+		if err := f.Restore(name); err != nil {
+			return nil, err
+		}
+		f.failed = make([][]int, len(inst.Scenarios))
+		bodies := make([][]byte, len(inst.Scenarios))
+		for q, scen := range inst.Scenarios {
+			res, err := flexscheme.Online(inst, off, q, opt)
+			if err != nil {
+				return nil, fmt.Errorf("chaos: oracle Online(%s, %d): %w", name, q, err)
+			}
+			bodies[q], err = json.Marshal(serve.AllocResponse{Scenario: q, Prob: scen.Prob, Frac: res.Frac, X: res.X})
+			if err != nil {
+				return nil, err
+			}
+			f.failed[q] = scen.Failed
+			f.index[fmt.Sprint(scen.Failed)] = q
+		}
+		f.oracle[name] = bodies
+	}
+	return f, nil
+}
 
-// Harness owns one server under test: the triangle artifact on disk (so
-// storms can corrupt and restore it), the live server and listener, the
-// per-scenario oracle bodies computed directly from the library, and the
+func (f *Fixture) path(name string) string { return filepath.Join(f.Dir, name+serve.ArtifactExt) }
+
+// Corrupt overwrites one artifact file with garbage, so its next reload
+// must fail; Restore writes the valid bytes back.
+func (f *Fixture) Corrupt(name string) error {
+	return os.WriteFile(f.path(name), []byte("chaos: not an artifact"), 0o644)
+}
+
+func (f *Fixture) Restore(name string) error {
+	return os.WriteFile(f.path(name), f.blobs[name], 0o644)
+}
+
+// Scenarios reports how many failure scenarios each artifact enumerates.
+func (f *Fixture) Scenarios() int { return len(f.failed) }
+
+// Query returns the query for scenario q of the named artifact; "" is the
+// bare route, which a one-artifact server resolves to its only artifact.
+func (f *Fixture) Query(name string, q int) load.Query {
+	return load.Query{Artifact: name, Failed: f.failed[q]}
+}
+
+// Oracle is the fixture's load.Oracle: the library's answer for q, or nil
+// for a failure state the fixture does not enumerate.
+func (f *Fixture) Oracle(q load.Query) []byte {
+	name := q.Artifact
+	if name == "" {
+		name = f.Names[0]
+	}
+	if s, ok := f.index[fmt.Sprint(q.Failed)]; ok && f.oracle[name] != nil {
+		return f.oracle[name][s]
+	}
+	return nil
+}
+
+// Harness is a Fixture being served: the live server and listener, and the
 // goroutine baseline captured before anything was started.
 type Harness struct {
-	Srv  *serve.Server
-	TS   *httptest.Server
-	Path string // artifact file; Corrupt/Restore rewrite it
+	*Fixture
+	Srv *serve.Server
+	TS  *httptest.Server
 
-	blob     []byte // valid artifact bytes
-	oracle   [][]byte
-	urls     []string
 	baseline int
 }
 
-// New builds the canonical triangle fixture, solves the oracle allocation
-// for every enumerated scenario, and starts a server with cfg over a
-// loopback listener. The goroutine baseline is captured first, so Quiesce
-// can later prove the whole storm unwound.
-func New(t testing.TB, cfg serve.Config) *Harness {
-	t.Helper()
+// New builds n artifacts named art0..art<n-1> in a fresh directory under
+// dir and starts a server with cfg over them on a loopback listener. The
+// goroutine baseline is captured first, so Quiesce can later prove the
+// whole storm unwound.
+func New(dir string, cfg serve.Config, n int) (*Harness, error) {
 	baseline := runtime.NumGoroutine()
-
-	tp := topo.Triangle()
-	inst := te.NewInstance(tp, []te.Class{
-		{Name: "single", Beta: 0.99, Weight: 1, Tunnels: tunnels.SingleClass(3)},
-	})
-	inst.Demand[0][0] = 1
-	inst.Demand[0][1] = 1
-	inst.LinkProbs = []float64{0.01, 0.01, 0.01}
-	inst.Scenarios = failure.Enumerate(inst.LinkProbs, 0)
-
-	opt := flexscheme.Options{Workers: 2}
-	off, err := flexscheme.Offline(inst, opt)
+	// A directory of its own: the server treats every *.flxa beside the
+	// fixture's as one more artifact to serve.
+	dir, err := os.MkdirTemp(dir, "chaos-*")
 	if err != nil {
-		t.Fatalf("chaos: offline solve: %v", err)
+		return nil, err
 	}
-	art, err := serve.Build(inst, off, opt)
-	if err != nil {
-		t.Fatalf("chaos: build artifact: %v", err)
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("art%d", i)
 	}
-	blob := art.Encode()
-	path := filepath.Join(t.TempDir(), "chaos.flxa")
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	srv, err := serve.New(path, cfg)
-	if err != nil {
-		t.Fatalf("chaos: serve.New: %v", err)
-	}
-	ts := httptest.NewServer(srv)
-
-	h := &Harness{Srv: srv, TS: ts, Path: path, blob: blob, baseline: baseline}
-	h.oracle = make([][]byte, len(inst.Scenarios))
-	h.urls = make([]string, len(inst.Scenarios))
-	for q, scen := range inst.Scenarios {
-		res, err := flexscheme.Online(inst, off, q, opt)
-		if err != nil {
-			t.Fatalf("chaos: oracle Online(%d): %v", q, err)
+	fix, err := Build(dir, names...)
+	if err == nil {
+		var srv *serve.Server
+		if srv, err = serve.NewRegistry(dir, cfg); err == nil {
+			return &Harness{Fixture: fix, Srv: srv, TS: httptest.NewServer(srv), baseline: baseline}, nil
 		}
-		body, err := json.Marshal(serve.AllocResponse{Scenario: q, Prob: scen.Prob, Frac: res.Frac, X: res.X})
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.oracle[q] = body
-		var parts []string
-		for _, e := range scen.Failed {
-			parts = append(parts, strconv.Itoa(e))
-		}
-		h.urls[q] = ts.URL + "/v1/alloc?failed=" + strings.Join(parts, ",")
 	}
-	return h
+	os.RemoveAll(dir)
+	return nil, err
 }
 
-// Scenarios reports how many failure scenarios the fixture enumerates.
-func (h *Harness) Scenarios() int { return len(h.oracle) }
-
-// Oracle returns the expected response body for scenario q.
-func (h *Harness) Oracle(q int) []byte { return h.oracle[q] }
-
-// Corrupt overwrites the artifact file with garbage, so the next reload
-// must fail; Restore writes the valid bytes back.
-func (h *Harness) Corrupt(t testing.TB) {
-	t.Helper()
-	if err := os.WriteFile(h.Path, []byte("chaos: not an artifact"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func (h *Harness) Restore(t testing.TB) {
-	t.Helper()
-	if err := os.WriteFile(h.Path, h.blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Get issues one clean request for scenario q (no deadline, no tenant) and
-// fails the test unless it is a non-degraded 200 bit-identical to the
-// oracle — the post-storm sanity probe.
-func (h *Harness) Get(t testing.TB, q int) {
-	t.Helper()
-	resp, err := http.Get(h.urls[q])
-	if err != nil {
-		t.Fatalf("chaos: probe scenario %d: %v", q, err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Flexile-Degraded") != "" {
-		t.Fatalf("chaos: probe scenario %d: status %d degraded=%q body=%s",
-			q, resp.StatusCode, resp.Header.Get("X-Flexile-Degraded"), body)
-	}
-	if !bytes.Equal(body, h.oracle[q]) {
-		t.Fatalf("chaos: probe scenario %d: body differs from oracle", q)
-	}
-}
-
-// Quiesce closes the listener and client connections, then polls until
-// the goroutine count returns to the pre-harness baseline (plus a small
-// allowance for the runtime's own background workers). A storm that
-// leaked a waiter, a detached recompute, or a watcher fails here.
-func (h *Harness) Quiesce(t testing.TB) {
-	t.Helper()
+// Close stops the listener and the server and removes the artifacts.
+func (h *Harness) Close() {
 	h.TS.Close()
 	h.Srv.Close()
+	os.RemoveAll(h.Dir)
+}
+
+// Get issues one clean request for scenario q on the bare route (no
+// deadline, no tenant) and fails unless it is a non-degraded 200
+// bit-identical to the oracle — the post-storm sanity probe.
+func (h *Harness) Get(q int) error {
+	client := load.NewClient(h.TS.URL, 1)
+	defer client.Close()
+	rq := load.Request{Queries: []load.Query{h.Query("", q)}}
+	res := client.Fire(context.Background(), rq, 0)
+	if res.Err != nil {
+		return fmt.Errorf("chaos: probe scenario %d: %w", q, res.Err)
+	}
+	if class, err := load.Contract(h.Oracle, rq, 0, res.Outcomes[0]); class != load.Exact {
+		out := res.Outcomes[0]
+		return fmt.Errorf("chaos: probe scenario %d: want an exact 200, got status %d degraded=%v shed=%q (%v)",
+			q, out.Status, out.Degraded, out.Shed, err)
+	}
+	return nil
+}
+
+// Status fetches the live per-artifact status rows from GET /v1/artifacts.
+func (h *Harness) Status() (map[string]serve.ArtifactStatus, error) {
+	resp, err := http.Get(h.TS.URL + "/v1/artifacts")
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	var rows []serve.ArtifactStatus
+	if err := json.NewDecoder(resp.Body).Decode(&rows); err != nil {
+		return nil, err
+	}
+	out := make(map[string]serve.ArtifactStatus, len(rows))
+	for _, row := range rows {
+		out[row.Name] = row
+	}
+	return out, nil
+}
+
+// Quiesce closes the harness, then polls until the goroutine count returns
+// to the pre-harness baseline (plus a small allowance for the runtime's own
+// background workers). A storm that leaked a waiter, a detached recompute,
+// or a watcher fails here.
+func (h *Harness) Quiesce() error {
+	h.Close()
 	http.DefaultClient.CloseIdleConnections()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		n := runtime.NumGoroutine()
 		if n <= h.baseline+2 {
-			return
+			return nil
 		}
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<16)
 			buf = buf[:runtime.Stack(buf, true)]
-			t.Fatalf("chaos: goroutine leak: %d live, baseline %d\n%s", n, h.baseline, buf)
+			return fmt.Errorf("chaos: goroutine leak: %d live, baseline %d\n%s", n, h.baseline, buf)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -203,169 +240,57 @@ func (h *Harness) Quiesce(t testing.TB) {
 type StormConfig struct {
 	Seed     uint64
 	Clients  int
-	Requests int           // per client
+	Requests int // per client
+	// Batch is queries per request: <= 1 sends single GETs, more sends
+	// batch envelopes.
+	Batch    int
 	Deadline time.Duration // X-Request-Deadline header; 0 sends none
 	Tenant   func(client int) string
 	// Scenarios restricts the storm to these scenario indices; nil means
 	// all enumerated scenarios.
 	Scenarios []int
-	// Jitter is the maximum think time a client sleeps between requests
-	// (uniform in [0, Jitter)); 0 hammers back to back.
-	Jitter time.Duration
-	// Timeout is a client-side HTTP timeout; expiring mid-request closes
-	// the connection, which is exactly what the disconnect storm wants.
-	// 0 means no client timeout.
+	// Jitter and Timeout are load.Storm's: maximum think time between a
+	// client's requests, and the client-side timeout that makes disconnects.
+	Jitter  time.Duration
 	Timeout time.Duration
 }
 
-// Report accumulates a storm's outcomes. Violations holds invariant
-// breaches observed from the client side — a non-shed 5xx, a shed without
-// Retry-After, an unmarked response that differs from the oracle — and
-// must be empty for every storm.
-type Report struct {
-	mu         sync.Mutex
-	OK         int
-	Degraded   int
-	Shed       map[string]int // by X-Flexile-Shed reason
-	Disconnect int            // client-side transport failures
-	Violations []string
-	okLat      []time.Duration
-}
-
-func (r *Report) violate(format string, args ...any) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.Violations) < 20 { // enough to diagnose, bounded to stay readable
-		r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
-	}
-}
-
-// P99OK returns the 99th-percentile client-observed latency of the
-// admitted (200) requests, or 0 when none succeeded.
-func (r *Report) P99OK() time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.okLat) == 0 {
-		return 0
-	}
-	lats := append([]time.Duration(nil), r.okLat...)
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	return lats[len(lats)*99/100]
-}
-
-// Sheds sums sheds across all reasons.
-func (r *Report) Sheds() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, v := range r.Shed {
-		n += v
-	}
-	return n
-}
-
-// String renders a one-line storm summary for test logs.
-func (r *Report) String() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return fmt.Sprintf("ok=%d degraded=%d shed=%v disconnect=%d violations=%d",
-		r.OK, r.Degraded, r.Shed, r.Disconnect, len(r.Violations))
-}
-
 // Storm runs cfg.Clients concurrent clients, each issuing cfg.Requests
-// seeded-random scenario queries, classifying every response against the
-// overload contract. It returns when every client has finished.
-func (h *Harness) Storm(cfg StormConfig) *Report {
-	rep := &Report{Shed: make(map[string]int)}
-	client := &http.Client{Timeout: cfg.Timeout}
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Clients; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r := &rng{s: cfg.Seed ^ (uint64(w+1) * 0x9e3779b97f4a7c15)}
-			for i := 0; i < cfg.Requests; i++ {
-				var q int
-				if len(cfg.Scenarios) > 0 {
-					q = cfg.Scenarios[r.intn(len(cfg.Scenarios))]
-				} else {
-					q = r.intn(len(h.urls))
-				}
-				h.one(client, cfg, rep, w, q)
-				if cfg.Jitter > 0 {
-					time.Sleep(time.Duration(r.next() % uint64(cfg.Jitter)))
-				}
+// requests of seeded-random queries — across the artifacts when there are
+// several, on the bare route when there is one — and returns every outcome
+// classified against the oracle.
+func (h *Harness) Storm(cfg StormConfig) *load.Stats {
+	batch := max(cfg.Batch, 1)
+	scenarios := cfg.Scenarios
+	if len(scenarios) == 0 {
+		for q := 0; q < h.Scenarios(); q++ {
+			scenarios = append(scenarios, q)
+		}
+	}
+	stats := load.NewStats(h.Oracle)
+	load.Storm{
+		Seed:     cfg.Seed,
+		Clients:  cfg.Clients,
+		Deadline: cfg.Deadline,
+		Jitter:   cfg.Jitter,
+		Timeout:  cfg.Timeout,
+		Next: func(r *load.Rand, w, i int) (load.Request, bool) {
+			if i >= cfg.Requests {
+				return load.Request{}, false
 			}
-		}(w)
-	}
-	wg.Wait()
-	return rep
-}
-
-// one issues a single storm request and classifies the outcome.
-func (h *Harness) one(client *http.Client, cfg StormConfig, rep *Report, w, q int) {
-	req, err := http.NewRequest(http.MethodGet, h.urls[q], nil)
-	if err != nil {
-		rep.violate("client %d: build request: %v", w, err)
-		return
-	}
-	if cfg.Deadline > 0 {
-		req.Header.Set("X-Request-Deadline", cfg.Deadline.String())
-	}
-	if cfg.Tenant != nil {
-		req.Header.Set("X-Tenant", cfg.Tenant(w))
-	}
-	begin := time.Now()
-	resp, err := client.Do(req)
-	if err != nil {
-		// Client-side timeout or disconnect: legal chaos, the server-side
-		// consequences are what Quiesce and the post-storm probes check.
-		rep.mu.Lock()
-		rep.Disconnect++
-		rep.mu.Unlock()
-		return
-	}
-	lat := time.Since(begin)
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		rep.mu.Lock()
-		rep.Disconnect++
-		rep.mu.Unlock()
-		return
-	}
-
-	switch resp.StatusCode {
-	case http.StatusOK:
-		if resp.Header.Get("X-Flexile-Degraded") != "" {
-			rep.mu.Lock()
-			rep.Degraded++
-			rep.mu.Unlock()
-			return
-		}
-		if !bytes.Equal(body, h.oracle[q]) {
-			rep.violate("client %d scenario %d: unmarked 200 differs from oracle", w, q)
-			return
-		}
-		rep.mu.Lock()
-		rep.OK++
-		rep.okLat = append(rep.okLat, lat)
-		rep.mu.Unlock()
-	case http.StatusServiceUnavailable, http.StatusTooManyRequests:
-		reason := resp.Header.Get("X-Flexile-Shed")
-		if reason == "" {
-			rep.violate("client %d scenario %d: %d without X-Flexile-Shed: %s", w, q, resp.StatusCode, body)
-			return
-		}
-		if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 {
-			rep.violate("client %d scenario %d: shed %q without usable Retry-After (%q)",
-				w, q, reason, resp.Header.Get("Retry-After"))
-			return
-		}
-		rep.mu.Lock()
-		rep.Shed[reason]++
-		rep.mu.Unlock()
-	default:
-		rep.violate("client %d scenario %d: status %d: %s", w, q, resp.StatusCode, body)
-	}
+			rq := load.Request{Queries: make([]load.Query, batch)}
+			if cfg.Tenant != nil {
+				rq.Tenant = cfg.Tenant(w)
+			}
+			for k := range rq.Queries {
+				name := ""
+				if len(h.Names) > 1 {
+					name = h.Names[r.Intn(len(h.Names))]
+				}
+				rq.Queries[k] = h.Query(name, scenarios[r.Intn(len(scenarios))])
+			}
+			return rq, true
+		},
+	}.Run(context.Background(), h.TS.URL, stats.Add)
+	return stats
 }

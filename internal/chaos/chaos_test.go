@@ -1,8 +1,8 @@
 package chaos
 
 import (
+	"context"
 	"errors"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -11,9 +11,27 @@ import (
 	"time"
 
 	"flexile/internal/faultinject"
+	"flexile/internal/load"
 	"flexile/internal/obs"
 	"flexile/internal/serve"
 )
+
+// newHarness starts a harness of n artifacts under the test's temp dir.
+func newHarness(t *testing.T, cfg serve.Config, n int) *Harness {
+	t.Helper()
+	h, err := New(t.TempDir(), cfg, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+func must(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
 
 // TestChaosOverloadStorm: ten clients hammer a single-slot, cache-disabled
 // server with 120ms deadlines while every solve takes ~30ms. The server
@@ -21,12 +39,12 @@ import (
 // bounded latency) and explicit sheds (Retry-After, reason header) — never
 // a generic 5xx, and never a leak.
 func TestChaosOverloadStorm(t *testing.T) {
-	h := New(t, serve.Config{
+	h := newHarness(t, serve.Config{
 		CacheSize:   0,
 		Workers:     -1,
 		Obs:         obs.New(),
 		ComputeHook: func(int) error { time.Sleep(30 * time.Millisecond); return nil },
-	})
+	}, 1)
 	rep := h.Storm(StormConfig{
 		Seed:     1,
 		Clients:  10,
@@ -48,7 +66,7 @@ func TestChaosOverloadStorm(t *testing.T) {
 	if p99 := rep.P99OK(); p99 > time.Second {
 		t.Fatalf("admitted p99 = %v: queueing leaked into admitted requests", p99)
 	}
-	h.Quiesce(t)
+	must(t, h.Quiesce())
 }
 
 // TestChaosCorruptReloadStorm: a reload cycler alternates runs of corrupt
@@ -58,22 +76,24 @@ func TestChaosOverloadStorm(t *testing.T) {
 // must eventually land once the cooldown admits a probe.
 func TestChaosCorruptReloadStorm(t *testing.T) {
 	collector := obs.New()
-	h := New(t, serve.Config{
+	h := newHarness(t, serve.Config{
 		CacheSize:        4,
 		Obs:              collector,
 		BreakerThreshold: 3,
 		BreakerCooldown:  150 * time.Millisecond,
-	})
+	}, 1)
 
 	var suppressed atomic.Int64
 	cyclerDone := make(chan struct{})
 	go func() {
 		defer close(cyclerDone)
 		for i := 0; i < 25; i++ {
+			write := h.Corrupt
 			if i%5 == 4 {
-				h.Restore(t)
-			} else {
-				h.Corrupt(t)
+				write = h.Restore
+			}
+			if err := write(h.Names[0]); err != nil {
+				t.Error(err)
 			}
 			if err := h.Srv.Reload(); errors.Is(err, serve.ErrReloadSuppressed) {
 				suppressed.Add(1)
@@ -95,7 +115,7 @@ func TestChaosCorruptReloadStorm(t *testing.T) {
 
 	// Recovery: restore the artifact and retry until the breaker's cooldown
 	// admits the probe that reloads it.
-	h.Restore(t)
+	must(t, h.Restore(h.Names[0]))
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if err := h.Srv.Reload(); err == nil {
@@ -111,7 +131,7 @@ func TestChaosCorruptReloadStorm(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	for q := 0; q < h.Scenarios(); q++ {
-		h.Get(t, q)
+		must(t, h.Get(q))
 	}
 
 	m := collector.Snapshot().Serve
@@ -121,7 +141,7 @@ func TestChaosCorruptReloadStorm(t *testing.T) {
 	if suppressed.Load() != m.ReloadsSkipped {
 		t.Fatalf("suppressed reloads seen by cycler (%d) != counter (%d)", suppressed.Load(), m.ReloadsSkipped)
 	}
-	h.Quiesce(t)
+	must(t, h.Quiesce())
 }
 
 // TestChaosFailingSolveBreakerStorm: every solve fails while the fault
@@ -134,7 +154,7 @@ func TestChaosFailingSolveBreakerStorm(t *testing.T) {
 	var attempts atomic.Int64
 	inj := faultinject.New(11, 1.0, faultinject.SingularBasis)
 	collector := obs.New()
-	h := New(t, serve.Config{
+	h := newHarness(t, serve.Config{
 		CacheSize:        0, // no response cache: every request exercises the solve path
 		Obs:              collector,
 		BreakerThreshold: 3,
@@ -145,13 +165,13 @@ func TestChaosFailingSolveBreakerStorm(t *testing.T) {
 			}
 			return inj.Hook(q, int(attempts.Add(1)))
 		},
-	})
+	}, 1)
 
 	// Warm the last-known-good store for all but the last scenario; the
 	// cold one is how we observe the breaker-shed path.
 	cold := h.Scenarios() - 1
 	for q := 0; q < cold; q++ {
-		h.Get(t, q)
+		must(t, h.Get(q))
 	}
 
 	faultsOn.Store(true)
@@ -180,18 +200,14 @@ func TestChaosFailingSolveBreakerStorm(t *testing.T) {
 
 	// The cold scenario has no stale answer: with the breaker open it must
 	// shed with the breaker reason, not 500.
-	resp, err := http.Get(h.urls[cold])
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("X-Flexile-Shed") != "breaker" {
-		t.Fatalf("cold state under open breaker: %d shed=%q body=%s",
-			resp.StatusCode, resp.Header.Get("X-Flexile-Shed"), body)
-	}
-	if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 {
-		t.Fatalf("breaker shed without Retry-After: %q", resp.Header.Get("Retry-After"))
+	client := load.NewClient(h.TS.URL, 1)
+	defer client.Close()
+	res := client.Fire(context.Background(), load.Request{Queries: []load.Query{h.Query("", cold)}}, 0)
+	must(t, res.Err)
+	if out := res.Outcomes[0]; out.Status != http.StatusServiceUnavailable || out.Shed != "breaker" {
+		t.Fatalf("cold state under open breaker: %d shed=%q body=%s", out.Status, out.Shed, out.Body)
+	} else if out.RetryAfter < 1 {
+		t.Fatalf("breaker shed without Retry-After: %d", out.RetryAfter)
 	}
 
 	// Faults clear, the cooldown passes, one probe closes the breaker, and
@@ -199,9 +215,9 @@ func TestChaosFailingSolveBreakerStorm(t *testing.T) {
 	faultsOn.Store(false)
 	time.Sleep(700 * time.Millisecond)
 	for q := 0; q < h.Scenarios(); q++ {
-		h.Get(t, q)
+		must(t, h.Get(q))
 	}
-	h.Quiesce(t)
+	must(t, h.Quiesce())
 }
 
 // TestChaosClientDisconnectStorm: clients with a timeout shorter than the
@@ -210,11 +226,11 @@ func TestChaosFailingSolveBreakerStorm(t *testing.T) {
 // never errors, and nothing leaks.
 func TestChaosClientDisconnectStorm(t *testing.T) {
 	collector := obs.New()
-	h := New(t, serve.Config{
+	h := newHarness(t, serve.Config{
 		CacheSize:   64,
 		Obs:         collector,
 		ComputeHook: func(int) error { time.Sleep(25 * time.Millisecond); return nil },
-	})
+	}, 1)
 	rep := h.Storm(StormConfig{
 		Seed:     4,
 		Clients:  8,
@@ -233,7 +249,7 @@ func TestChaosClientDisconnectStorm(t *testing.T) {
 	// exact answers, and the counters show completed recomputes with no
 	// errors.
 	for q := 0; q < h.Scenarios(); q++ {
-		h.Get(t, q)
+		must(t, h.Get(q))
 	}
 	m := collector.Snapshot().Serve
 	if m.RecomputeErrors != 0 || m.Degraded != 0 {
@@ -242,7 +258,7 @@ func TestChaosClientDisconnectStorm(t *testing.T) {
 	if m.Recomputes == 0 || m.CacheHits == 0 {
 		t.Fatalf("detached recomputes did not warm the cache: %+v", m)
 	}
-	h.Quiesce(t)
+	must(t, h.Quiesce())
 }
 
 // TestChaosRegistryFlappingArtifact: mixed-tenant batch traffic hammers a
@@ -252,7 +268,7 @@ func TestChaosClientDisconnectStorm(t *testing.T) {
 // serving bit-identical 200s and reloading cleanly — and the whole fleet
 // must quiesce without leaking a goroutine.
 func TestChaosRegistryFlappingArtifact(t *testing.T) {
-	h := NewRegistryHarness(t, serve.Config{
+	h := newHarness(t, serve.Config{
 		CacheSize:        32,
 		Workers:          4,
 		Obs:              obs.New(),
@@ -268,19 +284,23 @@ func TestChaosRegistryFlappingArtifact(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		h.Corrupt(t, flapping)
+		if err := h.Corrupt(flapping); err != nil {
+			t.Error(err)
+		}
 		for i := 0; i < 5; i++ {
-			if err := h.Reg.Reload(); err == nil {
+			if err := h.Srv.Reload(); err == nil {
 				t.Error("fleet reload with corrupt artifact reported no error")
 			} else if !strings.Contains(err.Error(), flapping) {
 				t.Errorf("reload error does not name the corrupt artifact: %v", err)
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
-		h.Restore(t, flapping)
+		if err := h.Restore(flapping); err != nil {
+			t.Error(err)
+		}
 	}()
 
-	rep := h.BatchStorm(RegistryStormConfig{
+	rep := h.Storm(StormConfig{
 		Seed:     7,
 		Clients:  8,
 		Requests: 25,
@@ -293,10 +313,13 @@ func TestChaosRegistryFlappingArtifact(t *testing.T) {
 	if len(rep.Violations) > 0 {
 		t.Fatalf("registry storm contract violated:\n%v", rep.Violations)
 	}
+	if rep.Disconnect != 0 {
+		t.Fatalf("transport failures with no client timeout configured: %s", rep)
+	}
 	// Every artifact — including the flapping one, which keeps serving its
 	// retained state through failed reloads — produced bit-identical 200s.
 	for _, name := range h.Names {
-		if rep.OK[name] == 0 {
+		if rep.Artifact[name] == 0 {
 			t.Fatalf("artifact %s served no verified 200s: %s", name, rep)
 		}
 	}
@@ -305,7 +328,8 @@ func TestChaosRegistryFlappingArtifact(t *testing.T) {
 	}
 
 	// Breaker isolation: only the flapping artifact's reload breaker opened.
-	status := h.Status(t)
+	status, err := h.Status()
+	must(t, err)
 	flap := status[flapping]
 	if flap.ReloadErrors < int64(3) {
 		t.Fatalf("flapping artifact reload errors = %d, want >= 3 (breaker threshold)", flap.ReloadErrors)
@@ -328,5 +352,5 @@ func TestChaosRegistryFlappingArtifact(t *testing.T) {
 			t.Fatalf("healthy artifact %s saw no traffic: %+v", name, row)
 		}
 	}
-	h.Quiesce(t)
+	must(t, h.Quiesce())
 }

@@ -3,20 +3,16 @@ package exps
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"time"
 
 	"flexile"
 	"flexile/internal/experiments"
 	"flexile/internal/hyp"
+	"flexile/internal/load"
 	"flexile/internal/serve"
 )
 
@@ -65,91 +61,39 @@ func BatchAmortization() hyp.Hypothesis {
 		defer srv.Close()
 		ts := httptest.NewServer(srv)
 		defer ts.Close()
-		client := &http.Client{}
-		defer client.CloseIdleConnections()
+		client := load.NewClient(ts.URL, 1)
+		defer client.Close()
 
 		const batch = 32
-		queries := make([]serve.BatchQuery, batch)
-		urls := make([]string, batch)
+		queries := make([]load.Query, batch)
 		for i := range queries {
-			failed := inst.Scenarios[i%len(inst.Scenarios)].Failed
-			queries[i] = serve.BatchQuery{Failed: failed}
-			parts := make([]string, len(failed))
-			for j, e := range failed {
-				parts[j] = strconv.Itoa(e)
-			}
-			urls[i] = ts.URL + "/v1/alloc?failed=" + strings.Join(parts, ",")
+			queries[i] = load.Query{Failed: inst.Scenarios[i%len(inst.Scenarios)].Failed}
 		}
-		body, err := json.Marshal(serve.BatchRequest{Queries: queries})
-		if err != nil {
-			return nil, err
+		get := func(i int) ([]load.Outcome, time.Duration, error) {
+			return fireExact(ctx, client, load.Request{Queries: queries[i%batch : i%batch+1]})
 		}
-
-		get := func(i int) ([]byte, time.Duration, error) {
-			start := time.Now()
-			resp, err := client.Get(urls[i%batch])
-			if err != nil {
-				return nil, 0, err
-			}
-			b, rerr := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if rerr != nil {
-				return nil, 0, rerr
-			}
-			if resp.StatusCode != http.StatusOK {
-				return nil, 0, fmt.Errorf("GET %s: status %d", urls[i%batch], resp.StatusCode)
-			}
-			return b, time.Since(start), nil
-		}
-		postBatch := func() ([]byte, time.Duration, error) {
-			start := time.Now()
-			req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/alloc/batch", bytes.NewReader(body))
-			if err != nil {
-				return nil, 0, err
-			}
-			req.Header.Set("Content-Type", "application/json")
-			resp, err := client.Do(req)
-			if err != nil {
-				return nil, 0, err
-			}
-			b, rerr := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if rerr != nil {
-				return nil, 0, rerr
-			}
-			if resp.StatusCode != http.StatusOK {
-				return nil, 0, fmt.Errorf("POST /v1/alloc/batch: status %d", resp.StatusCode)
-			}
-			return b, time.Since(start), nil
+		postBatch := func() ([]load.Outcome, time.Duration, error) {
+			return fireExact(ctx, client, load.Request{Queries: queries})
 		}
 
 		// Warm every scenario, capturing the single-GET oracle bodies.
 		singleBodies := make([][]byte, batch)
 		for i := 0; i < batch; i++ {
-			b, _, err := get(i)
+			outs, _, err := get(i)
 			if err != nil {
 				return nil, err
 			}
-			singleBodies[i] = b
+			singleBodies[i] = outs[0].Body
 		}
-		envBytes, _, err := postBatch()
+		entries, _, err := postBatch()
 		if err != nil {
 			return nil, err
 		}
 
 		// Deterministic check: every batch-envelope entry's body is
 		// byte-identical to the single-GET answer for the same query.
-		var env struct {
-			Results []struct {
-				Status int             `json:"status"`
-				Body   json.RawMessage `json:"body"`
-			} `json:"results"`
-		}
-		if err := json.Unmarshal(envBytes, &env); err != nil {
-			return nil, fmt.Errorf("batch envelope: %w", err)
-		}
 		identical, answered := 0, 0
-		for i, e := range env.Results {
+		for i, e := range entries {
 			if e.Status == http.StatusOK {
 				answered++
 				if bytes.Equal(e.Body, singleBodies[i]) {
@@ -159,9 +103,9 @@ func BatchAmortization() hyp.Hypothesis {
 		}
 
 		// Timed passes. Each side is scored by its fastest round-trip —
-		// the min is the scheduler-noise-free cost, the same idiom the
-		// old `make benchgate` used — but the single side still averages
-		// its min over the batch width so one lucky GET can't dominate:
+		// the min is the scheduler-noise-free cost, h-warm-speedup's
+		// idiom — but the single side still averages its min over the
+		// batch width so one lucky GET can't dominate:
 		// a "pass" on the single side is 32 consecutive GETs.
 		passes := 8
 		if p.Tier == hyp.TierSoak {

@@ -6,7 +6,7 @@
 //
 // The registry:
 //
-//	h-warm-speedup       warm-started batched offline solve ≥2× cold (absorbs `make benchgate`)
+//	h-warm-speedup       warm-started batched offline solve ≥2× cold
 //	h-batch-amortization POST /v1/alloc/batch at batch=32 amortizes ≥3× over single GETs
 //	h-overload-shed      under overload every response is an admitted 200 or an explicit shed
 //	h-emu-fidelity       fluid/packet emulation tracks the model (the paper's Fig. 9)
@@ -20,7 +20,12 @@
 package exps
 
 import (
+	"context"
+	"fmt"
+	"time"
+
 	"flexile/internal/hyp"
+	"flexile/internal/load"
 )
 
 // All returns the repository's hypothesis registry.
@@ -36,16 +41,18 @@ func All() (*hyp.Registry, error) {
 	)
 }
 
-// rng is splitmix64 — the repo-standard seeded stream (internal/chaos,
-// internal/load): tiny, fast, identical on every platform.
-type rng struct{ s uint64 }
-
-func (r *rng) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	x := r.s
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+// fireExact fires rq and returns its outcomes and round-trip latency. The
+// serving hypotheses put no pressure on their servers, so anything but an
+// unmarked 200 for every query is an error.
+func fireExact(ctx context.Context, c *load.Client, rq load.Request) ([]load.Outcome, time.Duration, error) {
+	res := c.Fire(ctx, rq, 0)
+	if res.Err != nil {
+		return nil, 0, res.Err
+	}
+	for i, out := range res.Outcomes {
+		if class, err := load.Contract(nil, rq, i, out); class != load.Exact {
+			return nil, 0, fmt.Errorf("query %v: %v answer, status %d shed=%q: %v", rq.Queries[i], class, out.Status, out.Shed, err)
+		}
+	}
+	return res.Outcomes, res.Latency, nil
 }
-
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
@@ -173,20 +172,17 @@ func fetchAllTwice(ctx context.Context, artifact string, cfg serve.Config, inst 
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	client := &http.Client{}
-	defer client.CloseIdleConnections()
+	client := load.NewClient(ts.URL, 1)
+	defer client.Close()
 	var bodies [][]byte
 	for q, scen := range inst.Scenarios {
 		rq := load.Request{Queries: []load.Query{{Failed: scen.Failed}}}
 		for n := 0; n < 2; n++ {
-			f, err := load.Fetch(ctx, client, ts.URL, rq, load.Config{})
+			outs, _, err := fireExact(ctx, client, rq)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("scenario %d: %w", q, err)
 			}
-			if f.Status != http.StatusOK || f.Degraded {
-				return nil, fmt.Errorf("scenario %d: status %d shed=%q degraded=%v", q, f.Status, f.Shed, f.Degraded)
-			}
-			bodies = append(bodies, f.Body)
+			bodies = append(bodies, outs[0].Body)
 		}
 	}
 	return bodies, nil

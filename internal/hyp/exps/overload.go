@@ -1,52 +1,41 @@
 package exps
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
-	"os"
-	"path/filepath"
-	"strconv"
-	"strings"
-	"sync"
 	"time"
 
-	"flexile/internal/failure"
+	"flexile/internal/chaos"
 	"flexile/internal/hyp"
 	"flexile/internal/obs"
-	flexscheme "flexile/internal/scheme/flexile"
 	"flexile/internal/serve"
-	"flexile/internal/te"
-	"flexile/internal/topo"
-	"flexile/internal/tunnels"
 )
 
 // OverloadShed is h-overload-shed: the DESIGN.md §13 overload contract,
-// formerly checked only by the internal/chaos test storms, restated as a
-// hypothesis. A deliberately slow server (every recompute sleeps, cache
-// disabled) is stormed by seeded clients with tight deadlines; the claim
-// is that from the client's side every single response is accounted for —
+// which the internal/chaos test storms check, restated as a hypothesis. A
+// deliberately slow server (every recompute sleeps, cache disabled) is
+// stormed by seeded clients with tight deadlines; the claim is that from
+// the client's side every single response is accounted for —
 // either a non-degraded 200 bit-identical to the library oracle, or an
 // explicit shed (429/503 with X-Flexile-Shed and a usable Retry-After) —
 // with zero contract violations. The storm schedule is a pure function of
 // the seed, so the request count and the zero-violation outcome are
 // canonical; how many land on each side of the admit/shed split depends
-// on real time and stays volatile.
-//
-// internal/chaos itself imports testing and links only into test
-// binaries, so this file carries a standalone storm runner mirroring its
-// classification rules exactly.
+// on real time and stays volatile. The fixture, the storm and the
+// classification (load.Contract) are the chaos harness's own.
 func OverloadShed() hyp.Hypothesis {
 	h := hyp.Hypothesis{
 		Name:  "h-overload-shed",
 		Claim: "under deadline-storm overload every response is an oracle-exact 200 or an explicit shed; none unaccounted",
 	}
 	h.Run = func(ctx context.Context, p hyp.Params) (*hyp.Verdict, error) {
-		fix, err := newTriangleFixture(p, serve.Config{
+		scratch, cleanup, err := p.ScratchDir()
+		if err != nil {
+			return nil, err
+		}
+		if cleanup != nil {
+			defer cleanup()
+		}
+		fix, err := chaos.New(scratch, serve.Config{
 			CacheSize: 0,
 			Workers:   -1,
 			Obs:       obs.New(),
@@ -54,236 +43,45 @@ func OverloadShed() hyp.Hypothesis {
 				time.Sleep(30 * time.Millisecond)
 				return nil
 			},
-		})
+		}, 1)
 		if err != nil {
 			return nil, err
 		}
-		defer fix.close()
+		defer fix.Close()
 
 		clients, requests := 8, 12
 		if p.Tier == hyp.TierSoak {
 			clients, requests = 16, 48
 		}
-		rep := fix.storm(stormConfig{
-			seed:     p.Seed,
-			clients:  clients,
-			requests: requests,
-			deadline: 120 * time.Millisecond,
-			jitter:   2 * time.Millisecond,
+		rep := fix.Storm(chaos.StormConfig{
+			Seed:     p.Seed,
+			Clients:  clients,
+			Requests: requests,
+			Deadline: 120 * time.Millisecond,
+			Jitter:   2 * time.Millisecond,
 		})
 		total := clients * requests
-		accounted := rep.ok + rep.degraded + rep.shed + rep.disconnect
-		p.Logf("h-overload-shed: ok=%d degraded=%d shed=%d disconnect=%d violations=%d",
-			rep.ok, rep.degraded, rep.shed, rep.disconnect, len(rep.violations))
-		for _, viol := range rep.violations {
-			p.Logf("h-overload-shed: violation: %s", viol)
+		accounted := rep.OK + rep.Degraded + rep.Sheds() + rep.Disconnect
+		p.Logf("h-overload-shed: %s", rep)
+		for _, viol := range rep.Violations {
+			p.Logf("h-overload-shed: violation: %v", viol)
 		}
 
 		v := hyp.NewVerdict(h, p)
 		v.Workloadf("topology", "Triangle (3 links, p=0.01 each, all scenarios)")
 		v.Workloadf("server", "cache disabled, detached recompute, 30ms compute hook")
 		v.Workloadf("storm", "%d clients x %d requests, 120ms deadline, 2ms jitter", clients, requests)
-		v.Check("contract-violations", "==", float64(len(rep.violations)), 0)
+		v.Check("contract-violations", "==", float64(rep.Violated), 0)
 		v.Check("responses-accounted", "==", float64(accounted), float64(total))
 		v.Check("requests-total", "==", float64(total), float64(total))
 		// The split is timing-dependent; only "both sides exercised" is claimed.
-		v.CheckVolatile("sheds-observed", ">=", float64(rep.shed), 1)
-		v.CheckVolatile("admitted-observed", ">=", float64(rep.ok), 1)
-		v.Measure("ok", float64(rep.ok))
-		v.Measure("degraded", float64(rep.degraded))
-		v.Measure("shed", float64(rep.shed))
-		v.Measure("disconnect", float64(rep.disconnect))
+		v.CheckVolatile("sheds-observed", ">=", float64(rep.Sheds()), 1)
+		v.CheckVolatile("admitted-observed", ">=", float64(rep.OK), 1)
+		v.Measure("ok", float64(rep.OK))
+		v.Measure("degraded", float64(rep.Degraded))
+		v.Measure("shed", float64(rep.Sheds()))
+		v.Measure("disconnect", float64(rep.Disconnect))
 		return v.Finalize(), nil
 	}
 	return h
-}
-
-// triangleFixture is the chaos harness's canonical triangle server,
-// rebuilt without the testing dependency: artifact on disk, live loopback
-// server, and per-scenario oracle bodies straight from the library.
-type triangleFixture struct {
-	srv    *serve.Server
-	ts     *httptest.Server
-	oracle [][]byte
-	urls   []string
-	clean  func()
-}
-
-func newTriangleFixture(p hyp.Params, cfg serve.Config) (*triangleFixture, error) {
-	tp := topo.Triangle()
-	inst := te.NewInstance(tp, []te.Class{
-		{Name: "single", Beta: 0.99, Weight: 1, Tunnels: tunnels.SingleClass(3)},
-	})
-	inst.Demand[0][0] = 1
-	inst.Demand[0][1] = 1
-	inst.LinkProbs = []float64{0.01, 0.01, 0.01}
-	inst.Scenarios = failure.Enumerate(inst.LinkProbs, 0)
-
-	opt := flexscheme.Options{Workers: 2}
-	off, err := flexscheme.Offline(inst, opt)
-	if err != nil {
-		return nil, fmt.Errorf("offline solve: %w", err)
-	}
-	art, err := serve.Build(inst, off, opt)
-	if err != nil {
-		return nil, fmt.Errorf("build artifact: %w", err)
-	}
-	scratch, cleanup, err := p.ScratchDir()
-	if err != nil {
-		return nil, err
-	}
-	path := filepath.Join(scratch, "h-overload.flxa")
-	if err := os.WriteFile(path, art.Encode(), 0o644); err != nil {
-		if cleanup != nil {
-			cleanup()
-		}
-		return nil, err
-	}
-	srv, err := serve.New(path, cfg)
-	if err != nil {
-		if cleanup != nil {
-			cleanup()
-		}
-		return nil, err
-	}
-	f := &triangleFixture{srv: srv, ts: httptest.NewServer(srv)}
-	f.clean = func() {
-		f.ts.Close()
-		f.srv.Close()
-		if cleanup != nil {
-			cleanup()
-		}
-	}
-	f.oracle = make([][]byte, len(inst.Scenarios))
-	f.urls = make([]string, len(inst.Scenarios))
-	for q, scen := range inst.Scenarios {
-		res, err := flexscheme.Online(inst, off, q, opt)
-		if err != nil {
-			f.clean()
-			return nil, fmt.Errorf("oracle Online(%d): %w", q, err)
-		}
-		body, err := json.Marshal(serve.AllocResponse{Scenario: q, Prob: scen.Prob, Frac: res.Frac, X: res.X})
-		if err != nil {
-			f.clean()
-			return nil, err
-		}
-		f.oracle[q] = body
-		var parts []string
-		for _, e := range scen.Failed {
-			parts = append(parts, strconv.Itoa(e))
-		}
-		f.urls[q] = f.ts.URL + "/v1/alloc?failed=" + strings.Join(parts, ",")
-	}
-	return f, nil
-}
-
-func (f *triangleFixture) close() { f.clean() }
-
-type stormConfig struct {
-	seed     uint64
-	clients  int
-	requests int
-	deadline time.Duration
-	jitter   time.Duration
-}
-
-type stormReport struct {
-	mu         sync.Mutex
-	ok         int
-	degraded   int
-	shed       int
-	disconnect int
-	violations []string
-}
-
-func (r *stormReport) violate(format string, args ...any) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.violations) < 20 {
-		r.violations = append(r.violations, fmt.Sprintf(format, args...))
-	}
-}
-
-// storm mirrors chaos.Harness.Storm: seeded clients, and the §13
-// classification — a 200 must be oracle-exact unless marked degraded, a
-// 429/503 must carry X-Flexile-Shed and Retry-After >= 1, anything else
-// is a violation.
-func (f *triangleFixture) storm(cfg stormConfig) *stormReport {
-	rep := &stormReport{}
-	client := &http.Client{}
-	defer client.CloseIdleConnections()
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.clients; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r := &rng{s: cfg.seed ^ (uint64(w+1) * 0x9e3779b97f4a7c15)}
-			for i := 0; i < cfg.requests; i++ {
-				q := r.intn(len(f.urls))
-				f.one(client, cfg, rep, w, q)
-				if cfg.jitter > 0 {
-					time.Sleep(time.Duration(r.next() % uint64(cfg.jitter)))
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	return rep
-}
-
-func (f *triangleFixture) one(client *http.Client, cfg stormConfig, rep *stormReport, w, q int) {
-	req, err := http.NewRequest(http.MethodGet, f.urls[q], nil)
-	if err != nil {
-		rep.violate("client %d: build request: %v", w, err)
-		return
-	}
-	if cfg.deadline > 0 {
-		req.Header.Set("X-Request-Deadline", cfg.deadline.String())
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		rep.mu.Lock()
-		rep.disconnect++
-		rep.mu.Unlock()
-		return
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		rep.mu.Lock()
-		rep.disconnect++
-		rep.mu.Unlock()
-		return
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-		if resp.Header.Get("X-Flexile-Degraded") != "" {
-			rep.mu.Lock()
-			rep.degraded++
-			rep.mu.Unlock()
-			return
-		}
-		if !bytes.Equal(body, f.oracle[q]) {
-			rep.violate("client %d scenario %d: unmarked 200 differs from oracle", w, q)
-			return
-		}
-		rep.mu.Lock()
-		rep.ok++
-		rep.mu.Unlock()
-	case http.StatusServiceUnavailable, http.StatusTooManyRequests:
-		if resp.Header.Get("X-Flexile-Shed") == "" {
-			rep.violate("client %d scenario %d: %d without X-Flexile-Shed: %s", w, q, resp.StatusCode, body)
-			return
-		}
-		if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 {
-			rep.violate("client %d scenario %d: shed without usable Retry-After (%q)",
-				w, q, resp.Header.Get("Retry-After"))
-			return
-		}
-		rep.mu.Lock()
-		rep.shed++
-		rep.mu.Unlock()
-	default:
-		rep.violate("client %d scenario %d: status %d: %s", w, q, resp.StatusCode, body)
-	}
 }

@@ -10,8 +10,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -323,51 +321,50 @@ func reloadDaemon(ctx context.Context, daemon *exec.Cmd, base string) (bool, err
 	return false, nil
 }
 
-// fireAll drives one half of the plan through load.Fetch with a fixed-size
-// worker pool, storing each body at its plan index so the observed trace
-// is independent of worker interleaving. Any non-200 or degraded answer is
-// an error: the soak plans no overload, so the server has no excuse.
+// fireAll drives one half of the plan closed-loop with a fixed pool of
+// clients — client w takes every workers-th request from w — storing each
+// body at its plan index, so the observed trace is independent of worker
+// count and interleaving. Any answer but an unmarked 200 is an error: the
+// soak plans no overload, so the server has no excuse.
 func fireAll(ctx context.Context, base string, reqs []load.Request, lcfg load.Config, workers int) ([][]byte, error) {
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(workers, 1)
 	bodies := make([][]byte, len(reqs))
-	errs := make([]error, len(reqs))
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			client := &http.Client{}
-			defer client.CloseIdleConnections()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(reqs) {
-					return
-				}
-				f, err := load.Fetch(ctx, client, base, reqs[i], lcfg)
-				switch {
-				case err != nil:
-					errs[i] = err
-				case f.Status != http.StatusOK || f.Degraded:
-					// The echoed request id names the server-side trace
-					// (/debug/requests) and access-log record for this sample.
-					errs[i] = fmt.Errorf("request %d (id %s, server id %s): status %d shed=%q degraded=%v",
-						i, reqs[i].ID, f.RequestID, f.Status, f.Shed, f.Degraded)
-				default:
-					bodies[i] = f.Body
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
+	ctx, stop := context.WithCancel(ctx)
+	defer stop()
+	var failed error
+	fail := func(err error) {
+		if failed == nil {
+			failed = err
+			stop()
 		}
 	}
-	return bodies, nil
+	load.Storm{
+		Clients:  workers,
+		Deadline: lcfg.Deadline,
+		Next: func(_ *load.Rand, w, i int) (load.Request, bool) {
+			if k := i*workers + w; k < len(reqs) {
+				return reqs[k], true
+			}
+			return load.Request{}, false
+		},
+	}.Run(ctx, base, func(sm load.Sample) {
+		k := sm.Seq*workers + sm.Client
+		if sm.Err != nil {
+			fail(fmt.Errorf("request %d (id %s): %w", k, sm.Request.ID, sm.Err))
+			return
+		}
+		// The planned request id finds the server-side trace
+		// (/debug/requests) and access-log record of a bad sample.
+		out := sm.Outcomes[0]
+		if class, err := load.Contract(nil, sm.Request, 0, out); class != load.Exact {
+			fail(fmt.Errorf("request %d (id %s, server id %s): %v answer, shed=%q: %v", k, sm.Request.ID, out.RequestID, class, out.Shed, err))
+		}
+		bodies[k] = out.Body
+	})
+	if failed == nil {
+		failed = ctx.Err()
+	}
+	return bodies, failed
 }
 
 // byScenario decodes each body's served scenario index and groups the raw

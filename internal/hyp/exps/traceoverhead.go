@@ -1,23 +1,20 @@
 package exps
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
 	"flexile"
 	"flexile/internal/experiments"
 	"flexile/internal/hyp"
+	"flexile/internal/load"
 	"flexile/internal/obs"
 	"flexile/internal/serve"
 )
@@ -89,43 +86,21 @@ func TraceOverhead() hyp.Hypothesis {
 		defer tsPlain.Close()
 		tsTraced := httptest.NewServer(traced)
 		defer tsTraced.Close()
-		client := &http.Client{}
-		defer client.CloseIdleConnections()
+		plainC, tracedC := load.NewClient(tsPlain.URL, 1), load.NewClient(tsTraced.URL, 1)
+		defer plainC.Close()
+		defer tracedC.Close()
 
-		allocTarget := func(failed []int) string {
-			parts := make([]string, len(failed))
-			for j, e := range failed {
-				parts[j] = strconv.Itoa(e)
-			}
-			return "/v1/alloc?failed=" + strings.Join(parts, ",")
-		}
-		urlFor := func(ts *httptest.Server, scen int) string {
-			return ts.URL + allocTarget(inst.Scenarios[scen].Failed)
-		}
-		get := func(url string, hdr map[string]string) (*http.Response, time.Duration, error) {
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+		scenario := func(q int) load.Query { return load.Query{Failed: inst.Scenarios[q].Failed} }
+		fire := func(c *load.Client, rq load.Request) (load.Outcome, time.Duration, error) {
+			outs, lat, err := fireExact(ctx, c, rq)
 			if err != nil {
-				return nil, 0, err
+				return load.Outcome{}, 0, err
 			}
-			for k, v := range hdr {
-				req.Header.Set(k, v)
-			}
-			start := time.Now()
-			resp, err := client.Do(req)
-			if err != nil {
-				return nil, 0, err
-			}
-			_, rerr := io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			lat := time.Since(start)
-			if rerr != nil {
-				return nil, 0, rerr
-			}
-			if resp.StatusCode != http.StatusOK {
-				return nil, 0, fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
-			}
-			return resp, lat, nil
+			return outs[0], lat, nil
 		}
+		// traceID is the trace id of the sampled traceparent load derives
+		// from a request's ID: 00-<32 hex trace id>-<span id>-01.
+		traceID := func(rq load.Request) string { return rq.TraceParent()[3:35] }
 		// The ring entry lands after the handler returns, which can race the
 		// client seeing the response; poll briefly.
 		findTrace := func(traceID string) (obs.TraceSnapshot, error) {
@@ -147,12 +122,13 @@ func TraceOverhead() hyp.Hypothesis {
 
 		// Satellite: even with tracing disabled the server assigns and
 		// echoes X-Request-Id.
-		resp, _, err := get(urlFor(tsPlain, 0), nil)
+		warm := load.Request{Queries: []load.Query{scenario(0)}}
+		out, _, err := fire(plainC, warm)
 		if err != nil {
 			return nil, err
 		}
 		idEchoed := 0
-		if resp.Header.Get("X-Request-Id") != "" {
+		if out.RequestID != "" {
 			idEchoed = 1
 		}
 
@@ -161,17 +137,14 @@ func TraceOverhead() hyp.Hypothesis {
 		// is a guaranteed cache miss whose five tiling spans — admit, parse,
 		// cache, flight, write — sum to (at most, and most of) the served
 		// duration, with the recompute nested inside.
-		r := rng{s: p.Seed ^ 0x7472616365}
-		ta, tb, tc := r.next()|1, r.next(), r.next()|1
-		sentTrace := fmt.Sprintf("%016x%016x", ta, tb)
-		resp, _, err = get(urlFor(tsTraced, 1), map[string]string{
-			"traceparent": fmt.Sprintf("00-%s-%016x-01", sentTrace, tc),
-		})
+		miss := load.Request{ID: fmt.Sprintf("h-trace-%x-miss", p.Seed), Queries: []load.Query{scenario(1)}}
+		sentTrace := traceID(miss)
+		out, _, err = fire(tracedC, miss)
 		if err != nil {
 			return nil, err
 		}
 		joined := 0
-		if strings.HasPrefix(resp.Header.Get("traceparent"), "00-"+sentTrace+"-") {
+		if strings.HasPrefix(out.TraceParent, "00-"+sentTrace+"-") {
 			joined = 1
 		}
 		snap, err := findTrace(sentTrace)
@@ -197,30 +170,10 @@ func TraceOverhead() hyp.Hypothesis {
 
 		// Batch fan-out: a traced POST /v1/alloc/batch over two cold keys
 		// records one nested cache span per group under the same trace.
-		r2 := rng{s: p.Seed ^ 0x6261746368}
-		ba, bb, bc := r2.next()|1, r2.next(), r2.next()|1
-		batchTrace := fmt.Sprintf("%016x%016x", ba, bb)
-		body, err := json.Marshal(serve.BatchRequest{Queries: []serve.BatchQuery{
-			{Failed: inst.Scenarios[2].Failed},
-			{Failed: inst.Scenarios[3].Failed},
-		}})
-		if err != nil {
+		batch := load.Request{ID: fmt.Sprintf("h-trace-%x-batch", p.Seed), Queries: []load.Query{scenario(2), scenario(3)}}
+		batchTrace := traceID(batch)
+		if _, _, err := fire(tracedC, batch); err != nil {
 			return nil, err
-		}
-		breq, err := http.NewRequestWithContext(ctx, http.MethodPost, tsTraced.URL+"/v1/alloc/batch", bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		breq.Header.Set("Content-Type", "application/json")
-		breq.Header.Set("traceparent", fmt.Sprintf("00-%s-%016x-01", batchTrace, bc))
-		bresp, err := client.Do(breq)
-		if err != nil {
-			return nil, err
-		}
-		io.Copy(io.Discard, bresp.Body)
-		bresp.Body.Close()
-		if bresp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("batch: status %d", bresp.StatusCode)
 		}
 		bsnap, err := findTrace(batchTrace)
 		if err != nil {
@@ -252,13 +205,16 @@ func TraceOverhead() hyp.Hypothesis {
 		//      wire.
 		//
 		// overhead = 1 + delta/wire. Both terms are recorded.
-		warmPlain := urlFor(tsPlain, 0)
 		for i := 0; i < 16; i++ {
-			if _, _, err := get(warmPlain, nil); err != nil {
+			if _, _, err := fire(plainC, warm); err != nil {
 				return nil, err
 			}
 		}
-		target := allocTarget(inst.Scenarios[0].Failed)
+		wireReq, err := load.NewRequest(ctx, "", warm, 0)
+		if err != nil {
+			return nil, err
+		}
+		target := wireReq.URL.RequestURI()
 		reqPlain := httptest.NewRequest(http.MethodGet, target, nil)
 		reqTraced := httptest.NewRequest(http.MethodGet, target, nil)
 		// Warm the traced server's cache in-process (its wire cache was
@@ -302,7 +258,7 @@ func TraceOverhead() hyp.Hypothesis {
 		}
 		wire := make([]float64, 0, 256)
 		for i := 0; i < 256; i++ {
-			_, lat, err := get(warmPlain, nil)
+			_, lat, err := fire(plainC, warm)
 			if err != nil {
 				return nil, err
 			}

@@ -9,8 +9,8 @@ import (
 	"flexile/internal/hyp"
 )
 
-// WarmSpeedup is h-warm-speedup: the PR 6 claim, formerly gated only by
-// `make benchgate`, that the opt-in warm-started batched offline solve
+// WarmSpeedup is h-warm-speedup: the PR 6 claim that the opt-in
+// warm-started batched offline solve
 // (DesignOptions.WarmStart) is at least 2× faster wall-clock than the
 // default cold solve on the IBM gate workload (gravity demands ×1.5, the
 // regime where scenario-LP pivot work dominates). Min-of-3 on both sides

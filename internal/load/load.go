@@ -1,24 +1,27 @@
-// Package load is the open-loop traffic engine behind cmd/flexile-load
-// (DESIGN.md §14). A Plan — every request's firing offset, tenant, and
-// queries — is a pure function of the seed, built entirely before the
-// first byte hits the wire, so two runs at the same seed against the same
-// server issue identical request streams; arrivals are open-loop Poisson
-// (exponential inter-arrival times at the configured QPS), so a slow
-// server faces mounting concurrency instead of a politely backing-off
-// client, which is what makes shed-rate measurements honest.
+// Package load is the repository's one request engine (DESIGN.md §13):
+// every storm, soak and load run outside bench/ goes plan → fire → outcome
+// → contract through it.
+//
+//   - A Plan (BuildPlan) is the whole open-loop request stream — firing
+//     offsets, tenants, queries — as a pure function of the seed, built
+//     before the first byte hits the wire.
+//   - Client.Fire renders one planned Request as a single GET /v1/alloc or
+//     a POST /v1/alloc/batch and returns one raw Outcome per query.
+//   - Contract is the serving contract checked from the outside: an
+//     oracle-exact 200, a marked degraded answer, or an explicit, labelled
+//     shed — anything else is a violation that names the request.
+//   - Two drivers schedule Fire: the open-loop Run (Poisson arrivals, every
+//     latency counted from the request's due time) and the closed-loop
+//     seeded Storm (clients × requests with think-time jitter). Both hand
+//     each fired request to a sink as a Sample; Stats is the standard sink.
 package load
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"net/http"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
-
-	"flexile/internal/benchjson"
 )
 
 // Config describes one load run.
@@ -87,8 +90,8 @@ func (rq Request) TraceParent() string {
 		h ^= uint64(rq.ID[i])
 		h *= 1099511628211
 	}
-	r := rng{s: h}
-	a, b, c := r.next(), r.next(), r.next()
+	r := Rand{s: h}
+	a, b, c := r.Next(), r.Next(), r.Next()
 	if a == 0 && b == 0 {
 		a = 1 // trace-id all-zero is invalid per the spec
 	}
@@ -104,11 +107,19 @@ type Plan struct {
 	Requests []Request `json:"requests"`
 }
 
-// rng is splitmix64, the repo's seeded-storm generator (see
-// internal/chaos): tiny, fast, and stable across platforms.
-type rng struct{ s uint64 }
+// Rand is the repository's one seeded stream: splitmix64 — tiny, fast,
+// identical on every platform. Plans, storm clients and hypotheses all
+// draw from it, so a seed reproduces the same traffic everywhere. (The
+// stateless mixers in faultinject, obs and emu are hashes, not streams.)
+type Rand struct{ s uint64 }
 
-func (r *rng) next() uint64 {
+// fork returns the private stream of client w of a storm seeded with
+// seed; each closed-loop client draws from its own so interleaving cannot
+// change what any of them sends.
+func fork(seed uint64, w int) Rand { return Rand{s: seed ^ (uint64(w+1) * 0x9e3779b97f4a7c15)} }
+
+// Next returns the next 64 bits of the stream.
+func (r *Rand) Next() uint64 {
 	r.s += 0x9e3779b97f4a7c15
 	x := r.s
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -116,10 +127,11 @@ func (r *rng) next() uint64 {
 	return x ^ (x >> 31)
 }
 
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
+// Intn returns a draw in [0, n).
+func (r *Rand) Intn(n int) int { return int(r.Next() % uint64(n)) }
 
-// float returns a uniform draw in (0, 1].
-func (r *rng) float() float64 { return (float64(r.next()>>11) + 1) / (1 << 53) }
+// Float returns a uniform draw in (0, 1].
+func (r *Rand) Float() float64 { return (float64(r.Next()>>11) + 1) / (1 << 53) }
 
 // BuildPlan materializes the request stream for cfg — deterministically:
 // the Plan depends only on cfg (in particular Seed), never on the clock
@@ -147,25 +159,25 @@ func BuildPlan(cfg Config) (*Plan, error) {
 		batch = 1
 	}
 
-	r := rng{s: cfg.Seed}
+	r := Rand{s: cfg.Seed}
 	plan := &Plan{Seed: cfg.Seed}
 	var at time.Duration
 	for {
 		// Poisson arrivals: exponential inter-arrival at rate QPS.
-		at += time.Duration(-math.Log(r.float()) / cfg.QPS * float64(time.Second))
+		at += time.Duration(-math.Log(r.Float()) / cfg.QPS * float64(time.Second))
 		if at >= cfg.Duration {
 			return plan, nil
 		}
 		req := Request{At: at, Queries: make([]Query, batch)}
 		req.ID = fmt.Sprintf("load-%x-%d", cfg.Seed, len(plan.Requests))
 		if cfg.Tenants > 0 {
-			req.Tenant = "load-" + strconv.Itoa(r.intn(cfg.Tenants))
+			req.Tenant = "load-" + strconv.Itoa(r.Intn(cfg.Tenants))
 		}
 		for i := range req.Queries {
-			a := arts[r.intn(len(arts))]
+			a := arts[r.Intn(len(arts))]
 			keys := cfg.Scenarios[a]
 			pick := len(keys)
-			if cfg.HotFraction > 0 && r.float() <= cfg.HotFraction {
+			if cfg.HotFraction > 0 && r.Float() <= cfg.HotFraction {
 				pick = cfg.HotSet
 				if pick < 1 {
 					pick = 1
@@ -174,159 +186,8 @@ func BuildPlan(cfg Config) (*Plan, error) {
 					pick = len(keys)
 				}
 			}
-			req.Queries[i] = Query{Artifact: a, Failed: keys[r.intn(pick)]}
+			req.Queries[i] = Query{Artifact: a, Failed: keys[r.Intn(pick)]}
 		}
 		plan.Requests = append(plan.Requests, req)
 	}
-}
-
-// Stats aggregates one run's outcomes. Entry counts are per query (one
-// batch request contributes Batch entries); latencies are per HTTP
-// round-trip.
-type Stats struct {
-	Requests int
-	Entries  int
-	// Dispositions, keyed the way the server reports them: OK sums the
-	// four 200 flavors plus Stale and Dedup.
-	OK     int
-	Hits   int
-	Miss   int
-	Shared int
-	Dedup  int
-	Stale  int
-	Shed   map[string]int // quota | deadline | breaker
-	// Errors counts transport failures and unexplained statuses.
-	Errors    int
-	Latencies []time.Duration
-	Elapsed   time.Duration
-	// FailedIDs holds the planned request ids (== X-Request-Id sent) of up
-	// to maxFailedIDs requests that contributed to Errors, so a failure in
-	// a seeded run names the exact server-side traces to pull up at
-	// /debug/requests.
-	FailedIDs []string
-}
-
-// maxFailedIDs caps Stats.FailedIDs; a systemic failure repeats the same
-// story, the first few ids are what an operator greps the server for.
-const maxFailedIDs = 32
-
-func (s *Stats) shedTotal() int {
-	n := 0
-	for _, v := range s.Shed {
-		n += v
-	}
-	return n
-}
-
-// Run fires the plan open-loop against baseURL: every request launches at
-// its planned offset regardless of how many predecessors are still in
-// flight. It returns after the last response (or ctx cancellation).
-func Run(ctx context.Context, baseURL string, plan *Plan, cfg Config) (*Stats, error) {
-	client := &http.Client{}
-	stats := &Stats{Shed: make(map[string]int)}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	start := time.Now()
-	timer := time.NewTimer(0)
-	defer timer.Stop()
-	for _, req := range plan.Requests {
-		if wait := req.At - time.Since(start); wait > 0 {
-			timer.Reset(wait)
-			select {
-			case <-ctx.Done():
-				wg.Wait()
-				return stats, ctx.Err()
-			case <-timer.C:
-			}
-		}
-		wg.Add(1)
-		go func(rq Request) {
-			defer wg.Done()
-			t0 := time.Now()
-			out, err := fire(ctx, client, baseURL, rq, cfg)
-			lat := time.Since(t0)
-			mu.Lock()
-			defer mu.Unlock()
-			stats.Requests++
-			stats.Entries += len(rq.Queries)
-			stats.Latencies = append(stats.Latencies, lat)
-			if err != nil {
-				stats.Errors += len(rq.Queries)
-				if len(stats.FailedIDs) < maxFailedIDs {
-					stats.FailedIDs = append(stats.FailedIDs, rq.ID)
-				}
-				return
-			}
-			stats.OK += out.ok
-			stats.Hits += out.hits
-			stats.Miss += out.miss
-			stats.Shared += out.shared
-			stats.Dedup += out.dedup
-			stats.Stale += out.stale
-			stats.Errors += out.errors
-			if out.errors > 0 && len(stats.FailedIDs) < maxFailedIDs {
-				stats.FailedIDs = append(stats.FailedIDs, rq.ID)
-			}
-			for k, v := range out.shed {
-				stats.Shed[k] += v
-			}
-		}(req)
-	}
-	wg.Wait()
-	stats.Elapsed = time.Since(start)
-	return stats, nil
-}
-
-// Report folds the run into one benchjson result so load runs land in the
-// same BENCH_*.json trajectory as the compiled-in benchmarks.
-func (s *Stats) Report(name string) *benchjson.Report {
-	lats := append([]time.Duration(nil), s.Latencies...)
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	pct := func(p float64) float64 {
-		if len(lats) == 0 {
-			return 0
-		}
-		i := int(p * float64(len(lats)-1))
-		return float64(lats[i])
-	}
-	var sum time.Duration
-	for _, l := range lats {
-		sum += l
-	}
-	mean := 0.0
-	if len(lats) > 0 {
-		mean = float64(sum) / float64(len(lats))
-	}
-	shed := s.shedTotal()
-	res := benchjson.Result{
-		Name:       name,
-		Procs:      1,
-		Iterations: s.Entries,
-		NsPerOp:    mean,
-		Metrics: map[string]float64{
-			"p50-ns":  pct(0.50),
-			"p99-ns":  pct(0.99),
-			"p999-ns": pct(0.999),
-			"req":     float64(s.Requests),
-			"entries": float64(s.Entries),
-			"ok":      float64(s.OK),
-			"hits":    float64(s.Hits),
-			"miss":    float64(s.Miss),
-			"shared":  float64(s.Shared),
-			"dedup":   float64(s.Dedup),
-			"stale":   float64(s.Stale),
-			"shed":    float64(shed),
-			"errors":  float64(s.Errors),
-		},
-	}
-	for k, v := range s.Shed {
-		res.Metrics["shed-"+k] = float64(v)
-	}
-	if s.Entries > 0 {
-		res.Metrics["shed-rate"] = float64(shed) / float64(s.Entries)
-	}
-	if s.Elapsed > 0 {
-		res.Metrics["goodput-qps"] = float64(s.OK) / s.Elapsed.Seconds()
-	}
-	return &benchjson.Report{Results: []benchjson.Result{res}}
 }
