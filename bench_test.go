@@ -24,8 +24,10 @@ import (
 
 	"flexile"
 	"flexile/internal/experiments"
+	"flexile/internal/lp"
 	"flexile/internal/obs"
 	"flexile/internal/serve"
+	"flexile/internal/te"
 )
 
 func tinyCfg() experiments.Config {
@@ -284,6 +286,34 @@ func BenchmarkOnlineAllocation(b *testing.B) {
 	m := col.Snapshot().LP
 	b.ReportMetric(float64(m.Pivots)/float64(b.N), "pivots/op")
 	b.ReportMetric(float64(m.Solves)/float64(b.N), "lp-solves/op")
+}
+
+// BenchmarkSimplexKernels is the per-pivot cost of the simplex at width, in
+// the repo rather than in a traced harness run: cold solves of the ATT
+// no-failure max-concurrent-flow LP over te.NewAlloc (one column per tunnel,
+// one capacity row per link, one demand row per flow — the ScenLoss LP a
+// design-wide Design starts with). ns/pivot is what the kernels over the
+// basis inverse cost (the LP build is well under 1 % of an op); binv-density
+// is the share of that inverse they have to visit.
+func BenchmarkSimplexKernels(b *testing.B) {
+	inst, err := experiments.Config{Scale: experiments.Small, MaxScenarios: 4, Seed: 1}.SingleClass("ATT")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var a *te.Alloc
+	var sol *lp.Solution
+	pivots := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, a, sol, err = te.MaxConcurrentScaleOpts(inst, te.NoFailure(), nil, nil, nil); err != nil {
+			b.Fatal(err)
+		}
+		pivots += sol.Iterations
+	}
+	rows := float64(a.LP.NumRows())
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pivots), "ns/pivot")
+	b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
+	b.ReportMetric(float64(sol.InverseNonzeros)/(rows*rows), "binv-density")
 }
 
 // BenchmarkServeQuery measures the serving path end to end (request parse

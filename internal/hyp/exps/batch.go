@@ -103,8 +103,8 @@ func BatchAmortization() hyp.Hypothesis {
 		}
 
 		// Timed passes. Each side is scored by its fastest round-trip —
-		// the min is the scheduler-noise-free cost, h-warm-speedup's
-		// idiom — but the single side still averages its min over the
+		// the min is the scheduler-noise-free cost, as in h-warm-speedup
+		// — but the single side still averages its min over the
 		// batch width so one lucky GET can't dominate:
 		// a "pass" on the single side is 32 consecutive GETs.
 		passes := 8
@@ -146,8 +146,9 @@ func BatchAmortization() hyp.Hypothesis {
 		v.Workloadf("passes", "min-of-%d per side, warm cache, loopback HTTP", passes)
 		v.Check("batch-entries-answered", "==", float64(answered), batch)
 		v.Check("batch-bodies-identical-to-single", "==", float64(identical), batch)
-		// 3× is the claim; the quick tier run on every CI push gates on a
-		// conservative floor (see h-warm-speedup for the rationale).
+		// 3× is the claim; the quick tier — run on every CI push, where
+		// scheduler noise routinely costs tens of percent — gates on a
+		// conservative floor, and the soak tier enforces the full claim.
 		floor := 2.0
 		if p.Tier == hyp.TierSoak {
 			floor = 3.0

@@ -6,7 +6,7 @@
 //
 // The registry:
 //
-//	h-warm-speedup       warm-started batched offline solve ≥2× cold
+//	h-warm-speedup       warm-started batched offline solve: ≤1/3 of the cold pivots, not slower
 //	h-batch-amortization POST /v1/alloc/batch at batch=32 amortizes ≥3× over single GETs
 //	h-overload-shed      under overload every response is an admitted 200 or an explicit shed
 //	h-emu-fidelity       fluid/packet emulation tracks the model (the paper's Fig. 9)

@@ -97,7 +97,7 @@ func MissLatency() hyp.Hypothesis {
 			rep.Scenarios, rep.Cold.BestS, rep.Cold.Pivots, rep.Hot.BestS, rep.Hot.Pivots, speedup, pivotsX)
 
 		// 4× is the claim; the quick tier gates on a conservative floor
-		// (see h-warm-speedup for the rationale).
+		// (see h-batch-amortization for the rationale).
 		floor := 3.0
 		if p.Tier == hyp.TierSoak {
 			floor = 4.0

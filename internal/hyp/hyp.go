@@ -1,6 +1,6 @@
 // Package hyp is the hypothesis harness (DESIGN.md §15): every scale and
-// correctness claim the repository makes — "warm starts are ≥2× on the IBM
-// gate workload", "batch=32 amortizes ≥3×", "every overload response is an
+// correctness claim the repository makes — "warm starts need ≤1/3 of the pivots on the
+// IBM gate workload", "batch=32 amortizes ≥3×", "every overload response is an
 // explicit shed", "emulated delivered bandwidth tracks the model within the
 // Fig. 9 tolerance" — is a named, seeded experiment that declares its
 // workload, runs it reproducibly, and evaluates a machine-checkable verdict.

@@ -198,6 +198,11 @@ type Solution struct {
 	// also increments the obs WarmStartRejected counter, so silent
 	// cache-miss storms show up in /metrics.
 	WarmStarted bool
+	// InverseNonzeros is the number of nonzero entries in the NumRows²
+	// basis inverse the solve ended on (with Options.EtaUpdates, in its last
+	// refactorized base). The simplex kernels cost time in proportion to
+	// it; BenchmarkSimplexKernels reports it as a density.
+	InverseNonzeros int
 
 	basis *Basis
 }
@@ -225,14 +230,15 @@ type Options struct {
 	// hardened setting retry policies use after a numerical failure.
 	Bland bool
 	// EtaUpdates enables product-form (eta-file) basis updates: each pivot
-	// records an O(m) elementary eta factor instead of performing the O(m²)
-	// dense inverse update, and ftran/btran apply the eta file on top of the
-	// last refactorized inverse. Periodic refactorization (RefactorEvery)
-	// collapses the file, bounding its length. Results agree with the dense
-	// path to solver tolerance but are not bit-identical (floating-point
-	// operations associate differently), so the dense path remains the
-	// default oracle; enable this for large instances where the per-pivot
-	// O(m²) dominates.
+	// records an O(m) elementary eta factor instead of updating the explicit
+	// inverse, and ftran/btran apply the eta file on top of the last
+	// refactorized inverse. Periodic refactorization (RefactorEvery)
+	// collapses the file, bounding its length. Results agree with the
+	// explicit-inverse path to solver tolerance but are not bit-identical
+	// (floating-point operations associate differently), so that path
+	// remains the default and the oracle. The explicit update only touches
+	// the inverse's nonzeros (~8 % of m² on TE instances), so this option
+	// no longer buys time at width; see ROADMAP item 2 for the measurement.
 	EtaUpdates bool
 }
 
