@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: ci vet build test bench-check bench-align race faults obs fuzz scrape chaos loadsmoke golden cover bench hypotheses soak
 
-ci: vet build bench-check race faults obs fuzz scrape chaos loadsmoke cover hypotheses
+ci: vet build bench-check bench-align race faults obs fuzz scrape chaos loadsmoke cover hypotheses
 
 vet:
 	$(GO) vet ./...
@@ -34,8 +34,9 @@ bench-check:
 # seven workloads at once with nothing actually slower. Build the harness
 # the way bench/run.sh does, print the symbol, and fail unless its address
 # is 0 mod 64. If it fails, find which edit to harness-linked code moved
-# it; the real fix (an alignment-insensitive kernel, or the address
-# recorded in host.* and checked by -compare) needs a benchmark-only PR.
+# it and shift it back (PR 19: a bounds-check hint in lp's pivot); the real
+# fix (an alignment-insensitive kernel, or the address recorded in host.*
+# and checked by -compare) needs a benchmark-only PR. Part of `make ci`.
 BENCH_BUILD := $(CURDIR)/.bench_build
 bench-align:
 	@mkdir -p $(BENCH_BUILD)/bin $(BENCH_BUILD)/gocache $(BENCH_BUILD)/gotmp $(BENCH_BUILD)/gopath $(BENCH_BUILD)/config
@@ -101,13 +102,14 @@ loadsmoke:
 # The observability + correctness battery (DESIGN.md §9): obs collector
 # unit tests, the LP property battery (strong duality, complementary
 # slackness, Bland agreement on 200 random LPs), the lockstep kernel battery
-# (bitmap simplex kernels against their dense references), the MIP consistency
+# (bitmap simplex kernels and carried reduced costs against their dense
+# references, degenerate LPs included), the MIP consistency
 # suite (relaxation bounds, brute-force enumeration match), the flexile
 # ScenLossOpt cross-check, and the metrics determinism / fault-accounting
 # suites. Race-clean by contract.
 obs:
 	$(GO) test -race -timeout 15m ./internal/obs/
-	$(GO) test -race -timeout 15m -run 'Property|Kernel|Incumbent|BruteForce|WarmStart|ScenLossOptMatches|Metrics' \
+	$(GO) test -race -timeout 15m -run 'Property|Kernel|Degenerate|Incumbent|BruteForce|WarmStart|ScenLossOptMatches|Metrics' \
 		./internal/lp/ ./internal/mip/ ./internal/scheme/flexile/
 
 # Regenerate the golden files pinning the rendered experiment output

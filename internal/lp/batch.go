@@ -71,7 +71,8 @@ type BatchSolver struct {
 	bp *BatchProblem
 	s  *simplex
 	// ownVals is set once SetColumn has given this solver a private copy of
-	// the coefficient values; until then s.colVal aliases the BatchProblem's.
+	// the coefficient values, by column and by row; until then s.colVal
+	// aliases the BatchProblem's and s.rows the Problem's.
 	ownVals bool
 }
 
@@ -85,6 +86,7 @@ func (bp *BatchProblem) NewSolver() *BatchSolver {
 		colPtr: bp.colPtr,
 		colIdx: bp.colIdx,
 		colVal: bp.colVal,
+		rows:   bp.base.rows,
 	}
 	s.allocate()
 	return &BatchSolver{bp: bp, s: s}
@@ -156,10 +158,24 @@ func (bs *BatchSolver) SetColumn(j int, vals []float64) error {
 	}
 	if !bs.ownVals {
 		s.colVal = append([]float64(nil), s.colVal...)
+		rows := make([][]Entry, len(s.rows))
+		for i, row := range s.rows {
+			rows[i] = append([]Entry(nil), row...)
+		}
+		s.rows = rows
 		bs.ownVals = true
 	}
 	for k := lo; k < hi; k++ {
-		s.colVal[k] = vals[s.colIdx[k]]
+		i := s.colIdx[k]
+		x := vals[i]
+		s.colVal[k] = x
+		// The row view keeps the Problem's duplicate entries: the first takes
+		// the value, the rest zero.
+		for t := range s.rows[i] {
+			if e := &s.rows[i][t]; e.Col == j {
+				e.Coef, x = x, 0
+			}
+		}
 	}
 	return nil
 }
@@ -254,7 +270,7 @@ func (s *simplex) reinit(v Variant, opts Options) error {
 	s.blandActs = 0
 	s.refactors = 0
 	s.singularRestarts = 0
-	s.etaPivots = 0
+	s.priceRefreshes = 0
 	s.warmAccepted = false
 	s.warmRejected = false
 	s.trueCost = s.trueCost[:0]

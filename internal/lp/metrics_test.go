@@ -40,6 +40,11 @@ func TestMetricsCountersOnBattery(t *testing.T) {
 	if m.Pivots == 0 || m.Phase1Pivots+m.Phase2Pivots != m.Pivots {
 		t.Fatalf("pivot split broken: %+v", m)
 	}
+	// An optimal solve certifies its perturbed and its polish phase-2 run on
+	// freshly computed reduced costs.
+	if m.PriceRefreshes < 2*trials {
+		t.Fatalf("PriceRefreshes = %d over %d optimal solves, want at least two each", m.PriceRefreshes, trials)
+	}
 	if m.SolveNanos <= 0 {
 		t.Fatalf("SolveNanos = %d, want > 0", m.SolveNanos)
 	}

@@ -199,9 +199,8 @@ type Solution struct {
 	// cache-miss storms show up in /metrics.
 	WarmStarted bool
 	// InverseNonzeros is the number of nonzero entries in the NumRows²
-	// basis inverse the solve ended on (with Options.EtaUpdates, in its last
-	// refactorized base). The simplex kernels cost time in proportion to
-	// it; BenchmarkSimplexKernels reports it as a density.
+	// basis inverse the solve ended on. The simplex kernels cost time in
+	// proportion to it; BenchmarkSimplexKernels reports it as a density.
 	InverseNonzeros int
 
 	basis *Basis
@@ -229,17 +228,6 @@ type Options struct {
 	// waiting for a stall, trading speed for guaranteed anti-cycling — the
 	// hardened setting retry policies use after a numerical failure.
 	Bland bool
-	// EtaUpdates enables product-form (eta-file) basis updates: each pivot
-	// records an O(m) elementary eta factor instead of updating the explicit
-	// inverse, and ftran/btran apply the eta file on top of the last
-	// refactorized inverse. Periodic refactorization (RefactorEvery)
-	// collapses the file, bounding its length. Results agree with the
-	// explicit-inverse path to solver tolerance but are not bit-identical
-	// (floating-point operations associate differently), so that path
-	// remains the default and the oracle. The explicit update only touches
-	// the inverse's nonzeros (~8 % of m² on TE instances), so this option
-	// no longer buys time at width; see ROADMAP item 2 for the measurement.
-	EtaUpdates bool
 }
 
 // DefaultTol is the feasibility/optimality tolerance of a solve whose
@@ -316,7 +304,7 @@ func (s *simplex) metrics(sol *Solution, err error, elapsed time.Duration) obs.L
 		Refactorizations: int64(s.refactors),
 		BlandActivations: int64(s.blandActs),
 		SingularRestarts: int64(s.singularRestarts),
-		EtaPivots:        int64(s.etaPivots),
+		PriceRefreshes:   int64(s.priceRefreshes),
 		SolveNanos:       elapsed.Nanoseconds(),
 	}
 	if s.warmAccepted {

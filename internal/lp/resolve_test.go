@@ -96,6 +96,14 @@ func TestPropertySetColumnAgreesWithRebuild(t *testing.T) {
 		if _, err := solver.ResolveCtx(context.Background(), Variant{}, Options{}); err != nil {
 			t.Fatalf("trial %d: first solve: %v", trial, err)
 		}
+		// The rebuilt problem: p with its own row lists (a compiled Problem's
+		// coefficients must not change — its solvers read them).
+		rebuilt := *p
+		rebuilt.rows = make([][]Entry, len(p.rows))
+		for i, row := range p.rows {
+			rebuilt.rows[i] = append([]Entry(nil), row...)
+		}
+		p = &rebuilt
 		for round := 0; round < 4; round++ {
 			// New values on column j's existing pattern; zeroing some
 			// entries is allowed, adding entries elsewhere is not.

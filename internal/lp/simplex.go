@@ -10,18 +10,6 @@ import (
 	"time"
 )
 
-// eta is one product-form factor E of the basis inverse: the elementary
-// matrix that differs from the identity only in column r, where it holds
-// 1/piv on the diagonal and -w_i/piv off it (w is the ftran column of the
-// pivot that produced the factor, with w[r] == piv). Applying E to a vector
-// costs O(m); a pivot in eta mode records one factor instead of updating
-// the dense m×m inverse.
-type eta struct {
-	r   int
-	piv float64
-	w   []float64
-}
-
 // Variable status within the simplex tableau.
 type varStatus int8
 
@@ -42,10 +30,13 @@ type simplex struct {
 
 	n, m int // structural columns, rows
 
-	// Sparse structural columns.
+	// Sparse structural columns, and the same matrix by rows: the Problem's
+	// own row lists (duplicate entries unmerged, which a sum over a row does
+	// not mind), or a private copy once SetColumn has rewritten a column.
 	colPtr []int
 	colIdx []int32
 	colVal []float64
+	rows   [][]Entry
 
 	lb, ub []float64 // bounds per variable (n structural + m logical)
 	cost   []float64 // phase-2 costs (structural only; logicals 0)
@@ -68,10 +59,11 @@ type simplex struct {
 	nz   []uint64
 	nw   int // ⌈m/64⌉ words per bitmap row
 
-	// Product-form eta file (Options.EtaUpdates): elementary factors
-	// recorded since the last refactorization, so that the true inverse is
-	// E_k···E_1·binv. Empty in dense mode and right after every refactor.
-	etas []eta
+	// d holds the reduced cost cc_v − y·F_v of every nonbasic variable v
+	// (entries of basic variables are scratch). refreshD computes it from
+	// scratch; between refreshes updateD advances it pivot by pivot from rows
+	// of binv, gathering the change in y into dy first.
+	d, dy []float64
 
 	// scratch
 	y  []float64
@@ -91,7 +83,7 @@ type simplex struct {
 	pivots        int
 	sinceRefactor int
 
-	// held reports that status/basis/binv/etas describe a consistent
+	// held reports that status/basis/binv describe a consistent
 	// factorization left by the previous solve on this workspace — what
 	// BatchSolver.ResolveCtx continues from.
 	held bool
@@ -106,7 +98,7 @@ type simplex struct {
 	blandActs        int
 	refactors        int
 	singularRestarts int
-	etaPivots        int
+	priceRefreshes   int // full pricing passes (refreshD)
 	warmAccepted     bool
 	warmRejected     bool
 
@@ -128,6 +120,7 @@ func newSimplex(p *Problem, opts Options) (*simplex, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.rows = p.rows
 	s.allocate()
 	copy(s.lb, p.colLB)
 	for i := 0; i < m; i++ {
@@ -159,6 +152,8 @@ func (s *simplex) allocate() {
 	s.y = make([]float64, m)
 	s.w = make([]float64, m)
 	s.cc = make([]float64, n+m)
+	s.d = make([]float64, n+m)
+	s.dy = make([]float64, m)
 }
 
 // compileColumns converts the row-wise insertion buffers into compressed
@@ -333,13 +328,6 @@ func (s *simplex) optimizeFromBasis() (*Solution, error) {
 // the one with the largest pivot element is chosen. v settles on the
 // nearest bound of its current value.
 func (s *simplex) evict(v int) error {
-	if len(s.etas) > 0 {
-		// The dense rows below are only the true inverse with an empty
-		// eta file.
-		if err := s.refactor(); err != nil {
-			return err
-		}
-	}
 	m, r := s.m, s.inBpos[v]
 	row := s.binv[r*m : r*m+m]
 	q, best := -1, 0.0
@@ -468,11 +456,7 @@ func (s *simplex) recomputeXB() {
 				sum += row[k] * v[k]
 			}
 		}
-		s.xB[i] = sum
-	}
-	s.applyEtas(s.xB)
-	for i := 0; i < m; i++ {
-		s.xB[i] = -s.xB[i]
+		s.xB[i] = -sum
 	}
 }
 
@@ -490,10 +474,21 @@ func (s *simplex) infeasibility() float64 {
 	return tot
 }
 
+// phase1Cost is the composite infeasibility gradient at basis position i: ±1
+// on a basic variable beyond a bound, 0 inside them.
+func (s *simplex) phase1Cost(i int) float64 {
+	v, tol := s.basis[i], s.opts.Tol
+	if s.xB[i] > s.ub[v]+tol {
+		return 1
+	} else if s.xB[i] < s.lb[v]-tol {
+		return -1
+	}
+	return 0
+}
+
 // phaseCost fills cc with the active cost vector: phase 1 uses the
 // composite infeasibility gradient, phase 2 the true objective.
 func (s *simplex) phaseCost(phase int) {
-	tol := s.opts.Tol
 	if phase == 2 {
 		copy(s.cc, s.cost)
 		return
@@ -501,51 +496,30 @@ func (s *simplex) phaseCost(phase int) {
 	for k := range s.cc {
 		s.cc[k] = 0
 	}
-	for i := 0; i < s.m; i++ {
-		v := s.basis[i]
-		if s.xB[i] > s.ub[v]+tol {
-			s.cc[v] = 1
-		} else if s.xB[i] < s.lb[v]-tol {
-			s.cc[v] = -1
-		}
+	for i, v := range s.basis {
+		s.cc[v] = s.phase1Cost(i)
 	}
 }
 
-// computeY sets y = cc_B^T · B⁻¹. In eta mode the basic costs are first
-// pushed through the transposed eta file, then through the dense base
-// inverse; w doubles as scratch (it is rebuilt by the next ftran).
+// computeY sets y = cc_B^T · B⁻¹.
 func (s *simplex) computeY() {
-	m := s.m
-	for k := 0; k < m; k++ {
+	for k := range s.y {
 		s.y[k] = 0
 	}
-	if len(s.etas) > 0 {
-		u := s.w
-		for i := 0; i < m; i++ {
-			u[i] = s.cc[s.basis[i]]
-		}
-		s.applyEtasT(u)
-		for i := 0; i < m; i++ {
-			if ui := u[i]; ui != 0 {
-				s.addRowToY(ui, i)
-			}
-		}
-		return
-	}
-	for i := 0; i < m; i++ {
-		if cb := s.cc[s.basis[i]]; cb != 0 {
-			s.addRowToY(cb, i)
+	for i, v := range s.basis {
+		if cb := s.cc[v]; cb != 0 {
+			s.addRow(s.y, cb, i)
 		}
 	}
 }
 
-// addRowToY adds f times row i of binv to y, visiting the row's nonzeros.
-func (s *simplex) addRowToY(f float64, i int) {
+// addRow adds f times row i of binv to dst, visiting the row's nonzeros.
+func (s *simplex) addRow(dst []float64, f float64, i int) {
 	row := s.binv[i*s.m : i*s.m+s.m]
 	for wi, word := range s.nz[i*s.nw : (i+1)*s.nw] {
 		for ; word != 0; word &= word - 1 {
 			k := wi<<6 + bits.TrailingZeros64(word)
-			s.y[k] += f * row[k]
+			dst[k] += f * row[k]
 		}
 	}
 }
@@ -600,49 +574,20 @@ func (s *simplex) ftran(q int) {
 			}
 		}
 	}
-	s.applyEtas(s.w)
 }
 
-// applyEtas multiplies v by the eta file in recording order:
-// v ← E_k···E_1·v. A no-op in dense mode (empty file).
-func (s *simplex) applyEtas(v []float64) {
-	for i := range s.etas {
-		e := &s.etas[i]
-		vr := v[e.r] / e.piv
-		if vr != 0 {
-			for j, wj := range e.w {
-				if j != e.r && wj != 0 {
-					v[j] -= wj * vr
-				}
-			}
-		}
-		v[e.r] = vr
-	}
-}
-
-// applyEtasT multiplies the row vector u by the eta file in reverse order:
-// u ← u·E_k···E_1, the btran counterpart of applyEtas. Only entry r of u
-// changes per factor: (u·E)_r = (u_r·(1+piv) − u·w)/piv, using w_r = piv.
-func (s *simplex) applyEtasT(u []float64) {
-	for k := len(s.etas) - 1; k >= 0; k-- {
-		e := &s.etas[k]
-		dot := 0.0
-		for i, wi := range e.w {
-			if wi != 0 {
-				dot += u[i] * wi
-			}
-		}
-		u[e.r] = (u[e.r]*(1+e.piv) - dot) / e.piv
-	}
-}
-
-// run executes simplex iterations for the given phase.
+// run executes simplex iterations for the given phase. Pricing reads the
+// maintained reduced costs d; stale marks them for recomputation — on entry
+// (the costs are new) and after a refactorization (which also bounds their
+// drift) — and no verdict is reached on maintained values: an empty pricing
+// pass is repeated on fresh ones.
 func (s *simplex) run(phase int, iters *int) (Status, error) {
 	tol := s.opts.Tol
 	dualTol := math.Max(tol, 1e-9)
 	bland := s.opts.Bland
 	stall := 0
 	lastObj := math.Inf(1)
+	stale := true
 
 	for {
 		if *iters >= s.opts.MaxIters {
@@ -657,6 +602,7 @@ func (s *simplex) run(phase int, iters *int) (Status, error) {
 			if err := s.refactor(); err != nil {
 				return 0, err
 			}
+			stale = true
 		}
 		if phase == 1 {
 			inf := s.infeasibility()
@@ -683,10 +629,17 @@ func (s *simplex) run(phase int, iters *int) (Status, error) {
 			s.blandActs++
 		}
 
-		s.phaseCost(phase)
-		s.computeY()
-
+		fresh := stale
+		if stale {
+			s.refreshD(phase)
+			stale = false
+		}
 		q := s.price(dualTol, bland)
+		if q < 0 && !fresh {
+			s.refreshD(phase)
+			fresh = true
+			q = s.price(dualTol, bland)
+		}
 		if q < 0 {
 			if phase == 1 {
 				// No improving direction but still infeasible. Retry once
@@ -695,6 +648,7 @@ func (s *simplex) run(phase int, iters *int) (Status, error) {
 					if err := s.refactor(); err != nil {
 						return 0, err
 					}
+					stale = true
 					continue
 				}
 				return Infeasible, nil
@@ -702,7 +656,7 @@ func (s *simplex) run(phase int, iters *int) (Status, error) {
 			return Optimal, nil
 		}
 
-		dq := s.reducedCost(q)
+		dq := s.d[q]
 		dir := 1.0
 		if s.status[q] == nonbasicUpper || (s.status[q] == nonbasicFree && dq > 0) {
 			dir = -1
@@ -722,6 +676,10 @@ func (s *simplex) run(phase int, iters *int) (Status, error) {
 			t, r = s.ratioTest(phase, q, dir)
 		}
 		if math.IsInf(t, 1) {
+			if !fresh {
+				stale = true
+				continue
+			}
 			if phase == 1 {
 				return 0, errors.New("lp: unbounded phase-1 direction (numerical failure)")
 			}
@@ -744,12 +702,68 @@ func (s *simplex) run(phase int, iters *int) (Status, error) {
 				s.status[q] = nonbasicLower
 				s.xval[q] = s.lb[q]
 			}
+			// In phase 2 a flip changes neither the basis nor a cost.
+			if phase == 1 {
+				s.updateD(phase, -1, -1, dq)
+			}
 			continue
 		}
 		if t <= tol {
 			s.degenPivots++
 		}
+		leaving := s.basis[r]
 		s.pivot(q, r, t, dir)
+		s.updateD(phase, r, leaving, dq)
+	}
+}
+
+// refreshD computes the reduced costs of the phase from scratch: the cost
+// vector, y = cc_B·B⁻¹ over every nonzero of the costed rows of binv, and a
+// dot product with every nonbasic column.
+func (s *simplex) refreshD(phase int) {
+	s.phaseCost(phase)
+	s.computeY()
+	for v, st := range s.status {
+		if st != basic {
+			s.d[v] = s.reducedCost(v)
+		}
+	}
+	s.priceRefreshes++
+}
+
+// updateD carries d over one iteration whose entering variable had reduced
+// cost dq. After a pivot at position r (r < 0: a bound flip) y moved by dq
+// times row r of the updated inverse; in phase 1 it moved, too, by the cost
+// change of every basic variable the step carried across a bound times that
+// variable's row. The moves are summed in dy and d −= dy·F is one pass over
+// the rows of F where dy is nonzero.
+func (s *simplex) updateD(phase, r, leaving int, dq float64) {
+	if r >= 0 {
+		s.addRow(s.dy, dq, r)
+		// The leaving variable had reduced cost 0 under its basic cost; a
+		// nonbasic variable has no phase-1 cost.
+		s.d[leaving] = 0
+		if phase == 1 {
+			s.d[leaving], s.cc[leaving] = -s.cc[leaving], 0
+		}
+	}
+	if phase == 1 {
+		for i, v := range s.basis {
+			if c := s.phase1Cost(i); c != s.cc[v] {
+				s.addRow(s.dy, c-s.cc[v], i)
+				s.cc[v] = c
+			}
+		}
+	}
+	for k, f := range s.dy {
+		if f == 0 {
+			continue
+		}
+		s.dy[k] = 0
+		for _, e := range s.rows[k] {
+			s.d[e.Col] -= f * e.Coef
+		}
+		s.d[s.n+k] += f // logical column is -e_k
 	}
 }
 
@@ -771,15 +785,14 @@ func (s *simplex) currentObjective() float64 {
 // price selects an entering variable, or -1 if none improves.
 func (s *simplex) price(dualTol float64, bland bool) int {
 	best, bestScore := -1, dualTol
-	for v := 0; v < s.n+s.m; v++ {
-		st := s.status[v]
+	for v, st := range s.status {
 		if st == basic {
 			continue
 		}
 		if s.ub[v]-s.lb[v] <= 0 { // fixed variable can never improve
 			continue
 		}
-		d := s.reducedCost(v)
+		d := s.d[v]
 		var score float64
 		switch st {
 		case nonbasicLower:
@@ -999,49 +1012,38 @@ func (s *simplex) pivot(q, r int, t, dir float64) {
 	s.inBpos[q] = r
 	s.xB[r] = enterVal
 
-	// Update B⁻¹ with the elementary transformation for pivot element w[r].
-	// In eta mode the transformation is recorded as a product-form factor
-	// (O(m)) instead of applied to the dense inverse (O(m²)); the factor
-	// file is collapsed by the next refactorization.
-	piv := s.w[r]
-	if s.opts.EtaUpdates {
-		wc := make([]float64, m)
-		copy(wc, s.w)
-		s.etas = append(s.etas, eta{r: r, piv: piv, w: wc})
-		s.etaPivots++
-	} else {
-		// Scale the pivot row and gather its nonzeros once; every other row
-		// with w[i] != 0 then changes in those columns only, and its pattern
-		// becomes the union of the two, less whatever cancelled to zero.
-		nw := s.nw
-		nzr := s.nz[r*nw : (r+1)*nw]
-		cols, vals := scaleGather(s.binv[r*m:r*m+m], 1/piv, s.gcols[:0], s.gvals[:0])
-		s.gcols, s.gvals = cols, vals
-		vals = vals[:len(cols)] // one bounds check here instead of one per update
-		for wi := range nzr {
-			nzr[wi] = 0
+	// Update B⁻¹ with the elementary transformation for pivot element w[r]:
+	// scale the pivot row and gather its nonzeros once; every other row with
+	// w[i] != 0 then changes in those columns only, and its pattern becomes
+	// the union of the two, less whatever cancelled to zero.
+	nw := s.nw
+	nzr := s.nz[r*nw : (r+1)*nw]
+	cols, vals := scaleGather(s.binv[r*m:r*m+m], 1/s.w[r], s.gcols[:0], s.gvals[:0])
+	s.gcols, s.gvals = cols, vals
+	vals = vals[:len(cols)] // one bounds check here instead of one per update
+	for wi := range nzr {
+		nzr[wi] = 0
+	}
+	for _, k := range cols {
+		nzr[k>>6] |= 1 << (k & 63)
+	}
+	for i := 0; i < m; i++ {
+		if i == r {
+			continue
 		}
-		for _, k := range cols {
-			nzr[k>>6] |= 1 << (k & 63)
+		f := s.w[i]
+		if f == 0 {
+			continue
 		}
-		for i := 0; i < m; i++ {
-			if i == r {
-				continue
-			}
-			f := s.w[i]
-			if f == 0 {
-				continue
-			}
-			row := s.binv[i*m : i*m+m]
-			nzi := s.nz[i*nw : (i+1)*nw]
-			for wi, word := range nzr {
-				nzi[wi] |= word
-			}
-			for j, k := range cols {
-				row[k] -= f * vals[j]
-				if row[k] == 0 {
-					nzi[k>>6] &^= 1 << (k & 63)
-				}
+		row := s.binv[i*m : i*m+m]
+		nzi := s.nz[i*nw : (i+1)*nw]
+		for wi, word := range nzr {
+			nzi[wi] |= word
+		}
+		for j, k := range cols {
+			row[k] -= f * vals[j]
+			if row[k] == 0 {
+				nzi[k>>6] &^= 1 << (k & 63)
 			}
 		}
 	}
@@ -1122,7 +1124,6 @@ func (s *simplex) refactor() error {
 		}
 	}
 	s.rebuildNZ()
-	s.etas = s.etas[:0]
 	s.refactors++
 	s.sinceRefactor = 0
 	s.recomputeXB()
@@ -1169,7 +1170,6 @@ func (s *simplex) resetToLogicalBasis() {
 		s.binv[i*m+i] = -1
 	}
 	s.rebuildNZ()
-	s.etas = s.etas[:0]
 	s.sinceRefactor = 0
 	s.recomputeXB()
 }

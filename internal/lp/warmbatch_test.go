@@ -139,49 +139,6 @@ func TestWarmStartRejectedSurfaced(t *testing.T) {
 	}
 }
 
-// TestPropertyEtaAgreesWithDense: product-form updates are an internal
-// representation change; across the battery the eta path must reach the
-// same objective as the dense oracle and produce duals that certify it.
-// A tiny RefactorEvery on some trials exercises mid-solve eta collapse.
-func TestPropertyEtaAgreesWithDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	for trial := 0; trial < propertyTrials; trial++ {
-		m := 1 + rng.Intn(10)
-		n := 2 + rng.Intn(10)
-		p, _ := randomFeasibleLP(rng, m, n)
-		dense, err := p.Solve()
-		if err != nil {
-			t.Fatalf("trial %d: dense: %v", trial, err)
-		}
-		opts := Options{EtaUpdates: true}
-		if trial%3 == 0 {
-			opts.RefactorEvery = 3
-		}
-		col := obs.New()
-		etaSol, err := p.SolveCtx(obs.With(context.Background(), col), opts)
-		if err != nil {
-			t.Fatalf("trial %d: eta: %v", trial, err)
-		}
-		if dense.Status != etaSol.Status {
-			t.Fatalf("trial %d: status dense=%v eta=%v", trial, dense.Status, etaSol.Status)
-		}
-		if !approx(dense.Objective, etaSol.Objective) {
-			t.Fatalf("trial %d: dense obj %v vs eta obj %v", trial, dense.Objective, etaSol.Objective)
-		}
-		checkFeasible(t, p, etaSol.X, trial)
-		if dual := dualObjective(t, trial, p, etaSol); !approx(etaSol.Objective, dual) {
-			t.Fatalf("trial %d: eta solve violates strong duality: primal %v, dual %v", trial, etaSol.Objective, dual)
-		}
-		checkComplementarySlackness(t, trial, p, etaSol)
-		// Every genuine basis change (iterations minus bound flips, which
-		// leave the basis untouched) must have produced an eta factor.
-		snap := col.Snapshot().LP
-		if snap.Pivots-snap.BoundFlips > 0 && snap.EtaPivots == 0 {
-			t.Fatalf("trial %d: eta mode recorded no eta pivots over %d basis changes", trial, snap.Pivots-snap.BoundFlips)
-		}
-	}
-}
-
 // TestPropertyBatchBitIdenticalToDirect: the batch solver's contract is
 // bit-identity with a fresh Problem solve — same pivots, same primal and
 // dual values — across repeated variant solves on a reused workspace.
@@ -282,9 +239,9 @@ func TestBatchVariantValidation(t *testing.T) {
 	assertBitIdentical(t, 0, 0, direct, got)
 }
 
-// TestBatchWarmEtaCombined: the three mechanisms compose — a warm-started,
-// eta-updating batch solve still reaches the cold dense objective.
-func TestBatchWarmEtaCombined(t *testing.T) {
+// TestBatchWarmCombined: the two mechanisms compose — a warm-started batch
+// solve still reaches the cold objective.
+func TestBatchWarmCombined(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))
 	for trial := 0; trial < 40; trial++ {
 		p, _ := randomFeasibleLP(rng, 2+rng.Intn(8), 3+rng.Intn(8))
@@ -302,7 +259,7 @@ func TestBatchWarmEtaCombined(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		got, err := solver.Solve(Variant{}, Options{StartBasis: cold.Basis(), EtaUpdates: true})
+		got, err := solver.Solve(Variant{}, Options{StartBasis: cold.Basis()})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -327,7 +327,7 @@ func EncodeSolveMetrics(e *Encoder, m obs.SolveMetrics) {
 	e.Counter("flexile_lp_singular_restarts_total", "Recoveries from a singular basis.", float64(m.LP.SingularRestarts))
 	e.Counter("flexile_lp_warm_starts_total", "Solves that installed a caller-supplied start basis.", float64(m.LP.WarmStarts))
 	e.Counter("flexile_lp_warm_start_rejected_total", "Solves whose start basis was rejected (warm-start cache misses).", float64(m.LP.WarmStartRejected))
-	e.Counter("flexile_lp_eta_pivots_total", "Pivots applied as product-form eta factors.", float64(m.LP.EtaPivots))
+	e.Counter("flexile_lp_price_refreshes_total", "Iterations that recomputed every reduced cost from scratch.", float64(m.LP.PriceRefreshes))
 	// MIP.
 	e.Counter("flexile_mip_solves_total", "Branch-and-bound solves.", float64(m.MIP.Solves))
 	e.Counter("flexile_mip_nodes_total", "Explored branch-and-bound nodes.", float64(m.MIP.Nodes))

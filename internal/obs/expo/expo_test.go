@@ -28,7 +28,7 @@ func fixedMetrics() obs.SolveMetrics {
 		IterLimit: 1, Phase1Pivots: 1000, Phase2Pivots: 2000, BoundFlips: 30,
 		DegeneratePivots: 40, Refactorizations: 7, BlandActivations: 1,
 		SingularRestarts: 1, WarmStarts: 70, WarmStartRejected: 4,
-		EtaPivots: 600, SolveNanos: 0,
+		PriceRefreshes: 600, SolveNanos: 0,
 	}
 	m.MIP = obs.MIPMetrics{Solves: 11, Nodes: 500, PrunedNodes: 200, IncumbentUpdates: 9, HeuristicCalls: 12}
 	m.Decomp = obs.DecompMetrics{

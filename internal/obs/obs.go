@@ -76,9 +76,10 @@ type LPMetrics struct {
 	// started pipeline expects WarmStartRejected ≈ 0.
 	WarmStarts        int64 `json:"warm_starts"`
 	WarmStartRejected int64 `json:"warm_start_rejected"`
-	// EtaPivots counts pivots applied as product-form eta factors instead
-	// of dense inverse updates (lp.Options.EtaUpdates).
-	EtaPivots int64 `json:"eta_pivots"`
+	// PriceRefreshes counts full pricing passes: iterations that recomputed
+	// every reduced cost from scratch instead of updating them from the
+	// pivot row. PriceRefreshes ÷ Pivots is the layer's wasted-work ratio.
+	PriceRefreshes int64 `json:"price_refreshes"`
 	// SolveNanos is total wall-clock time inside SolveCtx. Scheduling-
 	// dependent: zeroed by Canonical().
 	SolveNanos int64 `json:"solve_ns"`
@@ -419,7 +420,7 @@ func (c *Collector) AddLP(d LPMetrics) {
 		atomic.AddInt64(&m.SingularRestarts, d.SingularRestarts)
 		atomic.AddInt64(&m.WarmStarts, d.WarmStarts)
 		atomic.AddInt64(&m.WarmStartRejected, d.WarmStartRejected)
-		atomic.AddInt64(&m.EtaPivots, d.EtaPivots)
+		atomic.AddInt64(&m.PriceRefreshes, d.PriceRefreshes)
 		atomic.AddInt64(&m.SolveNanos, d.SolveNanos)
 	}
 }
@@ -567,7 +568,7 @@ func (c *Collector) Snapshot() SolveMetrics {
 	dst.SingularRestarts = atomic.LoadInt64(&src.SingularRestarts)
 	dst.WarmStarts = atomic.LoadInt64(&src.WarmStarts)
 	dst.WarmStartRejected = atomic.LoadInt64(&src.WarmStartRejected)
-	dst.EtaPivots = atomic.LoadInt64(&src.EtaPivots)
+	dst.PriceRefreshes = atomic.LoadInt64(&src.PriceRefreshes)
 	dst.SolveNanos = atomic.LoadInt64(&src.SolveNanos)
 	ms, md := &c.m.MIP, &out.MIP
 	md.Solves = atomic.LoadInt64(&ms.Solves)
