@@ -3,9 +3,17 @@
 
 GO ?= go
 
-.PHONY: ci vet build test bench-check bench-align race faults obs fuzz scrape chaos loadsmoke golden cover bench hypotheses soak
+.PHONY: ci changes-check vet build test bench-check bench-align race faults obs fuzz scrape chaos loadsmoke golden cover bench hypotheses soak
 
-ci: vet build bench-check bench-align race faults obs fuzz scrape chaos loadsmoke cover hypotheses
+ci: changes-check vet build bench-check bench-align race faults obs fuzz scrape chaos loadsmoke cover hypotheses
+
+# A CHANGES.md entry is one paragraph that leads with the measured effect
+# (ROADMAP item 10); the entries for PRs 17-21 each ran past a thousand
+# words. Fail when the newest `- PR N:` entry is longer than 250 words.
+changes-check:
+	@awk '/^- PR [0-9]+:/ { n = 0 } { n += NF } \
+		END { if (n > 250) { printf "FAIL: the last CHANGES.md entry is %d words; the limit is 250\n", n; exit 1 } \
+		printf "CHANGES.md: last entry is %d words (limit 250)\n", n }' CHANGES.md
 
 vet:
 	$(GO) vet ./...

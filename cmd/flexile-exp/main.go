@@ -59,8 +59,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	workers := fs.Int("workers", 0, "per-topology fan-out width (0 = all cores, 1 = sequential)")
 	timeout := fs.Duration("timeout", 0, "wall-clock limit per topology sweep, e.g. 10m (0 = unlimited)")
 	artifactOut := fs.String("artifact", "", "solve -topo offline and write a flexile-serve artifact to this file instead of running figures")
-	warm := fs.Bool("warm", false, "warm-start the -artifact offline solve from cached bases (figure runs always solve cold so goldens stay pinned)")
-	batch := fs.Bool("batch", true, "use the compiled batch LP path for the -artifact offline solve (bit-identical to the unbatched oracle)")
 	metrics := fs.Bool("metrics", false, "emit the aggregated solver metrics as JSON on stdout after the figures")
 	tracePath := fs.String("trace", "", "write a chrome://tracing timeline of the solves to this file")
 	logJSON := fs.Bool("logjson", false, "emit stderr diagnostics as JSON log lines instead of text")
@@ -78,8 +76,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	collector, tracer := installObs(*metrics, *tracePath)
 
 	if *artifactOut != "" {
-		opt := flexile.DesignOptions{MaxIterations: 5, Workers: *workers, Timeout: *timeout,
-			WarmStart: *warm, NoBatch: !*batch}
+		opt := flexile.DesignOptions{MaxIterations: 5, Workers: *workers, Timeout: *timeout}
 		if err := exportArtifact(*topoName, *seed, opt, *artifactOut, logger); err != nil {
 			return err
 		}

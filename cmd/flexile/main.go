@@ -34,8 +34,6 @@ func main() {
 	iters := flag.Int("iters", 5, "offline decomposition iterations")
 	gamma := flag.Float64("gamma", -1, "γ bound on non-critical scenario loss (<0 disables)")
 	workers := flag.Int("workers", 0, "offline solve parallelism (0 = all cores, 1 = sequential; results identical)")
-	warm := flag.Bool("warm", false, "warm-start scenario LPs from cached bases (faster; objectives equal within tolerance, trajectory may differ from a cold run)")
-	batch := flag.Bool("batch", true, "solve scenario LPs through the compiled batch path (bit-identical to the unbatched oracle)")
 	timeout := flag.Duration("timeout", 0, "wall-clock limit for the offline solve, e.g. 30s, 5m (0 = unlimited)")
 	compare := flag.Bool("compare", false, "also run the baseline schemes")
 	sequential := flag.Bool("sequential", false, "use the §4.4 explicit-priority sequential design")
@@ -104,8 +102,7 @@ func main() {
 	}
 	fmt.Printf("scenarios: %d (coverage %.6f), design target β = %.6f\n", len(inst.Scenarios), cov, beta)
 
-	opt := flexile.DesignOptions{MaxIterations: *iters, Gamma: *gamma, Workers: *workers, Timeout: *timeout,
-		WarmStart: *warm, NoBatch: !*batch}
+	opt := flexile.DesignOptions{MaxIterations: *iters, Gamma: *gamma, Workers: *workers, Timeout: *timeout}
 	start := time.Now()
 	design, err := flexile.Design(inst, opt)
 	if err != nil {

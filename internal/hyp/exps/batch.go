@@ -103,8 +103,7 @@ func BatchAmortization() hyp.Hypothesis {
 		}
 
 		// Timed passes. Each side is scored by its fastest round-trip —
-		// the min is the scheduler-noise-free cost, as in h-warm-speedup
-		// — but the single side still averages its min over the
+		// the min is the scheduler-noise-free cost — but the single side still averages its min over the
 		// batch width so one lucky GET can't dominate:
 		// a "pass" on the single side is 32 consecutive GETs.
 		passes := 8

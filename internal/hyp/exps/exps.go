@@ -6,7 +6,6 @@
 //
 // The registry:
 //
-//	h-warm-speedup       warm-started batched offline solve: ≤1/3 of the cold pivots, not slower
 //	h-batch-amortization POST /v1/alloc/batch at batch=32 amortizes ≥3× over single GETs
 //	h-overload-shed      under overload every response is an admitted 200 or an explicit shed
 //	h-emu-fidelity       fluid/packet emulation tracks the model (the paper's Fig. 9)
@@ -31,7 +30,6 @@ import (
 // All returns the repository's hypothesis registry.
 func All() (*hyp.Registry, error) {
 	return hyp.NewRegistry(
-		WarmSpeedup(),
 		BatchAmortization(),
 		OverloadShed(),
 		EmuFidelity(),

@@ -1,9 +1,9 @@
 // Package hyp is the hypothesis harness (DESIGN.md §15): every scale and
-// correctness claim the repository makes — "warm starts need ≤1/3 of the pivots on the
-// IBM gate workload", "batch=32 amortizes ≥3×", "every overload response is an
-// explicit shed", "emulated delivered bandwidth tracks the model within the
-// Fig. 9 tolerance" — is a named, seeded experiment that declares its
-// workload, runs it reproducibly, and evaluates a machine-checkable verdict.
+// correctness claim the repository makes — "batch=32 amortizes ≥3×", "every
+// overload response is an explicit shed", "emulated delivered bandwidth
+// tracks the model within the Fig. 9 tolerance" — is a named, seeded
+// experiment that declares its workload, runs it reproducibly, and evaluates
+// a machine-checkable verdict.
 //
 // The verdict's canonical form (see Verdict.Canonical) contains only
 // deterministic content — the claim, the seed, the workload description,
@@ -109,7 +109,7 @@ func (p Params) ScratchDir() (dir string, cleanup func(), err error) {
 // Hypothesis is one named, seeded, re-runnable experiment.
 type Hypothesis struct {
 	// Name is the experiment id and its directory under hypotheses/
-	// (h-warm-speedup, h-serve-soak, ...).
+	// (h-miss-latency, h-serve-soak, ...).
 	Name string
 	// Claim is the one-sentence statement under test.
 	Claim string

@@ -227,8 +227,3 @@ func (c *canonical) recover(p *Problem, xhat, yDual []float64, sol *Solution) {
 		sol.RowDual[i] = y
 	}
 }
-
-// ShapeHint reports (rows, cols) to help callers decide between Solve and
-// SolveDualized: the simplex basis is m×m, so the smaller dimension should
-// become the row count.
-func (p *Problem) ShapeHint() (rows, cols int) { return p.NumRows(), p.NumCols() }

@@ -267,41 +267,6 @@ func (e *Encoder) histSamples(name string, s obs.HistSnapshot, scale float64, la
 	e.sample(name+"_count", labels, float64(s.Count))
 }
 
-// RawHistogram renders an arbitrary pre-bucketed histogram (the
-// runtime/metrics shape): bounds are the len(counts)+1 bucket boundaries
-// (possibly -Inf/+Inf at the ends), counts the per-bucket observation
-// counts. sum may be NaN when the source does not track it.
-func (e *Encoder) RawHistogram(name, help string, bounds []float64, counts []uint64, sum float64, labels ...Label) {
-	if len(bounds) != len(counts)+1 {
-		e.setErr(fmt.Errorf("expo: %s: %d bounds for %d counts", name, len(bounds), len(counts)))
-		return
-	}
-	if !e.header(name, help, "histogram") {
-		return
-	}
-	var cum uint64
-	emitted := false
-	for i, c := range counts {
-		cum += c
-		le := bounds[i+1]
-		if math.IsInf(le, 1) {
-			break // rendered below as the +Inf bucket
-		}
-		if c == 0 && emitted && i != len(counts)-1 {
-			continue
-		}
-		e.sample(name+"_bucket", append(labels, Label{"le", formatValue(le)}), float64(cum))
-		emitted = true
-	}
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	e.sample(name+"_bucket", append(labels, Label{"le", "+Inf"}), float64(total))
-	e.sample(name+"_sum", labels, sum)
-	e.sample(name+"_count", labels, float64(total))
-}
-
 // EncodeSolveMetrics renders the full obs.SolveMetrics tree — every
 // counter the LP/MIP/decomposition/pool/serve layers aggregate, plus the
 // three built-in latency histograms in seconds.
@@ -345,8 +310,6 @@ func EncodeSolveMetrics(e *Encoder, m obs.SolveMetrics) {
 	e.Counter("flexile_decomp_master_failures_total", "Master steps that ended the decomposition early.", float64(m.Decomp.MasterFailures))
 	e.Counter("flexile_decomp_cuts_generated_total", "Benders cuts extracted from scenario solves.", float64(m.Decomp.CutsGenerated))
 	e.Counter("flexile_decomp_cuts_deduped_total", "Cuts dropped as exact duplicates.", float64(m.Decomp.CutsDeduped))
-	e.Counter("flexile_decomp_cuts_retired_total", "Pooled cuts retired by the aging policy.", float64(m.Decomp.CutsRetired))
-	e.Counter("flexile_decomp_cuts_revived_total", "Retired cuts revived after binding again.", float64(m.Decomp.CutsRevived))
 	e.Counter("flexile_decomp_shared_cut_rows_total", "Shared-cut rows materialized by separation rounds.", float64(m.Decomp.SharedCutRows))
 	// Worker pool.
 	e.Counter("flexile_pool_launches_total", "Worker-pool invocations.", float64(m.Pool.Launches))

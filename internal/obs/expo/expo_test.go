@@ -34,7 +34,7 @@ func fixedMetrics() obs.SolveMetrics {
 	m.Decomp = obs.DecompMetrics{
 		Solves: 1, Iterations: 6, ScenarioSolves: 60, ScenarioRetries: 2,
 		ScenarioSkips: 1, ScenLossFallbacks: 1, MasterSolves: 6, MasterFailures: 0,
-		CutsGenerated: 55, CutsDeduped: 5, CutsRetired: 7, CutsRevived: 2, SharedCutRows: 10,
+		CutsGenerated: 55, CutsDeduped: 5, SharedCutRows: 10,
 	}
 	m.Pool = obs.PoolMetrics{Launches: 4, Items: 64, MaxWorkers: 8, BusyNanos: 2_500_000_000}
 	m.Serve = obs.ServeMetrics{
@@ -74,6 +74,13 @@ func TestEncodeGolden(t *testing.T) {
 	}
 	if err := Lint(buf.Bytes()); err != nil {
 		t.Fatalf("rendered golden page does not lint: %v", err)
+	}
+	// The benchmark harness scrapes these two by name (bench/serveprobes.go);
+	// an -update must not be able to drop them.
+	for _, sample := range []string{"\nflexile_lp_warm_starts_total 70\n", "\nflexile_lp_warm_start_rejected_total 4\n"} {
+		if !strings.Contains(buf.String(), sample) {
+			t.Errorf("page lacks %q", strings.TrimSpace(sample))
+		}
 	}
 
 	path := filepath.Join("testdata", "solve_metrics.prom")

@@ -135,11 +135,6 @@ type DecompMetrics struct {
 	// (same native scenario, identical coefficients) and were dropped.
 	CutsGenerated int64 `json:"cuts_generated"`
 	CutsDeduped   int64 `json:"cuts_deduped"`
-	// CutsRetired counts pooled cuts retired by the aging policy (dominated
-	// at CutAge consecutive master incumbents); CutsRevived counts retired
-	// cuts brought back after binding again or being regenerated.
-	CutsRetired int64 `json:"cuts_retired"`
-	CutsRevived int64 `json:"cuts_revived"`
 	// SharedCutRows counts g^q_{q'} rows materialized by the separation
 	// rounds across all master solves.
 	SharedCutRows int64 `json:"shared_cut_rows"`
@@ -452,8 +447,6 @@ func (c *Collector) AddDecomp(d DecompMetrics) {
 		atomic.AddInt64(&m.MasterFailures, d.MasterFailures)
 		atomic.AddInt64(&m.CutsGenerated, d.CutsGenerated)
 		atomic.AddInt64(&m.CutsDeduped, d.CutsDeduped)
-		atomic.AddInt64(&m.CutsRetired, d.CutsRetired)
-		atomic.AddInt64(&m.CutsRevived, d.CutsRevived)
 		atomic.AddInt64(&m.SharedCutRows, d.SharedCutRows)
 	}
 }
@@ -502,15 +495,6 @@ func (c *Collector) ObserveLatency(id LatencyID, d time.Duration) {
 // time.Now())` times the enclosing function.
 func (c *Collector) ObserveSince(id LatencyID, start time.Time) {
 	c.ObserveLatency(id, time.Since(start))
-}
-
-// LatencySnapshot returns a self-consistent snapshot of one latency
-// histogram (see Histogram.Snapshot for the consistency contract).
-func (c *Collector) LatencySnapshot(id LatencyID) HistSnapshot {
-	if c == nil || id < 0 || id >= numLatencies {
-		return HistSnapshot{}
-	}
-	return c.hists[id].Snapshot()
 }
 
 // PoolLaunch records one pool invocation of the given width.
@@ -588,8 +572,6 @@ func (c *Collector) Snapshot() SolveMetrics {
 	dd.MasterFailures = atomic.LoadInt64(&ds.MasterFailures)
 	dd.CutsGenerated = atomic.LoadInt64(&ds.CutsGenerated)
 	dd.CutsDeduped = atomic.LoadInt64(&ds.CutsDeduped)
-	dd.CutsRetired = atomic.LoadInt64(&ds.CutsRetired)
-	dd.CutsRevived = atomic.LoadInt64(&ds.CutsRevived)
 	dd.SharedCutRows = atomic.LoadInt64(&ds.SharedCutRows)
 	ps, pd := &c.m.Pool, &out.Pool
 	pd.Launches = atomic.LoadInt64(&ps.Launches)

@@ -26,15 +26,13 @@ type AugmentOptions struct {
 	MaxAug []float64
 	// MaxIterations bounds the decomposition loop; 0 means 8.
 	MaxIterations int
-	// MasterNodes bounds master branch-and-bound nodes; 0 means 200.
-	MasterNodes int
-	// CutAge is the cut-pool aging horizon, as in Options.CutAge: cuts
-	// dominated at this many consecutive incumbents leave the master until
-	// they bind again. 0 means 5; negative disables aging.
-	CutAge int
 	// LP tunes the solvers.
 	LP lp.Options
 }
+
+// augMasterNodes bounds the branch-and-bound nodes per augmentation master
+// solve.
+const augMasterNodes = 200
 
 // augCut is a Benders cut in the joint (z, δ) space.
 type augCut struct {
@@ -71,12 +69,6 @@ func Augment(inst *te.Instance, opt AugmentOptions) (*AugmentResult, error) {
 	}
 	if opt.MaxIterations == 0 {
 		opt.MaxIterations = 8
-	}
-	if opt.MasterNodes == 0 {
-		opt.MasterNodes = 200
-	}
-	if opt.CutAge == 0 {
-		opt.CutAge = 5
 	}
 	target := opt.Target
 	if target == nil {
@@ -147,8 +139,12 @@ func Augment(inst *te.Instance, opt AugmentOptions) (*AugmentResult, error) {
 
 	// Each iteration re-solves every scenario at the new (z, δ), so a
 	// scenario whose optimum did not move regenerates its exact cut — the
-	// pool dedups those and ages dominated cuts out of the master.
-	pool := newCutPool(opt.CutAge, augCutKey, augCutEqual)
+	// pool dedups those.
+	pool := newCutPool(augCutKey, augCutEqual)
+
+	// One LP serves every iteration: a solve reads the capacities, the only
+	// thing δ changes, from work's graph into the row bounds.
+	sp := newSubproblem(work, nil, opt.LP)
 
 	res := &AugmentResult{Delta: delta}
 	for iter := 0; iter < opt.MaxIterations; iter++ {
@@ -156,7 +152,6 @@ func Augment(inst *te.Instance, opt AugmentOptions) (*AugmentResult, error) {
 		for e := 0; e < g.NumEdges(); e++ {
 			workG.SetCapacity(e, g.Edge(e).Capacity+delta[e])
 		}
-		sp := newSubproblem(work, opt.LP)
 		worst := make([]float64, len(inst.Classes))
 		feasible := true
 		for q := range inst.Scenarios {
@@ -216,28 +211,11 @@ func Augment(inst *te.Instance, opt AugmentOptions) (*AugmentResult, error) {
 			return res, nil
 		}
 		// Master in (z, δ): min Σ cost·δ s.t. coverage, cuts ≤ target.
-		nz, nd, err := solveAugMaster(inst, connected, pool.active(), z, aliveMask, target, cost, maxAug, opt)
+		nz, nd, err := solveAugMaster(inst, connected, pool.cuts, z, aliveMask, target, cost, maxAug, opt)
 		if err != nil {
 			return nil, err
 		}
 		z, delta = nz, nd
-		// Age the pool at the new incumbent (z, δ): a cut's value is its
-		// subproblem lower bound there, the quantity the master constrains
-		// to the target.
-		pool.observe(func(ct augCut) float64 {
-			v := ct.C
-			for f, y := range ct.yAlpha {
-				if !z.Get(f, ct.q) {
-					v -= y
-				}
-			}
-			for e, y := range ct.yCapRaw {
-				if y != 0 && aliveMask[ct.q][e] {
-					v += y * (g.Edge(e).Capacity + delta[e])
-				}
-			}
-			return v
-		})
 	}
 	return nil, fmt.Errorf("flexile: augmentation did not converge in %d iterations", opt.MaxIterations)
 }
@@ -348,7 +326,7 @@ func solveAugMaster(inst *te.Instance, connected [][]bool, cuts []augCut, zPrev 
 		}
 	}
 	sol, err := mip.Solve(&mip.Problem{LP: p, Binary: binaries}, mip.Options{
-		MaxNodes:   opt.MasterNodes,
+		MaxNodes:   augMasterNodes,
 		LP:         opt.LP,
 		WarmBinary: warm,
 	})

@@ -2,109 +2,36 @@ package flexile
 
 import "math"
 
-// cutPool owns the pooled Benders cuts of one decomposition run. It does
-// two jobs the raw append-only slice could not:
-//
-//   - Content dedup: re-solving a scenario whose optimum did not move
-//     regenerates the exact same cut, and a duplicate row in the master is
-//     pure ballast. Keyed by content hash, verified by full equality.
-//
-//   - Aging: a cut whose dual bound stays dominated at consecutive master
-//     incumbents has stopped shaping the master and is retired from the
-//     rows handed to it; if it later becomes binding again (or a scenario
-//     regenerates it), it is revived. This keeps long decompositions from
-//     dragging an ever-growing master LP behind them.
-//
-// Both policies are pure functions of pool content and the incumbents
-// observed, so — with adds performed in ascending scenario order — the
-// surviving pool is bit-for-bit identical for every worker count.
+// cutPool owns the pooled Benders cuts of one decomposition run and dedups
+// them by content: re-solving a scenario whose optimum did not move
+// regenerates the exact same cut, and a duplicate row in the master is pure
+// ballast. Keyed by content hash, verified by full equality. With adds
+// performed in ascending scenario order the pool is bit-for-bit identical
+// for every worker count.
 type cutPool[T any] struct {
 	key func(T) uint64
 	eq  func(a, b T) bool
 
-	cuts    []T
-	index   map[uint64]int // content hash → index in cuts
-	slack   []int          // consecutive incumbents the cut was dominated at
-	retired []bool
-	age     int // retire threshold; <= 0 disables aging
+	cuts  []T            // in insertion order
+	index map[uint64]int // content hash → index in cuts
 
-	generated, deduped, numRetired, numRevived int64
+	generated, deduped int64
 }
 
-// slackTol separates "binding at the incumbent" (within this of the
-// strongest bound) from "dominated" for the aging policy.
-const slackTol = 1e-7
-
-func newCutPool[T any](age int, key func(T) uint64, eq func(a, b T) bool) *cutPool[T] {
-	return &cutPool[T]{age: age, key: key, eq: eq, index: make(map[uint64]int)}
+func newCutPool[T any](key func(T) uint64, eq func(a, b T) bool) *cutPool[T] {
+	return &cutPool[T]{key: key, eq: eq, index: make(map[uint64]int)}
 }
 
-// add pools ct unless an identical cut is already present. Regenerating a
-// retired cut revives it: the scenario just proved the cut active again.
+// add pools ct unless an identical cut is already present.
 func (cp *cutPool[T]) add(ct T) {
 	cp.generated++
 	k := cp.key(ct)
 	if i, ok := cp.index[k]; ok && cp.eq(cp.cuts[i], ct) {
 		cp.deduped++
-		if cp.retired[i] {
-			cp.retired[i] = false
-			cp.slack[i] = 0
-			cp.numRevived++
-		}
 		return
 	}
 	cp.index[k] = len(cp.cuts)
 	cp.cuts = append(cp.cuts, ct)
-	cp.slack = append(cp.slack, 0)
-	cp.retired = append(cp.retired, false)
-}
-
-// active returns the live cuts in insertion order.
-func (cp *cutPool[T]) active() []T {
-	out := make([]T, 0, len(cp.cuts))
-	for i, ct := range cp.cuts {
-		if !cp.retired[i] {
-			out = append(out, ct)
-		}
-	}
-	return out
-}
-
-// observe ages the pool against a fresh master incumbent: value(ct) is the
-// cut's dual lower bound there, and the strongest bound across the whole
-// pool defines binding (within slackTol). Binding cuts reset their slack
-// streak — retired ones revive — while dominated cuts accumulate slack and
-// retire once the streak reaches the age threshold.
-func (cp *cutPool[T]) observe(value func(T) float64) {
-	if cp.age <= 0 || len(cp.cuts) == 0 {
-		return
-	}
-	vals := make([]float64, len(cp.cuts))
-	best := math.Inf(-1)
-	for i, ct := range cp.cuts {
-		vals[i] = value(ct)
-		if vals[i] > best {
-			best = vals[i]
-		}
-	}
-	for i := range cp.cuts {
-		if vals[i] >= best-slackTol {
-			cp.slack[i] = 0
-			if cp.retired[i] {
-				cp.retired[i] = false
-				cp.numRevived++
-			}
-			continue
-		}
-		if cp.retired[i] {
-			continue
-		}
-		cp.slack[i]++
-		if cp.slack[i] >= cp.age {
-			cp.retired[i] = true
-			cp.numRetired++
-		}
-	}
 }
 
 // hash64 streams float64/int words into an FNV-1a hash; the helper behind

@@ -8,155 +8,24 @@ type poolCut struct {
 	val float64
 }
 
-func newTestPool(age int) *cutPool[poolCut] {
-	return newCutPool(age,
+func TestCutPoolDedup(t *testing.T) {
+	cp := newCutPool(
 		func(c poolCut) uint64 { return uint64(c.id) },
 		func(a, b poolCut) bool { return a == b })
-}
-
-func TestCutPoolDedup(t *testing.T) {
-	cp := newTestPool(-1)
 	cp.add(poolCut{1, 1})
 	cp.add(poolCut{2, 2})
 	cp.add(poolCut{1, 1}) // exact duplicate
 	cp.add(poolCut{1, 3}) // hash collision (same id), different content: kept
-	if got := len(cp.active()); got != 3 {
-		t.Fatalf("active pool has %d cuts, want 3", got)
+	want := []poolCut{{1, 1}, {2, 2}, {1, 3}}
+	if len(cp.cuts) != len(want) {
+		t.Fatalf("pool has %d cuts, want %d", len(cp.cuts), len(want))
+	}
+	for i, c := range cp.cuts {
+		if c != want[i] {
+			t.Fatalf("cut %d = %v, want %v (insertion order)", i, c, want[i])
+		}
 	}
 	if cp.generated != 4 || cp.deduped != 1 {
 		t.Fatalf("generated/deduped = %d/%d, want 4/1", cp.generated, cp.deduped)
 	}
-}
-
-func TestCutPoolAgingRetiresDominated(t *testing.T) {
-	cp := newTestPool(2)
-	cp.add(poolCut{1, 10}) // always binding
-	cp.add(poolCut{2, 1})  // always dominated
-	val := func(c poolCut) float64 { return c.val }
-
-	cp.observe(val)
-	if len(cp.active()) != 2 {
-		t.Fatal("retired before the age threshold")
-	}
-	cp.observe(val)
-	act := cp.active()
-	if len(act) != 1 || act[0].id != 1 {
-		t.Fatalf("after %d dominated observes, active = %v", 2, act)
-	}
-	if cp.numRetired != 1 {
-		t.Fatalf("numRetired = %d, want 1", cp.numRetired)
-	}
-}
-
-func TestCutPoolBindingResetsSlack(t *testing.T) {
-	cp := newTestPool(2)
-	cp.add(poolCut{1, 0})
-	cp.add(poolCut{2, 0})
-	vals := map[int]float64{1: 10, 2: 1}
-	val := func(c poolCut) float64 { return vals[c.id] }
-	cp.observe(val)       // cut 2 dominated (streak 1)
-	vals[2] = 10.0 - 1e-9 // within slackTol of best: binding
-	cp.observe(val)       // streak resets
-	vals[2] = 1
-	cp.observe(val) // streak 1 again
-	if len(cp.active()) != 2 {
-		t.Fatal("cut retired although its slack streak was broken by a binding observe")
-	}
-}
-
-func TestCutPoolReviveOnBinding(t *testing.T) {
-	cp := newTestPool(1)
-	cp.add(poolCut{1, 0})
-	cp.add(poolCut{2, 0})
-	vals := map[int]float64{1: 10, 2: 1}
-	val := func(c poolCut) float64 { return vals[c.id] }
-	cp.observe(val) // cut 2 retired immediately (age 1)
-	if len(cp.active()) != 1 {
-		t.Fatal("cut not retired at age 1")
-	}
-	// Cut 2 becomes the strongest bound: one observe revives it and — at
-	// age 1 — retires the now-dominated cut 1 in the same pass.
-	vals[2] = 20
-	cp.observe(val)
-	act := cp.active()
-	if len(act) != 1 || act[0].id != 2 {
-		t.Fatalf("active after swap = %v, want just cut 2", act)
-	}
-	if cp.numRevived != 1 || cp.numRetired != 2 {
-		t.Fatalf("revived/retired = %d/%d, want 1/2", cp.numRevived, cp.numRetired)
-	}
-}
-
-func TestCutPoolReviveOnRegeneration(t *testing.T) {
-	cp := newTestPool(1)
-	cp.add(poolCut{1, 0})
-	cp.add(poolCut{2, 0})
-	val := func(c poolCut) float64 {
-		if c.id == 1 {
-			return 10
-		}
-		return 1
-	}
-	cp.observe(val)
-	if len(cp.active()) != 1 {
-		t.Fatal("cut not retired at age 1")
-	}
-	cp.add(poolCut{2, 0}) // a scenario regenerated the retired cut
-	if len(cp.active()) != 2 {
-		t.Fatal("regenerated retired cut was not revived")
-	}
-	if cp.deduped != 1 || cp.numRevived != 1 {
-		t.Fatalf("deduped/revived = %d/%d, want 1/1", cp.deduped, cp.numRevived)
-	}
-}
-
-func TestCutPoolAgingDisabled(t *testing.T) {
-	cp := newTestPool(-1)
-	cp.add(poolCut{1, 10})
-	cp.add(poolCut{2, 0})
-	for i := 0; i < 50; i++ {
-		cp.observe(func(c poolCut) float64 { return c.val })
-	}
-	if len(cp.active()) != 2 {
-		t.Fatal("aging fired although disabled")
-	}
-}
-
-// TestOfflineCutAgingLongRun: on a long decomposition with an aggressive
-// aging horizon, the offline solve stays correct — same quality incumbent
-// as the default run — while actually retiring cuts (visible in metrics).
-func TestOfflineCutAgingLongRun(t *testing.T) {
-	// Scaled demands keep losses — and hence master solves — alive across
-	// iterations, which is what gives the aging policy observes to act on.
-	inst := sprintInstance(t)
-	inst.ScaleDemands(2.5)
-	base, err := Offline(inst, Options{Workers: 2, MaxIterations: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	aged, err := Offline(inst, Options{Workers: 2, MaxIterations: 8, CutAge: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	best := func(pen []float64) float64 {
-		b := pen[0]
-		for _, v := range pen[1:] {
-			if v < b {
-				b = v
-			}
-		}
-		return b
-	}
-	bp, ap := best(base.IterPenalty), best(aged.IterPenalty)
-	// Aging may change the master trajectory; the best incumbent penalty
-	// must stay in the same quality band as the default run's.
-	if ap > bp+0.05 {
-		t.Fatalf("aged run best penalty %v much worse than default %v", ap, bp)
-	}
-	m := aged.Report.Metrics.Canonical()
-	if m.Decomp.CutsRetired == 0 {
-		t.Fatal("CutAge=1 over a multi-master run retired nothing; aging is inert")
-	}
-	t.Logf("retired %d, revived %d of %d generated (best penalty default %v, aged %v)",
-		m.Decomp.CutsRetired, m.Decomp.CutsRevived, m.Decomp.CutsGenerated, bp, ap)
 }

@@ -3,6 +3,7 @@ package flexile
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -85,17 +86,23 @@ func triangleInstance() *te.Instance {
 	return inst
 }
 
+// connectedCritical is the decomposition's starting critical column for
+// scen: every demanded flow the scenario leaves connected.
+func connectedCritical(inst *te.Instance, scen failure.Scenario) func(f int) bool {
+	return func(f int) bool {
+		k, i := inst.FlowOf(f)
+		return inst.Demand[k][i] > 0 && inst.FlowConnected(k, i, scen)
+	}
+}
+
 // TestSubproblemPerScenarioOptimum: with all connected flows critical, the
 // subproblem value equals the per-scenario optimum (max-min worst loss).
 func TestSubproblemPerScenarioOptimum(t *testing.T) {
 	inst := triangleInstance()
-	sp := newSubproblem(inst, lp.Options{})
+	sp := newSubproblem(inst, nil, lp.Options{})
 	for q, scen := range inst.Scenarios {
 		alive := scen.AliveMask(3)
-		crit := func(f int) bool {
-			k, i := inst.FlowOf(f)
-			return inst.Demand[k][i] > 0 && inst.FlowConnected(k, i, scen)
-		}
+		crit := connectedCritical(inst, scen)
 		sol, err := sp.solve(context.Background(), q, crit, alive, nil, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -115,7 +122,7 @@ func TestSubproblemPerScenarioOptimum(t *testing.T) {
 // scenario and critical set reproduces the optimal value.
 func TestSubproblemCutSelfConsistency(t *testing.T) {
 	inst := triangleInstance()
-	sp := newSubproblem(inst, lp.Options{})
+	sp := newSubproblem(inst, nil, lp.Options{})
 	for q, scen := range inst.Scenarios {
 		alive := scen.AliveMask(3)
 		aliveCap := make([]float64, 3)
@@ -124,10 +131,7 @@ func TestSubproblemCutSelfConsistency(t *testing.T) {
 				aliveCap[e] = 1
 			}
 		}
-		crit := func(f int) bool {
-			k, i := inst.FlowOf(f)
-			return inst.Demand[k][i] > 0 && inst.FlowConnected(k, i, scen)
-		}
+		crit := connectedCritical(inst, scen)
 		sol, err := sp.solve(context.Background(), q, crit, alive, nil, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -143,7 +147,7 @@ func TestSubproblemCutSelfConsistency(t *testing.T) {
 // (same scenario) never exceeds the true optimum there — weak duality.
 func TestSubproblemCutIsLowerBound(t *testing.T) {
 	inst := triangleInstance()
-	sp := newSubproblem(inst, lp.Options{})
+	sp := newSubproblem(inst, nil, lp.Options{})
 	// Native solve with both flows critical in the "A-B failed" scenario.
 	qFail := -1
 	for q, s := range inst.Scenarios {
@@ -168,6 +172,64 @@ func TestSubproblemCutIsLowerBound(t *testing.T) {
 	}
 	if bound > truth.optval+1e-6 {
 		t.Fatalf("cut %v exceeds optimum %v (weak duality broken)", bound, truth.optval)
+	}
+}
+
+// TestOfflineBatchOracleIdentity: the compiled solver every subproblem
+// solve goes through answers bit for bit what solving the subproblem's own
+// lp.Problem directly answers — same objective, pivot count, primal and
+// duals — on every Sprint scenario, plain, under a γ loss bound and with
+// capacity claimed by a higher class. (lp's
+// TestPropertyBatchBitIdenticalToDirect is the solver-level oracle; this
+// pins the seam the decomposition uses.)
+func TestOfflineBatchOracleIdentity(t *testing.T) {
+	inst := sprintInstance(t)
+	g := inst.Topo.G
+	ctx := context.Background()
+	sp := newSubproblem(inst, nil, lp.Options{})
+	claimed := make([]float64, g.NumEdges())
+	for e := range claimed {
+		claimed[e] = 0.1 * g.Edge(e).Capacity
+	}
+	for q, scen := range inst.Scenarios {
+		crit := connectedCritical(inst, scen)
+		zScale, _, _, err := te.MaxConcurrentScale(inst, scen, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gammaUB := make([]float64, inst.NumFlows())
+		for f := range gammaUB {
+			gammaUB[f] = 1
+			if crit(f) {
+				gammaUB[f] = math.Min(1, 0.05+math.Max(0, 1-math.Min(1, zScale)))
+			}
+		}
+		for _, c := range []struct {
+			name           string
+			lossUB, capUse []float64
+		}{{"plain", nil, nil}, {"gamma", gammaUB, nil}, {"capUse", nil, claimed}} {
+			sub, err := sp.solveWith(ctx, lp.Options{}, q, crit, scen.AliveMask(g.NumEdges()), c.lossUB, c.capUse)
+			if err != nil {
+				t.Fatalf("scenario %d %s: %v", q, c.name, err)
+			}
+			// solveWith left sp.p at this case's bounds.
+			direct, err := sp.p.SolveCtx(ctx, lp.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			batched, err := sp.solver.SolveCtx(ctx, lp.Variant{}, lp.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if batched.Objective != sub.optval {
+				t.Fatalf("scenario %d %s: re-solve objective %v, solveWith %v", q, c.name, batched.Objective, sub.optval)
+			}
+			if batched.Objective != direct.Objective || batched.Iterations != direct.Iterations ||
+				!reflect.DeepEqual(batched.X, direct.X) || !reflect.DeepEqual(batched.RowDual, direct.RowDual) {
+				t.Fatalf("scenario %d %s: compiled solve differs from direct: objective %v vs %v, pivots %d vs %d",
+					q, c.name, batched.Objective, direct.Objective, batched.Iterations, direct.Iterations)
+			}
+		}
 	}
 }
 

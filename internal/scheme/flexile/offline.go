@@ -24,30 +24,6 @@ type Options struct {
 	// MaxIterations bounds the decomposition loop; 0 means 5 (the paper's
 	// setting).
 	MaxIterations int
-	// HammingLimit caps how many z bits may flip between master solutions
-	// (stabilization, appendix eq. 23); 0 means max(32, bits/16).
-	HammingLimit int
-	// MasterNodes bounds the branch-and-bound nodes per master solve;
-	// 0 means 120 (the master only needs good feasible points, which the
-	// warm start and the greedy-cover rounding provide early).
-	MasterNodes int
-	// SharedCutRounds is how many separation rounds materialize violated
-	// shared cuts g^q_{q'} per master solve; 0 means 1, negative disables
-	// cut sharing entirely.
-	SharedCutRounds int
-	// SharedCutLimit caps how many shared-cut rows are added per
-	// separation round; 0 means 150.
-	SharedCutLimit int
-	// CutAge is the cut-pool aging horizon: a pooled Benders cut whose dual
-	// bound stays dominated at this many consecutive master incumbents is
-	// retired from the master LP, and revived if it becomes binding again
-	// (or a scenario regenerates it). 0 means 5 — which the default
-	// MaxIterations of 5 (at most 4 master solves) can never reach, so
-	// default runs keep their exact historical trajectories — and negative
-	// disables aging entirely. Long decompositions (MaxIterations well above
-	// the default) are where aging pays, keeping the master LP from growing
-	// without bound.
-	CutAge int
 	// Gamma, when ≥ 0, bounds every connected flow's loss in scenario q to
 	// γ + optimal ScenLoss_q (§4.4). Negative disables the bound. Cut
 	// sharing is disabled in this mode (scenario LPs stop sharing a dual
@@ -57,28 +33,6 @@ type Options struct {
 	// already claimed outside this design (sequential multi-class design,
 	// §4.4): capacities are reduced accordingly. Disables cut sharing.
 	ScenFixedUse [][]float64
-	// WarmStart enables basis reuse across the decomposition: each
-	// scenario's re-solve starts from its previous optimal basis, and first
-	// solves are seeded from the first scenario solved, which cuts simplex
-	// pivots severalfold on real topologies. Warm runs are deterministic —
-	// bit-identical across worker counts, since the seed basis is fixed
-	// before any parallel solve — and reach the same objectives as cold
-	// runs within the LP tolerance. They are NOT guaranteed bit-identical
-	// to cold runs: on degenerate instances the simplex may stop at a
-	// different (equally optimal) basis whose duals differ at FP-noise
-	// level, which the master MIP can amplify into a different — equally
-	// valid — trajectory. The default (false) therefore solves cold,
-	// preserving the exact historical trajectories that experiment goldens
-	// pin; turn warm on for throughput (the benchmarks and the CLIs' -warm
-	// flag do).
-	WarmStart bool
-	// NoBatch disables the compiled batched LP path through internal/lp:
-	// every subproblem solve rebuilds its sparse columns from the Problem
-	// buffers, the pre-batch behavior. The default (false) compiles the
-	// shared subproblem structure once per LP instance and re-solves
-	// bound-only variants against it. Results are identical by
-	// construction; NoBatch exists as the oracle path.
-	NoBatch bool
 	// Workers is how many goroutines the scenario-parallel hot loops use
 	// (per-scenario subproblem solves, the ScenLoss precompute, the
 	// shared-cut separation scan). 0 means runtime.NumCPU(); 1 runs every
@@ -92,13 +46,6 @@ type Options struct {
 	// an error wrapping context.DeadlineExceeded — degraded mode never
 	// swallows cancellation.
 	Timeout time.Duration
-	// Retries is how many times a failed scenario subproblem is re-solved
-	// under hardened LP settings (Bland's rule, a larger pivot budget)
-	// before the scenario is skipped for the iteration. Only retryable
-	// failures — lp.ErrSingularBasis, lp.ErrIterLimit — are retried;
-	// panics and infeasibility skip directly. 0 means 1; negative disables
-	// retries.
-	Retries int
 	// FailFast restores the pre-degraded-mode behavior: the first scenario
 	// or master failure aborts the whole solve with an error instead of
 	// degrading and reporting.
@@ -112,32 +59,35 @@ type Options struct {
 	FaultHook func(q, attempt int) error
 }
 
-func (o Options) withDefaults(bits int) Options {
+// The decomposition's fixed settings.
+const (
+	// masterNodes bounds the branch-and-bound nodes per master solve: the
+	// master only needs good feasible points, which the descent incumbent
+	// and the greedy-cover rounding provide early.
+	masterNodes = 120
+	// sharedCutRounds is how many separation rounds materialize violated
+	// shared cuts g^q_{q'} per master solve, and sharedCutLimit how many
+	// rows one round may add.
+	sharedCutRounds = 1
+	sharedCutLimit  = 150
+	// scenarioRetries is how many times a failed scenario subproblem is
+	// re-solved under hardened LP settings (hardenLP) before the scenario is
+	// skipped for the iteration. Only retryable failures —
+	// lp.ErrSingularBasis, lp.ErrIterLimit — are retried; panics and
+	// infeasibility skip directly.
+	scenarioRetries = 1
+)
+
+// hammingLimit caps how many of the bits z entries may flip between master
+// solutions (stabilization, appendix eq. 23).
+func hammingLimit(bits int) int { return max(32, bits/16) }
+
+func (o Options) withDefaults() Options {
 	if o.MaxIterations == 0 {
 		o.MaxIterations = 5
 	}
-	if o.HammingLimit == 0 {
-		o.HammingLimit = max(32, bits/16)
-	}
-	if o.MasterNodes == 0 {
-		o.MasterNodes = 120
-	}
-	if o.SharedCutRounds == 0 {
-		o.SharedCutRounds = 1
-	}
-	if o.SharedCutLimit == 0 {
-		o.SharedCutLimit = 150
-	}
-	if o.CutAge == 0 {
-		o.CutAge = 5
-	}
 	if o.Gamma == 0 {
 		o.Gamma = -1 // Options{} disables the γ bound
-	}
-	if o.Retries == 0 {
-		o.Retries = 1
-	} else if o.Retries < 0 {
-		o.Retries = 0
 	}
 	o.Workers = par.Workers(o.Workers)
 	return o
@@ -259,7 +209,7 @@ func Offline(inst *te.Instance, opt Options) (*OfflineResult, error) {
 func OfflineCtx(ctx context.Context, inst *te.Instance, opt Options) (*OfflineResult, error) {
 	start := time.Now()
 	nf, nq := inst.NumFlows(), len(inst.Scenarios)
-	opt = opt.withDefaults(nf * nq)
+	opt = opt.withDefaults()
 	if nq == 0 {
 		return nil, fmt.Errorf("flexile: instance has no scenarios")
 	}
@@ -331,56 +281,8 @@ func OfflineCtx(ctx context.Context, inst *te.Instance, opt Options) (*OfflineRe
 	// instead of aborting the whole solve.
 	scenLossOpt := make([]float64, nq)
 	endPre := col.Span("scenloss-precompute", 0, "scenarios", nq)
-	// Warm mode compiles the max-concurrent-flow structure once
-	// (te.ScaleBatch) and solves every scenario as a bound-only variant
-	// warm-started from a shared seed basis. The seed comes from scenario 0
-	// solved serially before the fan-out, so the seed — and with it every
-	// warm trajectory — is identical for every worker count. Values agree
-	// with the cold per-scenario builder to solver tolerance; the cold path
-	// stays the default oracle. Per-scenario traffic matrices and fixed-use
-	// capacities change LP coefficients, which variants cannot express, so
-	// those instances always precompute cold.
-	warmPre := opt.WarmStart && !opt.NoBatch && inst.ScenDemand == nil && opt.ScenFixedUse == nil
-	var (
-		preBatch   *te.ScaleBatch
-		preSeed    *lp.Basis
-		preSolvers []*te.ScaleSolver
-	)
-	if warmPre {
-		if pb, err := te.NewScaleBatch(inst); err == nil {
-			if zScale, basis, err := pb.NewSolver().Solve(ctx, inst.Scenarios[0], opt.LP); err == nil {
-				preBatch = pb
-				preSeed = basis
-				scenLossOpt[0] = math.Max(0, 1-math.Min(1, zScale))
-				preSolvers = make([]*te.ScaleSolver, opt.Workers)
-			} else if isCtxErr(err) {
-				return nil, fmt.Errorf("flexile: offline solve canceled: %w", err)
-			}
-			// Any other seed failure: fall back to the cold builder below;
-			// warm must never be less robust than cold.
-		}
-	}
 	preErrs := par.Collect(ctx, opt.Workers, nq, func(worker, q int) error {
 		defer col.Span("scenloss", int64(worker)+1, "scenario", q)()
-		if preBatch != nil {
-			if q == 0 {
-				return nil // solved serially as the seed
-			}
-			if preSolvers[worker] == nil {
-				preSolvers[worker] = preBatch.NewSolver()
-			}
-			lo := opt.LP
-			lo.StartBasis = preSeed
-			zScale, _, err := preSolvers[worker].Solve(ctx, inst.Scenarios[q], lo)
-			if err == nil {
-				scenLossOpt[q] = math.Max(0, 1-math.Min(1, zScale))
-				return nil
-			}
-			if isCtxErr(err) {
-				return err
-			}
-			// Retry through the cold builder before degrading.
-		}
 		var capUse []float64
 		if opt.ScenFixedUse != nil {
 			capUse = opt.ScenFixedUse[q]
@@ -424,7 +326,7 @@ func OfflineCtx(ctx context.Context, inst *te.Instance, opt Options) (*OfflineRe
 	// Cut sharing requires every scenario's subproblem to differ only in
 	// its right-hand side — per-scenario traffic matrices and the γ bound
 	// both break that.
-	shareCuts := opt.SharedCutRounds >= 0 && opt.Gamma < 0 && inst.ScenDemand == nil && opt.ScenFixedUse == nil
+	shareCuts := opt.Gamma < 0 && inst.ScenDemand == nil && opt.ScenFixedUse == nil
 
 	// The subproblem LP mutates row bounds in place on every solve, so
 	// concurrent scenario solves need distinct instances: one lazily-built
@@ -435,9 +337,6 @@ func OfflineCtx(ctx context.Context, inst *te.Instance, opt Options) (*OfflineRe
 	sps := make([]*subproblem, opt.Workers)
 	var spByQMu sync.Mutex
 	spByQ := make(map[int]*subproblem)
-	newSub := func(demands []float64) *subproblem {
-		return newSubproblemB(inst, demands, opt.LP, !opt.NoBatch)
-	}
 	solveSub := func(worker, q int, crit func(int) bool, alive []bool, ub []float64, lpOpts lp.Options) (*subSolution, error) {
 		var capUse []float64
 		if opt.ScenFixedUse != nil {
@@ -447,14 +346,14 @@ func OfflineCtx(ctx context.Context, inst *te.Instance, opt Options) (*OfflineRe
 			spByQMu.Lock()
 			sq, ok := spByQ[q]
 			if !ok {
-				sq = newSub(dv)
+				sq = newSubproblem(inst, dv, opt.LP)
 				spByQ[q] = sq
 			}
 			spByQMu.Unlock()
 			return sq.solveWith(ctx, lpOpts, q, crit, alive, ub, capUse)
 		}
 		if sps[worker] == nil {
-			sps[worker] = newSub(nil)
+			sps[worker] = newSubproblem(inst, nil, opt.LP)
 		}
 		return sps[worker].solveWith(ctx, lpOpts, q, crit, alive, ub, capUse)
 	}
@@ -466,13 +365,7 @@ func OfflineCtx(ctx context.Context, inst *te.Instance, opt Options) (*OfflineRe
 	// retry so the report can say why. All decisions depend only on the
 	// scenario and the attempt number, never on the worker id, so faulted
 	// runs stay deterministic across worker counts.
-	//
-	// start is the scenario's warm basis (nil = cold). Only attempt 0 uses
-	// it: a failed warm solve always retries cold, so a corrupt or merely
-	// unlucky cached basis can degrade one attempt but never wedge a
-	// scenario, and the cache itself is only refreshed from successful
-	// solves.
-	solveSubAttempts := func(worker, q int, crit func(int) bool, alive []bool, ub []float64, start *lp.Basis) (*subSolution, int, error, error) {
+	solveSubAttempts := func(worker, q int, crit func(int) bool, alive []bool, ub []float64) (*subSolution, int, error, error) {
 		var firstErr error
 		for attempt := 0; ; attempt++ {
 			var sol *subSolution
@@ -482,11 +375,8 @@ func OfflineCtx(ctx context.Context, inst *te.Instance, opt Options) (*OfflineRe
 			}
 			if err == nil {
 				lpOpts := opt.LP
-				if attempt == 0 {
-					lpOpts.StartBasis = start
-				} else {
+				if attempt > 0 {
 					lpOpts = hardenLP(lpOpts)
-					lpOpts.StartBasis = nil
 				}
 				sol, err = solveSub(worker, q, crit, alive, ub, lpOpts)
 			}
@@ -496,7 +386,7 @@ func OfflineCtx(ctx context.Context, inst *te.Instance, opt Options) (*OfflineRe
 			if firstErr == nil {
 				firstErr = err
 			}
-			if isCtxErr(err) || !retryableErr(err) || attempt >= opt.Retries {
+			if isCtxErr(err) || !retryableErr(err) || attempt >= scenarioRetries {
 				return nil, attempt + 1, firstErr, err
 			}
 		}
@@ -523,25 +413,12 @@ func OfflineCtx(ctx context.Context, inst *te.Instance, opt Options) (*OfflineRe
 		col  *ScenarioColumn // snapshot of scenario q's column when last solved
 		sol  *subSolution
 		perf bool // perfect scenario: all connected flows lossless
-		// basis is the scenario's last optimal basis; its next solve
-		// warm-starts from it. Only refreshed on success, so a failed
-		// (or faulted) solve can never poison the cache.
-		basis *lp.Basis
 	}
 	caches := make([]cache, nq)
-	// seedBasis warm-starts scenarios that have never been solved: the
-	// subproblem LPs differ only in row bounds, so the first scenario's
-	// optimal basis is a near-optimal start for every other one. It is
-	// fixed after the first solve of the run, so what each scenario's
-	// solve sees is independent of worker count and scheduling. Cross-
-	// scenario seeding is skipped under per-scenario traffic matrices
-	// (the LPs then differ in shape and demands, not just bounds).
-	var seedBasis *lp.Basis
-	seedOK := opt.WarmStart && inst.ScenDemand == nil
-	// The cut pool dedups regenerated cuts and ages dominated ones out of
-	// the master (see cutpool.go); appends happen in ascending scenario
-	// order, so the surviving pool is identical for every worker count.
-	pool := newCutPool(opt.CutAge, cutKey, cutEqual)
+	// The cut pool dedups regenerated cuts (see cutpool.go); appends happen
+	// in ascending scenario order, so the pool is identical for every
+	// worker count.
+	pool := newCutPool(cutKey, cutEqual)
 	losses := make([][]float64, nf)
 	for f := range losses {
 		losses[f] = make([]float64, nq)
@@ -581,20 +458,13 @@ func OfflineCtx(ctx context.Context, inst *te.Instance, opt Options) (*OfflineRe
 			if lossUB != nil {
 				ub = lossUB[q]
 			}
-			var startB *lp.Basis
-			if opt.WarmStart {
-				startB = caches[q].basis
-				if startB == nil {
-					startB = seedBasis
-				}
-			}
 			var sol *subSolution
 			var att int
 			var first, err error
 			// Label the CPU samples of this scenario's solve so profiles
 			// attribute time to (scenario, iteration).
 			pprof.Do(ctx, pprof.Labels("solve", "scenario", "scenario", strconv.Itoa(q), "iteration", strconv.Itoa(iter)), func(context.Context) {
-				sol, att, first, err = solveSubAttempts(worker, q, func(f int) bool { return z.Get(f, q) }, aliveMask[q], ub, startB)
+				sol, att, first, err = solveSubAttempts(worker, q, func(f int) bool { return z.Get(f, q) }, aliveMask[q], ub)
 			})
 			attempts[j] = att
 			if err != nil {
@@ -605,23 +475,7 @@ func OfflineCtx(ctx context.Context, inst *te.Instance, opt Options) (*OfflineRe
 			return nil
 		}
 		endBatch := col.Span("iteration", 0, "iter", iter, "pending", len(pending))
-		itemErrs := make([]error, len(pending))
-		first := 0
-		if seedOK && seedBasis == nil && len(pending) > 0 {
-			// Solve the first pending scenario on its own (still through the
-			// pool, for panic isolation) so its optimal basis can seed every
-			// other scenario's first solve. The seed is fixed before any
-			// parallel solve starts, so the basis each scenario sees does not
-			// depend on worker count or scheduling.
-			itemErrs[0] = par.Collect(ctx, 1, 1, func(worker, _ int) error { return solveOne(worker, 0) })[0]
-			if sols[0] != nil {
-				seedBasis = sols[0].basis
-			}
-			first = 1
-		}
-		for j, err := range par.Collect(ctx, opt.Workers, len(pending)-first, func(worker, j int) error { return solveOne(worker, j+first) }) {
-			itemErrs[j+first] = err
-		}
+		itemErrs := par.Collect(ctx, opt.Workers, len(pending), solveOne)
 		endBatch()
 		// Classify failures in ascending scenario order (deterministic for
 		// any worker count): cancellation aborts, everything else degrades
@@ -664,7 +518,6 @@ func OfflineCtx(ctx context.Context, inst *te.Instance, opt Options) (*OfflineRe
 			res.SubproblemSolves++
 			c.sol = sol
 			c.col = z.CloneScenario(q)
-			c.basis = sol.basis
 			pool.add(sol.cut)
 			// A scenario is perfect when, with every connected flow marked
 			// critical (the warm-start state), the optimum is zero.
@@ -718,7 +571,7 @@ func OfflineCtx(ctx context.Context, inst *te.Instance, opt Options) (*OfflineRe
 		// best incumbent found so far is returned.
 		var nz *CriticalSet
 		var err error
-		cuts := pool.active()
+		cuts := pool.cuts
 		endMaster := col.Span("master-solve", 0, "iteration", iter, "cuts", len(cuts))
 		pprof.Do(ctx, pprof.Labels("solve", "master", "iteration", strconv.Itoa(iter)), func(context.Context) {
 			nz, err = solveMaster(ctx, inst, connected, cuts, z, aliveCap, opt, shareCuts)
@@ -739,12 +592,6 @@ func OfflineCtx(ctx context.Context, inst *te.Instance, opt Options) (*OfflineRe
 		}
 		z = nz
 		res.Critical = z
-		// Age the pool at the new incumbent: each cut's dual bound is
-		// evaluated at z in its native scenario; cuts dominated for CutAge
-		// consecutive incumbents leave the master until they bind again.
-		pool.observe(func(ct *cut) float64 {
-			return ct.value(func(f int) bool { return z.Get(f, ct.nativeQ) }, aliveCap[ct.nativeQ])
-		})
 	}
 
 	res.Critical = bestZ
@@ -761,8 +608,6 @@ func OfflineCtx(ctx context.Context, inst *te.Instance, opt Options) (*OfflineRe
 		MasterFailures:    int64(len(report.MasterFailures)),
 		CutsGenerated:     pool.generated,
 		CutsDeduped:       pool.deduped,
-		CutsRetired:       pool.numRetired,
-		CutsRevived:       pool.numRevived,
 	})
 	report.Metrics = col.Snapshot()
 	res.Report = report
@@ -785,6 +630,7 @@ func solveMaster(ctx context.Context, inst *te.Instance, connected [][]bool, cut
 	var mm obs.DecompMetrics
 	defer func() { mcol.AddDecomp(mm) }()
 	nf, nq := inst.NumFlows(), len(inst.Scenarios)
+	hamming := hammingLimit(nf * nq)
 	p := lp.NewProblem()
 	pen := p.AddCol("penalty", 0, lp.Inf, 1)
 
@@ -839,7 +685,7 @@ func solveMaster(ctx context.Context, inst *te.Instance, connected [][]bool, cut
 				es = append(es, lp.Entry{Col: col, Coef: 1})
 			}
 		}
-		p.AddLE("hamming", float64(opt.HammingLimit)-base, es...)
+		p.AddLE("hamming", float64(hamming)-base, es...)
 	}
 	// Cut rows. Native cuts always; shared cuts via separation below.
 	addCutRow := func(ct *cut, q int) {
@@ -921,7 +767,7 @@ func solveMaster(ctx context.Context, inst *te.Instance, connected [][]bool, cut
 			spare[f] = mass - inst.Classes[k].Beta
 		}
 		flips := 0
-		for flips < opt.HammingLimit {
+		for flips < hamming {
 			// Binding cut at the current descent point.
 			bestVal := 0.0
 			var bestCut *cut
@@ -961,7 +807,7 @@ func solveMaster(ctx context.Context, inst *te.Instance, connected [][]bool, cut
 	solveMIP := func() (*mip.Solution, error) {
 		mm.MasterSolves++
 		return mip.SolveCtx(ctx, &mip.Problem{LP: p, Binary: binaries}, mip.Options{
-			MaxNodes:   opt.MasterNodes,
+			MaxNodes:   masterNodes,
 			RelGap:     1e-4,
 			LP:         opt.LP,
 			Heuristic:  heuristic,
@@ -983,7 +829,7 @@ func solveMaster(ctx context.Context, inst *te.Instance, connected [][]bool, cut
 			q  int
 			v  float64
 		}
-		for round := 0; round < opt.SharedCutRounds; round++ {
+		for round := 0; round < sharedCutRounds; round++ {
 			// The cuts × nq scan only reads the incumbent, so it shards
 			// across the worker pool by cut; flattening the per-cut hits in
 			// cut order keeps the violated list — and the sort below —
@@ -1020,8 +866,8 @@ func solveMaster(ctx context.Context, inst *te.Instance, connected [][]bool, cut
 				break
 			}
 			sort.Slice(violated, func(a, b int) bool { return violated[a].v > violated[b].v })
-			if len(violated) > opt.SharedCutLimit {
-				violated = violated[:opt.SharedCutLimit]
+			if len(violated) > sharedCutLimit {
+				violated = violated[:sharedCutLimit]
 			}
 			mm.SharedCutRows += int64(len(violated))
 			for _, vv := range violated {

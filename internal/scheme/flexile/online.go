@@ -31,7 +31,7 @@ func OnlineOptions(inst *te.Instance, off *OfflineResult, q int, opt Options) (t
 	if q < 0 || q >= len(inst.Scenarios) {
 		return te.MaxMinOptions{}, fmt.Errorf("flexile: scenario %d out of range", q)
 	}
-	opt = opt.withDefaults(inst.NumFlows() * len(inst.Scenarios))
+	opt = opt.withDefaults()
 	minFrac := make([]float64, inst.NumFlows())
 	// A degraded offline result may lack pieces — no result at all, no
 	// critical set, or no ScenLossOpt vector. The online phase must still

@@ -32,11 +32,11 @@ type subproblem struct {
 	capRow   []int     // per edge; -1 if no tunnel crosses it
 
 	lpOpts lp.Options
-	// batch routes solves through the compiled lp.BatchProblem path: the
-	// sparse column structure is compiled once and each solve submits a
-	// bounds-only variant instead of rebuilding the columns.
-	batch  bool
-	bp     *lp.BatchProblem
+	// solver is p's compiled form (lp.Compile): the sparse column structure
+	// is compiled once and every solve reads p's mutated bounds as a zero
+	// variant, skipping the per-solve column rebuild and workspace
+	// allocation of p.SolveCtx. The answer is bit-identical to that call's
+	// (lp.BatchSolver's contract).
 	solver *lp.BatchSolver
 }
 
@@ -50,12 +50,6 @@ type subSolution struct {
 	x [][][]float64
 	// cut is the Benders cut generated from the dual solution.
 	cut *cut
-	// basis is the optimal simplex basis, cached by the decomposition so
-	// the scenario's next solve warm-starts from it.
-	basis *lp.Basis
-	// warmStarted reports whether this solve actually started from an
-	// installed warm basis (false on cold solves and rejected bases).
-	warmStarted bool
 }
 
 // cut represents Penalty ≥ C + Σ_f yAlpha[f]·(z_f − 1) + Σ_e capCoef[e]·m_e,
@@ -94,25 +88,11 @@ func (c *cut) value(z func(f int) bool, aliveCap []float64) float64 {
 	return v
 }
 
-// newSubproblem builds the LP with the instance's base demands.
-func newSubproblem(inst *te.Instance, lpOpts lp.Options) *subproblem {
-	return newSubproblemD(inst, nil, lpOpts)
-}
-
-// newSubproblemB is newSubproblemD with the compiled-batch toggle: when
-// batch is true the subproblem compiles its LP once (lp.Compile) and every
-// solve goes through a bounds-only variant, skipping the per-solve column
-// rebuild.
-func newSubproblemB(inst *te.Instance, demands []float64, lpOpts lp.Options, batch bool) *subproblem {
-	sp := newSubproblemD(inst, demands, lpOpts)
-	sp.batch = batch
-	return sp
-}
-
-// newSubproblemD builds the LP with an explicit per-flow demand vector
-// (per-scenario traffic matrices, §4.4). When demands is non-nil, the LP is
-// scenario-specific and its cuts must not be shared across scenarios.
-func newSubproblemD(inst *te.Instance, demands []float64, lpOpts lp.Options) *subproblem {
+// newSubproblem builds the LP. A nil demands means the instance's base
+// demands; a non-nil one is an explicit per-flow demand vector (per-scenario
+// traffic matrices, §4.4), which makes the LP scenario-specific: its cuts
+// must not be shared across scenarios.
+func newSubproblem(inst *te.Instance, demands []float64, lpOpts lp.Options) *subproblem {
 	demandOf := func(f int) float64 {
 		if demands != nil {
 			return demands[f]
@@ -177,6 +157,13 @@ func newSubproblemD(inst *te.Instance, demands []float64, lpOpts lp.Options) *su
 			sp.capRow[e] = sp.p.AddLE(fmt.Sprintf("c[%d]", e), g.Edge(e).Capacity, edgeEntries[e]...)
 		}
 	}
+	bp, err := sp.p.Compile()
+	if err != nil {
+		// Compile rejects only an entry naming a column that was never
+		// added, which the loops above cannot produce.
+		panic(fmt.Sprintf("flexile: subproblem LP does not compile: %v", err))
+	}
+	sp.solver = bp.NewSolver()
 	return sp
 }
 
@@ -228,7 +215,7 @@ func (sp *subproblem) solveWith(ctx context.Context, lpOpts lp.Options, q int, c
 		}
 		sp.p.SetRowBounds(sp.capRow[e], -lp.Inf, cap)
 	}
-	sol, err := sp.solveLP(ctx, lpOpts)
+	sol, err := sp.solver.SolveCtx(ctx, lp.Variant{}, lpOpts)
 	if err != nil {
 		return nil, fmt.Errorf("flexile: subproblem scenario %d: %w", q, err)
 	}
@@ -295,29 +282,7 @@ func (sp *subproblem) solveWith(ctx context.Context, lpOpts lp.Options, q int, c
 	}
 	ct.C = sol.Objective - zTerm - capTerm
 	out.cut = ct
-	out.basis = sol.Basis()
-	out.warmStarted = sol.WarmStarted
 	return out, nil
-}
-
-// solveLP runs the subproblem LP through the compiled batch path when
-// enabled — the column structure compiles once, and every solve reads the
-// mutated bounds as a zero variant, skipping the per-solve column rebuild
-// and workspace allocation — or through the plain per-solve path otherwise.
-// Results are bit-identical either way (lp.BatchSolver's contract).
-func (sp *subproblem) solveLP(ctx context.Context, lpOpts lp.Options) (*lp.Solution, error) {
-	if !sp.batch {
-		return sp.p.SolveCtx(ctx, lpOpts)
-	}
-	if sp.solver == nil {
-		bp, err := sp.p.Compile()
-		if err != nil {
-			return nil, err
-		}
-		sp.bp = bp
-		sp.solver = bp.NewSolver()
-	}
-	return sp.solver.SolveCtx(ctx, lp.Variant{}, lpOpts)
 }
 
 func clamp01(v float64) float64 {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/signal"
 	"runtime"
 	"sort"
 	"strconv"
@@ -58,6 +59,14 @@ func TestServeSoakFaultReload(t *testing.T) {
 	faultsOn.Store(true)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
+
+	// The cycler below signals this very process. Hold SIGHUP for the whole
+	// test, so that one still in flight when stopHUP's signal.Stop would
+	// otherwise restore the default disposition lands in this channel
+	// instead of terminating the test binary.
+	held := make(chan os.Signal, 1)
+	signal.Notify(held, syscall.SIGHUP)
+	t.Cleanup(func() { signal.Stop(held) })
 
 	var reloadErrs atomic.Int64
 	stopHUP := srv.WatchHUP(func(error) { reloadErrs.Add(1) })

@@ -21,8 +21,13 @@ import (
 // The per-scenario optimum equals MaxConcurrentScale's (the variant has
 // the same feasible set as the scenario-built LP plus zero-fixed columns),
 // but the simplex may reach it along a different pivot path, so values
-// agree to solver tolerance rather than bit-for-bit. Callers that pin cold
-// trajectories (the default offline path) keep using MaxConcurrentScale.
+// agree to solver tolerance rather than bit-for-bit.
+//
+// No production code calls it: the offline precompute solves every scenario
+// through MaxConcurrentScaleCtx. Its only callers are the benchmark
+// harness's te.scalebatch_compile_ms / te.scaleloss_ms probes
+// (bench/layers.go) and scalebatch_test.go; it goes when a benchmark-only
+// PR drops those probes (ROADMAP item 10).
 type ScaleBatch struct {
 	inst *Instance
 	bp   *lp.BatchProblem
