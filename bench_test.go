@@ -445,7 +445,7 @@ func BenchmarkServeQuery(b *testing.B) {
 		}
 		b.StopTimer()
 		m := collector.Snapshot().Serve
-		shed := m.QuotaRejects + m.DeadlineShed + m.DeadlineExpired + m.BreakerRejects
+		shed := m.QuotaRejects + m.DeadlineExpired + m.BreakerRejects
 		b.ReportMetric(float64(shed)/float64(m.Requests), "shed-rate")
 		b.ReportMetric(float64(m.BreakerTrips), "breaker-trips")
 	})

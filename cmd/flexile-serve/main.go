@@ -25,19 +25,18 @@
 //
 // SIGHUP reloads every artifact atomically and per name — a failed reload
 // (corrupt or vanished file) keeps the old state serving and never blocks
-// a neighbor; repeated failures trip a circuit breaker that suppresses
-// further attempts for -breaker-cooldown — and with -artifact-dir rescans
-// the directory. SIGINT/SIGTERM flip /readyz to 503 first, drain in-flight
+// a neighbor, and the next SIGHUP after the file is fixed swaps it in —
+// and with -artifact-dir rescans the directory. SIGINT/SIGTERM flip /readyz to 503 first, drain in-flight
 // requests for up to -drain-timeout, then exit. With -metrics the
 // aggregated serving counters are printed as JSON on exit.
 //
 // Overload resilience (DESIGN.md §13): -default-deadline sheds requests
-// predicted to miss their deadline (clients override per request with
-// X-Request-Deadline), -tenant-rate/-tenant-burst enforce per-tenant
-// token-bucket quotas keyed on X-Tenant, and -breaker-threshold trips
-// circuit breakers on consecutive recompute or reload failures — while
-// open, cache misses are answered from the last known good allocation,
-// marked with X-Flexile-Degraded: stale.
+// whose recomputation has not finished by their deadline (clients override
+// per request with X-Request-Deadline), -tenant-rate/-tenant-burst enforce
+// per-tenant token-bucket quotas keyed on X-Tenant, and -breaker-threshold
+// trips an artifact's recompute circuit breaker on consecutive recompute
+// failures — while open, cache misses are answered from the last known
+// good allocation, marked with X-Flexile-Degraded: stale.
 //
 // Logs are structured (log/slog): human-readable text on stderr by
 // default, one JSON object per line with -logjson. Access records can be
@@ -82,8 +81,8 @@ func main() {
 	defaultDeadline := flag.Duration("default-deadline", 0, "deadline applied to requests without X-Request-Deadline (0 = none)")
 	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant sustained requests/sec, keyed on X-Tenant (0 disables quotas)")
 	tenantBurst := flag.Float64("tenant-burst", 10, "per-tenant token-bucket burst depth")
-	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive failures that trip the recompute/reload circuit breakers (0 disables)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "how long a tripped breaker stays open before probing")
+	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive recompute failures that trip an artifact's recompute circuit breaker (0 disables)")
+	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "how long a tripped recompute breaker stays open before probing")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long to wait for in-flight requests on SIGINT/SIGTERM")
 	flag.Parse()
 	if (*artifact == "") == (*artifactDir == "") {

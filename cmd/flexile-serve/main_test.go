@@ -274,17 +274,21 @@ func TestScrapeEndToEnd(t *testing.T) {
 				t.Errorf("scrape %s missing stage histogram series %q", scrapeURL, stage)
 			}
 		}
-		// The overload-resilience families: both breakers closed (0), the
-		// quota tracking the single anonymous bucket, zero sheds.
+		// The overload-resilience families: the recompute breaker closed
+		// (0), the quota tracking the single anonymous bucket, zero sheds.
 		for _, want := range []string{
 			`flexile_serve_breaker_state{breaker="recompute"} 0`,
-			`flexile_serve_breaker_state{breaker="reload"} 0`,
 			"flexile_serve_quota_tenants 1",
-			"flexile_serve_deadline_shed_total 0",
+			"flexile_serve_deadline_expired_total 0",
 			"flexile_serve_quota_rejects_total 0",
 		} {
 			if !strings.Contains(text, want) {
 				t.Errorf("scrape %s missing %q", scrapeURL, want)
+			}
+		}
+		for _, gone := range []string{"gate_estimated_wait", "deadline_shed", "reloads_skipped", `breaker="reload"`} {
+			if strings.Contains(text, gone) {
+				t.Errorf("scrape %s still carries %q", scrapeURL, gone)
 			}
 		}
 		goFam := 0

@@ -1,10 +1,11 @@
 // Package admit implements the serving layer's overload-resilience
 // primitives: per-tenant token-bucket quotas, a consecutive-failure
 // circuit breaker, and request-deadline parsing. The allocation server
-// (internal/serve) composes them in front of its recompute path so that
-// overload degrades service predictably — rejected early with a
-// Retry-After hint, or answered from a stale copy marked degraded —
-// instead of melting into unbounded queueing (DESIGN.md §13).
+// (internal/serve) charges the quota before parsing a query and puts the
+// breaker in front of its recompute path, so overload and failing solves
+// degrade service predictably — refused with a Retry-After hint, or
+// answered from a stale copy marked degraded — while the parsed deadline
+// cuts off a request's wait for its recomputation (DESIGN.md §13).
 //
 // Every type takes an injectable clock so tests drive time explicitly;
 // the zero Clock falls back to time.Now. All types are safe for
@@ -36,7 +37,7 @@ func (c Clock) now() time.Time {
 // ParseDeadline interprets the X-Request-Deadline header value: a Go
 // duration string ("250ms", "2s") or a bare non-negative integer of
 // milliseconds. Empty falls back to def. A parsed or default deadline of
-// zero means "no deadline" — the request is never shed on predicted wait.
+// zero means "no deadline" — the request waits as long as its client does.
 func ParseDeadline(header string, def time.Duration) (time.Duration, error) {
 	header = strings.TrimSpace(header)
 	if header == "" {
@@ -239,7 +240,6 @@ type Breaker struct {
 	consecutive int
 	openedAt    time.Time
 	probing     bool
-	trips       int64
 }
 
 // NewBreaker returns a breaker, or nil when cfg.Threshold <= 0.
@@ -313,7 +313,6 @@ func (b *Breaker) Failure() (tripped bool) {
 		b.state = BreakerOpen
 		b.openedAt = now
 		b.probing = false
-		b.trips++
 		return true
 	case BreakerOpen:
 		b.consecutive++
@@ -323,7 +322,6 @@ func (b *Breaker) Failure() (tripped bool) {
 		if b.consecutive >= b.cfg.Threshold {
 			b.state = BreakerOpen
 			b.openedAt = now
-			b.trips++
 			return true
 		}
 		return false
@@ -340,14 +338,4 @@ func (b *Breaker) State() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
-}
-
-// Trips reports how many times the breaker has transitioned to open.
-func (b *Breaker) Trips() int64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.trips
 }

@@ -326,16 +326,14 @@ func EncodeSolveMetrics(e *Encoder, m obs.SolveMetrics) {
 	e.Counter("flexile_serve_reloads_total", "Artifact load attempts, initial plus SIGHUP-triggered.", float64(m.Serve.Reloads))
 	e.Counter("flexile_serve_reload_errors_total", "Artifact loads that failed and kept the previous artifact.", float64(m.Serve.ReloadErrors))
 	e.Counter("flexile_serve_gate_waits_total", "Recomputations that queued on a saturated gate.", float64(m.Serve.GateWaits))
-	// Overload resilience (DESIGN.md §13): admission, quotas, breakers,
-	// degraded serving.
+	// Overload resilience (DESIGN.md §13): quotas, the deadline cut-off,
+	// the recompute breaker, degraded serving.
 	e.Counter("flexile_serve_quota_rejects_total", "Requests refused by the per-tenant token-bucket quota.", float64(m.Serve.QuotaRejects))
-	e.Counter("flexile_serve_deadline_shed_total", "Requests shed on arrival because the predicted queue wait exceeded their deadline.", float64(m.Serve.DeadlineShed))
 	e.Counter("flexile_serve_deadline_expired_total", "Admitted requests whose deadline or connection expired before the recomputation finished.", float64(m.Serve.DeadlineExpired))
 	e.Counter("flexile_serve_recompute_errors_total", "Online recomputations that failed.", float64(m.Serve.RecomputeErrors))
 	e.Counter("flexile_serve_degraded_total", "Requests answered from the stale last-known-good store.", float64(m.Serve.Degraded))
-	e.Counter("flexile_serve_breaker_trips_total", "Circuit-breaker transitions to the open state (recompute and reload breakers).", float64(m.Serve.BreakerTrips))
+	e.Counter("flexile_serve_breaker_trips_total", "Recompute circuit-breaker transitions to the open state.", float64(m.Serve.BreakerTrips))
 	e.Counter("flexile_serve_breaker_rejects_total", "Requests short-circuited while the recompute breaker was open.", float64(m.Serve.BreakerRejects))
-	e.Counter("flexile_serve_reloads_skipped_total", "Reload attempts suppressed by the open reload breaker.", float64(m.Serve.ReloadsSkipped))
 	// Batch allocation API (DESIGN.md §14): one HTTP request carries many
 	// queries; entries share the single-query disposition counters above.
 	e.Counter("flexile_serve_batch_requests_total", "POST /v1/alloc/batch HTTP requests.", float64(m.Serve.BatchRequests))

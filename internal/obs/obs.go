@@ -162,9 +162,9 @@ type PoolMetrics struct {
 // ServeMetrics aggregates the online allocation server's counters
 // (internal/serve, the flexile-serve daemon). Every field is
 // deterministic given the request/reload sequence except the
-// overload-dependent ones — GateWaits, DeadlineShed, DeadlineExpired,
-// FlightShared — which depend on scheduling and load; request latency
-// lives in the Latency.ServeRequest histogram, not here.
+// overload-dependent ones — GateWaits, DeadlineExpired, FlightShared —
+// which depend on scheduling and load; request latency lives in the
+// Latency.ServeRequest histogram, not here.
 type ServeMetrics struct {
 	// Requests counts allocation queries accepted by the HTTP layer
 	// (including ones that fail validation); BadRequests of those were
@@ -195,13 +195,10 @@ type ServeMetrics struct {
 	// QuotaRejects counts requests refused at admission because the
 	// tenant's token bucket was empty (HTTP 429).
 	QuotaRejects int64 `json:"quota_rejects"`
-	// DeadlineShed counts requests refused on arrival because the
-	// predicted queue wait already exceeded their deadline (HTTP 503
-	// with Retry-After) — overload shed before any work was queued.
-	DeadlineShed int64 `json:"deadline_shed"`
-	// DeadlineExpired counts admitted requests whose deadline (or client
-	// connection) expired before the shared recomputation finished; the
-	// detached computation still ran to completion for later callers.
+	// DeadlineExpired counts cache misses whose deadline (or client
+	// connection) expired before the shared recomputation finished — every
+	// deadline refusal (HTTP 503, X-Flexile-Shed: deadline); the detached
+	// computation still ran to completion for later callers.
 	DeadlineExpired int64 `json:"deadline_expired"`
 	// RecomputeErrors counts Online recomputations that failed; each
 	// feeds the recompute circuit breaker's consecutive-failure count.
@@ -210,15 +207,11 @@ type ServeMetrics struct {
 	// store (marked X-Flexile-Degraded) because the live recompute path
 	// failed or the breaker was open.
 	Degraded int64 `json:"degraded"`
-	// BreakerTrips counts transitions of either circuit breaker
-	// (recompute or reload) to the open state; BreakerRejects counts
-	// requests short-circuited while the recompute breaker was open.
+	// BreakerTrips counts transitions of the recompute circuit breaker to
+	// the open state; BreakerRejects counts requests short-circuited while
+	// it was open.
 	BreakerTrips   int64 `json:"breaker_trips"`
 	BreakerRejects int64 `json:"breaker_rejects"`
-	// ReloadsSkipped counts reload attempts suppressed by the open
-	// reload breaker — SIGHUP storms against a corrupt artifact stop
-	// hammering the decoder after Threshold consecutive failures.
-	ReloadsSkipped int64 `json:"reloads_skipped"`
 	// BatchRequests counts POST /v1/alloc/batch HTTP requests;
 	// BatchEntries counts the allocation queries they carried (each entry
 	// is also counted in Requests and its disposition counters, so the
@@ -244,13 +237,11 @@ func (m *ServeMetrics) Add(d ServeMetrics) {
 	m.ReloadErrors += d.ReloadErrors
 	m.GateWaits += d.GateWaits
 	m.QuotaRejects += d.QuotaRejects
-	m.DeadlineShed += d.DeadlineShed
 	m.DeadlineExpired += d.DeadlineExpired
 	m.RecomputeErrors += d.RecomputeErrors
 	m.Degraded += d.Degraded
 	m.BreakerTrips += d.BreakerTrips
 	m.BreakerRejects += d.BreakerRejects
-	m.ReloadsSkipped += d.ReloadsSkipped
 	m.BatchRequests += d.BatchRequests
 	m.BatchEntries += d.BatchEntries
 	m.BatchDeduped += d.BatchDeduped
@@ -268,10 +259,9 @@ const (
 	// LatServeRequest is the allocation server's per-request handler time
 	// (the p50/p99/p99.9 the serving layer is judged on).
 	LatServeRequest
-	// LatQueueWait is the time an admitted cache-miss recomputation spent
-	// queued on the saturated recompute gate before acquiring a slot —
-	// the distribution the deadline-aware admission estimate is judged
-	// against.
+	// LatQueueWait is the time a cache-miss recomputation spent queued on
+	// the saturated recompute gate before acquiring a slot — the wait that
+	// single-flight per scenario bounds at |S| recomputations.
 	LatQueueWait
 	// The LatStage* histograms are the per-stage request-trace families
 	// (DESIGN.md §16): each tiling stage of the serve pipeline observes
@@ -465,13 +455,11 @@ func (c *Collector) AddServe(d ServeMetrics) {
 		atomic.AddInt64(&m.ReloadErrors, d.ReloadErrors)
 		atomic.AddInt64(&m.GateWaits, d.GateWaits)
 		atomic.AddInt64(&m.QuotaRejects, d.QuotaRejects)
-		atomic.AddInt64(&m.DeadlineShed, d.DeadlineShed)
 		atomic.AddInt64(&m.DeadlineExpired, d.DeadlineExpired)
 		atomic.AddInt64(&m.RecomputeErrors, d.RecomputeErrors)
 		atomic.AddInt64(&m.Degraded, d.Degraded)
 		atomic.AddInt64(&m.BreakerTrips, d.BreakerTrips)
 		atomic.AddInt64(&m.BreakerRejects, d.BreakerRejects)
-		atomic.AddInt64(&m.ReloadsSkipped, d.ReloadsSkipped)
 		atomic.AddInt64(&m.BatchRequests, d.BatchRequests)
 		atomic.AddInt64(&m.BatchEntries, d.BatchEntries)
 		atomic.AddInt64(&m.BatchDeduped, d.BatchDeduped)
@@ -589,13 +577,11 @@ func (c *Collector) Snapshot() SolveMetrics {
 	sd.ReloadErrors = atomic.LoadInt64(&ss.ReloadErrors)
 	sd.GateWaits = atomic.LoadInt64(&ss.GateWaits)
 	sd.QuotaRejects = atomic.LoadInt64(&ss.QuotaRejects)
-	sd.DeadlineShed = atomic.LoadInt64(&ss.DeadlineShed)
 	sd.DeadlineExpired = atomic.LoadInt64(&ss.DeadlineExpired)
 	sd.RecomputeErrors = atomic.LoadInt64(&ss.RecomputeErrors)
 	sd.Degraded = atomic.LoadInt64(&ss.Degraded)
 	sd.BreakerTrips = atomic.LoadInt64(&ss.BreakerTrips)
 	sd.BreakerRejects = atomic.LoadInt64(&ss.BreakerRejects)
-	sd.ReloadsSkipped = atomic.LoadInt64(&ss.ReloadsSkipped)
 	sd.BatchRequests = atomic.LoadInt64(&ss.BatchRequests)
 	sd.BatchEntries = atomic.LoadInt64(&ss.BatchEntries)
 	sd.BatchDeduped = atomic.LoadInt64(&ss.BatchDeduped)

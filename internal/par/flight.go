@@ -4,11 +4,10 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// Flight is a generic single-flight group: concurrent Do calls with the
-// same key share one execution of fn, so a thundering herd of identical
+// Flight is a generic single-flight group: concurrent DoDetached calls with
+// the same key share one execution of fn, so a thundering herd of identical
 // requests (the allocation server's cache misses under one network state)
 // costs a single recomputation. Unlike caching, a Flight holds no state
 // between flights — once the shared call returns, the key is forgotten.
@@ -36,47 +35,15 @@ func (f *Flight[K, V]) InFlight() int {
 	return len(f.m)
 }
 
-// Do executes fn under key, coalescing with any in-flight call for the same
-// key. It returns fn's result and whether this caller shared another call's
-// execution (true) or ran fn itself (false).
-func (f *Flight[K, V]) Do(key K, fn func() (V, error)) (v V, err error, shared bool) {
-	f.mu.Lock()
-	if c, ok := f.m[key]; ok {
-		f.mu.Unlock()
-		<-c.done
-		return c.val, c.err, true
-	}
-	c := &flightCall[V]{done: make(chan struct{})}
-	if f.m == nil {
-		f.m = make(map[K]*flightCall[V])
-	}
-	f.m[key] = c
-	f.mu.Unlock()
-
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				c.err = &PanicError{Worker: -1, Item: -1, Value: r}
-			}
-		}()
-		c.val, c.err = fn()
-	}()
-
-	f.mu.Lock()
-	delete(f.m, key)
-	f.mu.Unlock()
-	close(c.done)
-	return c.val, c.err, false
-}
-
-// DoDetached is Do with the execution detached from the callers: fn runs
-// on its own goroutine and always runs to completion, even when every
-// waiter gives up, so a client disconnect or deadline can never fail the
-// shared computation other requests are riding (and fn's side effects —
-// cache fills — land regardless). ctx bounds only this caller's wait: when
-// it expires first, the call returns ctx.Err() while fn keeps running.
-// shared reports whether this caller coalesced onto a flight another
-// caller started.
+// DoDetached executes fn under key, coalescing with any in-flight call for
+// the same key, and returns fn's result. The execution is detached from the
+// callers: fn runs on its own goroutine and always runs to completion, even
+// when every waiter gives up, so a client disconnect or deadline can never
+// fail the shared computation other requests are riding (and fn's side
+// effects — cache fills — land regardless). ctx bounds only this caller's
+// wait: when it expires first, the call returns ctx.Err() while fn keeps
+// running. shared reports whether this caller coalesced onto a flight
+// another caller started.
 func (f *Flight[K, V]) DoDetached(ctx context.Context, key K, fn func() (V, error)) (v V, err error, shared bool) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -115,19 +82,9 @@ func (f *Flight[K, V]) DoDetached(ctx context.Context, key K, fn func() (V, erro
 // Gate bounds how many goroutines may run a section concurrently — the
 // allocation server uses one to keep cache-miss recomputations from
 // oversubscribing the CPU when many distinct scenarios are queried at once.
-//
-// Beyond bounding, a Gate estimates: holders report their hold times via
-// ObserveHold, an EWMA of which prices how long a new arrival should
-// expect to queue (EstimatedWait). The serving layer's deadline-aware
-// admission control sheds requests whose predicted wait already exceeds
-// their deadline instead of letting them queue to certain failure.
 type Gate struct {
 	slots   chan struct{}
 	waiters atomic.Int64
-	// ewmaHold is an exponentially weighted moving average (α = 1/8) of
-	// observed hold durations, in nanoseconds. 0 until the first
-	// observation, which reads as "no history: admit optimistically".
-	ewmaHold atomic.Int64
 }
 
 // NewGate returns a gate admitting n concurrent holders; n follows the
@@ -180,44 +137,3 @@ func (g *Gate) Cap() int { return cap(g.slots) }
 
 // Waiters reports how many Enter calls are currently blocked on a slot.
 func (g *Gate) Waiters() int { return int(g.waiters.Load()) }
-
-// ObserveHold folds one hold duration into the gate's moving average of
-// service times. Holders call it just before Leave; the serving layer
-// wraps its recompute section with it so EstimatedWait tracks the live
-// cost of a solve.
-func (g *Gate) ObserveHold(d time.Duration) {
-	n := d.Nanoseconds()
-	if n < 0 {
-		return
-	}
-	for {
-		old := g.ewmaHold.Load()
-		next := n
-		if old != 0 {
-			next = old + (n-old)/8
-		}
-		if g.ewmaHold.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// EstimatedWait predicts how long a new arrival would wait for a slot:
-// zero when a slot is free, otherwise its queue position (current waiters
-// plus itself, spread across the slots) times the average hold duration.
-// With no hold history the estimate is zero — admit optimistically and
-// let the first observations calibrate it. The answer is an estimate, not
-// a bound: admission control uses it to shed on arrival, not to promise
-// latency.
-func (g *Gate) EstimatedWait() time.Duration {
-	if len(g.slots) < cap(g.slots) {
-		return 0
-	}
-	hold := g.ewmaHold.Load()
-	if hold == 0 {
-		return 0
-	}
-	position := g.waiters.Load() + 1
-	rounds := (position + int64(cap(g.slots)) - 1) / int64(cap(g.slots))
-	return time.Duration(rounds * hold)
-}

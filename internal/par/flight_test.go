@@ -23,7 +23,7 @@ func TestFlightCoalesces(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		v, err, _ := f.Do("k", func() (int, error) {
+		v, err, _ := f.DoDetached(context.Background(), "k", func() (int, error) {
 			close(started)
 			<-release
 			execs.Add(1)
@@ -39,7 +39,7 @@ func TestFlightCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err, shared := f.Do("k", func() (int, error) {
+			v, err, shared := f.DoDetached(context.Background(), "k", func() (int, error) {
 				execs.Add(1)
 				return 42, nil
 			})
@@ -81,7 +81,7 @@ func TestFlightDistinctKeysIndependent(t *testing.T) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			v, err, _ := f.Do(k, func() (int, error) {
+			v, err, _ := f.DoDetached(context.Background(), k, func() (int, error) {
 				execs.Add(1)
 				return k * k, nil
 			})
@@ -99,31 +99,14 @@ func TestFlightDistinctKeysIndependent(t *testing.T) {
 func TestFlightError(t *testing.T) {
 	var f Flight[string, int]
 	boom := errors.New("boom")
-	_, err, shared := f.Do("k", func() (int, error) { return 0, boom })
+	_, err, shared := f.DoDetached(context.Background(), "k", func() (int, error) { return 0, boom })
 	if !errors.Is(err, boom) || shared {
 		t.Fatalf("got (%v, shared=%v), want boom unshared", err, shared)
 	}
 	// The key is forgotten after the flight: a retry runs fn again.
-	v, err, _ := f.Do("k", func() (int, error) { return 7, nil })
+	v, err, _ := f.DoDetached(context.Background(), "k", func() (int, error) { return 7, nil })
 	if err != nil || v != 7 {
 		t.Fatalf("retry got (%d, %v), want 7", v, err)
-	}
-}
-
-func TestFlightPanicBecomesError(t *testing.T) {
-	var f Flight[string, int]
-	_, err, _ := f.Do("k", func() (int, error) { panic("kaboom") })
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("got %v, want *PanicError", err)
-	}
-	if pe.Value != "kaboom" {
-		t.Errorf("panic value %v, want kaboom", pe.Value)
-	}
-	// The poisoned key must not be stuck.
-	v, err, _ := f.Do("k", func() (int, error) { return 1, nil })
-	if err != nil || v != 1 {
-		t.Fatalf("after panic got (%d, %v), want 1", v, err)
 	}
 }
 
@@ -190,6 +173,25 @@ func TestGateIntrospection(t *testing.T) {
 	if g.TryEnter() {
 		t.Fatal("TryEnter on full gate succeeded")
 	}
+
+	// A blocked Enter is a waiter until a slot frees up.
+	entered := make(chan struct{})
+	go func() {
+		g.Enter(context.Background())
+		close(entered)
+	}()
+	deadline := time.Now().Add(time.Second)
+	for g.Waiters() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("waiter never registered")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	g.Leave()
+	<-entered
+	if g.Waiters() != 0 || g.InUse() != 2 {
+		t.Fatalf("after the waiter entered: waiters %d in-use %d, want 0 and 2", g.Waiters(), g.InUse())
+	}
 	g.Leave()
 	if g.InUse() != 1 {
 		t.Fatalf("InUse after Leave = %d, want 1", g.InUse())
@@ -211,7 +213,7 @@ func TestFlightInFlight(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		f.Do(1, func() (int, error) {
+		f.DoDetached(context.Background(), 1, func() (int, error) {
 			close(started)
 			<-release
 			return 1, nil
@@ -320,58 +322,12 @@ func TestFlightDoDetachedPanicBecomesError(t *testing.T) {
 	if !errors.As(err, &pe) || shared {
 		t.Fatalf("got (%v, shared=%v), want *PanicError unshared", err, shared)
 	}
+	if pe.Value != "kaboom" {
+		t.Errorf("panic value %v, want kaboom", pe.Value)
+	}
+	// The poisoned key must not be stuck.
 	v, err, _ := f.DoDetached(nil, "k", func() (int, error) { return 1, nil })
 	if err != nil || v != 1 {
 		t.Fatalf("after panic got (%d, %v), want 1", v, err)
 	}
-}
-
-func TestGateWaitersAndEstimate(t *testing.T) {
-	g := NewGate(1)
-	if g.EstimatedWait() != 0 {
-		t.Fatal("empty gate estimates nonzero wait")
-	}
-	if !g.TryEnter() {
-		t.Fatal("TryEnter failed")
-	}
-	// Full gate but no hold history: still estimates zero (optimistic).
-	if g.EstimatedWait() != 0 {
-		t.Fatal("no-history estimate must be zero")
-	}
-	g.ObserveHold(80 * time.Millisecond)
-	if est := g.EstimatedWait(); est != 80*time.Millisecond {
-		t.Fatalf("estimate with 0 waiters = %v, want 80ms (one EWMA sample)", est)
-	}
-
-	// Park a waiter; the estimate scales with queue depth.
-	entered := make(chan struct{})
-	go func() {
-		g.Enter(context.Background())
-		close(entered)
-	}()
-	deadline := time.Now().Add(time.Second)
-	for g.Waiters() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("waiter never registered")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if est := g.EstimatedWait(); est != 160*time.Millisecond {
-		t.Fatalf("estimate with 1 waiter = %v, want 160ms", est)
-	}
-	g.Leave()
-	<-entered
-	if g.Waiters() != 0 {
-		t.Fatalf("waiters after entry = %d, want 0", g.Waiters())
-	}
-	g.Leave()
-
-	// EWMA folds new observations at α=1/8.
-	g.ObserveHold(160 * time.Millisecond)
-	g.TryEnter()
-	want := 80*time.Millisecond + (160*time.Millisecond-80*time.Millisecond)/8
-	if est := g.EstimatedWait(); est != want {
-		t.Fatalf("EWMA estimate = %v, want %v", est, want)
-	}
-	g.Leave()
 }

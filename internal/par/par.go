@@ -1,28 +1,26 @@
 // Package par is the concurrency substrate for Flexile's scenario-parallel
-// solve engine: a small deterministic worker pool used by the offline
-// decomposition (per-scenario Benders subproblems, the ScenLoss precompute,
-// the shared-cut separation scan) and by the experiment harness
-// (per-topology fan-out).
+// solve engine and its allocation server. Collect is the deterministic
+// worker pool used by the offline decomposition (per-scenario Benders
+// subproblems, the ScenLoss precompute, the shared-cut separation scan) and
+// by the experiment harness (per-topology fan-out); Flight (detached
+// single-flight) and Gate (a counting semaphore) ration the serving layer's
+// cache-miss recomputations.
 //
-// Determinism contract: every helper collects results by item index, so the
+// Determinism contract: Collect reports results by item index, so the
 // caller observes identical output regardless of the worker count or the
 // order in which workers drain the queue. With workers == 1 the loop runs
 // inline on the calling goroutine — exactly the pre-parallel behavior, with
 // no goroutines spawned.
 //
-// Failure contract: a panic inside fn never escapes the pool — it is
-// recovered into a *PanicError carrying the worker id, item index and
-// stack, and reported like any other item error, so one crashing scenario
-// solve cannot take down the process. The fail-fast helpers (ForEach,
-// ForEachWorker, Map) join every observed item error in ascending item
-// order (errors.Join); Collect runs all items regardless of failures and
-// hands back the full per-item error vector for callers that degrade
-// per item instead of aborting.
+// Failure contract: a panic inside fn never escapes the pool or a flight —
+// it is recovered into a *PanicError and reported like any other error, so
+// one crashing scenario solve cannot take down the process. Collect runs
+// all items regardless of failures and hands back the full per-item error
+// vector, so callers degrade per item instead of aborting.
 package par
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -72,100 +70,16 @@ func protect(fn func(worker, i int) error, worker, i int) (err error) {
 	return fn(worker, i)
 }
 
-// ForEach runs fn(i) for every i in [0, n) across at most workers
-// goroutines and returns the joined item errors in ascending item order
-// (nil when every call succeeds). Error semantics match ForEachWorker.
-func ForEach(workers, n int, fn func(i int) error) error {
-	return ForEachWorker(workers, n, func(_, i int) error { return fn(i) })
-}
-
-// ForEachWorker is ForEach with the worker id (0 ≤ w < workers) passed to
-// every call. Each worker id runs on a single goroutine, so per-worker
-// scratch state (e.g. a worker-local LP instance) needs no locking.
-//
-// Stop guarantee on failure: the pool stops claiming new items once a
-// failure is recorded, and re-checks the failure flag immediately before
-// invoking fn, so an item claimed after a failing call returned on the
-// same worker is never run, and any item whose check happens after the
-// flag is set is skipped. Items already executing when the failure lands
-// run to completion — at most workers−1 of them. Every error observed
-// (including panics recovered as *PanicError) is reported, joined in
-// ascending item order.
-func ForEachWorker(workers, n int, fn func(worker, i int) error) error {
-	workers = Workers(workers)
-	if n <= 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := protect(fn, 0, i); err != nil {
-				return errors.Join(err)
-			}
-		}
-		return nil
-	}
-	var (
-		next   atomic.Int64 // next item to claim
-		failed atomic.Bool  // any error seen → stop claiming new items
-		wg     sync.WaitGroup
-	)
-	errs := make([]error, n)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || failed.Load() {
-					return
-				}
-				// Re-check immediately before invoking fn: a failure
-				// recorded between the claim above and this point skips
-				// the item instead of running it.
-				if failed.Load() {
-					return
-				}
-				if err := protect(fn, worker, i); err != nil {
-					errs[i] = err
-					failed.Store(true)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// Map runs fn(i) for every i in [0, n) across at most workers goroutines
-// and returns the results in item order. Error semantics match ForEach.
-func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := ForEach(workers, n, func(i int) error {
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Collect runs fn(worker, i) for every i in [0, n) across at most workers
-// goroutines and returns the per-item error vector: unlike the fail-fast
-// helpers, an item failure (error or recovered panic) does not stop the
-// remaining items — the caller decides per item whether to retry, degrade
-// or abort. Only context cancellation stops the loop early: items never
-// started are reported with the context error, so the caller can tell a
-// skipped item from a failed one with errors.Is(err, ctx.Err()). A nil
-// ctx is treated as context.Background().
+// goroutines and returns the per-item error vector: an item failure (error
+// or recovered panic) does not stop the remaining items — the caller
+// decides per item whether to retry, degrade or abort. Only context
+// cancellation stops the loop early: items never started are reported with
+// the context error, so the caller can tell a skipped item from a failed
+// one with errors.Is(err, ctx.Err()). A nil ctx is treated as
+// context.Background(). Every worker id (0 ≤ worker < workers) runs on a
+// single goroutine, so per-worker scratch state (e.g. a worker-local LP
+// instance) needs no locking.
 func Collect(ctx context.Context, workers, n int, fn func(worker, i int) error) []error {
 	if ctx == nil {
 		ctx = context.Background()

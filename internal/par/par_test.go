@@ -21,111 +21,6 @@ func TestWorkersResolve(t *testing.T) {
 	}
 }
 
-// Every item must run exactly once, for any worker count.
-func TestForEachCoversAllItems(t *testing.T) {
-	for _, workers := range []int{1, 2, 8, 64} {
-		n := 137
-		counts := make([]atomic.Int32, n)
-		err := ForEach(workers, n, func(i int) error {
-			counts[i].Add(1)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range counts {
-			if c := counts[i].Load(); c != 1 {
-				t.Fatalf("workers=%d: item %d ran %d times", workers, i, c)
-			}
-		}
-	}
-}
-
-// Every observed failure must be reported (errors.Join), and the
-// lowest-index failure is always among them regardless of scheduling:
-// with sequential claiming, item 10 is claimed before any item > 20.
-func TestForEachReportsAllObservedErrors(t *testing.T) {
-	for _, workers := range []int{1, 4, 16} {
-		wantErr := errors.New("boom-10")
-		err := ForEach(workers, 64, func(i int) error {
-			if i == 10 {
-				return wantErr
-			}
-			if i > 20 {
-				return fmt.Errorf("boom-%d", i)
-			}
-			return nil
-		})
-		if err == nil {
-			t.Fatalf("workers=%d: want error", workers)
-		}
-		if !errors.Is(err, wantErr) {
-			t.Fatalf("workers=%d: joined error %v does not include lowest-index failure %v", workers, err, wantErr)
-		}
-	}
-}
-
-// A panic in fn must surface as a *PanicError with item metadata, not
-// crash the process, for both the inline and the pooled paths.
-func TestForEachRecoversPanics(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		err := ForEach(workers, 16, func(i int) error {
-			if i == 5 {
-				panic("kaboom")
-			}
-			return nil
-		})
-		var pe *PanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("workers=%d: want *PanicError, got %v", workers, err)
-		}
-		if pe.Item != 5 {
-			t.Fatalf("workers=%d: panic attributed to item %d, want 5", workers, pe.Item)
-		}
-		if pe.Value != "kaboom" || len(pe.Stack) == 0 {
-			t.Fatalf("workers=%d: panic metadata incomplete: %+v", workers, pe)
-		}
-	}
-}
-
-// After a failing call returns, the failing worker must never run another
-// item: the flag is stored before the next claim on that goroutine, and
-// every worker re-checks the flag immediately before invoking fn.
-func TestForEachStopsClaimingAfterFailure(t *testing.T) {
-	var ran atomic.Int32
-	boom := errors.New("boom")
-	err := ForEachWorker(1, 100, func(_, i int) error {
-		ran.Add(1)
-		if i == 2 {
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("got %v", err)
-	}
-	if got := ran.Load(); got != 3 {
-		t.Fatalf("sequential: %d items ran after failure at item 2, want 3", got)
-	}
-	// Pooled: a failure on item 0 stops the sweep long before item n−1;
-	// in-flight items (at most workers−1) may still finish.
-	workers := 4
-	ran.Store(0)
-	err = ForEachWorker(workers, 10000, func(_, i int) error {
-		if i == 0 {
-			return boom
-		}
-		ran.Add(1)
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("pooled: got %v", err)
-	}
-	if got := ran.Load(); got >= 10000-1 {
-		t.Fatalf("pooled: %d items still ran after an immediate failure", got)
-	}
-}
-
 // Collect must run every item despite failures, attribute each error to
 // its item, and recover panics into per-item *PanicError values.
 func TestCollectRunsAllItems(t *testing.T) {
@@ -185,41 +80,18 @@ func TestCollectHonorsCancellation(t *testing.T) {
 	}
 }
 
-// ForEachWorker must hand each goroutine a stable worker id within range.
-func TestForEachWorkerIDsInRange(t *testing.T) {
-	workers := 4
-	err := ForEachWorker(workers, 100, func(w, i int) error {
-		if w < 0 || w >= workers {
-			return fmt.Errorf("worker id %d out of range", w)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Map results must land in item order for any worker count.
-func TestMapDeterministicOrder(t *testing.T) {
-	want, err := Map(1, 50, func(i int) (int, error) { return i * i, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		got, err := Map(workers, 50, func(i int) (int, error) { return i * i, nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: index %d: got %d want %d", workers, i, got[i], want[i])
+// Collect must hand every call a worker id within range, on the inline and
+// the pooled path: offline.go indexes its per-worker LP instances by it.
+func TestCollectWorkerIDsInRange(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		errs := Collect(context.Background(), workers, 100, func(w, i int) error {
+			if w < 0 || w >= workers {
+				return fmt.Errorf("worker id %d out of range", w)
 			}
+			return nil
+		})
+		if err := errors.Join(errs...); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-	}
-}
-
-func TestForEachZeroItems(t *testing.T) {
-	if err := ForEach(8, 0, func(int) error { return errors.New("must not run") }); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -110,75 +109,6 @@ func TestDeadlineHeader(t *testing.T) {
 		if resp, _ := doAlloc(t, ts.URL, "0", map[string]string{"X-Request-Deadline": bad}); resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("deadline %q: %d, want 400", bad, resp.StatusCode)
 		}
-	}
-}
-
-// TestDeadlineShedOnArrival: once the gate is saturated and has hold-time
-// history, a cache miss whose predicted wait exceeds its deadline is shed
-// immediately with 503 + Retry-After instead of queueing.
-func TestDeadlineShedOnArrival(t *testing.T) {
-	path, _, _, _ := writeArtifact(t)
-	block := make(chan struct{})
-	var blockScen atomic.Int64
-	blockScen.Store(-1)
-	collector := obs.New()
-	srv, err := New(path, Config{
-		CacheSize: 8,
-		Workers:   -1, // one gate slot
-		Obs:       collector,
-		ComputeHook: func(q int) error {
-			if int64(q) == blockScen.Load() {
-				<-block
-			} else {
-				time.Sleep(40 * time.Millisecond) // seed the hold-time EWMA
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	// Seed hold-time history with one deliberately slow solve.
-	if resp, body := doAlloc(t, ts.URL, "0", nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("seed request: %d %s", resp.StatusCode, body)
-	}
-
-	// Saturate the single gate slot with a solve that blocks until released.
-	blockScen.Store(1)
-	occupied := make(chan struct{})
-	go func() {
-		defer close(occupied)
-		doAlloc(t, ts.URL, "1", nil)
-	}()
-	waitFor(t, func() bool { return soleEngine(t, srv).gate.InUse() == 1 })
-
-	// A miss with a deadline far below the ~40ms EWMA must be shed on
-	// arrival: no queueing, no recompute.
-	resp, body := doAlloc(t, ts.URL, "2", map[string]string{"X-Request-Deadline": "1ms"})
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("predicted-late miss: %d %s, want 503", resp.StatusCode, body)
-	}
-	if resp.Header.Get("X-Flexile-Shed") != "deadline" {
-		t.Fatalf("shed header = %q, want deadline", resp.Header.Get("X-Flexile-Shed"))
-	}
-	if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 {
-		t.Fatalf("Retry-After = %q", resp.Header.Get("Retry-After"))
-	}
-
-	// A cache hit is still served instantly regardless of the deadline.
-	if resp, _ := doAlloc(t, ts.URL, "0", map[string]string{"X-Request-Deadline": "1ms"}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("cache hit shed: %d", resp.StatusCode)
-	}
-
-	close(block)
-	<-occupied
-
-	m := collector.Snapshot().Serve
-	if m.DeadlineShed != 1 {
-		t.Fatalf("DeadlineShed = %d, want 1", m.DeadlineShed)
 	}
 }
 
@@ -312,61 +242,66 @@ func TestBreakerDegradedAndRecovery(t *testing.T) {
 	}
 }
 
-// TestReloadBreakerSuppression: consecutive reload failures open the
-// reload breaker, which then refuses further attempts outright (the old
-// artifact keeps serving) until the cooldown admits a probe.
-func TestReloadBreakerSuppression(t *testing.T) {
+// TestReloadLandsAfterFailures: reload failures never suppress the next
+// attempt, however many come in a row and whatever BreakerThreshold says
+// (the breaker guards recomputes only). The old artifact keeps serving
+// through the failures, and the first reload after the fault clears swaps
+// the new state in.
+func TestReloadLandsAfterFailures(t *testing.T) {
 	path, _, _, _ := writeArtifact(t)
-	s, err := solvedTriangle()
-	if err != nil {
-		t.Fatal(err)
-	}
+	var fail atomic.Bool
 	collector := obs.New()
 	srv, err := New(path, Config{
 		CacheSize:        8,
 		Obs:              collector,
 		BreakerThreshold: 2,
-		BreakerCooldown:  300 * time.Millisecond,
+		BreakerCooldown:  time.Minute,
+		LoadHook: func(int) error {
+			if fail.Load() {
+				return errors.New("scripted load failure")
+			}
+			return nil
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
+	loadedAt := func() string {
+		var info struct {
+			LoadedAt string `json:"loaded_at"`
+		}
+		getJSON(t, ts.URL+"/v1/info", &info)
+		return info.LoadedAt
+	}
 
 	before := get(t, ts.URL+"/v1/alloc?failed=0", "miss")
-
-	if err := os.WriteFile(path, []byte("corrupt"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if err := srv.Reload(); err == nil || errors.Is(err, ErrReloadSuppressed) {
-			t.Fatalf("corrupt reload %d: %v, want a real load error", i, err)
+	first := loadedAt()
+	fail.Store(true)
+	for i := 0; i < 3; i++ {
+		if err := srv.Reload(); err == nil {
+			t.Fatalf("failing reload %d reported no error", i)
 		}
 	}
-	// Breaker open: even a now-valid file is refused without being read.
-	if err := os.WriteFile(path, s.blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Reload(); !errors.Is(err, ErrReloadSuppressed) {
-		t.Fatalf("open reload breaker: %v, want ErrReloadSuppressed", err)
-	}
-	if !bytes.Equal(get(t, ts.URL+"/v1/alloc?failed=0", "hit"), before) {
-		t.Fatal("suppressed reload disturbed serving")
+	if !bytes.Equal(get(t, ts.URL+"/v1/alloc?failed=0", "hit"), before) || loadedAt() != first {
+		t.Fatal("failed reloads disturbed the serving state")
 	}
 
-	// Cooldown admits one probe; the valid file closes the breaker.
-	time.Sleep(350 * time.Millisecond)
+	fail.Store(false)
 	if err := srv.Reload(); err != nil {
-		t.Fatalf("probe reload: %v", err)
+		t.Fatalf("first reload after the fault cleared: %v", err)
+	}
+	if loadedAt() == first {
+		t.Fatal("successful reload did not swap in a new state")
 	}
 	if !bytes.Equal(get(t, ts.URL+"/v1/alloc?failed=0", "miss"), before) {
-		t.Fatal("post-recovery artifact serves different bytes")
+		t.Fatal("reloaded artifact serves different bytes")
 	}
 
 	m := collector.Snapshot().Serve
-	if m.ReloadsSkipped != 1 || m.BreakerTrips != 1 || m.ReloadErrors != 2 {
-		t.Fatalf("reload breaker counters = %+v, want 1 skipped / 1 trip / 2 errors", m)
+	if m.Reloads != 5 || m.ReloadErrors != 3 || m.BreakerTrips != 0 {
+		t.Fatalf("reload counters = %+v, want 5 reloads / 3 errors / 0 trips", m)
 	}
 }
 

@@ -203,7 +203,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		go func(g *batchGroup) {
 			defer wg.Done()
 			glap := &lapper{tr: tr, col: g.eng.col, last: time.Now(), nested: true, tag: g.key}
-			g.res = g.eng.allocate(waitCtx, g.req, deadline)
+			g.res = g.eng.allocate(waitCtx, g.req)
 			glap.alloc(g.res)
 		}(g)
 	}

@@ -57,11 +57,10 @@ type engine struct {
 	base       context.Context
 	cancelBase context.CancelFunc
 
-	// quota and the two breakers are nil when disabled in Config — the
-	// admit package's nil receivers admit everything.
-	quota         *admit.Quota
-	compBreaker   *admit.Breaker
-	reloadBreaker *admit.Breaker
+	// quota and the recompute breaker are nil when disabled in Config —
+	// the admit package's nil receivers admit everything.
+	quota       *admit.Quota
+	compBreaker *admit.Breaker
 
 	// stale is the last-known-good store backing degraded responses:
 	// failedKey → the last successfully computed response bytes, kept
@@ -80,17 +79,15 @@ type engine struct {
 // newEngine builds an empty engine for the artifact file at path; the first
 // load is a reload like any other.
 func newEngine(name, path string, cfg Config, root *obs.Collector) *engine {
-	bcfg := admit.BreakerConfig{Threshold: cfg.BreakerThreshold, Cooldown: cfg.BreakerCooldown}
 	e := &engine{
-		name:          name,
-		path:          path,
-		cfg:           cfg,
-		col:           obs.NewChild(root),
-		gate:          par.NewGate(cfg.Workers),
-		quota:         admit.NewQuota(admit.QuotaConfig{Rate: cfg.TenantRate, Burst: cfg.TenantBurst}),
-		compBreaker:   admit.NewBreaker(bcfg),
-		reloadBreaker: admit.NewBreaker(bcfg),
-		stale:         make(map[string][]byte),
+		name:        name,
+		path:        path,
+		cfg:         cfg,
+		col:         obs.NewChild(root),
+		gate:        par.NewGate(cfg.Workers),
+		quota:       admit.NewQuota(admit.QuotaConfig{Rate: cfg.TenantRate, Burst: cfg.TenantBurst}),
+		compBreaker: admit.NewBreaker(admit.BreakerConfig{Threshold: cfg.BreakerThreshold, Cooldown: cfg.BreakerCooldown}),
+		stale:       make(map[string][]byte),
 	}
 	e.base, e.cancelBase = context.WithCancel(context.Background())
 	return e
@@ -105,28 +102,15 @@ func (e *engine) log(level slog.Level, msg string, attrs ...slog.Attr) {
 	}
 }
 
-// ErrReloadSuppressed wraps reload attempts short-circuited by the open
-// reload breaker: after BreakerThreshold consecutive reload failures the
-// server stops re-reading and re-validating the (presumably still broken)
-// artifact file until the cooldown admits a probe. The previous artifact
-// keeps serving throughout.
-var ErrReloadSuppressed = errors.New("serve: reload suppressed by open breaker")
-
 // reload re-reads the artifact file, validates it, and atomically swaps it
 // in. On any failure — a vanished file, a corrupt one, a panic while
 // decoding or instantiating — the previous state keeps serving and the
-// error is returned. The allocation cache starts empty after a successful
-// reload. When the reload breaker is open the attempt is suppressed
-// entirely (no file read, no LoadHook) and a wrapped ErrReloadSuppressed is
-// returned.
+// error is returned. Every attempt reads the file afresh, so the first
+// reload after the file is fixed lands. The allocation cache starts empty
+// after a successful reload.
 func (e *engine) reload() error {
 	e.reloadMu.Lock()
 	defer e.reloadMu.Unlock()
-	if ok, retry := e.reloadBreaker.Allow(); !ok {
-		e.col.AddServe(obs.ServeMetrics{ReloadsSkipped: 1})
-		e.log(slog.LevelWarn, "reload suppressed", slog.Duration("retry_after", retry))
-		return fmt.Errorf("%w (retry in %v)", ErrReloadSuppressed, retry)
-	}
 	e.attempts++
 	e.reloading.Store(true)
 	st, err := e.load(e.attempts)
@@ -138,15 +122,10 @@ func (e *engine) reload() error {
 	d := obs.ServeMetrics{Reloads: 1}
 	if err != nil {
 		d.ReloadErrors = 1
-		if e.reloadBreaker.Failure() {
-			d.BreakerTrips = 1
-			e.log(slog.LevelError, "reload breaker opened", slog.Int("attempt", e.attempts))
-		}
 		e.log(slog.LevelError, "artifact load failed",
 			slog.Int("attempt", e.attempts),
 			slog.String("error", err.Error()))
 	} else {
-		e.reloadBreaker.Success()
 		e.log(slog.LevelInfo, "artifact loaded",
 			slog.Int("attempt", e.attempts),
 			slog.String("topology", st.art.TopoName),
@@ -198,9 +177,10 @@ func (e *engine) load(attempt int) (st *state, err error) {
 	return st, nil
 }
 
-// ArtifactStatus is one row of GET /v1/artifacts: identity, breaker states
-// and the artifact's own serving and reload counters — what operators (and
-// the chaos harness) use to tell a healthy artifact from a flapping one.
+// ArtifactStatus is one row of GET /v1/artifacts: identity, recompute
+// breaker state and the artifact's own serving and reload counters — what
+// operators (and the chaos harness) use to tell a healthy artifact from a
+// flapping one.
 type ArtifactStatus struct {
 	Name             string `json:"name"`
 	Checksum         string `json:"checksum"`
@@ -208,7 +188,6 @@ type ArtifactStatus struct {
 	Scenarios        int    `json:"scenarios"`
 	LoadedAt         string `json:"loaded_at"`
 	RecomputeBreaker string `json:"recompute_breaker"`
-	ReloadBreaker    string `json:"reload_breaker"`
 	obs.ServeMetrics
 }
 
@@ -221,7 +200,6 @@ func (e *engine) status() ArtifactStatus {
 		Scenarios:        len(st.art.Scenarios),
 		LoadedAt:         st.loadedAt.UTC().Format(time.RFC3339Nano),
 		RecomputeBreaker: e.compBreaker.State().String(),
-		ReloadBreaker:    e.reloadBreaker.State().String(),
 		ServeMetrics:     e.col.Snapshot().Serve,
 	}
 }
@@ -265,7 +243,6 @@ const (
 	stageParse                // malformed deadline or request (the Server's, before the engine)
 	stageLookup               // no enumerated scenario matches the failure state
 	stageCache                // answered from the LRU cache
-	stageAdmit                // predicted gate wait already exceeds the deadline
 	stageBreaker              // recompute breaker open
 	stageFlight               // led or joined a single-flight recomputation
 )
@@ -301,8 +278,6 @@ func (r allocResult) metrics() obs.ServeMetrics {
 		d.BadRequests = 1
 	case stageCache:
 		d.CacheHits = 1
-	case stageAdmit:
-		d.CacheMisses, d.DeadlineShed = 1, 1
 	case stageBreaker:
 		d.CacheMisses, d.BreakerRejects = 1, 1
 	case stageFlight:
@@ -333,12 +308,12 @@ func (e *engine) admit(tenant string) (refusal allocResult, ok bool) {
 
 // allocate runs the engine's stages of the admission pipeline (DESIGN.md
 // §13) for one canonical failure-state query against the currently loaded
-// state: lookup → 404, cache → hit, admit → 503 shed, breaker → stale
-// degraded answer or 503, flight → detached single-flight recompute, where
-// the caller waits at most waitCtx and the computation always completes.
-// waitCtx also carries the request trace, if any; the leading waiter's
-// trace receives the nested queue/recompute spans.
-func (e *engine) allocate(waitCtx context.Context, req *AllocRequest, deadline time.Duration) allocResult {
+// state: lookup → 404, cache → hit, breaker → stale degraded answer or 503,
+// flight → detached single-flight recompute, where the caller waits at most
+// waitCtx (which carries the request deadline) and the computation always
+// completes. waitCtx also carries the request trace, if any; the leading
+// waiter's trace receives the nested queue/recompute spans.
+func (e *engine) allocate(waitCtx context.Context, req *AllocRequest) allocResult {
 	st := e.st.Load()
 	key := failedKey(req.Failed)
 	q, ok := st.scenIndex[key]
@@ -350,17 +325,6 @@ func (e *engine) allocate(waitCtx context.Context, req *AllocRequest, deadline t
 		return allocResult{status: http.StatusOK, scenario: q, decided: stageCache, cache: "hit", body: body}
 	}
 	missedAt := time.Now()
-
-	// Deadline-aware admission: a miss that would queue past its deadline
-	// is refused now, while the refusal is still cheap, instead of
-	// occupying a waiter slot to certain failure.
-	if deadline > 0 {
-		if est := e.gate.EstimatedWait(); est > deadline {
-			return allocResult{status: http.StatusServiceUnavailable, scenario: q, decided: stageAdmit, missedAt: missedAt,
-				shed: "deadline", retry: est,
-				errMsg: fmt.Sprintf("predicted queue wait %v exceeds request deadline %v", est, deadline)}
-		}
-	}
 
 	// Recompute breaker: while open, don't touch the failing solve path —
 	// serve the last known good answer, explicitly marked degraded, or
@@ -392,8 +356,8 @@ func (e *engine) allocate(waitCtx context.Context, req *AllocRequest, deadline t
 		}
 	case errors.Is(cerr, context.DeadlineExceeded) || errors.Is(cerr, context.Canceled):
 		// Deadline or client gone while waiting; the detached solve
-		// continues for whoever asks next.
-		res.status, res.shed, res.retry = http.StatusServiceUnavailable, "deadline", e.gate.EstimatedWait()
+		// continues for whoever asks next. Retry-After takes its floor.
+		res.status, res.shed = http.StatusServiceUnavailable, "deadline"
 		res.errMsg = "deadline expired before the allocation completed"
 	default:
 		// The recomputation itself failed: degrade to the last known good
@@ -429,10 +393,7 @@ func (e *engine) recompute(st *state, q int, key string, tr *obs.ReqTrace) ([]by
 		tr.AddSpan("queue", queued, time.Now(), true)
 	}
 	entered := time.Now()
-	defer func() {
-		e.gate.ObserveHold(time.Since(entered))
-		e.gate.Leave()
-	}()
+	defer e.gate.Leave()
 
 	body, err := e.solve(st, q)
 	solved := time.Now()

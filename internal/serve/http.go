@@ -272,14 +272,10 @@ func soleGauges(e *expo.Encoder, eng *engine) {
 	e.Gauge("flexile_serve_gate_in_use", "Recomputation-gate slots currently held.", float64(eng.gate.InUse()))
 	e.Gauge("flexile_serve_gate_capacity", "Total recomputation-gate slots.", float64(eng.gate.Cap()))
 	e.Gauge("flexile_serve_gate_waiters", "Recomputations currently queued for a gate slot.", float64(eng.gate.Waiters()))
-	e.Gauge("flexile_serve_gate_estimated_wait_seconds", "Predicted queue wait for a new arrival (EWMA of hold times).", eng.gate.EstimatedWait().Seconds())
 	e.Gauge("flexile_serve_quota_tenants", "Tenant token buckets currently tracked.", float64(eng.quota.Tenants()))
 	e.GaugeVec("flexile_serve_breaker_state", "Circuit-breaker state (0 closed, 1 open, 2 half-open).",
-		[]float64{float64(eng.compBreaker.State()), float64(eng.reloadBreaker.State())},
-		[][]expo.Label{
-			{{Name: "breaker", Value: "recompute"}},
-			{{Name: "breaker", Value: "reload"}},
-		})
+		[]float64{float64(eng.compBreaker.State())},
+		[][]expo.Label{{{Name: "breaker", Value: "recompute"}}})
 	e.Gauge("flexile_serve_cache_entries", "Allocation-cache entries resident.", float64(st.cache.len()))
 	e.Gauge("flexile_serve_flight_in_flight", "Distinct scenarios with a recomputation in flight.", float64(st.flight.InFlight()))
 	e.Gauge("flexile_artifact_info", "Identity of the loaded serving artifact (value is always 1).", 1,
@@ -320,7 +316,6 @@ func fleetGauges(e *expo.Encoder, engs []*engine) {
 			counters[i].add(float64(counters[i].get(sm)), art)
 		}
 		breakers.add(float64(eng.compBreaker.State()), art, expo.Label{Name: "breaker", Value: "recompute"})
-		breakers.add(float64(eng.reloadBreaker.State()), art, expo.Label{Name: "breaker", Value: "reload"})
 		cached.add(float64(st.cache.len()), art)
 		info.add(1, art,
 			expo.Label{Name: "version", Value: strconv.Itoa(ArtifactVersion)},
@@ -404,7 +399,7 @@ func (s *Server) query(r *http.Request, eng *engine, start time.Time, lap *lappe
 	}
 	waitCtx, cancel := waitContext(r, start, deadline)
 	defer cancel()
-	res := eng.allocate(waitCtx, req, deadline)
+	res := eng.allocate(waitCtx, req)
 	lap.alloc(res)
 	return res
 }

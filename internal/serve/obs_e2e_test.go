@@ -399,28 +399,55 @@ func TestAccessLogSampling(t *testing.T) {
 	}
 }
 
+// TestGateWaitCounter: single-flight per scenario caps the recomputations
+// queued on the gate at the artifact's scenario count, however many clients
+// pile onto a one-slot, cache-less server.
 func TestGateWaitCounter(t *testing.T) {
-	path, _, _, _ := writeArtifact(t)
+	path, inst, _, _ := writeArtifact(t)
 	col := obs.New()
-	// One worker and no cache: concurrent distinct scenarios must queue.
-	srv, err := New(path, Config{CacheSize: 0, Workers: -1, Obs: col})
+	srv, err := New(path, Config{
+		CacheSize:   0,
+		Workers:     -1,
+		Obs:         col,
+		ComputeHook: func(int) error { time.Sleep(20 * time.Millisecond); return nil },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
+	eng := soleEngine(t, srv)
+	st := eng.st.Load()
+	nScen := len(inst.Scenarios)
 
-	urls := []string{
-		ts.URL + "/v1/alloc?failed=0",
-		ts.URL + "/v1/alloc?failed=",
-		ts.URL + "/v1/alloc?failed=0,1,2",
-	}
+	stop := make(chan struct{})
+	sampled := make(chan int)
+	go func() {
+		maxWaiters := 0
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				sampled <- maxWaiters
+				return
+			case <-tick.C:
+			}
+			w, f := eng.gate.Waiters(), st.flight.InFlight()
+			if w > nScen || f > nScen {
+				t.Errorf("gate waiters %d, flights %d: above the %d scenarios", w, f, nScen)
+			}
+			maxWaiters = max(maxWaiters, w)
+		}
+	}()
+
 	var wg sync.WaitGroup
-	for round := 0; round < 10; round++ {
-		for _, u := range urls {
-			wg.Add(1)
-			go func(u string) {
-				defer wg.Done()
+	for c := 0; c < 32; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := range inst.Scenarios {
+				u := ts.URL + "/v1/alloc?failed=" + failedKey(inst.Scenarios[(c+i)%nScen].Failed)
 				resp, err := http.Get(u)
 				if err != nil {
 					t.Errorf("get %s: %v", u, err)
@@ -428,14 +455,15 @@ func TestGateWaitCounter(t *testing.T) {
 				}
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
-			}(u)
-		}
-		wg.Wait()
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(stop)
+	if maxWaiters := <-sampled; maxWaiters == 0 {
+		t.Fatal("32 clients on a one-slot gate never queued a recompute")
 	}
 	s := col.Snapshot().Serve
-	if s.GateWaits == 0 {
-		t.Skip("no gate contention observed on this machine (all solves finished before overlap)")
-	}
 	if s.GateWaits > s.Recomputes {
 		t.Fatalf("gate waits %d exceed recomputes %d", s.GateWaits, s.Recomputes)
 	}

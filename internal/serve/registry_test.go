@@ -306,8 +306,8 @@ func TestRegistryRouting(t *testing.T) {
 		if row.Checksum == "" || row.Topology != "Triangle" || row.Scenarios != 8 {
 			t.Errorf("row %q incomplete: %+v", row.Name, row)
 		}
-		if row.ReloadBreaker != "closed" || row.RecomputeBreaker != "closed" {
-			t.Errorf("row %q breakers not closed: %+v", row.Name, row)
+		if row.RecomputeBreaker != "closed" {
+			t.Errorf("row %q breaker not closed: %+v", row.Name, row)
 		}
 	}
 
@@ -337,7 +337,7 @@ func TestRegistryRouting(t *testing.T) {
 	for _, want := range []string{
 		`flexile_registry_artifacts 2`,
 		`flexile_serve_artifact_requests_total{artifact="alpha"}`,
-		`flexile_serve_artifact_breaker_state{artifact="beta",breaker="reload"}`,
+		`flexile_serve_artifact_breaker_state{artifact="beta",breaker="recompute"}`,
 		`flexile_artifact_info{artifact="alpha",`,
 		`flexile_serve_batch_requests_total`,
 	} {

@@ -48,12 +48,11 @@ type Config struct {
 	// --- overload resilience (DESIGN.md §13) ---
 
 	// DefaultDeadline applies to allocation queries that carry no
-	// X-Request-Deadline header. A deadline bounds the whole request: on
-	// arrival, a cache miss whose predicted gate wait already exceeds it
-	// is shed with 503 + Retry-After; once admitted, the wait for the
-	// shared recomputation is cut off at the deadline. 0 means no
-	// deadline — requests queue indefinitely (the pre-admission
-	// behavior).
+	// X-Request-Deadline header. A deadline bounds the whole request: a
+	// cache miss whose shared recomputation has not finished by then is
+	// refused with 503 + Retry-After (X-Flexile-Shed: deadline) while the
+	// recomputation runs on for later callers. 0 means no deadline —
+	// requests wait as long as their client does.
 	DefaultDeadline time.Duration
 	// TenantRate and TenantBurst configure per-tenant token-bucket
 	// quotas keyed on the X-Tenant header; requests without the header
@@ -61,15 +60,14 @@ type Config struct {
 	// quotas. TenantBurst below 1 is clamped to 1.
 	TenantRate  float64
 	TenantBurst float64
-	// BreakerThreshold consecutive failures trip a circuit breaker; 0
-	// disables both breakers. The recompute breaker opens after that
-	// many consecutive Online failures and short-circuits misses into
-	// degraded (stale) answers; the reload breaker opens after that many
-	// consecutive reload failures and suppresses further reload attempts
-	// until BreakerCooldown has passed (then admits one probe).
+	// BreakerThreshold consecutive Online failures trip an artifact's
+	// recompute breaker, which then short-circuits misses into degraded
+	// (stale) answers, or breaker sheds for failure states never answered,
+	// until BreakerCooldown has passed (then admits one probe). 0 disables
+	// the breaker.
 	BreakerThreshold int
-	// BreakerCooldown is how long a tripped breaker stays open before
-	// admitting a half-open probe. 0 defaults to 5s.
+	// BreakerCooldown is how long a tripped recompute breaker stays open
+	// before admitting a half-open probe. 0 defaults to 5s.
 	BreakerCooldown time.Duration
 	// ComputeHook, when non-nil, runs at the start of every Online
 	// recomputation with the scenario index; a returned error (or panic)
@@ -242,9 +240,9 @@ func newServer(cfg Config, source string, scan func() (map[string]string, error)
 }
 
 // Reload sweeps the artifact files: loaded names reload through their own
-// engine (so each name has its own reload breaker — one artifact flapping
-// corrupt cannot suppress its neighbors' reloads), new files are loaded
-// fresh, and names whose files left the scan are dropped and closed.
+// engine (so one artifact flapping corrupt fails alone and its neighbors
+// still swap in), new files are loaded fresh, and names whose files left
+// the scan are dropped and closed.
 // Per-name failures are joined into the returned error; every other name
 // still (re)loads, and a name that fails to reload keeps serving its
 // previous state.

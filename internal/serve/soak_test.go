@@ -309,8 +309,8 @@ func TestServeSoakSustainedOverload(t *testing.T) {
 	if m.Requests != clients*perClient {
 		t.Fatalf("Requests = %d, want %d", m.Requests, clients*perClient)
 	}
-	if m.DeadlineShed+m.DeadlineExpired != int64(sheds) {
-		t.Fatalf("shed counters %d+%d don't match observed %d sheds", m.DeadlineShed, m.DeadlineExpired, sheds)
+	if m.DeadlineExpired != int64(sheds) {
+		t.Fatalf("DeadlineExpired %d doesn't match observed %d sheds", m.DeadlineExpired, sheds)
 	}
 	if m.RecomputeErrors != 0 || m.Degraded != 0 {
 		t.Fatalf("clean overload must not produce errors or degraded answers: %+v", m)
