@@ -110,14 +110,14 @@ loadsmoke:
 # The observability + correctness battery (DESIGN.md §9): obs collector
 # unit tests, the LP property battery (strong duality, complementary
 # slackness, Bland agreement on 200 random LPs), the lockstep kernel battery
-# (bitmap simplex kernels and carried reduced costs against their dense
-# references, degenerate LPs included), the MIP consistency
-# suite (relaxation bounds, brute-force enumeration match), the flexile
-# ScenLossOpt cross-check, and the metrics determinism / fault-accounting
-# suites. Race-clean by contract.
+# (solves through the LU factors and carried reduced costs against the dense
+# explicit inverse, degenerate LPs included), the LU unit battery, the MIP
+# consistency suite (relaxation bounds, brute-force enumeration match), the
+# flexile ScenLossOpt cross-check, and the metrics determinism /
+# fault-accounting suites. Race-clean by contract.
 obs:
 	$(GO) test -race -timeout 15m ./internal/obs/
-	$(GO) test -race -timeout 15m -run 'Property|Kernel|Degenerate|Incumbent|BruteForce|WarmStart|ScenLossOptMatches|Metrics' \
+	$(GO) test -race -timeout 15m -run 'Property|Kernel|Degenerate|LU|Incumbent|BruteForce|WarmStart|ScenLossOptMatches|Metrics' \
 		./internal/lp/ ./internal/mip/ ./internal/scheme/flexile/
 
 # Regenerate the golden files pinning the rendered experiment output

@@ -292,9 +292,10 @@ func BenchmarkOnlineAllocation(b *testing.B) {
 // the repo rather than in a traced harness run: cold solves of the ATT
 // no-failure max-concurrent-flow LP over te.NewAlloc (one column per tunnel,
 // one capacity row per link, one demand row per flow — the ScenLoss LP a
-// design-wide Design starts with). ns/pivot is what the kernels over the
-// basis inverse cost (the LP build is well under 1 % of an op); binv-density
-// is the share of that inverse they have to visit.
+// design-wide Design starts with). ns/pivot is what the solves through the
+// basis factorization cost (the LP build is well under 1 % of an op);
+// factor-nnz is the nonzeros per row those solves visit: L, U and the eta
+// file at the end of the solve.
 func BenchmarkSimplexKernels(b *testing.B) {
 	inst, err := experiments.Config{Scale: experiments.Small, MaxScenarios: 4, Seed: 1}.SingleClass("ATT")
 	if err != nil {
@@ -313,7 +314,7 @@ func BenchmarkSimplexKernels(b *testing.B) {
 	rows := float64(a.LP.NumRows())
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pivots), "ns/pivot")
 	b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
-	b.ReportMetric(float64(sol.InverseNonzeros)/(rows*rows), "binv-density")
+	b.ReportMetric(float64(sol.FactorNonzeros)/rows, "factor-nnz")
 }
 
 // BenchmarkServeQuery measures the serving path end to end (request parse

@@ -26,8 +26,8 @@ func TestDesignCountsPinned(t *testing.T) {
 		long      bool
 	}{
 		{"design-wide", "ATT", false, 4, 1.3, counts{8, 4984, 1213, 956, 3353, 31, 59}, []float64{0}, true},
-		{"design-lp", "IBM", false, 20, 1.5, counts{51, 16411, 6602, 5458, 9189, 79, 260}, []float64{3.772590014982197e-15}, false},
-		{"design-twoclass", "Sprint", true, 20, 1.0, counts{194, 32527, 17798, 11259, 8324, 190, 800}, []float64{5.855456935087231e-15, 0.17365150193606413}, false},
+		{"design-lp", "IBM", false, 20, 1.5, counts{51, 16408, 6602, 5458, 9188, 79, 260}, []float64{0}, false},
+		{"design-twoclass", "Sprint", true, 20, 1.0, counts{194, 28745, 16580, 11270, 8312, 180, 704}, []float64{0, 0.17365150193606416}, false},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -63,5 +63,36 @@ func TestDesignCountsPinned(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDesignQualityEvaluated checks the design-twoclass design (Sprint, two
+// classes, 20 scenarios) from the outside: the scheme's routing, evaluated
+// scenario by scenario, must lose what the offline phase promised — each
+// class's PercLoss within 1e-6 of the design's own — and the evaluated
+// penalty must stay at or below the pinned one. The master MIP is
+// node-limited, so a change that only perturbs float association in the
+// LPs can land it on a worse design (DESIGN.md §2.2); this is the tier-1
+// guard for that.
+func TestDesignQualityEvaluated(t *testing.T) {
+	const pinPenalty = 0.17382509686758785
+	inst, err := experiments.Config{Scale: experiments.Small, MaxScenarios: 20, Seed: 1}.TwoClass("Sprint")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx := flexile.NewFlexile()
+	routing, err := fx.Route(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := flexile.Evaluate(inst, routing)
+	for k, want := range fx.Offline.PercLoss {
+		if math.Abs(ev.PercLoss[k]-want) > 1e-6 {
+			t.Errorf("class %d: evaluated PercLoss %v, the design promised %v", k, ev.PercLoss[k], want)
+		}
+	}
+	t.Logf("evaluated PercLoss %v, penalty %v (design %v)", ev.PercLoss, ev.Penalty, fx.Offline.PercLoss)
+	if ev.Penalty > pinPenalty+1e-6 {
+		t.Errorf("evaluated penalty %v, pinned %v", ev.Penalty, pinPenalty)
 	}
 }

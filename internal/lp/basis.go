@@ -33,7 +33,7 @@ func (s *simplex) snapshotBasis() *Basis {
 }
 
 // installBasis initializes the simplex state from a stored basis: statuses
-// are restored (clamped to the current bounds), the basis inverse is
+// are restored (clamped to the current bounds), the basis is
 // refactorized from the recorded basic set, and the basic values are
 // recomputed. If the recorded basic set is singular or has the wrong size,
 // installation fails and the caller falls back to the cold start.

@@ -63,7 +63,7 @@ type Variant struct {
 }
 
 // BatchSolver solves Variants of one compiled problem, reusing the entire
-// simplex workspace (bounds, statuses, the dense basis inverse, scratch
+// simplex workspace (bounds, statuses, the basis factorization, scratch
 // vectors) across solves. It is NOT safe for concurrent use: create one
 // solver per goroutine with NewSolver — they can share the BatchProblem,
 // which is immutable after Compile.
@@ -87,6 +87,7 @@ func (bp *BatchProblem) NewSolver() *BatchSolver {
 		colIdx: bp.colIdx,
 		colVal: bp.colVal,
 		rows:   bp.base.rows,
+		lu:     new(luFactor),
 	}
 	s.allocate()
 	return &BatchSolver{bp: bp, s: s}
@@ -108,9 +109,9 @@ func (bs *BatchSolver) SolveCtx(ctx context.Context, v Variant, opts Options) (*
 
 // ResolveCtx optimizes one variant in place: the solve starts from the
 // basis the solver's previous solve ended on and from the factorization it
-// still holds, so there is no reset to the logical basis and no O(m³)
+// still holds, so there is no reset to the logical basis and no
 // refactorization — nonbasic variables move to their (possibly changed)
-// bounds, the basic values are recomputed through the held inverse, and
+// bounds, the basic values are recomputed through the held factors, and
 // phase 1 repairs whatever the bound change broke. It is the re-solve
 // pattern of a ladder of near-identical LPs (te.MaxMin's water-filling
 // levels). When the solver holds no factorization — first solve, or the
@@ -258,8 +259,8 @@ func (s *simplex) reinit(v Variant, opts Options) error {
 	copy(s.cost, cost)
 	s.opts = opts.withDefaults(m, n)
 
-	// Per-solve counters and flags, exactly the zero state of newSimplex.
-	// Basis state (status, xval, basis, inBpos, xB, binv, sinceRefactor)
+	// Per-solve counters and flags, exactly the zero state of a new solver.
+	// Basis state (status, xval, basis, inBpos, xB, lu, sinceRefactor)
 	// needs no clearing: solve() rebuilds it via resetToLogicalBasis/
 	// installBasis before any read, and resolve() continues from it.
 	s.pivots = 0

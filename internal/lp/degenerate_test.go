@@ -10,9 +10,10 @@ import (
 // reduced costs are most likely to go wrong — ties everywhere, rows that are
 // (nearly) linear combinations of each other, magnitudes six decades apart,
 // a single step that re-costs most of the basis — each run through the
-// lockstep trio of kernel_test.go: every carried d checked against the dense
-// from-scratch one, every answer matched by the every-iteration-refresh
-// reference, and the gap across each refactorization held under carryTol.
+// lockstep trio of kernel_test.go: every solve through the factors checked
+// against the dense inverse, every carried d against the dense from-scratch
+// one, every answer matched by the every-iteration-refresh reference, and the
+// gap across each refactorization held under carryTol.
 
 // duplicateRowsLP repeats every row of a random feasible LP twice more, once
 // verbatim and once scaled by −2.
@@ -104,7 +105,7 @@ func TestDegenerateLockstep(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(5))
-			updates, carried, drift, recosted := 0, 0, 0.0, 0.0
+			updates, carried, drift, recosted, gap := 0, 0, 0.0, 0.0, 0.0
 			for trial := 0; trial < tc.trials; trial++ {
 				seed := rng.Int63()
 				for _, opts := range kernelModes(trial) {
@@ -124,10 +125,11 @@ func TestDegenerateLockstep(t *testing.T) {
 					carried += tr.l.carried
 					drift = math.Max(drift, tr.l.drift)
 					recosted = math.Max(recosted, tr.l.recosted)
+					gap = math.Max(gap, tr.l.solveGap)
 				}
 			}
-			t.Logf("%d reduced-cost updates, one re-costing up to %.0f%% of the basis, %d refactorizations carried across with gap ≤ %.2g (bound %g)",
-				updates, 100*recosted, carried, drift, carryTol)
+			t.Logf("%d reduced-cost updates, one re-costing up to %.0f%% of the basis, %d refactorizations carried across with gap ≤ %.2g (bound %g), solves within %.2g of the dense inverse (bound %g)",
+				updates, 100*recosted, carried, drift, carryTol, gap, kernelTol)
 			if updates == 0 || (tc.name == "long-step" && recosted <= 0.5) {
 				t.Fatalf("%d updates, at most %.0f%% of the basis re-costed at once: the case missed the path it is for", updates, 100*recosted)
 			}

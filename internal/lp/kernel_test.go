@@ -13,24 +13,24 @@ import (
 // price, ftran, ratio test, pivot, with refactorizations where run() would
 // place them.
 //
-// The simplex walks its basis inverse through an exact nonzero bitmap, and
-// the claim is that this changes no value anywhere (every skipped operation
-// adds or subtracts an exact zero). The three functions below are the dense
-// loops the bitmap kernels replaced, kept verbatim as the reference: after
-// every refresh the production y must equal the reference y, and after every
-// step the production binv must equal a shadow inverse that only the dense
-// reference ever advanced (float ==, so a +0 and a -0 agree) and the bitmap
-// must be exact.
+// The simplex solves with B through sparse LU factors and an eta file, and
+// the claim is that those solves are B⁻¹'s. The functions below are the dense
+// explicit inverse the factorization replaced, kept as the reference: a
+// shadow B⁻¹ that only Gauss-Jordan and the dense pivot update ever advance.
+// Every ftran of an entering column, a probe row and column of B⁻¹ after
+// every step, all of B⁻¹ after every refactorization, and y after every
+// refresh must agree with the shadow to kernelTol, normwise.
 //
 // The simplex prices from reduced costs it carries from pivot to pivot, and
-// the claim is that they stay the reduced costs: after every update d must
-// agree with cc − y·F computed from scratch by the dense reference to
-// carryTol·(1+|d|), with the phase-1 costs equal and the dy scratch back at zero;
-// across a refactorization (which rebuilds the inverse the carried values
-// came through) likewise; and at every verdict — optimal, infeasible,
-// unbounded — bit for bit, because a verdict is only ever reached on values a
-// refresh has just computed. Every stepped solve is also matched, status and
-// objective, by a reference twin that refreshes on every iteration.
+// the claim is that they stay the reduced costs: after every update and every
+// refresh d must agree with cc − y·F computed from scratch through the shadow
+// to carryTol·(1+|d|), with the phase-1 costs equal and the dy scratch back at
+// zero; across a refactorization (which rebuilds the factors the carried
+// values came through) likewise; and at every verdict — optimal, infeasible,
+// unbounded — d must equal, bit for bit, what the production kernels compute
+// from scratch at that basis, because a verdict is only ever reached on values
+// a refresh has just computed. Every stepped solve is also matched, status
+// and objective, by a reference twin that refreshes on every iteration.
 
 // refComputeY is the dense computeY: y = cc_B^T · B⁻¹ over every entry of
 // binv.
@@ -101,12 +101,12 @@ func refGaussJordan(s *simplex) ([]float64, error) {
 				best, p = v, i
 			}
 		}
-		if best < 1e-12 {
+		if best < singularTol {
 			return nil, ErrSingularBasis
 		}
-		if p != c {
-			swapRows(a, m, p, c)
-			swapRows(inv, m, p, c)
+		for k := 0; k < m; k++ {
+			a[p*m+k], a[c*m+k] = a[c*m+k], a[p*m+k]
+			inv[p*m+k], inv[c*m+k] = inv[c*m+k], inv[p*m+k]
 		}
 		pv := a[c*m+c]
 		invPv := 1 / pv
@@ -131,6 +131,29 @@ func refGaussJordan(s *simplex) ([]float64, error) {
 	return inv, nil
 }
 
+// refFtran is B⁻¹·F_q through a dense inverse.
+func refFtran(s *simplex, binv []float64, q int) []float64 {
+	m := s.m
+	w := make([]float64, m)
+	for i := 0; i < m; i++ {
+		if q >= s.n {
+			w[i] = -binv[i*m+q-s.n]
+			continue
+		}
+		for k := s.colPtr[q]; k < s.colPtr[q+1]; k++ {
+			w[i] += binv[i*m+int(s.colIdx[k])] * s.colVal[k]
+		}
+	}
+	return w
+}
+
+// kernelTol bounds, relative to 1+‖want‖∞, how far a vector solved through
+// the factors may sit from the same vector through the dense shadow, in the
+// ∞-norm: two different eliminations of one matrix, each carrying up to
+// RefactorEvery updates (measured: under 1e-13 on every LP of the batteries,
+// the near-parallel and six-decade ones included).
+const kernelTol = 1e-10
+
 // carryTol bounds, relative to 1+|d|, how far a carried reduced cost may sit
 // from the one computed from scratch — through the same inverse after an
 // update, through the rebuilt one across a refactorization (measured: under
@@ -152,23 +175,56 @@ type lockstep struct {
 	updates, verdicts, carried int     // carried: refactorizations that d was carried across
 	drift                      float64 // largest relative gap seen across one
 	recosted                   float64 // largest share of the basis one phase-1 step re-costed
+	solveGap                   float64 // largest relative gap of a solve against the shadow
 }
 
-// check requires binv == shadow entry for entry and the bitmap exact.
+// within requires got to sit within kernelTol of want, normwise.
+func (l *lockstep) within(where string, got, want []float64) {
+	l.t.Helper()
+	diff, norm := 0.0, 0.0
+	for i := range want {
+		diff = math.Max(diff, math.Abs(got[i]-want[i]))
+		norm = math.Max(norm, math.Abs(want[i]))
+	}
+	gap := diff / (1 + norm)
+	if gap > kernelTol || math.IsNaN(gap) {
+		l.t.Fatalf("%s (step %d): relative gap %.3g to the dense reference (got %v, want %v)", where, l.steps, gap, got, want)
+	}
+	l.solveGap = math.Max(l.solveGap, gap)
+}
+
+// probe checks row k of B⁻¹ (btran of e_k) and column k (ftran of e_k), as
+// the factors give them, against the shadow.
+func (l *lockstep) probe(where string, k int) {
+	l.t.Helper()
+	s, m := l.s, l.s.m
+	in, out, col := make([]float64, m), make([]float64, m), make([]float64, m)
+	in[k] = 1
+	s.lu.btran(in, out)
+	l.within(where+": row of B⁻¹", out, l.shadow[k*m:k*m+m])
+	in[k] = 1
+	s.lu.ftran(in, out)
+	for i := range col {
+		col[i] = l.shadow[i*m+k]
+	}
+	l.within(where+": column of B⁻¹", out, col)
+}
+
+// check probes one row and column of B⁻¹, a different one each step.
 func (l *lockstep) check(where string) {
 	l.t.Helper()
-	s := l.s
 	l.steps++
-	for i := 0; i < s.m; i++ {
-		for k := 0; k < s.m; k++ {
-			got := s.binv[i*s.m+k]
-			if want := l.shadow[i*s.m+k]; got != want {
-				l.t.Fatalf("%s (step %d): binv[%d,%d] = %v, dense reference %v", where, l.steps, i, k, got, want)
-			}
-			if bit := s.nz[i*s.nw+k>>6]>>(k&63)&1 == 1; bit != (got != 0) {
-				l.t.Fatalf("%s (step %d): binv[%d,%d] = %v but its nonzero bit is %v", where, l.steps, i, k, got, bit)
-			}
-		}
+	if l.s.m > 0 {
+		l.probe(where, l.steps%l.s.m)
+	}
+}
+
+// checkAll probes every row and column of B⁻¹.
+func (l *lockstep) checkAll(where string) {
+	l.t.Helper()
+	l.steps++
+	for k := 0; k < l.s.m; k++ {
+		l.probe(where, k)
 	}
 }
 
@@ -181,7 +237,7 @@ func (l *lockstep) resync(where string) {
 		l.t.Fatalf("%s: reference refactorization: %v", where, err)
 	}
 	l.shadow = ref
-	l.check(where)
+	l.checkAll(where)
 }
 
 // scratchCost computes the phase's cost vector from nothing but the basis and
@@ -248,32 +304,36 @@ func (l *lockstep) compareD(where string, tol float64) float64 {
 	return worst
 }
 
-// refresh runs the production refresh against the dense one: same costs, same
-// y, same reduced costs, bit for bit.
+// refresh runs the production refresh against the dense one: the same costs
+// exactly, y and the reduced costs within tolerance.
 func (l *lockstep) refresh(phase int) {
 	l.t.Helper()
 	s := l.s
 	s.refreshD(phase)
 	l.scratchD(l.scratchCost(phase))
-	for k, want := range l.y {
-		if s.y[k] != want {
-			l.t.Fatalf("refresh (step %d): y[%d] = %v, dense reference %v", l.steps, k, s.y[k], want)
-		}
-	}
+	l.within("refresh: y", s.y, l.y)
 	for v, want := range l.cc {
 		if s.cc[v] != want {
 			l.t.Fatalf("refresh (step %d): cc[%d] = %v, dense reference %v", l.steps, v, s.cc[v], want)
 		}
 	}
-	l.compareD("refresh", 0)
+	l.compareD("refresh", carryTol)
 }
 
 // verdict is called where run() is about to return a status read off the
-// reduced costs: they must be what a refresh computes at this very basis.
+// reduced costs: they must be, bit for bit, what the production kernels
+// compute from scratch at this very basis, and near the dense ones.
 func (l *lockstep) verdict(phase int, st Status) Status {
 	l.t.Helper()
+	s := l.s
+	s.computeY()
+	for v, stv := range s.status {
+		if stv != basic && s.reducedCost(v) != s.d[v] {
+			l.t.Fatalf("verdict %v (step %d): d[%d] = %v, from scratch %v", st, l.steps, v, s.d[v], s.reducedCost(v))
+		}
+	}
 	l.scratchD(l.scratchCost(phase))
-	l.compareD("verdict "+st.String(), 0)
+	l.compareD("verdict "+st.String(), carryTol)
 	l.verdicts++
 	return st
 }
@@ -325,7 +385,7 @@ func (l *lockstep) refactor(carried bool) error {
 		return err
 	}
 	l.shadow = ref
-	l.check("refactor")
+	l.checkAll("refactor")
 	if carried {
 		l.scratchD(l.s.cc)
 		l.carried++
@@ -336,8 +396,9 @@ func (l *lockstep) refactor(carried bool) error {
 
 func (l *lockstep) pivot(q, r int, t, dir float64) {
 	l.t.Helper()
+	w := refFtran(l.s, l.shadow, q)
 	l.s.pivot(q, r, t, dir)
-	refPivotUpdate(l.shadow, l.s.m, r, l.s.w)
+	refPivotUpdate(l.shadow, l.s.m, r, w)
 	l.check("pivot")
 }
 
@@ -409,6 +470,7 @@ func (l *lockstep) run(phase int, iters *int) (Status, error) {
 			dir = -1
 		}
 		s.ftran(q)
+		l.within("ftran", s.w, refFtran(s, l.shadow, q))
 		var t float64
 		var r int
 		if phase == 1 {
@@ -553,7 +615,7 @@ func (l *lockstep) setColumn(bs *BatchSolver, j int, vals []float64) bool {
 		if s.status[j] == basic {
 			l.t.Fatalf("SetColumn left column %d basic", j)
 		}
-		refPivotUpdate(l.shadow, s.m, r, s.w)
+		refPivotUpdate(l.shadow, s.m, r, refFtran(s, l.shadow, s.basis[r]))
 		l.check("evict")
 	}
 	return evicts
@@ -753,12 +815,12 @@ func networkLP(rng *rand.Rand, nodes, arcs, commodities int, spread float64) *Pr
 	return p
 }
 
-// TestKernelLockstepNetwork runs the battery at the size the bitmap is for:
-// network LPs with m ≈ 150-300 whose inverse is mostly zeros. Per instance and
-// mode: a cold solve, a re-solve after tightening capacities, and a forced
-// singular restart — the held basis is corrupted with a duplicate column so
-// the next refactorization fails half-way through its in-place elimination,
-// and the restart from the logical basis must reproduce the cold solve.
+// TestKernelLockstepNetwork runs the battery at the size the factorization is
+// for: network LPs with m ≈ 150-300 whose bases are mostly singletons. Per
+// instance and mode: a cold solve, a re-solve after tightening capacities,
+// and a forced singular restart — the held basis is corrupted with a
+// duplicate column so the next refactorization fails part-way, and the
+// restart from the logical basis must reproduce the cold solve.
 func TestKernelLockstepNetwork(t *testing.T) {
 	sizes := []struct{ nodes, arcs, commodities int }{{10, 30, 12}, {12, 40, 14}, {14, 48, 18}}
 	if testing.Short() {
@@ -778,14 +840,8 @@ func TestKernelLockstepNetwork(t *testing.T) {
 				t.Fatalf("trial %d mode %d: status %v with %d phase-1 pivots, %d bound flips, %d refactorizations, %d with carried reduced costs: not the workload this test is for",
 					trial, mode, cold.Status, s.phase1Pivots, s.boundFlips, s.refactors, l.carried)
 			}
-			nnz := 0
-			for _, b := range s.binv {
-				if b != 0 {
-					nnz++
-				}
-			}
-			t.Logf("trial %d mode %d: m=%d n=%d, %d iterations (%d refreshes), %d checked steps, inverse %.1f%% dense, drift across refactorizations ≤ %.2g",
-				trial, mode, s.m, s.n, cold.Iterations, s.priceRefreshes, l.steps, 100*float64(nnz)/float64(s.m*s.m), l.drift)
+			t.Logf("trial %d mode %d: m=%d n=%d, %d iterations (%d refreshes), %d checked steps, %.1f factor nonzeros per row, drift across refactorizations ≤ %.2g, solves within %.2g of the dense inverse",
+				trial, mode, s.m, s.n, cold.Iterations, s.priceRefreshes, l.steps, float64(cold.FactorNonzeros)/float64(s.m), l.drift, l.solveGap)
 
 			for i := p.NumRows() - size.arcs; i < p.NumRows(); i++ {
 				p.SetRowBounds(i, p.rowLB[i], 0.8*p.rowUB[i])

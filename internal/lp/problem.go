@@ -7,10 +7,10 @@
 //	subject to  rowLB_i ≤ a_i·x ≤ rowUB_i   for every row i
 //	            colLB_j ≤ x_j   ≤ colUB_j   for every column j
 //
-// Range rows subsume ≤, ≥ and = constraints. The implementation keeps an
-// explicit dense basis inverse that is updated in O(m²) per pivot and
-// refactorized periodically for numerical stability, with sparse column
-// storage for the constraint matrix. Both primal values and row duals /
+// Range rows subsume ≤, ≥ and = constraints. The implementation holds the
+// basis as a sparse LU factorization with a product-form eta file appended
+// per pivot, refactorized periodically, with sparse column storage for the
+// constraint matrix. Both primal values and row duals /
 // reduced costs are reported, which is what the Benders-style decomposition
 // in the flexile scheme needs for cut generation.
 //
@@ -198,10 +198,11 @@ type Solution struct {
 	// also increments the obs WarmStartRejected counter, so silent
 	// cache-miss storms show up in /metrics.
 	WarmStarted bool
-	// InverseNonzeros is the number of nonzero entries in the NumRows²
-	// basis inverse the solve ended on. The simplex kernels cost time in
-	// proportion to it; BenchmarkSimplexKernels reports it as a density.
-	InverseNonzeros int
+	// FactorNonzeros is the number of nonzeros the basis factorization
+	// held when the solve ended: L, U and the eta file of the pivots since
+	// the last refactorization. The simplex solves cost time in proportion
+	// to it; BenchmarkSimplexKernels reports it per row.
+	FactorNonzeros int
 
 	basis *Basis
 }
@@ -212,7 +213,7 @@ type Options struct {
 	MaxIters int
 	// Tol is the feasibility/optimality tolerance; 0 means DefaultTol.
 	Tol float64
-	// RefactorEvery forces a refactorization of the basis inverse after
+	// RefactorEvery forces a refactorization of the basis after
 	// this many pivots; 0 means automatic.
 	RefactorEvery int
 	// StartBasis warm-starts the solve from a basis recorded by a previous
@@ -234,6 +235,21 @@ type Options struct {
 // Options leave Tol zero. Callers that hand one solve's answer to the next as
 // bounds (te.MaxMin) size their slacks against it.
 const DefaultTol = 1e-9
+
+// The factorization's tolerances. Basis entries are the model's own
+// coefficients and the logicals' −1, so each is absolute at that scale.
+const (
+	// singularTol: a pivot smaller than this makes the basis singular — two
+	// decades under pivotTol, so a basis the ratio tests built still factors.
+	singularTol = 1e-12
+	// stabilityTol: the nucleus may pivot on any entry at least this share of
+	// its column's largest — the textbook Markowitz threshold, growth ≤ 10×
+	// per step for the freedom to pick the sparsest row.
+	stabilityTol = 0.1
+	// pivotTol: the ratio tests never pivot on |w_i| at or below this — the
+	// eta's pivot divides every later solve, so a tiny one amplifies noise.
+	pivotTol = 1e-10
+)
 
 func (o Options) withDefaults(m, n int) Options {
 	if o.Tol == 0 {
@@ -261,35 +277,19 @@ func (p *Problem) SolveOpts(opts Options) (*Solution, error) {
 // sooner) aborts the simplex within a few pivots and returns the context
 // error wrapped. A nil ctx is treated as context.Background().
 func (p *Problem) SolveCtx(ctx context.Context, opts Options) (*Solution, error) {
-	col := obs.From(ctx)
-	var start time.Time
-	if col != nil {
-		start = time.Now()
-	}
-	s, err := newSimplex(p, opts)
+	bp, err := p.Compile()
 	if err != nil {
-		if col != nil {
+		if col := obs.From(ctx); col != nil {
 			col.AddLP(obs.LPMetrics{Solves: 1, Errors: 1})
 		}
 		return nil, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	s.ctx = ctx
-	if opts.Timeout > 0 {
-		s.deadline = time.Now().Add(opts.Timeout)
-	}
-	if d, ok := ctx.Deadline(); ok && (s.deadline.IsZero() || d.Before(s.deadline)) {
-		s.deadline = d
-	}
-	sol, err := s.solve()
-	if col != nil {
-		elapsed := time.Since(start)
-		col.AddLP(s.metrics(sol, err, elapsed))
-		col.ObserveLatency(obs.LatLPSolve, elapsed)
-	}
-	return sol, err
+	// A one-shot solve is a batch of one, on factor storage that the next
+	// one-shot solve reuses.
+	bs := bp.NewSolver()
+	bs.s.lu = luPool.Get().(*luFactor)
+	defer luPool.Put(bs.s.lu)
+	return bs.SolveCtx(ctx, Variant{}, opts)
 }
 
 // metrics packages the solve's counters for a one-shot collector flush.

@@ -183,7 +183,7 @@ func TestSetColumnRejectsOffPattern(t *testing.T) {
 
 // TestResolveSkipsTheRestart pins what ResolveCtx saves: re-solving an
 // unchanged optimal problem takes no pivot and no refactorization, where the
-// StartBasis route pays one O(m³) refactorization to reinstall the basis.
+// StartBasis route pays one refactorization to reinstall the basis.
 func TestResolveSkipsTheRestart(t *testing.T) {
 	rng := rand.New(rand.NewSource(227))
 	p, _ := randomFeasibleLP(rng, 10, 12)

@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
+	"sync"
 	"time"
 )
 
@@ -47,43 +47,31 @@ type simplex struct {
 	inBpos []int     // inBpos[v] = row position if basic, else -1
 	xB     []float64 // values of basic variables
 
-	// The basis inverse: dense m×m row-major values, plus an exact nonzero
-	// bitmap over them — bit k of row i's nw words is set iff binv[i*m+k]
-	// != 0. On TE instances the inverse is 6-10 % dense, so the kernels that
-	// walk it (computeY, the pivot update, recomputeXB) visit set bits only.
-	// Every operation skipped that way adds or subtracts an exact zero, so
-	// the values — and with them the pivot sequence — are those of the dense
-	// loops; only the sign of a zero inside binv can differ, which nothing
-	// reads.
-	binv []float64
-	nz   []uint64
-	nw   int // ⌈m/64⌉ words per bitmap row
+	// The basis matrix as LU factors plus an eta file (lu.go): every product
+	// with B⁻¹ is an ftran or a btran through it.
+	lu *luFactor
 
 	// d holds the reduced cost cc_v − y·F_v of every nonbasic variable v
 	// (entries of basic variables are scratch). refreshD computes it from
-	// scratch; between refreshes updateD advances it pivot by pivot from rows
-	// of binv, gathering the change in y into dy first.
+	// scratch; between refreshes updateD advances it pivot by pivot, one
+	// btran per iteration giving the change in y as dy.
 	d, dy []float64
 
 	// scratch
 	y  []float64
-	w  []float64
+	w  []float64 // ftran of the entering column, by basis position
 	cc []float64
-	v  []float64 // recomputeXB's right-hand side
-	// gcols/gvals hold the nonzeros of one pivot row gathered for a row
-	// update; acols/avals the same for refactor's working matrix fact, which
-	// is allocated by the first refactorization and kept.
-	gcols, acols []int32
-	gvals, avals []float64
-	fact         []float64
-	bps          []breakpoint // longStepRatio's breakpoint list
+	// v and cb are the right-hand sides of ftran (by row) and btran (by basis
+	// position); both solves leave them zero.
+	v, cb []float64
+	bps   []breakpoint // longStepRatio's breakpoint list
 
 	trueCost []float64 // original costs saved across the perturbation
 
 	pivots        int
 	sinceRefactor int
 
-	// held reports that status/basis/binv describe a consistent
+	// held reports that status/basis/lu describe a consistent
 	// factorization left by the previous solve on this workspace — what
 	// BatchSolver.ResolveCtx continues from.
 	held bool
@@ -107,33 +95,6 @@ type simplex struct {
 	deadline time.Time // zero = none
 }
 
-func newSimplex(p *Problem, opts Options) (*simplex, error) {
-	n, m := p.NumCols(), p.NumRows()
-	s := &simplex{
-		p:    p,
-		opts: opts.withDefaults(m, n),
-		n:    n,
-		m:    m,
-	}
-	var err error
-	s.colPtr, s.colIdx, s.colVal, err = compileColumns(p)
-	if err != nil {
-		return nil, err
-	}
-	s.rows = p.rows
-	s.allocate()
-	copy(s.lb, p.colLB)
-	for i := 0; i < m; i++ {
-		s.lb[n+i] = p.rowLB[i]
-	}
-	copy(s.ub, p.colUB)
-	for i := 0; i < m; i++ {
-		s.ub[n+i] = p.rowUB[i]
-	}
-	copy(s.cost, p.obj)
-	return s, nil
-}
-
 // allocate sizes the per-solve working slices for n columns and m rows.
 func (s *simplex) allocate() {
 	n, m := s.n, s.m
@@ -145,10 +106,8 @@ func (s *simplex) allocate() {
 	s.basis = make([]int, m)
 	s.inBpos = make([]int, n+m)
 	s.xB = make([]float64, m)
-	s.binv = make([]float64, m*m)
-	s.nw = (m + 63) / 64
-	s.nz = make([]uint64, m*s.nw)
 	s.v = make([]float64, m)
+	s.cb = make([]float64, m)
 	s.y = make([]float64, m)
 	s.w = make([]float64, m)
 	s.cc = make([]float64, n+m)
@@ -174,48 +133,31 @@ func compileColumns(p *Problem) (colPtr []int, colIdx []int32, colVal []float64,
 	for j := 0; j < n; j++ {
 		counts[j+1] += counts[j]
 	}
-	nnz := counts[n]
-	idx := make([]int32, nnz)
-	val := make([]float64, nnz)
-	next := make([]int, n)
-	copy(next, counts[:n])
+	// Fill row by row: each column lists its rows in ascending order, so a
+	// duplicate entry follows its twin and is summed into it.
+	idx, val := make([]int32, counts[n]), make([]float64, counts[n])
+	next := append([]int(nil), counts[:n]...)
 	for i, row := range p.rows {
 		for _, e := range row {
-			k := next[e.Col]
-			idx[k] = int32(i)
-			val[k] = e.Coef
-			next[e.Col]++
+			if k := next[e.Col]; k > counts[e.Col] && idx[k-1] == int32(i) {
+				val[k-1] += e.Coef
+			} else {
+				idx[k], val[k] = int32(i), e.Coef
+				next[e.Col]++
+			}
 		}
 	}
-	// Merge duplicates within each column (same row appearing twice).
+	// Close the gaps the merged duplicates left.
 	ptr := make([]int, n+1)
-	outN := 0
 	for j := 0; j < n; j++ {
-		ptr[j] = outN
-		start, end := counts[j], counts[j+1]
-		// Rows arrive in insertion order which is ascending row order per
-		// AddRow, so duplicates are adjacent only if added to the same row;
-		// handle the general case with a small scan.
-		for k := start; k < end; k++ {
-			r, v := idx[k], val[k]
-			merged := false
-			for t := ptr[j]; t < outN; t++ {
-				if idx[t] == r {
-					val[t] += v
-					merged = true
-					break
-				}
-			}
-			if !merged {
-				idx[outN] = r
-				val[outN] = v
-				outN++
-			}
-		}
+		ptr[j+1] = ptr[j] + copy(idx[ptr[j]:], idx[counts[j]:next[j]])
+		copy(val[ptr[j]:], val[counts[j]:next[j]])
 	}
-	ptr[n] = outN
-	return ptr, idx[:outN], val[:outN], nil
+	return ptr, idx[:ptr[n]], val[:ptr[n]], nil
 }
+
+// luPool holds the factor storage of finished one-shot solves.
+var luPool = sync.Pool{New: func() any { return new(luFactor) }}
 
 // checkCancelEvery is how many simplex iterations pass between
 // cancellation/deadline checks: rare enough that the time.Now call is
@@ -322,16 +264,16 @@ func (s *simplex) optimizeFromBasis() (*Solution, error) {
 
 // evict makes the basic structural variable v nonbasic without disturbing
 // the rest of the basis, so its column can change under a held
-// factorization. Row r of B⁻¹ (r = v's basis position) is nonzero exactly
-// at the rows whose logical is nonbasic — a basic logical at position p
-// contributes δ_rp — so one of those logicals can always take v's place;
-// the one with the largest pivot element is chosen. v settles on the
-// nearest bound of its current value.
+// factorization. Row r of B⁻¹ (r = v's basis position; btran of e_r) is
+// nonzero only at rows whose logical is nonbasic — a basic logical at p
+// contributes δ_rp — so one of those logicals, the one with the largest
+// pivot element, takes v's place; v settles on its nearest bound.
 func (s *simplex) evict(v int) error {
-	m, r := s.m, s.inBpos[v]
-	row := s.binv[r*m : r*m+m]
+	r := s.inBpos[v]
+	s.cb[r] = 1
+	s.lu.btran(s.cb, s.y)
 	q, best := -1, 0.0
-	for i, b := range row {
+	for i, b := range s.y {
 		if a := math.Abs(b); a > best && s.status[s.n+i] != basic {
 			q, best = s.n+i, a
 		}
@@ -422,13 +364,9 @@ func (s *simplex) validate() error {
 	return nil
 }
 
-// recomputeXB sets xB = -B⁻¹·(Σ_nonbasic F_j·x_j).
+// recomputeXB sets xB = B⁻¹·(−Σ_nonbasic F_j·x_j).
 func (s *simplex) recomputeXB() {
-	m := s.m
-	v := s.v
-	for i := range v {
-		v[i] = 0
-	}
+	m, v := s.m, s.v
 	for j := 0; j < s.n; j++ {
 		if s.status[j] == basic {
 			continue
@@ -438,26 +376,16 @@ func (s *simplex) recomputeXB() {
 			continue
 		}
 		for k := s.colPtr[j]; k < s.colPtr[j+1]; k++ {
-			v[s.colIdx[k]] += s.colVal[k] * x
+			v[s.colIdx[k]] -= s.colVal[k] * x
 		}
 	}
 	for i := 0; i < m; i++ {
 		lv := s.n + i
 		if s.status[lv] != basic {
-			v[i] -= s.xval[lv] // logical column is -e_i
+			v[i] += s.xval[lv] // logical column is -e_i
 		}
 	}
-	for i := 0; i < m; i++ {
-		sum := 0.0
-		row := s.binv[i*m : i*m+m]
-		for wi, word := range s.nz[i*s.nw : (i+1)*s.nw] {
-			for ; word != 0; word &= word - 1 {
-				k := wi<<6 + bits.TrailingZeros64(word)
-				sum += row[k] * v[k]
-			}
-		}
-		s.xB[i] = -sum
-	}
+	s.lu.ftran(v, s.xB)
 }
 
 // infeasibility returns the total bound violation of basic variables.
@@ -503,50 +431,17 @@ func (s *simplex) phaseCost(phase int) {
 
 // computeY sets y = cc_B^T · B⁻¹.
 func (s *simplex) computeY() {
-	for k := range s.y {
-		s.y[k] = 0
-	}
 	for i, v := range s.basis {
-		if cb := s.cc[v]; cb != 0 {
-			s.addRow(s.y, cb, i)
-		}
+		s.cb[i] = s.cc[v]
 	}
-}
-
-// addRow adds f times row i of binv to dst, visiting the row's nonzeros.
-func (s *simplex) addRow(dst []float64, f float64, i int) {
-	row := s.binv[i*s.m : i*s.m+s.m]
-	for wi, word := range s.nz[i*s.nw : (i+1)*s.nw] {
-		for ; word != 0; word &= word - 1 {
-			k := wi<<6 + bits.TrailingZeros64(word)
-			dst[k] += f * row[k]
-		}
-	}
-}
-
-// rebuildNZ recomputes the nonzero bitmap from the values of binv, after
-// something other than a pivot rewrote them.
-func (s *simplex) rebuildNZ() {
-	m := s.m
-	for i := range s.nz {
-		s.nz[i] = 0
-	}
-	for i := 0; i < m; i++ {
-		nzi := s.nz[i*s.nw : (i+1)*s.nw]
-		for k, b := range s.binv[i*m : i*m+m] {
-			if b != 0 {
-				nzi[k>>6] |= 1 << (k & 63)
-			}
-		}
-	}
+	s.lu.btran(s.cb, s.y)
 }
 
 // reducedCost of a nonbasic variable v: d_v = cc_v − y·F_v.
 func (s *simplex) reducedCost(v int) float64 {
 	d := s.cc[v]
 	if v >= s.n {
-		d += s.y[v-s.n] // logical column is -e_i
-		return d
+		return d + s.y[v-s.n] // logical column is -e_i
 	}
 	for k := s.colPtr[v]; k < s.colPtr[v+1]; k++ {
 		d -= s.y[s.colIdx[k]] * s.colVal[k]
@@ -556,24 +451,14 @@ func (s *simplex) reducedCost(v int) float64 {
 
 // ftran sets w = B⁻¹·F_q.
 func (s *simplex) ftran(q int) {
-	m := s.m
-	for i := 0; i < m; i++ {
-		s.w[i] = 0
-	}
 	if q >= s.n {
-		r := q - s.n
-		for i := 0; i < m; i++ {
-			s.w[i] = -s.binv[i*m+r]
-		}
+		s.v[q-s.n] = -1
 	} else {
 		for k := s.colPtr[q]; k < s.colPtr[q+1]; k++ {
-			r := int(s.colIdx[k])
-			a := s.colVal[k]
-			for i := 0; i < m; i++ {
-				s.w[i] += s.binv[i*m+r] * a
-			}
+			s.v[s.colIdx[k]] = s.colVal[k]
 		}
 	}
+	s.lu.ftran(s.v, s.w)
 }
 
 // run executes simplex iterations for the given phase. Pricing reads the
@@ -718,8 +603,8 @@ func (s *simplex) run(phase int, iters *int) (Status, error) {
 }
 
 // refreshD computes the reduced costs of the phase from scratch: the cost
-// vector, y = cc_B·B⁻¹ over every nonzero of the costed rows of binv, and a
-// dot product with every nonbasic column.
+// vector, y = cc_B·B⁻¹ by one btran, and a dot product with every nonbasic
+// column.
 func (s *simplex) refreshD(phase int) {
 	s.phaseCost(phase)
 	s.computeY()
@@ -735,11 +620,13 @@ func (s *simplex) refreshD(phase int) {
 // cost dq. After a pivot at position r (r < 0: a bound flip) y moved by dq
 // times row r of the updated inverse; in phase 1 it moved, too, by the cost
 // change of every basic variable the step carried across a bound times that
-// variable's row. The moves are summed in dy and d −= dy·F is one pass over
-// the rows of F where dy is nonzero.
+// variable's row. The moves are gathered into one right-hand side by basis
+// position, one btran turns it into dy, and d −= dy·F is one pass over the
+// rows of F where dy is nonzero.
 func (s *simplex) updateD(phase, r, leaving int, dq float64) {
-	if r >= 0 {
-		s.addRow(s.dy, dq, r)
+	moved := r >= 0
+	if moved {
+		s.cb[r] = dq
 		// The leaving variable had reduced cost 0 under its basic cost; a
 		// nonbasic variable has no phase-1 cost.
 		s.d[leaving] = 0
@@ -750,11 +637,16 @@ func (s *simplex) updateD(phase, r, leaving int, dq float64) {
 	if phase == 1 {
 		for i, v := range s.basis {
 			if c := s.phase1Cost(i); c != s.cc[v] {
-				s.addRow(s.dy, c-s.cc[v], i)
+				s.cb[i] += c - s.cc[v]
 				s.cc[v] = c
+				moved = true
 			}
 		}
 	}
+	if !moved {
+		return
+	}
+	s.lu.btran(s.cb, s.dy)
 	for k, f := range s.dy {
 		if f == 0 {
 			continue
@@ -823,11 +715,10 @@ func (s *simplex) ratioTest(phase, q int, dir float64) (float64, int) {
 		t = s.ub[q] - s.lb[q] // bound flip distance
 	}
 	r := -1
-	const pivTol = 1e-10
 	bestPiv := 0.0
 	for i := 0; i < s.m; i++ {
 		wi := s.w[i]
-		if math.Abs(wi) <= pivTol {
+		if math.Abs(wi) <= pivotTol {
 			continue
 		}
 		v := s.basis[i]
@@ -890,14 +781,13 @@ type breakpoint struct {
 // r = −1).
 func (s *simplex) longStepRatio(q int, dir, dq float64) (float64, int) {
 	tol := s.opts.Tol
-	const pivTol = 1e-10
 	bps := s.bps[:0]
 	if !math.IsInf(s.lb[q], -1) && !math.IsInf(s.ub[q], 1) {
 		bps = append(bps, breakpoint{s.ub[q] - s.lb[q], math.Inf(1), -1})
 	}
 	for i := 0; i < s.m; i++ {
 		wi := s.w[i]
-		if math.Abs(wi) <= pivTol {
+		if math.Abs(wi) <= pivotTol {
 			continue
 		}
 		v := s.basis[i]
@@ -950,20 +840,16 @@ func (s *simplex) longStepRatio(q int, dir, dq float64) (float64, int) {
 		}
 	}
 	// Among breakpoints within a whisker of the stopping step, pivot on
-	// the one with the largest |w| — tiny pivots degrade the basis inverse
+	// the one with the largest |w| — tiny pivots degrade the eta file
 	// and eventually make refactorization singular.
 	bestT, bestR, bestRate := bps[stop].t, bps[stop].i, bps[stop].rate
-	for k := 0; k <= stop || (k < len(bps) && bps[k].t <= bestT+1e-9); k++ {
-		if k >= len(bps) {
+	for _, bp := range bps {
+		if bp.t > bestT+1e-9 {
 			break
 		}
-		bp := bps[k]
-		if bp.t >= bestT-1e-9 && bp.t <= bestT+1e-9 && bp.i >= 0 && bp.rate > bestRate {
+		if bp.t >= bestT-1e-9 && bp.i >= 0 && bp.rate > bestRate {
 			bestR, bestRate = bp.i, bp.rate
 		}
-	}
-	if bestR == -1 {
-		return bestT, -1 // bound flip of the entering variable
 	}
 	return bestT, bestR
 }
@@ -981,7 +867,6 @@ func (s *simplex) applyStep(t, dir float64) {
 
 // pivot replaces basis position r with entering variable q after a step t.
 func (s *simplex) pivot(q, r int, t, dir float64) {
-	m := s.m
 	leaving := s.basis[r]
 	enterVal := s.xval[q] + dir*t
 	s.applyStep(t, dir)
@@ -1012,138 +897,25 @@ func (s *simplex) pivot(q, r int, t, dir float64) {
 	s.inBpos[q] = r
 	s.xB[r] = enterVal
 
-	// Update B⁻¹ with the elementary transformation for pivot element w[r]:
-	// scale the pivot row and gather its nonzeros once; every other row with
-	// w[i] != 0 then changes in those columns only, and its pattern becomes
-	// the union of the two, less whatever cancelled to zero.
-	nw := s.nw
-	nzr := s.nz[r*nw : (r+1)*nw]
-	cols, vals := scaleGather(s.binv[r*m:r*m+m], 1/s.w[r], s.gcols[:0], s.gvals[:0])
-	s.gcols, s.gvals = cols, vals
-	vals = vals[:len(cols)] // one bounds check here instead of one per update
-	for wi := range nzr {
-		nzr[wi] = 0
-	}
-	for _, k := range cols {
-		nzr[k>>6] |= 1 << (k & 63)
-	}
-	for i := 0; i < m; i++ {
-		if i == r {
-			continue
-		}
-		f := s.w[i]
-		if f == 0 {
-			continue
-		}
-		row := s.binv[i*m : i*m+m]
-		nzi := s.nz[i*nw : (i+1)*nw]
-		for wi, word := range nzr {
-			nzi[wi] |= word
-		}
-		for j, k := range cols {
-			row[k] -= f * vals[j]
-			if row[k] == 0 {
-				nzi[k>>6] &^= 1 << (k & 63)
-			}
-		}
-	}
+	// B's column r is now F_q (ftran w). Room: RefactorEvery etas + evictions.
+	s.lu.push(r, s.w, s.opts.RefactorEvery+4)
 	s.pivots++
 	s.sinceRefactor++
 }
 
-// refactor rebuilds the basis inverse from scratch, in place in binv, and
-// recomputes the basic variable values. On ErrSingularBasis binv is left
-// half-eliminated: every caller then rebuilds the inverse or stops
-// trusting it (optimizeFromBasis and solve reset to the logical basis,
-// SetColumn drops the held factorization).
+// refactor factors the basis afresh, dropping the eta file, and recomputes
+// the basic variable values. On ErrSingularBasis the factors are
+// incomplete: every caller then refactors another basis or stops trusting
+// them (optimizeFromBasis and solve reset to the logical basis, SetColumn
+// drops the held factorization).
 func (s *simplex) refactor() error {
-	m := s.m
-	if m == 0 {
-		s.sinceRefactor = 0
-		return nil
+	if err := s.lu.factorize(s.basis, s.n, s.colPtr, s.colIdx, s.colVal); err != nil {
+		return err
 	}
-	// Assemble B column-wise into the dense working matrix.
-	if s.fact == nil {
-		s.fact = make([]float64, m*m)
-	}
-	a, inv := s.fact, s.binv
-	for i := range a {
-		a[i] = 0
-	}
-	for pos, v := range s.basis {
-		if v >= s.n {
-			a[(v-s.n)*m+pos] = -1
-		} else {
-			for k := s.colPtr[v]; k < s.colPtr[v+1]; k++ {
-				a[int(s.colIdx[k])*m+pos] = s.colVal[k]
-			}
-		}
-	}
-	for i := range inv {
-		inv[i] = 0
-	}
-	for i := 0; i < m; i++ {
-		inv[i*m+i] = 1
-	}
-	// Gauss-Jordan with partial pivoting. Both matrices stay sparse through
-	// most of the elimination, so the scaled pivot rows are gathered once
-	// per column and only their nonzero columns are touched in other rows.
-	for c := 0; c < m; c++ {
-		p := c
-		best := math.Abs(a[c*m+c])
-		for i := c + 1; i < m; i++ {
-			if v := math.Abs(a[i*m+c]); v > best {
-				best, p = v, i
-			}
-		}
-		if best < 1e-12 {
-			return ErrSingularBasis
-		}
-		if p != c {
-			swapRows(a, m, p, c)
-			swapRows(inv, m, p, c)
-		}
-		invPv := 1 / a[c*m+c]
-		s.acols, s.avals = scaleGather(a[c*m:c*m+m], invPv, s.acols[:0], s.avals[:0])
-		s.gcols, s.gvals = scaleGather(inv[c*m:c*m+m], invPv, s.gcols[:0], s.gvals[:0])
-		for i := 0; i < m; i++ {
-			if i == c {
-				continue
-			}
-			f := a[i*m+c]
-			if f == 0 {
-				continue
-			}
-			arow, irow := a[i*m:i*m+m], inv[i*m:i*m+m]
-			for j, k := range s.acols {
-				arow[k] -= f * s.avals[j]
-			}
-			for j, k := range s.gcols {
-				irow[k] -= f * s.gvals[j]
-			}
-		}
-	}
-	s.rebuildNZ()
 	s.refactors++
 	s.sinceRefactor = 0
 	s.recomputeXB()
 	return nil
-}
-
-// scaleGather multiplies row by f and appends the columns and values of the
-// nonzeros of the result to cols and vals.
-func scaleGather(row []float64, f float64, cols []int32, vals []float64) ([]int32, []float64) {
-	for k, x := range row {
-		if x == 0 {
-			continue
-		}
-		x *= f
-		row[k] = x
-		if x != 0 { // not underflowed
-			cols, vals = append(cols, int32(k)), append(vals, x)
-		}
-	}
-	return cols, vals
 }
 
 // resetToLogicalBasis rebuilds the trivial basis (all logicals basic,
@@ -1163,23 +935,10 @@ func (s *simplex) resetToLogicalBasis() {
 		s.status[v] = basic
 		s.inBpos[v] = i
 	}
-	for i := range s.binv {
-		s.binv[i] = 0
-	}
-	for i := 0; i < m; i++ {
-		s.binv[i*m+i] = -1
-	}
-	s.rebuildNZ()
+	// B = −I: m column singletons, which always factor.
+	_ = s.lu.factorize(s.basis, n, s.colPtr, s.colIdx, s.colVal)
 	s.sinceRefactor = 0
 	s.recomputeXB()
-}
-
-func swapRows(a []float64, m, i, j int) {
-	ri := a[i*m : i*m+m]
-	rj := a[j*m : j*m+m]
-	for k := 0; k < m; k++ {
-		ri[k], rj[k] = rj[k], ri[k]
-	}
 }
 
 // extract builds the public solution from the final basis.
@@ -1225,9 +984,7 @@ func (s *simplex) extract(st Status) *Solution {
 	}
 	sol.Objective = obj
 	sol.WarmStarted = s.warmAccepted
-	for _, word := range s.nz {
-		sol.InverseNonzeros += bits.OnesCount64(word)
-	}
+	sol.FactorNonzeros = s.lu.nnz()
 	sol.basis = s.snapshotBasis()
 	return sol
 }
