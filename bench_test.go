@@ -260,6 +260,37 @@ func BenchmarkOfflineParallelMetrics(b *testing.B) {
 	b.ReportMetric(float64(m.Decomp.CutsGenerated)/float64(b.N), "cuts/op")
 }
 
+// BenchmarkMasterMIP is the master problem's share of a default-options
+// Design on the design-twoclass instance (Sprint, two classes, 20 scenarios,
+// seed 1; five master MIPs): master-ms/op is the wall-clock inside
+// mip.SolveCtx and mip-nodes/op the branch-and-bound nodes it explored.
+// lp-solves/op and pivots/op count the whole Design — the scenario side is
+// the same every run, so a move in them is the master's.
+func BenchmarkMasterMIP(b *testing.B) {
+	inst, err := experiments.Config{Scale: experiments.Small, MaxScenarios: 20, Seed: 1}.TwoClass("Sprint")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var masterNanos, nodes, solves, pivots int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := flexile.Design(inst, flexile.DesignOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		m := res.Report.Metrics
+		masterNanos += m.MIP.SolveNanos
+		nodes += m.MIP.Nodes
+		solves += m.LP.Solves
+		pivots += m.LP.Pivots
+	}
+	n := float64(b.N)
+	b.ReportMetric(float64(masterNanos)/1e6/n, "master-ms/op")
+	b.ReportMetric(float64(nodes)/n, "mip-nodes/op")
+	b.ReportMetric(float64(solves)/n, "lp-solves/op")
+	b.ReportMetric(float64(pivots)/n, "pivots/op")
+}
+
 // BenchmarkOnlineAllocation isolates the online phase: one failure
 // reaction, the latency that §4.3 keeps comparable to SWAN.
 func BenchmarkOnlineAllocation(b *testing.B) {

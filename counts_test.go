@@ -9,12 +9,13 @@ import (
 )
 
 // TestDesignCountsPinned pins, on the three instances the repository
-// benchmark designs (bench/design.go), the solver counts and the PercLoss
-// bits a default-options Design produces. A change that promises "same
+// benchmark designs (bench/design.go), the LP counts, the master MIP's
+// solves and nodes, and the PercLoss bits a default-options Design produces. A change that promises "same
 // pivots, less time" must leave every row untouched; a change that moves
 // one has changed the pivot sequence and says so by editing the row.
 func TestDesignCountsPinned(t *testing.T) {
 	type counts struct{ solves, pivots, phase1, flips, degenerate, refactors, refreshes int64 }
+	type master struct{ solves, nodes int64 }
 	cases := []struct {
 		name      string
 		topo      string
@@ -22,12 +23,13 @@ func TestDesignCountsPinned(t *testing.T) {
 		scenarios int
 		scale     float64
 		want      counts
+		mip       master
 		percLoss  []float64
 		long      bool
 	}{
-		{"design-wide", "ATT", false, 4, 1.3, counts{8, 4984, 1213, 956, 3353, 31, 59}, []float64{0}, true},
-		{"design-lp", "IBM", false, 20, 1.5, counts{51, 16408, 6602, 5458, 9188, 79, 260}, []float64{0}, false},
-		{"design-twoclass", "Sprint", true, 20, 1.0, counts{194, 28745, 16580, 11270, 8312, 180, 704}, []float64{0, 0.17365150193606416}, false},
+		{"design-wide", "ATT", false, 4, 1.3, counts{8, 4984, 1213, 956, 3353, 31, 59}, master{0, 0}, []float64{0}, true},
+		{"design-lp", "IBM", false, 20, 1.5, counts{50, 13693, 4106, 2951, 9184, 78, 255}, master{1, 0}, []float64{0}, false},
+		{"design-twoclass", "Sprint", true, 20, 1.0, counts{190, 21836, 10015, 4725, 8312, 180, 688}, master{5, 120}, []float64{0, 0.17365150193606416}, false},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -53,6 +55,10 @@ func TestDesignCountsPinned(t *testing.T) {
 			got := counts{lp.Solves, lp.Pivots, lp.Phase1Pivots, lp.BoundFlips, lp.DegeneratePivots, lp.Refactorizations, lp.PriceRefreshes}
 			if got != tc.want {
 				t.Errorf("LP solves/pivots/phase1/flips/degenerate/refactors/refreshes = %+v, want %+v", got, tc.want)
+			}
+			mm := res.Report.Metrics.MIP
+			if got := (master{mm.Solves, mm.Nodes}); got != tc.mip {
+				t.Errorf("MIP solves/nodes = %+v, want %+v", got, tc.mip)
 			}
 			if len(res.PercLoss) != len(tc.percLoss) {
 				t.Fatalf("PercLoss = %v, want %v", res.PercLoss, tc.percLoss)

@@ -402,6 +402,86 @@ func (l *lockstep) pivot(q, r int, t, dir float64) {
 	l.check("pivot")
 }
 
+// price is s.price held to priceRef at the same state.
+func (l *lockstep) price(dualTol float64, bland bool) int {
+	l.t.Helper()
+	q := l.s.price(dualTol, bland)
+	if want := priceRef(l.s, dualTol, bland); q != want {
+		l.t.Fatalf("price (step %d) chose %d, the reference scan %d", l.steps, q, want)
+	}
+	return q
+}
+
+// priceRef is the pricing scan without the |d| pre-filter: status and bounds
+// first, then the score of every remaining variable.
+func priceRef(s *simplex, dualTol float64, bland bool) int {
+	best, bestScore := -1, dualTol
+	for v, st := range s.status {
+		if st == basic {
+			continue
+		}
+		if s.ub[v]-s.lb[v] <= 0 {
+			continue
+		}
+		d := s.d[v]
+		var score float64
+		switch st {
+		case nonbasicLower:
+			score = -d
+		case nonbasicUpper:
+			score = d
+		case nonbasicFree:
+			score = math.Abs(d)
+		}
+		if score > bestScore {
+			if bland {
+				return v
+			}
+			best, bestScore = v, score
+		}
+	}
+	return best
+}
+
+// TestPriceMatchesRef: on random pricing states price picks the same index as
+// priceRef, under Dantzig and Bland and at several tolerances. The reduced
+// costs mix NaN, ±0, ±Inf, exact ties and values around the tolerance; the
+// variables mix fixed, free, boxed and half-open bounds with every status,
+// basic ones carrying stale, often winning-sized d.
+func TestPriceMatchesRef(t *testing.T) {
+	rng := rand.New(rand.NewSource(101))
+	specials := []float64{math.NaN(), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		1e-9, -1e-9, 1e-12, -1e-12, 1e-6, -1e-6, 1, -1, 2, -2}
+	bounds := [][2]float64{{0, 0}, {1, 1}, {-Inf, Inf}, {0, 1}, {0, Inf}, {-Inf, 0}, {-3, 5}}
+	for trial := 0; trial < 3000; trial++ {
+		nv := 1 + rng.Intn(40)
+		s := &simplex{
+			status: make([]varStatus, nv),
+			lb:     make([]float64, nv),
+			ub:     make([]float64, nv),
+			d:      make([]float64, nv),
+		}
+		for v := 0; v < nv; v++ {
+			s.status[v] = varStatus(rng.Intn(4))
+			b := bounds[rng.Intn(len(bounds))]
+			s.lb[v], s.ub[v] = b[0], b[1]
+			if rng.Intn(2) == 0 {
+				s.d[v] = specials[rng.Intn(len(specials))]
+			} else {
+				s.d[v] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(13)-9))
+			}
+		}
+		for _, dualTol := range []float64{0, 1e-9, 1e-6, 1} {
+			for _, bland := range []bool{false, true} {
+				if got, want := s.price(dualTol, bland), priceRef(s, dualTol, bland); got != want {
+					t.Fatalf("trial %d tol %g bland %v: price %d, reference %d\nstatus %v\nlb %v\nub %v\nd %v",
+						trial, dualTol, bland, got, want, s.status, s.lb, s.ub, s.d)
+				}
+			}
+		}
+	}
+}
+
 // run is simplex.run with every kernel call checked: same order of the same
 // calls, so the solve it produces is the production solve (the callers
 // assert that bit for bit against a production twin, counters included).
@@ -445,11 +525,11 @@ func (l *lockstep) run(phase int, iters *int) (Status, error) {
 			l.refresh(phase)
 			stale = false
 		}
-		q := s.price(dualTol, bland)
+		q := l.price(dualTol, bland)
 		if q < 0 && !fresh {
 			l.refresh(phase)
 			fresh = true
-			q = s.price(dualTol, bland)
+			q = l.price(dualTol, bland)
 		}
 		if q < 0 {
 			if phase == 1 {

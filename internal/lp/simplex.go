@@ -677,14 +677,19 @@ func (s *simplex) currentObjective() float64 {
 // price selects an entering variable, or -1 if none improves.
 func (s *simplex) price(dualTol float64, bland bool) int {
 	best, bestScore := -1, dualTol
-	for v, st := range s.status {
+	for v, d := range s.d {
+		// Every score is at most |d|, so |d| ≤ bestScore cannot win whatever
+		// v's status; the test reads d alone. NaN fails it and falls through.
+		if -bestScore <= d && d <= bestScore {
+			continue
+		}
+		st := s.status[v]
 		if st == basic {
 			continue
 		}
 		if s.ub[v]-s.lb[v] <= 0 { // fixed variable can never improve
 			continue
 		}
-		d := s.d[v]
 		var score float64
 		switch st {
 		case nonbasicLower:

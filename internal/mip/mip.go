@@ -90,21 +90,46 @@ type Options struct {
 	WarmBinary []float64
 }
 
+// The search's numeric thresholds. The relaxations are solved to
+// lp.DefaultTol (1e-9), so a relaxation's values and objective carry noise
+// of about that size; each threshold is placed against it.
+const (
+	// defaultMaxNodes is the node budget when Options.MaxNodes is zero.
+	defaultMaxNodes = 10000
+	// defaultRelGap is three decades above lp.DefaultTol: a node bound
+	// that trails the incumbent by no more than the relaxation's own noise
+	// (relative) never keeps the search open.
+	defaultRelGap = 1e-6
+	// defaultIntTol is three decades above lp.DefaultTol: a binary whose
+	// relaxation value sits within the LP's feasibility slack of 0 or 1 is
+	// integral, not a branching candidate.
+	defaultIntTol = 1e-6
+	// pruneSlack is the absolute slack beside RelGap·|incumbent|, which is
+	// zero at a zero incumbent: three decades under lp.DefaultTol, so it
+	// absorbs the rounding of a bound equal to the incumbent and nothing
+	// the LP could resolve.
+	pruneSlack = 1e-12
+	// roundHalf splits a suggested 0/1 value (warm start, heuristic): above
+	// it the binary is fixed at 1, otherwise at 0. It is the midpoint of
+	// {0, 1}, independent of lp.DefaultTol.
+	roundHalf = 0.5
+)
+
 func (o Options) withDefaults() Options {
 	if o.MaxNodes == 0 {
-		o.MaxNodes = 10000
+		o.MaxNodes = defaultMaxNodes
 	}
 	if o.RelGap == 0 {
-		o.RelGap = 1e-6
+		o.RelGap = defaultRelGap
 	}
 	if o.IntTol == 0 {
-		o.IntTol = 1e-6
+		o.IntTol = defaultIntTol
 	}
 	return o
 }
 
 type node struct {
-	bound float64 // LP bound inherited from the parent
+	bound float64 // LP bound inherited from the parent; the root's is boxBound
 	fixes []fix
 	// basis warm-starts the node's LP from its parent's optimal basis —
 	// the child differs only in one binary's bounds, so re-solving
@@ -140,6 +165,10 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 // before every node and threaded into each LP relaxation solve, so
 // cancellation or an expired deadline aborts mid-search with the context
 // error. A nil ctx is treated as context.Background().
+//
+// The relaxation is compiled once and every node, warm start and heuristic
+// completion re-solves it on one lp.BatchSolver with its own column bounds
+// (bit-identical to solving the bound-edited Problem), so p.LP is only read.
 func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -159,45 +188,59 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 	}
 	lpp := p.LP
 	nb := len(p.Binary)
-
-	// Remember the original bounds of the binary columns so the problem can
-	// be restored after the solve.
-	origLB := make([]float64, nb)
-	origUB := make([]float64, nb)
-	for k, j := range p.Binary {
-		origLB[k], origUB[k] = colBounds(lpp, j)
+	if opts.WarmBinary != nil && len(opts.WarmBinary) != nb {
+		return nil, fmt.Errorf("mip: warm start has %d values, want %d", len(opts.WarmBinary), nb)
 	}
-	defer func() {
-		for k, j := range p.Binary {
-			lpp.SetColBounds(j, origLB[k], origUB[k])
-		}
-	}()
+	bp, err := lpp.Compile()
+	if err != nil {
+		return nil, err
+	}
+	bs := bp.NewSolver()
 
-	applyFixes := func(fixes []fix) {
-		for k, j := range p.Binary {
-			lpp.SetColBounds(j, origLB[k], origUB[k])
+	// origLB/origUB are the caller's column bounds; lb/ub are the bounds of
+	// the relaxation being solved: the originals with the fixes on top.
+	n := lpp.NumCols()
+	origLB, origUB := make([]float64, n), make([]float64, n)
+	for j := range origLB {
+		origLB[j], origUB[j] = lpp.ColLB(j), lpp.ColUB(j)
+	}
+	lb, ub := append([]float64(nil), origLB...), append([]float64(nil), origUB...)
+	relax := func(fixes []fix, basis *lp.Basis) (*lp.Solution, error) {
+		for _, j := range p.Binary {
+			lb[j], ub[j] = origLB[j], origUB[j]
 		}
 		for _, f := range fixes {
-			lpp.SetColBounds(f.col, f.val, f.val)
+			lb[f.col], ub[f.col] = f.val, f.val
 		}
+		lo := opts.LP
+		lo.StartBasis = basis
+		return bs.SolveCtx(ctx, lp.Variant{ColLB: lb, ColUB: ub}, lo)
 	}
 
 	sol := &Solution{Status: Infeasible, Objective: math.Inf(1), Bound: math.Inf(-1)}
 	var best []float64
+	// closed reports that a bound leaves no room below the incumbent; with no
+	// incumbent the threshold is NaN and nothing is closed.
+	closed := func(bound float64) bool {
+		return bound >= sol.Objective-opts.RelGap*math.Abs(sol.Objective)-pruneSlack
+	}
+
+	// The root inherits the box bound of the caller's bounds — read from
+	// origLB/origUB, never from lb/ub: once tryIncumbent has fixed the
+	// binaries there, the box is the incumbent's own cost and the root is
+	// pruned on a bound that does not hold (TestWarmStartNeverHurts).
+	rootBound := boxBound(lpp, origLB, origUB)
 
 	tryIncumbent := func(binVals []float64, basis *lp.Basis) {
 		fixes := make([]fix, nb)
 		for k, j := range p.Binary {
 			v := 0.0
-			if binVals[k] > 0.5 {
+			if binVals[k] > roundHalf {
 				v = 1
 			}
 			fixes[k] = fix{j, v}
 		}
-		applyFixes(fixes)
-		lo := opts.LP
-		lo.StartBasis = basis
-		ls, err := lpp.SolveCtx(ctx, lo)
+		ls, err := relax(fixes, basis)
 		if err != nil || ls.Status != lp.Optimal {
 			return
 		}
@@ -209,13 +252,12 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 	}
 
 	if opts.WarmBinary != nil {
-		if len(opts.WarmBinary) != nb {
-			return nil, fmt.Errorf("mip: warm start has %d values, want %d", len(opts.WarmBinary), nb)
-		}
 		tryIncumbent(opts.WarmBinary, nil)
 	}
 
-	h := &nodeHeap{{bound: math.Inf(-1)}}
+	// A warm incumbent at the box bound closes the root when it is popped,
+	// before its LP: the answer is the one a solved-then-pruned root gives.
+	h := &nodeHeap{{bound: rootBound}}
 	heap.Init(h)
 
 	for h.Len() > 0 && sol.Nodes < opts.MaxNodes {
@@ -223,7 +265,7 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 			return nil, fmt.Errorf("mip: solve canceled: %w", err)
 		}
 		nd := heap.Pop(h).(*node)
-		if nd.bound >= sol.Objective-opts.RelGap*math.Abs(sol.Objective)-1e-12 {
+		if closed(nd.bound) {
 			// The global bound is the smallest remaining node bound.
 			sol.Bound = math.Max(sol.Bound, nd.bound)
 			mm.PrunedNodes++
@@ -231,10 +273,7 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 		}
 		sol.Nodes++
 		mm.Nodes++
-		applyFixes(nd.fixes)
-		lo := opts.LP
-		lo.StartBasis = nd.basis
-		ls, err := lpp.SolveCtx(ctx, lo)
+		ls, err := relax(nd.fixes, nd.basis)
 		if err != nil {
 			return nil, err
 		}
@@ -254,7 +293,7 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 		if ls.Status != lp.Optimal {
 			nodeBound = nd.bound
 		}
-		if nodeBound >= sol.Objective-opts.RelGap*math.Abs(sol.Objective)-1e-12 {
+		if closed(nodeBound) {
 			mm.PrunedNodes++
 			continue
 		}
@@ -313,7 +352,7 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 			}
 		}
 		sol.Bound = low
-		if low >= sol.Objective-opts.RelGap*math.Abs(sol.Objective)-1e-12 {
+		if closed(low) {
 			sol.Status = Optimal
 		} else {
 			sol.Status = Feasible
@@ -322,9 +361,24 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 	return sol, nil
 }
 
-// colBounds reads back the bounds of column j (helper over the lp API).
-func colBounds(p *lp.Problem, j int) (float64, float64) {
-	return p.ColLB(j), p.ColUB(j)
+// boxBound is Σⱼ min(cⱼ·lbⱼ, cⱼ·ubⱼ) over p's costs and the given column
+// bounds: no point inside the bounds costs less, so it bounds the root
+// before any LP is solved. It is −Inf when a costed column is unbounded in
+// the direction its cost improves.
+func boxBound(p *lp.Problem, lb, ub []float64) float64 {
+	b := 0.0
+	for j := range lb {
+		c := p.Cost(j)
+		if c == 0 {
+			continue
+		}
+		t := math.Min(c*lb[j], c*ub[j])
+		if math.IsInf(t, 0) {
+			return math.Inf(-1)
+		}
+		b += t
+	}
+	return b
 }
 
 // RoundGreedyCover is a heuristic builder for covering problems of the form

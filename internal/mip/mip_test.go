@@ -1,11 +1,14 @@
 package mip
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"flexile/internal/lp"
+	"flexile/internal/obs"
 )
 
 func approx(a, b float64) bool { return math.Abs(a-b) <= 1e-6*(1+math.Abs(a)+math.Abs(b)) }
@@ -225,15 +228,140 @@ func TestRoundGreedyCover(t *testing.T) {
 	}
 }
 
+// TestBoundsRestoredAfterSolve: the relaxations carry their bounds per
+// solve, so the caller's column bounds are bit-identical after a solve that
+// ends optimal, infeasible, or canceled mid-search (a heuristic cancels while
+// binaries are fixed).
 func TestBoundsRestoredAfterSolve(t *testing.T) {
+	snapshot := func(p *lp.Problem) []uint64 {
+		var out []uint64
+		for j := 0; j < p.NumCols(); j++ {
+			out = append(out, math.Float64bits(p.ColLB(j)), math.Float64bits(p.ColUB(j)))
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(83))
+	optimal, _, _ := randomBinaryMIP(rng, 8, 2, 4)
+	infeasible := lp.NewProblem()
+	b1 := infeasible.AddCol("b1", 0, 1, 1)
+	b2 := infeasible.AddCol("b2", 0, 1, 1)
+	infeasible.AddEQ("half", 1.5, lp.Entry{Col: b1, Coef: 1}, lp.Entry{Col: b2, Coef: 1})
+	// A knapsack whose root relaxation is fractional, so the search branches.
+	canceled := lp.NewProblem()
+	var items []int
+	var es []lp.Entry
+	for i, v := range []float64{60, 100, 120} {
+		j := canceled.AddCol("x", 0, 1, -v)
+		items = append(items, j)
+		es = append(es, lp.Entry{Col: j, Coef: float64(10 * (i + 1))})
+	}
+	canceled.AddLE("cap", 50, es...)
+
+	for _, tc := range []struct {
+		name    string
+		mp      *Problem
+		cancel  bool
+		wantErr bool
+	}{
+		{"optimal", optimal, false, false},
+		{"infeasible", &Problem{LP: infeasible, Binary: []int{b1, b2}}, false, false},
+		{"canceled", &Problem{LP: canceled, Binary: items}, true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := snapshot(tc.mp.LP)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			opts := Options{WarmBinary: make([]float64, len(tc.mp.Binary))}
+			heurCalled := false
+			if tc.cancel {
+				opts.Heuristic = func(frac []float64) []float64 {
+					heurCalled = true
+					cancel()
+					return make([]float64, len(frac))
+				}
+			}
+			_, err := SolveCtx(ctx, tc.mp, opts)
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("err = %v, want error %v", err, tc.wantErr)
+			}
+			if tc.cancel && !heurCalled {
+				t.Fatal("the search never reached a branching node; the cancel path is untested")
+			}
+			if after := snapshot(tc.mp.LP); !reflect.DeepEqual(after, before) {
+				t.Fatalf("caller's column bounds changed:\nbefore %v\nafter  %v", before, after)
+			}
+		})
+	}
+}
+
+// TestBoxBoundClosesRoot: a master-shaped MIP (zero-cost binaries, one
+// penalty column ≥ 0 carrying all the cost) whose warm incumbent reaches
+// penalty 0 — the box bound Σ min(cⱼ·lbⱼ, cⱼ·ubⱼ) — is Optimal without
+// exploring a node: the only LP solved is the warm start's completion.
+//
+// The box must come from the caller's bounds, not from the relaxation's
+// bounds after the warm start fixed every binary: there it is the warm
+// incumbent's own cost, and the root is pruned while a better assignment
+// exists (TestWarmStartNeverHurts catches that).
+func TestBoxBoundClosesRoot(t *testing.T) {
 	p := lp.NewProblem()
-	x := p.AddCol("x", 0, 1, -1)
-	p.AddLE("r", 1, lp.Entry{Col: x, Coef: 1})
-	if _, err := Solve(&Problem{LP: p, Binary: []int{x}}, Options{}); err != nil {
+	b1 := p.AddCol("b1", 0, 1, 0)
+	b2 := p.AddCol("b2", 0, 1, 0)
+	pen := p.AddCol("pen", 0, lp.Inf, 1)
+	// pen ≥ 1 − b1 − 0.5·b2: covering with b1 costs nothing.
+	p.AddGE("cover", 1, lp.Entry{Col: pen, Coef: 1}, lp.Entry{Col: b1, Coef: 1}, lp.Entry{Col: b2, Coef: 0.5})
+	mp := &Problem{LP: p, Binary: []int{b1, b2}}
+	if got := boxBound(p, []float64{0, 0, 0}, []float64{1, 1, lp.Inf}); got != 0 {
+		t.Fatalf("boxBound = %v, want 0", got)
+	}
+
+	col := obs.New()
+	sol, err := SolveCtx(obs.With(context.Background(), col), mp, Options{WarmBinary: []float64{1, 0}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if p.ColLB(x) != 0 || p.ColUB(x) != 1 {
-		t.Fatalf("bounds not restored: [%v,%v]", p.ColLB(x), p.ColUB(x))
+	if sol.Status != Optimal || sol.Objective != 0 || sol.Bound != sol.Objective || sol.Nodes != 0 {
+		t.Fatalf("status %v objective %v bound %v nodes %d, want optimal 0 = bound with 0 nodes",
+			sol.Status, sol.Objective, sol.Bound, sol.Nodes)
+	}
+	if sol.X[b1] != 1 || sol.X[b2] != 0 || sol.X[pen] != 0 {
+		t.Fatalf("X = %v, want the warm incumbent [1 0 0]", sol.X)
+	}
+	m := col.Snapshot()
+	if m.MIP.Nodes != 0 || m.MIP.PrunedNodes != 1 || m.LP.Solves != 1 {
+		t.Fatalf("mip %+v, lp solves %d: want 0 nodes, the root pruned, and only the warm start's LP",
+			m.MIP, m.LP.Solves)
+	}
+
+	// A warm incumbent above the box bound leaves the search as it was.
+	above, err := Solve(mp, Options{WarmBinary: []float64{0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if above.Status != Optimal || !approx(above.Objective, 0) || above.Nodes == 0 {
+		t.Fatalf("warm start at penalty 0.5: status %v objective %v nodes %d, want optimal 0 after ≥1 node",
+			above.Status, above.Objective, above.Nodes)
+	}
+}
+
+// TestBoxBoundUnbounded: a negative cost on a column with no upper bound
+// makes the box −Inf, so the root is solved as before: min −x + 2b with
+// x ≤ 1 + 3b and x ≥ 0 unbounded above; the warm b = 0 gives −1 and the
+// root relaxation reaches the optimum −2 at b = 1.
+func TestBoxBoundUnbounded(t *testing.T) {
+	p := lp.NewProblem()
+	x := p.AddCol("x", 0, lp.Inf, -1)
+	b := p.AddCol("b", 0, 1, 2)
+	p.AddLE("r", 1, lp.Entry{Col: x, Coef: 1}, lp.Entry{Col: b, Coef: -3})
+	if got := boxBound(p, []float64{0, 0}, []float64{lp.Inf, 1}); !math.IsInf(got, -1) {
+		t.Fatalf("boxBound = %v, want -Inf", got)
+	}
+	sol, err := Solve(&Problem{LP: p, Binary: []int{b}}, Options{WarmBinary: []float64{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != Optimal || !approx(sol.Objective, -2) || sol.Nodes != 1 {
+		t.Fatalf("status %v objective %v nodes %d, want optimal -2 at the root", sol.Status, sol.Objective, sol.Nodes)
 	}
 }
 
