@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci changes-check vet build test bench-check bench-align race faults obs fuzz scrape chaos loadsmoke golden cover bench hypotheses soak
+.PHONY: ci changes-check vet build test bench-check bench-align race faults obs fuzz scrape chaos loadsmoke golden cover bench hypotheses soak lines
 
 ci: changes-check vet build bench-check bench-align race faults obs fuzz scrape chaos loadsmoke cover hypotheses
 
@@ -161,3 +161,14 @@ hypotheses:
 SOAK_DURATION ?= 20s
 soak:
 	$(GO) run ./cmd/flexile-hyp -tier soak -soak-duration $(SOAK_DURATION)
+
+# Go line counts by `wc -l`, the instrument behind the line gates in
+# ROADMAP.md and CHANGES.md: non-test and test lines outside bench/ (and
+# outside dot-directories such as .bench_build/), then non-test lines per
+# package directory. Not part of ci.
+GOFILES_OUTSIDE_BENCH := find . \( -path ./bench -o -path './.*' \) -prune -o -name '*.go'
+lines:
+	@$(GOFILES_OUTSIDE_BENCH) ! -name '*_test.go' -print | xargs cat | wc -l | awk '{ printf "%7d non-test\n", $$1 }'
+	@$(GOFILES_OUTSIDE_BENCH) -name '*_test.go' -print | xargs cat | wc -l | awk '{ printf "%7d test\n", $$1 }'
+	@$(GOFILES_OUTSIDE_BENCH) ! -name '*_test.go' -print | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1 } END { for (d in n) printf "%7d %s\n", n[d], d }' | sort -k2

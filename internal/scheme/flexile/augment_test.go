@@ -1,9 +1,15 @@
 package flexile
 
 import (
+	"context"
+	"fmt"
 	"math"
+	"reflect"
 	"slices"
+	"strings"
 	"testing"
+
+	"flexile/internal/faultinject"
 )
 
 // TestAugmentPinned pins capacity augmentation bit for bit on Sprint at two
@@ -60,4 +66,146 @@ func allCritical(n int) []uint64 {
 		w[len(w)-1] = 1<<r - 1
 	}
 	return w
+}
+
+// TestAugmentScenarioDemands: Augment solves each scenario at its own
+// traffic matrix. With 1.5 units per flow in every failure scenario the
+// triangle's single-failure states cannot carry both flows on unit links,
+// so meeting the zero-loss target costs capacity; solving the base demands
+// instead would report cost 0 while Offline sees PercLoss 1/3.
+func TestAugmentScenarioDemands(t *testing.T) {
+	inst := triangleInstance()
+	inst.ScenDemand = make([][]float64, len(inst.Scenarios))
+	for q, s := range inst.Scenarios {
+		if len(s.Failed) > 0 {
+			inst.ScenDemand[q] = []float64{1.5, 1.5, 0}
+		}
+	}
+	res, err := Augment(inst, AugmentOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TotalCost < 0.5 {
+		t.Fatalf("cost %v: the failure-scenario demands need extra capacity", res.TotalCost)
+	}
+	for k, pl := range res.AchievedPercLoss {
+		if pl > 1e-6 {
+			t.Fatalf("class %d residual loss %v", k, pl)
+		}
+	}
+}
+
+// TestAugmentZeroCapacityEdge: an edge with no capacity of its own can be
+// augmented. Its capacity dual is what prices δ there, so it must not be
+// recovered by dividing the scaled dual by a capacity of 0.
+func TestAugmentZeroCapacityEdge(t *testing.T) {
+	for _, e := range []int{0, 1} {
+		inst := triangleInstance()
+		inst.Topo.G.SetCapacity(e, 0)
+		res, err := Augment(inst, AugmentOptions{MaxAug: []float64{2, 2, 2}})
+		if err != nil {
+			t.Fatalf("edge %d at capacity 0: %v", e, err)
+		}
+		if math.Abs(res.Delta[e]-1) > 1e-6 || math.Abs(res.TotalCost-1) > 1e-6 {
+			t.Fatalf("edge %d at capacity 0: δ %v, cost %v; want 1 unit on the edge", e, res.Delta, res.TotalCost)
+		}
+		for k, pl := range res.AchievedPercLoss {
+			if pl > 1e-6 {
+				t.Fatalf("edge %d: class %d residual loss %v", e, k, pl)
+			}
+		}
+	}
+}
+
+// sameAugment fails unless two augmentations agree bit for bit in δ, cost,
+// iterations and critical set.
+func sameAugment(t *testing.T, what string, got, want *AugmentResult) {
+	t.Helper()
+	if got.Iterations != want.Iterations || math.Float64bits(got.TotalCost) != math.Float64bits(want.TotalCost) ||
+		!slices.Equal(got.Delta, want.Delta) || !got.Critical.Equal(want.Critical) {
+		t.Fatalf("%s: iters %d cost %.17g δ %v, want iters %d cost %.17g δ %v", what,
+			got.Iterations, got.TotalCost, got.Delta, want.Iterations, want.TotalCost, want.Delta)
+	}
+}
+
+// TestAugmentDeterministicAcrossWorkers is TestOfflineDeterministicAcrossWorkers
+// for Augment: the worker pool it inherits from the decomposition loop
+// changes nothing but wall-clock. It is part of `make race`.
+func TestAugmentDeterministicAcrossWorkers(t *testing.T) {
+	inst := sprintInstance(t)
+	inst.ScaleDemands(1.6)
+	base, err := augment(context.Background(), inst, AugmentOptions{}, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 8} {
+		got, err := augment(context.Background(), inst, AugmentOptions{}, Options{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		sameAugment(t, fmt.Sprintf("workers=%d", workers), got, base)
+		if !slices.Equal(got.AchievedPercLoss, base.AchievedPercLoss) {
+			t.Fatalf("workers=%d: AchievedPercLoss %v, sequential %v", workers, got.AchievedPercLoss, base.AchievedPercLoss)
+		}
+		// Canonical drops only wall-clock and the per-worker layout.
+		if !reflect.DeepEqual(got.Report.Metrics.Canonical(), base.Report.Metrics.Canonical()) {
+			t.Fatalf("workers=%d: canonical metrics differ:\n%s\nsequential:\n%s",
+				workers, got.Report.Metrics.Canonical().JSON(), base.Report.Metrics.Canonical().JSON())
+		}
+	}
+	if m := base.Report.Metrics.Decomp; m.MasterSolves != int64(base.Iterations-1) || m.ScenarioSolves == 0 {
+		t.Fatalf("decomposition counters %+v for %d iterations", m, base.Iterations)
+	}
+}
+
+// TestAugmentFaultSkippedScenario: Augment inherits the retry/skip policy.
+// A scenario that fails every attempt is skipped and reported, and counts
+// as loss 1 for its critical flows, so Augment never declares the targets
+// met without having solved it; a one-shot singular basis is retried and
+// lands on the clean answer.
+func TestAugmentFaultSkippedScenario(t *testing.T) {
+	t.Run("skipped", func(t *testing.T) {
+		inst := triangleInstance()
+		inst.ScaleDemands(1.5)
+		// Scenario 0, no link failed, carries 97 % of the mass: every flow
+		// is critical there in any critical set that covers β = 0.99.
+		inj := faultinject.Script(map[int][]faultinject.Kind{0: {faultinject.SingularBasis, faultinject.SingularBasis}})
+		res, err := augment(context.Background(), inst, AugmentOptions{MaxIterations: 3}, Options{Workers: 2, FaultHook: inj.Hook})
+		if err == nil {
+			t.Fatalf("targets declared met with scenario 0 never solved: %+v", res)
+		}
+		if res == nil || len(res.Report.Skipped) != res.Iterations {
+			t.Fatalf("want scenario 0 skipped in each iteration, got %+v (err %v)", res, err)
+		}
+		for it, f := range res.Report.Skipped {
+			if f.Scenario != 0 || f.Iteration != it || f.Attempts != 2 {
+				t.Fatalf("skip %d = %+v, want scenario 0 at iteration %d after 2 attempts", it, f, it)
+			}
+		}
+	})
+	t.Run("retried", func(t *testing.T) {
+		inst := triangleInstance()
+		inst.ScaleDemands(1.5)
+		clean, err := augment(context.Background(), inst, AugmentOptions{}, Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Scenario 3 (A–B down) is the one whose cuts price δ. The retry
+		// runs Bland's rule, which may end on another optimal vertex: in a
+		// degenerate scenario (B–C down, at this scale) that moves δ by ulps.
+		inj := faultinject.Script(map[int][]faultinject.Kind{3: {faultinject.SingularBasis}})
+		got, err := augment(context.Background(), inst, AugmentOptions{}, Options{Workers: 2, FaultHook: inj.Hook})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Report.Retried) == 0 || len(got.Report.Skipped) != 0 {
+			t.Fatalf("want retries and no skips, got %+v", got.Report)
+		}
+		for _, f := range got.Report.Retried {
+			if f.Attempts != 2 || !strings.Contains(f.Err, "singular") {
+				t.Fatalf("retry %+v: want recovery on attempt 2 from a singular basis", f)
+			}
+		}
+		sameAugment(t, "after retries", got, clean)
+	})
 }

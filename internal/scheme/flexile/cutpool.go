@@ -1,6 +1,11 @@
 package flexile
 
-import "math"
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"slices"
+)
 
 // cutPool owns the pooled Benders cuts of one decomposition run and dedups
 // them by content: re-solving a scenario whose optimum did not move
@@ -8,25 +13,20 @@ import "math"
 // ballast. Keyed by content hash, verified by full equality. With adds
 // performed in ascending scenario order the pool is bit-for-bit identical
 // for every worker count.
-type cutPool[T any] struct {
-	key func(T) uint64
-	eq  func(a, b T) bool
-
-	cuts  []T            // in insertion order
+type cutPool struct {
+	cuts  []*cut         // in insertion order
 	index map[uint64]int // content hash → index in cuts
 
 	generated, deduped int64
 }
 
-func newCutPool[T any](key func(T) uint64, eq func(a, b T) bool) *cutPool[T] {
-	return &cutPool[T]{key: key, eq: eq, index: make(map[uint64]int)}
-}
+func newCutPool() *cutPool { return &cutPool{index: make(map[uint64]int)} }
 
 // add pools ct unless an identical cut is already present.
-func (cp *cutPool[T]) add(ct T) {
+func (cp *cutPool) add(ct *cut) {
 	cp.generated++
-	k := cp.key(ct)
-	if i, ok := cp.index[k]; ok && cp.eq(cp.cuts[i], ct) {
+	k := cutKey(ct)
+	if i, ok := cp.index[k]; ok && cutEqual(cp.cuts[i], ct) {
 		cp.deduped++
 		return
 	}
@@ -34,84 +34,30 @@ func (cp *cutPool[T]) add(ct T) {
 	cp.cuts = append(cp.cuts, ct)
 }
 
-// hash64 streams float64/int words into an FNV-1a hash; the helper behind
-// the per-cut-type key functions.
-type hash64 struct{ h uint64 }
-
-func newHash64() *hash64 { return &hash64{h: 14695981039346656037} }
-
-func (s *hash64) word(v uint64) {
-	for i := 0; i < 8; i++ {
-		s.h ^= uint64(byte(v >> (8 * i)))
-		s.h *= 1099511628211
-	}
-}
-
-func (s *hash64) float(f float64) { s.word(math.Float64bits(f)) }
-
-// cutKey hashes an offline cut's full content (native scenario, constant,
-// duals); cutEqual confirms a hash hit before a cut is dropped as a
-// duplicate.
+// cutKey hashes (FNV-1a) what identifies a cut: its native scenario,
+// constant and raw duals. capCoef is left out: at a fixed scenario it is a
+// function of yCap for Offline, and for Augment it would tell apart one
+// (z, δ) cut generated at two values of δ.
 func cutKey(ct *cut) uint64 {
-	s := newHash64()
-	s.word(uint64(ct.nativeQ))
-	s.float(ct.C)
+	h := fnv.New64a()
+	var b [8]byte
+	word := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	word(uint64(ct.nativeQ))
+	word(math.Float64bits(ct.C))
 	for _, y := range ct.yAlpha {
-		s.float(y)
+		word(math.Float64bits(y))
 	}
-	for _, c := range ct.capCoef {
-		s.float(c)
+	for _, y := range ct.yCap {
+		word(math.Float64bits(y))
 	}
-	return s.h
+	return h.Sum64()
 }
 
+// cutEqual confirms a hash hit before a cut is dropped as a duplicate.
 func cutEqual(a, b *cut) bool {
-	if a.nativeQ != b.nativeQ || a.C != b.C ||
-		len(a.yAlpha) != len(b.yAlpha) || len(a.capCoef) != len(b.capCoef) {
-		return false
-	}
-	for i := range a.yAlpha {
-		if a.yAlpha[i] != b.yAlpha[i] {
-			return false
-		}
-	}
-	for i := range a.capCoef {
-		if a.capCoef[i] != b.capCoef[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// augCutKey / augCutEqual are the augmentation-space twins of cutKey /
-// cutEqual, over the (z, δ) cut content.
-func augCutKey(ct augCut) uint64 {
-	s := newHash64()
-	s.word(uint64(ct.q))
-	s.float(ct.C)
-	for _, y := range ct.yAlpha {
-		s.float(y)
-	}
-	for _, y := range ct.yCapRaw {
-		s.float(y)
-	}
-	return s.h
-}
-
-func augCutEqual(a, b augCut) bool {
-	if a.q != b.q || a.C != b.C ||
-		len(a.yAlpha) != len(b.yAlpha) || len(a.yCapRaw) != len(b.yCapRaw) {
-		return false
-	}
-	for i := range a.yAlpha {
-		if a.yAlpha[i] != b.yAlpha[i] {
-			return false
-		}
-	}
-	for i := range a.yCapRaw {
-		if a.yCapRaw[i] != b.yCapRaw[i] {
-			return false
-		}
-	}
-	return true
+	return a.nativeQ == b.nativeQ && a.C == b.C &&
+		slices.Equal(a.yAlpha, b.yAlpha) && slices.Equal(a.yCap, b.yCap)
 }

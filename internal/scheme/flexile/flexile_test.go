@@ -86,6 +86,17 @@ func triangleInstance() *te.Instance {
 	return inst
 }
 
+// baseCaps is the topology's capacity vector, the subproblem's capacities
+// when nothing is claimed or added.
+func baseCaps(inst *te.Instance) []float64 {
+	g := inst.Topo.G
+	caps := make([]float64, g.NumEdges())
+	for e := range caps {
+		caps[e] = g.Edge(e).Capacity
+	}
+	return caps
+}
+
 // connectedCritical is the decomposition's starting critical column for
 // scen: every demanded flow the scenario leaves connected.
 func connectedCritical(inst *te.Instance, scen failure.Scenario) func(f int) bool {
@@ -99,11 +110,11 @@ func connectedCritical(inst *te.Instance, scen failure.Scenario) func(f int) boo
 // subproblem value equals the per-scenario optimum (max-min worst loss).
 func TestSubproblemPerScenarioOptimum(t *testing.T) {
 	inst := triangleInstance()
-	sp := newSubproblem(inst, nil, lp.Options{})
+	sp := newSubproblem(inst, nil)
 	for q, scen := range inst.Scenarios {
 		alive := scen.AliveMask(3)
 		crit := connectedCritical(inst, scen)
-		sol, err := sp.solve(context.Background(), q, crit, alive, nil, nil)
+		sol, err := sp.solve(context.Background(), lp.Options{}, q, crit, alive, nil, baseCaps(inst))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,21 +133,15 @@ func TestSubproblemPerScenarioOptimum(t *testing.T) {
 // scenario and critical set reproduces the optimal value.
 func TestSubproblemCutSelfConsistency(t *testing.T) {
 	inst := triangleInstance()
-	sp := newSubproblem(inst, nil, lp.Options{})
+	sp := newSubproblem(inst, nil)
 	for q, scen := range inst.Scenarios {
 		alive := scen.AliveMask(3)
-		aliveCap := make([]float64, 3)
-		for e := range aliveCap {
-			if alive[e] {
-				aliveCap[e] = 1
-			}
-		}
 		crit := connectedCritical(inst, scen)
-		sol, err := sp.solve(context.Background(), q, crit, alive, nil, nil)
+		sol, err := sp.solve(context.Background(), lp.Options{}, q, crit, alive, nil, baseCaps(inst))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := sol.cut.value(crit, aliveCap)
+		got := sol.cut.value(crit, alive)
 		if math.Abs(got-sol.optval) > 1e-6 {
 			t.Fatalf("scenario %d: cut value %v vs optval %v", q, got, sol.optval)
 		}
@@ -147,7 +152,7 @@ func TestSubproblemCutSelfConsistency(t *testing.T) {
 // (same scenario) never exceeds the true optimum there — weak duality.
 func TestSubproblemCutIsLowerBound(t *testing.T) {
 	inst := triangleInstance()
-	sp := newSubproblem(inst, nil, lp.Options{})
+	sp := newSubproblem(inst, nil)
 	// Native solve with both flows critical in the "A-B failed" scenario.
 	qFail := -1
 	for q, s := range inst.Scenarios {
@@ -157,16 +162,15 @@ func TestSubproblemCutIsLowerBound(t *testing.T) {
 	}
 	scen := inst.Scenarios[qFail]
 	alive := scen.AliveMask(3)
-	aliveCap := []float64{0, 1, 1}
 	both := func(f int) bool { return f < 2 }
-	sol, err := sp.solve(context.Background(), qFail, both, alive, nil, nil)
+	sol, err := sp.solve(context.Background(), lp.Options{}, qFail, both, alive, nil, baseCaps(inst))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Transplant the cut to the critical set {flow 1 only}.
 	only1 := func(f int) bool { return f == 1 }
-	bound := sol.cut.value(only1, aliveCap)
-	truth, err := sp.solve(context.Background(), qFail, only1, alive, nil, nil)
+	bound := sol.cut.value(only1, alive)
+	truth, err := sp.solve(context.Background(), lp.Options{}, qFail, only1, alive, nil, baseCaps(inst))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,10 +190,11 @@ func TestOfflineBatchOracleIdentity(t *testing.T) {
 	inst := sprintInstance(t)
 	g := inst.Topo.G
 	ctx := context.Background()
-	sp := newSubproblem(inst, nil, lp.Options{})
-	claimed := make([]float64, g.NumEdges())
-	for e := range claimed {
-		claimed[e] = 0.1 * g.Edge(e).Capacity
+	sp := newSubproblem(inst, nil)
+	base := baseCaps(inst)
+	residual := make([]float64, g.NumEdges())
+	for e := range residual {
+		residual[e] = base[e] - 0.1*g.Edge(e).Capacity
 	}
 	for q, scen := range inst.Scenarios {
 		crit := connectedCritical(inst, scen)
@@ -205,14 +210,14 @@ func TestOfflineBatchOracleIdentity(t *testing.T) {
 			}
 		}
 		for _, c := range []struct {
-			name           string
-			lossUB, capUse []float64
-		}{{"plain", nil, nil}, {"gamma", gammaUB, nil}, {"capUse", nil, claimed}} {
-			sub, err := sp.solveWith(ctx, lp.Options{}, q, crit, scen.AliveMask(g.NumEdges()), c.lossUB, c.capUse)
+			name         string
+			lossUB, caps []float64
+		}{{"plain", nil, base}, {"gamma", gammaUB, base}, {"capUse", nil, residual}} {
+			sub, err := sp.solve(ctx, lp.Options{}, q, crit, scen.AliveMask(g.NumEdges()), c.lossUB, c.caps)
 			if err != nil {
 				t.Fatalf("scenario %d %s: %v", q, c.name, err)
 			}
-			// solveWith left sp.p at this case's bounds.
+			// solve left sp.p at this case's bounds.
 			direct, err := sp.p.SolveCtx(ctx, lp.Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -222,7 +227,7 @@ func TestOfflineBatchOracleIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			if batched.Objective != sub.optval {
-				t.Fatalf("scenario %d %s: re-solve objective %v, solveWith %v", q, c.name, batched.Objective, sub.optval)
+				t.Fatalf("scenario %d %s: re-solve objective %v, solve %v", q, c.name, batched.Objective, sub.optval)
 			}
 			if batched.Objective != direct.Objective || batched.Iterations != direct.Iterations ||
 				!reflect.DeepEqual(batched.X, direct.X) || !reflect.DeepEqual(batched.RowDual, direct.RowDual) {

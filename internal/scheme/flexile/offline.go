@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"math"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"flexile/internal/eval"
@@ -63,8 +63,10 @@ type Options struct {
 const (
 	// masterNodes bounds the branch-and-bound nodes per master solve: the
 	// master only needs good feasible points, which the descent incumbent
-	// and the greedy-cover rounding provide early.
-	masterNodes = 120
+	// and the greedy-cover rounding provide early. augMasterNodes is
+	// Augment's bound, which has neither.
+	masterNodes    = 120
+	augMasterNodes = 200
 	// sharedCutRounds is how many separation rounds materialize violated
 	// shared cuts g^q_{q'} per master solve, and sharedCutLimit how many
 	// rows one round may add.
@@ -78,9 +80,38 @@ const (
 	scenarioRetries = 1
 )
 
-// hammingLimit caps how many of the bits z entries may flip between master
-// solutions (stabilization, appendix eq. 23).
-func hammingLimit(bits int) int { return max(32, bits/16) }
+// The package's tolerances, each set against lp.DefaultTol (1e-9), the LP's
+// feasibility and optimality tolerance: no LP value is trusted below it.
+const (
+	// coverSlack loosens every coverage test Σ_q p_q·z_fq ≥ β_k by
+	// lp.DefaultTol, so β equal to a flow's connected mass passes in any
+	// summation order.
+	coverSlack = lp.DefaultTol
+	// lossless is lp.DefaultTol, the noise floor of an LP objective: a
+	// scenario optimum, a penalty or a cut value at or below it is zero.
+	lossless = lp.DefaultTol
+	// improveEps, lp.DefaultTol/1000, is the penalty drop a new best
+	// iterate needs: any real gain, but not summation-order noise.
+	improveEps = lp.DefaultTol / 1000
+	// spareSlack, lp.DefaultTol/1000, lets the descent release a scenario
+	// its spare critical mass covers up to rounding; inside coverSlack, so
+	// the release never breaks a coverage row.
+	spareSlack = lp.DefaultTol / 1000
+	// masterRelGap, 1e5 × lp.DefaultTol, is the master MIP's relative gap:
+	// the master needs good points, not optimality proofs.
+	masterRelGap = 1e5 * lp.DefaultTol
+	// violSlack, 100 × lp.DefaultTol, is how far a shared cut must exceed
+	// the incumbent's penalty to become a row: more than two LPs' noise.
+	violSlack = 100 * lp.DefaultTol
+	// targetSlack, violSlack's 100 × lp.DefaultTol, is how far Augment lets a
+	// class's worst critical loss exceed its target: the noise in the cut
+	// constants its master met the target with.
+	targetSlack = 100 * lp.DefaultTol
+	// zeroPercLoss, 1000 × lp.DefaultTol, is the PercLoss MaxZeroLossScale
+	// counts as zero: its allocations come through te.MaxMin, whose frozen
+	// flows may sink 1e-6 below their level.
+	zeroPercLoss = 1000 * lp.DefaultTol
+)
 
 func (o Options) withDefaults() Options {
 	if o.MaxIterations == 0 {
@@ -140,7 +171,8 @@ type SolveReport struct {
 	Retried []ScenarioFault
 	// Skipped lists scenario solves that exhausted their attempts; the
 	// scenario keeps its previous solution (or a loss of 1 if it has
-	// none) and is re-attempted on the next iteration.
+	// none; always 1 for Augment) and is re-attempted on the next
+	// iteration.
 	Skipped []ScenarioFault
 	// ScenLossFallback lists scenarios whose optimal-ScenLoss precompute
 	// failed; their bound falls back to 1 (no constraint in γ mode).
@@ -210,9 +242,6 @@ func OfflineCtx(ctx context.Context, inst *te.Instance, opt Options) (*OfflineRe
 	start := time.Now()
 	nf, nq := inst.NumFlows(), len(inst.Scenarios)
 	opt = opt.withDefaults()
-	if nq == 0 {
-		return nil, fmt.Errorf("flexile: instance has no scenarios")
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -221,57 +250,10 @@ func OfflineCtx(ctx context.Context, inst *te.Instance, opt Options) (*OfflineRe
 		ctx, cancel = context.WithTimeout(ctx, opt.Timeout)
 		defer cancel()
 	}
-	// Every solve below this point reports into a per-solve child collector
-	// (its snapshot becomes SolveReport.Metrics); adds roll up into whatever
-	// collector the caller installed (the CLIs' process-global one).
-	col := obs.NewChild(obs.From(ctx))
-	ctx = obs.With(ctx, col)
-
-	// Connectivity of every flow in every scenario: z_fq is fixed to 0 for
-	// disconnected flows (§4.2 warm start) and those bits never become
-	// master variables.
-	connected := make([][]bool, nf)
-	for k := range inst.Classes {
-		for i := range inst.Pairs {
-			f := inst.FlowID(k, i)
-			connected[f] = make([]bool, nq)
-			for q, s := range inst.Scenarios {
-				connected[f][q] = inst.FlowConnected(k, i, s)
-			}
-		}
+	d, ctx, err := newDecomp(ctx, inst, opt)
+	if err != nil {
+		return nil, err
 	}
-	// Coverage feasibility: every demanded flow must be connected in
-	// scenarios totalling at least β_k.
-	for k := range inst.Classes {
-		for i := range inst.Pairs {
-			if inst.Demand[k][i] <= 0 {
-				continue
-			}
-			f := inst.FlowID(k, i)
-			mass := 0.0
-			for q, s := range inst.Scenarios {
-				if connected[f][q] {
-					mass += s.Prob
-				}
-			}
-			if mass < inst.Classes[k].Beta-1e-9 {
-				return nil, fmt.Errorf("flexile: flow (%s,%d-%d) connected only %.6f of the time, below β=%v; lower the class target",
-					inst.Classes[k].Name, inst.Pairs[i][0], inst.Pairs[i][1], mass, inst.Classes[k].Beta)
-			}
-		}
-	}
-
-	// Warm start (Proposition 1): critical wherever connected.
-	z := NewCriticalSet(nf, nq)
-	for f := 0; f < nf; f++ {
-		for q := 0; q < nq; q++ {
-			if connected[f][q] && inst.FlowDemand(f) > 0 {
-				z.Set(f, q, true)
-			}
-		}
-	}
-
-	var report SolveReport
 
 	// Per-scenario optimal ScenLoss over connected flows (for γ and for
 	// reporting). Each solve builds its own LP, so the scenarios fan out
@@ -280,9 +262,9 @@ func OfflineCtx(ctx context.Context, inst *te.Instance, opt Options) (*OfflineRe
 	// (which in γ mode relaxes the scenario's loss cap to no constraint)
 	// instead of aborting the whole solve.
 	scenLossOpt := make([]float64, nq)
-	endPre := col.Span("scenloss-precompute", 0, "scenarios", nq)
+	endPre := d.col.Span("scenloss-precompute", 0, "scenarios", nq)
 	preErrs := par.Collect(ctx, opt.Workers, nq, func(worker, q int) error {
-		defer col.Span("scenloss", int64(worker)+1, "scenario", q)()
+		defer d.col.Span("scenloss", int64(worker)+1, "scenario", q)()
 		var capUse []float64
 		if opt.ScenFixedUse != nil {
 			capUse = opt.ScenFixedUse[q]
@@ -306,69 +288,175 @@ func OfflineCtx(ctx context.Context, inst *te.Instance, opt Options) (*OfflineRe
 			return nil, fmt.Errorf("flexile: scenario %d loss precompute: %w", q, err)
 		}
 		scenLossOpt[q] = 1
-		report.ScenLossFallback = append(report.ScenLossFallback, q)
+		d.report.ScenLossFallback = append(d.report.ScenLossFallback, q)
 	}
-	var lossUB [][]float64 // [q][f], only for γ mode
 	if opt.Gamma >= 0 {
-		lossUB = make([][]float64, nq)
 		for q := range inst.Scenarios {
-			ub := make([]float64, nf)
-			for f := 0; f < nf; f++ {
-				if connected[f][q] {
-					ub[f] = math.Min(1, opt.Gamma+scenLossOpt[q])
-				} else {
-					ub[f] = 1
+			d.lossUB[q] = make([]float64, nf)
+			for f := range d.lossUB[q] {
+				d.lossUB[q][f] = 1
+				if d.connected[f][q] {
+					d.lossUB[q][f] = math.Min(1, opt.Gamma+scenLossOpt[q])
 				}
 			}
-			lossUB[q] = ub
 		}
 	}
-	// Cut sharing requires every scenario's subproblem to differ only in
-	// its right-hand side — per-scenario traffic matrices and the γ bound
-	// both break that.
-	shareCuts := opt.Gamma < 0 && inst.ScenDemand == nil && opt.ScenFixedUse == nil
+	// The capacity vector is fixed: the topology's, less what higher
+	// classes already claimed in the scenario (sequential design, §4.4).
+	g := inst.Topo.G
+	caps := make([][]float64, nq)
+	for q := range caps {
+		caps[q] = make([]float64, g.NumEdges())
+		for e := range caps[q] {
+			caps[q][e] = g.Edge(e).Capacity
+			if opt.ScenFixedUse != nil {
+				caps[q][e] = max(0, caps[q][e]-opt.ScenFixedUse[q][e])
+			}
+		}
+	}
+
+	res := &OfflineResult{ScenLossOpt: scenLossOpt}
+	m := &offlineMaster{
+		d: d, res: res, capv: caps, bestPenalty: math.Inf(1),
+		// Cut sharing requires every scenario's subproblem to differ only in
+		// its right-hand side — per-scenario traffic matrices and the γ bound
+		// both break that.
+		shareCuts: opt.Gamma < 0 && inst.ScenDemand == nil && opt.ScenFixedUse == nil,
+	}
+	if err := d.run(ctx, m); err != nil {
+		return nil, err
+	}
+	res.Iterations, res.SubproblemSolves, res.Report = d.iterations, d.solves, d.report
+	res.Elapsed = time.Since(start)
+	return res, nil
+}
+
+// decomp is one run of the Benders decomposition (§4.2), the loop Offline
+// and Augment share: per-scenario subproblems solved in parallel under the
+// retry/skip policy, a deduped cut pool, and a master that decides when to
+// stop and proposes the next point.
+type decomp struct {
+	inst *te.Instance
+	opt  Options
+	col  *obs.Collector
+	// connected[f][q] says whether flow f survives scenario q; z_fq is fixed
+	// to 0 where it does not (§4.2 warm start) and never becomes a master
+	// variable.
+	connected [][]bool
+	alive     [][]bool // alive[q][e] is m_eq
+	// lossUB[q], when non-nil, bounds every flow's loss in scenario q (the
+	// γ variant).
+	lossUB [][]float64
+	// movingCaps marks Augment's run, whose capacities move with δ: a
+	// scenario perfect at the warm start is re-solved like any other (at a
+	// new δ its duals can give new cuts), and a failed scenario counts as
+	// loss 1 until solved again rather than keep a solution taken at another
+	// point, as Offline's degraded mode does (DESIGN.md §8).
+	movingCaps bool
+
+	report             SolveReport
+	iterations, solves int
+}
+
+// master is what the two decompositions do differently: Offline's
+// (offlineMaster) minimizes the penalty over the critical set z; Augment's
+// (augMaster) minimizes the cost of added capacity over (z, δ).
+type master interface {
+	// caps is the capacity vector scenario q's subproblem sees at the
+	// current point, before the scenario's failed links are zeroed.
+	caps(q int) []float64
+	// done reads the iteration's loss matrix at critical set z and reports
+	// whether the decomposition may stop.
+	done(z *CriticalSet, losses [][]float64) bool
+	// next solves the master over the pooled cuts and returns the next
+	// critical set, and true if the decomposition has converged instead.
+	next(ctx context.Context, cuts []*cut, z *CriticalSet) (*CriticalSet, bool, error)
+}
+
+// newDecomp validates inst for a decomposition: it must have scenarios,
+// and every demanded flow must be connected in scenarios totalling at
+// least β_k, which neither a critical set nor added capacity can change.
+// The returned context carries the run's child collector, whose snapshot
+// becomes SolveReport.Metrics; adds roll up into whatever collector the
+// caller installed (the CLIs' process-global one).
+func newDecomp(ctx context.Context, inst *te.Instance, opt Options) (*decomp, context.Context, error) {
+	nf, nq := inst.NumFlows(), len(inst.Scenarios)
+	if nq == 0 {
+		return nil, nil, fmt.Errorf("flexile: instance has no scenarios")
+	}
+	d := &decomp{inst: inst, opt: opt, col: obs.NewChild(obs.From(ctx)),
+		connected: make([][]bool, nf), alive: make([][]bool, nq), lossUB: make([][]float64, nq)}
+	for f := range d.connected {
+		k, i := inst.FlowOf(f)
+		d.connected[f] = make([]bool, nq)
+		mass := 0.0
+		for q, s := range inst.Scenarios {
+			if d.connected[f][q] = inst.FlowConnected(k, i, s); d.connected[f][q] {
+				mass += s.Prob
+			}
+		}
+		if cls := inst.Classes[k]; inst.Demand[k][i] > 0 && mass < cls.Beta-coverSlack {
+			return nil, nil, fmt.Errorf("flexile: flow (%s,%d-%d) connected only %.6f of the time, below β=%v; lower the class target (added capacity creates no links)",
+				cls.Name, inst.Pairs[i][0], inst.Pairs[i][1], mass, cls.Beta)
+		}
+	}
+	for q, s := range inst.Scenarios {
+		d.alive[q] = s.AliveMask(inst.Topo.G.NumEdges())
+	}
+	return d, obs.With(ctx, d.col), nil
+}
+
+// run iterates from the warm start until m stops it or opt.MaxIterations
+// runs out, then records the run's counters.
+func (d *decomp) run(ctx context.Context, m master) error {
+	inst, opt, col := d.inst, d.opt, d.col
+	nf, nq := inst.NumFlows(), len(inst.Scenarios)
+
+	// Warm start (Proposition 1): critical wherever connected.
+	z := NewCriticalSet(nf, nq)
+	for f, row := range d.connected {
+		for q, c := range row {
+			z.Set(f, q, c && inst.FlowDemand(f) > 0)
+		}
+	}
 
 	// The subproblem LP mutates row bounds in place on every solve, so
 	// concurrent scenario solves need distinct instances: one lazily-built
 	// LP per worker (a worker id maps to a single goroutine at a time).
-	// Per-scenario-demand subproblems are keyed by scenario and only ever
-	// used by the one worker holding that scenario, so a mutex around the
-	// map lookup suffices.
+	// Per-scenario-demand subproblems are kept per scenario, and a scenario
+	// is held by one worker at a time, so neither slice needs a lock.
 	sps := make([]*subproblem, opt.Workers)
-	var spByQMu sync.Mutex
-	spByQ := make(map[int]*subproblem)
-	solveSub := func(worker, q int, crit func(int) bool, alive []bool, ub []float64, lpOpts lp.Options) (*subSolution, error) {
-		var capUse []float64
-		if opt.ScenFixedUse != nil {
-			capUse = opt.ScenFixedUse[q]
+	spByQ := make([]*subproblem, nq)
+	solveSub := func(worker, q int, crit func(int) bool, lpOpts lp.Options) (*subSolution, error) {
+		dv := inst.ScenDemandVector(q)
+		sp := &sps[worker]
+		if dv != nil {
+			sp = &spByQ[q]
 		}
-		if dv := inst.ScenDemandVector(q); dv != nil {
-			spByQMu.Lock()
-			sq, ok := spByQ[q]
-			if !ok {
-				sq = newSubproblem(inst, dv, opt.LP)
-				spByQ[q] = sq
-			}
-			spByQMu.Unlock()
-			return sq.solveWith(ctx, lpOpts, q, crit, alive, ub, capUse)
+		if *sp == nil {
+			*sp = newSubproblem(inst, dv)
 		}
-		if sps[worker] == nil {
-			sps[worker] = newSubproblem(inst, nil, opt.LP)
-		}
-		return sps[worker].solveWith(ctx, lpOpts, q, crit, alive, ub, capUse)
+		return (*sp).solve(ctx, lpOpts, q, crit, d.alive[q], d.lossUB[q], m.caps(q))
+	}
+	// outcome is one scenario's pass through the retry policy: its
+	// solution (nil if every attempt failed), how many attempts it took, and
+	// the failure that triggered a retry, so the report can say why.
+	type outcome struct {
+		sol      *subSolution
+		attempts int
+		firstErr error
 	}
 	// solveSubAttempts wraps one scenario solve in the retry policy: the
 	// fault hook (if any) and the real solve run per attempt; a retryable
 	// failure (singular basis, iteration limit) earns a re-solve under
 	// hardened settings; anything else — and exhausted retries — fails the
-	// item. firstErr preserves the failure that triggered a successful
-	// retry so the report can say why. All decisions depend only on the
-	// scenario and the attempt number, never on the worker id, so faulted
-	// runs stay deterministic across worker counts.
-	solveSubAttempts := func(worker, q int, crit func(int) bool, alive []bool, ub []float64) (*subSolution, int, error, error) {
-		var firstErr error
+	// item. All decisions depend only on the scenario and the attempt
+	// number, never on the worker id, so faulted runs stay deterministic
+	// across worker counts.
+	solveSubAttempts := func(worker, q int, crit func(int) bool) (outcome, error) {
+		var out outcome
 		for attempt := 0; ; attempt++ {
-			var sol *subSolution
+			out.attempts = attempt + 1
 			var err error
 			if opt.FaultHook != nil {
 				err = opt.FaultHook(q, attempt)
@@ -378,39 +466,22 @@ func OfflineCtx(ctx context.Context, inst *te.Instance, opt Options) (*OfflineRe
 				if attempt > 0 {
 					lpOpts = hardenLP(lpOpts)
 				}
-				sol, err = solveSub(worker, q, crit, alive, ub, lpOpts)
+				if out.sol, err = solveSub(worker, q, crit, lpOpts); err == nil {
+					return out, nil
+				}
 			}
-			if err == nil {
-				return sol, attempt + 1, firstErr, nil
-			}
-			if firstErr == nil {
-				firstErr = err
+			if out.firstErr == nil {
+				out.firstErr = err
 			}
 			if isCtxErr(err) || !retryableErr(err) || attempt >= scenarioRetries {
-				return nil, attempt + 1, firstErr, err
+				return out, err
 			}
 		}
-	}
-	aliveMask := make([][]bool, nq)
-	aliveCap := make([][]float64, nq) // m_eq ∈ {0,1} per edge, for cut eval
-	g := inst.Topo.G
-	for q, s := range inst.Scenarios {
-		aliveMask[q] = s.AliveMask(g.NumEdges())
-		ac := make([]float64, g.NumEdges())
-		for e := range ac {
-			if aliveMask[q][e] {
-				ac[e] = 1
-			}
-		}
-		aliveCap[q] = ac
 	}
 
-	res := &OfflineResult{
-		Critical:    z,
-		ScenLossOpt: scenLossOpt,
-	}
 	type cache struct {
 		col  *ScenarioColumn // snapshot of scenario q's column when last solved
+		caps []float64       // and the capacity vector it was solved at
 		sol  *subSolution
 		perf bool // perfect scenario: all connected flows lossless
 	}
@@ -418,16 +489,7 @@ func OfflineCtx(ctx context.Context, inst *te.Instance, opt Options) (*OfflineRe
 	// The cut pool dedups regenerated cuts (see cutpool.go); appends happen
 	// in ascending scenario order, so the pool is identical for every
 	// worker count.
-	pool := newCutPool(cutKey, cutEqual)
-	losses := make([][]float64, nf)
-	for f := range losses {
-		losses[f] = make([]float64, nq)
-	}
-
-	bestPenalty := math.Inf(1)
-	var bestZ *CriticalSet
-	var bestLosses [][]float64
-	var bestPercLoss []float64
+	pool := newCutPool()
 
 	for iter := 0; iter < opt.MaxIterations; iter++ {
 		// Scenarios surviving the pruning rules this iteration. The solves
@@ -442,222 +504,170 @@ func OfflineCtx(ctx context.Context, inst *te.Instance, opt Options) (*OfflineRe
 			if c.perf {
 				continue // pruned: scenario supports every connected flow losslessly
 			}
-			if c.col != nil && c.col.EqualColumn(z, q) {
-				continue // pruned: critical set unchanged since last solve
+			if c.col != nil && c.col.EqualColumn(z, q) && slices.Equal(c.caps, m.caps(q)) {
+				continue // pruned: critical set and capacities unchanged since last solve
 			}
 			pending = append(pending, q)
 		}
-		sols := make([]*subSolution, len(pending))
-		attempts := make([]int, len(pending))
-		retriedFrom := make([]error, len(pending))
+		outs := make([]outcome, len(pending))
 		solveOne := func(worker, j int) error {
 			q := pending[j]
 			defer col.Span("scenario-solve", int64(worker)+1, "scenario", q, "iteration", iter)()
 			defer col.ObserveSince(obs.LatScenarioSolve, time.Now())
-			var ub []float64
-			if lossUB != nil {
-				ub = lossUB[q]
-			}
-			var sol *subSolution
-			var att int
-			var first, err error
+			var err error
 			// Label the CPU samples of this scenario's solve so profiles
 			// attribute time to (scenario, iteration).
 			pprof.Do(ctx, pprof.Labels("solve", "scenario", "scenario", strconv.Itoa(q), "iteration", strconv.Itoa(iter)), func(context.Context) {
-				sol, att, first, err = solveSubAttempts(worker, q, func(f int) bool { return z.Get(f, q) }, aliveMask[q], ub)
+				outs[j], err = solveSubAttempts(worker, q, func(f int) bool { return z.Get(f, q) })
 			})
-			attempts[j] = att
-			if err != nil {
-				return err
-			}
-			sols[j] = sol
-			retriedFrom[j] = first
-			return nil
+			return err
 		}
 		endBatch := col.Span("iteration", 0, "iter", iter, "pending", len(pending))
 		itemErrs := par.Collect(ctx, opt.Workers, len(pending), solveOne)
 		endBatch()
-		// Classify failures in ascending scenario order (deterministic for
-		// any worker count): cancellation aborts, everything else degrades
-		// — the scenario keeps its previous cached solution (or, having
-		// none, contributes the conservative loss of 1 below) and, since
-		// its cached column is not refreshed, is re-attempted next
-		// iteration.
+		// Take the outcomes in ascending scenario order (deterministic for
+		// any worker count). Cancellation aborts; any other failure degrades
+		// — the scenario keeps its previous cached solution (or, having none
+		// or under movingCaps, contributes the conservative loss of 1 below)
+		// and, since its cached column is not refreshed, is re-attempted
+		// next iteration.
 		for j, q := range pending {
-			err := itemErrs[j]
-			if err == nil {
-				if retriedFrom[j] != nil {
-					report.Retried = append(report.Retried, ScenarioFault{
-						Scenario: q, Iteration: iter, Attempts: attempts[j], Err: retriedFrom[j].Error(),
-					})
+			err, out := itemErrs[j], outs[j]
+			if err != nil {
+				if isCtxErr(err) {
+					return fmt.Errorf("flexile: offline solve canceled: %w", err)
+				}
+				if opt.FailFast {
+					return err
+				}
+				// A recovered panic leaves no outcome behind; report at least
+				// one attempt.
+				d.report.Skipped = append(d.report.Skipped, ScenarioFault{
+					Scenario: q, Iteration: iter, Attempts: max(1, out.attempts), Err: err.Error(),
+				})
+				if d.movingCaps {
+					caches[q] = cache{}
 				}
 				continue
 			}
-			if isCtxErr(err) {
-				return nil, fmt.Errorf("flexile: offline solve canceled: %w", err)
-			}
-			if opt.FailFast {
-				return nil, err
-			}
-			// A recovered panic carries attempt count 0 in attempts[j] only
-			// if it fired before the store; report at least one attempt.
-			att := attempts[j]
-			if att == 0 {
-				att = 1
-			}
-			report.Skipped = append(report.Skipped, ScenarioFault{
-				Scenario: q, Iteration: iter, Attempts: att, Err: err.Error(),
-			})
-		}
-		for j, q := range pending {
-			sol := sols[j]
-			if sol == nil {
-				continue // skipped this iteration
+			if out.firstErr != nil {
+				d.report.Retried = append(d.report.Retried, ScenarioFault{
+					Scenario: q, Iteration: iter, Attempts: out.attempts, Err: out.firstErr.Error(),
+				})
 			}
 			c := &caches[q]
-			res.SubproblemSolves++
-			c.sol = sol
+			d.solves++
+			c.sol = out.sol
 			c.col = z.CloneScenario(q)
-			pool.add(sol.cut)
+			c.caps = m.caps(q)
+			pool.add(out.sol.cut)
 			// A scenario is perfect when, with every connected flow marked
 			// critical (the warm-start state), the optimum is zero.
-			if iter == 0 && sol.optval <= 1e-9 {
+			if iter == 0 && !d.movingCaps && out.sol.optval <= lossless {
 				c.perf = true
 			}
 		}
-		// Assemble the loss matrix from the cached subproblem solutions.
+		// Assemble the loss matrix from the cached subproblem solutions (a
+		// fresh one per iteration, so the master may keep it).
+		losses := make([][]float64, nf)
+		for f := range losses {
+			losses[f] = make([]float64, nq)
+		}
 		for q := range inst.Scenarios {
 			c := &caches[q]
 			for f := 0; f < nf; f++ {
+				// A disconnected or unsolved flow loses everything.
+				l := 1.0
 				switch {
 				case inst.FlowDemand(f) <= 0:
-					losses[f][q] = 0
+					l = 0
+				case !d.connected[f][q]:
 				case c.perf:
-					if connected[f][q] {
-						losses[f][q] = 0
-					} else {
-						losses[f][q] = 1
-					}
+					l = 0
 				case c.sol != nil:
-					if connected[f][q] {
-						losses[f][q] = c.sol.loss[f]
-					} else {
-						losses[f][q] = 1
-					}
-				default:
-					losses[f][q] = 1
+					l = c.sol.loss[f]
 				}
+				losses[f][q] = l
 			}
 		}
-		percs := eval.PercLossAll(inst, losses)
-		penalty := 0.0
-		for k, pl := range percs {
-			penalty += inst.Classes[k].Weight * pl
-		}
-		res.IterPercLoss = append(res.IterPercLoss, percs)
-		res.IterPenalty = append(res.IterPenalty, penalty)
-		res.Iterations = iter + 1
-		if penalty < bestPenalty-1e-12 {
-			bestPenalty = penalty
-			bestZ = z.Clone()
-			bestLosses = cloneMatrix(losses)
-			bestPercLoss = append([]float64(nil), percs...)
-		}
-		if penalty <= 1e-9 || iter == opt.MaxIterations-1 {
+		d.iterations = iter + 1
+		if m.done(z, losses) || iter == opt.MaxIterations-1 {
 			break
 		}
-		// Master step: propose new critical scenarios. A master failure is
-		// not fatal in degraded mode: the decomposition ends early and the
-		// best incumbent found so far is returned.
+		// Master step: propose the next point. A master failure is not
+		// fatal in degraded mode: the decomposition ends early and the
+		// master's stopping rule decides what the run produced.
 		var nz *CriticalSet
+		var converged bool
 		var err error
 		cuts := pool.cuts
 		endMaster := col.Span("master-solve", 0, "iteration", iter, "cuts", len(cuts))
 		pprof.Do(ctx, pprof.Labels("solve", "master", "iteration", strconv.Itoa(iter)), func(context.Context) {
-			nz, err = solveMaster(ctx, inst, connected, cuts, z, aliveCap, opt, shareCuts)
+			nz, converged, err = m.next(ctx, cuts, z)
 		})
 		endMaster()
 		if err != nil {
 			if isCtxErr(err) {
-				return nil, fmt.Errorf("flexile: offline solve canceled: %w", err)
+				return fmt.Errorf("flexile: offline solve canceled: %w", err)
 			}
 			if opt.FailFast {
-				return nil, err
+				return err
 			}
-			report.MasterFailures = append(report.MasterFailures, fmt.Sprintf("iteration %d: %v", iter, err))
+			d.report.MasterFailures = append(d.report.MasterFailures, fmt.Sprintf("iteration %d: %v", iter, err))
 			break
 		}
-		if nz.Equal(z) {
-			break // converged: master repeats the proposal
+		if converged {
+			break
 		}
 		z = nz
-		res.Critical = z
 	}
 
-	res.Critical = bestZ
-	res.SubLosses = bestLosses
-	res.PercLoss = bestPercLoss
-	res.Elapsed = time.Since(start)
 	col.AddDecomp(obs.DecompMetrics{
 		Solves:            1,
-		Iterations:        int64(res.Iterations),
-		ScenarioSolves:    int64(res.SubproblemSolves),
-		ScenarioRetries:   int64(len(report.Retried)),
-		ScenarioSkips:     int64(len(report.Skipped)),
-		ScenLossFallbacks: int64(len(report.ScenLossFallback)),
-		MasterFailures:    int64(len(report.MasterFailures)),
+		Iterations:        int64(d.iterations),
+		ScenarioSolves:    int64(d.solves),
+		ScenarioRetries:   int64(len(d.report.Retried)),
+		ScenarioSkips:     int64(len(d.report.Skipped)),
+		ScenLossFallbacks: int64(len(d.report.ScenLossFallback)),
+		MasterFailures:    int64(len(d.report.MasterFailures)),
 		CutsGenerated:     pool.generated,
 		CutsDeduped:       pool.deduped,
 	})
-	report.Metrics = col.Snapshot()
-	res.Report = report
-	return res, nil
+	d.report.Metrics = col.Snapshot()
+	return nil
 }
 
-func cloneMatrix(m [][]float64) [][]float64 {
-	out := make([][]float64, len(m))
-	for i := range m {
-		out[i] = append([]float64(nil), m[i]...)
-	}
-	return out
+// zBlock is the critical-set block both masters share: one binary z_fq per
+// demanded flow f and scenario q it is connected in, and per demanded flow
+// the coverage row (3) Σ_q p_q·z_fq ≥ β_k.
+type zBlock struct {
+	col        [][]int // col[f][q] is z_fq's column; −1 where z_fq is fixed at 0
+	bins       []int   // every z column, in (f, q) order
+	flow, scen []int   // bins[b] is z_{flow[b], scen[b]}
 }
 
-// solveMaster builds and solves the master MIP (M): minimize Penalty
-// subject to per-flow coverage (3), the pooled Benders cuts (19), and the
-// hamming-distance stabilization (23), with z binary.
-func solveMaster(ctx context.Context, inst *te.Instance, connected [][]bool, cuts []*cut, zPrev *CriticalSet, aliveCap [][]float64, opt Options, shareCuts bool) (*CriticalSet, error) {
-	mcol := obs.From(ctx)
-	var mm obs.DecompMetrics
-	defer func() { mcol.AddDecomp(mm) }()
+func newZBlock(p *lp.Problem, d *decomp) *zBlock {
+	inst := d.inst
 	nf, nq := inst.NumFlows(), len(inst.Scenarios)
-	hamming := hammingLimit(nf * nq)
-	p := lp.NewProblem()
-	pen := p.AddCol("penalty", 0, lp.Inf, 1)
-
-	// z columns exist only for (connected, demanded) combinations.
-	zcol := make([][]int, nf)
-	var binaries []int
-	var binFlow, binScen []int // parallel metadata for each binary
+	zb := &zBlock{col: make([][]int, nf)}
 	for f := 0; f < nf; f++ {
-		zcol[f] = make([]int, nq)
+		zb.col[f] = make([]int, nq)
 		for q := 0; q < nq; q++ {
-			zcol[f][q] = -1
+			zb.col[f][q] = -1
 		}
 		if inst.FlowDemand(f) <= 0 {
 			continue
 		}
 		for q := 0; q < nq; q++ {
-			if !connected[f][q] {
+			if !d.connected[f][q] {
 				continue
 			}
-			col := p.AddCol(fmt.Sprintf("z[%d,%d]", f, q), 0, 1, 0)
-			zcol[f][q] = col
-			binaries = append(binaries, col)
-			binFlow = append(binFlow, f)
-			binScen = append(binScen, q)
+			zb.col[f][q] = p.AddCol(fmt.Sprintf("z[%d,%d]", f, q), 0, 1, 0)
+			zb.bins = append(zb.bins, zb.col[f][q])
+			zb.flow = append(zb.flow, f)
+			zb.scen = append(zb.scen, q)
 		}
 	}
-	// Coverage rows (3).
 	for k := range inst.Classes {
 		for i := range inst.Pairs {
 			if inst.Demand[k][i] <= 0 {
@@ -666,45 +676,120 @@ func solveMaster(ctx context.Context, inst *te.Instance, connected [][]bool, cut
 			f := inst.FlowID(k, i)
 			var es []lp.Entry
 			for q, s := range inst.Scenarios {
-				if zcol[f][q] >= 0 {
-					es = append(es, lp.Entry{Col: zcol[f][q], Coef: s.Prob})
+				if zb.col[f][q] >= 0 {
+					es = append(es, lp.Entry{Col: zb.col[f][q], Coef: s.Prob})
 				}
 			}
-			p.AddGE(fmt.Sprintf("cov[%d]", f), inst.Classes[k].Beta-1e-9, es...)
+			p.AddGE(fmt.Sprintf("cov[%d]", f), inst.Classes[k].Beta-coverSlack, es...)
 		}
 	}
-	// Hamming stabilization (23) against zPrev.
-	{
-		var es []lp.Entry
-		base := 0.0
-		for b, col := range binaries {
-			if zPrev.Get(binFlow[b], binScen[b]) {
-				es = append(es, lp.Entry{Col: col, Coef: -1})
-				base++
-			} else {
-				es = append(es, lp.Entry{Col: col, Coef: 1})
-			}
+	return zb
+}
+
+// warm is z as a MIP warm start over the block's binaries.
+func (zb *zBlock) warm(z *CriticalSet) []float64 {
+	w := make([]float64, len(zb.bins))
+	for b := range zb.bins {
+		if z.Get(zb.flow[b], zb.scen[b]) {
+			w[b] = 1
 		}
-		p.AddLE("hamming", float64(hamming)-base, es...)
 	}
+	return w
+}
+
+// read is the critical set a master solution x selects.
+func (zb *zBlock) read(x []float64, nq int) *CriticalSet {
+	z := NewCriticalSet(len(zb.col), nq)
+	for b, col := range zb.bins {
+		if x[col] > 0.5 {
+			z.Set(zb.flow[b], zb.scen[b], true)
+		}
+	}
+	return z
+}
+
+// cutTerms adds cut ct's z terms at scenario q, scaled by sign, to a row's
+// entries es and right-hand side rhs: every y_af ≠ 0 moves rhs by sign·y_af
+// (from the constant in z_fq − 1), and z_fq gets coefficient sign·y_af
+// unless it is fixed at 0.
+func (zb *zBlock) cutTerms(ct *cut, q int, sign float64, es []lp.Entry, rhs float64) ([]lp.Entry, float64) {
+	for f, y := range ct.yAlpha {
+		if y == 0 {
+			continue
+		}
+		sy := sign * y
+		rhs += sy
+		if c := zb.col[f][q]; c >= 0 {
+			es = append(es, lp.Entry{Col: c, Coef: sy})
+		}
+	}
+	return es, rhs
+}
+
+// offlineMaster is Offline's master (M): minimize the penalty subject to
+// coverage (3), the pooled Benders cuts (19) and the hamming-distance
+// stabilization (23), with z binary. It also keeps the best iterate, which
+// is what Offline returns.
+type offlineMaster struct {
+	d           *decomp
+	res         *OfflineResult
+	capv        [][]float64 // capv[q] is scenario q's fixed capacity vector
+	shareCuts   bool
+	bestPenalty float64
+}
+
+func (m *offlineMaster) caps(q int) []float64 { return m.capv[q] }
+
+// done records the iteration's PercLoss and penalty, keeps the best
+// iterate, and stops once the penalty is zero.
+func (m *offlineMaster) done(z *CriticalSet, losses [][]float64) bool {
+	inst := m.d.inst
+	percs := eval.PercLossAll(inst, losses)
+	penalty := 0.0
+	for k, pl := range percs {
+		penalty += inst.Classes[k].Weight * pl
+	}
+	m.res.IterPercLoss = append(m.res.IterPercLoss, percs)
+	m.res.IterPenalty = append(m.res.IterPenalty, penalty)
+	if penalty < m.bestPenalty-improveEps {
+		m.bestPenalty = penalty
+		m.res.Critical = z.Clone()
+		m.res.SubLosses = losses
+		m.res.PercLoss = append([]float64(nil), percs...)
+	}
+	return penalty <= lossless
+}
+
+// next solves (M) around zPrev; the decomposition has converged when the
+// master repeats its proposal.
+func (m *offlineMaster) next(ctx context.Context, cuts []*cut, zPrev *CriticalSet) (*CriticalSet, bool, error) {
+	mcol := obs.From(ctx)
+	var mm obs.DecompMetrics
+	defer func() { mcol.AddDecomp(mm) }()
+	inst, d, opt := m.d.inst, m.d, m.d.opt
+	nf, nq := inst.NumFlows(), len(inst.Scenarios)
+	// At most this many z bits may flip between master solutions
+	// (stabilization, appendix eq. 23).
+	hamming := max(32, nf*nq/16)
+	p := lp.NewProblem()
+	pen := p.AddCol("penalty", 0, lp.Inf, 1)
+	zb := newZBlock(p, d)
+	// Hamming stabilization (23) against zPrev: Σ_{zPrev=0} z − Σ_{zPrev=1} z
+	// ≤ hamming − |zPrev|.
+	prev := zb.warm(zPrev)
+	hes := make([]lp.Entry, len(prev))
+	base := 0.0
+	for b, w := range prev {
+		hes[b] = lp.Entry{Col: zb.bins[b], Coef: 1 - 2*w}
+		base += w
+	}
+	p.AddLE("hamming", float64(hamming)-base, hes...)
 	// Cut rows. Native cuts always; shared cuts via separation below.
 	addCutRow := func(ct *cut, q int) {
-		es := []lp.Entry{{Col: pen, Coef: 1}}
-		rhs := ct.C
-		for f, y := range ct.yAlpha {
-			if y == 0 {
-				continue
-			}
-			if zcol[f][q] >= 0 {
-				es = append(es, lp.Entry{Col: zcol[f][q], Coef: -y})
-				rhs -= y
-			} else {
-				rhs -= y // z fixed at 0 → contributes −y
-			}
-		}
+		es, rhs := zb.cutTerms(ct, q, -1, []lp.Entry{{Col: pen, Coef: 1}}, ct.C)
 		for e, cc := range ct.capCoef {
-			if cc != 0 && aliveCap[q][e] > 0 {
-				rhs += cc * aliveCap[q][e]
+			if cc != 0 && d.alive[q][e] {
+				rhs += cc
 			}
 		}
 		p.AddGE(fmt.Sprintf("cut[%d@%d]", ct.nativeQ, q), rhs, es...)
@@ -715,20 +800,18 @@ func solveMaster(ctx context.Context, inst *te.Instance, connected [][]bool, cut
 
 	// Rounding heuristic for the MIP: per flow, greedily pick the
 	// highest-z̃ scenarios until β is covered.
-	groups := map[int][]int{}
-	weights := make([]float64, len(binaries))
-	for b := range binaries {
-		groups[binFlow[b]] = append(groups[binFlow[b]], b)
-		weights[b] = inst.Scenarios[binScen[b]].Prob
-	}
+	// The block lists each flow's binaries as one run, flows in order.
+	weights := make([]float64, len(zb.bins))
 	var groupList [][]int
 	var targets []float64
-	for f := 0; f < nf; f++ {
-		if g, ok := groups[f]; ok {
-			groupList = append(groupList, g)
+	for b, f := range zb.flow {
+		weights[b] = inst.Scenarios[zb.scen[b]].Prob
+		if b == 0 || f != zb.flow[b-1] {
 			k, _ := inst.FlowOf(f)
+			groupList = append(groupList, nil)
 			targets = append(targets, inst.Classes[k].Beta)
 		}
+		groupList[len(groupList)-1] = append(groupList[len(groupList)-1], b)
 	}
 	// The greedy-cover rounding is strong but each invocation costs an LP
 	// solve inside the MIP; cap how often it runs per master solve.
@@ -772,19 +855,19 @@ func solveMaster(ctx context.Context, inst *te.Instance, connected [][]bool, cut
 			bestVal := 0.0
 			var bestCut *cut
 			for _, ct := range cuts {
-				v := ct.value(func(f int) bool { return descent.Get(f, ct.nativeQ) }, aliveCap[ct.nativeQ])
+				v := ct.value(func(f int) bool { return descent.Get(f, ct.nativeQ) }, d.alive[ct.nativeQ])
 				if v > bestVal {
 					bestVal, bestCut = v, ct
 				}
 			}
-			if bestCut == nil || bestVal <= 1e-9 {
+			if bestCut == nil || bestVal <= lossless {
 				break
 			}
 			q := bestCut.nativeQ
 			prob := inst.Scenarios[q].Prob
 			cand, candY := -1, 0.0
 			for f, y := range bestCut.yAlpha {
-				if y > candY && descent.Get(f, q) && spare[f] >= prob-1e-12 {
+				if y > candY && descent.Get(f, q) && spare[f] >= prob-spareSlack {
 					cand, candY = f, y
 				}
 			}
@@ -797,33 +880,28 @@ func solveMaster(ctx context.Context, inst *te.Instance, connected [][]bool, cut
 		}
 	}
 
-	warm := make([]float64, len(binaries))
-	for b := range binaries {
-		if descent.Get(binFlow[b], binScen[b]) {
-			warm[b] = 1
-		}
-	}
-
-	solveMIP := func() (*mip.Solution, error) {
+	warm := zb.warm(descent)
+	solveMIP := func(stage string) (*mip.Solution, error) {
 		mm.MasterSolves++
-		return mip.SolveCtx(ctx, &mip.Problem{LP: p, Binary: binaries}, mip.Options{
+		sol, err := mip.SolveCtx(ctx, &mip.Problem{LP: p, Binary: zb.bins}, mip.Options{
 			MaxNodes:   masterNodes,
-			RelGap:     1e-4,
+			RelGap:     masterRelGap,
 			LP:         opt.LP,
 			Heuristic:  heuristic,
 			WarmBinary: warm,
 		})
+		if err == nil && (sol.Status == mip.Infeasible || sol.Status == mip.Unbounded) {
+			err = fmt.Errorf("flexile: master problem %v%s", sol.Status, stage)
+		}
+		return sol, err
 	}
-	sol, err := solveMIP()
+	sol, err := solveMIP("")
 	if err != nil {
-		return nil, err
-	}
-	if sol.Status == mip.Infeasible || sol.Status == mip.Unbounded {
-		return nil, fmt.Errorf("flexile: master problem %v", sol.Status)
+		return nil, false, err
 	}
 	// Separation rounds: materialize the most violated shared cuts
 	// g^{q0}_{q'} at the incumbent and re-solve.
-	if shareCuts {
+	if m.shareCuts {
 		type viol struct {
 			ct *cut
 			q  int
@@ -844,10 +922,10 @@ func solveMaster(ctx context.Context, inst *te.Instance, connected [][]bool, cut
 						continue
 					}
 					v := ct.value(func(f int) bool {
-						c := zcol[f][q]
+						c := zb.col[f][q]
 						return c >= 0 && sol.X[c] > 0.5
-					}, aliveCap[q])
-					if v > penVal+1e-7 {
+					}, d.alive[q])
+					if v > penVal+violSlack {
 						hits = append(hits, viol{ct, q, v - penVal})
 					}
 				}
@@ -855,7 +933,7 @@ func solveMaster(ctx context.Context, inst *te.Instance, connected [][]bool, cut
 				return nil
 			}) {
 				if serr != nil {
-					return nil, serr
+					return nil, false, serr
 				}
 			}
 			var violated []viol
@@ -873,20 +951,11 @@ func solveMaster(ctx context.Context, inst *te.Instance, connected [][]bool, cut
 			for _, vv := range violated {
 				addCutRow(vv.ct, vv.q)
 			}
-			sol, err = solveMIP()
-			if err != nil {
-				return nil, err
-			}
-			if sol.Status == mip.Infeasible || sol.Status == mip.Unbounded {
-				return nil, fmt.Errorf("flexile: master problem %v after separation", sol.Status)
+			if sol, err = solveMIP(" after separation"); err != nil {
+				return nil, false, err
 			}
 		}
 	}
-	nz := NewCriticalSet(nf, nq)
-	for b, col := range binaries {
-		if sol.X[col] > 0.5 {
-			nz.Set(binFlow[b], binScen[b], true)
-		}
-	}
-	return nz, nil
+	nz := zb.read(sol.X, nq)
+	return nz, nz.Equal(zPrev), nil
 }

@@ -134,7 +134,7 @@ func MaxZeroLossScale(inst *te.Instance, class int, route func(*te.Instance) ([]
 			return false, err
 		}
 		for k := range trial.Classes {
-			if pl := eval.PercLoss(trial, losses, k); pl > 1e-6 {
+			if pl := eval.PercLoss(trial, losses, k); pl > zeroPercLoss {
 				return false, nil
 			}
 		}

@@ -12,11 +12,12 @@ import (
 // subproblem is the reformulated per-scenario LP (S_q) of §4.2 with
 // constraints (17)–(18): the left-hand side is identical for every
 // scenario; only right-hand sides change (z_fq − 1 on the α rows, c_e·m_eq
-// on the capacity rows). The LP is therefore built once and re-solved with
-// mutated row bounds for each (scenario, critical-set) pair — and, more
-// importantly, a dual solution of any scenario's LP is dual-feasible for
-// every other scenario's, which is what lets one solve produce cuts for
-// many scenarios (appendix eq. 22).
+// on the capacity rows, with c the capacity vector the caller passes). The
+// LP is therefore built once and re-solved with mutated row bounds for each
+// (scenario, critical set, capacity vector) — and, more importantly, a dual
+// solution of any scenario's LP is dual-feasible for every other
+// scenario's, which is what lets one solve produce cuts for many scenarios
+// (appendix eq. 22).
 //
 // Variables: x_kit ≥ 0 for every tunnel (dead tunnels are forced to zero by
 // the zeroed capacity of their failed links), l_f ∈ [0,1] for every
@@ -25,13 +26,11 @@ type subproblem struct {
 	inst *te.Instance
 	p    *lp.Problem
 
-	xcol     [][][]int // [k][i][t]
-	lcol     []int     // per flow id; -1 for zero-demand flows
-	acol     []int     // per class
-	alphaRow []int     // per flow id; -1 for zero-demand flows
-	capRow   []int     // per edge; -1 if no tunnel crosses it
+	lcol     []int // per flow id; -1 for zero-demand flows
+	acol     []int // per class
+	alphaRow []int // per flow id; -1 for zero-demand flows
+	capRow   []int // per edge; -1 if no tunnel crosses it
 
-	lpOpts lp.Options
 	// solver is p's compiled form (lp.Compile): the sparse column structure
 	// is compiled once and every solve reads p's mutated bounds as a zero
 	// variant, skipping the per-solve column rebuild and workspace
@@ -46,19 +45,20 @@ type subSolution struct {
 	// loss[f] is l_fq for every flow (1 for zero-demand/disconnected-and-
 	// non-modeled flows is the caller's concern; here zero-demand = 0).
 	loss []float64
-	// x[k][i][t] is the scenario routing.
-	x [][][]float64
 	// cut is the Benders cut generated from the dual solution.
 	cut *cut
 }
 
-// cut represents Penalty ≥ C + Σ_f yAlpha[f]·(z_f − 1) + Σ_e capCoef[e]·m_e,
+// cut represents Penalty ≥ C + Σ_f yAlpha[f]·(z_f − 1) + Σ_e yCap[e]·c_e·m_e,
 // valid for every scenario thanks to the shared dual space.
 type cut struct {
 	// yAlpha[f] ≥ 0 is the dual of flow f's α row; zero entries are common.
 	yAlpha []float64
-	// capCoef[e] = y_e·c_e ≤ 0 is the capacity dual scaled by capacity.
-	capCoef []float64
+	// yCap[e] ≤ 0 is the dual of edge e's capacity row, and capCoef[e] =
+	// yCap[e]·c_e that dual scaled by the capacity the cut was generated
+	// at. Offline's master reads capCoef, since its capacities are fixed;
+	// Augment's reads yCap, since there c_e + δ_e is a variable.
+	yCap, capCoef []float64
 	// C collects all the z/m-independent terms (demand duals and variable
 	// bound contributions), computed via strong duality at the native
 	// scenario.
@@ -68,7 +68,7 @@ type cut struct {
 }
 
 // value evaluates the cut at a critical-set column and an alive mask.
-func (c *cut) value(z func(f int) bool, aliveCap []float64) float64 {
+func (c *cut) value(z func(f int) bool, alive []bool) float64 {
 	v := c.C
 	for f, y := range c.yAlpha {
 		if y == 0 {
@@ -81,8 +81,8 @@ func (c *cut) value(z func(f int) bool, aliveCap []float64) float64 {
 		v -= y
 	}
 	for e, cc := range c.capCoef {
-		if cc != 0 {
-			v += cc * aliveCap[e]
+		if cc != 0 && alive[e] {
+			v += cc
 		}
 	}
 	return v
@@ -92,17 +92,17 @@ func (c *cut) value(z func(f int) bool, aliveCap []float64) float64 {
 // demands; a non-nil one is an explicit per-flow demand vector (per-scenario
 // traffic matrices, §4.4), which makes the LP scenario-specific: its cuts
 // must not be shared across scenarios.
-func newSubproblem(inst *te.Instance, demands []float64, lpOpts lp.Options) *subproblem {
+func newSubproblem(inst *te.Instance, demands []float64) *subproblem {
 	demandOf := func(f int) float64 {
 		if demands != nil {
 			return demands[f]
 		}
 		return inst.FlowDemand(f)
 	}
-	sp := &subproblem{inst: inst, p: lp.NewProblem(), lpOpts: lpOpts}
+	sp := &subproblem{inst: inst, p: lp.NewProblem()}
 	g := inst.Topo.G
 	nf := inst.NumFlows()
-	sp.xcol = make([][][]int, len(inst.Classes))
+	xcol := make([][][]int, len(inst.Classes)) // [k][i][t]
 	sp.lcol = make([]int, nf)
 	sp.alphaRow = make([]int, nf)
 	sp.acol = make([]int, len(inst.Classes))
@@ -110,16 +110,16 @@ func newSubproblem(inst *te.Instance, demands []float64, lpOpts lp.Options) *sub
 	edgeEntries := make([][]lp.Entry, g.NumEdges())
 
 	for k := range inst.Classes {
-		sp.xcol[k] = make([][]int, len(inst.Pairs))
+		xcol[k] = make([][]int, len(inst.Pairs))
 		for i := range inst.Pairs {
-			sp.xcol[k][i] = make([]int, len(inst.Tunnels[k][i]))
+			xcol[k][i] = make([]int, len(inst.Tunnels[k][i]))
 			ub := lp.Inf
 			if demandOf(inst.FlowID(k, i)) <= 0 {
 				ub = 0 // zero-demand flows must not consume capacity
 			}
 			for t := range inst.Tunnels[k][i] {
 				col := sp.p.AddCol(fmt.Sprintf("x[%d,%d,%d]", k, i, t), 0, ub, 0)
-				sp.xcol[k][i][t] = col
+				xcol[k][i][t] = col
 				for _, e := range inst.Tunnels[k][i][t].Edges {
 					edgeEntries[e] = append(edgeEntries[e], lp.Entry{Col: col, Coef: 1})
 				}
@@ -143,8 +143,8 @@ func newSubproblem(inst *te.Instance, demands []float64, lpOpts lp.Options) *sub
 			sp.alphaRow[f] = sp.p.AddGE(fmt.Sprintf("a[%d]", f), -1,
 				lp.Entry{Col: sp.acol[k], Coef: 1}, lp.Entry{Col: sp.lcol[f], Coef: -1})
 			// Demand: Σ_t x + d·l ≥ d (constraint 17 with loss folded in).
-			es := make([]lp.Entry, 0, len(sp.xcol[k][i])+1)
-			for _, col := range sp.xcol[k][i] {
+			es := make([]lp.Entry, 0, len(xcol[k][i])+1)
+			for _, col := range xcol[k][i] {
 				es = append(es, lp.Entry{Col: col, Coef: 1})
 			}
 			es = append(es, lp.Entry{Col: sp.lcol[f], Coef: d})
@@ -167,21 +167,14 @@ func newSubproblem(inst *te.Instance, demands []float64, lpOpts lp.Options) *sub
 	return sp
 }
 
-// solve optimizes (S_q) for one scenario. critical(f) gives z_fq; alive is
-// the edge mask m_eq; lossUB, when non-nil, upper-bounds each flow's loss
-// (the §4.4 γ generalization); capUse, when non-nil, is per-edge bandwidth
-// already claimed by higher-priority classes (sequential design, §4.4).
-// Returns the solution and a freshly extracted cut.
-func (sp *subproblem) solve(ctx context.Context, q int, critical func(f int) bool, alive []bool, lossUB, capUse []float64) (*subSolution, error) {
-	return sp.solveWith(ctx, sp.lpOpts, q, critical, alive, lossUB, capUse)
-}
-
-// solveWith is solve with explicit LP options — the retry policy's hook
-// for re-solving a failed scenario under hardened settings (Bland's rule,
-// a larger pivot budget) without rebuilding the LP.
-func (sp *subproblem) solveWith(ctx context.Context, lpOpts lp.Options, q int, critical func(f int) bool, alive []bool, lossUB, capUse []float64) (*subSolution, error) {
+// solve optimizes (S_q) for one scenario under the LP options lpOpts (the
+// retry policy hardens them). critical(f) gives z_fq; alive is the edge
+// mask m_eq; caps[e] is edge e's capacity c_e before the mask (c_e + δ_e
+// for Augment, what higher-priority classes left for sequential design,
+// §4.4); lossUB, when non-nil, upper-bounds each flow's loss (the §4.4 γ
+// generalization). Returns the solution and a freshly extracted cut.
+func (sp *subproblem) solve(ctx context.Context, lpOpts lp.Options, q int, critical func(f int) bool, alive []bool, lossUB, caps []float64) (*subSolution, error) {
 	inst := sp.inst
-	g := inst.Topo.G
 	for f, row := range sp.alphaRow {
 		if row < 0 {
 			continue
@@ -197,23 +190,15 @@ func (sp *subproblem) solveWith(ctx context.Context, lpOpts lp.Options, q int, c
 		}
 		sp.p.SetColBounds(sp.lcol[f], 0, ub)
 	}
-	effCap := make([]float64, g.NumEdges())
-	for e := 0; e < g.NumEdges(); e++ {
-		if sp.capRow[e] < 0 {
+	for e, row := range sp.capRow {
+		if row < 0 {
 			continue
 		}
-		cap := g.Edge(e).Capacity
-		if capUse != nil {
-			cap -= capUse[e]
-			if cap < 0 {
-				cap = 0
-			}
-		}
-		effCap[e] = cap
+		cap := caps[e]
 		if !alive[e] {
 			cap = 0
 		}
-		sp.p.SetRowBounds(sp.capRow[e], -lp.Inf, cap)
+		sp.p.SetRowBounds(row, -lp.Inf, cap)
 	}
 	sol, err := sp.solver.SolveCtx(ctx, lp.Variant{}, lpOpts)
 	if err != nil {
@@ -228,17 +213,6 @@ func (sp *subproblem) solveWith(ctx context.Context, lpOpts lp.Options, q int, c
 	out := &subSolution{
 		optval: sol.Objective,
 		loss:   make([]float64, inst.NumFlows()),
-		x:      make([][][]float64, len(inst.Classes)),
-	}
-	for k := range inst.Classes {
-		out.x[k] = make([][]float64, len(inst.Pairs))
-		for i := range inst.Pairs {
-			xs := make([]float64, len(sp.xcol[k][i]))
-			for t, col := range sp.xcol[k][i] {
-				xs[t] = sol.X[col]
-			}
-			out.x[k][i] = xs
-		}
 	}
 	for f, col := range sp.lcol {
 		if col >= 0 {
@@ -249,7 +223,8 @@ func (sp *subproblem) solveWith(ctx context.Context, lpOpts lp.Options, q int, c
 	// scenario: optval = C + Σ_f y_af·(z_f−1) + Σ_e y_e·c_e·m_e.
 	ct := &cut{
 		yAlpha:  make([]float64, inst.NumFlows()),
-		capCoef: make([]float64, g.NumEdges()),
+		yCap:    make([]float64, len(caps)),
+		capCoef: make([]float64, len(caps)),
 		nativeQ: q,
 	}
 	zTerm := 0.0
@@ -267,15 +242,16 @@ func (sp *subproblem) solveWith(ctx context.Context, lpOpts lp.Options, q int, c
 		}
 	}
 	capTerm := 0.0
-	for e := 0; e < g.NumEdges(); e++ {
-		if sp.capRow[e] < 0 {
+	for e, row := range sp.capRow {
+		if row < 0 {
 			continue
 		}
-		y := sol.RowDual[sp.capRow[e]]
+		y := sol.RowDual[row]
 		if y > 0 { // capacity rows are ≤ rows: duals must be ≤ 0
 			y = 0
 		}
-		ct.capCoef[e] = y * effCap[e]
+		ct.yCap[e] = y
+		ct.capCoef[e] = y * caps[e]
 		if alive[e] {
 			capTerm += ct.capCoef[e]
 		}
