@@ -103,7 +103,7 @@ func TraceOverhead() hyp.Hypothesis {
 		traceID := func(rq load.Request) string { return rq.TraceParent()[3:35] }
 		// The ring entry lands after the handler returns, which can race the
 		// client seeing the response; poll briefly.
-		findTrace := func(traceID string) (obs.TraceSnapshot, error) {
+		findTrace := func(traceID string) (*obs.Trace, error) {
 			deadline := time.Now().Add(2 * time.Second)
 			for {
 				for _, s := range ring.Recent() {
@@ -112,7 +112,7 @@ func TraceOverhead() hyp.Hypothesis {
 					}
 				}
 				if time.Now().After(deadline) {
-					return obs.TraceSnapshot{}, fmt.Errorf("trace %s never reached the ring", traceID)
+					return nil, fmt.Errorf("trace %s never reached the ring", traceID)
 				}
 				time.Sleep(2 * time.Millisecond)
 			}
@@ -136,7 +136,9 @@ func TraceOverhead() hyp.Hypothesis {
 		// response keeps the trace id, and the first request for scenario 1
 		// is a guaranteed cache miss whose five tiling spans — admit, parse,
 		// cache, flight, write — sum to (at most, and most of) the served
-		// duration, with the recompute nested inside.
+		// duration, with the recompute nested inside and the solve beneath
+		// it descending into one class round of nine levels and their LP
+		// solves.
 		miss := load.Request{ID: fmt.Sprintf("h-trace-%x-miss", p.Seed), Queries: []load.Query{scenario(1)}}
 		sentTrace := traceID(miss)
 		out, _, err = fire(tracedC, miss)
@@ -152,12 +154,10 @@ func TraceOverhead() hyp.Hypothesis {
 			return nil, err
 		}
 		tiling, tilingDur := 0, time.Duration(0)
-		hasRecompute := 0
+		nested := map[string]int{}
 		for _, sp := range snap.Spans {
 			if sp.Nested {
-				if sp.Name == "recompute" {
-					hasRecompute = 1
-				}
+				nested[sp.Name]++
 				continue
 			}
 			tiling++
@@ -281,7 +281,10 @@ func TraceOverhead() hyp.Hypothesis {
 		v.Check("id-echoed-untraced", "==", float64(idEchoed), 1)
 		v.Check("traceparent-joined", "==", float64(joined), 1)
 		v.Check("miss-tiling-spans", "==", float64(tiling), 5)
-		v.Check("miss-has-recompute-span", "==", float64(hasRecompute), 1)
+		v.Check("miss-has-recompute-span", "==", float64(nested["recompute"]), 1)
+		v.Check("miss-class-round-spans", "==", float64(nested["class-round"]), 1)
+		v.Check("miss-level-spans", "==", float64(nested["level"]), 9)
+		v.Check("miss-lp-solve-spans", "==", float64(nested["lp-solve"]), 18)
 		v.Check("span-sum-tiles", "==", float64(sumTiles), 1)
 		v.Check("batch-group-spans", "==", float64(groupSpans), 2)
 		v.CheckVolatile("trace-overhead-x", "<=", overhead, 1.02)

@@ -182,12 +182,12 @@ func (bs *BatchSolver) SetColumn(j int, vals []float64) error {
 }
 
 // run is the shared body of SolveCtx and ResolveCtx: load the variant, arm
-// cancellation, optimize (from a fresh basis or the held one), and flush the
-// counters.
+// cancellation, optimize (from a fresh basis or the held one), flush the
+// counters, and record an lp-solve span on the context's request trace.
 func (bs *BatchSolver) run(ctx context.Context, v Variant, opts Options, optimize func(*simplex) (*Solution, error)) (*Solution, error) {
-	col := obs.From(ctx)
+	col, tr := obs.From(ctx), obs.TraceFrom(ctx)
 	var start time.Time
-	if col != nil {
+	if col != nil || tr != nil {
 		start = time.Now()
 	}
 	s := bs.s
@@ -213,6 +213,9 @@ func (bs *BatchSolver) run(ctx context.Context, v Variant, opts Options, optimiz
 		elapsed := time.Since(start)
 		col.AddLP(s.metrics(sol, err, elapsed))
 		col.ObserveLatency(obs.LatLPSolve, elapsed)
+	}
+	if tr != nil {
+		tr.AddSpan("lp-solve", start, time.Now(), true, "pivots", s.phase1Pivots+s.phase2Pivots)
 	}
 	return sol, err
 }

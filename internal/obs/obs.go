@@ -335,7 +335,7 @@ func (m SolveMetrics) JSON() []byte {
 // the call sites flushing twice. A nil *Collector is a no-op receiver.
 type Collector struct {
 	parent *Collector
-	tracer *Tracer
+	tracer *Trace
 
 	m SolveMetrics // int64 fields mutated with sync/atomic only
 
@@ -352,7 +352,7 @@ func New() *Collector { return &Collector{} }
 
 // NewChild returns a collector whose adds roll up into parent (and its
 // ancestors). A nil parent yields a standalone collector. Trace spans
-// resolve against the nearest ancestor with an attached tracer.
+// resolve against the nearest ancestor with an attached timeline.
 func NewChild(parent *Collector) *Collector { return &Collector{parent: parent} }
 
 // ctxKey is the context key type for collectors.

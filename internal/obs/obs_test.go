@@ -181,7 +181,7 @@ func TestSpanWithoutTracerIsSharedNoOp(t *testing.T) {
 	end := c.Span("unobserved", 1, "k", "v")
 	end()
 	// No tracer anywhere up the chain: nothing to flush, nothing recorded.
-	if tr := c.tracerOf(); tr != nil {
+	if tr := c.TraceSink(); tr != nil {
 		t.Fatalf("unexpected tracer %v", tr)
 	}
 }

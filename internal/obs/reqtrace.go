@@ -1,24 +1,18 @@
 package obs
 
 import (
-	"context"
 	crand "crypto/rand"
 	"encoding/binary"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Request-scoped tracing (DESIGN.md §16). A ReqTrace is one HTTP request's
-// timeline: identity (a W3C trace-context trace id and span id, so traces
-// correlate across the load generator, the batch fan-out, and future peer
-// forwarding), a handful of named stage spans recorded as the request moves
-// through the admission/serve pipeline, and a summary (status, cache
-// disposition, bytes) latched when the request finishes. The type is built
-// for the serving hot path: creating a trace is two allocations, recording a
-// span is one mutex round and an append into preallocated capacity, and a
-// finished trace is immutable — late spans from detached recomputations
-// that outlive their request become no-ops instead of races.
+// Request identity (DESIGN.md §16). A request trace is a Trace that carries
+// a W3C trace-context trace id and span id, so traces correlate across the
+// load generator, the batch fan-out, and future peer forwarding. It is built
+// for the serving hot path: creating one is two allocations (the trace and
+// its rendered traceparent), and recording a span is one mutex round and an
+// append into preallocated capacity.
 
 // TraceContext is a parsed W3C traceparent: the caller's trace id, the
 // caller's span id (our parent), and the sampled flag.
@@ -122,7 +116,7 @@ func appendHex64(dst []byte, v uint64) []byte {
 
 // newTraceparent mints a fresh trace in rendered header form,
 // "00-<trace id>-<span id>-01". One string allocation backs the whole
-// identity: ReqTrace slices its TraceID and SpanID out of it.
+// identity: the Trace slices its TraceID and SpanID out of it.
 func newTraceparent() string {
 	n := traceIDSeq.Add(1)
 	a := splitmix64(traceIDBase + n)
@@ -137,70 +131,25 @@ func newTraceparent() string {
 	return string(buf)
 }
 
-// SpanRec is one recorded stage span, stored as offsets from the trace
-// start. Nested spans (gate queue wait, the detached Online solve, batch
-// per-group stages) overlap the tiling stages and each other; non-nested
-// spans partition the request's wall-clock, so their durations sum to
-// (approximately) the served latency.
-type SpanRec struct {
-	Name   string        `json:"name"`
-	Start  time.Duration `json:"start_ns"`
-	Dur    time.Duration `json:"dur_ns"`
-	Nested bool          `json:"nested,omitempty"`
-}
-
-// ReqTrace is one in-flight request's trace. The identity and request-line
-// fields are set before the request is served and never mutated afterwards;
-// everything recorded during serving goes through the mutex.
-type ReqTrace struct {
-	TraceID    string
-	SpanID     string
-	ParentSpan string // caller's span id from traceparent, "" when none
-	RequestID  string
-	Start      time.Time
-
-	// Request-line attributes, set by the owner before serving starts.
-	Method string
-	Path   string
-	Tenant string
-
-	// tp is the rendered outgoing traceparent; TraceID and SpanID are
-	// substrings of it, so the three share one allocation.
-	tp string
-
-	mu       sync.Mutex
-	finished bool
-	spans    []SpanRec
-	// spansBuf backs spans so the common few-span trace needs no separate
-	// slice allocation; overflow falls back to the heap via append.
-	spansBuf [8]SpanRec
-	// summary, written by Finish under mu
-	dur      time.Duration
-	status   int
-	bytes    int
-	scenario int
-	cache    string
-	shed     string
-}
-
-// NewReqTrace starts a trace for one request: fresh ids, the clock running.
-func NewReqTrace(requestID string) *ReqTrace {
+// NewRequestTrace starts a trace for one request: fresh ids, the clock
+// running.
+func NewRequestTrace(requestID string) *Trace {
 	tp := newTraceparent()
-	t := &ReqTrace{
+	t := &Trace{
 		TraceID:   tp[3:35],
 		SpanID:    tp[36:52],
 		RequestID: requestID,
 		Start:     time.Now(),
+		Scenario:  -1,
 		tp:        tp,
-		scenario:  -1,
 	}
-	t.spans = t.spansBuf[:0]
+	t.Spans = t.spansBuf[:0]
 	return t
 }
 
 // SetParent joins the trace to an incoming traceparent: the caller's trace
 // id is adopted and its span id becomes our parent. Call before serving.
-func (t *ReqTrace) SetParent(tc TraceContext) {
+func (t *Trace) SetParent(tc TraceContext) {
 	t.TraceID = tc.TraceID
 	t.ParentSpan = tc.SpanID
 	t.tp = "00-" + tc.TraceID + "-" + t.SpanID + "-01"
@@ -209,191 +158,6 @@ func (t *ReqTrace) SetParent(tc TraceContext) {
 // Traceparent renders the outgoing traceparent header for this trace. The
 // sampled flag is always set: a trace object only exists for requests that
 // are being recorded.
-func (t *ReqTrace) Traceparent() string {
+func (t *Trace) Traceparent() string {
 	return t.tp
 }
-
-// AddSpan records one named span by absolute start/end times. Safe for
-// concurrent use (batch groups record from their own goroutines); a span
-// arriving after Finish — a detached recomputation outliving its initiator
-// — is dropped.
-func (t *ReqTrace) AddSpan(name string, start, end time.Time, nested bool) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	if !t.finished {
-		t.spans = append(t.spans, SpanRec{
-			Name:   name,
-			Start:  start.Sub(t.Start),
-			Dur:    end.Sub(start),
-			Nested: nested,
-		})
-	}
-	t.mu.Unlock()
-}
-
-// Finish latches the request summary and freezes the span list. Idempotent;
-// the first call wins.
-func (t *ReqTrace) Finish(status, bytes, scenario int, cache, shed string) {
-	if t == nil {
-		return
-	}
-	end := time.Now()
-	t.mu.Lock()
-	if !t.finished {
-		t.finished = true
-		t.dur = end.Sub(t.Start)
-		t.status = status
-		t.bytes = bytes
-		t.scenario = scenario
-		t.cache = cache
-		t.shed = shed
-	}
-	t.mu.Unlock()
-}
-
-// TraceSnapshot is an immutable copy of a trace, the unit the TraceRing
-// stores and /debug/requests renders.
-type TraceSnapshot struct {
-	TraceID    string        `json:"trace_id"`
-	SpanID     string        `json:"span_id"`
-	ParentSpan string        `json:"parent_span,omitempty"`
-	RequestID  string        `json:"request_id"`
-	Method     string        `json:"method"`
-	Path       string        `json:"path"`
-	Tenant     string        `json:"tenant,omitempty"`
-	Start      time.Time     `json:"start"`
-	Dur        time.Duration `json:"dur_ns"`
-	Status     int           `json:"status"`
-	Bytes      int           `json:"bytes"`
-	Scenario   int           `json:"scenario"`
-	Cache      string        `json:"cache,omitempty"`
-	Shed       string        `json:"shed,omitempty"`
-	Spans      []SpanRec     `json:"spans"`
-}
-
-// Snapshot copies the trace. Taken after Finish it is complete; taken
-// mid-request it reflects the spans recorded so far. A finished trace's
-// span list is frozen (AddSpan drops late arrivals), so the snapshot
-// shares it instead of copying — the hot-path case, since the ring only
-// stores finished traces.
-func (t *ReqTrace) Snapshot() TraceSnapshot {
-	t.mu.Lock()
-	spans := t.spans
-	if !t.finished {
-		spans = append([]SpanRec(nil), t.spans...)
-	}
-	s := TraceSnapshot{
-		TraceID:    t.TraceID,
-		SpanID:     t.SpanID,
-		ParentSpan: t.ParentSpan,
-		RequestID:  t.RequestID,
-		Method:     t.Method,
-		Path:       t.Path,
-		Tenant:     t.Tenant,
-		Start:      t.Start,
-		Dur:        t.dur,
-		Status:     t.status,
-		Bytes:      t.bytes,
-		Scenario:   t.scenario,
-		Cache:      t.cache,
-		Shed:       t.shed,
-		Spans:      spans,
-	}
-	t.mu.Unlock()
-	return s
-}
-
-// TraceEvents converts a snapshot into chrome://tracing complete events:
-// one enclosing "request" span plus one event per stage span, all on
-// virtual track tid. base is the export's time origin.
-func (s TraceSnapshot) TraceEvents(base time.Time, tid int64) []TraceEvent {
-	evs := make([]TraceEvent, 0, len(s.Spans)+1)
-	off := s.Start.Sub(base)
-	evs = append(evs, TraceEvent{
-		Name: s.Method + " " + s.Path,
-		Cat:  "request",
-		Ph:   "X",
-		TS:   off.Microseconds(),
-		Dur:  s.Dur.Microseconds(),
-		PID:  1,
-		TID:  tid,
-		Args: map[string]any{
-			"trace_id":   s.TraceID,
-			"request_id": s.RequestID,
-			"status":     s.Status,
-			"cache":      s.Cache,
-			"scenario":   s.Scenario,
-		},
-	})
-	for _, sp := range s.Spans {
-		cat := "stage"
-		if sp.Nested {
-			cat = "stage.nested"
-		}
-		evs = append(evs, TraceEvent{
-			Name: sp.Name,
-			Cat:  cat,
-			Ph:   "X",
-			TS:   (off + sp.Start).Microseconds(),
-			Dur:  sp.Dur.Microseconds(),
-			PID:  1,
-			TID:  tid,
-		})
-	}
-	return evs
-}
-
-// --- context carry ---
-
-type reqTraceKey struct{}
-
-// WithReqTrace returns a context carrying the request trace.
-func WithReqTrace(ctx context.Context, t *ReqTrace) context.Context {
-	return context.WithValue(ctx, reqTraceKey{}, t)
-}
-
-// ReqTraceFrom returns the request trace carried by ctx, or nil. A nil ctx
-// is allowed.
-func ReqTraceFrom(ctx context.Context) *ReqTrace {
-	if ctx == nil {
-		return nil
-	}
-	t, _ := ctx.Value(reqTraceKey{}).(*ReqTrace)
-	return t
-}
-
-// Record appends pre-built events to the tracer — the bridge that lands
-// finished request traces on the same chrome://tracing timeline as the
-// solver spans the Span API records. A nil tracer is a no-op.
-func (t *Tracer) Record(evs []TraceEvent) {
-	if t == nil || len(evs) == 0 {
-		return
-	}
-	t.mu.Lock()
-	t.events = append(t.events, evs...)
-	t.mu.Unlock()
-}
-
-// reqTrackSeq spreads recorded request timelines over a handful of virtual
-// tracks so concurrent requests don't render as one overlapping pile.
-var reqTrackSeq atomic.Int64
-
-// reqTrackBase offsets request tracks away from the solver's tids.
-const reqTrackBase = 1000
-
-// RecordRequest lands one finished request trace on the tracer's timeline,
-// relative to the tracer's own start. A nil tracer is a no-op.
-func (t *Tracer) RecordRequest(s TraceSnapshot) {
-	if t == nil {
-		return
-	}
-	tid := reqTrackBase + reqTrackSeq.Add(1)%64
-	t.Record(s.TraceEvents(t.start, tid))
-}
-
-// TraceSink resolves the nearest tracer up the collector's parent chain —
-// the exported form of the lookup Span uses, for callers that batch-record
-// events (ReqTrace conversion) instead of opening spans one at a time.
-func (c *Collector) TraceSink() *Tracer { return c.tracerOf() }

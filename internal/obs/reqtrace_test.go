@@ -42,8 +42,8 @@ func TestParseTraceparent(t *testing.T) {
 }
 
 func TestNewReqTraceIdentity(t *testing.T) {
-	a, b := NewReqTrace("r1"), NewReqTrace("r2")
-	for _, tr := range []*ReqTrace{a, b} {
+	a, b := NewRequestTrace("r1"), NewRequestTrace("r2")
+	for _, tr := range []*Trace{a, b} {
 		tp := tr.Traceparent()
 		tc, ok := ParseTraceparent(tp)
 		if !ok {
@@ -68,87 +68,105 @@ func TestNewReqTraceIdentity(t *testing.T) {
 }
 
 func TestReqTraceFinishFreezesSpans(t *testing.T) {
-	tr := NewReqTrace("req-1")
+	tr := NewRequestTrace("req-1")
 	base := tr.Start
 	tr.AddSpan("parse", base, base.Add(time.Millisecond), false)
 	tr.Finish(200, 42, 3, "hit", "")
 	tr.AddSpan("late", base, base.Add(time.Hour), true) // detached recompute outliving the request
 	tr.Finish(500, 0, -1, "", "quota")                  // second Finish must not win
 
-	s := tr.Snapshot()
-	if len(s.Spans) != 1 || s.Spans[0].Name != "parse" {
-		t.Fatalf("spans after Finish: %+v", s.Spans)
+	if len(tr.Spans) != 1 || tr.Spans[0].Name != "parse" {
+		t.Fatalf("spans after Finish: %+v", tr.Spans)
 	}
-	if s.Status != 200 || s.Bytes != 42 || s.Scenario != 3 || s.Cache != "hit" || s.Shed != "" {
-		t.Fatalf("summary did not latch first Finish: %+v", s)
+	if tr.Status != 200 || tr.Bytes != 42 || tr.Scenario != 3 || tr.Cache != "hit" || tr.Shed != "" {
+		t.Fatalf("summary did not latch first Finish: %+v", tr)
 	}
-	if s.Dur <= 0 {
-		t.Fatalf("finished trace has dur %v", s.Dur)
+	if tr.Dur <= 0 {
+		t.Fatalf("finished trace has dur %v", tr.Dur)
 	}
 
 	// Nil receivers are no-ops (untraced requests share the code path).
-	var nilTrace *ReqTrace
+	var nilTrace *Trace
 	nilTrace.AddSpan("x", base, base, false)
 	nilTrace.Finish(0, 0, 0, "", "")
 }
 
 func TestReqTraceConcurrentSpans(t *testing.T) {
-	tr := NewReqTrace("req-conc")
+	tr := NewRequestTrace("req-conc")
 	base := tr.Start
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				tr.AddSpan(fmt.Sprintf("g%d-%d", g, i), base, base.Add(time.Duration(i)*time.Microsecond), g%2 == 0)
-			}
-		}(g)
-	}
-	// Snapshots race the writers on purpose: they must observe a
-	// well-formed prefix, never a torn span.
-	for i := 0; i < 20; i++ {
-		s := tr.Snapshot()
-		for _, sp := range s.Spans {
-			if sp.Name == "" {
-				t.Fatal("torn span in snapshot")
-			}
+	record := func() {
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 50; i++ {
+					tr.AddSpan(fmt.Sprintf("g%d-%d", g, i), base, base.Add(time.Duration(i)*time.Microsecond), g%2 == 0, "i", i)
+				}
+			}(g)
 		}
+		wg.Wait()
 	}
-	wg.Wait()
+	record()
 	tr.Finish(200, 0, 0, "hit", "")
-	if n := len(tr.Snapshot().Spans); n != 8*50 {
+	record() // every late span is dropped
+	if n := len(tr.Spans); n != 8*50 {
 		t.Fatalf("recorded %d spans, want %d", n, 8*50)
+	}
+	for _, sp := range tr.Spans {
+		if sp.Name == "" || sp.Args["i"] == nil {
+			t.Fatalf("torn span %+v", sp)
+		}
 	}
 }
 
-func TestSnapshotTraceEvents(t *testing.T) {
-	tr := NewReqTrace("req-ev")
+// TestWriteChromeRequestTrace checks the rendering of a request trace on a
+// chrome timeline: one enclosing request event, then one event per span,
+// all on the request's track, nested spans in category "nested".
+func TestWriteChromeRequestTrace(t *testing.T) {
+	tr := NewRequestTrace("req-ev")
 	tr.Method, tr.Path = "GET", "/v1/alloc"
 	base := tr.Start
 	tr.AddSpan("cache", base, base.Add(2*time.Millisecond), false)
 	tr.AddSpan("recompute", base, base.Add(time.Millisecond), true)
+	tr.AddSpan("lp-solve", base.Add(time.Millisecond/2), base.Add(time.Millisecond), true, "pivots", 7)
 	tr.Finish(200, 10, 1, "miss", "")
-	evs := tr.Snapshot().TraceEvents(base.Add(-time.Second), 7)
-	if len(evs) != 3 {
-		t.Fatalf("got %d events, want 3", len(evs))
+
+	var buf strings.Builder
+	if err := WriteChrome(&buf, []*Trace{tr}); err != nil {
+		t.Fatalf("WriteChrome: %v", err)
 	}
-	if evs[0].Cat != "request" || evs[0].Name != "GET /v1/alloc" || evs[0].TID != 7 {
+	var out struct {
+		TraceEvents []TraceEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(buf.String()), &out); err != nil {
+		t.Fatalf("timeline not valid JSON: %v", err)
+	}
+	evs := out.TraceEvents
+	if len(evs) != 4 {
+		t.Fatalf("got %d events, want 4", len(evs))
+	}
+	if evs[0].Name != "GET /v1/alloc" || evs[0].TS != 0 || evs[0].Args["request_id"] != "req-ev" {
 		t.Fatalf("request event: %+v", evs[0])
 	}
-	if evs[1].Cat != "stage" || evs[2].Cat != "stage.nested" {
-		t.Fatalf("span cats: %s %s", evs[1].Cat, evs[2].Cat)
+	for _, ev := range evs[1:] {
+		if ev.TID != evs[0].TID {
+			t.Fatalf("span %q on track %d, request on %d", ev.Name, ev.TID, evs[0].TID)
+		}
 	}
-	if evs[1].TS != evs[0].TS || evs[1].Dur != 2000 {
-		t.Fatalf("stage timing: ts %d vs %d, dur %d", evs[1].TS, evs[0].TS, evs[1].Dur)
+	if evs[1].Cat != "span" || evs[2].Cat != "nested" || evs[3].Cat != "nested" {
+		t.Fatalf("span cats: %s %s %s", evs[1].Cat, evs[2].Cat, evs[3].Cat)
 	}
-	if _, err := json.Marshal(evs); err != nil {
-		t.Fatalf("events not marshalable: %v", err)
+	if evs[1].TS != evs[0].TS || evs[1].Dur != 2000 || evs[3].TS != 500 {
+		t.Fatalf("stage timing: ts %d vs %d, dur %d, lp ts %d", evs[1].TS, evs[0].TS, evs[1].Dur, evs[3].TS)
+	}
+	if evs[3].Args["pivots"] != float64(7) {
+		t.Fatalf("lp-solve args: %v", evs[3].Args)
 	}
 }
 
-// TestTracerConcurrentRecord exercises the Span API and the batch Record
-// bridge from concurrent goroutines; the race detector is the assertion.
+// TestTracerConcurrentRecord exercises the Span API and Adopt from
+// concurrent goroutines; the race detector is the assertion.
 func TestTracerConcurrentRecord(t *testing.T) {
 	tracer := NewTracer()
 	col := New()
@@ -161,9 +179,9 @@ func TestTracerConcurrentRecord(t *testing.T) {
 			for i := 0; i < 25; i++ {
 				end := col.Span(fmt.Sprintf("solve-%d-%d", g, i), int64(g))
 				end()
-				tr := NewReqTrace(fmt.Sprintf("r-%d-%d", g, i))
+				tr := NewRequestTrace(fmt.Sprintf("r-%d-%d", g, i))
 				tr.Finish(200, 0, 0, "hit", "")
-				tracer.RecordRequest(tr.Snapshot())
+				tracer.Adopt(tr)
 			}
 		}(g)
 	}

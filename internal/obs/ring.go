@@ -6,22 +6,22 @@ import (
 )
 
 // TraceRing is the bounded in-memory store behind GET /debug/requests
-// (x/net/trace-style): three fixed-size buckets of trace snapshots —
-// the most recent requests (a circular FIFO), the slowest ever seen
+// (x/net/trace-style): three fixed-size buckets of finished request traces
+// — the most recent requests (a circular FIFO), the slowest ever seen
 // (insert-sorted, smallest evicted first), and the most recent errored
-// (status ≥ 400). Snapshots are immutable values taken once on Add, so
-// readers never observe a trace that is still being mutated, and the
-// memory bound is exact: recent+slow+errored snapshots, regardless of
-// how many requests flow through.
+// (status ≥ 400). A finished trace is immutable, so readers never observe
+// a trace that is still being mutated, and the memory bound is exact:
+// recent+slow+errored traces, regardless of how many requests flow
+// through.
 type TraceRing struct {
 	mu      sync.Mutex
 	total   uint64
-	recent  []TraceSnapshot // circular, next is the write cursor
+	recent  []*Trace // circular, next is the write cursor
 	next    int
 	filled  bool
-	slowest []TraceSnapshot // sorted by Dur descending
+	slowest []*Trace // sorted by Dur descending
 	slowCap int
-	errored []TraceSnapshot // circular, errNext is the write cursor
+	errored []*Trace // circular, errNext is the write cursor
 	errNext int
 	errFull bool
 }
@@ -46,41 +46,40 @@ func NewTraceRing(recent, slowest, errored int) *TraceRing {
 		errored = DefaultRingErrored
 	}
 	return &TraceRing{
-		recent:  make([]TraceSnapshot, recent),
+		recent:  make([]*Trace, recent),
 		slowCap: slowest,
-		slowest: make([]TraceSnapshot, 0, slowest),
-		errored: make([]TraceSnapshot, errored),
+		slowest: make([]*Trace, 0, slowest),
+		errored: make([]*Trace, errored),
 	}
 }
 
-// Add snapshots a finished trace into the ring. Nil-safe on both sides so
-// the serving path can call it unconditionally.
-func (r *TraceRing) Add(t *ReqTrace) {
+// Add stores a finished trace (Finish has returned) in the ring. Nil-safe
+// on both sides so the serving path can call it unconditionally.
+func (r *TraceRing) Add(t *Trace) {
 	if r == nil || t == nil {
 		return
 	}
-	s := t.Snapshot()
 	r.mu.Lock()
 	r.total++
 
-	r.recent[r.next] = s
+	r.recent[r.next] = t
 	r.next++
 	if r.next == len(r.recent) {
 		r.next = 0
 		r.filled = true
 	}
 
-	if len(r.slowest) < r.slowCap || s.Dur > r.slowest[len(r.slowest)-1].Dur {
-		i := sort.Search(len(r.slowest), func(i int) bool { return r.slowest[i].Dur < s.Dur })
+	if len(r.slowest) < r.slowCap || t.Dur > r.slowest[len(r.slowest)-1].Dur {
+		i := sort.Search(len(r.slowest), func(i int) bool { return r.slowest[i].Dur < t.Dur })
 		if len(r.slowest) < r.slowCap {
-			r.slowest = append(r.slowest, TraceSnapshot{})
+			r.slowest = append(r.slowest, nil)
 		}
 		copy(r.slowest[i+1:], r.slowest[i:])
-		r.slowest[i] = s
+		r.slowest[i] = t
 	}
 
-	if s.Status >= 400 {
-		r.errored[r.errNext] = s
+	if t.Status >= 400 {
+		r.errored[r.errNext] = t
 		r.errNext++
 		if r.errNext == len(r.errored) {
 			r.errNext = 0
@@ -101,7 +100,7 @@ func (r *TraceRing) Total() uint64 {
 }
 
 // Recent returns the retained recent traces, newest first.
-func (r *TraceRing) Recent() []TraceSnapshot {
+func (r *TraceRing) Recent() []*Trace {
 	if r == nil {
 		return nil
 	}
@@ -111,17 +110,17 @@ func (r *TraceRing) Recent() []TraceSnapshot {
 }
 
 // Slowest returns the slowest traces seen, slowest first.
-func (r *TraceRing) Slowest() []TraceSnapshot {
+func (r *TraceRing) Slowest() []*Trace {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]TraceSnapshot(nil), r.slowest...)
+	return append([]*Trace(nil), r.slowest...)
 }
 
 // Errored returns the retained traces with status ≥ 400, newest first.
-func (r *TraceRing) Errored() []TraceSnapshot {
+func (r *TraceRing) Errored() []*Trace {
 	if r == nil {
 		return nil
 	}
@@ -132,12 +131,12 @@ func (r *TraceRing) Errored() []TraceSnapshot {
 
 // unroll copies a circular buffer out newest-first. next is the write
 // cursor (one past the most recent entry).
-func unroll(buf []TraceSnapshot, next int, filled bool) []TraceSnapshot {
+func unroll(buf []*Trace, next int, filled bool) []*Trace {
 	n := next
 	if filled {
 		n = len(buf)
 	}
-	out := make([]TraceSnapshot, 0, n)
+	out := make([]*Trace, 0, n)
 	for i := 0; i < n; i++ {
 		out = append(out, buf[(next-1-i+len(buf))%len(buf)])
 	}

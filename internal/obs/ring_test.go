@@ -9,8 +9,8 @@ import (
 
 // finishedTrace builds a finished trace with a chosen duration (by
 // back-dating Start) and status.
-func finishedTrace(id string, dur time.Duration, status int) *ReqTrace {
-	tr := NewReqTrace(id)
+func finishedTrace(id string, dur time.Duration, status int) *Trace {
+	tr := NewRequestTrace(id)
 	tr.Start = time.Now().Add(-dur)
 	tr.Finish(status, 0, 0, "hit", "")
 	return tr

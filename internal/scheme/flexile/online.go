@@ -1,6 +1,7 @@
 package flexile
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -16,11 +17,18 @@ import (
 // higher class is pinned when a lower class is solved, so routing for all
 // classes is decided jointly.
 func Online(inst *te.Instance, off *OfflineResult, q int, opt Options) (*te.MaxMinResult, error) {
+	return OnlineCtx(context.Background(), inst, off, q, opt)
+}
+
+// OnlineCtx is Online under a context, handed to te.MaxMinCtx: a request
+// trace on ctx receives the allocation's class-round, level and LP-solve
+// spans.
+func OnlineCtx(ctx context.Context, inst *te.Instance, off *OfflineResult, q int, opt Options) (*te.MaxMinResult, error) {
 	mo, err := OnlineOptions(inst, off, q, opt)
 	if err != nil {
 		return nil, err
 	}
-	return te.MaxMin(inst, inst.Scenarios[q], mo)
+	return te.MaxMinCtx(ctx, inst, inst.Scenarios[q], mo)
 }
 
 // OnlineOptions is the max-min problem Online solves for scenario q: the

@@ -137,7 +137,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// The top-level lapper tiles the serial phases of the batch (parse →
 	// admit → flight barrier → write); each stage-2 group records its own
 	// nested spans from its goroutine.
-	tr := obs.ReqTraceFrom(r.Context())
+	tr := obs.TraceFrom(r.Context())
 	lap := &lapper{tr: tr, col: s.col, last: start}
 
 	req, deadline, err := s.readBatch(r)

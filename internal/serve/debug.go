@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"html/template"
 	"net/http"
+	"sort"
 	"strings"
 	"time"
 
@@ -17,8 +18,8 @@ import (
 // with its stage-span timeline. Three renderings:
 //
 //	/debug/requests                  HTML for humans
-//	/debug/requests?format=json      the raw TraceSnapshots
-//	/debug/requests?format=chrome    chrome://tracing / perfetto timeline
+//	/debug/requests?format=json      the raw traces
+//	/debug/requests?format=chrome    chrome://tracing / perfetto timeline of the recent traces
 //
 // The page is mounted on the -debug-listen admin listener by
 // cmd/flexile-serve, next to /metrics and pprof, so it is never exposed on
@@ -40,7 +41,7 @@ func (s *Server) DebugRequestsHandler() http.Handler {
 			w.Header().Set("Content-Type", "text/html; charset=utf-8")
 			debugTmpl.Execute(w, struct {
 				Total                    uint64
-				Recent, Slowest, Errored []obs.TraceSnapshot
+				Recent, Slowest, Errored []*obs.Trace
 			}{ring.Total(), recent, slowest, errored})
 		case "json":
 			w.Header().Set("Content-Type", "application/json")
@@ -55,30 +56,11 @@ func (s *Server) DebugRequestsHandler() http.Handler {
 		case "chrome":
 			w.Header().Set("Content-Type", "application/json")
 			w.Header().Set("Content-Disposition", `attachment; filename="flexile-requests-trace.json"`)
-			writeChromeTimeline(w, recent)
+			obs.WriteChrome(w, recent)
 		default:
 			writeError(w, http.StatusBadRequest, "unknown format (want html, json, or chrome)")
 		}
 	})
-}
-
-// writeChromeTimeline exports the recent traces as a chrome://tracing
-// timeline: one virtual track per trace, timestamps relative to the oldest
-// exported request.
-func writeChromeTimeline(w http.ResponseWriter, traces []obs.TraceSnapshot) {
-	var base time.Time
-	for _, t := range traces {
-		if base.IsZero() || t.Start.Before(base) {
-			base = t.Start
-		}
-	}
-	evs := make([]obs.TraceEvent, 0, 8*len(traces))
-	for i, t := range traces {
-		evs = append(evs, t.TraceEvents(base, int64(i+1))...)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	enc.Encode(map[string]any{"traceEvents": evs})
 }
 
 // debugTmpl renders the HTML page. html/template contextually escapes
@@ -128,14 +110,37 @@ func fmtDur(d time.Duration) string {
 	return fmt.Sprintf("%.3fs", d.Seconds())
 }
 
-// fmtSpans renders a span list compactly, in recorded order; nested spans
-// are bracketed to mark them as overlapping the tiling stages rather than
-// part of the sum.
+// fmtSpans renders a span list compactly, in start order, so a recompute
+// reads as its descent (recompute, class round, levels, LP solves); nested
+// spans are bracketed to mark them as overlapping the tiling stages rather
+// than part of the sum. A name recorded more than once — the levels and LP
+// solves — is shown once, at its first place, with its count and summed
+// duration.
 func fmtSpans(spans []obs.SpanRec) string {
-	parts := make([]string, 0, len(spans))
+	spans = append([]obs.SpanRec(nil), spans...)
+	sort.SliceStable(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
+	type group struct {
+		sp obs.SpanRec
+		n  int
+	}
+	var groups []group
+	at := make(map[string]int, len(spans))
 	for _, sp := range spans {
-		s := sp.Name + " " + fmtDur(sp.Dur)
-		if sp.Nested {
+		if i, ok := at[sp.Name]; ok {
+			groups[i].sp.Dur += sp.Dur
+			groups[i].n++
+			continue
+		}
+		at[sp.Name] = len(groups)
+		groups = append(groups, group{sp, 1})
+	}
+	parts := make([]string, 0, len(groups))
+	for _, g := range groups {
+		s := g.sp.Name + " " + fmtDur(g.sp.Dur)
+		if g.n > 1 {
+			s = fmt.Sprintf("%s ×%d %s", g.sp.Name, g.n, fmtDur(g.sp.Dur))
+		}
+		if g.sp.Nested {
 			s = "[" + s + "]"
 		}
 		parts = append(parts, s)

@@ -345,7 +345,7 @@ func (e *engine) allocate(waitCtx context.Context, req *AllocRequest) allocResul
 	// the computation other waiters are riding (or waste the solve — the
 	// result still lands in the cache).
 	body, cerr, shared := st.flight.DoDetached(waitCtx, q, func() ([]byte, error) {
-		return e.recompute(st, q, key, obs.ReqTraceFrom(waitCtx))
+		return e.recompute(st, q, key, obs.TraceFrom(waitCtx))
 	})
 	res := allocResult{scenario: q, decided: stageFlight, missedAt: missedAt, shared: shared}
 	switch {
@@ -378,9 +378,10 @@ func (e *engine) allocate(waitCtx context.Context, req *AllocRequest) allocResul
 // effects that land even if every waiter has already given up. Its
 // counters flush straight to the collector on return because the executor
 // can outlive the request that spawned it; tr is the leading waiter's trace
-// (possibly nil) and receives nested queue/recompute spans, which no-op
-// if that request has already finished.
-func (e *engine) recompute(st *state, q int, key string, tr *obs.ReqTrace) ([]byte, error) {
+// (possibly nil) and receives nested queue/recompute spans and, through the
+// solve's context, the class rounds, levels and LP solves beneath them —
+// all of which no-op if that request has already finished.
+func (e *engine) recompute(st *state, q int, key string, tr *obs.Trace) ([]byte, error) {
 	var d obs.ServeMetrics
 	defer func() { e.col.AddServe(d) }()
 	if !e.gate.TryEnter() {
@@ -395,7 +396,7 @@ func (e *engine) recompute(st *state, q int, key string, tr *obs.ReqTrace) ([]by
 	entered := time.Now()
 	defer e.gate.Leave()
 
-	body, err := e.solve(st, q)
+	body, err := e.solve(obs.WithTrace(context.Background(), tr), st, q)
 	solved := time.Now()
 	e.col.ObserveLatency(obs.LatStageRecompute, solved.Sub(entered))
 	tr.AddSpan("recompute", entered, solved, true)
@@ -416,12 +417,13 @@ func (e *engine) recompute(st *state, q int, key string, tr *obs.ReqTrace) ([]by
 	return body, nil
 }
 
-// solve runs the ComputeHook and the online allocation for scenario q and
+// solve runs the ComputeHook and the online allocation for scenario q under
+// ctx, which carries the leading waiter's trace and no deadline, and
 // marshals the response once; the cached bytes are served verbatim
 // thereafter, so hits and misses are bit-identical by construction. A
 // panicking solve must still feed the breaker, so it is recovered here
 // rather than left to the flight's safety net.
-func (e *engine) solve(st *state, q int) (body []byte, err error) {
+func (e *engine) solve(ctx context.Context, st *state, q int) (body []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			body, err = nil, fmt.Errorf("serve: recompute panic: %v", r)
@@ -432,7 +434,7 @@ func (e *engine) solve(st *state, q int) (body []byte, err error) {
 			return nil, herr
 		}
 	}
-	res, err := flexscheme.Online(st.inst, st.off, q, st.opt)
+	res, err := flexscheme.OnlineCtx(ctx, st.inst, st.off, q, st.opt)
 	if err != nil {
 		return nil, err
 	}

@@ -146,9 +146,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// The shed reason latches from the response header writeResult set.
 		tr.Finish(rec.status, rec.bytes, rec.scenario, rec.cache, rec.Header().Get("X-Flexile-Shed"))
 		s.cfg.Ring.Add(tr)
-		if sink := s.col.TraceSink(); sink != nil { // a -trace timeline is attached
-			sink.RecordRequest(tr.Snapshot())
-		}
+		s.col.TraceSink().Adopt(tr) // onto the -trace timeline, when one is attached
 	}
 }
 
@@ -370,7 +368,7 @@ func handleScenarios(w http.ResponseWriter, _ *http.Request, eng *engine) {
 // outcome, then account for it.
 func (s *Server) handleAlloc(w http.ResponseWriter, r *http.Request, eng *engine) {
 	start := time.Now()
-	lap := &lapper{tr: obs.ReqTraceFrom(r.Context()), col: eng.col, last: start}
+	lap := &lapper{tr: obs.TraceFrom(r.Context()), col: eng.col, last: start}
 	res := s.query(r, eng, start, lap)
 	writeResult(w, res)
 	lap.Lap("write", obs.LatStageWrite)

@@ -8,11 +8,13 @@ import (
 )
 
 // Request-scoped tracing (DESIGN.md §16). Every request gets an
-// X-Request-Id; a sampled subset additionally gets an obs.ReqTrace carried
-// on the request context through the admission/serve pipeline, where each
-// stage records a span. Finished traces land in the Config.Ring behind
-// GET /debug/requests and — when a chrome://tracing tracer is attached to
-// the collector — on the -trace timeline next to the solver spans.
+// X-Request-Id; a sampled subset additionally gets an obs.Trace carried on
+// the request context through the admission/serve pipeline, where each
+// stage records a span, and on into a cache miss's recomputation, where
+// te.MaxMinCtx and lp record the class rounds, levels and LP solves.
+// Finished traces land in the Config.Ring behind GET /debug/requests and —
+// when a process timeline is attached to the collector — on the -trace
+// timeline next to the solver spans.
 //
 // Sampling: an incoming W3C traceparent with the sampled flag forces
 // tracing (a caller who traced their half gets ours); otherwise
@@ -25,7 +27,7 @@ import (
 // returns a started trace (recording the path as the client sent it) plus
 // the request rewrapped with the trace on its context and a traceparent
 // response header announcing our span.
-func (s *Server) beginRequest(w http.ResponseWriter, r *http.Request) (string, *obs.ReqTrace, *http.Request) {
+func (s *Server) beginRequest(w http.ResponseWriter, r *http.Request) (string, *obs.Trace, *http.Request) {
 	rid := r.Header.Get("X-Request-Id")
 	if rid == "" {
 		rid = nextRequestID()
@@ -46,7 +48,7 @@ func (s *Server) beginRequest(w http.ResponseWriter, r *http.Request) (string, *
 	if !sampled {
 		return rid, nil, r
 	}
-	tr := obs.NewReqTrace(rid)
+	tr := obs.NewRequestTrace(rid)
 	if hasParent {
 		tr.SetParent(tc)
 	}
@@ -54,7 +56,7 @@ func (s *Server) beginRequest(w http.ResponseWriter, r *http.Request) (string, *
 	tr.Path = r.URL.Path
 	tr.Tenant = r.Header.Get("X-Tenant")
 	w.Header().Set("traceparent", tr.Traceparent())
-	return rid, tr, r.WithContext(obs.WithReqTrace(r.Context(), tr))
+	return rid, tr, r.WithContext(obs.WithTrace(r.Context(), tr))
 }
 
 // lapper records the stage spans of one request. Laps share one continuous
@@ -66,7 +68,7 @@ func (s *Server) beginRequest(w http.ResponseWriter, r *http.Request) (string, *
 // concurrently off their own nested lappers (tag distinguishes them); only
 // the serial top-level lapper produces tiling spans.
 type lapper struct {
-	tr     *obs.ReqTrace
+	tr     *obs.Trace
 	col    *obs.Collector
 	last   time.Time
 	nested bool

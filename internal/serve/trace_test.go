@@ -79,9 +79,11 @@ func TestTracedMissRequest(t *testing.T) {
 			tiling += sp.Dur
 		}
 	}
-	for _, name := range []string{"admit", "parse", "cache", "flight", "write", "recompute"} {
+	// The recompute descends: the allocation's class round, its levels and
+	// their LP solves are nested spans on the same trace.
+	for _, name := range []string{"admit", "parse", "cache", "flight", "write", "recompute", "class-round", "level", "lp-solve"} {
 		if !seen[name] {
-			t.Errorf("missing stage span %q (have %v)", name, s.Spans)
+			t.Errorf("missing span %q (have %v)", name, s.Spans)
 		}
 	}
 	if tiling > s.Dur || tiling < s.Dur/2 {
@@ -193,11 +195,15 @@ func TestDebugRequestsHandler(t *testing.T) {
 	if !strings.Contains(page, "&lt;script&gt;") {
 		t.Fatal("escaped tenant string not rendered")
 	}
+	// The miss's LP solves render as one group, not one entry each.
+	if n := strings.Count(page, "[lp-solve ×"); n == 0 || strings.Count(page, "lp-solve") != n {
+		t.Fatal("lp-solve spans not grouped on the html page")
+	}
 
 	js := get("/debug/requests?format=json")
 	var ring struct {
-		Total  uint64              `json:"total"`
-		Recent []obs.TraceSnapshot `json:"recent"`
+		Total  uint64       `json:"total"`
+		Recent []*obs.Trace `json:"recent"`
 	}
 	if err := json.Unmarshal(js.Body.Bytes(), &ring); err != nil {
 		t.Fatalf("json rendering: %v", err)

@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"time"
 
 	"flexile/internal/failure"
 	"flexile/internal/lp"
+	"flexile/internal/obs"
 )
 
 // MaxMinDomain selects what quantity the max-min waterfilling levels
@@ -103,6 +105,14 @@ const (
 // workspace lives and dies inside the call, so the answer never depends on
 // which scenarios were solved before or concurrently.
 func MaxMin(inst *Instance, scen failure.Scenario, opt MaxMinOptions) (*MaxMinResult, error) {
+	return MaxMinCtx(context.Background(), inst, scen, opt)
+}
+
+// MaxMinCtx is MaxMin under a context: the LP solves account to its
+// collector (obs.From) and stop when it is cancelled, and when it carries a
+// request trace (obs.TraceFrom) every class round, level and LP solve
+// records a nested span on that trace. The answer does not depend on ctx.
+func MaxMinCtx(ctx context.Context, inst *Instance, scen failure.Scenario, opt MaxMinOptions) (*MaxMinResult, error) {
 	nf := inst.NumFlows()
 	res := &MaxMinResult{
 		Frac: make([]float64, nf),
@@ -122,6 +132,7 @@ func MaxMin(inst *Instance, scen failure.Scenario, opt MaxMinOptions) (*MaxMinRe
 		achieved: res.Frac,
 		carried:  make([]float64, nf),
 		fixedUse: make([]float64, inst.Topo.G.NumEdges()),
+		tr:       obs.TraceFrom(ctx),
 	}
 	maxD := 0.0
 	for f := range run.demand {
@@ -149,9 +160,11 @@ func MaxMin(inst *Instance, scen failure.Scenario, opt MaxMinOptions) (*MaxMinRe
 		}
 	}
 	for ci := range inst.Classes {
-		if err := run.classRound(ci, res); err != nil {
+		began := time.Now()
+		if err := run.classRound(ctx, ci, res); err != nil {
 			return nil, err
 		}
+		run.tr.AddSpan("class-round", began, time.Now(), true, "class", ci)
 	}
 	return res, nil
 }
@@ -172,6 +185,8 @@ type maxMinRun struct {
 	// fixedUse is, under FixRoutes, the per-edge bandwidth earlier classes
 	// hold.
 	fixedUse []float64
+	// tr is the request trace the call records its spans on, or nil.
+	tr *obs.Trace
 }
 
 // targetFrac is the fraction of demand flow f is owed at level alpha.
@@ -257,7 +272,7 @@ func (r *maxMinRun) carry(a *Alloc, classList []int, x []float64) {
 // Flows that still end below the level target are frozen — they are
 // bottlenecked, exactly the max-min waterfilling rule: the same row with its
 // θ coefficient zeroed and its bounds held at the frozen volume.
-func (r *maxMinRun) classRound(ci int, res *MaxMinResult) error {
+func (r *maxMinRun) classRound(ctx context.Context, ci int, res *MaxMinResult) error {
 	inst, opt := r.inst, r.opt
 	var active []int
 	for i := range inst.Pairs {
@@ -338,13 +353,11 @@ func (r *maxMinRun) classRound(ci int, res *MaxMinResult) error {
 	}
 	lo := make([]float64, nf) // this level's floor and
 	hi := make([]float64, nf) // target volume of an unfrozen flow
-	// MaxMin's signature carries no context; LP accounting reaches the
-	// process-global collector through obs.From's fallback.
-	ctx := context.TODO()
 
 	var last *lp.Solution
 	prev := 0.0
 	for _, alpha := range r.levels {
+		began := time.Now()
 		for _, f := range active {
 			d := r.demand[f]
 			if fz := frozen[f]; fz >= 0 {
@@ -389,7 +402,7 @@ func (r *maxMinRun) classRound(ci int, res *MaxMinResult) error {
 			// scenario cannot support (every other floor was delivered by
 			// an earlier solve); relax every floor uniformly and take that
 			// allocation for the level.
-			if sol, err = r.relaxAndSolve(classList, active, frozen, residual, ci, prev); err != nil {
+			if sol, err = r.relaxAndSolve(ctx, classList, active, frozen, residual, ci, prev); err != nil {
 				return fmt.Errorf("te: max-min level %v: %w", alpha, err)
 			}
 		}
@@ -412,6 +425,9 @@ func (r *maxMinRun) classRound(ci int, res *MaxMinResult) error {
 		}
 		last = sol
 		prev = alpha
+		if r.tr != nil { // boxing alpha allocates; a small class index does not
+			r.tr.AddSpan("level", began, time.Now(), true, "alpha", alpha)
+		}
 	}
 	for _, f := range active {
 		r.achieved[f] = math.Min(r.carried[f]/r.demand[f], 1)
@@ -443,7 +459,7 @@ func (r *maxMinRun) classRound(ci int, res *MaxMinResult) error {
 // order as the caller's Alloc, and λ is appended after them, so the caller
 // can read tunnel values from the returned solution using its own column
 // indices.
-func (r *maxMinRun) relaxAndSolve(classList, active []int, frozen, residual []float64, ci int, prev float64) (*lp.Solution, error) {
+func (r *maxMinRun) relaxAndSolve(ctx context.Context, classList, active []int, frozen, residual []float64, ci int, prev float64) (*lp.Solution, error) {
 	inst, opt := r.inst, r.opt
 	b := NewAlloc(inst, r.scen, classList, residual)
 	lam := b.LP.AddCol("lambda", 0, 1, -1)
@@ -479,7 +495,7 @@ func (r *maxMinRun) relaxAndSolve(classList, active []int, frozen, residual []fl
 			}
 		}
 	}
-	sol, err := b.LP.SolveOpts(opt.LP)
+	sol, err := b.LP.SolveCtx(ctx, opt.LP)
 	if err != nil {
 		return nil, err
 	}

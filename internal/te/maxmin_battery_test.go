@@ -2,6 +2,7 @@ package te_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -312,6 +313,55 @@ func TestMaxMinIsPure(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestMaxMinTraceDescends checks the spans a traced MaxMinCtx records — a
+// class-round span per class, a level span per level of each class with
+// active flows, and an lp-solve span for every LP solve the collector
+// counts, all nested — and that tracing changes no answer.
+func TestMaxMinTraceDescends(t *testing.T) {
+	inst, err := experiments.Config{Scale: experiments.Tiny, Seed: 1}.TwoClass("B4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, err := flexscheme.Offline(inst, flexscheme.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q = 1
+	mo, err := flexscheme.OnlineOptions(inst, off, q, flexscheme.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := te.MaxMin(inst, inst.Scenarios[q], mo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, col := obs.NewRequestTrace("maxmin"), obs.New()
+	traced, err := te.MaxMinCtx(obs.WithTrace(obs.With(context.Background(), col), tr), inst, inst.Scenarios[q], mo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish(200, 0, q, "", "")
+	if !bytes.Equal(resultBytes(traced), resultBytes(plain)) {
+		t.Fatal("tracing changed the allocation")
+	}
+	count := map[string]int{}
+	for _, sp := range tr.Spans {
+		if !sp.Nested || sp.Start < 0 || sp.Start+sp.Dur > tr.Dur {
+			t.Errorf("span %+v is not nested inside the trace", sp)
+		}
+		count[sp.Name]++
+	}
+	if count["class-round"] != len(inst.Classes) {
+		t.Errorf("%d class-round spans, want %d", count["class-round"], len(inst.Classes))
+	}
+	if count["level"] != 9*len(inst.Classes) {
+		t.Errorf("%d level spans, want 9 per class", count["level"])
+	}
+	if solves := col.Snapshot().LP.Solves; int64(count["lp-solve"]) != solves || solves == 0 {
+		t.Errorf("%d lp-solve spans for %d LP solves", count["lp-solve"], solves)
+	}
 }
 
 // TestCriticalPromisesSurviveHairInfeasibleFloors is the regression test for
