@@ -69,7 +69,8 @@ func freePort(t *testing.T) string {
 // on both the serving and the -debug-listen admin ports and assert the
 // page is grammar-conformant with flexile_serve_requests_total equal to
 // the hammer count, the request-latency histogram fully rendered, and Go
-// runtime telemetry present.
+// runtime telemetry present. A second run serves -artifact-dir over two
+// artifacts and must render the same flexile_* families.
 func TestScrapeEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the real binary")
@@ -237,26 +238,10 @@ func TestScrapeEndToEnd(t *testing.T) {
 		}
 	}
 
+	var oneFamilies map[string]bool
 	for _, scrapeURL := range []string{base + "/metrics", "http://" + adminAddr + "/metrics"} {
-		resp, err := http.Get(scrapeURL)
-		if err != nil {
-			t.Fatal(err)
-		}
-		page, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("scrape %s: status %d", scrapeURL, resp.StatusCode)
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != expo.ContentType {
-			t.Fatalf("scrape %s: Content-Type %q", scrapeURL, ct)
-		}
-		if err := expo.Lint(page); err != nil {
-			t.Fatalf("scrape %s not grammar-conformant: %v", scrapeURL, err)
-		}
-		text := string(page)
+		text := scrape(t, scrapeURL)
+		oneFamilies = flexileFamilies(text)
 		want := fmt.Sprintf("flexile_serve_requests_total %d", hammer)
 		if !strings.Contains(text, want) {
 			t.Errorf("scrape %s missing %q", scrapeURL, want)
@@ -277,8 +262,8 @@ func TestScrapeEndToEnd(t *testing.T) {
 		// The overload-resilience families: the recompute breaker closed
 		// (0), the quota tracking the single anonymous bucket, zero sheds.
 		for _, want := range []string{
-			`flexile_serve_breaker_state{breaker="recompute"} 0`,
-			"flexile_serve_quota_tenants 1",
+			`flexile_serve_breaker_state{artifact="triangle",breaker="recompute"} 0`,
+			`flexile_serve_quota_tenants{artifact="triangle"} 1`,
 			"flexile_serve_deadline_expired_total 0",
 			"flexile_serve_quota_rejects_total 0",
 		} {
@@ -367,6 +352,76 @@ func TestScrapeEndToEnd(t *testing.T) {
 		t.Errorf("-log-sample 2 produced %d access records for %d requests, want %d",
 			accessRecords, hammer, hammer/2)
 	}
+
+	// The same binary over a directory of two artifacts renders the same
+	// families: every per-artifact series is labelled whatever the count.
+	dir := t.TempDir()
+	blob, err := os.ReadFile(artifact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"alpha", "beta"} {
+		if err := os.WriteFile(filepath.Join(dir, name+serve.ArtifactExt), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	addr = freePort(t)
+	fleet := exec.Command(bin, "-artifact-dir", dir, "-listen", addr)
+	if err := fleet.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		fleet.Process.Signal(syscall.SIGTERM)
+		fleet.Wait()
+	}()
+	waitReady(t, "http://"+addr+"/readyz")
+	twoFamilies := flexileFamilies(scrape(t, "http://"+addr+"/metrics"))
+	for name := range oneFamilies {
+		if !twoFamilies[name] {
+			t.Errorf("family %s rendered for one artifact but not for two", name)
+		}
+	}
+	for name := range twoFamilies {
+		if !oneFamilies[name] {
+			t.Errorf("family %s rendered for two artifacts but not for one", name)
+		}
+	}
+}
+
+// scrape GETs an exposition page and requires it to lint clean.
+func scrape(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("scrape %s: status %d", url, resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != expo.ContentType {
+		t.Fatalf("scrape %s: Content-Type %q", url, ct)
+	}
+	if err := expo.Lint(page); err != nil {
+		t.Fatalf("scrape %s not grammar-conformant: %v", url, err)
+	}
+	return string(page)
+}
+
+// flexileFamilies returns the flexile_* family names a page declares.
+func flexileFamilies(page string) map[string]bool {
+	out := map[string]bool{}
+	for _, line := range strings.Split(page, "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE flexile_"); ok {
+			name, _, _ := strings.Cut(rest, " ")
+			out["flexile_"+name] = true
+		}
+	}
+	return out
 }
 
 // waitReady polls a readiness URL until it answers 200 or times out.

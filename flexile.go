@@ -111,9 +111,6 @@ func LoadTopology(name string) (*Topology, error) { return topo.Load(name) }
 //	edge <nameA> <nameB> <capacity>
 func ParseTopology(name, text string) (*Topology, error) { return topo.Parse(name, text) }
 
-// FormatTopology renders a topology in the text format.
-func FormatTopology(t *Topology) string { return topo.Format(t) }
-
 // TriangleTopology returns the paper's Fig. 1 motivating example.
 func TriangleTopology() *Topology { return topo.Triangle() }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"flexile"
+	"flexile/internal/topo"
 )
 
 // TestPublicAPIQuickstart exercises the doc-comment quickstart path end to
@@ -77,7 +78,7 @@ func TestTopologyRoundTripAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := flexile.FormatTopology(tp)
+	text := topo.Format(tp)
 	back, err := flexile.ParseTopology("B4", text)
 	if err != nil {
 		t.Fatal(err)

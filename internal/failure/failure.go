@@ -192,37 +192,6 @@ func AllPairsConnectedMass(g *graph.Graph, scens []Scenario) float64 {
 	return tot
 }
 
-// DesignTarget returns the §6 design target: the largest "round" percentile
-// not exceeding the all-pairs-connected mass, backing off a small safety
-// margin so the target is strictly achievable. The returned value is
-// clamped to [0.5, 0.99999].
-func DesignTarget(g *graph.Graph, scens []Scenario) float64 {
-	mass := AllPairsConnectedMass(g, scens)
-	t := mass - 1e-9
-	if t > 0.99999 {
-		t = 0.99999
-	}
-	if t < 0.5 {
-		t = 0.5
-	}
-	return t
-}
-
-// PairConnectedMass returns, for each node pair in pairs, the probability
-// mass of scenarios in which that pair stays connected.
-func PairConnectedMass(g *graph.Graph, scens []Scenario, pairs [][2]int) []float64 {
-	out := make([]float64, len(pairs))
-	for _, s := range scens {
-		alive := s.Alive()
-		for i, pr := range pairs {
-			if g.Connected(pr[0], pr[1], alive) {
-				out[i] += s.Prob
-			}
-		}
-	}
-	return out
-}
-
 // Sample draws n failure scenarios by Monte Carlo under independent link
 // failures (the sampling alternative §6 mentions for very large networks,
 // where exhaustive enumeration above a cutoff is impractical). Duplicate

@@ -207,26 +207,6 @@ func TestAllPairsConnectedMassTriangle(t *testing.T) {
 	if math.Abs(mass-want) > 1e-12 {
 		t.Fatalf("mass = %v, want %v", mass, want)
 	}
-	dt := DesignTarget(tp.G, scens)
-	if dt >= mass || dt < 0.5 {
-		t.Fatalf("design target %v vs mass %v", dt, mass)
-	}
-}
-
-func TestPairConnectedMass(t *testing.T) {
-	tp := topo.Triangle()
-	probs := []float64{0.01, 0.01, 0.01}
-	scens := Enumerate(probs, 0)
-	// Pair (A,B): disconnected only when both A-B (e0) and one of the
-	// alternate path's links fail... precisely when e0 fails along with e1
-	// or e2.
-	mass := PairConnectedMass(tp.G, scens, [][2]int{{0, 1}})
-	// P(connected) = 1 − P(e0 down AND (e1 down OR e2 down))
-	pDown := 0.01 * (1 - 0.99*0.99)
-	want := 1 - pDown
-	if math.Abs(mass[0]-want) > 1e-12 {
-		t.Fatalf("pair mass %v, want %v", mass[0], want)
-	}
 }
 
 func TestSampleBasics(t *testing.T) {

@@ -74,13 +74,6 @@ func (g *Graph) SetCapacity(e int, c float64) { g.edges[e].Capacity = c }
 // Degree reports the number of incident edges of node v.
 func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 
-// Neighbors calls fn for every incident (neighbor, edge) of v.
-func (g *Graph) Neighbors(v int, fn func(to, edge int)) {
-	for _, h := range g.adj[v] {
-		fn(h.to, h.edge)
-	}
-}
-
 // Path is a simple path: Nodes has one more element than Edges, and
 // Edges[i] connects Nodes[i] to Nodes[i+1].
 type Path struct {
@@ -446,59 +439,4 @@ func (g *Graph) Bridges() []int {
 	}
 	sort.Ints(bridges)
 	return bridges
-}
-
-// PruneDegreeOne recursively removes degree-one nodes (as §6 of the paper
-// does, so no single link failure can disconnect the network) and returns
-// the reduced graph along with origNode, mapping new node ids to ids in the
-// original graph.
-func (g *Graph) PruneDegreeOne() (*Graph, []int) {
-	n := g.NumNodes()
-	removed := make([]bool, n)
-	deg := make([]int, n)
-	edgeAlive := make([]bool, g.NumEdges())
-	for e := range edgeAlive {
-		edgeAlive[e] = true
-	}
-	for v := 0; v < n; v++ {
-		deg[v] = len(g.adj[v])
-	}
-	changed := true
-	for changed {
-		changed = false
-		for v := 0; v < n; v++ {
-			if removed[v] || deg[v] > 1 {
-				continue
-			}
-			removed[v] = true
-			changed = true
-			for _, h := range g.adj[v] {
-				if edgeAlive[h.edge] && !removed[h.to] {
-					edgeAlive[h.edge] = false
-					deg[h.to]--
-					deg[v]--
-				}
-			}
-		}
-	}
-	newID := make([]int, n)
-	var origNode []int
-	for v := 0; v < n; v++ {
-		if removed[v] {
-			newID[v] = -1
-			continue
-		}
-		newID[v] = len(origNode)
-		origNode = append(origNode, v)
-	}
-	out := New(len(origNode))
-	for i, ov := range origNode {
-		out.SetNodeName(i, g.names[ov])
-	}
-	for e, ed := range g.edges {
-		if edgeAlive[e] && !removed[ed.A] && !removed[ed.B] {
-			out.AddEdge(newID[ed.A], newID[ed.B], ed.Capacity)
-		}
-	}
-	return out, origNode
 }

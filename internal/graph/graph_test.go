@@ -228,51 +228,6 @@ func TestBridgesTree(t *testing.T) {
 	}
 }
 
-func TestPruneDegreeOne(t *testing.T) {
-	// Chain 3-0 hanging off a triangle 0-1-2, plus a further leaf 4-3.
-	g := New(5)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(2, 0, 1)
-	g.AddEdge(3, 0, 1)
-	g.AddEdge(4, 3, 1)
-	pruned, orig := g.PruneDegreeOne()
-	if pruned.NumNodes() != 3 {
-		t.Fatalf("want 3 nodes after pruning, got %d", pruned.NumNodes())
-	}
-	if pruned.NumEdges() != 3 {
-		t.Fatalf("want 3 edges after pruning, got %d", pruned.NumEdges())
-	}
-	for _, ov := range orig {
-		if ov > 2 {
-			t.Fatalf("nodes 3,4 should be pruned; orig=%v", orig)
-		}
-	}
-}
-
-func TestPruneKeepsTwoEdgeConnected(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 10; trial++ {
-		n := 6 + rng.Intn(10)
-		g := New(n)
-		for i := 1; i < n; i++ {
-			g.AddEdge(i, rng.Intn(i), 1)
-		}
-		for i := 0; i < n; i++ {
-			a, b := rng.Intn(n), rng.Intn(n)
-			if a != b {
-				g.AddEdge(a, b, 1)
-			}
-		}
-		pruned, _ := g.PruneDegreeOne()
-		for v := 0; v < pruned.NumNodes(); v++ {
-			if pruned.Degree(v) < 2 {
-				t.Fatalf("trial %d: node %d has degree %d after pruning", trial, v, pruned.Degree(v))
-			}
-		}
-	}
-}
-
 func TestPathHelpers(t *testing.T) {
 	g := triangle()
 	p, _ := g.ShortestPath(0, 2, nil, nil, nil)

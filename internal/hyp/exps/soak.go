@@ -276,11 +276,11 @@ func waitReady(ctx context.Context, url string) error {
 	return fmt.Errorf("server never became ready at %s", url)
 }
 
-// loadedAt reads the daemon's /healthz artifact timestamp — it changes
+// loadedAt reads the daemon's /v1/info artifact timestamp — it changes
 // exactly when a reload swaps state in, which is how reloadDaemon proves
 // the SIGHUP completed rather than merely being delivered.
 func loadedAt(ctx context.Context, base string) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/healthz", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/info", nil)
 	if err != nil {
 		return "", err
 	}
@@ -289,15 +289,14 @@ func loadedAt(ctx context.Context, base string) (string, error) {
 		return "", err
 	}
 	defer resp.Body.Close()
-	var health map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-		return "", err
+	var info struct {
+		LoadedAt string `json:"loaded_at"`
 	}
-	s, _ := health["loaded_at"].(string)
-	return s, nil
+	err = json.NewDecoder(resp.Body).Decode(&info)
+	return info.LoadedAt, err
 }
 
-// reloadDaemon sends SIGHUP and waits until /healthz reports a new
+// reloadDaemon sends SIGHUP and waits until /v1/info reports a new
 // loaded_at and /readyz answers 200 again.
 func reloadDaemon(ctx context.Context, daemon *exec.Cmd, base string) (bool, error) {
 	before, err := loadedAt(ctx, base)

@@ -139,12 +139,6 @@ func (p *Problem) NumCols() int { return len(p.obj) }
 // NumRows reports the number of constraints.
 func (p *Problem) NumRows() int { return len(p.rows) }
 
-// ColName returns the name given to column j.
-func (p *Problem) ColName(j int) string { return p.colName[j] }
-
-// RowName returns the name given to row i.
-func (p *Problem) RowName(i int) string { return p.rowName[i] }
-
 // Status describes the outcome of a solve.
 type Status int
 

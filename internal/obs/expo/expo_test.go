@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -170,7 +171,7 @@ func TestLabelEscapeRoundTrip(t *testing.T) {
 func TestHistogramExposition(t *testing.T) {
 	var buf bytes.Buffer
 	e := NewEncoder(&buf)
-	e.Histogram("x_seconds", "help", fixedHist(), 1e-9)
+	histogram(e, "x_seconds", fixedHist())
 	if err := e.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -201,10 +202,17 @@ func TestHistogramExposition(t *testing.T) {
 	}
 }
 
+// histogram renders one unlabelled nanosecond histogram family in seconds.
+func histogram(e *Encoder, name string, s obs.HistSnapshot) {
+	if e.header(name, "help", "histogram") {
+		e.histSamples(name, s, 1e-9, nil)
+	}
+}
+
 func TestHistogramEmptySnapshotStillConforms(t *testing.T) {
 	var buf bytes.Buffer
 	e := NewEncoder(&buf)
-	e.Histogram("empty_seconds", "never observed", obs.HistSnapshot{}, 1e-9)
+	histogram(e, "empty_seconds", obs.HistSnapshot{})
 	if err := e.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -387,4 +395,142 @@ func TestWritePage(t *testing.T) {
 	if !strings.Contains(buf.String(), "flexile_serve_requests_total 0") {
 		t.Fatal("nil-collector page missing zero counters")
 	}
+}
+
+// TestSchemaCoversEveryField fills every counter and latency histogram of
+// obs.SolveMetrics with a distinct value by reflection and requires
+// ServeMetrics.Add, the collector's flush, Snapshot, Canonical and the
+// encoder to carry each one. A field left out of its group's schema is
+// dropped by all of them and fails here.
+func TestSchemaCoversEveryField(t *testing.T) {
+	var m obs.SolveMetrics
+	next := int64(0)
+	groups := reflect.ValueOf(&m).Elem()
+	for g := 0; g < groups.NumField(); g++ {
+		for grp, i := groups.Field(g), 0; i < grp.NumField(); i++ {
+			switch f := grp.Field(i); f.Kind() {
+			case reflect.Int64:
+				next++
+				f.SetInt(next)
+			case reflect.Struct:
+				next++
+				f.Set(reflect.ValueOf(obs.HistSnapshot{Count: uint64(next), Sum: next * 1000}))
+			}
+		}
+	}
+
+	// Every field is exactly one schema row.
+	rows := map[uintptr]bool{}
+	for _, group := range m.Groups() {
+		for _, r := range group {
+			rows[reflect.ValueOf(r.P).Pointer()] = true
+		}
+	}
+	lat := m.Latency.Fields()
+	for _, r := range lat {
+		rows[reflect.ValueOf(r.P).Pointer()] = true
+	}
+	for g := 0; g < groups.NumField(); g++ {
+		for grp, i := groups.Field(g), 0; i < grp.NumField(); i++ {
+			if f := grp.Field(i); f.Kind() != reflect.Slice && !rows[f.Addr().Pointer()] {
+				t.Errorf("%s.%s has no schema row", groups.Type().Field(g).Name, grp.Type().Field(i).Name)
+			}
+		}
+	}
+	if len(rows) != int(next) {
+		t.Errorf("%d schema rows for %d fields", len(rows), next)
+	}
+
+	var sum obs.ServeMetrics
+	sum.Add(m.Serve)
+	if sum != m.Serve {
+		t.Errorf("ServeMetrics.Add = %+v, want %+v", sum, m.Serve)
+	}
+
+	// The flush and Snapshot, through a child→root chain. The pool and the
+	// histograms have no delta flush; drive them through their recorders.
+	root := obs.New()
+	child := obs.NewChild(root)
+	child.AddLP(m.LP)
+	child.AddMIP(m.MIP)
+	child.AddDecomp(m.Decomp)
+	child.AddServe(m.Serve)
+	child.PoolLaunch(3)
+	child.PoolItem(0, 25)
+	for id := range lat {
+		child.ObserveLatency(obs.LatencyID(id), time.Duration(lat[id].P.Sum))
+	}
+	got := root.Snapshot()
+	if got.LP != m.LP || got.MIP != m.MIP || got.Decomp != m.Decomp || got.Serve != m.Serve {
+		t.Errorf("flush + Snapshot dropped a counter:\n got %+v\nwant %+v", got, m)
+	}
+	if p := got.Pool; p.Launches != 1 || p.Items != 1 || p.MaxWorkers != 3 || p.BusyNanos != 25 {
+		t.Errorf("Snapshot pool = %+v", p)
+	}
+	for id, r := range got.Latency.Fields() {
+		if r.P.Count != 1 || r.P.Sum != lat[id].P.Sum {
+			t.Errorf("Snapshot latency %d = %+v, want one observation of %d", id, *r.P, lat[id].P.Sum)
+		}
+	}
+
+	// Canonical zeroes exactly the rows that are not deterministic counts.
+	canon := m.Canonical()
+	orig, have := m.Groups(), canon.Groups()
+	for g := range orig {
+		for i, r := range orig[g] {
+			want := *r.P
+			if r.Kind != obs.Count {
+				want = 0
+			}
+			if v := *have[g][i].P; v != want {
+				t.Errorf("Canonical: row %d.%d (kind %d) = %d, want %d", g, i, r.Kind, v, want)
+			}
+		}
+	}
+
+	// The encoder renders every named row with its value.
+	var buf bytes.Buffer
+	e := NewEncoder(&buf)
+	EncodeSolveMetrics(e, m)
+	if e.Err() != nil {
+		t.Fatal(e.Err())
+	}
+	page := buf.String()
+	for _, group := range m.Groups() {
+		for _, r := range group {
+			if r.Name == "" {
+				continue
+			}
+			v := float64(*r.P)
+			if r.Kind == obs.Nanos {
+				v *= 1e-9
+			}
+			if line := r.Name + braces(rowLabels(r.Label, r.Value)) + " " + formatValue(v) + "\n"; !strings.Contains(page, line) {
+				t.Errorf("page lacks %q", line)
+			}
+		}
+	}
+	for _, r := range lat {
+		ls := braces(rowLabels(r.Label, r.Value))
+		for _, line := range []string{
+			r.Name + "_sum" + ls + " " + formatValue(float64(r.P.Sum)*1e-9) + "\n",
+			r.Name + "_count" + ls + " " + formatValue(float64(r.P.Count)) + "\n",
+		} {
+			if !strings.Contains(page, line) {
+				t.Errorf("page lacks %q", line)
+			}
+		}
+	}
+}
+
+// braces renders a label set the way sample lines carry it.
+func braces(ls []Label) string {
+	if len(ls) == 0 {
+		return ""
+	}
+	parts := make([]string, len(ls))
+	for i, l := range ls {
+		parts[i] = l.Name + `="` + l.Value + `"`
+	}
+	return "{" + strings.Join(parts, ",") + "}"
 }

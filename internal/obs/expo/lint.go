@@ -182,7 +182,7 @@ func lintComment(line string, typed map[string]string) error {
 // validating every charset and escape sequence on the way.
 func parseSample(line string) (name string, labels []Label, value float64, err error) {
 	i := 0
-	for i < len(line) && isNameRune(line[i], i == 0) {
+	for i < len(line) && identByte(line[i], i == 0, true) {
 		i++
 	}
 	name = line[:i]
@@ -200,7 +200,7 @@ func parseSample(line string) (name string, labels []Label, value float64, err e
 				break
 			}
 			start := i
-			for i < len(line) && isLabelRune(line[i], i == start) {
+			for i < len(line) && identByte(line[i], i == start, false) {
 				i++
 			}
 			lname := line[start:i]
@@ -310,24 +310,4 @@ func canonicalLabels(labels []Label) string {
 		}
 	}
 	return strings.Join(parts, "\x01")
-}
-
-func isNameRune(c byte, first bool) bool {
-	switch {
-	case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_', c == ':':
-		return true
-	case c >= '0' && c <= '9':
-		return !first
-	}
-	return false
-}
-
-func isLabelRune(c byte, first bool) bool {
-	switch {
-	case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_':
-		return true
-	case c >= '0' && c <= '9':
-		return !first
-	}
-	return false
 }

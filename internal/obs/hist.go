@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Histogram is a fixed-bucket log-scale latency histogram built for hot
@@ -104,9 +103,6 @@ func (h *Histogram) Observe(nanos int64) {
 	hot.count.Add(1) // must be last: signals the observation has fully landed
 }
 
-// ObserveSince is Observe(time.Since(start)).
-func (h *Histogram) ObserveSince(start time.Time) { h.Observe(time.Since(start).Nanoseconds()) }
-
 // Snapshot returns a self-consistent copy of the histogram: the returned
 // Count equals the sum of the bucket counts, and Sum covers exactly those
 // observations. Safe to call concurrently with Observe and with other
@@ -162,22 +158,6 @@ type HistSnapshot struct {
 	// (HistBounds; the last entry is the +Inf overflow). Nil when Count is
 	// zero.
 	Buckets []uint64 `json:"buckets,omitempty"`
-}
-
-// Merge adds o into s bucket-by-bucket (the shared bucket scheme makes this
-// exact — no rebinning error).
-func (s *HistSnapshot) Merge(o HistSnapshot) {
-	s.Count += o.Count
-	s.Sum += o.Sum
-	if o.Buckets == nil {
-		return
-	}
-	if s.Buckets == nil {
-		s.Buckets = make([]uint64, histBuckets)
-	}
-	for i, v := range o.Buckets {
-		s.Buckets[i] += v
-	}
 }
 
 // Quantile estimates the q-quantile (0 < q <= 1) in nanoseconds by

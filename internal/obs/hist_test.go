@@ -155,34 +155,6 @@ func TestHistogramConcurrentExact(t *testing.T) {
 	}
 }
 
-func TestHistSnapshotMerge(t *testing.T) {
-	var a, b Histogram
-	a.Observe(100)
-	a.Observe(5000)
-	b.Observe(5000)
-	b.Observe(1e12)
-	sa, sb := a.Snapshot(), b.Snapshot()
-	sa.Merge(sb)
-	if sa.Count != 4 || sa.Sum != 100+2*5000+1e12 {
-		t.Fatalf("merged = %+v", sa)
-	}
-	if sa.Buckets[histBucketOf(5000)] != 2 || sa.Buckets[histBuckets-1] != 1 {
-		t.Fatalf("merged buckets = %v", sa.Buckets)
-	}
-	// Merging into an empty snapshot copies.
-	var empty HistSnapshot
-	empty.Merge(sb)
-	if empty.Count != sb.Count || empty.Sum != sb.Sum {
-		t.Fatalf("merge into empty = %+v", empty)
-	}
-	// Merging an empty snapshot is a no-op.
-	before := sa
-	sa.Merge(HistSnapshot{})
-	if sa.Count != before.Count || sa.Sum != before.Sum {
-		t.Fatalf("merge of empty changed %+v -> %+v", before, sa)
-	}
-}
-
 // TestHistogramQuantileAccuracy feeds adversarial distributions and checks
 // the estimated quantile lands within one bucket of the exact order
 // statistic — the bound the log-scale scheme promises.

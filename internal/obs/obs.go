@@ -227,27 +227,14 @@ type ServeMetrics struct {
 // up locally — one per batch request, say — before flushing it with a
 // single Collector.AddServe.
 func (m *ServeMetrics) Add(d ServeMetrics) {
-	m.Requests += d.Requests
-	m.BadRequests += d.BadRequests
-	m.CacheHits += d.CacheHits
-	m.CacheMisses += d.CacheMisses
-	m.Recomputes += d.Recomputes
-	m.FlightShared += d.FlightShared
-	m.Reloads += d.Reloads
-	m.ReloadErrors += d.ReloadErrors
-	m.GateWaits += d.GateWaits
-	m.QuotaRejects += d.QuotaRejects
-	m.DeadlineExpired += d.DeadlineExpired
-	m.RecomputeErrors += d.RecomputeErrors
-	m.Degraded += d.Degraded
-	m.BreakerTrips += d.BreakerTrips
-	m.BreakerRejects += d.BreakerRejects
-	m.BatchRequests += d.BatchRequests
-	m.BatchEntries += d.BatchEntries
-	m.BatchDeduped += d.BatchDeduped
+	dst, src := m.Fields(), d.Fields()
+	for i, r := range dst {
+		*r.P += *src[i].P
+	}
 }
 
-// LatencyID names one of the collector's built-in latency histograms.
+// LatencyID names one of the collector's built-in latency histograms: the
+// index of its row in LatencyMetrics.Fields.
 type LatencyID int
 
 const (
@@ -311,11 +298,14 @@ type SolveMetrics struct {
 // same solve with different worker counts produce bit-identical Canonical
 // metrics (asserted by TestMetricsDeterministicAcrossWorkers).
 func (m SolveMetrics) Canonical() SolveMetrics {
-	m.LP.SolveNanos = 0
-	m.MIP.SolveNanos = 0
-	m.Pool.MaxWorkers = 0
+	for _, rows := range m.Groups() {
+		for _, r := range rows {
+			if r.Kind != Count {
+				*r.P = 0
+			}
+		}
+	}
 	m.Pool.WorkerItems = nil
-	m.Pool.BusyNanos = 0
 	m.Latency = LatencyMetrics{}
 	return m
 }
@@ -387,82 +377,44 @@ func From(ctx context.Context) *Collector {
 
 // AddLP flushes one solver's LP counters.
 func (c *Collector) AddLP(d LPMetrics) {
+	src := d.Fields()
 	for ; c != nil; c = c.parent {
-		m := &c.m.LP
-		atomic.AddInt64(&m.Solves, d.Solves)
-		atomic.AddInt64(&m.Errors, d.Errors)
-		atomic.AddInt64(&m.Optimal, d.Optimal)
-		atomic.AddInt64(&m.Infeasible, d.Infeasible)
-		atomic.AddInt64(&m.Unbounded, d.Unbounded)
-		atomic.AddInt64(&m.IterLimit, d.IterLimit)
-		atomic.AddInt64(&m.Pivots, d.Pivots)
-		atomic.AddInt64(&m.Phase1Pivots, d.Phase1Pivots)
-		atomic.AddInt64(&m.Phase2Pivots, d.Phase2Pivots)
-		atomic.AddInt64(&m.BoundFlips, d.BoundFlips)
-		atomic.AddInt64(&m.DegeneratePivots, d.DegeneratePivots)
-		atomic.AddInt64(&m.Refactorizations, d.Refactorizations)
-		atomic.AddInt64(&m.BlandActivations, d.BlandActivations)
-		atomic.AddInt64(&m.SingularRestarts, d.SingularRestarts)
-		atomic.AddInt64(&m.WarmStarts, d.WarmStarts)
-		atomic.AddInt64(&m.WarmStartRejected, d.WarmStartRejected)
-		atomic.AddInt64(&m.PriceRefreshes, d.PriceRefreshes)
-		atomic.AddInt64(&m.SolveNanos, d.SolveNanos)
+		dst := c.m.LP.Fields()
+		flush(dst[:], src[:])
 	}
 }
 
 // AddMIP flushes one branch-and-bound solve's counters.
 func (c *Collector) AddMIP(d MIPMetrics) {
+	src := d.Fields()
 	for ; c != nil; c = c.parent {
-		m := &c.m.MIP
-		atomic.AddInt64(&m.Solves, d.Solves)
-		atomic.AddInt64(&m.Nodes, d.Nodes)
-		atomic.AddInt64(&m.PrunedNodes, d.PrunedNodes)
-		atomic.AddInt64(&m.IncumbentUpdates, d.IncumbentUpdates)
-		atomic.AddInt64(&m.HeuristicCalls, d.HeuristicCalls)
-		atomic.AddInt64(&m.SolveNanos, d.SolveNanos)
+		dst := c.m.MIP.Fields()
+		flush(dst[:], src[:])
 	}
 }
 
 // AddDecomp flushes decomposition counters.
 func (c *Collector) AddDecomp(d DecompMetrics) {
+	src := d.Fields()
 	for ; c != nil; c = c.parent {
-		m := &c.m.Decomp
-		atomic.AddInt64(&m.Solves, d.Solves)
-		atomic.AddInt64(&m.Iterations, d.Iterations)
-		atomic.AddInt64(&m.ScenarioSolves, d.ScenarioSolves)
-		atomic.AddInt64(&m.ScenarioRetries, d.ScenarioRetries)
-		atomic.AddInt64(&m.ScenarioSkips, d.ScenarioSkips)
-		atomic.AddInt64(&m.ScenLossFallbacks, d.ScenLossFallbacks)
-		atomic.AddInt64(&m.MasterSolves, d.MasterSolves)
-		atomic.AddInt64(&m.MasterFailures, d.MasterFailures)
-		atomic.AddInt64(&m.CutsGenerated, d.CutsGenerated)
-		atomic.AddInt64(&m.CutsDeduped, d.CutsDeduped)
-		atomic.AddInt64(&m.SharedCutRows, d.SharedCutRows)
+		dst := c.m.Decomp.Fields()
+		flush(dst[:], src[:])
 	}
 }
 
 // AddServe flushes allocation-server counters.
 func (c *Collector) AddServe(d ServeMetrics) {
+	src := d.Fields()
 	for ; c != nil; c = c.parent {
-		m := &c.m.Serve
-		atomic.AddInt64(&m.Requests, d.Requests)
-		atomic.AddInt64(&m.BadRequests, d.BadRequests)
-		atomic.AddInt64(&m.CacheHits, d.CacheHits)
-		atomic.AddInt64(&m.CacheMisses, d.CacheMisses)
-		atomic.AddInt64(&m.Recomputes, d.Recomputes)
-		atomic.AddInt64(&m.FlightShared, d.FlightShared)
-		atomic.AddInt64(&m.Reloads, d.Reloads)
-		atomic.AddInt64(&m.ReloadErrors, d.ReloadErrors)
-		atomic.AddInt64(&m.GateWaits, d.GateWaits)
-		atomic.AddInt64(&m.QuotaRejects, d.QuotaRejects)
-		atomic.AddInt64(&m.DeadlineExpired, d.DeadlineExpired)
-		atomic.AddInt64(&m.RecomputeErrors, d.RecomputeErrors)
-		atomic.AddInt64(&m.Degraded, d.Degraded)
-		atomic.AddInt64(&m.BreakerTrips, d.BreakerTrips)
-		atomic.AddInt64(&m.BreakerRejects, d.BreakerRejects)
-		atomic.AddInt64(&m.BatchRequests, d.BatchRequests)
-		atomic.AddInt64(&m.BatchEntries, d.BatchEntries)
-		atomic.AddInt64(&m.BatchDeduped, d.BatchDeduped)
+		dst := c.m.Serve.Fields()
+		flush(dst[:], src[:])
+	}
+}
+
+// flush atomically adds each src row's value into the matching dst row.
+func flush(dst, src []Field) {
+	for i := range dst {
+		atomic.AddInt64(dst[i].P, *src[i].P)
 	}
 }
 
@@ -523,81 +475,19 @@ func (c *Collector) Snapshot() SolveMetrics {
 		return SolveMetrics{}
 	}
 	var out SolveMetrics
-	src, dst := &c.m.LP, &out.LP
-	dst.Solves = atomic.LoadInt64(&src.Solves)
-	dst.Errors = atomic.LoadInt64(&src.Errors)
-	dst.Optimal = atomic.LoadInt64(&src.Optimal)
-	dst.Infeasible = atomic.LoadInt64(&src.Infeasible)
-	dst.Unbounded = atomic.LoadInt64(&src.Unbounded)
-	dst.IterLimit = atomic.LoadInt64(&src.IterLimit)
-	dst.Pivots = atomic.LoadInt64(&src.Pivots)
-	dst.Phase1Pivots = atomic.LoadInt64(&src.Phase1Pivots)
-	dst.Phase2Pivots = atomic.LoadInt64(&src.Phase2Pivots)
-	dst.BoundFlips = atomic.LoadInt64(&src.BoundFlips)
-	dst.DegeneratePivots = atomic.LoadInt64(&src.DegeneratePivots)
-	dst.Refactorizations = atomic.LoadInt64(&src.Refactorizations)
-	dst.BlandActivations = atomic.LoadInt64(&src.BlandActivations)
-	dst.SingularRestarts = atomic.LoadInt64(&src.SingularRestarts)
-	dst.WarmStarts = atomic.LoadInt64(&src.WarmStarts)
-	dst.WarmStartRejected = atomic.LoadInt64(&src.WarmStartRejected)
-	dst.PriceRefreshes = atomic.LoadInt64(&src.PriceRefreshes)
-	dst.SolveNanos = atomic.LoadInt64(&src.SolveNanos)
-	ms, md := &c.m.MIP, &out.MIP
-	md.Solves = atomic.LoadInt64(&ms.Solves)
-	md.Nodes = atomic.LoadInt64(&ms.Nodes)
-	md.PrunedNodes = atomic.LoadInt64(&ms.PrunedNodes)
-	md.IncumbentUpdates = atomic.LoadInt64(&ms.IncumbentUpdates)
-	md.HeuristicCalls = atomic.LoadInt64(&ms.HeuristicCalls)
-	md.SolveNanos = atomic.LoadInt64(&ms.SolveNanos)
-	ds, dd := &c.m.Decomp, &out.Decomp
-	dd.Solves = atomic.LoadInt64(&ds.Solves)
-	dd.Iterations = atomic.LoadInt64(&ds.Iterations)
-	dd.ScenarioSolves = atomic.LoadInt64(&ds.ScenarioSolves)
-	dd.ScenarioRetries = atomic.LoadInt64(&ds.ScenarioRetries)
-	dd.ScenarioSkips = atomic.LoadInt64(&ds.ScenarioSkips)
-	dd.ScenLossFallbacks = atomic.LoadInt64(&ds.ScenLossFallbacks)
-	dd.MasterSolves = atomic.LoadInt64(&ds.MasterSolves)
-	dd.MasterFailures = atomic.LoadInt64(&ds.MasterFailures)
-	dd.CutsGenerated = atomic.LoadInt64(&ds.CutsGenerated)
-	dd.CutsDeduped = atomic.LoadInt64(&ds.CutsDeduped)
-	dd.SharedCutRows = atomic.LoadInt64(&ds.SharedCutRows)
-	ps, pd := &c.m.Pool, &out.Pool
-	pd.Launches = atomic.LoadInt64(&ps.Launches)
-	pd.Items = atomic.LoadInt64(&ps.Items)
-	pd.MaxWorkers = atomic.LoadInt64(&ps.MaxWorkers)
-	pd.BusyNanos = atomic.LoadInt64(&ps.BusyNanos)
-	ss, sd := &c.m.Serve, &out.Serve
-	sd.Requests = atomic.LoadInt64(&ss.Requests)
-	sd.BadRequests = atomic.LoadInt64(&ss.BadRequests)
-	sd.CacheHits = atomic.LoadInt64(&ss.CacheHits)
-	sd.CacheMisses = atomic.LoadInt64(&ss.CacheMisses)
-	sd.Recomputes = atomic.LoadInt64(&ss.Recomputes)
-	sd.FlightShared = atomic.LoadInt64(&ss.FlightShared)
-	sd.Reloads = atomic.LoadInt64(&ss.Reloads)
-	sd.ReloadErrors = atomic.LoadInt64(&ss.ReloadErrors)
-	sd.GateWaits = atomic.LoadInt64(&ss.GateWaits)
-	sd.QuotaRejects = atomic.LoadInt64(&ss.QuotaRejects)
-	sd.DeadlineExpired = atomic.LoadInt64(&ss.DeadlineExpired)
-	sd.RecomputeErrors = atomic.LoadInt64(&ss.RecomputeErrors)
-	sd.Degraded = atomic.LoadInt64(&ss.Degraded)
-	sd.BreakerTrips = atomic.LoadInt64(&ss.BreakerTrips)
-	sd.BreakerRejects = atomic.LoadInt64(&ss.BreakerRejects)
-	sd.BatchRequests = atomic.LoadInt64(&ss.BatchRequests)
-	sd.BatchEntries = atomic.LoadInt64(&ss.BatchEntries)
-	sd.BatchDeduped = atomic.LoadInt64(&ss.BatchDeduped)
-	out.Latency.LPSolve = c.hists[LatLPSolve].Snapshot()
-	out.Latency.ScenarioSolve = c.hists[LatScenarioSolve].Snapshot()
-	out.Latency.ServeRequest = c.hists[LatServeRequest].Snapshot()
-	out.Latency.QueueWait = c.hists[LatQueueWait].Snapshot()
-	out.Latency.StageAdmit = c.hists[LatStageAdmit].Snapshot()
-	out.Latency.StageParse = c.hists[LatStageParse].Snapshot()
-	out.Latency.StageCache = c.hists[LatStageCache].Snapshot()
-	out.Latency.StageFlight = c.hists[LatStageFlight].Snapshot()
-	out.Latency.StageWrite = c.hists[LatStageWrite].Snapshot()
-	out.Latency.StageRecompute = c.hists[LatStageRecompute].Snapshot()
+	dst, src := out.Groups(), c.m.Groups()
+	for g := range dst {
+		for i := range dst[g] {
+			*dst[g][i].P = atomic.LoadInt64(src[g][i].P)
+		}
+	}
+	lat := out.Latency.Fields()
+	for i := range lat {
+		*lat[i].P = c.hists[i].Snapshot()
+	}
 	c.poolMu.Lock()
 	if len(c.workerItems) > 0 {
-		pd.WorkerItems = append([]int64(nil), c.workerItems...)
+		out.Pool.WorkerItems = append([]int64(nil), c.workerItems...)
 	}
 	c.poolMu.Unlock()
 	return out

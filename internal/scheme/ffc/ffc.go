@@ -10,7 +10,6 @@ package ffc
 
 import (
 	"fmt"
-	"sort"
 
 	"flexile/internal/lp"
 	"flexile/internal/te"
@@ -216,18 +215,4 @@ func (s *Scheme) Route(inst *te.Instance) (*te.Routing, error) {
 		}
 	}
 	return r, nil
-}
-
-// GuaranteedStates reports, for the instance's scenarios, which are within
-// the protection level (≤ F failed links) — in those, every granted byte
-// is deliverable by construction.
-func (s *Scheme) GuaranteedStates(inst *te.Instance) []int {
-	var out []int
-	for q, scen := range inst.Scenarios {
-		if len(scen.Failed) <= s.f() {
-			out = append(out, q)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

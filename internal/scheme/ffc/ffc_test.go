@@ -44,7 +44,7 @@ func TestFFCTriangleGrant(t *testing.T) {
 	losses := r.LossMatrix(inst)
 	// In every ≤1-failure scenario the grant is fully delivered: loss
 	// exactly 1 − grant/demand = 0.5.
-	for _, q := range s.GuaranteedStates(inst) {
+	for _, q := range guaranteedStates(s, inst) {
 		for _, f := range []int{0, 1} {
 			if math.Abs(losses[f][q]-0.5) > 1e-6 {
 				t.Fatalf("flow %d loss %v in protected scenario %d, want 0.5", f, losses[f][q], q)
@@ -122,4 +122,17 @@ func TestFFCVsFlexile(t *testing.T) {
 	if ffcLoss < 0.5-1e-6 {
 		t.Fatalf("FFC PercLoss = %v, expected ≥ 0.5", ffcLoss)
 	}
+}
+
+// guaranteedStates reports, for the instance's scenarios, which are within
+// the protection level (≤ F failed links) — in those, every granted byte
+// is deliverable by construction.
+func guaranteedStates(s *Scheme, inst *te.Instance) []int {
+	var out []int
+	for q, scen := range inst.Scenarios {
+		if len(scen.Failed) <= s.f() {
+			out = append(out, q)
+		}
+	}
+	return out
 }

@@ -44,17 +44,6 @@ func (c *CriticalSet) Flows() int { return c.flows }
 // Scenarios returns the scenario-dimension size.
 func (c *CriticalSet) Scenarios() int { return c.scens }
 
-// CountForFlow returns how many scenarios are critical for flow f.
-func (c *CriticalSet) CountForFlow(f int) int {
-	n := 0
-	for q := 0; q < c.scens; q++ {
-		if c.Get(f, q) {
-			n++
-		}
-	}
-	return n
-}
-
 // ByteSize reports the storage footprint in bytes.
 func (c *CriticalSet) ByteSize() int { return len(c.bits) * 8 }
 
@@ -71,18 +60,6 @@ func (c *CriticalSet) Equal(o *CriticalSet) bool {
 	}
 	for i := range c.bits {
 		if c.bits[i] != o.bits[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// ScenarioEqual reports whether column q matches between two bitmaps —
-// used by the pruning rule "skip scenarios whose critical flows did not
-// change" (§4.2).
-func (c *CriticalSet) ScenarioEqual(o *CriticalSet, q int) bool {
-	for f := 0; f < c.flows; f++ {
-		if c.Get(f, q) != o.Get(f, q) {
 			return false
 		}
 	}
@@ -161,17 +138,4 @@ func NewCriticalSetFromWords(flows, scens int, words []uint64) (*CriticalSet, er
 		c.bits[need-1] &= (1 << uint(rem)) - 1
 	}
 	return c, nil
-}
-
-// Hamming returns the number of differing bits.
-func (c *CriticalSet) Hamming(o *CriticalSet) int {
-	n := 0
-	for i := range c.bits {
-		x := c.bits[i] ^ o.bits[i]
-		for x != 0 {
-			x &= x - 1
-			n++
-		}
-	}
-	return n
 }

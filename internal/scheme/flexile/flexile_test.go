@@ -28,25 +28,19 @@ func TestCriticalSetBasics(t *testing.T) {
 	if cs.Get(2, 3) {
 		t.Fatal("clear failed")
 	}
-	if cs.CountForFlow(4) != 1 || cs.CountForFlow(2) != 0 {
-		t.Fatal("CountForFlow wrong")
-	}
 }
 
-func TestCriticalSetCloneEqualHamming(t *testing.T) {
+func TestCriticalSetCloneEqual(t *testing.T) {
 	a := NewCriticalSet(3, 3)
 	a.Set(0, 0, true)
 	a.Set(2, 2, true)
 	b := a.Clone()
-	if !a.Equal(b) || a.Hamming(b) != 0 {
+	if !a.Equal(b) {
 		t.Fatal("clone must equal original")
 	}
 	b.Set(1, 1, true)
-	if a.Equal(b) || a.Hamming(b) != 1 {
-		t.Fatal("hamming after one flip must be 1")
-	}
-	if !a.ScenarioEqual(b, 0) || a.ScenarioEqual(b, 1) {
-		t.Fatal("ScenarioEqual wrong")
+	if a.Equal(b) {
+		t.Fatal("a clone with one bit flipped must differ")
 	}
 }
 

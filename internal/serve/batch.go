@@ -147,7 +147,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	lap.Lap("parse", obs.LatStageParse)
-	top.BatchEntries = int64(len(req.Queries))
 	tenant := r.Header.Get("X-Tenant")
 	def := addressed(r)
 
@@ -157,7 +156,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Stage 1 (serial, cheap): resolve each query's artifact, charge its
 	// tenant quota on the owning engine, and group duplicates. Entries
 	// rejected here never reach a worker. acct accumulates each engine's
-	// counters so one batch costs each collector a single add.
+	// counters so one batch costs each collector a single add; an entry
+	// naming no loaded artifact is counted on the root alone.
 	entries := make([]BatchEntry, len(req.Queries))
 	groups := make(map[groupKey]*batchGroup)
 	acct := make(map[*engine]*obs.ServeMetrics)
@@ -169,6 +169,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		eng, rerr := s.resolve(name)
 		if rerr != nil {
+			top.BatchEntries++
 			top.BadRequests++
 			entries[i] = BatchEntry{Status: http.StatusNotFound, Artifact: qy.Artifact, Scenario: -1, Error: rerr.Error()}
 			continue
@@ -176,6 +177,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if acct[eng] == nil {
 			acct[eng] = new(obs.ServeMetrics)
 		}
+		acct[eng].BatchEntries++
 		if refusal, ok := eng.admit(tenant); !ok {
 			acct[eng].Add(refusal.metrics())
 			entries[i] = batchEntry(eng.name, refusal)
@@ -188,7 +190,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			groups[gk] = g
 			order = append(order, g)
 		} else {
-			top.BatchDeduped++
+			acct[eng].BatchDeduped++
 		}
 		g.members = append(g.members, i)
 	}

@@ -151,9 +151,9 @@ func TestFrontEndEquivalence(t *testing.T) {
 		if env.Results[0].Cache != "hit" || env.Results[1].Cache != "dedup" || env.Results[2].Status != http.StatusNotFound {
 			t.Fatalf("batch entries = %+v", env.Results)
 		}
-		// One artifact answers the process-level routes as itself.
-		if img := p.same("GET", "/healthz", "", nil); !strings.Contains(img, `"checksum"`) || strings.Contains(img, `"artifacts"`) {
-			t.Fatalf("one-entry /healthz should carry a top-level checksum:\n%s", img)
+		// One artifact answers the process-level routes as a fleet of one.
+		if img := p.same("GET", "/healthz", "", nil); !strings.Contains(img, `"artifacts":{"tri":"`) || strings.Contains(img, `"checksum"`) {
+			t.Fatalf("one-entry /healthz should map its one artifact to its checksum:\n%s", img)
 		}
 	})
 

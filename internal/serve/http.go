@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -166,23 +167,15 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// handleHealth is the liveness probe. A one-entry registry reports its
-// artifact's identity at top level; a fleet reports a name→checksum map.
+// handleHealth is the liveness probe: the artifact format version and a
+// name→checksum map of the loaded artifacts, however many there are.
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	resp := map[string]any{"ok": true, "version": ArtifactVersion}
-	set := s.engines.Load()
-	if len(set.sorted) == 1 {
-		st := set.sorted[0].st.Load()
-		resp["checksum"] = st.checksum
-		resp["loaded_at"] = st.loadedAt.UTC().Format(time.RFC3339Nano)
-	} else {
-		arts := make(map[string]string, len(set.sorted))
-		for _, eng := range set.sorted {
-			arts[eng.name] = eng.st.Load().checksum
-		}
-		resp["artifacts"] = arts
+	engs := s.engines.Load().sorted
+	arts := make(map[string]string, len(engs))
+	for _, eng := range engs {
+		arts[eng.name] = eng.st.Load().checksum
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "version": ArtifactVersion, "artifacts": arts})
 }
 
 // notReady is the one readiness rule: ready iff not draining and some
@@ -213,12 +206,7 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": reason})
 		return
 	}
-	engs := s.engines.Load().sorted
-	resp := map[string]any{"ready": true, "artifacts": len(engs)}
-	if len(engs) == 1 {
-		resp = map[string]any{"ready": true, "checksum": engs[0].st.Load().checksum}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, map[string]any{"ready": true, "artifacts": len(s.engines.Load().sorted)})
 }
 
 // handleArtifacts lists one status row per loaded artifact, sorted by name.
@@ -245,9 +233,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) MetricsHandler() http.Handler { return http.HandlerFunc(s.handleMetrics) }
 
 // extraMetrics appends point-in-time gauges over live state to a metrics
-// page — values outside the Collector because they are levels, not deltas.
-// One artifact gets unlabelled gauges; a fleet per-artifact families
-// labelled artifact=, next to the unlabelled fleet-aggregate counters.
+// page — values outside the Collector because they are levels, not deltas
+// — and each artifact's own serve counters. Every per-artifact series is
+// labelled artifact=, so one artifact and many render the same families;
+// the unlabelled flexile_serve_*_total families are the fleet aggregate.
 func (s *Server) extraMetrics(e *expo.Encoder) {
 	ready := 0.0
 	if s.notReady() == "" {
@@ -255,77 +244,48 @@ func (s *Server) extraMetrics(e *expo.Encoder) {
 	}
 	e.Gauge("flexile_serve_ready", "Whether /readyz currently reports ready.", ready)
 	engs := s.engines.Load().sorted
-	if len(engs) == 1 {
-		soleGauges(e, engs[0])
-		return
-	}
 	e.Gauge("flexile_registry_artifacts", "Artifacts currently loaded in the registry.", float64(len(engs)))
-	if len(engs) > 0 {
-		fleetGauges(e, engs)
-	}
-}
-
-func soleGauges(e *expo.Encoder, eng *engine) {
-	st := eng.st.Load()
-	e.Gauge("flexile_serve_gate_in_use", "Recomputation-gate slots currently held.", float64(eng.gate.InUse()))
-	e.Gauge("flexile_serve_gate_capacity", "Total recomputation-gate slots.", float64(eng.gate.Cap()))
-	e.Gauge("flexile_serve_gate_waiters", "Recomputations currently queued for a gate slot.", float64(eng.gate.Waiters()))
-	e.Gauge("flexile_serve_quota_tenants", "Tenant token buckets currently tracked.", float64(eng.quota.Tenants()))
-	e.GaugeVec("flexile_serve_breaker_state", "Circuit-breaker state (0 closed, 1 open, 2 half-open).",
-		[]float64{float64(eng.compBreaker.State())},
-		[][]expo.Label{{{Name: "breaker", Value: "recompute"}}})
-	e.Gauge("flexile_serve_cache_entries", "Allocation-cache entries resident.", float64(st.cache.len()))
-	e.Gauge("flexile_serve_flight_in_flight", "Distinct scenarios with a recomputation in flight.", float64(st.flight.InFlight()))
-	e.Gauge("flexile_artifact_info", "Identity of the loaded serving artifact (value is always 1).", 1,
-		expo.Label{Name: "version", Value: strconv.Itoa(ArtifactVersion)},
-		expo.Label{Name: "checksum", Value: st.checksum},
-		expo.Label{Name: "topology", Value: st.art.TopoName})
-}
-
-// labelled accumulates the samples of one fleet family.
-type labelled struct {
-	values []float64
-	labels [][]expo.Label
-}
-
-func (l *labelled) add(v float64, labels ...expo.Label) {
-	l.values = append(l.values, v)
-	l.labels = append(l.labels, labels)
-}
-
-func fleetGauges(e *expo.Encoder, engs []*engine) {
-	counters := [...]struct {
-		name, help string
-		get        func(obs.ServeMetrics) int64
-		labelled
-	}{
-		{name: "requests", help: "Allocation queries per artifact (batch entries included).", get: func(m obs.ServeMetrics) int64 { return m.Requests }},
-		{name: "cache_hits", help: "Allocation-cache hits per artifact.", get: func(m obs.ServeMetrics) int64 { return m.CacheHits }},
-		{name: "cache_misses", help: "Allocation-cache misses per artifact.", get: func(m obs.ServeMetrics) int64 { return m.CacheMisses }},
-		{name: "degraded", help: "Stale degraded answers per artifact.", get: func(m obs.ServeMetrics) int64 { return m.Degraded }},
-		{name: "recompute_errors", help: "Failed Online recomputations per artifact.", get: func(m obs.ServeMetrics) int64 { return m.RecomputeErrors }},
-		{name: "reload_errors", help: "Failed artifact (re)loads per artifact.", get: func(m obs.ServeMetrics) int64 { return m.ReloadErrors }},
-	}
-	var breakers, cached, info labelled
-	for _, eng := range engs {
-		st, sm := eng.st.Load(), eng.col.Snapshot().Serve
+	sts, snaps := make([]*state, len(engs)), make([]obs.ServeMetrics, len(engs))
+	var arts, breakers, info [][]expo.Label
+	for i, eng := range engs {
+		sts[i], snaps[i] = eng.st.Load(), eng.col.Snapshot().Serve
 		art := expo.Label{Name: "artifact", Value: eng.name}
-		for i := range counters {
-			counters[i].add(float64(counters[i].get(sm)), art)
+		arts = append(arts, []expo.Label{art})
+		breakers = append(breakers, []expo.Label{art, {Name: "breaker", Value: "recompute"}})
+		info = append(info, []expo.Label{art,
+			{Name: "version", Value: strconv.Itoa(ArtifactVersion)},
+			{Name: "checksum", Value: sts[i].checksum},
+			{Name: "topology", Value: sts[i].art.TopoName}})
+	}
+	each := func(get func(i int) int64) []float64 {
+		v := make([]float64, len(engs))
+		for i := range v {
+			v[i] = float64(get(i))
 		}
-		breakers.add(float64(eng.compBreaker.State()), art, expo.Label{Name: "breaker", Value: "recompute"})
-		cached.add(float64(st.cache.len()), art)
-		info.add(1, art,
-			expo.Label{Name: "version", Value: strconv.Itoa(ArtifactVersion)},
-			expo.Label{Name: "checksum", Value: st.checksum},
-			expo.Label{Name: "topology", Value: st.art.TopoName})
+		return v
 	}
-	for _, c := range counters {
-		e.CounterVec("flexile_serve_artifact_"+c.name+"_total", c.help, c.values, c.labels)
+	for _, g := range []struct {
+		name, help string
+		labels     [][]expo.Label
+		get        func(*engine, *state) int
+	}{
+		{"flexile_serve_gate_in_use", "Recomputation-gate slots currently held.", arts, func(e *engine, _ *state) int { return e.gate.InUse() }},
+		{"flexile_serve_gate_capacity", "Total recomputation-gate slots.", arts, func(e *engine, _ *state) int { return e.gate.Cap() }},
+		{"flexile_serve_gate_waiters", "Recomputations currently queued for a gate slot.", arts, func(e *engine, _ *state) int { return e.gate.Waiters() }},
+		{"flexile_serve_quota_tenants", "Tenant token buckets currently tracked.", arts, func(e *engine, _ *state) int { return e.quota.Tenants() }},
+		{"flexile_serve_breaker_state", "Circuit-breaker state (0 closed, 1 open, 2 half-open).", breakers, func(e *engine, _ *state) int { return int(e.compBreaker.State()) }},
+		{"flexile_serve_cache_entries", "Allocation-cache entries resident.", arts, func(_ *engine, st *state) int { return st.cache.len() }},
+		{"flexile_serve_flight_in_flight", "Distinct scenarios with a recomputation in flight.", arts, func(_ *engine, st *state) int { return st.flight.InFlight() }},
+		{"flexile_artifact_info", "Identity of each loaded serving artifact (value is always 1).", info, func(*engine, *state) int { return 1 }},
+	} {
+		e.GaugeVec(g.name, g.help, each(func(i int) int64 { return int64(g.get(engs[i], sts[i])) }), g.labels)
 	}
-	e.GaugeVec("flexile_serve_artifact_breaker_state", "Per-artifact circuit-breaker state (0 closed, 1 open, 2 half-open).", breakers.values, breakers.labels)
-	e.GaugeVec("flexile_serve_artifact_cache_entries", "Allocation-cache entries resident per artifact.", cached.values, cached.labels)
-	e.GaugeVec("flexile_artifact_info", "Identity of each loaded serving artifact (value is always 1).", info.values, info.labels)
+	// Each artifact's serve counters: one family per ServeMetrics row.
+	var zero obs.ServeMetrics
+	for k, r := range zero.Fields() {
+		e.CounterVec("flexile_serve_artifact_"+strings.TrimPrefix(r.Name, "flexile_serve_"), r.Help,
+			each(func(i int) int64 { return *snaps[i].Fields()[k].P }), arts)
+	}
 }
 
 // --- per-artifact routes ---

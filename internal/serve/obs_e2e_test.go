@@ -40,15 +40,13 @@ func TestHealthzReportsArtifact(t *testing.T) {
 	if int(health["version"].(float64)) != ArtifactVersion {
 		t.Fatalf("healthz version = %v", health["version"])
 	}
-	checksum, _ := health["checksum"].(string)
-	if len(checksum) != 64 {
-		t.Fatalf("healthz checksum = %q", checksum)
-	}
-	if _, err := time.Parse(time.RFC3339Nano, health["loaded_at"].(string)); err != nil {
-		t.Fatalf("healthz loaded_at: %v", err)
+	arts, _ := health["artifacts"].(map[string]any)
+	checksum, _ := arts[soleEngine(t, srv).name].(string)
+	if len(arts) != 1 || len(checksum) != 64 {
+		t.Fatalf("healthz artifacts = %v", health["artifacts"])
 	}
 
-	// The checksum must agree with /v1/info's.
+	// The checksum must agree with /v1/info's, which carries loaded_at.
 	var info map[string]any
 	resp, err = http.Get(ts.URL + "/v1/info")
 	if err != nil {
@@ -60,6 +58,9 @@ func TestHealthzReportsArtifact(t *testing.T) {
 	resp.Body.Close()
 	if info["checksum"] != checksum {
 		t.Fatalf("healthz checksum %q != info checksum %q", checksum, info["checksum"])
+	}
+	if _, err := time.Parse(time.RFC3339Nano, info["loaded_at"].(string)); err != nil {
+		t.Fatalf("info loaded_at: %v", err)
 	}
 }
 
@@ -158,13 +159,16 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("metrics page does not lint: %v", err)
 	}
 	text := string(page)
+	art := `{artifact="` + soleEngine(t, srv).name + `"}`
 	for _, want := range []string{
 		"flexile_serve_requests_total 3",
 		"flexile_serve_cache_hits_total 1",
 		"flexile_serve_cache_misses_total 2",
+		"flexile_serve_artifact_requests_total" + art + " 3",
 		"flexile_serve_ready 1",
-		"flexile_serve_gate_capacity ",
-		"flexile_serve_cache_entries 2",
+		"flexile_registry_artifacts 1",
+		"flexile_serve_gate_capacity" + art + " ",
+		"flexile_serve_cache_entries" + art + " 2",
 		`flexile_serve_request_duration_seconds_bucket{le="+Inf"} 3`,
 		"flexile_serve_request_duration_seconds_count 3",
 		`topology="` + inst.Topo.Name + `"`,

@@ -10,10 +10,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 
+	"flexile/internal/obs"
 	"flexile/internal/obs/expo"
 	flexscheme "flexile/internal/scheme/flexile"
 )
@@ -337,7 +339,7 @@ func TestRegistryRouting(t *testing.T) {
 	for _, want := range []string{
 		`flexile_registry_artifacts 2`,
 		`flexile_serve_artifact_requests_total{artifact="alpha"}`,
-		`flexile_serve_artifact_breaker_state{artifact="beta",breaker="recompute"}`,
+		`flexile_serve_breaker_state{artifact="beta",breaker="recompute"}`,
 		`flexile_artifact_info{artifact="alpha",`,
 		`flexile_serve_batch_requests_total`,
 	} {
@@ -436,4 +438,133 @@ func getJSON(t testing.TB, url string, out any) {
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 		t.Fatalf("GET %s: decode: %v", url, err)
 	}
+}
+
+// TestBatchCountsPerArtifact: batch entries and dedups land on the
+// artifact that answered them, and the root keeps the fleet totals
+// (entries naming no loaded artifact are counted there alone).
+func TestBatchCountsPerArtifact(t *testing.T) {
+	dir := writeRegistryDir(t, "alpha", "beta")
+	col := obs.New()
+	reg, err := NewRegistry(dir, Config{CacheSize: 16, Workers: 2, Obs: col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	ts := httptest.NewServer(reg)
+	defer ts.Close()
+
+	postBatch(t, ts.URL+"/v1/alloc/batch", []BatchQuery{
+		{Artifact: "alpha", Failed: []int{0}},
+		{Artifact: "alpha", Failed: []int{0}}, // dedup
+		{Artifact: "alpha", Failed: []int{1}},
+		{Artifact: "beta", Failed: []int{0}},
+		{Artifact: "nope", Failed: []int{0}}, // 404, root only
+	})
+	var rows []ArtifactStatus
+	getJSON(t, ts.URL+"/v1/artifacts", &rows)
+	want := map[string][2]int64{"alpha": {3, 1}, "beta": {1, 0}}
+	for _, row := range rows {
+		if got := [2]int64{row.BatchEntries, row.BatchDeduped}; got != want[row.Name] {
+			t.Errorf("%s: batch entries, deduped = %v, want %v", row.Name, got, want[row.Name])
+		}
+	}
+	if sm := col.Snapshot().Serve; sm.BatchEntries != 5 || sm.BatchDeduped != 1 || sm.BatchRequests != 1 {
+		t.Errorf("root batch counters = %d entries, %d deduped, %d requests; want 5, 1, 1",
+			sm.BatchEntries, sm.BatchDeduped, sm.BatchRequests)
+	}
+}
+
+// TestOneAndManyShareWireShape: a one-artifact server and a two-artifact
+// registry render the same /metrics families, with every per-artifact
+// series labelled artifact=, and /healthz and /readyz bodies with the same
+// keys.
+func TestOneAndManyShareWireShape(t *testing.T) {
+	path, _, _, _ := writeArtifact(t)
+	one, err := New(path, Config{CacheSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer one.Close()
+	many, err := NewRegistry(writeRegistryDir(t, "alpha", "beta"), Config{CacheSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer many.Close()
+
+	var aggregate bytes.Buffer // the families that are not per-artifact
+	if err := expo.WritePage(&aggregate, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	unlabelled := families(aggregate.String())
+	unlabelled["flexile_serve_ready"] = true
+	unlabelled["flexile_registry_artifacts"] = true
+
+	var fams [2]map[string]bool
+	var probes [2]string
+	for i, srv := range []*Server{one, many} {
+		ts := httptest.NewServer(srv)
+		page := string(getAlloc(t, ts.URL+"/metrics", nil, nil))
+		if err := expo.Lint([]byte(page)); err != nil {
+			t.Fatalf("metrics lint: %v", err)
+		}
+		fams[i] = families(page)
+		for _, line := range strings.Split(page, "\n") {
+			name, _, _ := strings.Cut(line, "{")
+			name, _, _ = strings.Cut(name, " ")
+			if line == "" || line[0] == '#' || unlabelled[histFamily(name)] {
+				continue
+			}
+			if !strings.Contains(line, `{artifact="`) {
+				t.Errorf("per-artifact series without an artifact label: %s", line)
+			}
+		}
+		var health, ready map[string]any
+		getJSON(t, ts.URL+"/healthz", &health)
+		getJSON(t, ts.URL+"/readyz", &ready)
+		ts.Close()
+		probes[i] = fmt.Sprint(sortedKeys(health), sortedKeys(ready))
+	}
+	for name := range fams[0] {
+		if !fams[1][name] {
+			t.Errorf("family %s only with one artifact", name)
+		}
+	}
+	for name := range fams[1] {
+		if !fams[0][name] {
+			t.Errorf("family %s only with two artifacts", name)
+		}
+	}
+	if probes[0] != probes[1] {
+		t.Errorf("/healthz, /readyz keys: one artifact %s, two %s", probes[0], probes[1])
+	}
+}
+
+// histFamily strips a histogram sample's _bucket, _sum or _count suffix.
+func histFamily(name string) string {
+	for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+		name = strings.TrimSuffix(name, suffix)
+	}
+	return name
+}
+
+// families returns the family names a page declares in its TYPE lines.
+func families(page string) map[string]bool {
+	out := map[string]bool{}
+	for _, line := range strings.Split(page, "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, _, _ := strings.Cut(rest, " ")
+			out[name] = true
+		}
+	}
+	return out
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -158,9 +158,8 @@ func ValidArtifactName(name string) bool {
 //	GET      /v1/artifacts                                      one status row per artifact
 //	GET      /healthz  /readyz  /metrics                        liveness, readiness, exposition page
 //
-// The last three describe a one-entry registry as that artifact (top-level
-// checksum, unlabelled gauges) and a larger one as a fleet (name→checksum
-// map, artifact-labelled families).
+// The last three answer in one shape however many artifacts are loaded: a
+// name→checksum map, an artifact count, and artifact-labelled families.
 type Server struct {
 	cfg Config
 	col *obs.Collector // fleet aggregate the engines' collectors roll up into; may be nil

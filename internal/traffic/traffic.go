@@ -113,13 +113,3 @@ func MLU(inst *te.Instance) (float64, error) {
 	}
 	return 1 / z, nil
 }
-
-// ApplyUniform sets every flow of every class to the same demand (test and
-// example helper).
-func ApplyUniform(inst *te.Instance, demand float64) {
-	for k := range inst.Classes {
-		for p := range inst.Pairs {
-			inst.Demand[k][p] = demand
-		}
-	}
-}

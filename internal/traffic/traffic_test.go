@@ -119,7 +119,7 @@ func TestGravityTwoClassSplit(t *testing.T) {
 
 func TestApplyUniform(t *testing.T) {
 	inst := singleClassInstance(t, "Sprint")
-	ApplyUniform(inst, 2.5)
+	applyUniform(inst, 2.5)
 	for p := range inst.Pairs {
 		if inst.Demand[0][p] != 2.5 {
 			t.Fatalf("pair %d demand %v", p, inst.Demand[0][p])
@@ -135,7 +135,7 @@ func TestMLUUniformTriangle(t *testing.T) {
 	// One unit on each pair; each pair has a direct unit link plus a 2-hop
 	// alternative. z* for the symmetric all-pairs demand is 1.5 → MLU = 2/3.
 	te.NoFailure()
-	ApplyUniform(inst, 1)
+	applyUniform(inst, 1)
 	mlu, err := MLU(inst)
 	if err != nil {
 		t.Fatal(err)
@@ -184,6 +184,15 @@ func TestGravityLowScaleOption(t *testing.T) {
 		ratio := three.Demand[1][p] / one.Demand[1][p]
 		if math.Abs(ratio-3) > 1e-9 {
 			t.Fatalf("pair %d: LowScale ratio %v, want 3", p, ratio)
+		}
+	}
+}
+
+// applyUniform sets every flow of every class to the same demand.
+func applyUniform(inst *te.Instance, demand float64) {
+	for k := range inst.Classes {
+		for p := range inst.Pairs {
+			inst.Demand[k][p] = demand
 		}
 	}
 }

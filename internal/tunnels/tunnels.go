@@ -12,11 +12,7 @@
 //     a larger shortest-path pool prioritizing disjointness.
 package tunnels
 
-import (
-	"sort"
-
-	"flexile/internal/graph"
-)
+import "flexile/internal/graph"
 
 // PoolSize is how many candidate shortest paths Yen's algorithm generates
 // per pair before the selection heuristics run.
@@ -176,24 +172,4 @@ func hasCommonEdge(paths []graph.Path) bool {
 		}
 	}
 	return false
-}
-
-// ForAllPairs applies a policy to every unordered node pair (u < v) and
-// returns tunnels indexed by pair position, along with the pair list.
-func ForAllPairs(g *graph.Graph, policy Policy) ([][2]int, [][]graph.Path) {
-	n := g.NumNodes()
-	var pairs [][2]int
-	var paths [][]graph.Path
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			pairs = append(pairs, [2]int{u, v})
-			paths = append(paths, policy(g, u, v))
-		}
-	}
-	return pairs, paths
-}
-
-// SortByLength orders paths by hop count (stable), shortest first.
-func SortByLength(paths []graph.Path) {
-	sort.SliceStable(paths, func(i, j int) bool { return paths[i].Len() < paths[j].Len() })
 }

@@ -10,7 +10,7 @@ import (
 func TestSingleClassDisjointness(t *testing.T) {
 	tp := topo.MustLoad("Sprint")
 	policy := SingleClass(3)
-	pairs, paths := ForAllPairs(tp.G, policy)
+	pairs, paths := forAllPairs(tp.G, policy)
 	if len(pairs) != 45 {
 		t.Fatalf("pairs = %d", len(pairs))
 	}
@@ -67,7 +67,7 @@ func TestSingleClassPrefersDisjoint(t *testing.T) {
 func TestHighPriorityNoSingleFailureKillsAll(t *testing.T) {
 	for _, name := range []string{"Sprint", "B4", "IBM"} {
 		tp := topo.MustLoad(name)
-		pairs, paths := ForAllPairs(tp.G, HighPriority(3))
+		pairs, paths := forAllPairs(tp.G, HighPriority(3))
 		for pi, ps := range paths {
 			if len(ps) < 2 {
 				continue // singleton selection cannot avoid a shared edge
@@ -159,17 +159,6 @@ func TestHasCommonEdge(t *testing.T) {
 	}
 }
 
-func TestSortByLength(t *testing.T) {
-	tp := topo.Triangle()
-	paths := tp.G.KShortestPaths(0, 1, 2, nil)
-	// Reverse, then sort.
-	paths[0], paths[1] = paths[1], paths[0]
-	SortByLength(paths)
-	if paths[0].Len() > paths[1].Len() {
-		t.Fatal("not sorted")
-	}
-}
-
 func TestGreedyDisjointRespectsBase(t *testing.T) {
 	tp := topo.Triangle()
 	pool := tp.G.KShortestPaths(0, 1, 3, nil) // direct + via C
@@ -179,4 +168,19 @@ func TestGreedyDisjointRespectsBase(t *testing.T) {
 	if len(out) != 1 || out[0].Len() != 2 {
 		t.Fatalf("want the disjoint 2-hop path, got %v", out)
 	}
+}
+
+// forAllPairs applies a policy to every unordered node pair (u < v) and
+// returns tunnels indexed by pair position, along with the pair list.
+func forAllPairs(g *graph.Graph, policy Policy) ([][2]int, [][]graph.Path) {
+	n := g.NumNodes()
+	var pairs [][2]int
+	var paths [][]graph.Path
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			pairs = append(pairs, [2]int{u, v})
+			paths = append(paths, policy(g, u, v))
+		}
+	}
+	return pairs, paths
 }
