@@ -12,6 +12,16 @@ import (
 // tinyCfg keeps experiment tests fast.
 func tinyCfg() Config { return Config{Scale: Tiny, Seed: 1} }
 
+// noFailures fails a shape test whose figure dropped a topology: a shape
+// checked over fewer topologies than the figure promises proves nothing
+// about the missing ones.
+func noFailures(t *testing.T, fails []TopoFailure) {
+	t.Helper()
+	if len(fails) > 0 {
+		t.Fatalf("the figure dropped %d topologies:\n%s", len(fails), renderFailures(fails))
+	}
+}
+
 func TestFig1Motivation(t *testing.T) {
 	res, err := Fig1Motivation()
 	if err != nil {
@@ -73,6 +83,7 @@ func TestFig10Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	noFailures(t, res.Failures)
 	// High-priority traffic: every scheme keeps PercLoss at zero (§6.2).
 	for s, vals := range res.HighPercLoss {
 		for i, v := range vals {
@@ -96,6 +107,7 @@ func TestFig11Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	noFailures(t, res.Failures)
 	// Ordering of medians: Flexile ≤ Cvar-Flow-Ad ≤ Cvar-Flow-St ≤ Teavar.
 	m := res.Medians
 	if m["Flexile"] > m["Cvar-Flow-Ad"]+1e-6 {

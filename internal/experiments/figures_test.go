@@ -16,6 +16,7 @@ func TestFig12Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	noFailures(t, res.Failures)
 	// Flexile never does worse than SMORE or Teavar on any topology.
 	for i := range res.Topologies {
 		if res.PercLoss["Flexile"][i] > res.PercLoss["SMORE"][i]+1e-6 {
@@ -79,6 +80,7 @@ func TestFig14AndFig15Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	noFailures(t, res14.Failures)
 	if len(res14.Topologies) == 0 {
 		t.Fatal("no IP-solvable topology at this scale")
 	}
@@ -100,6 +102,7 @@ func TestFig14AndFig15Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	noFailures(t, res15.Failures)
 	for i := range res15.Topologies {
 		if res15.FlexileT[i] <= 0 {
 			t.Fatal("missing Flexile timing")
@@ -120,6 +123,7 @@ func TestFig18Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	noFailures(t, res.Failures)
 	fx := res.MaxScale["Flexile"][0]
 	sw := res.MaxScale["SWAN-Maxmin"][0]
 	if fx <= 0 || sw < 0 {

@@ -111,8 +111,9 @@ func (bs *BatchSolver) SolveCtx(ctx context.Context, v Variant, opts Options) (*
 // basis the solver's previous solve ended on and from the factorization it
 // still holds, so there is no reset to the logical basis and no
 // refactorization — nonbasic variables move to their (possibly changed)
-// bounds, the basic values are recomputed through the held factors, and
-// phase 1 repairs whatever the bound change broke. It is the re-solve
+// bounds, the basic values are recomputed through the held factors, and the
+// dual simplex (or, when the held basis no longer prices out, phase 1)
+// repairs whatever the change broke. It is the re-solve
 // pattern of a ladder of near-identical LPs (te.MaxMin's water-filling
 // levels). When the solver holds no factorization — first solve, or the
 // previous one failed — it behaves exactly like SolveCtx, Options.StartBasis
@@ -215,7 +216,7 @@ func (bs *BatchSolver) run(ctx context.Context, v Variant, opts Options, optimiz
 		col.ObserveLatency(obs.LatLPSolve, elapsed)
 	}
 	if tr != nil {
-		tr.AddSpan("lp-solve", start, time.Now(), true, "pivots", s.phase1Pivots+s.phase2Pivots)
+		tr.AddSpan("lp-solve", start, time.Now(), true, "pivots", s.phase1Pivots+s.phase2Pivots+s.dualPivots)
 	}
 	return sol, err
 }
@@ -269,6 +270,7 @@ func (s *simplex) reinit(v Variant, opts Options) error {
 	s.pivots = 0
 	s.phase1Pivots = 0
 	s.phase2Pivots = 0
+	s.dualPivots = 0
 	s.boundFlips = 0
 	s.degenPivots = 0
 	s.blandActs = 0

@@ -13,7 +13,9 @@ import (
 // lockstep trio of kernel_test.go: every solve through the factors checked
 // against the dense inverse, every carried d against the dense from-scratch
 // one, every answer matched by the every-iteration-refresh reference, and the
-// gap across each refactorization held under carryTol.
+// gap across each refactorization held under carryTol. The re-solves start
+// from the held basis, so wherever it stays dual feasible they step the dual
+// simplex.
 
 // duplicateRowsLP repeats every row of a random feasible LP twice more, once
 // verbatim and once scaled by −2.
@@ -101,11 +103,12 @@ func TestDegenerateLockstep(t *testing.T) {
 		{"all-ties", 6, allTiesLP},
 		{"long-step", 2, longStepLP},
 	}
+	battery := 0 // dual pivots over every case
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(5))
-			updates, carried, drift, recosted, gap := 0, 0, 0.0, 0.0, 0.0
+			updates, dualSteps, carried, drift, recosted, gap := 0, 0, 0, 0.0, 0.0, 0.0
 			for trial := 0; trial < tc.trials; trial++ {
 				seed := rng.Int63()
 				for _, opts := range kernelModes(trial) {
@@ -122,17 +125,24 @@ func TestDegenerateLockstep(t *testing.T) {
 					}
 					tr.resolve(trial, 1, opts)
 					updates += tr.l.updates
+					dualSteps += tr.l.dualSteps
 					carried += tr.l.carried
 					drift = math.Max(drift, tr.l.drift)
 					recosted = math.Max(recosted, tr.l.recosted)
 					gap = math.Max(gap, tr.l.solveGap)
 				}
 			}
-			t.Logf("%d reduced-cost updates, one re-costing up to %.0f%% of the basis, %d refactorizations carried across with gap ≤ %.2g (bound %g), solves within %.2g of the dense inverse (bound %g)",
-				updates, 100*recosted, carried, drift, carryTol, gap, kernelTol)
+			t.Logf("%d reduced-cost updates (%d of them dual pivots), one re-costing up to %.0f%% of the basis, %d refactorizations carried across with gap ≤ %.2g (bound %g), solves within %.2g of the dense inverse (bound %g)",
+				updates, dualSteps, 100*recosted, carried, drift, carryTol, gap, kernelTol)
 			if updates == 0 || (tc.name == "long-step" && recosted <= 0.5) {
 				t.Fatalf("%d updates, at most %.0f%% of the basis re-costed at once: the case missed the path it is for", updates, 100*recosted)
 			}
+			battery += dualSteps
 		})
+	}
+	// Where tightening leaves the LP feasible, the held basis stays dual
+	// feasible and the re-solve is a dual one.
+	if battery == 0 {
+		t.Fatal("no re-solve took a dual pivot: the dual path went untested")
 	}
 }

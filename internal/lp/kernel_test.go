@@ -31,6 +31,13 @@ import (
 // from scratch at that basis, because a verdict is only ever reached on values
 // a refresh has just computed. Every stepped solve is also matched, status
 // and objective, by a reference twin that refreshes on every iteration.
+//
+// A warm start (a held or supplied basis) steps the dual simplex (dual.go)
+// when it is dual feasible: there the pivot row ρ·F and ρ itself are held to
+// the dense inverse, the basic values' move under each batch of bound flips
+// to the dense B⁻¹ times the flipped columns' moves, d carried along the
+// pivot row to the from-scratch one, and each verdict to the dense basic
+// values (optimal) or the dense pivot row on fresh factors (infeasible).
 
 // refComputeY is the dense computeY: y = cc_B^T · B⁻¹ over every entry of
 // binv.
@@ -172,10 +179,12 @@ type lockstep struct {
 	// the reference twin. No production switch does that.
 	everyIter bool
 	// What the drive has seen, for the callers' coverage assertions.
-	updates, verdicts, carried int     // carried: refactorizations that d was carried across
-	drift                      float64 // largest relative gap seen across one
-	recosted                   float64 // largest share of the basis one phase-1 step re-costed
-	solveGap                   float64 // largest relative gap of a solve against the shadow
+	updates, verdicts, carried      int     // carried: refactorizations that d was carried across
+	dualSteps, dualFlips, handovers int     // dual pivots, flipped variables, stalled duals handed to the primal
+	dualInfeasible                  int     // Infeasible verdicts the dual reached
+	drift                           float64 // largest relative gap seen across one
+	recosted                        float64 // largest share of the basis one phase-1 step re-costed
+	solveGap                        float64 // largest relative gap of a solve against the shadow
 }
 
 // within requires got to sit within kernelTol of want, normwise.
@@ -596,9 +605,35 @@ func (l *lockstep) run(phase int, iters *int) (Status, error) {
 	}
 }
 
-// optimize is simplex.optimize over l.run.
-func (l *lockstep) optimize(iters *int) (*Solution, error) {
+// optimize is simplex.optimize over l.dual and l.run.
+func (l *lockstep) optimize(iters *int, warm bool) (*Solution, error) {
 	s := l.s
+	if warm && !s.opts.Bland {
+		if s.sinceRefactor >= s.opts.RefactorEvery {
+			if err := l.refactor(false); err != nil {
+				return nil, err
+			}
+		}
+		if l.dualFeasible() {
+			st, err := l.dual(iters)
+			copy(s.cost, s.trueCost)
+			if err != nil {
+				return nil, err
+			}
+			switch st {
+			case Optimal:
+				if st, err = l.run(2, iters); err != nil {
+					return nil, err
+				}
+				sol := s.extract(st)
+				sol.Iterations = *iters
+				return sol, nil
+			case Infeasible, IterLimit:
+				return &Solution{Status: st, Iterations: *iters}, nil
+			}
+			l.handovers++
+		}
+	}
 	st, err := l.run(1, iters)
 	if err != nil {
 		return nil, err
@@ -624,6 +659,233 @@ func (l *lockstep) optimize(iters *int) (*Solution, error) {
 	return sol, nil
 }
 
+// dualFeasible is simplex.dualFeasible with its refresh held to the dense
+// reference.
+func (l *lockstep) dualFeasible() bool {
+	l.t.Helper()
+	s := l.s
+	ok := s.dualFeasible(math.Max(s.opts.Tol, 1e-9))
+	l.scratchD(l.scratchCost(2))
+	l.compareD("dual entry", carryTol)
+	return ok
+}
+
+// dual is simplex.dual with every kernel call checked: the refresh and the
+// cost shifts, ρ and the pivot row against the dense inverse, the basic
+// values' move under the bound flips, the entering ftran, the pivot, and
+// the reduced costs carried along the pivot row.
+func (l *lockstep) dual(iters *int) (Status, error) {
+	s := l.s
+	tol := s.opts.Tol
+	dualTol := math.Max(tol, 1e-9)
+	s.perturbCosts()
+	stale := true
+	stall, lastObj := 0, math.Inf(-1)
+	for {
+		if *iters >= s.opts.MaxIters {
+			return IterLimit, nil
+		}
+		if s.sinceRefactor >= s.opts.RefactorEvery {
+			if err := l.refactor(!stale); err != nil {
+				return 0, err
+			}
+			stale = true
+		}
+		if stale || l.everyIter {
+			l.refresh(2)
+			s.shiftCosts()
+			l.shifted()
+			stale = false
+		}
+		r, delta := s.dualLeave(tol)
+		if r < 0 {
+			return l.dualVerdict(Optimal, -1, 0), nil
+		}
+		if obj := s.currentObjective(); obj > lastObj+tol {
+			lastObj, stall = obj, 0
+		} else if stall++; stall > dualStallLimit {
+			return stalled, nil
+		}
+		l.dualRow(r)
+		q, flips, short := s.dualRatio(delta, tol, dualTol)
+		if q >= 0 {
+			s.ftran(q)
+			l.within("dual ftran", s.w, refFtran(s, l.shadow, q))
+		}
+		if q < 0 || !s.pivotAgrees(r, q) {
+			if s.sinceRefactor > 0 {
+				if err := l.refactor(false); err != nil {
+					return 0, err
+				}
+				stale = true
+				continue
+			}
+			if q >= 0 || short <= tol*float64(1+s.m) {
+				return stalled, nil
+			}
+			return l.dualVerdict(Infeasible, r, delta), nil
+		}
+		*iters++
+		s.dualPivots++
+		leaving := s.basis[r]
+		l.flipBounds(s.bps[:flips])
+		theta := s.dualTheta(q, delta)
+		if math.Abs(theta) <= tol {
+			s.degenPivots++
+		}
+		t, dir := s.dualPrimalStep(r, leaving, delta)
+		l.pivot(q, r, t, dir)
+		s.carryD(leaving, theta)
+		l.dualSteps++
+		l.updates++
+		l.scratchD(l.scratchCost(2))
+		l.compareD("dual update", carryTol)
+	}
+}
+
+// shifted checks the cost shifts just made: every nonbasic variable prices
+// with the sign its bound wants, and the reduced costs still agree with the
+// dense ones under the shifted costs.
+func (l *lockstep) shifted() {
+	l.t.Helper()
+	s := l.s
+	for v, st := range s.status {
+		if d := s.d[v]; s.ub[v]-s.lb[v] > 0 && ((st == nonbasicLower && d < 0) || (st == nonbasicUpper && d > 0) || (st == nonbasicFree && d != 0)) {
+			l.t.Fatalf("shift (step %d): d[%d] = %v left with the wrong sign at status %d", l.steps, v, d, st)
+		}
+	}
+	l.scratchD(l.scratchCost(2))
+	l.compareD("shift", carryTol)
+}
+
+// refPivotRow is row r of the dense inverse and the pivot row it gives,
+// ρ·F_v for every variable.
+func refPivotRow(s *simplex, binv []float64, r int) (rho, alpha []float64) {
+	m := s.m
+	rho = binv[r*m : r*m+m]
+	alpha = make([]float64, s.n+m)
+	for v := range alpha {
+		if v >= s.n {
+			alpha[v] = -rho[v-s.n]
+			continue
+		}
+		for k := s.colPtr[v]; k < s.colPtr[v+1]; k++ {
+			alpha[v] += rho[s.colIdx[k]] * s.colVal[k]
+		}
+	}
+	return rho, alpha
+}
+
+// dualRow runs the production pivot row against the dense one.
+func (l *lockstep) dualRow(r int) {
+	l.t.Helper()
+	s := l.s
+	s.dualRow(r)
+	rho, alpha := refPivotRow(s, l.shadow, r)
+	l.within("dual ρ", s.rho, rho)
+	l.within("dual pivot row", s.alpha, alpha)
+}
+
+// flipBounds runs the production flips and holds the basic values' move to
+// the dense B⁻¹ times the flipped columns' moves.
+func (l *lockstep) flipBounds(bps []breakpoint) {
+	l.t.Helper()
+	s := l.s
+	m := s.m
+	before := append([]float64(nil), s.xB...)
+	from := make([]float64, len(bps))
+	for k, bp := range bps {
+		from[k] = s.xval[bp.i]
+	}
+	s.flipBounds(bps)
+	col := make([]float64, m) // Σ F_v·Δx_v by row
+	for k, bp := range bps {
+		v, dx := bp.i, s.xval[bp.i]-from[k]
+		if s.status[v] == basic || dx == 0 || math.IsInf(dx, 0) {
+			l.t.Fatalf("flip (step %d): variable %d status %d moved by %v", l.steps, v, s.status[v], dx)
+		}
+		if v >= s.n {
+			col[v-s.n] -= dx
+		} else {
+			for e := s.colPtr[v]; e < s.colPtr[v+1]; e++ {
+				col[s.colIdx[e]] += s.colVal[e] * dx
+			}
+		}
+	}
+	want := make([]float64, m)
+	for i := 0; i < m; i++ {
+		move := 0.0
+		for k := 0; k < m; k++ {
+			move += l.shadow[i*m+k] * col[k]
+		}
+		want[i] = before[i] - move
+	}
+	l.within("dual flips: basic values", s.xB, want)
+	l.dualFlips += len(bps)
+}
+
+// dualVerdict is called where dual() returns a verdict. Optimal reads the
+// basic values: they must sit within tol of their bounds and near the dense
+// B⁻¹·(−Σ F_j·x_j). Infeasible (row r, delta beyond its bound) is reached on
+// fresh factors only, and the dense pivot row must confirm it: with every
+// eligible variable moved across its whole box the row still falls short of
+// its bound by more than phase 1's feasibility allowance, tol·(1+m).
+func (l *lockstep) dualVerdict(st Status, r int, delta float64) Status {
+	l.t.Helper()
+	s := l.s
+	m := s.m
+	rhs := make([]float64, m)
+	for v := 0; v < s.n+m; v++ {
+		if s.status[v] == basic {
+			continue
+		}
+		if v >= s.n {
+			rhs[v-s.n] += s.xval[v]
+			continue
+		}
+		for k := s.colPtr[v]; k < s.colPtr[v+1]; k++ {
+			rhs[s.colIdx[k]] -= s.colVal[k] * s.xval[v]
+		}
+	}
+	want := make([]float64, m)
+	for i := 0; i < m; i++ {
+		for k := 0; k < m; k++ {
+			want[i] += l.shadow[i*m+k] * rhs[k]
+		}
+	}
+	l.within("dual verdict "+st.String()+": basic values", s.xB, want)
+	switch st {
+	case Optimal:
+		for i, v := range s.basis {
+			if s.xB[i] < s.lb[v]-s.opts.Tol || s.xB[i] > s.ub[v]+s.opts.Tol {
+				l.t.Fatalf("dual verdict optimal (step %d): basic %d = %v outside [%v, %v]", l.steps, v, s.xB[i], s.lb[v], s.ub[v])
+			}
+		}
+	case Infeasible:
+		if s.sinceRefactor != 0 {
+			l.t.Fatalf("dual verdict infeasible (step %d) on factors %d pivots old", l.steps, s.sinceRefactor)
+		}
+		_, alpha := refPivotRow(s, l.shadow, r)
+		reach := 0.0
+		for v, a := range alpha {
+			st := s.status[v]
+			if st == basic || math.Abs(a) <= pivotTol || s.ub[v]-s.lb[v] <= 0 {
+				continue
+			}
+			if at := math.Copysign(1, delta) * a; (st == nonbasicLower && at < 0) || (st == nonbasicUpper && at > 0) {
+				continue
+			}
+			reach += math.Abs(a) * (s.ub[v] - s.lb[v])
+		}
+		if reach >= math.Abs(delta)-s.opts.Tol*float64(1+m) {
+			l.t.Fatalf("dual verdict infeasible (step %d): the dense pivot row reaches %v of the row's %v", l.steps, reach, math.Abs(delta))
+		}
+		l.dualInfeasible++
+	}
+	l.verdicts++
+	return st
+}
+
 // optimizeFromBasis is simplex.optimizeFromBasis over l.optimize, singular
 // restart included.
 func (l *lockstep) optimizeFromBasis() *Solution {
@@ -633,12 +895,12 @@ func (l *lockstep) optimizeFromBasis() *Solution {
 		s.blandActs++
 	}
 	iters := 0
-	sol, err := l.optimize(&iters)
+	sol, err := l.optimize(&iters, s.warmAccepted)
 	if errors.Is(err, ErrSingularBasis) {
 		s.singularRestarts++
 		s.resetToLogicalBasis()
 		l.resync("singular restart")
-		sol, err = l.optimize(&iters)
+		sol, err = l.optimize(&iters, false)
 	}
 	if err != nil {
 		l.t.Fatalf("lockstep solve: %v", err)
@@ -659,6 +921,9 @@ func (l *lockstep) stage(call func(context.Context, Variant, Options) (*Solution
 		l.t.Fatalf("staging a solve: %v, %v", sol, err)
 	}
 	l.s.opts = opts.withDefaults(l.s.m, l.s.n)
+	// A warm start tests dual feasibility, one refresh, before its first
+	// iteration check; the stepped solve makes that refresh again.
+	l.s.priceRefreshes = 0
 }
 
 // solve steps a from-scratch solve (installing opts.StartBasis when given).
@@ -780,7 +1045,7 @@ func kernelModes(trial int) []Options {
 // duplicates meet the merged columns.
 func TestKernelLockstepProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	evictions, refactors, updates, verdicts := 0, 0, 0, 0
+	evictions, refactors, updates, verdicts, dualSteps, dualFlips := 0, 0, 0, 0, 0, 0
 	for trial := 0; trial < propertyTrials; trial++ {
 		seed := rng.Int63()
 		for _, opts := range kernelModes(trial) {
@@ -830,11 +1095,14 @@ func TestKernelLockstepProperty(t *testing.T) {
 			refactors += tr.stepped.s.refactors
 			updates += tr.l.updates
 			verdicts += tr.l.verdicts
+			dualSteps += tr.l.dualSteps
+			dualFlips += tr.l.dualFlips
 		}
 	}
-	if evictions == 0 || refactors == 0 || updates == 0 || verdicts == 0 {
-		t.Fatalf("battery saw %d evictions, %d refactorizations, %d reduced-cost updates, %d verdicts: a path went untested",
-			evictions, refactors, updates, verdicts)
+	t.Logf("%d dual pivots, %d dual bound flips", dualSteps, dualFlips)
+	if evictions == 0 || refactors == 0 || updates == 0 || verdicts == 0 || dualSteps == 0 || dualFlips == 0 {
+		t.Fatalf("battery saw %d evictions, %d refactorizations, %d reduced-cost updates, %d verdicts, %d dual pivots, %d dual bound flips: a path went untested",
+			evictions, refactors, updates, verdicts, dualSteps, dualFlips)
 	}
 }
 
@@ -927,6 +1195,7 @@ func TestKernelLockstepNetwork(t *testing.T) {
 				p.SetRowBounds(i, p.rowLB[i], 0.8*p.rowUB[i])
 			}
 			tr.resolve(trial, 1, opts)
+			t.Logf("trial %d mode %d: re-solve after tightening: %d dual pivots, %d dual bound flips", trial, mode, l.dualSteps, l.dualFlips)
 
 			// Duplicate the first basic column into the last position and
 			// make the next iteration refactorize.

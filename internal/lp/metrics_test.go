@@ -37,7 +37,7 @@ func TestMetricsCountersOnBattery(t *testing.T) {
 	if m.Solves != trials || m.Optimal != trials || m.Errors != 0 {
 		t.Fatalf("counters: %+v, want %d solves, all optimal", m, trials)
 	}
-	if m.Pivots == 0 || m.Phase1Pivots+m.Phase2Pivots != m.Pivots {
+	if m.Pivots == 0 || m.Phase1Pivots+m.Phase2Pivots+m.DualPivots != m.Pivots {
 		t.Fatalf("pivot split broken: %+v", m)
 	}
 	// An optimal solve certifies its perturbed and its polish phase-2 run on

@@ -183,7 +183,8 @@ type Solution struct {
 	ColDual []float64
 	// RowValue has the final activity a_i·x of every row.
 	RowValue []float64
-	// Iterations is the total simplex pivot count across both phases.
+	// Iterations is the total simplex pivot count: the primal's two phases
+	// and the dual simplex a warm start runs.
 	Iterations int
 	// WarmStarted reports whether Options.StartBasis was actually
 	// installed: false when no start basis was given, and — the case
@@ -212,8 +213,9 @@ type Options struct {
 	RefactorEvery int
 	// StartBasis warm-starts the solve from a basis recorded by a previous
 	// Solution.Basis() on a problem with the same rows and columns
-	// (typically with modified bounds, the branch-and-bound pattern). An
-	// incompatible basis is ignored.
+	// (typically with modified bounds, the branch-and-bound pattern). A
+	// basis that still prices out runs the dual simplex; an incompatible
+	// basis is ignored.
 	StartBasis *Basis
 	// Timeout bounds the wall-clock time of one solve; 0 means unlimited.
 	// The deadline is checked every few pivots, so an expired solve returns
@@ -290,9 +292,10 @@ func (p *Problem) SolveCtx(ctx context.Context, opts Options) (*Solution, error)
 func (s *simplex) metrics(sol *Solution, err error, elapsed time.Duration) obs.LPMetrics {
 	d := obs.LPMetrics{
 		Solves:           1,
-		Pivots:           int64(s.phase1Pivots + s.phase2Pivots),
+		Pivots:           int64(s.phase1Pivots + s.phase2Pivots + s.dualPivots),
 		Phase1Pivots:     int64(s.phase1Pivots),
 		Phase2Pivots:     int64(s.phase2Pivots),
+		DualPivots:       int64(s.dualPivots),
 		BoundFlips:       int64(s.boundFlips),
 		DegeneratePivots: int64(s.degenPivots),
 		Refactorizations: int64(s.refactors),

@@ -95,8 +95,8 @@ func checkComplementarySlackness(t *testing.T, trial int, p *Problem, s *Solutio
 }
 
 // TestPropertyStrongDuality: on the full battery, the primal objective, the
-// dual objective recomputed from the reported multipliers, and the
-// SolveDualized objective all agree within 1e-6, the solution is feasible,
+// dual objective recomputed from the reported multipliers, and the optimum
+// of the LP dual (dualLP) all agree within 1e-6, the solution is feasible,
 // and complementary slackness holds at the final basis.
 func TestPropertyStrongDuality(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -118,17 +118,13 @@ func TestPropertyStrongDuality(t *testing.T) {
 		}
 		checkComplementarySlackness(t, trial, p, s)
 
-		d, err := p.SolveDualized()
-		if err != nil {
-			t.Fatalf("trial %d: dualized: %v", trial, err)
-		}
+		d := solveDualized(t, p)
 		if d.Status != Optimal {
 			t.Fatalf("trial %d: dualized path finished %v", trial, d.Status)
 		}
 		if !approx(s.Objective, d.Objective) {
 			t.Fatalf("trial %d: primal obj %v vs dualized %v", trial, s.Objective, d.Objective)
 		}
-		checkFeasible(t, p, d.X, trial)
 	}
 }
 

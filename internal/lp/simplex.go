@@ -64,7 +64,10 @@ type simplex struct {
 	// v and cb are the right-hand sides of ftran (by row) and btran (by basis
 	// position); both solves leave them zero.
 	v, cb []float64
-	bps   []breakpoint // longStepRatio's breakpoint list
+	bps   []breakpoint // longStepRatio's and dualRatio's breakpoint list
+	// The dual simplex's row r of B⁻¹, its pivot row over all n+m
+	// variables, and the basic-value move of its bound flips (dual.go).
+	rho, alpha, dx []float64
 
 	trueCost []float64 // original costs saved across the perturbation
 
@@ -81,6 +84,7 @@ type simplex struct {
 	// collector (see SolveCtx) so the hot loop never touches an atomic.
 	phase1Pivots     int
 	phase2Pivots     int
+	dualPivots       int
 	boundFlips       int
 	degenPivots      int
 	blandActs        int
@@ -113,6 +117,9 @@ func (s *simplex) allocate() {
 	s.cc = make([]float64, n+m)
 	s.d = make([]float64, n+m)
 	s.dy = make([]float64, m)
+	s.rho = make([]float64, m)
+	s.alpha = make([]float64, n+m)
+	s.dx = make([]float64, m)
 }
 
 // compileColumns converts the row-wise insertion buffers into compressed
@@ -241,22 +248,22 @@ func (s *simplex) resolve() (*Solution, error) {
 	return s.optimizeFromBasis()
 }
 
-// optimizeFromBasis runs the two-phase simplex from the installed basis,
-// with one restart from the logical basis if the factorization degrades
-// beyond repair, and records whether the workspace ends in a state resolve
-// can continue from.
+// optimizeFromBasis runs the simplex from the installed basis — the dual
+// from a warm start, the two-phase primal otherwise — with one restart from
+// the logical basis if the factorization degrades beyond repair, and records
+// whether the workspace ends in a state resolve can continue from.
 func (s *simplex) optimizeFromBasis() (*Solution, error) {
 	if s.opts.Bland {
 		s.blandActs++
 	}
 	iters := 0
-	sol, err := s.optimize(&iters)
+	sol, err := s.optimize(&iters, s.warmAccepted)
 	if errors.Is(err, ErrSingularBasis) {
 		// Numerical degradation corrupted the basis; restart once from the
 		// pristine logical basis.
 		s.singularRestarts++
 		s.resetToLogicalBasis()
-		sol, err = s.optimize(&iters)
+		sol, err = s.optimize(&iters, false)
 	}
 	s.held = err == nil
 	return sol, err
@@ -286,9 +293,39 @@ func (s *simplex) evict(v int) error {
 	return nil
 }
 
-// optimize runs phase 1 then perturbed-and-polished phase 2 from the
-// current basis.
-func (s *simplex) optimize(iters *int) (*Solution, error) {
+// optimize solves from the current basis. A warm basis (a supplied or held
+// one) that is dual feasible, outside the hardened Bland mode, goes to the
+// dual simplex and a true-cost primal polish; every other start, and a dual
+// that stalls, runs phase 1 then perturbed-and-polished phase 2.
+func (s *simplex) optimize(iters *int, warm bool) (*Solution, error) {
+	if warm && !s.opts.Bland {
+		// The test for dual feasibility reads d through the factors: refresh
+		// a full eta file first.
+		if s.sinceRefactor >= s.opts.RefactorEvery {
+			if err := s.refactor(); err != nil {
+				return nil, err
+			}
+		}
+		if s.dualFeasible(math.Max(s.opts.Tol, 1e-9)) {
+			st, err := s.dual(iters)
+			copy(s.cost, s.trueCost)
+			if err != nil {
+				return nil, err
+			}
+			switch st {
+			case Optimal:
+				if st, err = s.run(2, iters); err != nil {
+					return nil, err
+				}
+				sol := s.extract(st)
+				sol.Iterations = *iters
+				return sol, nil
+			case Infeasible, IterLimit:
+				return &Solution{Status: st, Iterations: *iters}, nil
+			}
+			// stalled: the primal takes over from the basis the dual reached.
+		}
+	}
 	st, err := s.run(1, iters)
 	if err != nil {
 		return nil, err
@@ -769,11 +806,14 @@ func (s *simplex) ratioTest(phase, q int, dir float64) (float64, int) {
 }
 
 // breakpoint is one kink of the phase-1 objective along the entering
-// direction: at step t its slope worsens by rate.
+// direction, or of the dual objective along the dual ray: at step t its
+// slope worsens by rate.
 type breakpoint struct {
 	t    float64
 	rate float64
-	i    int // basis position; -1 = entering variable's own bound
+	// The phase-1 test's basis position (-1 = the entering variable's own
+	// bound), or the dual test's variable.
+	i int
 }
 
 // longStepRatio implements the piecewise-linear phase-1 ratio test. Along

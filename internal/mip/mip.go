@@ -219,6 +219,10 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 
 	sol := &Solution{Status: Infeasible, Objective: math.Inf(1), Bound: math.Inf(-1)}
 	var best []float64
+	// unsolved is the smallest inherited bound of a node whose LP stopped
+	// at its iteration limit without a primal point: it cannot be branched,
+	// and it keeps the search from claiming optimality.
+	unsolved := math.Inf(1)
 	// closed reports that a bound leaves no room below the incumbent; with no
 	// incumbent the threshold is NaN and nothing is closed.
 	closed := func(bound float64) bool {
@@ -288,6 +292,10 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 			continue
 		case lp.IterLimit:
 			// Treat as an unreliable bound: keep the node's inherited bound.
+			if ls.X == nil {
+				unsolved = math.Min(unsolved, nd.bound)
+				continue
+			}
 		}
 		nodeBound := ls.Objective
 		if ls.Status != lp.Optimal {
@@ -340,12 +348,12 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 		return sol, nil
 	}
 	sol.X = best
-	if h.Len() == 0 {
+	if h.Len() == 0 && math.IsInf(unsolved, 1) {
 		sol.Bound = sol.Objective
 		sol.Status = Optimal
 	} else {
-		// Remaining nodes define the proven bound.
-		low := sol.Objective
+		// Remaining and unsolved nodes define the proven bound.
+		low := math.Min(sol.Objective, unsolved)
 		for _, nd := range *h {
 			if nd.bound < low {
 				low = nd.bound

@@ -401,3 +401,39 @@ func TestBoundSandwich(t *testing.T) {
 		}
 	}
 }
+
+// TestNodeWithoutPointIsNotBranched: a node LP that stops at its iteration
+// limit before it has a primal point (phase 1 of the root here, with one
+// pivot allowed) returns no X. The search must not branch on it, nor drop
+// it: its inherited bound stays in Bound, so with the warm incumbent the MIP
+// is Feasible, not Optimal, and without one it finds nothing.
+func TestNodeWithoutPointIsNotBranched(t *testing.T) {
+	p := lp.NewProblem()
+	var bins []int
+	for k := 0; k < 3; k++ {
+		bins = append(bins, p.AddCol("x", 0, 1, float64(1+k)))
+	}
+	p.AddGE("cover01", 1, lp.Entry{Col: bins[0], Coef: 1}, lp.Entry{Col: bins[1], Coef: 1})
+	p.AddGE("cover12", 1, lp.Entry{Col: bins[1], Coef: 1}, lp.Entry{Col: bins[2], Coef: 1})
+	p.AddGE("cover02", 1, lp.Entry{Col: bins[0], Coef: 1}, lp.Entry{Col: bins[2], Coef: 1})
+	mp := &Problem{LP: p, Binary: bins}
+	opts := Options{LP: lp.Options{MaxIters: 1}}
+
+	s, err := Solve(mp, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Status != Infeasible || s.X != nil {
+		t.Fatalf("no incumbent: status %v, X %v", s.Status, s.X)
+	}
+
+	opts.WarmBinary = []float64{1, 1, 1}
+	s, err = Solve(mp, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Status != Feasible || s.Objective != 6 || s.Bound != 0 || s.Nodes != 1 {
+		t.Fatalf("warm incumbent: status %v objective %v bound %v after %d nodes, want feasible 6 bound 0 (the root's box bound) after 1",
+			s.Status, s.Objective, s.Bound, s.Nodes)
+	}
+}

@@ -26,7 +26,7 @@ func fixedMetrics() obs.SolveMetrics {
 	var m obs.SolveMetrics
 	m.LP = obs.LPMetrics{
 		Solves: 101, Errors: 2, Optimal: 90, Infeasible: 5, Unbounded: 3,
-		IterLimit: 1, Phase1Pivots: 1000, Phase2Pivots: 2000, BoundFlips: 30,
+		IterLimit: 1, Phase1Pivots: 1000, Phase2Pivots: 2000, DualPivots: 500, BoundFlips: 30,
 		DegeneratePivots: 40, Refactorizations: 7, BlandActivations: 1,
 		SingularRestarts: 1, WarmStarts: 70, WarmStartRejected: 4,
 		PriceRefreshes: 600, SolveNanos: 0,

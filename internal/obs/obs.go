@@ -50,13 +50,16 @@ type LPMetrics struct {
 	Infeasible int64 `json:"infeasible"`
 	Unbounded  int64 `json:"unbounded"`
 	IterLimit  int64 `json:"iter_limit"`
-	// Pivots is the total simplex iteration count (basis changes plus bound
-	// flips), Phase1Pivots/Phase2Pivots its per-phase split.
+	// Pivots is the total simplex iteration count (basis changes plus primal
+	// bound flips), Phase1Pivots/Phase2Pivots/DualPivots its split between
+	// the primal's two phases and the dual simplex warm starts enter.
 	Pivots       int64 `json:"pivots"`
 	Phase1Pivots int64 `json:"phase1_pivots"`
 	Phase2Pivots int64 `json:"phase2_pivots"`
-	// BoundFlips counts iterations that moved the entering variable to its
-	// opposite bound without a basis change.
+	DualPivots   int64 `json:"dual_pivots"`
+	// BoundFlips counts primal iterations that moved the entering variable
+	// to its opposite bound without a basis change, and variables a dual
+	// ratio test flipped to their other bound.
 	BoundFlips int64 `json:"bound_flips"`
 	// DegeneratePivots counts basis changes with step length ≤ tolerance.
 	DegeneratePivots int64 `json:"degenerate_pivots"`

@@ -34,7 +34,7 @@ type HistField struct {
 }
 
 // Fields is the LP group's schema.
-func (m *LPMetrics) Fields() [18]Field {
+func (m *LPMetrics) Fields() [19]Field {
 	return [...]Field{
 		{P: &m.Solves, Name: "flexile_lp_solves_total", Help: "LP solves started (including failed ones)."},
 		{P: &m.Errors, Name: "flexile_lp_errors_total", Help: "LP solves that returned an error."},
@@ -45,6 +45,7 @@ func (m *LPMetrics) Fields() [18]Field {
 		{P: &m.Pivots},
 		{P: &m.Phase1Pivots, Name: "flexile_lp_pivots_total", Label: "phase", Value: "1", Help: "Simplex iterations by phase."},
 		{P: &m.Phase2Pivots, Name: "flexile_lp_pivots_total", Label: "phase", Value: "2"},
+		{P: &m.DualPivots, Name: "flexile_lp_dual_pivots_total", Help: "Dual simplex iterations (warm starts)."},
 		{P: &m.BoundFlips, Name: "flexile_lp_bound_flips_total", Help: "Simplex bound-flip iterations."},
 		{P: &m.DegeneratePivots, Name: "flexile_lp_degenerate_pivots_total", Help: "Basis changes with step length below tolerance."},
 		{P: &m.Refactorizations, Name: "flexile_lp_refactorizations_total", Help: "Full basis-inverse rebuilds."},

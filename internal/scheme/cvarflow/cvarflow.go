@@ -108,7 +108,7 @@ func (s *St) Route(inst *te.Instance) (*te.Routing, error) {
 		p.AddGE(fmt.Sprintf("cvar[%d]", i), 0, thetaRow...)
 	}
 	addStaticCapacity(p, inst, xcol)
-	sol, err := p.SolveDualizedOpts(s.LP)
+	sol, err := p.SolveOpts(s.LP)
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"flexile/internal/faultinject"
+	"flexile/internal/obs"
 )
 
 // TestAugmentPinned pins capacity augmentation bit for bit on Sprint at two
@@ -23,11 +24,11 @@ func TestAugmentPinned(t *testing.T) {
 		delta []float64
 		words []uint64
 	}{
-		{1.3, 4, 67.927170063489598,
-			[]float64{0, 0, 0, 0, 33.92717006348947, 0, 0, 0, 0.07282993651060905, 0, 0, 0, 0, 0, 33.92717006348952, 0, 0},
+		{1.3, 4, 67.92717006348937,
+			[]float64{0, 0, 0, 0, 33.92717006348934, 0, 0, 0, 0.07282993651068692, 0, 0, 0, 0, 0, 33.92717006348934, 0, 0},
 			allCritical(45 * 12)},
-		{1.6, 4, 220.04215624310299,
-			[]float64{0, 0, 0, 0, 87.91036315506389, 0, 15.017970181641342, 0, 0.08963684493619814, 14.095852724756114, 0, 0, 0, 0, 87.91036315506413, 0, 15.017970181641324},
+		{1.6, 5, 220.04215624310234,
+			[]float64{0, 0, 0, 0, 87.9103631550638, 0, 15.01797018164137, 0, 0.08963684493623006, 29.113822906397125, 0, 0, 0, 0, 87.91036315506382, 0, 0},
 			allCritical(45 * 12)},
 	} {
 		inst := sprintInstance(t)
@@ -137,6 +138,18 @@ func TestAugmentDeterministicAcrossWorkers(t *testing.T) {
 	base, err := augment(context.Background(), inst, AugmentOptions{}, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// One iteration does not meet the targets: the error is expected, and
+	// the result still carries the run's metrics.
+	seeded := seededFirstIteration(t, func(workers int) (obs.SolveMetrics, error) {
+		res, err := augment(context.Background(), inst, AugmentOptions{MaxIterations: 1}, Options{Workers: workers})
+		if res == nil {
+			return obs.SolveMetrics{}, err
+		}
+		return res.Report.Metrics, nil
+	})
+	if m := seeded; m.LP.Solves != m.Decomp.ScenarioSolves {
+		t.Fatalf("first iteration: %d LP solves for %d scenario solves", m.LP.Solves, m.Decomp.ScenarioSolves)
 	}
 	for _, workers := range []int{2, 8} {
 		got, err := augment(context.Background(), inst, AugmentOptions{}, Options{Workers: workers})

@@ -108,7 +108,7 @@ func TestSubproblemPerScenarioOptimum(t *testing.T) {
 	for q, scen := range inst.Scenarios {
 		alive := scen.AliveMask(3)
 		crit := connectedCritical(inst, scen)
-		sol, err := sp.solve(context.Background(), lp.Options{}, q, crit, alive, nil, baseCaps(inst))
+		sol, err := sp.solve(context.Background(), lp.Options{}, nil, q, crit, alive, nil, baseCaps(inst))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func TestSubproblemCutSelfConsistency(t *testing.T) {
 	for q, scen := range inst.Scenarios {
 		alive := scen.AliveMask(3)
 		crit := connectedCritical(inst, scen)
-		sol, err := sp.solve(context.Background(), lp.Options{}, q, crit, alive, nil, baseCaps(inst))
+		sol, err := sp.solve(context.Background(), lp.Options{}, nil, q, crit, alive, nil, baseCaps(inst))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,14 +157,14 @@ func TestSubproblemCutIsLowerBound(t *testing.T) {
 	scen := inst.Scenarios[qFail]
 	alive := scen.AliveMask(3)
 	both := func(f int) bool { return f < 2 }
-	sol, err := sp.solve(context.Background(), lp.Options{}, qFail, both, alive, nil, baseCaps(inst))
+	sol, err := sp.solve(context.Background(), lp.Options{}, nil, qFail, both, alive, nil, baseCaps(inst))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Transplant the cut to the critical set {flow 1 only}.
 	only1 := func(f int) bool { return f == 1 }
 	bound := sol.cut.value(only1, alive)
-	truth, err := sp.solve(context.Background(), lp.Options{}, qFail, only1, alive, nil, baseCaps(inst))
+	truth, err := sp.solve(context.Background(), lp.Options{}, nil, qFail, only1, alive, nil, baseCaps(inst))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestOfflineBatchOracleIdentity(t *testing.T) {
 			name         string
 			lossUB, caps []float64
 		}{{"plain", nil, base}, {"gamma", gammaUB, base}, {"capUse", nil, residual}} {
-			sub, err := sp.solve(ctx, lp.Options{}, q, crit, scen.AliveMask(g.NumEdges()), c.lossUB, c.caps)
+			sub, err := sp.solve(ctx, lp.Options{}, nil, q, crit, scen.AliveMask(g.NumEdges()), c.lossUB, c.caps)
 			if err != nil {
 				t.Fatalf("scenario %d %s: %v", q, c.name, err)
 			}

@@ -37,9 +37,9 @@ func TestMetricsDeterministicAcrossWorkers(t *testing.T) {
 			if bm.LP.Solves == 0 || bm.LP.Pivots == 0 || bm.LP.Optimal == 0 {
 				t.Fatalf("LP counters empty: %+v", bm.LP)
 			}
-			if bm.LP.Phase1Pivots+bm.LP.Phase2Pivots != bm.LP.Pivots {
-				t.Fatalf("phase split %d + %d does not sum to pivots %d",
-					bm.LP.Phase1Pivots, bm.LP.Phase2Pivots, bm.LP.Pivots)
+			if bm.LP.Phase1Pivots+bm.LP.Phase2Pivots+bm.LP.DualPivots != bm.LP.Pivots {
+				t.Fatalf("phase split %d + %d + %d dual does not sum to pivots %d",
+					bm.LP.Phase1Pivots, bm.LP.Phase2Pivots, bm.LP.DualPivots, bm.LP.Pivots)
 			}
 			// A master whose warm incumbent meets the root's box bound is
 			// pruned before any node is explored, so it shows as a pruned

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"flexile/internal/eval"
+	"flexile/internal/failure"
 	"flexile/internal/lp"
 	"flexile/internal/mip"
 	"flexile/internal/obs"
@@ -373,6 +374,19 @@ type master interface {
 	next(ctx context.Context, cuts []*cut, z *CriticalSet) (*CriticalSet, bool, error)
 }
 
+// seedsBefore reports whether scenario a seeds the first iteration's warm
+// starts rather than b: the more probable, then the one with fewer failed
+// links, then the lower ones.
+func seedsBefore(a, b failure.Scenario) bool {
+	if a.Prob != b.Prob {
+		return a.Prob > b.Prob
+	}
+	if len(a.Failed) != len(b.Failed) {
+		return len(a.Failed) < len(b.Failed)
+	}
+	return slices.Compare(a.Failed, b.Failed) < 0
+}
+
 // newDecomp validates inst for a decomposition: it must have scenarios,
 // and every demanded flow must be connected in scenarios totalling at
 // least β_k, which neither a critical set nor added capacity can change.
@@ -427,7 +441,7 @@ func (d *decomp) run(ctx context.Context, m master) error {
 	// is held by one worker at a time, so neither slice needs a lock.
 	sps := make([]*subproblem, opt.Workers)
 	spByQ := make([]*subproblem, nq)
-	solveSub := func(worker, q int, crit func(int) bool, lpOpts lp.Options) (*subSolution, error) {
+	solveSub := func(worker, q int, crit func(int) bool, lpOpts lp.Options, start *lp.Basis) (*subSolution, error) {
 		dv := inst.ScenDemandVector(q)
 		sp := &sps[worker]
 		if dv != nil {
@@ -436,7 +450,7 @@ func (d *decomp) run(ctx context.Context, m master) error {
 		if *sp == nil {
 			*sp = newSubproblem(inst, dv)
 		}
-		return (*sp).solve(ctx, lpOpts, q, crit, d.alive[q], d.lossUB[q], m.caps(q))
+		return (*sp).solve(ctx, lpOpts, start, q, crit, d.alive[q], d.lossUB[q], m.caps(q))
 	}
 	// outcome is one scenario's pass through the retry policy: its
 	// solution (nil if every attempt failed), how many attempts it took, and
@@ -450,10 +464,11 @@ func (d *decomp) run(ctx context.Context, m master) error {
 	// fault hook (if any) and the real solve run per attempt; a retryable
 	// failure (singular basis, iteration limit) earns a re-solve under
 	// hardened settings; anything else — and exhausted retries — fails the
-	// item. All decisions depend only on the scenario and the attempt
-	// number, never on the worker id, so faulted runs stay deterministic
-	// across worker counts.
-	solveSubAttempts := func(worker, q int, crit func(int) bool) (outcome, error) {
+	// item. The first attempt starts from the basis start (the dual
+	// simplex), a hardened retry from the logical basis. All decisions
+	// depend only on the scenario and the attempt number, never on the
+	// worker id, so faulted runs stay deterministic across worker counts.
+	solveSubAttempts := func(worker, q int, crit func(int) bool, start *lp.Basis) (outcome, error) {
 		var out outcome
 		for attempt := 0; ; attempt++ {
 			out.attempts = attempt + 1
@@ -464,9 +479,9 @@ func (d *decomp) run(ctx context.Context, m master) error {
 			if err == nil {
 				lpOpts := opt.LP
 				if attempt > 0 {
-					lpOpts = hardenLP(lpOpts)
+					lpOpts, start = hardenLP(lpOpts), nil
 				}
-				if out.sol, err = solveSub(worker, q, crit, lpOpts); err == nil {
+				if out.sol, err = solveSub(worker, q, crit, lpOpts, start); err == nil {
 					return out, nil
 				}
 			}
@@ -510,20 +525,58 @@ func (d *decomp) run(ctx context.Context, m master) error {
 			pending = append(pending, q)
 		}
 		outs := make([]outcome, len(pending))
+		// Each scenario starts from the optimal basis of its own last solve:
+		// only right-hand sides moved since, so it is still dual feasible.
+		// In the first iteration, when every scenario shares one LP, the
+		// most probable pending scenario (ties: the fewer, then lower,
+		// failed links) is solved alone and its basis seeds the rest. Either
+		// start depends only on the scenario, not on the worker count or the
+		// order the instance lists its scenarios in.
+		var seed *lp.Basis
 		solveOne := func(worker, j int) error {
 			q := pending[j]
 			defer col.Span("scenario-solve", int64(worker)+1, "scenario", q, "iteration", iter)()
 			defer col.ObserveSince(obs.LatScenarioSolve, time.Now())
+			start := seed
+			if c := &caches[q]; c.sol != nil {
+				start = c.sol.basis
+			}
 			var err error
 			// Label the CPU samples of this scenario's solve so profiles
 			// attribute time to (scenario, iteration).
 			pprof.Do(ctx, pprof.Labels("solve", "scenario", "scenario", strconv.Itoa(q), "iteration", strconv.Itoa(iter)), func(context.Context) {
-				outs[j], err = solveSubAttempts(worker, q, func(f int) bool { return z.Get(f, q) })
+				outs[j], err = solveSubAttempts(worker, q, func(f int) bool { return z.Get(f, q) }, start)
 			})
 			return err
 		}
 		endBatch := col.Span("iteration", 0, "iter", iter, "pending", len(pending))
-		itemErrs := par.Collect(ctx, opt.Workers, len(pending), solveOne)
+		// order is the solve order over pending, the seed first.
+		order, first := make([]int, len(pending)), 0
+		for j := range order {
+			order[j] = j
+		}
+		if iter == 0 && inst.ScenDemand == nil && len(pending) > 1 {
+			top := 0
+			for j, q := range pending {
+				if seedsBefore(inst.Scenarios[q], inst.Scenarios[pending[top]]) {
+					top = j
+				}
+			}
+			order[0], order[top] = top, 0
+			first = 1
+		}
+		itemErrs := make([]error, len(pending))
+		batch := func(from, to int) {
+			errs := par.Collect(ctx, opt.Workers, to-from, func(worker, k int) error { return solveOne(worker, order[from+k]) })
+			for k, err := range errs {
+				itemErrs[order[from+k]] = err
+			}
+		}
+		batch(0, first)
+		if first > 0 && itemErrs[order[0]] == nil {
+			seed = outs[order[0]].sol.basis
+		}
+		batch(first, len(pending))
 		endBatch()
 		// Take the outcomes in ascending scenario order (deterministic for
 		// any worker count). Cancellation aborts; any other failure degrades

@@ -1,9 +1,11 @@
 package flexile
 
 import (
+	"reflect"
 	"testing"
 
 	"flexile/internal/failure"
+	"flexile/internal/obs"
 	"flexile/internal/te"
 	"flexile/internal/topo"
 	"flexile/internal/traffic"
@@ -46,10 +48,39 @@ func sprintInstance(t *testing.T) *te.Instance {
 	return inst
 }
 
+// seededFirstIteration runs a decomposition stopped after its first
+// iteration (run(workers) returns its metrics) at 1, 2 and 8 workers. Every
+// scenario shares one LP there, so the most probable scenario is solved cold
+// and seeds the rest: exactly one scenario solve fewer than all started
+// warm, and the dual pivots they took, like every other counter, do not
+// depend on the worker count. It returns the sequential run's metrics.
+func seededFirstIteration(t *testing.T, run func(workers int) (obs.SolveMetrics, error)) obs.SolveMetrics {
+	t.Helper()
+	var base obs.SolveMetrics
+	for _, workers := range []int{1, 2, 8} {
+		m, err := run(workers)
+		if err != nil {
+			t.Fatalf("first iteration, workers=%d: %v", workers, err)
+		}
+		if m.Decomp.Iterations != 1 || m.LP.WarmStarts != m.Decomp.ScenarioSolves-1 || m.LP.DualPivots == 0 {
+			t.Fatalf("first iteration, workers=%d: %d iterations, %d of %d scenario solves warm, %d dual pivots; want every one but the seed warm",
+				workers, m.Decomp.Iterations, m.LP.WarmStarts, m.Decomp.ScenarioSolves, m.LP.DualPivots)
+		}
+		if workers == 1 {
+			base = m
+		} else if !reflect.DeepEqual(m.Canonical(), base.Canonical()) {
+			t.Fatalf("first iteration, workers=%d: canonical metrics differ:\n%s\nsequential:\n%s",
+				workers, m.Canonical().JSON(), base.Canonical().JSON())
+		}
+	}
+	return base
+}
+
 // TestOfflineDeterministicAcrossWorkers is the contract the parallel solve
 // engine promises: the offline result is bit-for-bit identical for every
 // worker count — same critical bitmap, same PercLoss, same convergence
-// history, same solve count. Run with -race to also exercise the engine's
+// history, same solve count, same solver counters — and so is the first
+// iteration, whose scenarios start from one seed basis. Run with -race to also exercise the engine's
 // memory-safety (the test is the package's race detector workload).
 func TestOfflineDeterministicAcrossWorkers(t *testing.T) {
 	inst := sprintInstance(t)
@@ -57,10 +88,28 @@ func TestOfflineDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	seeded := seededFirstIteration(t, func(workers int) (obs.SolveMetrics, error) {
+		res, err := Offline(inst, Options{Workers: workers, MaxIterations: 1})
+		if err != nil {
+			return obs.SolveMetrics{}, err
+		}
+		return res.Report.Metrics, nil
+	})
+	// ScenLoss's precompute solves one LP per scenario cold, beside the
+	// subproblems.
+	if m := seeded; m.LP.Solves != 2*m.Decomp.ScenarioSolves {
+		t.Fatalf("first iteration: %d LP solves for %d scenario solves", m.LP.Solves, m.Decomp.ScenarioSolves)
+	}
 	for _, workers := range []int{2, 8} {
 		got, err := Offline(inst, Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		// Canonical drops only wall-clock and the per-worker layout: the
+		// warm starts and dual pivots match too.
+		if !reflect.DeepEqual(got.Report.Metrics.Canonical(), base.Report.Metrics.Canonical()) {
+			t.Fatalf("workers=%d: canonical metrics differ:\n%s\nsequential:\n%s",
+				workers, got.Report.Metrics.Canonical().JSON(), base.Report.Metrics.Canonical().JSON())
 		}
 		if !got.Critical.Equal(base.Critical) {
 			t.Fatalf("workers=%d: Critical bitmap differs from sequential run", workers)

@@ -47,6 +47,8 @@ type subSolution struct {
 	loss []float64
 	// cut is the Benders cut generated from the dual solution.
 	cut *cut
+	// basis is the optimal basis, the start of the scenario's next solve.
+	basis *lp.Basis
 }
 
 // cut represents Penalty ≥ C + Σ_f yAlpha[f]·(z_f − 1) + Σ_e yCap[e]·c_e·m_e,
@@ -172,8 +174,10 @@ func newSubproblem(inst *te.Instance, demands []float64) *subproblem {
 // mask m_eq; caps[e] is edge e's capacity c_e before the mask (c_e + δ_e
 // for Augment, what higher-priority classes left for sequential design,
 // §4.4); lossUB, when non-nil, upper-bounds each flow's loss (the §4.4 γ
-// generalization). Returns the solution and a freshly extracted cut.
-func (sp *subproblem) solve(ctx context.Context, lpOpts lp.Options, q int, critical func(f int) bool, alive []bool, lossUB, caps []float64) (*subSolution, error) {
+// generalization). start, when non-nil, is an optimal basis of this LP at
+// other right-hand sides — still dual feasible here, so the solve runs the
+// dual simplex from it. Returns the solution and a freshly extracted cut.
+func (sp *subproblem) solve(ctx context.Context, lpOpts lp.Options, start *lp.Basis, q int, critical func(f int) bool, alive []bool, lossUB, caps []float64) (*subSolution, error) {
 	inst := sp.inst
 	for f, row := range sp.alphaRow {
 		if row < 0 {
@@ -200,6 +204,7 @@ func (sp *subproblem) solve(ctx context.Context, lpOpts lp.Options, q int, criti
 		}
 		sp.p.SetRowBounds(row, -lp.Inf, cap)
 	}
+	lpOpts.StartBasis = start
 	sol, err := sp.solver.SolveCtx(ctx, lp.Variant{}, lpOpts)
 	if err != nil {
 		return nil, fmt.Errorf("flexile: subproblem scenario %d: %w", q, err)
@@ -213,6 +218,7 @@ func (sp *subproblem) solve(ctx context.Context, lpOpts lp.Options, q int, criti
 	out := &subSolution{
 		optval: sol.Objective,
 		loss:   make([]float64, inst.NumFlows()),
+		basis:  sol.Basis(),
 	}
 	for f, col := range sp.lcol {
 		if col >= 0 {

@@ -82,9 +82,7 @@ func (s *Scheme) Route(inst *te.Instance) (*te.Routing, error) {
 	}
 	// Static capacity rows (the allocation must fit with all links up).
 	addStaticCapacity(p, inst, 0, xcol)
-	// The CVaR formulation has |P|·|Q| rows but only |T|+|Q|+1 columns, so
-	// the dualized path solves it far faster.
-	sol, err := p.SolveDualizedOpts(s.LP)
+	sol, err := p.SolveOpts(s.LP)
 	if err != nil {
 		return nil, err
 	}
