@@ -341,7 +341,7 @@ func BenchmarkSimplexKernels(b *testing.B) {
 	pivots := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, a, sol, err = te.MaxConcurrentScaleOpts(inst, te.NoFailure(), nil, nil, nil); err != nil {
+		if _, a, sol, err = te.MaxConcurrentScale(inst, te.NoFailure(), nil); err != nil {
 			b.Fatal(err)
 		}
 		pivots += sol.Iterations

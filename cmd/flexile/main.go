@@ -13,6 +13,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -32,7 +33,7 @@ func main() {
 	cutoff := flag.Float64("cutoff", 1e-5, "scenario probability cutoff")
 	maxScen := flag.Int("max", 50, "maximum enumerated scenarios (0 = unlimited)")
 	iters := flag.Int("iters", 5, "offline decomposition iterations")
-	gamma := flag.Float64("gamma", -1, "γ bound on non-critical scenario loss (<0 disables)")
+	gamma := flag.Float64("gamma", -1, "γ bound on non-critical scenario loss (>0 bounds, <0 disables; 0 is rejected)")
 	workers := flag.Int("workers", 0, "offline solve parallelism (0 = all cores, 1 = sequential; results identical)")
 	timeout := flag.Duration("timeout", 0, "wall-clock limit for the offline solve, e.g. 30s, 5m (0 = unlimited)")
 	compare := flag.Bool("compare", false, "also run the baseline schemes")
@@ -42,6 +43,11 @@ func main() {
 	tracePath := flag.String("trace", "", "write a chrome://tracing timeline of the solves to this file")
 	logJSON := flag.Bool("logjson", false, "emit diagnostics on stderr as JSON log lines instead of text")
 	flag.Parse()
+	if err := checkGamma(*gamma); err != nil {
+		fmt.Fprintln(os.Stderr, "flexile:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	// Result tables keep going to stdout; diagnostics (degraded-mode
 	// transitions, artifact/trace writes) are structured log events on
@@ -196,6 +202,15 @@ func main() {
 		}
 		logger.Info("wrote trace", "path", *tracePath)
 	}
+}
+
+// checkGamma rejects -gamma 0: the design reads γ = 0 as "no bound", the
+// opposite of what a user asking for zero extra loss means.
+func checkGamma(gamma float64) error {
+	if gamma == 0 {
+		return errors.New("-gamma 0 disables the γ bound; for the tightest bound pass a small positive γ such as 1e-9")
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -33,6 +33,7 @@ import (
 	"flexile/internal/eval"
 	"flexile/internal/failure"
 	"flexile/internal/graph"
+	"flexile/internal/lp"
 	"flexile/internal/scheme"
 	"flexile/internal/scheme/cvarflow"
 	"flexile/internal/scheme/ffc"
@@ -170,7 +171,7 @@ func GenerateFailures(inst *Instance, seed int64, cutoff float64, maxScenarios i
 // paper's 99.9% SLO. Other classes keep their configured targets. It
 // returns the chosen β.
 func SetDesignTarget(inst *Instance) float64 {
-	beta := inst.AllFlowsConnectedMass() - 1e-9
+	beta := inst.AllFlowsConnectedMass() - lp.DefaultTol
 	if beta > 0.999 {
 		beta = 0.999
 	}

@@ -6,6 +6,7 @@ import (
 
 	"flexile/internal/eval"
 	"flexile/internal/failure"
+	"flexile/internal/lp"
 	"flexile/internal/scheme"
 	"flexile/internal/scheme/cvarflow"
 	"flexile/internal/scheme/flexile"
@@ -308,7 +309,7 @@ func richlyConnectedInstance(cfg Config, name string) (*te.Instance, error) {
 		scens = scens[:cfg.MaxScenarios]
 	}
 	inst.Scenarios = scens
-	beta := inst.AllFlowsConnectedMass() - 1e-9
+	beta := inst.AllFlowsConnectedMass() - lp.DefaultTol
 	if beta > 0.999 {
 		beta = 0.999
 	}

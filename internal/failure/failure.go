@@ -179,19 +179,6 @@ func Coverage(scens []Scenario) float64 {
 	return tot
 }
 
-// AllPairsConnectedMass returns the total probability of scenarios in which
-// every node pair remains connected. §6 sets the single-class design target
-// to (just below) this value: any higher target trivially forces PercLoss=1.
-func AllPairsConnectedMass(g *graph.Graph, scens []Scenario) float64 {
-	tot := 0.0
-	for _, s := range scens {
-		if g.IsConnected(s.Alive()) {
-			tot += s.Prob
-		}
-	}
-	return tot
-}
-
 // Sample draws n failure scenarios by Monte Carlo under independent link
 // failures (the sampling alternative §6 mentions for very large networks,
 // where exhaustive enumeration above a cutoff is impractical). Duplicate

@@ -196,19 +196,6 @@ func TestSRLGEnumeration(t *testing.T) {
 	}
 }
 
-func TestAllPairsConnectedMassTriangle(t *testing.T) {
-	tp := topo.Triangle()
-	probs := []float64{0.01, 0.01, 0.01}
-	scens := Enumerate(probs, 0)
-	mass := AllPairsConnectedMass(tp.G, scens)
-	// The triangle stays connected unless ≥2 links fail:
-	// P(≤1 failure) = 0.99³ + 3·0.01·0.99².
-	want := math.Pow(0.99, 3) + 3*0.01*0.99*0.99
-	if math.Abs(mass-want) > 1e-12 {
-		t.Fatalf("mass = %v, want %v", mass, want)
-	}
-}
-
 func TestSampleBasics(t *testing.T) {
 	probs := []float64{0.3, 0.2, 0.1}
 	scens := Sample(probs, 2000, 7)

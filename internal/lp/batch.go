@@ -202,13 +202,7 @@ func (bs *BatchSolver) run(ctx context.Context, v Variant, opts Options, optimiz
 		ctx = context.Background()
 	}
 	s.ctx = ctx
-	s.deadline = time.Time{}
-	if opts.Timeout > 0 {
-		s.deadline = time.Now().Add(opts.Timeout)
-	}
-	if d, ok := ctx.Deadline(); ok && (s.deadline.IsZero() || d.Before(s.deadline)) {
-		s.deadline = d
-	}
+	s.deadline, _ = ctx.Deadline()
 	sol, err := optimize(s)
 	if col != nil {
 		elapsed := time.Since(start)

@@ -72,8 +72,8 @@ func (s *simplex) dualFeasible(dualTol float64) bool {
 // of its bound with every nonbasic variable at its most favorable one,
 // IterLimit, or stalled.
 func (s *simplex) dual(iters *int) (Status, error) {
-	tol := s.opts.Tol
-	dualTol := math.Max(tol, 1e-9)
+	tol := DefaultTol
+	dualTol := DefaultTol
 	s.perturbCosts()
 	stale := true
 	stall, lastObj := 0, math.Inf(-1)

@@ -262,9 +262,9 @@ func (l *lockstep) scratchCost(phase int) []float64 {
 			l.cc[v] = 0
 		}
 		for i, v := range s.basis {
-			if s.xB[i] > s.ub[v]+s.opts.Tol {
+			if s.xB[i] > s.ub[v]+DefaultTol {
 				l.cc[v] = 1
-			} else if s.xB[i] < s.lb[v]-s.opts.Tol {
+			} else if s.xB[i] < s.lb[v]-DefaultTol {
 				l.cc[v] = -1
 			}
 		}
@@ -496,8 +496,8 @@ func TestPriceMatchesRef(t *testing.T) {
 // assert that bit for bit against a production twin, counters included).
 func (l *lockstep) run(phase int, iters *int) (Status, error) {
 	s := l.s
-	tol := s.opts.Tol
-	dualTol := math.Max(tol, 1e-9)
+	tol := DefaultTol
+	dualTol := DefaultTol
 	bland := s.opts.Bland
 	stall := 0
 	lastObj := math.Inf(1)
@@ -664,7 +664,7 @@ func (l *lockstep) optimize(iters *int, warm bool) (*Solution, error) {
 func (l *lockstep) dualFeasible() bool {
 	l.t.Helper()
 	s := l.s
-	ok := s.dualFeasible(math.Max(s.opts.Tol, 1e-9))
+	ok := s.dualFeasible(DefaultTol)
 	l.scratchD(l.scratchCost(2))
 	l.compareD("dual entry", carryTol)
 	return ok
@@ -676,8 +676,8 @@ func (l *lockstep) dualFeasible() bool {
 // the reduced costs carried along the pivot row.
 func (l *lockstep) dual(iters *int) (Status, error) {
 	s := l.s
-	tol := s.opts.Tol
-	dualTol := math.Max(tol, 1e-9)
+	tol := DefaultTol
+	dualTol := DefaultTol
 	s.perturbCosts()
 	stale := true
 	stall, lastObj := 0, math.Inf(-1)
@@ -857,7 +857,7 @@ func (l *lockstep) dualVerdict(st Status, r int, delta float64) Status {
 	switch st {
 	case Optimal:
 		for i, v := range s.basis {
-			if s.xB[i] < s.lb[v]-s.opts.Tol || s.xB[i] > s.ub[v]+s.opts.Tol {
+			if s.xB[i] < s.lb[v]-DefaultTol || s.xB[i] > s.ub[v]+DefaultTol {
 				l.t.Fatalf("dual verdict optimal (step %d): basic %d = %v outside [%v, %v]", l.steps, v, s.xB[i], s.lb[v], s.ub[v])
 			}
 		}
@@ -877,7 +877,7 @@ func (l *lockstep) dualVerdict(st Status, r int, delta float64) Status {
 			}
 			reach += math.Abs(a) * (s.ub[v] - s.lb[v])
 		}
-		if reach >= math.Abs(delta)-s.opts.Tol*float64(1+m) {
+		if reach >= math.Abs(delta)-DefaultTol*float64(1+m) {
 			l.t.Fatalf("dual verdict infeasible (step %d): the dense pivot row reaches %v of the row's %v", l.steps, reach, math.Abs(delta))
 		}
 		l.dualInfeasible++

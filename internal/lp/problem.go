@@ -206,8 +206,6 @@ type Solution struct {
 type Options struct {
 	// MaxIters bounds total pivots; 0 means automatic (scales with size).
 	MaxIters int
-	// Tol is the feasibility/optimality tolerance; 0 means DefaultTol.
-	Tol float64
 	// RefactorEvery forces a refactorization of the basis after
 	// this many pivots; 0 means automatic.
 	RefactorEvery int
@@ -217,19 +215,15 @@ type Options struct {
 	// basis that still prices out runs the dual simplex; an incompatible
 	// basis is ignored.
 	StartBasis *Basis
-	// Timeout bounds the wall-clock time of one solve; 0 means unlimited.
-	// The deadline is checked every few pivots, so an expired solve returns
-	// context.DeadlineExceeded (wrapped) within a handful of iterations.
-	Timeout time.Duration
 	// Bland starts every phase under Bland's rule immediately instead of
 	// waiting for a stall, trading speed for guaranteed anti-cycling — the
 	// hardened setting retry policies use after a numerical failure.
 	Bland bool
 }
 
-// DefaultTol is the feasibility/optimality tolerance of a solve whose
-// Options leave Tol zero. Callers that hand one solve's answer to the next as
-// bounds (te.MaxMin) size their slacks against it.
+// DefaultTol is every solve's feasibility and optimality tolerance. Callers
+// that hand one solve's answer to the next as bounds (te.MaxMin) size their
+// slacks against it.
 const DefaultTol = 1e-9
 
 // The factorization's tolerances. Basis entries are the model's own
@@ -248,9 +242,6 @@ const (
 )
 
 func (o Options) withDefaults(m, n int) Options {
-	if o.Tol == 0 {
-		o.Tol = DefaultTol
-	}
 	if o.MaxIters == 0 {
 		o.MaxIters = 2000 + 40*(m+n)
 	}
@@ -269,9 +260,8 @@ func (p *Problem) SolveOpts(opts Options) (*Solution, error) {
 }
 
 // SolveCtx optimizes the problem under a context: cancellation or an
-// expired deadline (the context's or Options.Timeout, whichever is
-// sooner) aborts the simplex within a few pivots and returns the context
-// error wrapped. A nil ctx is treated as context.Background().
+// expired deadline aborts the simplex within a few pivots and returns the
+// context error wrapped. A nil ctx is treated as context.Background().
 func (p *Problem) SolveCtx(ctx context.Context, opts Options) (*Solution, error) {
 	bp, err := p.Compile()
 	if err != nil {

@@ -306,7 +306,7 @@ func (s *simplex) optimize(iters *int, warm bool) (*Solution, error) {
 				return nil, err
 			}
 		}
-		if s.dualFeasible(math.Max(s.opts.Tol, 1e-9)) {
+		if s.dualFeasible(DefaultTol) {
 			st, err := s.dual(iters)
 			copy(s.cost, s.trueCost)
 			if err != nil {
@@ -442,7 +442,7 @@ func (s *simplex) infeasibility() float64 {
 // phase1Cost is the composite infeasibility gradient at basis position i: ±1
 // on a basic variable beyond a bound, 0 inside them.
 func (s *simplex) phase1Cost(i int) float64 {
-	v, tol := s.basis[i], s.opts.Tol
+	v, tol := s.basis[i], DefaultTol
 	if s.xB[i] > s.ub[v]+tol {
 		return 1
 	} else if s.xB[i] < s.lb[v]-tol {
@@ -504,8 +504,8 @@ func (s *simplex) ftran(q int) {
 // drift) — and no verdict is reached on maintained values: an empty pricing
 // pass is repeated on fresh ones.
 func (s *simplex) run(phase int, iters *int) (Status, error) {
-	tol := s.opts.Tol
-	dualTol := math.Max(tol, 1e-9)
+	tol := DefaultTol
+	dualTol := DefaultTol
 	bland := s.opts.Bland
 	stall := 0
 	lastObj := math.Inf(1)
@@ -751,7 +751,7 @@ func (s *simplex) price(dualTol float64, bland bool) int {
 // or r = -1 for a bound flip of q itself (or, with t = +Inf, an unbounded
 // ray).
 func (s *simplex) ratioTest(phase, q int, dir float64) (float64, int) {
-	tol := s.opts.Tol
+	tol := DefaultTol
 	t := math.Inf(1)
 	if !math.IsInf(s.lb[q], -1) && !math.IsInf(s.ub[q], 1) {
 		t = s.ub[q] - s.lb[q] // bound flip distance
@@ -825,7 +825,7 @@ type breakpoint struct {
 // entering variable's own bound span is one more breakpoint (a bound flip,
 // r = −1).
 func (s *simplex) longStepRatio(q int, dir, dq float64) (float64, int) {
-	tol := s.opts.Tol
+	tol := DefaultTol
 	bps := s.bps[:0]
 	if !math.IsInf(s.lb[q], -1) && !math.IsInf(s.ub[q], 1) {
 		bps = append(bps, breakpoint{s.ub[q] - s.lb[q], math.Inf(1), -1})

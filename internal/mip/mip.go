@@ -76,10 +76,6 @@ type Options struct {
 	// RelGap stops the search when (incumbent − bound) ≤ RelGap·|incumbent|;
 	// 0 means 1e-6.
 	RelGap float64
-	// IntTol is the integrality tolerance; 0 means 1e-6.
-	IntTol float64
-	// LP tunes the relaxation solves.
-	LP lp.Options
 	// Heuristic, if set, receives a fractional relaxation solution and may
 	// return suggested 0/1 values for the binary columns (same order as
 	// Problem.Binary). The solver completes the suggestion by fixing the
@@ -88,6 +84,10 @@ type Options struct {
 	// WarmBinary, if set, is a 0/1 assignment of the binary columns tried
 	// as an initial incumbent.
 	WarmBinary []float64
+
+	// maxIters caps every node LP's pivots; 0 leaves lp's automatic budget.
+	// Only the package's tests set it.
+	maxIters int
 }
 
 // The search's numeric thresholds. The relaxations are solved to
@@ -100,10 +100,10 @@ const (
 	// that trails the incumbent by no more than the relaxation's own noise
 	// (relative) never keeps the search open.
 	defaultRelGap = 1e-6
-	// defaultIntTol is three decades above lp.DefaultTol: a binary whose
+	// intTol is three decades above lp.DefaultTol: a binary whose
 	// relaxation value sits within the LP's feasibility slack of 0 or 1 is
 	// integral, not a branching candidate.
-	defaultIntTol = 1e-6
+	intTol = 1e-6
 	// pruneSlack is the absolute slack beside RelGap·|incumbent|, which is
 	// zero at a zero incumbent: three decades under lp.DefaultTol, so it
 	// absorbs the rounding of a bound equal to the incumbent and nothing
@@ -121,9 +121,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RelGap == 0 {
 		o.RelGap = defaultRelGap
-	}
-	if o.IntTol == 0 {
-		o.IntTol = defaultIntTol
 	}
 	return o
 }
@@ -212,9 +209,7 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 		for _, f := range fixes {
 			lb[f.col], ub[f.col] = f.val, f.val
 		}
-		lo := opts.LP
-		lo.StartBasis = basis
-		return bs.SolveCtx(ctx, lp.Variant{ColLB: lb, ColUB: ub}, lo)
+		return bs.SolveCtx(ctx, lp.Variant{ColLB: lb, ColUB: ub}, lp.Options{StartBasis: basis, MaxIters: opts.maxIters})
 	}
 
 	sol := &Solution{Status: Infeasible, Objective: math.Inf(1), Bound: math.Inf(-1)}
@@ -311,7 +306,7 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 		for _, j := range p.Binary {
 			f := ls.X[j] - math.Floor(ls.X[j])
 			fr := math.Min(f, 1-f)
-			if fr > opts.IntTol && fr > brFrac {
+			if fr > intTol && fr > brFrac {
 				brFrac, brCol = fr, j
 			}
 		}

@@ -417,7 +417,7 @@ func TestNodeWithoutPointIsNotBranched(t *testing.T) {
 	p.AddGE("cover12", 1, lp.Entry{Col: bins[1], Coef: 1}, lp.Entry{Col: bins[2], Coef: 1})
 	p.AddGE("cover02", 1, lp.Entry{Col: bins[0], Coef: 1}, lp.Entry{Col: bins[2], Coef: 1})
 	mp := &Problem{LP: p, Binary: bins}
-	opts := Options{LP: lp.Options{MaxIters: 1}}
+	opts := Options{maxIters: 1}
 
 	s, err := Solve(mp, opts)
 	if err != nil {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"math/bits"
 	"runtime"
 	"sync"
@@ -26,8 +25,7 @@ import (
 // Buckets are powers of two in nanoseconds from histMinExp to histMaxExp
 // plus a +Inf overflow, so every finite bucket spans one octave: a quantile
 // estimated from the histogram is off by at most a factor of 2 (one bucket)
-// from the exact order statistic, and the log-interpolated estimate returned
-// by HistSnapshot.Quantile is within √2 in the typical case. The scheme is
+// from the exact order statistic. The scheme is
 // fixed — not per-histogram — so any two histograms (or snapshots from
 // different processes) merge bucket-by-bucket without rebinning.
 type Histogram struct {
@@ -158,55 +156,4 @@ type HistSnapshot struct {
 	// (HistBounds; the last entry is the +Inf overflow). Nil when Count is
 	// zero.
 	Buckets []uint64 `json:"buckets,omitempty"`
-}
-
-// Quantile estimates the q-quantile (0 < q <= 1) in nanoseconds by
-// log-linear interpolation inside the bucket holding the rank. The estimate
-// is within one bucket (a factor of 2) of the exact order statistic; an
-// empty histogram returns 0. The +Inf bucket reports the last finite bound.
-func (s HistSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 || len(s.Buckets) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	if rank < 1 {
-		rank = 1
-	}
-	var cum float64
-	for i, c := range s.Buckets {
-		if c == 0 {
-			continue
-		}
-		prev := cum
-		cum += float64(c)
-		if cum+1e-9 < rank {
-			continue
-		}
-		upper := float64(int64(1) << (histMinExp + i))
-		if i == len(s.Buckets)-1 {
-			// +Inf bucket: the best bounded statement is the largest finite
-			// bound.
-			return float64(int64(1) << histMaxExp)
-		}
-		lower := upper / 2
-		if i == 0 {
-			lower = 1
-		}
-		// Log-linear interpolation of the rank's position in the bucket.
-		frac := (rank - prev) / float64(c)
-		if frac < 0 {
-			frac = 0
-		}
-		if frac > 1 {
-			frac = 1
-		}
-		return lower * math.Pow(upper/lower, frac)
-	}
-	return float64(int64(1) << histMaxExp)
 }

@@ -2,8 +2,6 @@ package obs
 
 import (
 	"math"
-	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -153,102 +151,4 @@ func TestHistogramConcurrentExact(t *testing.T) {
 	if int64(s.Count) != n || s.Sum != n*(n-1)/2 {
 		t.Fatalf("count %d sum %d, want %d / %d", s.Count, s.Sum, n, n*(n-1)/2)
 	}
-}
-
-// TestHistogramQuantileAccuracy feeds adversarial distributions and checks
-// the estimated quantile lands within one bucket of the exact order
-// statistic — the bound the log-scale scheme promises.
-func TestHistogramQuantileAccuracy(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	distributions := map[string][]int64{
-		"point-mass-at-bound":  repeat(1<<20, 5000),
-		"point-mass-past-bnd":  repeat(1<<20+1, 5000),
-		"tiny-values":          repeat(3, 1000),
-		"bimodal-far":          append(repeat(300, 900), repeat(1<<30, 100)...),
-		"heavy-overflow":       append(repeat(1<<10, 100), repeat(1<<35, 900)...),
-		"geometric-every-bkt":  geometricSpread(),
-		"uniform-random":       randomVals(rng, 20000, 1<<22),
-		"log-uniform-random":   logUniform(rng, 20000),
-		"single-observation":   {777},
-		"two-extreme-outliers": append(repeat(500, 9998), 1, 1<<40),
-	}
-	quantiles := []float64{0.5, 0.9, 0.99, 0.999, 1.0}
-	for name, vals := range distributions {
-		var h Histogram
-		for _, v := range vals {
-			h.Observe(v)
-		}
-		s := h.Snapshot()
-		sorted := append([]int64(nil), vals...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		for _, q := range quantiles {
-			rank := int(math.Ceil(q * float64(len(sorted))))
-			if rank < 1 {
-				rank = 1
-			}
-			exact := sorted[rank-1]
-			est := s.Quantile(q)
-			// The +Inf bucket can only promise the largest finite bound.
-			wantBucket := histBucketOf(exact)
-			if wantBucket == histBuckets-1 {
-				if est != float64(int64(1)<<histMaxExp) {
-					t.Errorf("%s q=%v: overflow estimate %v, want last bound", name, q, est)
-				}
-				continue
-			}
-			gotBucket := histBucketOf(int64(math.Ceil(est)))
-			if diff := gotBucket - wantBucket; diff < -1 || diff > 1 {
-				t.Errorf("%s q=%v: estimate %v (bucket %d) vs exact %d (bucket %d)",
-					name, q, est, gotBucket, exact, wantBucket)
-			}
-		}
-	}
-}
-
-func TestHistQuantileEdgeCases(t *testing.T) {
-	var empty HistSnapshot
-	if got := empty.Quantile(0.5); got != 0 {
-		t.Fatalf("empty quantile = %v", got)
-	}
-	var h Histogram
-	h.Observe(1000)
-	s := h.Snapshot()
-	if got := s.Quantile(-1); got <= 0 {
-		t.Fatalf("clamped-low quantile = %v", got)
-	}
-	if got := s.Quantile(2); got <= 0 {
-		t.Fatalf("clamped-high quantile = %v", got)
-	}
-}
-
-func repeat(v int64, n int) []int64 {
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = v
-	}
-	return out
-}
-
-func geometricSpread() []int64 {
-	var out []int64
-	for e := 0; e <= 36; e++ {
-		out = append(out, repeat(int64(1)<<e, 100)...)
-	}
-	return out
-}
-
-func randomVals(rng *rand.Rand, n int, max int64) []int64 {
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = rng.Int63n(max)
-	}
-	return out
-}
-
-func logUniform(rng *rand.Rand, n int) []int64 {
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(math.Exp(rng.Float64() * math.Log(1e10)))
-	}
-	return out
 }

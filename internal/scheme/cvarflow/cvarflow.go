@@ -19,15 +19,13 @@ import (
 )
 
 // St is Cvar-Flow-St (flow-level CVaR, static routing).
-type St struct {
-	LP lp.Options
-}
+type St struct{}
 
 // Name implements scheme.Scheme.
 func (*St) Name() string { return "Cvar-Flow-St" }
 
 // Route implements scheme.Scheme.
-func (s *St) Route(inst *te.Instance) (*te.Routing, error) {
+func (*St) Route(inst *te.Instance) (*te.Routing, error) {
 	if len(inst.Classes) != 1 {
 		return nil, fmt.Errorf("cvarflow: single traffic class required, got %d", len(inst.Classes))
 	}
@@ -108,7 +106,7 @@ func (s *St) Route(inst *te.Instance) (*te.Routing, error) {
 		p.AddGE(fmt.Sprintf("cvar[%d]", i), 0, thetaRow...)
 	}
 	addStaticCapacity(p, inst, xcol)
-	sol, err := p.SolveOpts(s.LP)
+	sol, err := p.Solve()
 	if err != nil {
 		return nil, err
 	}
@@ -130,15 +128,13 @@ func (s *St) Route(inst *te.Instance) (*te.Routing, error) {
 }
 
 // Ad is Cvar-Flow-Ad (flow-level CVaR, per-scenario adaptive routing).
-type Ad struct {
-	LP lp.Options
-}
+type Ad struct{}
 
 // Name implements scheme.Scheme.
 func (*Ad) Name() string { return "Cvar-Flow-Ad" }
 
 // Route implements scheme.Scheme.
-func (s *Ad) Route(inst *te.Instance) (*te.Routing, error) {
+func (*Ad) Route(inst *te.Instance) (*te.Routing, error) {
 	if len(inst.Classes) != 1 {
 		return nil, fmt.Errorf("cvarflow: single traffic class required, got %d", len(inst.Classes))
 	}
@@ -185,7 +181,7 @@ func (s *Ad) Route(inst *te.Instance) (*te.Routing, error) {
 		}
 		return es
 	})
-	sol, err := p.SolveOpts(s.LP)
+	sol, err := p.Solve()
 	if err != nil {
 		return nil, err
 	}

@@ -20,8 +20,6 @@ type Scheme struct {
 	// F is the number of simultaneous link failures to protect against;
 	// 0 means 1 (the common deployment).
 	F int
-	// LP tunes the solver.
-	LP lp.Options
 	// Granted, populated by Route, is the offline bandwidth grant per pair.
 	Granted []float64
 }
@@ -132,7 +130,7 @@ func (s *Scheme) Route(inst *te.Instance) (*te.Routing, error) {
 		p.SetCost(bcol[i], 0)
 	}
 	p.SetCost(lam, -1)
-	sol, err := p.SolveOpts(s.LP)
+	sol, err := p.Solve()
 	if err != nil {
 		return nil, err
 	}
@@ -141,13 +139,13 @@ func (s *Scheme) Route(inst *te.Instance) (*te.Routing, error) {
 	}
 	lamStar := sol.X[lam]
 	p.SetCost(lam, 0)
-	p.SetColBounds(lam, lamStar-1e-9, 1)
+	p.SetColBounds(lam, lamStar-lp.DefaultTol, 1)
 	for i := range inst.Pairs {
 		if inst.Demand[0][i] > 0 {
 			p.SetCost(bcol[i], -1)
 		}
 	}
-	sol, err = p.SolveOpts(s.LP)
+	sol, err = p.Solve()
 	if err != nil {
 		return nil, err
 	}

@@ -27,8 +27,6 @@ type AugmentOptions struct {
 	MaxAug []float64
 	// MaxIterations bounds the decomposition loop; 0 means 8.
 	MaxIterations int
-	// LP tunes the solvers.
-	LP lp.Options
 }
 
 // AugmentResult is the outcome of capacity augmentation.
@@ -62,7 +60,7 @@ func Augment(inst *te.Instance, opt AugmentOptions) (*AugmentResult, error) {
 
 // augment is Augment under ctx, with opt's worker count and fault hook.
 func augment(ctx context.Context, inst *te.Instance, aopt AugmentOptions, opt Options) (*AugmentResult, error) {
-	opt.MaxIterations, opt.LP = cmp.Or(aopt.MaxIterations, 8), aopt.LP
+	opt.MaxIterations = cmp.Or(aopt.MaxIterations, 8)
 	opt = opt.withDefaults()
 	d, ctx, err := newDecomp(ctx, inst, opt)
 	if err != nil {
@@ -187,7 +185,6 @@ func (a *augMaster) next(ctx context.Context, cuts []*cut, zPrev *CriticalSet) (
 	}
 	sol, err := mip.SolveCtx(ctx, &mip.Problem{LP: p, Binary: zb.bins}, mip.Options{
 		MaxNodes:   augMasterNodes,
-		LP:         d.opt.LP,
 		WarmBinary: zb.warm(zPrev),
 	})
 	if err != nil {

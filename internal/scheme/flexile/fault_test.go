@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"flexile/internal/faultinject"
-	"flexile/internal/lp"
 )
 
 // allScenarioScript builds a fault script firing the given attempt
@@ -122,21 +121,6 @@ func TestOfflineFaultPanicIsolated(t *testing.T) {
 	}
 	if res.SubproblemSolves == 0 {
 		t.Fatal("no other scenario solved; isolation failed")
-	}
-}
-
-// TestOfflineFaultFailFast: Options.FailFast restores abort-on-first-
-// failure, with the lp sentinel still classifiable through the wrapping.
-func TestOfflineFaultFailFast(t *testing.T) {
-	inst := triangleInstance()
-	inj := faultinject.Script(allScenarioScript(len(inst.Scenarios),
-		faultinject.SingularBasis, faultinject.SingularBasis))
-	_, err := Offline(inst, Options{Workers: 2, FailFast: true, FaultHook: inj.Hook})
-	if err == nil {
-		t.Fatal("FailFast solve succeeded despite injected failures")
-	}
-	if !errors.Is(err, lp.ErrSingularBasis) {
-		t.Fatalf("error %v does not wrap lp.ErrSingularBasis", err)
 	}
 }
 

@@ -108,7 +108,7 @@ func TestSubproblemPerScenarioOptimum(t *testing.T) {
 	for q, scen := range inst.Scenarios {
 		alive := scen.AliveMask(3)
 		crit := connectedCritical(inst, scen)
-		sol, err := sp.solve(context.Background(), lp.Options{}, nil, q, crit, alive, nil, baseCaps(inst))
+		sol, err := sp.solve(context.Background(), lp.Options{}, q, crit, alive, nil, baseCaps(inst))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func TestSubproblemCutSelfConsistency(t *testing.T) {
 	for q, scen := range inst.Scenarios {
 		alive := scen.AliveMask(3)
 		crit := connectedCritical(inst, scen)
-		sol, err := sp.solve(context.Background(), lp.Options{}, nil, q, crit, alive, nil, baseCaps(inst))
+		sol, err := sp.solve(context.Background(), lp.Options{}, q, crit, alive, nil, baseCaps(inst))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,14 +157,14 @@ func TestSubproblemCutIsLowerBound(t *testing.T) {
 	scen := inst.Scenarios[qFail]
 	alive := scen.AliveMask(3)
 	both := func(f int) bool { return f < 2 }
-	sol, err := sp.solve(context.Background(), lp.Options{}, nil, qFail, both, alive, nil, baseCaps(inst))
+	sol, err := sp.solve(context.Background(), lp.Options{}, qFail, both, alive, nil, baseCaps(inst))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Transplant the cut to the critical set {flow 1 only}.
 	only1 := func(f int) bool { return f == 1 }
 	bound := sol.cut.value(only1, alive)
-	truth, err := sp.solve(context.Background(), lp.Options{}, nil, qFail, only1, alive, nil, baseCaps(inst))
+	truth, err := sp.solve(context.Background(), lp.Options{}, qFail, only1, alive, nil, baseCaps(inst))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestOfflineBatchOracleIdentity(t *testing.T) {
 			name         string
 			lossUB, caps []float64
 		}{{"plain", nil, base}, {"gamma", gammaUB, base}, {"capUse", nil, residual}} {
-			sub, err := sp.solve(ctx, lp.Options{}, nil, q, crit, scen.AliveMask(g.NumEdges()), c.lossUB, c.caps)
+			sub, err := sp.solve(ctx, lp.Options{}, q, crit, scen.AliveMask(g.NumEdges()), c.lossUB, c.caps)
 			if err != nil {
 				t.Fatalf("scenario %d %s: %v", q, c.name, err)
 			}
@@ -256,8 +256,9 @@ func TestOfflineConvergesTriangle(t *testing.T) {
 	}
 }
 
-// TestOfflineGammaVariantBoundsLoss: with γ = 0 every connected flow stays
-// at the per-scenario optimal ScenLoss in every scenario.
+// TestOfflineGammaVariantBoundsLoss: with γ = 1e-9, the smallest bound (0
+// disables it), every connected flow stays at the per-scenario optimal
+// ScenLoss in every scenario.
 func TestOfflineGammaVariantBoundsLoss(t *testing.T) {
 	inst := triangleInstance()
 	off, err := Offline(inst, Options{Gamma: 1e-9})

@@ -25,8 +25,8 @@ type Options struct {
 	// MaxIterations bounds the decomposition loop; 0 means 5 (the paper's
 	// setting).
 	MaxIterations int
-	// Gamma, when ≥ 0, bounds every connected flow's loss in scenario q to
-	// γ + optimal ScenLoss_q (§4.4). Negative disables the bound. Cut
+	// Gamma, when > 0, bounds every connected flow's loss in scenario q to
+	// γ + optimal ScenLoss_q (§4.4); 0 or negative disables the bound. Cut
 	// sharing is disabled in this mode (scenario LPs stop sharing a dual
 	// space once their variable bounds differ).
 	Gamma float64
@@ -40,17 +40,11 @@ type Options struct {
 	// loop inline, exactly the sequential behavior. Results are identical
 	// for every worker count — parallelism is a pure wall-clock win.
 	Workers int
-	// LP tunes all LP solves.
-	LP lp.Options
 	// Timeout bounds the wall-clock time of the whole offline solve;
 	// 0 means unlimited. An expired deadline aborts the decomposition with
 	// an error wrapping context.DeadlineExceeded — degraded mode never
 	// swallows cancellation.
 	Timeout time.Duration
-	// FailFast restores the pre-degraded-mode behavior: the first scenario
-	// or master failure aborts the whole solve with an error instead of
-	// degrading and reporting.
-	FailFast bool
 	// FaultHook, when non-nil, runs before every scenario subproblem solve
 	// with the scenario index and the 0-based attempt number; a non-nil
 	// return (or a panic) is treated exactly like a failure of the real
@@ -125,16 +119,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// hardenLP derives the retry settings used after a retryable scenario
-// failure: Bland's rule from the first pivot (guaranteed anti-cycling) and
-// a 4× pivot budget when the caller set an explicit one.
-func hardenLP(o lp.Options) lp.Options {
-	o.Bland = true
-	if o.MaxIters > 0 {
-		o.MaxIters *= 4
-	}
-	return o
-}
+// hardenLP is the retry setting after a retryable scenario failure: Bland's
+// rule (guaranteed anti-cycling) from the first pivot, and no start basis,
+// so the retry runs from the logical basis.
+var hardenLP = lp.Options{Bland: true}
 
 // isCtxErr reports whether err stems from cancellation or deadline expiry.
 // Such errors always abort the solve — they are the caller's intent, not a
@@ -237,8 +225,8 @@ func Offline(inst *te.Instance, opt Options) (*OfflineResult, error) {
 // in flight — with an error wrapping the context error. All other failures
 // go through the degraded-mode policy: retry retryable scenario failures
 // under hardened settings, then skip the scenario for the iteration, and
-// record everything in the result's SolveReport; only Options.FailFast
-// restores abort-on-first-failure. A nil ctx is context.Background().
+// record everything in the result's SolveReport. A nil ctx is
+// context.Background().
 func OfflineCtx(ctx context.Context, inst *te.Instance, opt Options) (*OfflineResult, error) {
 	start := time.Now()
 	nf, nq := inst.NumFlows(), len(inst.Scenarios)
@@ -284,9 +272,6 @@ func OfflineCtx(ctx context.Context, inst *te.Instance, opt Options) (*OfflineRe
 		}
 		if isCtxErr(err) {
 			return nil, fmt.Errorf("flexile: offline solve canceled: %w", err)
-		}
-		if opt.FailFast {
-			return nil, fmt.Errorf("flexile: scenario %d loss precompute: %w", q, err)
 		}
 		scenLossOpt[q] = 1
 		d.report.ScenLossFallback = append(d.report.ScenLossFallback, q)
@@ -441,7 +426,7 @@ func (d *decomp) run(ctx context.Context, m master) error {
 	// is held by one worker at a time, so neither slice needs a lock.
 	sps := make([]*subproblem, opt.Workers)
 	spByQ := make([]*subproblem, nq)
-	solveSub := func(worker, q int, crit func(int) bool, lpOpts lp.Options, start *lp.Basis) (*subSolution, error) {
+	solveSub := func(worker, q int, crit func(int) bool, lpOpts lp.Options) (*subSolution, error) {
 		dv := inst.ScenDemandVector(q)
 		sp := &sps[worker]
 		if dv != nil {
@@ -450,7 +435,7 @@ func (d *decomp) run(ctx context.Context, m master) error {
 		if *sp == nil {
 			*sp = newSubproblem(inst, dv)
 		}
-		return (*sp).solve(ctx, lpOpts, start, q, crit, d.alive[q], d.lossUB[q], m.caps(q))
+		return (*sp).solve(ctx, lpOpts, q, crit, d.alive[q], d.lossUB[q], m.caps(q))
 	}
 	// outcome is one scenario's pass through the retry policy: its
 	// solution (nil if every attempt failed), how many attempts it took, and
@@ -477,11 +462,11 @@ func (d *decomp) run(ctx context.Context, m master) error {
 				err = opt.FaultHook(q, attempt)
 			}
 			if err == nil {
-				lpOpts := opt.LP
+				lpOpts := lp.Options{StartBasis: start}
 				if attempt > 0 {
-					lpOpts, start = hardenLP(lpOpts), nil
+					lpOpts = hardenLP
 				}
-				if out.sol, err = solveSub(worker, q, crit, lpOpts, start); err == nil {
+				if out.sol, err = solveSub(worker, q, crit, lpOpts); err == nil {
 					return out, nil
 				}
 			}
@@ -590,9 +575,6 @@ func (d *decomp) run(ctx context.Context, m master) error {
 				if isCtxErr(err) {
 					return fmt.Errorf("flexile: offline solve canceled: %w", err)
 				}
-				if opt.FailFast {
-					return err
-				}
 				// A recovered panic leaves no outcome behind; report at least
 				// one attempt.
 				d.report.Skipped = append(d.report.Skipped, ScenarioFault{
@@ -662,9 +644,6 @@ func (d *decomp) run(ctx context.Context, m master) error {
 		if err != nil {
 			if isCtxErr(err) {
 				return fmt.Errorf("flexile: offline solve canceled: %w", err)
-			}
-			if opt.FailFast {
-				return err
 			}
 			d.report.MasterFailures = append(d.report.MasterFailures, fmt.Sprintf("iteration %d: %v", iter, err))
 			break
@@ -939,7 +918,6 @@ func (m *offlineMaster) next(ctx context.Context, cuts []*cut, zPrev *CriticalSe
 		sol, err := mip.SolveCtx(ctx, &mip.Problem{LP: p, Binary: zb.bins}, mip.Options{
 			MaxNodes:   masterNodes,
 			RelGap:     masterRelGap,
-			LP:         opt.LP,
 			Heuristic:  heuristic,
 			WarmBinary: warm,
 		})

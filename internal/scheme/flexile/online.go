@@ -91,7 +91,6 @@ func OnlineOptions(inst *te.Instance, off *OfflineResult, q int, opt Options) (t
 		Domain:  te.FractionDomain,
 		MinFrac: minFrac,
 		Demands: inst.ScenDemandVector(q),
-		LP:      opt.LP,
 	}, nil
 }
 

@@ -103,7 +103,6 @@ func SequentialDesign(inst *te.Instance, opt Options) (*OfflineResult, *te.Routi
 				MinFrac:  minFrac,
 				Demands:  view.ScenDemandVector(q),
 				FixedUse: fixedUse[q],
-				LP:       opt.LP,
 			})
 			if err != nil {
 				return nil, nil, fmt.Errorf("flexile: sequential allocation class %d scenario %d: %w", k, q, err)

@@ -174,10 +174,11 @@ func newSubproblem(inst *te.Instance, demands []float64) *subproblem {
 // mask m_eq; caps[e] is edge e's capacity c_e before the mask (c_e + δ_e
 // for Augment, what higher-priority classes left for sequential design,
 // §4.4); lossUB, when non-nil, upper-bounds each flow's loss (the §4.4 γ
-// generalization). start, when non-nil, is an optimal basis of this LP at
-// other right-hand sides — still dual feasible here, so the solve runs the
-// dual simplex from it. Returns the solution and a freshly extracted cut.
-func (sp *subproblem) solve(ctx context.Context, lpOpts lp.Options, start *lp.Basis, q int, critical func(f int) bool, alive []bool, lossUB, caps []float64) (*subSolution, error) {
+// generalization). lpOpts.StartBasis, when non-nil, is an optimal basis of
+// this LP at other right-hand sides — still dual feasible here, so the solve
+// runs the dual simplex from it. Returns the solution and a freshly
+// extracted cut.
+func (sp *subproblem) solve(ctx context.Context, lpOpts lp.Options, q int, critical func(f int) bool, alive []bool, lossUB, caps []float64) (*subSolution, error) {
 	inst := sp.inst
 	for f, row := range sp.alphaRow {
 		if row < 0 {
@@ -204,7 +205,6 @@ func (sp *subproblem) solve(ctx context.Context, lpOpts lp.Options, start *lp.Ba
 		}
 		sp.p.SetRowBounds(row, -lp.Inf, cap)
 	}
-	lpOpts.StartBasis = start
 	sol, err := sp.solver.SolveCtx(ctx, lp.Variant{}, lpOpts)
 	if err != nil {
 		return nil, fmt.Errorf("flexile: subproblem scenario %d: %w", q, err)

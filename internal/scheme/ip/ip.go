@@ -19,8 +19,6 @@ import (
 type Scheme struct {
 	// MaxNodes bounds branch-and-bound nodes; 0 means 4000.
 	MaxNodes int
-	// LP tunes the relaxation solves.
-	LP lp.Options
 	// Status of the last solve (mip.Optimal means a proven optimum).
 	Status mip.Status
 	// Objective of the last solve: Σ_k w_k·α_k.
@@ -135,17 +133,16 @@ func (s *Scheme) Route(inst *te.Instance) (*te.Routing, error) {
 					mass += scen.Prob
 				}
 			}
-			if mass < inst.Classes[k].Beta-1e-9 {
+			if mass < inst.Classes[k].Beta-lp.DefaultTol {
 				return nil, fmt.Errorf("ip: flow %d connected mass %.6f below β=%v", f, mass, inst.Classes[k].Beta)
 			}
-			p.AddGE(fmt.Sprintf("cov[%d]", f), inst.Classes[k].Beta-1e-9, es...)
+			p.AddGE(fmt.Sprintf("cov[%d]", f), inst.Classes[k].Beta-lp.DefaultTol, es...)
 			groups = append(groups, groupOf[f])
 			targets = append(targets, inst.Classes[k].Beta)
 		}
 	}
 	sol, err := mip.Solve(&mip.Problem{LP: p, Binary: binaries}, mip.Options{
 		MaxNodes:  maxNodes,
-		LP:        s.LP,
 		Heuristic: mip.RoundGreedyCover(groups, weights, targets),
 	})
 	if err != nil {

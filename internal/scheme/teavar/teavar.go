@@ -18,16 +18,13 @@ import (
 
 // Scheme is Teavar. Single traffic class only (the paper's comparisons with
 // Teavar all use one class).
-type Scheme struct {
-	// LP tunes the solver.
-	LP lp.Options
-}
+type Scheme struct{}
 
 // Name implements scheme.Scheme.
 func (*Scheme) Name() string { return "Teavar" }
 
 // Route implements scheme.Scheme.
-func (s *Scheme) Route(inst *te.Instance) (*te.Routing, error) {
+func (*Scheme) Route(inst *te.Instance) (*te.Routing, error) {
 	if len(inst.Classes) != 1 {
 		return nil, fmt.Errorf("teavar: single traffic class required, got %d", len(inst.Classes))
 	}
@@ -82,7 +79,7 @@ func (s *Scheme) Route(inst *te.Instance) (*te.Routing, error) {
 	}
 	// Static capacity rows (the allocation must fit with all links up).
 	addStaticCapacity(p, inst, 0, xcol)
-	sol, err := p.SolveOpts(s.LP)
+	sol, err := p.Solve()
 	if err != nil {
 		return nil, err
 	}

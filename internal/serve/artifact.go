@@ -114,7 +114,8 @@ type Artifact struct {
 	// SubLosses[f][q] are the offline subproblem losses — the per-scenario
 	// bandwidth promise for critical flows (nil when unavailable).
 	SubLosses [][]float64
-	// Gamma is the §4.4 γ bound the online phase enforces (< 0 disables).
+	// Gamma is the §4.4 γ bound the online phase enforces: γ > 0 bounds;
+	// 0 or negative disables.
 	Gamma float64
 }
 

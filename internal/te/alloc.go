@@ -126,25 +126,16 @@ func (a *Alloc) EdgeUse(sol *lp.Solution, use []float64) {
 // Minimizing ScenLoss is equivalent to maximizing z: ScenLoss =
 // max(0, 1−z) (paper appendix A).
 func MaxConcurrentScale(inst *Instance, scen failure.Scenario, classes []int) (float64, *Alloc, *lp.Solution, error) {
-	return MaxConcurrentScaleD(inst, scen, classes, nil)
+	return MaxConcurrentScaleCtx(context.Background(), inst, scen, classes, nil, nil)
 }
 
-// MaxConcurrentScaleD is MaxConcurrentScale with an optional per-flow
-// demand override (per-scenario traffic matrices, §4.4).
-func MaxConcurrentScaleD(inst *Instance, scen failure.Scenario, classes []int, demands []float64) (float64, *Alloc, *lp.Solution, error) {
-	return MaxConcurrentScaleOpts(inst, scen, classes, demands, nil)
-}
-
-// MaxConcurrentScaleOpts additionally subtracts fixedUse (per-edge
-// bandwidth claimed outside this problem) from link capacities.
-func MaxConcurrentScaleOpts(inst *Instance, scen failure.Scenario, classes []int, demands, fixedUse []float64) (float64, *Alloc, *lp.Solution, error) {
-	return MaxConcurrentScaleCtx(context.Background(), inst, scen, classes, demands, fixedUse)
-}
-
-// MaxConcurrentScaleCtx is MaxConcurrentScaleOpts under a context:
-// cancellation or an expired deadline aborts the LP solve with the context
-// error wrapped. An iteration-limited solve reports lp.ErrIterLimit so
-// degraded-mode callers can classify the failure with errors.Is.
+// MaxConcurrentScaleCtx is MaxConcurrentScale under a context, with an
+// optional per-flow demand override (per-scenario traffic matrices, §4.4)
+// and fixedUse (per-edge bandwidth claimed outside this problem) subtracted
+// from link capacities. Cancellation or an expired deadline aborts the LP
+// solve with the context error wrapped. An iteration-limited solve reports
+// lp.ErrIterLimit so degraded-mode callers can classify the failure with
+// errors.Is.
 func MaxConcurrentScaleCtx(ctx context.Context, inst *Instance, scen failure.Scenario, classes []int, demands, fixedUse []float64) (float64, *Alloc, *lp.Solution, error) {
 	a := NewAlloc(inst, scen, classes, fixedUse)
 	z := a.LP.AddCol("z", 0, lp.Inf, -1) // maximize z

@@ -30,10 +30,6 @@ type MaxMinOptions struct {
 	// Domain picks fraction-of-demand (Flexile) or absolute-rate (SWAN)
 	// waterfilling. Default FractionDomain.
 	Domain MaxMinDomain
-	// Levels is the ascending ladder of waterfilling levels; the last level
-	// is the cap (1.0 for fractions, max demand for rates). Nil means a
-	// geometric ladder with ratio 2 and 9 steps, SWAN's U = 2.
-	Levels []float64
 	// MinFrac, when non-nil, gives a per-flow lower bound on the fraction
 	// of demand that must be allocated (Flexile's critical flows). Indexed
 	// by flow id.
@@ -52,8 +48,6 @@ type MaxMinOptions struct {
 	// outside this allocation (sequential multi-class design); it is
 	// subtracted from link capacities.
 	FixedUse []float64
-	// LP tunes the underlying solver.
-	LP lp.Options
 }
 
 // MaxMinResult reports the allocation.
@@ -149,15 +143,14 @@ func MaxMinCtx(ctx context.Context, inst *Instance, scen failure.Scenario, opt M
 	if maxD == 0 {
 		return res, nil
 	}
-	run.levels = opt.Levels
-	if run.levels == nil {
-		top := 1.0
-		if opt.Domain == RateDomain {
-			top = maxD
-		}
-		for i := 8; i >= 0; i-- {
-			run.levels = append(run.levels, top/math.Pow(2, float64(i)))
-		}
+	// The waterfilling ladder: nine levels doubling up to the cap (1 for
+	// fractions, the largest demand for rates), SWAN's U = 2.
+	top := 1.0
+	if opt.Domain == RateDomain {
+		top = maxD
+	}
+	for i := 8; i >= 0; i-- {
+		run.levels = append(run.levels, top/math.Pow(2, float64(i)))
 	}
 	for ci := range inst.Classes {
 		began := time.Now()
@@ -381,7 +374,7 @@ func (r *maxMinRun) classRound(ctx context.Context, ci int, res *MaxMinResult) e
 			return err
 		}
 		a.LP.SetColBounds(theta, 0, 1)
-		sol, err := solver.ResolveCtx(ctx, lp.Variant{Cost: cost1}, opt.LP)
+		sol, err := solver.ResolveCtx(ctx, lp.Variant{Cost: cost1}, lp.Options{})
 		if err != nil {
 			return err
 		}
@@ -393,7 +386,7 @@ func (r *maxMinRun) classRound(ctx context.Context, ci int, res *MaxMinResult) e
 					a.LP.SetRowBounds(row[f], lo[f], math.Max(lo[f], hi[f]+thetaCol[row[f]]*thetaStar))
 				}
 			}
-			if sol, err = solver.ResolveCtx(ctx, lp.Variant{Cost: cost2}, opt.LP); err != nil {
+			if sol, err = solver.ResolveCtx(ctx, lp.Variant{Cost: cost2}, lp.Options{}); err != nil {
 				return err
 			}
 		}
@@ -495,7 +488,7 @@ func (r *maxMinRun) relaxAndSolve(ctx context.Context, classList, active []int, 
 			}
 		}
 	}
-	sol, err := b.LP.SolveCtx(ctx, opt.LP)
+	sol, err := b.LP.SolveCtx(ctx, lp.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -45,15 +45,13 @@ func maxMinCold(inst *te.Instance, scen failure.Scenario, opt te.MaxMinOptions) 
 	if maxD == 0 {
 		return res, nil
 	}
-	levels := opt.Levels
-	if levels == nil {
-		top := 1.0
-		if opt.Domain == te.RateDomain {
-			top = maxD
-		}
-		for i := 8; i >= 0; i-- {
-			levels = append(levels, top/math.Pow(2, float64(i)))
-		}
+	top := 1.0
+	if opt.Domain == te.RateDomain {
+		top = maxD
+	}
+	var levels []float64
+	for i := 8; i >= 0; i-- {
+		levels = append(levels, top/math.Pow(2, float64(i)))
 	}
 
 	// target fraction for flow f at level α.
@@ -191,7 +189,7 @@ func maxMinCold(inst *te.Instance, scen failure.Scenario, opt te.MaxMinOptions) 
 				a1.LP.AddLE(fmt.Sprintf("cap1[%d]", f), hiF[f], es...)
 			}
 			addCrossClassRows(a1)
-			sol1, err := a1.LP.SolveOpts(opt.LP)
+			sol1, err := a1.LP.Solve()
 			if err != nil {
 				return nil, err
 			}
@@ -226,7 +224,7 @@ func maxMinCold(inst *te.Instance, scen failure.Scenario, opt te.MaxMinOptions) 
 				}
 			}
 			addCrossClassRows(a2)
-			sol2, err := a2.LP.SolveOpts(opt.LP)
+			sol2, err := a2.LP.Solve()
 			if err != nil {
 				return nil, err
 			}
@@ -366,7 +364,7 @@ func relaxCold(inst *te.Instance, classList, active []int, frozen map[int]float6
 			}
 		}
 	}
-	sol, err := b.LP.SolveOpts(opt.LP)
+	sol, err := b.LP.Solve()
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package te
 
 import (
+	"context"
 	"testing"
 
 	"flexile/internal/failure"
@@ -95,6 +96,7 @@ func TestScaleAndCloneWithScenDemand(t *testing.T) {
 	}
 }
 
+// TestMaxConcurrentScaleD: the demand override of MaxConcurrentScaleCtx.
 func TestMaxConcurrentScaleD(t *testing.T) {
 	inst := scenDemandInstance()
 	qFail := scenarioWithFailed(inst, 0)
@@ -105,7 +107,7 @@ func TestMaxConcurrentScaleD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	zScen, _, _, err := MaxConcurrentScaleD(inst, scen, nil, inst.ScenDemandVector(qFail))
+	zScen, _, _, err := MaxConcurrentScaleCtx(context.Background(), inst, scen, nil, inst.ScenDemandVector(qFail), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
