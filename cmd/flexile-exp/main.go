@@ -9,8 +9,6 @@
 //	flexile-exp -fig gamma -topo Quest
 //	flexile-exp -fig 10 -workers 1 # force a sequential topology sweep
 //
-//	flexile-exp -artifact quest.flxa -topo Quest   # export a serving artifact
-//
 // Figures: 1, 5, 6, 9, 10, 11, 12, 13, 14, 15, 18, gamma, table2, all.
 // Scales: tiny (seconds-minutes), small (minutes), paper (§6 full, hours).
 // -workers controls the per-topology fan-out (0 = all cores); results are
@@ -33,7 +31,6 @@ import (
 	"strings"
 	"time"
 
-	"flexile"
 	"flexile/internal/experiments"
 	"flexile/internal/obs"
 )
@@ -58,7 +55,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	topoName := fs.String("topo", "Quest", "topology for -fig gamma")
 	workers := fs.Int("workers", 0, "per-topology fan-out width (0 = all cores, 1 = sequential)")
 	timeout := fs.Duration("timeout", 0, "wall-clock limit per topology sweep, e.g. 10m (0 = unlimited)")
-	artifactOut := fs.String("artifact", "", "solve -topo offline and write a flexile-serve artifact to this file instead of running figures")
 	metrics := fs.Bool("metrics", false, "emit the aggregated solver metrics as JSON on stdout after the figures")
 	tracePath := fs.String("trace", "", "write a chrome://tracing timeline of the solves to this file")
 	logJSON := fs.Bool("logjson", false, "emit stderr diagnostics as JSON log lines instead of text")
@@ -74,14 +70,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	collector, tracer := installObs(*metrics, *tracePath)
-
-	if *artifactOut != "" {
-		opt := flexile.DesignOptions{MaxIterations: 5, Workers: *workers, Timeout: *timeout}
-		if err := exportArtifact(*topoName, *seed, opt, *artifactOut, logger); err != nil {
-			return err
-		}
-		return emitObs(collector, tracer, *metrics, *tracePath, stdout, logger)
-	}
 
 	var sc experiments.Scale
 	switch strings.ToLower(*scale) {
@@ -208,38 +196,5 @@ func emitObs(collector *obs.Collector, tracer *obs.Tracer, metrics bool, tracePa
 		}
 		lg.Info("wrote trace", "path", tracePath)
 	}
-	return nil
-}
-
-// exportArtifact runs the offline pipeline on one topology (single class,
-// gravity traffic, enumerated failures — the §6 methodology) and writes
-// the serving artifact flexile-serve loads.
-func exportArtifact(topoName string, seed int64, opt flexile.DesignOptions, out string, lg *slog.Logger) error {
-	tp, err := flexile.LoadTopology(topoName)
-	if err != nil {
-		return err
-	}
-	inst := flexile.NewSingleClassInstance(tp, 3)
-	if err := flexile.ApplyGravityTraffic(inst, seed, 0.6); err != nil {
-		return err
-	}
-	flexile.GenerateFailures(inst, seed+1, 1e-5, 50)
-	flexile.SetDesignTarget(inst)
-	design, err := flexile.Design(inst, opt)
-	if err != nil {
-		return err
-	}
-	blob, err := flexile.ExportArtifact(inst, design, opt)
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, blob, 0o644); err != nil {
-		return err
-	}
-	lg.Info("wrote serving artifact",
-		"topology", tp.Name,
-		"scenarios", len(inst.Scenarios),
-		"bytes", len(blob),
-		"path", out)
 	return nil
 }

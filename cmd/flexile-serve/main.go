@@ -1,7 +1,7 @@
 // Command flexile-serve is the online allocation daemon: it loads serving
-// artifacts produced by `flexile -artifact` or `flexile-exp -artifact`,
-// then answers failure-state allocation queries over HTTP from a
-// per-scenario cache with single-flight recomputation.
+// artifacts produced by `flexile -artifact`, then answers failure-state
+// allocation queries over HTTP from a per-scenario cache with
+// single-flight recomputation.
 //
 // Usage:
 //

@@ -33,7 +33,6 @@ import (
 	"flexile/internal/eval"
 	"flexile/internal/failure"
 	"flexile/internal/graph"
-	"flexile/internal/lp"
 	"flexile/internal/scheme"
 	"flexile/internal/scheme/cvarflow"
 	"flexile/internal/scheme/ffc"
@@ -156,41 +155,14 @@ func ApplyGravityTraffic(inst *Instance, seed int64, targetMLU float64) error {
 // least cutoff, keeping at most maxScenarios (0 = unlimited) by
 // probability.
 func GenerateFailures(inst *Instance, seed int64, cutoff float64, maxScenarios int) {
-	probs := failure.WeibullProbs(inst.Topo.G, seed, failure.WeibullParams{})
-	inst.LinkProbs = probs
-	scens := failure.Enumerate(probs, cutoff)
-	if maxScenarios > 0 && len(scens) > maxScenarios {
-		scens = scens[:maxScenarios]
-	}
-	inst.Scenarios = scens
+	inst.SetFailures(failure.WeibullProbs(inst.Topo.G, seed, failure.WeibullParams{}), cutoff, maxScenarios)
 }
 
-// SetDesignTarget sets class 0's percentile target to the highest
-// achievable value: just below the probability mass of scenarios in which
-// every flow remains connected (§6's design-target rule), capped at the
-// paper's 99.9% SLO. Other classes keep their configured targets. It
-// returns the chosen β.
-func SetDesignTarget(inst *Instance) float64 {
-	beta := inst.AllFlowsConnectedMass() - lp.DefaultTol
-	if beta > 0.999 {
-		beta = 0.999
-	}
-	// Keep the residual (unenumerated) probability mass small relative to
-	// the tail 1−β, otherwise the percentile is dominated by scenarios no
-	// scheme can see.
-	cov := 0.0
-	for _, s := range inst.Scenarios {
-		cov += s.Prob
-	}
-	if beta > 1-8*(1-cov) {
-		beta = 1 - 8*(1-cov)
-	}
-	if beta < 0.5 {
-		beta = 0.5
-	}
-	inst.Classes[0].Beta = beta
-	return beta
-}
+// SetDesignTarget applies §6's design-target rule (te.Instance's
+// SetDesignTarget): class 0's β goes just below the mass of scenarios in
+// which every flow stays connected, and no class's β exceeds the connected
+// mass of its least connected demanded flow. It returns class 0's β.
+func SetDesignTarget(inst *Instance) float64 { return inst.SetDesignTarget() }
 
 // NewCriticalSet allocates an empty flow×scenario critical bitmap (mainly
 // useful for tests and tooling; Design produces populated ones).

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"flexile"
+	"flexile/internal/lp"
 	"flexile/internal/topo"
 )
 
@@ -120,5 +121,34 @@ func TestMLUAPI(t *testing.T) {
 	}
 	if math.Abs(mlu-0.55) > 1e-6 {
 		t.Fatalf("MLU = %v, want 0.55", mlu)
+	}
+}
+
+// TestSetDesignTargetKeepsEveryClassCoverable: on the CLI's two-class
+// Tinet instance the low class's configured β = 0.99 exceeds the connected
+// mass of its least connected flow; the design target must bring it below,
+// or the offline coverage constraint is infeasible and Design refuses.
+func TestSetDesignTargetKeepsEveryClassCoverable(t *testing.T) {
+	tp, err := flexile.LoadTopology("Tinet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := flexile.NewTwoClassInstance(tp)
+	if err := flexile.ApplyGravityTraffic(inst, 1, 0.6); err != nil {
+		t.Fatal(err)
+	}
+	flexile.GenerateFailures(inst, 2, 1e-5, 50)
+	flexile.SetDesignTarget(inst)
+	mass := inst.FlowConnMass()
+	for k, c := range inst.Classes {
+		least := 1.0
+		for i := range inst.Pairs {
+			if inst.Demand[k][i] > 0 {
+				least = math.Min(least, mass[inst.FlowID(k, i)])
+			}
+		}
+		if c.Beta > least-lp.DefaultTol {
+			t.Errorf("class %s: β = %v, but its least connected flow is connected only %v of the time", c.Name, c.Beta, least)
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"flexile/internal/eval"
 	"flexile/internal/failure"
-	"flexile/internal/lp"
 	"flexile/internal/scheme"
 	"flexile/internal/scheme/cvarflow"
 	"flexile/internal/scheme/flexile"
@@ -303,23 +302,8 @@ func richlyConnectedInstance(cfg Config, name string) (*te.Instance, error) {
 	for e := range probs {
 		probs[e] = baseProbs[orig[e]]
 	}
-	inst.LinkProbs = probs
-	scens := failure.Enumerate(probs, cfg.Cutoff)
-	if len(scens) > cfg.MaxScenarios {
-		scens = scens[:cfg.MaxScenarios]
-	}
-	inst.Scenarios = scens
-	beta := inst.AllFlowsConnectedMass() - lp.DefaultTol
-	if beta > 0.999 {
-		beta = 0.999
-	}
-	if cov := failure.Coverage(inst.Scenarios); beta > 1-8*(1-cov) {
-		beta = 1 - 8*(1-cov)
-	}
-	if beta < 0.5 {
-		beta = 0.5
-	}
-	inst.Classes[0].Beta = beta
+	inst.SetFailures(probs, cfg.Cutoff, cfg.MaxScenarios)
+	inst.SetDesignTarget()
 	return inst, nil
 }
 

@@ -11,7 +11,6 @@ import (
 	"flexile/internal/scheme/scenbest"
 	"flexile/internal/scheme/swan"
 	"flexile/internal/scheme/teavar"
-	"flexile/internal/te"
 )
 
 // Fig9Result holds the emulation-testbed comparison (paper Fig. 9, IBM):
@@ -161,6 +160,3 @@ func medMinMax(runs [][]float64, k int) (med, lo, hi float64) {
 	s := sortedCopy(vals)
 	return s[len(s)/2], s[0], s[len(s)-1]
 }
-
-// ensure te import is used (class count in render paths comes from data).
-var _ = te.NoFailure

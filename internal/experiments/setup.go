@@ -247,49 +247,8 @@ func (c Config) finish(inst *te.Instance, tp *topo.Topology, name string) (*te.I
 	if err := traffic.ApplyGravity(inst, traffic.GravityOptions{Seed: seed}); err != nil {
 		return nil, err
 	}
-	probs := failure.WeibullProbs(tp.G, seed+1, failure.WeibullParams{})
-	inst.LinkProbs = probs
-	scens := failure.Enumerate(probs, c.Cutoff)
-	if len(scens) > c.MaxScenarios {
-		scens = scens[:c.MaxScenarios]
-	}
-	inst.Scenarios = scens
-	// Design target: as high as possible while every flow stays connected
-	// (§6), capped at the paper's 99.9% SLO so scenario-capped runs keep
-	// tail headroom; the low class, when present, keeps β = 0.99.
-	mass := inst.AllFlowsConnectedMass()
-	beta := mass - 1e-9
-	if beta > 0.999 {
-		beta = 0.999
-	}
-	// Keep the residual (unenumerated) probability mass small relative to
-	// the tail 1−β, otherwise the percentile is dominated by scenarios no
-	// scheme can see (a truncation artifact, not a TE property).
-	if cov := failure.Coverage(inst.Scenarios); beta > 1-8*(1-cov) {
-		beta = 1 - 8*(1-cov)
-	}
-	if beta < 0.5 {
-		beta = 0.5
-	}
-	inst.Classes[0].Beta = beta
-	// Every class's β must stay below the connectivity mass of its least
-	// connected flow (otherwise the offline coverage constraint (3) is
-	// infeasible — no scheme can serve a disconnected flow).
-	connMass := inst.FlowConnMass()
-	for k := range inst.Classes {
-		minMass := 1.0
-		for i := range inst.Pairs {
-			if inst.Demand[k][i] <= 0 {
-				continue
-			}
-			if m := connMass[inst.FlowID(k, i)]; m < minMass {
-				minMass = m
-			}
-		}
-		if inst.Classes[k].Beta > minMass-1e-9 {
-			inst.Classes[k].Beta = minMass - 1e-9
-		}
-	}
+	inst.SetFailures(failure.WeibullProbs(tp.G, seed+1, failure.WeibullParams{}), c.Cutoff, c.MaxScenarios)
+	inst.SetDesignTarget()
 	return inst, nil
 }
 

@@ -5,11 +5,9 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"time"
 
-	"flexile"
 	"flexile/internal/experiments"
 	"flexile/internal/hyp"
 	"flexile/internal/load"
@@ -35,14 +33,6 @@ func BatchAmortization() hyp.Hypothesis {
 		if err != nil {
 			return nil, err
 		}
-		design, err := flexile.Design(inst, flexile.DesignOptions{})
-		if err != nil {
-			return nil, err
-		}
-		blob, err := flexile.ExportArtifact(inst, design, flexile.DesignOptions{})
-		if err != nil {
-			return nil, err
-		}
 		scratch, cleanup, err := p.ScratchDir()
 		if err != nil {
 			return nil, err
@@ -51,7 +41,7 @@ func BatchAmortization() hyp.Hypothesis {
 			defer cleanup()
 		}
 		path := filepath.Join(scratch, "h-batch.flxa")
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
+		if err := writeArtifact(inst, path); err != nil {
 			return nil, err
 		}
 		srv, err := serve.New(path, serve.Config{CacheSize: len(inst.Scenarios), Workers: 2})

@@ -21,8 +21,10 @@ package exps
 import (
 	"context"
 	"fmt"
+	"os"
 	"time"
 
+	"flexile"
 	"flexile/internal/hyp"
 	"flexile/internal/load"
 )
@@ -53,4 +55,18 @@ func fireExact(ctx context.Context, c *load.Client, rq load.Request) ([]load.Out
 		}
 	}
 	return res.Outcomes, res.Latency, nil
+}
+
+// writeArtifact designs inst with the default options and writes its
+// serving artifact to path: the fixture every serving hypothesis loads.
+func writeArtifact(inst *flexile.Instance, path string) error {
+	design, err := flexile.Design(inst, flexile.DesignOptions{})
+	if err != nil {
+		return err
+	}
+	blob, err := flexile.ExportArtifact(inst, design, flexile.DesignOptions{})
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, blob, 0o644)
 }

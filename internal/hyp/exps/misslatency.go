@@ -61,16 +61,8 @@ func MissLatency() hyp.Hypothesis {
 		if err != nil {
 			return nil, err
 		}
-		design, err := flexile.Design(inst, flexile.DesignOptions{})
-		if err != nil {
-			return nil, err
-		}
-		blob, err := flexile.ExportArtifact(inst, design, flexile.DesignOptions{})
-		if err != nil {
-			return nil, err
-		}
 		path := filepath.Join(scratch, "h-miss.flxa")
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
+		if err := writeArtifact(inst, path); err != nil {
 			return nil, err
 		}
 		// Cache off: both fetches of a scenario are solves. Warm: the second

@@ -215,22 +215,14 @@ func b2f(b bool) float64 {
 	return 0
 }
 
-// soakArtifact designs and exports the serving artifact for inst, cached
-// per seed so repeat runs in a shared scratch skip the offline solve.
+// soakArtifact writes the serving artifact for inst, cached per seed so
+// repeat runs in a shared scratch skip the offline solve.
 func soakArtifact(scratch string, inst *flexile.Instance, p hyp.Params) (string, error) {
 	path := filepath.Join(scratch, fmt.Sprintf("h-soak-%d.flxa", p.Seed))
 	if _, err := os.Stat(path); err == nil {
 		return path, nil
 	}
-	design, err := flexile.Design(inst, flexile.DesignOptions{})
-	if err != nil {
-		return "", err
-	}
-	blob, err := flexile.ExportArtifact(inst, design, flexile.DesignOptions{})
-	if err != nil {
-		return "", err
-	}
-	return path, os.WriteFile(path, blob, 0o644)
+	return path, writeArtifact(inst, path)
 }
 
 // soakBinary builds the real flexile-serve once per scratch directory.

@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"time"
 
-	"flexile"
 	"flexile/internal/experiments"
 	"flexile/internal/hyp"
 	"flexile/internal/load"
@@ -47,14 +45,6 @@ func TraceOverhead() hyp.Hypothesis {
 		if len(inst.Scenarios) < 4 {
 			return nil, fmt.Errorf("h-trace-overhead: want >=4 scenarios, got %d", len(inst.Scenarios))
 		}
-		design, err := flexile.Design(inst, flexile.DesignOptions{})
-		if err != nil {
-			return nil, err
-		}
-		blob, err := flexile.ExportArtifact(inst, design, flexile.DesignOptions{})
-		if err != nil {
-			return nil, err
-		}
 		scratch, cleanup, err := p.ScratchDir()
 		if err != nil {
 			return nil, err
@@ -63,7 +53,7 @@ func TraceOverhead() hyp.Hypothesis {
 			defer cleanup()
 		}
 		path := filepath.Join(scratch, "h-trace.flxa")
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
+		if err := writeArtifact(inst, path); err != nil {
 			return nil, err
 		}
 

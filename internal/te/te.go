@@ -14,6 +14,7 @@ import (
 
 	"flexile/internal/failure"
 	"flexile/internal/graph"
+	"flexile/internal/lp"
 	"flexile/internal/topo"
 	"flexile/internal/tunnels"
 )
@@ -167,6 +168,59 @@ func (inst *Instance) AllFlowsConnectedMass() float64 {
 		}
 	}
 	return tot
+}
+
+// SetFailures installs the §6 failure model: the per-link failure
+// probabilities and every failure scenario with probability at least
+// cutoff, most probable first, keeping at most max of them (max ≤ 0 keeps
+// all).
+func (inst *Instance) SetFailures(probs []float64, cutoff float64, max int) {
+	inst.LinkProbs = probs
+	scens := failure.Enumerate(probs, cutoff)
+	if max > 0 && len(scens) > max {
+		scens = scens[:max]
+	}
+	inst.Scenarios = scens
+}
+
+// SetDesignTarget applies §6's design-target rule to the enumerated
+// scenarios and returns class 0's β. Class 0's β goes just below the mass
+// of scenarios in which every flow stays connected, capped at the paper's
+// 99.9% SLO and floored at 0.5; other classes keep their configured β.
+// Every class's β then stays below the connected mass of its least
+// connected demanded flow, since no scheme can serve a disconnected flow
+// and the offline coverage constraint (3) would be infeasible.
+func (inst *Instance) SetDesignTarget() float64 {
+	beta := inst.AllFlowsConnectedMass() - lp.DefaultTol
+	if beta > 0.999 {
+		beta = 0.999
+	}
+	// Keep the residual (unenumerated) probability mass small relative to
+	// the tail 1−β, otherwise the percentile is dominated by scenarios no
+	// scheme can see (a truncation artifact, not a TE property).
+	if cov := failure.Coverage(inst.Scenarios); beta > 1-8*(1-cov) {
+		beta = 1 - 8*(1-cov)
+	}
+	if beta < 0.5 {
+		beta = 0.5
+	}
+	inst.Classes[0].Beta = beta
+	connMass := inst.FlowConnMass()
+	for k := range inst.Classes {
+		minMass := 1.0
+		for i := range inst.Pairs {
+			if inst.Demand[k][i] <= 0 {
+				continue
+			}
+			if m := connMass[inst.FlowID(k, i)]; m < minMass {
+				minMass = m
+			}
+		}
+		if inst.Classes[k].Beta > minMass-lp.DefaultTol {
+			inst.Classes[k].Beta = minMass - lp.DefaultTol
+		}
+	}
+	return inst.Classes[0].Beta
 }
 
 // Routing is a complete per-scenario bandwidth assignment:
