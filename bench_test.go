@@ -352,6 +352,39 @@ func BenchmarkSimplexKernels(b *testing.B) {
 	b.ReportMetric(float64(sol.FactorNonzeros)/rows, "factor-nnz")
 }
 
+// instanceSink keeps BenchmarkNewInstance's result live.
+var instanceSink *flexile.Instance
+
+// BenchmarkNewInstance is instance construction: every pair's §6 tunnels,
+// picked from Yen pools of hop-count shortest paths (DESIGN.md §2.3). ATT
+// single-class runs one 12-path pool per pair; Tinet two-class is the
+// high-priority class's 12-path pool plus the low-priority class's 15-path
+// pool. ATT single-class is the construction a traced design-wide run of
+// the bench/ harness reports as tunnels.select_ms.
+func BenchmarkNewInstance(b *testing.B) {
+	for _, c := range []struct {
+		name     string
+		twoClass bool
+	}{{"ATT", false}, {"Tinet", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			tp, err := flexile.LoadTopology(c.name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if c.twoClass {
+					instanceSink = flexile.NewTwoClassInstance(tp)
+				} else {
+					instanceSink = flexile.NewSingleClassInstance(tp, 3)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/op")
+		})
+	}
+}
+
 // BenchmarkServeQuery measures the serving path end to end (request parse
 // → scenario lookup → allocation → JSON): a cold miss recomputes the
 // online allocation, a warm hit returns the cached marshaled bytes. Both

@@ -1,12 +1,11 @@
 // Package graph provides the wide-area-network graph substrate: an
-// undirected capacitated multigraph with the path and connectivity
-// machinery the TE schemes need — Dijkstra, Yen's k-shortest paths,
-// connectivity under edge failures, bridge detection and the recursive
-// degree-one pruning the paper applies to every topology.
+// undirected capacitated multigraph with the path machinery the TE schemes
+// need — fewest-hop Dijkstra (optionally under edge failures), Yen's
+// k-shortest paths over it, bridge detection, and the max-flow oracle of
+// te's property test.
 package graph
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -84,16 +83,6 @@ type Path struct {
 // Len reports the hop count.
 func (p Path) Len() int { return len(p.Edges) }
 
-// UsesEdge reports whether the path crosses edge e.
-func (p Path) UsesEdge(e int) bool {
-	for _, pe := range p.Edges {
-		if pe == e {
-			return true
-		}
-	}
-	return false
-}
-
 // Alive reports whether every edge of the path is alive under the given
 // predicate.
 func (p Path) Alive(alive func(edge int) bool) bool {
@@ -118,150 +107,162 @@ func (p Path) Equal(q Path) bool {
 	return true
 }
 
-// Clone deep-copies the path.
-func (p Path) Clone() Path {
-	return Path{Nodes: append([]int(nil), p.Nodes...), Edges: append([]int(nil), p.Edges...)}
+// unreached is the hop distance of a node the search has not reached.
+const unreached = math.MaxInt
+
+// search is the workspace of one ShortestPath or KShortestPaths call: the
+// Dijkstra buffers and heap, and the banned-edge and off-limit-node masks a
+// Yen spur search sets and clears again. Once the heap and the edge lists
+// have grown to the largest search's size, a spur search allocates nothing.
+type search struct {
+	g        *Graph
+	dist     []int
+	prev     []int // edge into each reached node; -1 at the source
+	heap     []heapItem
+	banned   []bool // per edge
+	offLimit []bool // per node
+	bans     []int  // the edges banned for the current spur
+	spur     []int  // the edges of the last path found, source to target
 }
 
-// Connected reports whether u can reach v using edges for which alive
-// returns true (alive == nil means all edges).
-func (g *Graph) Connected(u, v int, alive func(edge int) bool) bool {
-	if u == v {
-		return true
+func (g *Graph) newSearch() *search {
+	n, m := g.NumNodes(), g.NumEdges()
+	return &search{
+		g:        g,
+		dist:     make([]int, n),
+		prev:     make([]int, n),
+		banned:   make([]bool, m),
+		offLimit: make([]bool, n),
 	}
-	seen := make([]bool, g.NumNodes())
-	stack := []int{u}
-	seen[u] = true
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, h := range g.adj[x] {
-			if alive != nil && !alive(h.edge) {
-				continue
-			}
-			if h.to == v {
-				return true
-			}
-			if !seen[h.to] {
-				seen[h.to] = true
-				stack = append(stack, h.to)
-			}
+}
+
+type heapItem struct {
+	node, dist int
+}
+
+// push and pop are container/heap's Push and Pop on a slice ordered by
+// dist alone: the same sift-up and sift-down, so equal distances leave the
+// heap in the same order, and Dijkstra settles the same tree.
+func (s *search) push(it heapItem) {
+	h := append(s.heap, it)
+	j := len(h) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if h[j].dist >= h[i].dist {
+			break
 		}
+		h[i], h[j] = h[j], h[i]
+		j = i
 	}
-	return false
+	s.heap = h
 }
 
-// ComponentOf returns the set of nodes reachable from u under alive.
-func (g *Graph) ComponentOf(u int, alive func(edge int) bool) []bool {
-	seen := make([]bool, g.NumNodes())
-	stack := []int{u}
-	seen[u] = true
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, h := range g.adj[x] {
-			if alive != nil && !alive(h.edge) {
-				continue
-			}
-			if !seen[h.to] {
-				seen[h.to] = true
-				stack = append(stack, h.to)
-			}
+func (s *search) pop() heapItem {
+	h := s.heap
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
 		}
-	}
-	return seen
-}
-
-// IsConnected reports whether the whole graph is one component under alive.
-func (g *Graph) IsConnected(alive func(edge int) bool) bool {
-	if g.NumNodes() == 0 {
-		return true
-	}
-	seen := g.ComponentOf(0, alive)
-	for _, s := range seen {
-		if !s {
-			return false
+		if j2 := j + 1; j2 < n && h[j2].dist < h[j].dist {
+			j = j2
 		}
+		if h[j].dist >= h[i].dist {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
 	}
-	return true
-}
-
-type pqItem struct {
-	node int
-	dist float64
-}
-
-type pq []pqItem
-
-func (q pq) Len() int            { return len(q) }
-func (q pq) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
+	it := h[n]
+	s.heap = h[:n]
 	return it
 }
 
-// ShortestPath runs Dijkstra from u to v with per-edge weights (weight ==
-// nil means hop count) restricted to alive edges and allowed nodes
-// (nil means no restriction). It returns the path and true, or false when v
-// is unreachable.
-func (g *Graph) ShortestPath(u, v int, weight func(edge int) float64, alive func(edge int) bool, nodeOK func(node int) bool) (Path, bool) {
-	n := g.NumNodes()
-	dist := make([]float64, n)
-	prevNode := make([]int, n)
-	prevEdge := make([]int, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prevNode[i] = -1
-		prevEdge[i] = -1
+// dijkstra finds a fewest-hop path from u to v over edges that are not
+// banned and through nodes that are not off limits, stopping when v is
+// settled. On success s.spur holds its edges.
+func (s *search) dijkstra(u, v int) bool {
+	for i := range s.dist {
+		s.dist[i] = unreached
 	}
-	dist[u] = 0
-	q := &pq{{u, 0}}
-	for q.Len() > 0 {
-		it := heap.Pop(q).(pqItem)
-		if it.dist > dist[it.node] {
+	for i := range s.prev {
+		s.prev[i] = -1
+	}
+	s.dist[u] = 0
+	s.heap = append(s.heap[:0], heapItem{u, 0})
+	for len(s.heap) > 0 {
+		it := s.pop()
+		if it.dist > s.dist[it.node] {
 			continue
 		}
 		if it.node == v {
 			break
 		}
-		for _, h := range g.adj[it.node] {
-			if alive != nil && !alive(h.edge) {
+		nd := it.dist + 1
+		for _, h := range s.g.adj[it.node] {
+			if s.banned[h.edge] || s.offLimit[h.to] || nd >= s.dist[h.to] {
 				continue
 			}
-			if nodeOK != nil && h.to != v && h.to != u && !nodeOK(h.to) {
-				continue
-			}
-			w := 1.0
-			if weight != nil {
-				w = weight(h.edge)
-			}
-			nd := it.dist + w
-			if nd < dist[h.to]-1e-15 {
-				dist[h.to] = nd
-				prevNode[h.to] = it.node
-				prevEdge[h.to] = h.edge
-				heap.Push(q, pqItem{h.to, nd})
-			}
+			s.dist[h.to] = nd
+			s.prev[h.to] = h.edge
+			s.push(heapItem{h.to, nd})
 		}
 	}
-	if math.IsInf(dist[v], 1) {
+	if s.dist[v] == unreached {
+		return false
+	}
+	s.spur = s.spur[:0]
+	for x := v; x != u; {
+		e := s.prev[x]
+		s.spur = append(s.spur, e)
+		x = s.g.other(e, x)
+	}
+	reverseInts(s.spur)
+	return true
+}
+
+// other returns the endpoint of edge e that is not x.
+func (g *Graph) other(e, x int) int {
+	ed := g.edges[e]
+	if ed.A == x {
+		return ed.B
+	}
+	return ed.A
+}
+
+// path allocates the path whose edges are rootEdges then spur, walked from
+// rootNodes[0]; spur starts at rootNodes' last node. Nodes and Edges share
+// one array.
+func (g *Graph) path(rootNodes, rootEdges, spur []int) Path {
+	ne := len(rootEdges) + len(spur)
+	buf := make([]int, ne+1+ne)
+	nodes, edges := buf[:ne+1:ne+1], buf[ne+1:]
+	copy(nodes, rootNodes)
+	copy(edges, rootEdges)
+	copy(edges[len(rootEdges):], spur)
+	for i := len(rootNodes) - 1; i < ne; i++ {
+		nodes[i+1] = g.other(edges[i], nodes[i])
+	}
+	return Path{Nodes: nodes, Edges: edges}
+}
+
+// ShortestPath returns a fewest-hop path from u to v over edges for which
+// alive returns true (nil means all edges), and false when v is
+// unreachable.
+func (g *Graph) ShortestPath(u, v int, alive func(edge int) bool) (Path, bool) {
+	s := g.newSearch()
+	if alive != nil {
+		for e := range s.banned {
+			s.banned[e] = !alive(e)
+		}
+	}
+	if !s.dijkstra(u, v) {
 		return Path{}, false
 	}
-	var nodes, edges []int
-	for x := v; x != -1; x = prevNode[x] {
-		nodes = append(nodes, x)
-		if prevEdge[x] != -1 {
-			edges = append(edges, prevEdge[x])
-		}
-	}
-	reverseInts(nodes)
-	reverseInts(edges)
-	return Path{Nodes: nodes, Edges: edges}, true
+	return g.path([]int{u}, nil, s.spur), true
 }
 
 func reverseInts(a []int) {
@@ -270,106 +271,74 @@ func reverseInts(a []int) {
 	}
 }
 
-// KShortestPaths returns up to k loopless shortest paths from u to v in
-// nondecreasing weight order (Yen's algorithm). weight == nil means hop
-// count.
-func (g *Graph) KShortestPaths(u, v, k int, weight func(edge int) float64) []Path {
+// KShortestPaths returns up to k loopless fewest-hop paths from u to v by
+// Yen's algorithm, in the order DESIGN.md §2.3 fixes: nondecreasing hop
+// count, ties broken by the heap order of the Dijkstra beneath and by the
+// candidate sort. The order does not depend on k, so the first k paths of
+// a larger call are this call's paths.
+func (g *Graph) KShortestPaths(u, v, k int) []Path {
 	if k <= 0 {
 		return nil
 	}
-	w := weight
-	if w == nil {
-		w = func(int) float64 { return 1 }
-	}
-	pathCost := func(p Path) float64 {
-		c := 0.0
-		for _, e := range p.Edges {
-			c += w(e)
-		}
-		return c
-	}
-	first, ok := g.ShortestPath(u, v, w, nil, nil)
-	if !ok {
+	s := g.newSearch()
+	if !s.dijkstra(u, v) {
 		return nil
 	}
-	result := []Path{first}
-	type cand struct {
-		p    Path
-		cost float64
-	}
-	var candidates []cand
+	result := []Path{g.path([]int{u}, nil, s.spur)}
+	var candidates []Path
 	for len(result) < k {
 		last := result[len(result)-1]
 		for i := 0; i < len(last.Nodes)-1; i++ {
 			spurNode := last.Nodes[i]
 			rootNodes := last.Nodes[:i+1]
 			rootEdges := last.Edges[:i]
-			// Edges to exclude: the next edge of any accepted path sharing
-			// this root.
-			banned := map[int]bool{}
+			// Banned: the next edge of any accepted path sharing this
+			// root. Off limits: the root's nodes before the spur node, so
+			// that paths stay loopless.
+			s.bans = s.bans[:0]
 			for _, rp := range result {
-				if len(rp.Nodes) > i && sameInts(rp.Nodes[:i+1], rootNodes) && len(rp.Edges) > i {
-					banned[rp.Edges[i]] = true
+				if len(rp.Edges) > i && sameInts(rp.Nodes[:i+1], rootNodes) {
+					s.banned[rp.Edges[i]] = true
+					s.bans = append(s.bans, rp.Edges[i])
 				}
 			}
-			// Nodes of the root (except spur) are off limits to keep paths
-			// loopless.
-			offLimit := map[int]bool{}
 			for _, nn := range rootNodes[:i] {
-				offLimit[nn] = true
+				s.offLimit[nn] = true
 			}
-			alive := func(e int) bool { return !banned[e] }
-			nodeOK := func(n int) bool { return !offLimit[n] }
-			spur, ok := g.ShortestPath(spurNode, v, w, alive, nodeOK)
-			if !ok {
-				continue
+			found := s.dijkstra(spurNode, v)
+			for _, e := range s.bans {
+				s.banned[e] = false
 			}
-			// Guard against the spur path revisiting root nodes (can happen
-			// through the endpoints exempted in ShortestPath).
-			bad := false
-			for _, nn := range spur.Nodes[1:] {
-				if offLimit[nn] {
-					bad = true
-					break
-				}
+			for _, nn := range rootNodes[:i] {
+				s.offLimit[nn] = false
 			}
-			if bad {
-				continue
-			}
-			total := Path{
-				Nodes: append(append([]int(nil), rootNodes...), spur.Nodes[1:]...),
-				Edges: append(append([]int(nil), rootEdges...), spur.Edges...),
-			}
-			dup := false
-			for _, c := range candidates {
-				if c.p.Equal(total) {
-					dup = true
-					break
-				}
-			}
-			for _, rp := range result {
-				if rp.Equal(total) {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				candidates = append(candidates, cand{total, pathCost(total)})
+			if found && !joinedIn(candidates, rootEdges, s.spur) && !joinedIn(result, rootEdges, s.spur) {
+				candidates = append(candidates, g.path(rootNodes, rootEdges, s.spur))
 			}
 		}
 		if len(candidates) == 0 {
 			break
 		}
+		// sort.Slice is not stable: the candidates' order going in is part
+		// of the tie order, so it is kept as Yen leaves it.
 		sort.Slice(candidates, func(a, b int) bool {
-			if candidates[a].cost != candidates[b].cost {
-				return candidates[a].cost < candidates[b].cost
-			}
-			return candidates[a].p.Len() < candidates[b].p.Len()
+			return candidates[a].Len() < candidates[b].Len()
 		})
-		result = append(result, candidates[0].p)
+		result = append(result, candidates[0])
 		candidates = candidates[1:]
 	}
 	return result
+}
+
+// joinedIn reports whether some path in ps has the edges root then spur.
+func joinedIn(ps []Path, root, spur []int) bool {
+	for _, p := range ps {
+		if len(p.Edges) == len(root)+len(spur) &&
+			sameInts(p.Edges[:len(root)], root) && sameInts(p.Edges[len(root):], spur) {
+			return true
+		}
+	}
+	return false
 }
 
 func sameInts(a, b []int) bool {

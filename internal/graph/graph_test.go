@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -15,27 +16,35 @@ func triangle() *Graph {
 	return g
 }
 
+// reaches reports whether ShortestPath finds a u-v path under alive.
+func reaches(g *Graph, u, v int, alive func(edge int) bool) bool {
+	_, ok := g.ShortestPath(u, v, alive)
+	return ok
+}
+
 func TestConnectivity(t *testing.T) {
 	g := triangle()
-	if !g.Connected(0, 2, nil) {
+	if !reaches(g, 0, 2, nil) {
 		t.Fatal("triangle should be connected")
 	}
 	// Fail A-C and B-C: A cannot reach C.
 	alive := func(e int) bool { return e == 0 }
-	if g.Connected(0, 2, alive) {
+	if reaches(g, 0, 2, alive) {
 		t.Fatal("A should not reach C with only A-B alive")
 	}
-	if !g.Connected(0, 1, alive) {
+	if !reaches(g, 0, 1, alive) {
 		t.Fatal("A should reach B over the alive edge")
 	}
 }
 
 func TestIsConnected(t *testing.T) {
 	g := triangle()
-	if !g.IsConnected(nil) {
-		t.Fatal("triangle connected")
+	for v := 1; v < g.NumNodes(); v++ {
+		if !reaches(g, 0, v, nil) {
+			t.Fatalf("triangle connected, but A does not reach %d", v)
+		}
 	}
-	if g.IsConnected(func(e int) bool { return e == 2 }) {
+	if reaches(g, 0, 1, func(e int) bool { return e == 2 }) {
 		t.Fatal("only B-C alive disconnects A")
 	}
 }
@@ -46,7 +55,7 @@ func TestShortestPathHops(t *testing.T) {
 	g.AddEdge(1, 2, 1)
 	g.AddEdge(2, 3, 1)
 	g.AddEdge(0, 3, 1)
-	p, ok := g.ShortestPath(0, 2, nil, nil, nil)
+	p, ok := g.ShortestPath(0, 2, nil)
 	if !ok || p.Len() != 2 {
 		t.Fatalf("path=%v ok=%v", p, ok)
 	}
@@ -55,30 +64,17 @@ func TestShortestPathHops(t *testing.T) {
 	}
 }
 
-func TestShortestPathWeights(t *testing.T) {
-	g := New(3)
-	e01 := g.AddEdge(0, 1, 1)
-	e12 := g.AddEdge(1, 2, 1)
-	e02 := g.AddEdge(0, 2, 1)
-	w := map[int]float64{e01: 1, e12: 1, e02: 5}
-	p, ok := g.ShortestPath(0, 2, func(e int) float64 { return w[e] }, nil, nil)
-	if !ok || p.Len() != 2 {
-		t.Fatalf("want the 2-hop cheap path, got %v", p)
-	}
-	_ = e02
-}
-
 func TestShortestPathUnreachable(t *testing.T) {
 	g := New(3)
 	g.AddEdge(0, 1, 1)
-	if _, ok := g.ShortestPath(0, 2, nil, nil, nil); ok {
+	if _, ok := g.ShortestPath(0, 2, nil); ok {
 		t.Fatal("node 2 is isolated")
 	}
 }
 
 func TestKShortestPathsTriangle(t *testing.T) {
 	g := triangle()
-	paths := g.KShortestPaths(0, 1, 3, nil)
+	paths := g.KShortestPaths(0, 1, 3)
 	if len(paths) != 2 {
 		t.Fatalf("triangle has exactly 2 loopless A→B paths, got %d", len(paths))
 	}
@@ -97,7 +93,7 @@ func TestKShortestPathsGrid(t *testing.T) {
 	g.AddEdge(0, 3, 1)
 	g.AddEdge(1, 4, 1)
 	g.AddEdge(2, 5, 1)
-	paths := g.KShortestPaths(0, 5, 4, nil)
+	paths := g.KShortestPaths(0, 5, 4)
 	if len(paths) < 3 {
 		t.Fatalf("expected ≥3 paths, got %d", len(paths))
 	}
@@ -166,11 +162,11 @@ func TestKShortestPathsRandom(t *testing.T) {
 			}
 		}
 		u, v := 0, n-1
-		paths := g.KShortestPaths(u, v, 5, nil)
+		paths := g.KShortestPaths(u, v, 5)
 		if len(paths) == 0 {
 			t.Fatalf("trial %d: spanning tree guarantees a path", trial)
 		}
-		sp, _ := g.ShortestPath(u, v, nil, nil, nil)
+		sp, _ := g.ShortestPath(u, v, nil)
 		if paths[0].Len() != sp.Len() {
 			t.Fatalf("trial %d: first Yen path length %d != Dijkstra %d", trial, paths[0].Len(), sp.Len())
 		}
@@ -230,31 +226,24 @@ func TestBridgesTree(t *testing.T) {
 
 func TestPathHelpers(t *testing.T) {
 	g := triangle()
-	p, _ := g.ShortestPath(0, 2, nil, nil, nil)
-	if !p.UsesEdge(p.Edges[0]) {
-		t.Fatal("UsesEdge false negative")
-	}
-	if p.UsesEdge(99) {
-		t.Fatal("UsesEdge false positive")
-	}
+	p, _ := g.ShortestPath(0, 2, nil)
 	if !p.Alive(func(int) bool { return true }) {
 		t.Fatal("Alive with all edges up")
 	}
 	if p.Alive(func(e int) bool { return e != p.Edges[0] }) {
 		t.Fatal("Alive with a dead edge on the path")
 	}
-	c := p.Clone()
-	c.Nodes[0] = 99
-	if p.Nodes[0] == 99 {
-		t.Fatal("Clone aliases memory")
+	if !p.Equal(p) || p.Equal(Path{Edges: []int{99}}) {
+		t.Fatal("Equal")
 	}
 }
 
 func BenchmarkKShortestPaths(b *testing.B) {
 	tp := testGraphIBM()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := tp.KShortestPaths(0, tp.NumNodes()-1, 6, nil); len(got) == 0 {
+		if got := tp.KShortestPaths(0, tp.NumNodes()-1, 6); len(got) == 0 {
 			b.Fatal("no paths")
 		}
 	}
@@ -265,5 +254,122 @@ func BenchmarkMaxFlow(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tp.MaxFlow(0, tp.NumNodes()-1, nil)
+	}
+}
+
+// samePaths reports whether two path lists have the same node and edge
+// sequences in the same order, and describes the first difference.
+func samePaths(got, want []Path) (bool, string) {
+	if len(got) != len(want) {
+		return false, fmt.Sprintf("%d paths, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if !sameInts(got[i].Nodes, want[i].Nodes) || !sameInts(got[i].Edges, want[i].Edges) {
+			return false, fmt.Sprintf("path %d is %v%v, want %v%v", i, got[i].Nodes, got[i].Edges, want[i].Nodes, want[i].Edges)
+		}
+	}
+	return true, ""
+}
+
+// randomMultigraph builds a graph with parallel edges and bridges: each
+// component is a random spanning tree (every edge a bridge until a later
+// edge closes a cycle over it) plus extra edges, a third of which
+// duplicate an existing link. One graph in four has two components, so
+// some pairs are disconnected.
+func randomMultigraph(rng *rand.Rand) *Graph {
+	n := 4 + rng.Intn(12)
+	g := New(n)
+	split := n
+	if rng.Intn(4) == 0 {
+		split = 2 + rng.Intn(n-3)
+	}
+	for _, c := range [][2]int{{0, split}, {split, n}} {
+		lo, size := c[0], c[1]-c[0]
+		if size == 0 {
+			continue
+		}
+		for i := 1; i < size; i++ {
+			g.AddEdge(lo+i, lo+rng.Intn(i), 1)
+		}
+		for extra := rng.Intn(2 * size); extra > 0; extra-- {
+			if g.NumEdges() > 0 && rng.Intn(3) == 0 {
+				e := g.Edge(rng.Intn(g.NumEdges()))
+				g.AddEdge(e.A, e.B, 1)
+				continue
+			}
+			if a, b := lo+rng.Intn(size), lo+rng.Intn(size); a != b {
+				g.AddEdge(a, b, 1)
+			}
+		}
+	}
+	return g
+}
+
+// TestKShortestPathsMatchesReference: on random multigraphs, for every
+// ordered pair (disconnected ones included) and several k, KShortestPaths
+// returns the reference Yen's paths in the reference's order, and
+// ShortestPath under a random failure set returns the reference
+// Dijkstra's path.
+func TestKShortestPathsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	for trial := 0; trial < 60; trial++ {
+		g := randomMultigraph(rng)
+		dead := make([]bool, g.NumEdges())
+		for e := range dead {
+			dead[e] = rng.Intn(4) == 0
+		}
+		alive := func(e int) bool { return !dead[e] }
+		for u := 0; u < g.NumNodes(); u++ {
+			for v := 0; v < g.NumNodes(); v++ {
+				if u == v {
+					continue
+				}
+				for _, k := range []int{1, 3, 12, 15} {
+					if ok, diff := samePaths(g.KShortestPaths(u, v, k), refKShortestPaths(g, u, v, k)); !ok {
+						t.Fatalf("trial %d, %d-%d, k=%d: %s", trial, u, v, k, diff)
+					}
+				}
+				got, gotOK := g.ShortestPath(u, v, alive)
+				want, wantOK := refShortestPath(g, u, v, nil, alive, nil)
+				if ok, diff := samePaths([]Path{got}, []Path{want}); gotOK != wantOK || !ok {
+					t.Fatalf("trial %d, %d-%d under failures: found %v, want %v; %s", trial, u, v, gotOK, wantOK, diff)
+				}
+			}
+		}
+	}
+}
+
+// TestKShortestPathsPrefix: the first k paths do not depend on how many
+// more are asked for, in KShortestPaths and in the reference alike.
+// tunnels.LowPriority takes its high-priority pool from a longer one on
+// the strength of it.
+func TestKShortestPathsPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	for trial := 0; trial < 30; trial++ {
+		g := randomMultigraph(rng)
+		u, v := 0, g.NumNodes()-1
+		long, refLong := g.KShortestPaths(u, v, 15), refKShortestPaths(g, u, v, 15)
+		for k := 0; k <= 15; k++ {
+			if ok, diff := samePaths(g.KShortestPaths(u, v, k), long[:min(k, len(long))]); !ok {
+				t.Fatalf("trial %d, k=%d: %s", trial, k, diff)
+			}
+			if ok, diff := samePaths(refKShortestPaths(g, u, v, k), refLong[:min(k, len(refLong))]); !ok {
+				t.Fatalf("trial %d, k=%d, reference: %s", trial, k, diff)
+			}
+		}
+	}
+}
+
+// TestKShortestPathsAllocs: a spur search allocates nothing, so a call
+// allocates its workspace, the paths it keeps as candidates, and the
+// slices and sorts around them — not one Dijkstra's buffers per spur.
+func TestKShortestPathsAllocs(t *testing.T) {
+	g := testGraphIBM()
+	u, v := 0, g.NumNodes()-1
+	ref := testing.AllocsPerRun(5, func() { refKShortestPaths(g, u, v, 12) })
+	got := testing.AllocsPerRun(5, func() { g.KShortestPaths(u, v, 12) })
+	t.Logf("allocations per call: %.0f (reference %.0f)", got, ref)
+	if got*4 > ref {
+		t.Fatalf("KShortestPaths allocates %.0f times per call, more than a quarter of the reference's %.0f", got, ref)
 	}
 }

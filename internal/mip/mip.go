@@ -329,9 +329,11 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 				tryIncumbent(sug, ls.Basis())
 			}
 		}
-		// Branch: prefer the side the relaxation leans toward first (it is
-		// popped earlier under equal bounds because heap order is stable
-		// enough for our purposes; both children inherit the node bound).
+		// Branch: push the up child (the binary fixed to 1), then the down
+		// child, whatever the relaxation leans toward. Both inherit the
+		// node bound, and container/heap is not stable, so which of two
+		// equal-bound nodes pops first is decided by the heap's sift
+		// order, not by push order.
 		up := &node{bound: nodeBound, basis: ls.Basis(), fixes: append(append([]fix(nil), nd.fixes...), fix{brCol, 1})}
 		dn := &node{bound: nodeBound, basis: ls.Basis(), fixes: append(append([]fix(nil), nd.fixes...), fix{brCol, 0})}
 		heap.Push(h, up)

@@ -174,7 +174,7 @@ func TestFig17MaxMinUnfairness(t *testing.T) {
 	// Custom tunnel policy emulating the appendix's directed topology:
 	// pair (A,B) may only use the direct link; (A,C) gets both paths.
 	policy := func(g *graph.Graph, u, v int) []graph.Path {
-		paths := g.KShortestPaths(u, v, 3, nil)
+		paths := g.KShortestPaths(u, v, 3)
 		if u == 0 && v == 1 { // A-B: direct only
 			var out []graph.Path
 			for _, p := range paths {

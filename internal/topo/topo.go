@@ -361,7 +361,7 @@ func ComputeStats(t *Topology) Stats {
 	}
 	for u := 0; u < g.NumNodes(); u++ {
 		for v := u + 1; v < g.NumNodes(); v++ {
-			if p, ok := g.ShortestPath(u, v, nil, nil, nil); ok && p.Len() > st.Diameter {
+			if p, ok := g.ShortestPath(u, v, nil); ok && p.Len() > st.Diameter {
 				st.Diameter = p.Len()
 			}
 		}

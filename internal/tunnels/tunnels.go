@@ -25,8 +25,7 @@ type Policy func(g *graph.Graph, u, v int) []graph.Path
 // possible, preferring shorter paths among equally disjoint choices.
 func SingleClass(n int) Policy {
 	return func(g *graph.Graph, u, v int) []graph.Path {
-		pool := g.KShortestPaths(u, v, PoolSize, nil)
-		return greedyDisjoint(pool, nil, n)
+		return greedyDisjoint(g.KShortestPaths(u, v, PoolSize), nil, n)
 	}
 }
 
@@ -36,68 +35,73 @@ func SingleClass(n int) Policy {
 // property it prefers shorter paths (the class is latency sensitive).
 func HighPriority(n int) Policy {
 	return func(g *graph.Graph, u, v int) []graph.Path {
-		pool := g.KShortestPaths(u, v, PoolSize, nil)
-		if len(pool) == 0 {
-			return nil
-		}
-		sel := []graph.Path{pool[0]}
-		common := map[int]bool{}
-		for _, e := range pool[0].Edges {
-			common[e] = true
-		}
-		used := map[int]bool{0: true}
-		for len(sel) < n && len(used) < len(pool) {
-			// Greedy: the earliest (shortest) pool path that shrinks the
-			// running intersection the most.
-			best, bestCommon := -1, 1<<30
-			for i, p := range pool {
-				if used[i] {
-					continue
-				}
-				c := 0
-				for _, e := range p.Edges {
-					if common[e] {
-						c++
-					}
-				}
-				if c < bestCommon {
-					best, bestCommon = i, c
-				}
+		return highPriority(g, u, v, g.KShortestPaths(u, v, PoolSize), n)
+	}
+}
+
+// highPriority is HighPriority's pick of up to n tunnels from pool, the
+// first PoolSize hop-count shortest u-v paths.
+func highPriority(g *graph.Graph, u, v int, pool []graph.Path, n int) []graph.Path {
+	if len(pool) == 0 {
+		return nil
+	}
+	sel := []graph.Path{pool[0]}
+	common := map[int]bool{}
+	for _, e := range pool[0].Edges {
+		common[e] = true
+	}
+	used := map[int]bool{0: true}
+	for len(sel) < n && len(used) < len(pool) {
+		// Greedy: the earliest (shortest) pool path that shrinks the
+		// running intersection the most.
+		best, bestCommon := -1, 1<<30
+		for i, p := range pool {
+			if used[i] {
+				continue
 			}
-			if best < 0 {
-				break
-			}
-			used[best] = true
-			sel = append(sel, pool[best])
-			next := map[int]bool{}
-			for _, e := range pool[best].Edges {
+			c := 0
+			for _, e := range p.Edges {
 				if common[e] {
-					next[e] = true
+					c++
 				}
 			}
-			common = next
+			if c < bestCommon {
+				best, bestCommon = i, c
+			}
 		}
-		if len(common) == 0 || len(sel) < 2 {
-			return sel
+		if best < 0 {
+			break
 		}
-		// The shortest-path pool cannot break the intersection; fall back
-		// to a graph-wide detour avoiding the shared edges and swap it in
-		// for the last pick.
-		if alt, ok := g.ShortestPath(u, v, nil, func(e int) bool { return !common[e] }, nil); ok {
-			sel[len(sel)-1] = alt
+		used[best] = true
+		sel = append(sel, pool[best])
+		next := map[int]bool{}
+		for _, e := range pool[best].Edges {
+			if common[e] {
+				next[e] = true
+			}
 		}
+		common = next
+	}
+	if len(common) == 0 || len(sel) < 2 {
 		return sel
 	}
+	// The shortest-path pool cannot break the intersection; fall back
+	// to a graph-wide detour avoiding the shared edges and swap it in
+	// for the last pick.
+	if alt, ok := g.ShortestPath(u, v, func(e int) bool { return !common[e] }); ok {
+		sel[len(sel)-1] = alt
+	}
+	return sel
 }
 
 // LowPriority returns the high-priority selection plus up to extra more
 // tunnels drawn from a larger pool prioritizing disjointness from the ones
-// already picked.
+// already picked. One Yen pool of PoolSize+extra paths serves both picks:
+// its first PoolSize paths are HighPriority's pool (DESIGN.md §2.3).
 func LowPriority(n, extra int) Policy {
-	hp := HighPriority(n)
 	return func(g *graph.Graph, u, v int) []graph.Path {
-		sel := hp(g, u, v)
-		pool := g.KShortestPaths(u, v, PoolSize+extra, nil)
+		pool := g.KShortestPaths(u, v, PoolSize+extra)
+		sel := highPriority(g, u, v, pool[:min(PoolSize, len(pool))], n)
 		var rest []graph.Path
 		for _, p := range pool {
 			dup := false
@@ -149,27 +153,4 @@ func greedyDisjoint(pool, base []graph.Path, n int) []graph.Path {
 		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
 	}
 	return out
-}
-
-// hasCommonEdge reports whether some edge appears in every path.
-func hasCommonEdge(paths []graph.Path) bool {
-	if len(paths) == 0 {
-		return false
-	}
-	counts := map[int]int{}
-	for _, p := range paths {
-		seen := map[int]bool{}
-		for _, e := range p.Edges {
-			if !seen[e] {
-				seen[e] = true
-				counts[e]++
-			}
-		}
-	}
-	for _, c := range counts {
-		if c == len(paths) {
-			return true
-		}
-	}
-	return false
 }

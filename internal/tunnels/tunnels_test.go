@@ -49,16 +49,8 @@ func TestSingleClassPrefersDisjoint(t *testing.T) {
 	if len(ps) != 2 {
 		t.Fatalf("want both triangle paths, got %d", len(ps))
 	}
-	for e := 0; e < tp.G.NumEdges(); e++ {
-		both := true
-		for _, p := range ps {
-			if !p.UsesEdge(e) {
-				both = false
-			}
-		}
-		if both {
-			t.Fatalf("paths share edge %d", e)
-		}
+	if hasCommonEdge(ps) {
+		t.Fatalf("paths share edges %v", sharedEdges(ps))
 	}
 }
 
@@ -86,7 +78,7 @@ func TestHighPriorityNoSingleFailureKillsAll(t *testing.T) {
 					return true
 				}
 				u, v := pairs[pi][0], pairs[pi][1]
-				if tp.G.Connected(u, v, alive) {
+				if _, ok := tp.G.ShortestPath(u, v, alive); ok {
 					t.Errorf("%s pair %v: selection shares edges %v although an alternative exists", name, pairs[pi], shared)
 				}
 			}
@@ -146,8 +138,8 @@ func TestLowPriorityExtendsHigh(t *testing.T) {
 
 func TestHasCommonEdge(t *testing.T) {
 	tp := topo.Triangle()
-	direct, _ := tp.G.ShortestPath(0, 1, nil, nil, nil)
-	indirect, _ := tp.G.ShortestPath(0, 1, nil, func(e int) bool { return e != 0 }, nil)
+	direct, _ := tp.G.ShortestPath(0, 1, nil)
+	indirect, _ := tp.G.ShortestPath(0, 1, func(e int) bool { return e != 0 })
 	if hasCommonEdge([]graph.Path{direct, indirect}) {
 		t.Fatal("disjoint paths flagged as sharing an edge")
 	}
@@ -161,7 +153,7 @@ func TestHasCommonEdge(t *testing.T) {
 
 func TestGreedyDisjointRespectsBase(t *testing.T) {
 	tp := topo.Triangle()
-	pool := tp.G.KShortestPaths(0, 1, 3, nil) // direct + via C
+	pool := tp.G.KShortestPaths(0, 1, 3) // direct + via C
 	// With the direct path as base, the via-C path must be picked first.
 	base := []graph.Path{pool[0]}
 	out := greedyDisjoint(pool, base, 1)
@@ -184,3 +176,6 @@ func forAllPairs(g *graph.Graph, policy Policy) ([][2]int, [][]graph.Path) {
 	}
 	return pairs, paths
 }
+
+// hasCommonEdge reports whether some edge appears in every path.
+func hasCommonEdge(paths []graph.Path) bool { return len(sharedEdges(paths)) > 0 }
