@@ -13,6 +13,7 @@ import (
 	"math"
 	"sort"
 
+	"flexile/internal/failure"
 	"flexile/internal/te"
 )
 
@@ -30,7 +31,7 @@ func FlowLoss(losses, probs []float64, beta float64) float64 {
 	cum := 0.0
 	for _, it := range items {
 		cum += it.p
-		if cum >= beta-1e-12 {
+		if cum >= beta-failure.MassFloor {
 			return it.l
 		}
 	}
@@ -170,7 +171,7 @@ func CDF(values, weights []float64) []CDFPoint {
 // weight falls short of q it returns the worst observed value.
 func Quantile(cdf []CDFPoint, q float64) float64 {
 	for _, p := range cdf {
-		if p.Cum >= q-1e-12 {
+		if p.Cum >= q-failure.MassFloor {
 			return p.Value
 		}
 	}

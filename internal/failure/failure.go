@@ -170,6 +170,14 @@ func EnumerateSRLG(groups []SRLG, cutoff float64) []Scenario {
 	return out
 }
 
+// MassFloor is the probability mass below which a residual or a shortfall
+// counts as zero. A sum of |Q| scenario probabilities carries rounding
+// near |Q|·2⁻⁵³ (1e-13 for a thousand scenarios), so a smaller floor would
+// read rounding as mass. It sits three orders below lp.DefaultTol (1e-9),
+// the slack by which a design target stays under a connected mass, so
+// what it ignores cannot move a target.
+const MassFloor = 1e-12
+
 // Coverage returns the total probability mass of the scenarios.
 func Coverage(scens []Scenario) float64 {
 	tot := 0.0

@@ -565,7 +565,7 @@ func (l *lockstep) run(phase int, iters *int) (Status, error) {
 		if phase == 1 {
 			t, r = s.longStepRatio(q, dir, dq)
 		} else {
-			t, r = s.ratioTest(phase, q, dir)
+			t, r = s.ratioTest(q, dir)
 		}
 		if math.IsInf(t, 1) {
 			if !fresh {

@@ -595,7 +595,7 @@ func (s *simplex) run(phase int, iters *int) (Status, error) {
 			// replaces what can be thousands of degenerate short steps.
 			t, r = s.longStepRatio(q, dir, dq)
 		} else {
-			t, r = s.ratioTest(phase, q, dir)
+			t, r = s.ratioTest(q, dir)
 		}
 		if math.IsInf(t, 1) {
 			if !fresh {
@@ -746,11 +746,12 @@ func (s *simplex) price(dualTol float64, bland bool) int {
 	return best
 }
 
-// ratioTest finds the maximum step t for entering variable q moving in
-// direction dir. It returns (t, r) where r is the leaving basis position,
-// or r = -1 for a bound flip of q itself (or, with t = +Inf, an unbounded
-// ray).
-func (s *simplex) ratioTest(phase, q int, dir float64) (float64, int) {
+// ratioTest is phase 2's ratio test, on a primal feasible basis (phase 1
+// takes longStepRatio): it finds the maximum step t for entering variable q
+// moving in direction dir. It returns (t, r) where r is the leaving basis
+// position, or r = -1 for a bound flip of q itself (or, with t = +Inf, an
+// unbounded ray).
+func (s *simplex) ratioTest(q int, dir float64) (float64, int) {
 	tol := DefaultTol
 	t := math.Inf(1)
 	if !math.IsInf(s.lb[q], -1) && !math.IsInf(s.ub[q], 1) {
@@ -767,16 +768,6 @@ func (s *simplex) ratioTest(phase, q int, dir float64) (float64, int) {
 		delta := -dir * wi // rate of change of xB[i] per unit step
 		x := s.xB[i]
 		lo, hi := s.lb[v], s.ub[v]
-		if phase == 1 {
-			// An infeasible basic is limited only by the bound it violates
-			// as it moves back toward feasibility; moving further away is
-			// priced by the phase-1 cost, not blocked by the ratio test.
-			if x > hi+tol {
-				lo, hi = hi, math.Inf(1)
-			} else if x < lo-tol {
-				lo, hi = math.Inf(-1), lo
-			}
-		}
 		var ti float64
 		if delta > 0 {
 			if math.IsInf(hi, 1) {

@@ -14,6 +14,7 @@ package cvarflow
 import (
 	"fmt"
 
+	"flexile/internal/failure"
 	"flexile/internal/lp"
 	"flexile/internal/te"
 )
@@ -34,17 +35,13 @@ func (*St) Route(inst *te.Instance) (*te.Routing, error) {
 		return nil, fmt.Errorf("cvarflow: beta must be < 1, got %v", beta)
 	}
 	p := lp.NewProblem()
-	xcol := make([][]int, len(inst.Pairs))
-	for i := range inst.Pairs {
-		xcol[i] = make([]int, len(inst.Tunnels[0][i]))
-		ub := lp.Inf
-		if inst.Demand[0][i] <= 0 {
-			ub = 0 // zero-demand pairs must not consume capacity
+	cols := te.TunnelCols(p, inst, func(k, i, t int) (float64, bool) {
+		if inst.Demand[k][i] <= 0 {
+			return 0, true // zero-demand pairs must not consume capacity
 		}
-		for t := range inst.Tunnels[0][i] {
-			xcol[i][t] = p.AddCol(fmt.Sprintf("x[%d,%d]", i, t), 0, ub, 0)
-		}
-	}
+		return lp.Inf, true
+	})
+	xcol := cols[0]
 	theta := p.AddCol("theta", -lp.Inf, lp.Inf, 1)
 	// With a static allocation, a flow's loss in a scenario depends only on
 	// which of its tunnels are alive (and the scenario's demand), so
@@ -97,7 +94,7 @@ func (*St) Route(inst *te.Instance) (*te.Routing, error) {
 			p.AddGE(fmt.Sprintf("loss[%d,g%d]", i, gi), 1, es...)
 			thetaRow = append(thetaRow, lp.Entry{Col: sq, Coef: -g.prob / (1 - beta)})
 		}
-		if resid := 1 - coverage(inst); resid > 1e-12 {
+		if resid := 1 - failure.Coverage(inst.Scenarios); resid > failure.MassFloor {
 			sr := p.AddCol(fmt.Sprintf("s[%d,resid]", i), 0, lp.Inf, 0)
 			p.AddGE(fmt.Sprintf("loss[%d,resid]", i), 1,
 				lp.Entry{Col: sr, Coef: 1}, lp.Entry{Col: alphaF, Coef: 1})
@@ -105,7 +102,7 @@ func (*St) Route(inst *te.Instance) (*te.Routing, error) {
 		}
 		p.AddGE(fmt.Sprintf("cvar[%d]", i), 0, thetaRow...)
 	}
-	addStaticCapacity(p, inst, xcol)
+	te.CapacityRows(p, inst, cols, inst.Capacity)
 	sol, err := p.Solve()
 	if err != nil {
 		return nil, err
@@ -113,18 +110,7 @@ func (*St) Route(inst *te.Instance) (*te.Routing, error) {
 	if sol.Status != lp.Optimal {
 		return nil, fmt.Errorf("cvarflow-st: %v", sol.Status)
 	}
-	r := te.NewRouting(inst)
-	for q, scen := range inst.Scenarios {
-		alive := scen.Alive()
-		for i := range inst.Pairs {
-			for t, path := range inst.Tunnels[0][i] {
-				if path.Alive(alive) {
-					r.X[q][0][i][t] = sol.X[xcol[i][t]]
-				}
-			}
-		}
-	}
-	return r, nil
+	return te.RoutingOf(inst, sol.X, [][][][]int{cols}), nil
 }
 
 // Ad is Cvar-Flow-Ad (flow-level CVaR, per-scenario adaptive routing).
@@ -144,38 +130,20 @@ func (*Ad) Route(inst *te.Instance) (*te.Routing, error) {
 	}
 	p := lp.NewProblem()
 	// Per-scenario allocation variables over live tunnels only.
-	xcol := make([][][]int, len(inst.Scenarios))
-	g := inst.Topo.G
+	xcol := make([][][][]int, len(inst.Scenarios))
 	for q, scen := range inst.Scenarios {
 		alive := scen.Alive()
-		xcol[q] = make([][]int, len(inst.Pairs))
-		entries := make([][]lp.Entry, g.NumEdges())
-		for i := range inst.Pairs {
-			xcol[q][i] = make([]int, len(inst.Tunnels[0][i]))
-			for t, path := range inst.Tunnels[0][i] {
-				xcol[q][i][t] = -1
-				if inst.Demand[0][i] <= 0 || !path.Alive(alive) {
-					continue
-				}
-				c := p.AddCol(fmt.Sprintf("x[%d,%d,%d]", q, i, t), 0, lp.Inf, 0)
-				xcol[q][i][t] = c
-				for _, e := range path.Edges {
-					entries[e] = append(entries[e], lp.Entry{Col: c, Coef: 1})
-				}
-			}
-		}
-		for e := 0; e < g.NumEdges(); e++ {
-			if len(entries[e]) > 0 {
-				p.AddLE(fmt.Sprintf("cap[%d,%d]", q, e), g.Edge(e).Capacity, entries[e]...)
-			}
-		}
+		xcol[q] = te.TunnelCols(p, inst, func(k, i, t int) (float64, bool) {
+			return lp.Inf, inst.Demand[k][i] > 0 && inst.Tunnels[k][i][t].Alive(alive)
+		})
+		te.CapacityRows(p, inst, xcol[q], inst.Capacity)
 	}
 	theta := p.AddCol("theta", -lp.Inf, lp.Inf, 1)
 	buildFlowCVaR(p, inst, beta, theta, func(i, q int) []lp.Entry {
 		d := inst.DemandIn(0, i, q)
 		var es []lp.Entry
-		for t := range inst.Tunnels[0][i] {
-			if c := xcol[q][i][t]; c >= 0 {
+		for _, c := range xcol[q][0][i] {
+			if c >= 0 {
 				es = append(es, lp.Entry{Col: c, Coef: 1 / d})
 			}
 		}
@@ -188,17 +156,7 @@ func (*Ad) Route(inst *te.Instance) (*te.Routing, error) {
 	if sol.Status != lp.Optimal {
 		return nil, fmt.Errorf("cvarflow-ad: %v", sol.Status)
 	}
-	r := te.NewRouting(inst)
-	for q := range inst.Scenarios {
-		for i := range inst.Pairs {
-			for t := range inst.Tunnels[0][i] {
-				if c := xcol[q][i][t]; c >= 0 {
-					r.X[q][0][i][t] = sol.X[c]
-				}
-			}
-		}
-	}
-	return r, nil
+	return te.RoutingOf(inst, sol.X, xcol), nil
 }
 
 // buildFlowCVaR adds, for every demanded flow i:
@@ -224,40 +182,12 @@ func buildFlowCVaR(p *lp.Problem, inst *te.Instance, beta float64, theta int, fl
 		}
 		// Residual pseudo-scenario: unenumerated probability mass counts
 		// as total loss in the post-analysis, so it must be priced here.
-		if resid := 1 - coverage(inst); resid > 1e-12 {
+		if resid := 1 - failure.Coverage(inst.Scenarios); resid > failure.MassFloor {
 			sr := p.AddCol(fmt.Sprintf("s[%d,resid]", i), 0, lp.Inf, 0)
 			p.AddGE(fmt.Sprintf("loss[%d,resid]", i), 1,
 				lp.Entry{Col: sr, Coef: 1}, lp.Entry{Col: alphaF, Coef: 1})
 			thetaRow = append(thetaRow, lp.Entry{Col: sr, Coef: -resid / (1 - beta)})
 		}
 		p.AddGE(fmt.Sprintf("cvar[%d]", i), 0, thetaRow...)
-	}
-}
-
-// coverage sums the enumerated scenario probabilities.
-func coverage(inst *te.Instance) float64 {
-	tot := 0.0
-	for _, s := range inst.Scenarios {
-		tot += s.Prob
-	}
-	return tot
-}
-
-// addStaticCapacity adds Σ_{tunnels crossing e} x ≤ c_e for the static
-// single-class allocation.
-func addStaticCapacity(p *lp.Problem, inst *te.Instance, xcol [][]int) {
-	g := inst.Topo.G
-	entries := make([][]lp.Entry, g.NumEdges())
-	for i := range inst.Pairs {
-		for t, path := range inst.Tunnels[0][i] {
-			for _, e := range path.Edges {
-				entries[e] = append(entries[e], lp.Entry{Col: xcol[i][t], Coef: 1})
-			}
-		}
-	}
-	for e := 0; e < g.NumEdges(); e++ {
-		if len(entries[e]) > 0 {
-			p.AddLE(fmt.Sprintf("cap[%d]", e), g.Edge(e).Capacity, entries[e]...)
-		}
 	}
 }

@@ -87,31 +87,30 @@ func (s *Scheme) Route(inst *te.Instance) (*te.Routing, error) {
 			failedSet[e] = true
 		}
 		alive := func(e int) bool { return !failedSet[e] }
-		edgeEntries := make([][]lp.Entry, g.NumEdges())
+		// live[i][t] is tunnel t's column when pair i is demanded and the
+		// tunnel survives the state, −1 otherwise: the capacity rows see
+		// only the live columns.
+		live := make([][]int, len(inst.Pairs))
 		for i := range inst.Pairs {
+			live[i] = make([]int, len(inst.Tunnels[0][i]))
+			for t := range live[i] {
+				live[i][t] = -1
+			}
 			if inst.Demand[0][i] <= 0 {
 				continue
 			}
 			var es []lp.Entry
 			for t, path := range inst.Tunnels[0][i] {
-				if !path.Alive(alive) {
-					continue
-				}
-				es = append(es, lp.Entry{Col: xcol[i][t], Coef: 1})
-				for _, e := range path.Edges {
-					edgeEntries[e] = append(edgeEntries[e], lp.Entry{Col: xcol[i][t], Coef: 1})
+				if path.Alive(alive) {
+					live[i][t] = xcol[i][t]
+					es = append(es, lp.Entry{Col: xcol[i][t], Coef: 1})
 				}
 			}
 			// b_i ≤ Σ_{live t} x_t: the grant survives the failure state.
 			es = append(es, lp.Entry{Col: bcol[i], Coef: -1})
 			p.AddGE(fmt.Sprintf("live[%d,%d]", si, i), 0, es...)
 		}
-		for e := 0; e < g.NumEdges(); e++ {
-			if failedSet[e] || len(edgeEntries[e]) == 0 {
-				continue
-			}
-			p.AddLE(fmt.Sprintf("cap[%d,%d]", si, e), g.Edge(e).Capacity, edgeEntries[e]...)
-		}
+		te.CapacityRows(p, inst, [][][]int{live}, inst.Capacity)
 	}
 	// Two-phase objective: first maximize the common granted fraction λ
 	// (plain throughput maximization has unfair degenerate optima — one

@@ -30,10 +30,6 @@ type Options struct {
 	// sharing is disabled in this mode (scenario LPs stop sharing a dual
 	// space once their variable bounds differ).
 	Gamma float64
-	// ScenFixedUse, when non-nil, is per-scenario per-edge bandwidth
-	// already claimed outside this design (sequential multi-class design,
-	// §4.4): capacities are reduced accordingly. Disables cut sharing.
-	ScenFixedUse [][]float64
 	// Workers is how many goroutines the scenario-parallel hot loops use
 	// (per-scenario subproblem solves, the ScenLoss precompute, the
 	// shared-cut separation scan). 0 means runtime.NumCPU(); 1 runs every
@@ -228,6 +224,14 @@ func Offline(inst *te.Instance, opt Options) (*OfflineResult, error) {
 // record everything in the result's SolveReport. A nil ctx is
 // context.Background().
 func OfflineCtx(ctx context.Context, inst *te.Instance, opt Options) (*OfflineResult, error) {
+	return offline(ctx, inst, opt, nil)
+}
+
+// offline is OfflineCtx with fixedUse: when non-nil, fixedUse[q][e] is the
+// bandwidth of edge e already claimed in scenario q outside this design
+// (sequential multi-class design, §4.4), and capacities are reduced
+// accordingly. It disables cut sharing.
+func offline(ctx context.Context, inst *te.Instance, opt Options, fixedUse [][]float64) (*OfflineResult, error) {
 	start := time.Now()
 	nf, nq := inst.NumFlows(), len(inst.Scenarios)
 	opt = opt.withDefaults()
@@ -255,8 +259,8 @@ func OfflineCtx(ctx context.Context, inst *te.Instance, opt Options) (*OfflineRe
 	preErrs := par.Collect(ctx, opt.Workers, nq, func(worker, q int) error {
 		defer d.col.Span("scenloss", int64(worker)+1, "scenario", q)()
 		var capUse []float64
-		if opt.ScenFixedUse != nil {
-			capUse = opt.ScenFixedUse[q]
+		if fixedUse != nil {
+			capUse = fixedUse[q]
 		}
 		zScale, _, _, err := te.MaxConcurrentScaleCtx(ctx, inst, inst.Scenarios[q], nil, inst.ScenDemandVector(q), capUse)
 		if err != nil {
@@ -295,8 +299,8 @@ func OfflineCtx(ctx context.Context, inst *te.Instance, opt Options) (*OfflineRe
 		caps[q] = make([]float64, g.NumEdges())
 		for e := range caps[q] {
 			caps[q][e] = g.Edge(e).Capacity
-			if opt.ScenFixedUse != nil {
-				caps[q][e] = max(0, caps[q][e]-opt.ScenFixedUse[q][e])
+			if fixedUse != nil {
+				caps[q][e] = max(0, caps[q][e]-fixedUse[q][e])
 			}
 		}
 	}
@@ -307,7 +311,7 @@ func OfflineCtx(ctx context.Context, inst *te.Instance, opt Options) (*OfflineRe
 		// Cut sharing requires every scenario's subproblem to differ only in
 		// its right-hand side — per-scenario traffic matrices and the γ bound
 		// both break that.
-		shareCuts: opt.Gamma < 0 && inst.ScenDemand == nil && opt.ScenFixedUse == nil,
+		shareCuts: opt.Gamma < 0 && inst.ScenDemand == nil && fixedUse == nil,
 	}
 	if err := d.run(ctx, m); err != nil {
 		return nil, err

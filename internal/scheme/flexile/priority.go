@@ -1,6 +1,7 @@
 package flexile
 
 import (
+	"context"
 	"fmt"
 
 	"flexile/internal/te"
@@ -63,9 +64,7 @@ func SequentialDesign(inst *te.Instance, opt Options) (*OfflineResult, *te.Routi
 				}
 			}
 		}
-		classOpt := opt
-		classOpt.ScenFixedUse = fixedUse
-		off, err := Offline(view, classOpt)
+		off, err := offline(context.Background(), view, opt, fixedUse)
 		if err != nil {
 			return nil, nil, fmt.Errorf("flexile: sequential design class %d: %w", k, err)
 		}

@@ -102,32 +102,16 @@ func newSubproblem(inst *te.Instance, demands []float64) *subproblem {
 		return inst.FlowDemand(f)
 	}
 	sp := &subproblem{inst: inst, p: lp.NewProblem()}
-	g := inst.Topo.G
 	nf := inst.NumFlows()
-	xcol := make([][][]int, len(inst.Classes)) // [k][i][t]
 	sp.lcol = make([]int, nf)
 	sp.alphaRow = make([]int, nf)
 	sp.acol = make([]int, len(inst.Classes))
-	sp.capRow = make([]int, g.NumEdges())
-	edgeEntries := make([][]lp.Entry, g.NumEdges())
-
-	for k := range inst.Classes {
-		xcol[k] = make([][]int, len(inst.Pairs))
-		for i := range inst.Pairs {
-			xcol[k][i] = make([]int, len(inst.Tunnels[k][i]))
-			ub := lp.Inf
-			if demandOf(inst.FlowID(k, i)) <= 0 {
-				ub = 0 // zero-demand flows must not consume capacity
-			}
-			for t := range inst.Tunnels[k][i] {
-				col := sp.p.AddCol(fmt.Sprintf("x[%d,%d,%d]", k, i, t), 0, ub, 0)
-				xcol[k][i][t] = col
-				for _, e := range inst.Tunnels[k][i][t].Edges {
-					edgeEntries[e] = append(edgeEntries[e], lp.Entry{Col: col, Coef: 1})
-				}
-			}
+	xcol := te.TunnelCols(sp.p, inst, func(k, i, t int) (float64, bool) {
+		if demandOf(inst.FlowID(k, i)) <= 0 {
+			return 0, true // zero-demand flows must not consume capacity
 		}
-	}
+		return lp.Inf, true
+	})
 	for k, cls := range inst.Classes {
 		sp.acol[k] = sp.p.AddCol(fmt.Sprintf("alpha[%d]", k), 0, lp.Inf, cls.Weight)
 	}
@@ -153,12 +137,7 @@ func newSubproblem(inst *te.Instance, demands []float64) *subproblem {
 			sp.p.AddGE(fmt.Sprintf("d[%d]", f), d, es...)
 		}
 	}
-	for e := 0; e < g.NumEdges(); e++ {
-		sp.capRow[e] = -1
-		if len(edgeEntries[e]) > 0 {
-			sp.capRow[e] = sp.p.AddLE(fmt.Sprintf("c[%d]", e), g.Edge(e).Capacity, edgeEntries[e]...)
-		}
-	}
+	sp.capRow = te.CapacityRows(sp.p, inst, xcol, inst.Capacity)
 	bp, err := sp.p.Compile()
 	if err != nil {
 		// Compile rejects only an entry naming a column that was never

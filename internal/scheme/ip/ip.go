@@ -35,7 +35,6 @@ func (s *Scheme) Route(inst *te.Instance) (*te.Routing, error) {
 		maxNodes = 4000
 	}
 	p := lp.NewProblem()
-	g := inst.Topo.G
 	nq := len(inst.Scenarios)
 
 	acol := make([]int, len(inst.Classes))
@@ -55,30 +54,10 @@ func (s *Scheme) Route(inst *te.Instance) (*te.Routing, error) {
 	var binFlow, binScen []int
 	for q, scen := range inst.Scenarios {
 		alive := scen.Alive()
-		xcol[q] = make([][][]int, len(inst.Classes))
-		edgeEntries := make([][]lp.Entry, g.NumEdges())
-		for k := range inst.Classes {
-			xcol[q][k] = make([][]int, len(inst.Pairs))
-			for i := range inst.Pairs {
-				xcol[q][k][i] = make([]int, len(inst.Tunnels[k][i]))
-				for t, path := range inst.Tunnels[k][i] {
-					xcol[q][k][i][t] = -1
-					if inst.Demand[k][i] <= 0 || !path.Alive(alive) {
-						continue
-					}
-					c := p.AddCol(fmt.Sprintf("x[%d,%d,%d,%d]", q, k, i, t), 0, lp.Inf, 0)
-					xcol[q][k][i][t] = c
-					for _, e := range path.Edges {
-						edgeEntries[e] = append(edgeEntries[e], lp.Entry{Col: c, Coef: 1})
-					}
-				}
-			}
-		}
-		for e := 0; e < g.NumEdges(); e++ {
-			if len(edgeEntries[e]) > 0 {
-				p.AddLE(fmt.Sprintf("cap[%d,%d]", q, e), g.Edge(e).Capacity, edgeEntries[e]...)
-			}
-		}
+		xcol[q] = te.TunnelCols(p, inst, func(k, i, t int) (float64, bool) {
+			return lp.Inf, inst.Demand[k][i] > 0 && inst.Tunnels[k][i][t].Alive(alive)
+		})
+		te.CapacityRows(p, inst, xcol[q], inst.Capacity)
 		// Loss, z-link and demand rows per demanded connected flow.
 		for k := range inst.Classes {
 			for i := range inst.Pairs {
@@ -101,8 +80,8 @@ func (s *Scheme) Route(inst *te.Instance) (*te.Routing, error) {
 					lp.Entry{Col: acol[k], Coef: 1}, lp.Entry{Col: l, Coef: -1}, lp.Entry{Col: z, Coef: -1})
 				// Σ_t x + d·l ≥ d  (constraint 5)
 				es := []lp.Entry{{Col: l, Coef: d}}
-				for t := range inst.Tunnels[k][i] {
-					if c := xcol[q][k][i][t]; c >= 0 {
+				for _, c := range xcol[q][k][i] {
+					if c >= 0 {
 						es = append(es, lp.Entry{Col: c, Coef: 1})
 					}
 				}
@@ -153,17 +132,5 @@ func (s *Scheme) Route(inst *te.Instance) (*te.Routing, error) {
 	}
 	s.Status = sol.Status
 	s.Objective = sol.Objective
-	r := te.NewRouting(inst)
-	for q := range inst.Scenarios {
-		for k := range inst.Classes {
-			for i := range inst.Pairs {
-				for t := range inst.Tunnels[k][i] {
-					if c := xcol[q][k][i][t]; c >= 0 {
-						r.X[q][k][i][t] = sol.X[c]
-					}
-				}
-			}
-		}
-	}
-	return r, nil
+	return te.RoutingOf(inst, sol.X, xcol), nil
 }

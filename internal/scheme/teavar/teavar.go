@@ -12,6 +12,7 @@ package teavar
 import (
 	"fmt"
 
+	"flexile/internal/failure"
 	"flexile/internal/lp"
 	"flexile/internal/te"
 )
@@ -34,17 +35,13 @@ func (*Scheme) Route(inst *te.Instance) (*te.Routing, error) {
 	}
 	p := lp.NewProblem()
 	// Static allocation variables.
-	xcol := make([][]int, len(inst.Pairs))
-	for i := range inst.Pairs {
-		xcol[i] = make([]int, len(inst.Tunnels[0][i]))
-		ub := lp.Inf
-		if inst.Demand[0][i] <= 0 {
-			ub = 0 // zero-demand pairs must not consume capacity
+	cols := te.TunnelCols(p, inst, func(k, i, t int) (float64, bool) {
+		if inst.Demand[k][i] <= 0 {
+			return 0, true // zero-demand pairs must not consume capacity
 		}
-		for t := range inst.Tunnels[0][i] {
-			xcol[i][t] = p.AddCol(fmt.Sprintf("x[%d,%d]", i, t), 0, ub, 0)
-		}
-	}
+		return lp.Inf, true
+	})
+	xcol := cols[0]
 	alpha := p.AddCol("alpha", -lp.Inf, lp.Inf, 1)
 	scol := make([]int, len(inst.Scenarios))
 	for q, scen := range inst.Scenarios {
@@ -53,7 +50,7 @@ func (*Scheme) Route(inst *te.Instance) (*te.Routing, error) {
 	// Residual pseudo-scenario: probability mass not covered by the
 	// enumerated scenarios counts as total loss (the post-analysis
 	// convention), so the CVaR objective must price it too.
-	if resid := 1 - coverage(inst); resid > 1e-12 {
+	if resid := 1 - failure.Coverage(inst.Scenarios); resid > failure.MassFloor {
 		sr := p.AddCol("s[resid]", 0, lp.Inf, resid/(1-beta))
 		p.AddGE("cvar[resid]", 1, lp.Entry{Col: sr, Coef: 1}, lp.Entry{Col: alpha, Coef: 1})
 	}
@@ -78,7 +75,7 @@ func (*Scheme) Route(inst *te.Instance) (*te.Routing, error) {
 		}
 	}
 	// Static capacity rows (the allocation must fit with all links up).
-	addStaticCapacity(p, inst, 0, xcol)
+	te.CapacityRows(p, inst, cols, inst.Capacity)
 	sol, err := p.Solve()
 	if err != nil {
 		return nil, err
@@ -88,43 +85,5 @@ func (*Scheme) Route(inst *te.Instance) (*te.Routing, error) {
 	}
 	// Emit the proportional-recovery routing: the static allocation with
 	// dead tunnels zeroed per scenario.
-	r := te.NewRouting(inst)
-	for q, scen := range inst.Scenarios {
-		alive := scen.Alive()
-		for i := range inst.Pairs {
-			for t, path := range inst.Tunnels[0][i] {
-				if path.Alive(alive) {
-					r.X[q][0][i][t] = sol.X[xcol[i][t]]
-				}
-			}
-		}
-	}
-	return r, nil
-}
-
-// coverage sums the enumerated scenario probabilities.
-func coverage(inst *te.Instance) float64 {
-	tot := 0.0
-	for _, s := range inst.Scenarios {
-		tot += s.Prob
-	}
-	return tot
-}
-
-// addStaticCapacity adds Σ_{tunnels crossing e} x ≤ c_e rows for class k.
-func addStaticCapacity(p *lp.Problem, inst *te.Instance, k int, xcol [][]int) {
-	g := inst.Topo.G
-	entries := make([][]lp.Entry, g.NumEdges())
-	for i := range inst.Pairs {
-		for t, path := range inst.Tunnels[k][i] {
-			for _, e := range path.Edges {
-				entries[e] = append(entries[e], lp.Entry{Col: xcol[i][t], Coef: 1})
-			}
-		}
-	}
-	for e := 0; e < g.NumEdges(); e++ {
-		if len(entries[e]) > 0 {
-			p.AddLE(fmt.Sprintf("cap[%d]", e), g.Edge(e).Capacity, entries[e]...)
-		}
-	}
+	return te.RoutingOf(inst, sol.X, [][][][]int{cols}), nil
 }

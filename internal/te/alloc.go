@@ -9,6 +9,82 @@ import (
 	"flexile/internal/lp"
 )
 
+// The routing polytope every scheme's LP is built on (§6 compares them on
+// one model): one column x ≥ 0 per tunnel, one Σx ≤ c_e row per link a
+// column crosses. TunnelCols adds the columns, CapacityRows the rows, and
+// RoutingOf reads a Routing back out of a solution. A builder calls
+// CapacityRows at its own point in its LP, so each LP keeps its own column
+// and row order (DESIGN.md §2.5).
+
+// TunnelCols adds one column x ≥ 0 per tunnel that admit accepts, in
+// (class, pair, tunnel) order, with the upper bound admit returns. It
+// returns the columns as [k][i][t], −1 for a tunnel that has no column.
+func TunnelCols(p *lp.Problem, inst *Instance, admit func(k, i, t int) (ub float64, ok bool)) [][][]int {
+	cols := make([][][]int, len(inst.Classes))
+	for k := range inst.Classes {
+		cols[k] = make([][]int, len(inst.Pairs))
+		for i := range inst.Pairs {
+			cols[k][i] = make([]int, len(inst.Tunnels[k][i]))
+			for t := range inst.Tunnels[k][i] {
+				cols[k][i][t] = -1
+				if ub, ok := admit(k, i, t); ok {
+					cols[k][i][t] = p.AddCol(fmt.Sprintf("x[%d,%d,%d]", k, i, t), 0, ub, 0)
+				}
+			}
+		}
+	}
+	return cols
+}
+
+// CapacityRows adds Σx ≤ capacity(e), in edge order, for every edge that
+// some column of cols crosses, with each row's entries in cols order. It
+// returns each edge's row, −1 for an edge no column crosses.
+func CapacityRows(p *lp.Problem, inst *Instance, cols [][][]int, capacity func(e int) float64) []int {
+	entries := make([][]lp.Entry, inst.Topo.G.NumEdges())
+	for k := range cols {
+		for i := range cols[k] {
+			for t, c := range cols[k][i] {
+				if c < 0 {
+					continue
+				}
+				for _, e := range inst.Tunnels[k][i][t].Edges {
+					entries[e] = append(entries[e], lp.Entry{Col: c, Coef: 1})
+				}
+			}
+		}
+	}
+	rows := make([]int, len(entries))
+	for e := range rows {
+		rows[e] = -1
+		if len(entries[e]) > 0 {
+			rows[e] = p.AddLE(fmt.Sprintf("cap[%d]", e), capacity(e), entries[e]...)
+		}
+	}
+	return rows
+}
+
+// RoutingOf reads the routing out of an LP solution x. cols holds the
+// tunnel columns of every scenario ([q][k][i][t], an adaptive routing) or
+// a single set all scenarios share (cols[0] alone, a static allocation).
+// A tunnel that is dead in scenario q carries nothing there.
+func RoutingOf(inst *Instance, x []float64, cols [][][][]int) *Routing {
+	r := NewRouting(inst)
+	for q, scen := range inst.Scenarios {
+		alive := scen.Alive()
+		cq := cols[min(q, len(cols)-1)]
+		for k := range cq {
+			for i := range cq[k] {
+				for t, c := range cq[k][i] {
+					if c >= 0 && inst.Tunnels[k][i][t].Alive(alive) {
+						r.X[q][k][i][t] = x[c]
+					}
+				}
+			}
+		}
+	}
+	return r
+}
+
 // Alloc builds per-scenario bandwidth-allocation LPs. It creates one
 // variable per live tunnel (columns for dead tunnels are omitted, which
 // keeps the LPs small) and one capacity row per link carrying at least one
@@ -38,40 +114,20 @@ func NewAlloc(inst *Instance, scen failure.Scenario, classes []int, fixedUse []f
 			include[k] = true
 		}
 	}
-	g := inst.Topo.G
 	alive := scen.Alive()
-	a.xIdx = make([][][]int, len(inst.Classes))
-	edgeEntries := make([][]lp.Entry, g.NumEdges())
-	for k := range inst.Classes {
-		a.xIdx[k] = make([][]int, len(inst.Pairs))
-		for i := range inst.Pairs {
-			a.xIdx[k][i] = make([]int, len(inst.Tunnels[k][i]))
-			for t := range inst.Tunnels[k][i] {
-				a.xIdx[k][i][t] = -1
-				if !include[k] || !inst.Tunnels[k][i][t].Alive(alive) {
-					continue
-				}
-				col := a.LP.AddCol(fmt.Sprintf("x[%d,%d,%d]", k, i, t), 0, lp.Inf, 0)
-				a.xIdx[k][i][t] = col
-				for _, e := range inst.Tunnels[k][i][t].Edges {
-					edgeEntries[e] = append(edgeEntries[e], lp.Entry{Col: col, Coef: 1})
-				}
-			}
-		}
-	}
-	for e := 0; e < g.NumEdges(); e++ {
-		if len(edgeEntries[e]) == 0 {
-			continue
-		}
-		cap := g.Edge(e).Capacity
+	a.xIdx = TunnelCols(a.LP, inst, func(k, i, t int) (float64, bool) {
+		return lp.Inf, include[k] && inst.Tunnels[k][i][t].Alive(alive)
+	})
+	CapacityRows(a.LP, inst, a.xIdx, func(e int) float64 {
+		cap := inst.Capacity(e)
 		if fixedUse != nil {
 			cap -= fixedUse[e]
 			if cap < 0 {
 				cap = 0
 			}
 		}
-		a.LP.AddLE(fmt.Sprintf("cap[%d]", e), cap, edgeEntries[e]...)
-	}
+		return cap
+	})
 	return a
 }
 
@@ -139,21 +195,8 @@ func MaxConcurrentScale(inst *Instance, scen failure.Scenario, classes []int) (f
 func MaxConcurrentScaleCtx(ctx context.Context, inst *Instance, scen failure.Scenario, classes []int, demands, fixedUse []float64) (float64, *Alloc, *lp.Solution, error) {
 	a := NewAlloc(inst, scen, classes, fixedUse)
 	z := a.LP.AddCol("z", 0, lp.Inf, -1) // maximize z
-	include := make([]bool, len(inst.Classes))
-	if classes == nil {
-		for k := range include {
-			include[k] = true
-		}
-	} else {
-		for _, k := range classes {
-			include[k] = true
-		}
-	}
 	any := false
 	for k := range inst.Classes {
-		if !include[k] {
-			continue
-		}
 		for i := range inst.Pairs {
 			d := inst.Demand[k][i]
 			if demands != nil {
@@ -164,7 +207,7 @@ func MaxConcurrentScaleCtx(ctx context.Context, inst *Instance, scen failure.Sce
 			}
 			es := a.FlowEntries(k, i)
 			if len(es) == 0 {
-				continue
+				continue // disconnected, or its class has no columns
 			}
 			any = true
 			es = append(es, lp.Entry{Col: z, Coef: -d})

@@ -49,30 +49,10 @@ func NewScaleBatch(inst *Instance) (*ScaleBatch, error) {
 	if inst.ScenDemand != nil {
 		return nil, fmt.Errorf("te: ScaleBatch does not support per-scenario traffic matrices")
 	}
-	g := inst.Topo.G
 	p := lp.NewProblem()
 	sb := &ScaleBatch{inst: inst}
-	sb.tunCol = make([][][]int, len(inst.Classes))
-	edgeEntries := make([][]lp.Entry, g.NumEdges())
-	for k := range inst.Classes {
-		sb.tunCol[k] = make([][]int, len(inst.Pairs))
-		for i := range inst.Pairs {
-			sb.tunCol[k][i] = make([]int, len(inst.Tunnels[k][i]))
-			for t := range inst.Tunnels[k][i] {
-				col := p.AddCol(fmt.Sprintf("x[%d,%d,%d]", k, i, t), 0, lp.Inf, 0)
-				sb.tunCol[k][i][t] = col
-				for _, e := range inst.Tunnels[k][i][t].Edges {
-					edgeEntries[e] = append(edgeEntries[e], lp.Entry{Col: col, Coef: 1})
-				}
-			}
-		}
-	}
-	for e := 0; e < g.NumEdges(); e++ {
-		if len(edgeEntries[e]) == 0 {
-			continue
-		}
-		p.AddLE(fmt.Sprintf("cap[%d]", e), g.Edge(e).Capacity, edgeEntries[e]...)
-	}
+	sb.tunCol = TunnelCols(p, inst, func(k, i, t int) (float64, bool) { return lp.Inf, true })
+	CapacityRows(p, inst, sb.tunCol, inst.Capacity)
 	sb.z = p.AddCol("z", 0, lp.Inf, -1) // maximize z
 	sb.flowRow = make([][]int, len(inst.Classes))
 	for k := range inst.Classes {

@@ -113,6 +113,9 @@ func (inst *Instance) ScenDemandVector(q int) []float64 {
 	return nil
 }
 
+// Capacity returns link e's capacity c_e.
+func (inst *Instance) Capacity(e int) float64 { return inst.Topo.G.Edge(e).Capacity }
+
 // TunnelAlive reports whether tunnel t of (k, pair) survives the scenario.
 func (inst *Instance) TunnelAlive(k, pair, t int, scen failure.Scenario) bool {
 	return inst.Tunnels[k][pair][t].Alive(scen.Alive())

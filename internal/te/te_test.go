@@ -369,3 +369,82 @@ func TestAllocFixedUseClamp(t *testing.T) {
 		}
 	}
 }
+
+// TestRoutingPolytope checks the three builders' contract on the triangle:
+// columns in (class, pair, tunnel) order with admit's bounds, one capacity
+// row per crossed edge in edge order, and a read-back in which a dead
+// tunnel carries nothing, from a static and from an adaptive column set.
+func TestRoutingPolytope(t *testing.T) {
+	inst := triangleInstance()
+	p := lp.NewProblem()
+	// Pair 2 (B,C) has no demand and gets no columns.
+	cols := TunnelCols(p, inst, func(k, i, t int) (float64, bool) {
+		return float64(1 + i), inst.Demand[k][i] > 0
+	})
+	next := 0
+	for i := range inst.Pairs {
+		for tn, c := range cols[0][i] {
+			want := -1
+			if i < 2 {
+				want, next = next, next+1
+			}
+			if c != want {
+				t.Fatalf("column of tunnel (0,%d,%d) = %d, want %d", i, tn, c, want)
+			}
+			if c >= 0 && p.ColUB(c) != float64(1+i) {
+				t.Fatalf("column %d ub = %v, want %v", c, p.ColUB(c), float64(1+i))
+			}
+		}
+	}
+	// A view holding only A-B's direct tunnel crosses edge 0 alone.
+	dt := directTunnel(inst, 0, 0)
+	direct := [][][]int{make([][]int, len(inst.Pairs))}
+	for i := range direct[0] {
+		direct[0][i] = make([]int, len(cols[0][i]))
+		for tn := range direct[0][i] {
+			direct[0][i][tn] = -1
+		}
+	}
+	direct[0][0][dt] = cols[0][0][dt]
+	if rows := CapacityRows(p, inst, direct, inst.Capacity); rows[0] != 0 || rows[1] != -1 || rows[2] != -1 {
+		t.Fatalf("direct-tunnel capacity rows = %v, want [0 -1 -1]", rows)
+	}
+	if rows := CapacityRows(p, inst, cols, inst.Capacity); rows[0] != 1 || rows[1] != 2 || rows[2] != 3 {
+		t.Fatalf("capacity rows = %v, want [1 2 3]", rows)
+	}
+
+	x := make([]float64, p.NumCols())
+	for c := range x {
+		x[c] = float64(c + 1)
+	}
+	qFail := scenarioWithFailed(inst, 0)
+	static := RoutingOf(inst, x, [][][][]int{cols})
+	adaptive := make([][][][]int, len(inst.Scenarios))
+	for q := range adaptive {
+		adaptive[q] = direct
+	}
+	adaptive[qFail] = cols
+	perScen := RoutingOf(inst, x, adaptive)
+	for q, scen := range inst.Scenarios {
+		for i := range inst.Pairs {
+			for tn, c := range cols[0][i] {
+				want := 0.0
+				if c >= 0 && inst.TunnelAlive(0, i, tn, scen) {
+					want = x[c]
+				}
+				if got := static.X[q][0][i][tn]; got != want {
+					t.Errorf("static: scenario %d tunnel (%d,%d) carries %v, want %v", q, i, tn, got, want)
+				}
+				if q != qFail && (i != 0 || tn != dt) {
+					want = 0 // outside the direct view
+				}
+				if got := perScen.X[q][0][i][tn]; got != want {
+					t.Errorf("adaptive: scenario %d tunnel (%d,%d) carries %v, want %v", q, i, tn, got, want)
+				}
+			}
+		}
+	}
+	if static.X[qFail][0][0][dt] != 0 {
+		t.Fatal("the direct tunnel carries traffic over its failed link")
+	}
+}

@@ -31,7 +31,7 @@ func TestOptionSurfacePinned(t *testing.T) {
 		{lp.Options{}, "MaxIters RefactorEvery StartBasis Bland"},
 		{mip.Options{}, "MaxNodes RelGap Heuristic WarmBinary"},
 		{te.MaxMinOptions{}, "Domain MinFrac FixRoutes Demands FixedUse"},
-		{flexile.DesignOptions{}, "MaxIterations Gamma ScenFixedUse Workers Timeout FaultHook"},
+		{flexile.DesignOptions{}, "MaxIterations Gamma Workers Timeout FaultHook"},
 		{flexile.AugmentOptions{}, "Target Cost MaxAug MaxIterations"},
 		{serve.Config{}, "CacheSize Workers Obs LoadHook Log LogEvery DefaultDeadline TenantRate TenantBurst BreakerThreshold BreakerCooldown ComputeHook MaxBatch DefaultArtifact Ring TraceEvery"},
 		{ip.Scheme{}, "MaxNodes Status Objective"},
