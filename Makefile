@@ -7,8 +7,8 @@ GO ?= go
 
 ci: changes-check fmt-check vet build bench-check bench-align race faults obs fuzz scrape chaos loadsmoke cover hypotheses
 
-# A CHANGES.md entry is one paragraph that leads with the measured effect
-# (ROADMAP item 10); the entries for PRs 17-21 each ran past a thousand
+# A CHANGES.md entry is one paragraph that leads with the measured effect;
+# early entries each ran past a thousand
 # words. Fail when the newest `- PR N:` entry is longer than 250 words.
 changes-check:
 	@awk '/^- PR [0-9]+:/ { n = 0 } { n += NF } \
@@ -95,11 +95,11 @@ scrape:
 	$(GO) test -run 'TestScrapeEndToEnd' -count=1 ./cmd/flexile-serve/
 
 # The seeded chaos battery (DESIGN.md §13): drive a live server through
-# overload, corrupt-reload, failing-solve and client-disconnect storms and
-# assert the resilience contract — explicit sheds with Retry-After, marked
-# degraded answers, bit-identical admitted responses, breaker trip and
-# recovery, and a goroutine count that returns to baseline. Race-enabled;
-# client behavior is a pure function of each storm's seed.
+# overload, corrupt-reload, client-disconnect and flapping-artifact storms
+# and assert the resilience contract — explicit sheds with Retry-After,
+# bit-identical admitted responses, failed reloads that keep the old
+# artifact serving, and a goroutine count that returns to baseline.
+# Race-enabled; client behavior is a pure function of each storm's seed.
 chaos:
 	$(GO) test -race -timeout 15m -count=1 -run 'TestChaos' ./internal/chaos/
 

@@ -15,7 +15,8 @@
 // The daemon is always a registry of named artifacts. -artifact F is a
 // one-entry registry pinned to that file (named after its basename, so
 // the named routes below and /v1/artifacts work there too);
-// -artifact-dir D serves every *.flxa in the directory:
+// -artifact-dir D serves every *.flxa in the directory, and a request
+// that names no artifact is a 404 unless exactly one is loaded:
 //
 //	flexile-serve -artifact-dir ./artifacts -listen :8080
 //	curl 'localhost:8080/v1/artifacts/ibm/alloc?failed=3'
@@ -32,11 +33,10 @@
 //
 // Overload resilience (DESIGN.md §13): -default-deadline sheds requests
 // whose recomputation has not finished by their deadline (clients override
-// per request with X-Request-Deadline), -tenant-rate/-tenant-burst enforce
-// per-tenant token-bucket quotas keyed on X-Tenant, and -breaker-threshold
-// trips an artifact's recompute circuit breaker on consecutive recompute
-// failures — while open, cache misses are answered from the last known
-// good allocation, marked with X-Flexile-Degraded: stale.
+// per request with X-Request-Deadline), and -tenant-rate/-tenant-burst
+// enforce per-tenant token-bucket quotas keyed on X-Tenant. A
+// recomputation that fails answers 500 and caches nothing: the solve is a
+// pure function of the loaded artifact, so retrying it cannot help.
 //
 // Logs are structured (log/slog): human-readable text on stderr by
 // default, one JSON object per line with -logjson. Access records can be
@@ -67,8 +67,6 @@ import (
 func main() {
 	artifact := flag.String("artifact", "", "serve this one artifact file as a one-entry registry (this or -artifact-dir is required; see flexile -artifact)")
 	artifactDir := flag.String("artifact-dir", "", "serve every *.flxa in this directory as a named registry")
-	defaultArtifact := flag.String("default-artifact", "", "artifact answering requests that name none (default: the sole artifact)")
-	maxBatch := flag.Int("max-batch", serve.DefaultMaxBatch, "max queries per POST /v1/alloc/batch request")
 	listen := flag.String("listen", "127.0.0.1:8080", "listen address")
 	debugListen := flag.String("debug-listen", "", "optional admin listener serving /metrics and /debug/pprof (keep it private)")
 	cacheSize := flag.Int("cache-size", 1024, "allocation cache entries (0 disables, negative = unbounded)")
@@ -81,8 +79,6 @@ func main() {
 	defaultDeadline := flag.Duration("default-deadline", 0, "deadline applied to requests without X-Request-Deadline (0 = none)")
 	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant sustained requests/sec, keyed on X-Tenant (0 disables quotas)")
 	tenantBurst := flag.Float64("tenant-burst", 10, "per-tenant token-bucket burst depth")
-	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive recompute failures that trip an artifact's recompute circuit breaker (0 disables)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "how long a tripped recompute breaker stays open before probing")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long to wait for in-flight requests on SIGINT/SIGTERM")
 	flag.Parse()
 	if (*artifact == "") == (*artifactDir == "") {
@@ -107,20 +103,16 @@ func main() {
 	ring := obs.NewTraceRing(0, 0, 0)
 
 	cfg := serve.Config{
-		CacheSize:        *cacheSize,
-		Workers:          *workers,
-		Obs:              collector,
-		Log:              logger,
-		LogEvery:         *logSample,
-		Ring:             ring,
-		TraceEvery:       *traceSample,
-		DefaultDeadline:  *defaultDeadline,
-		TenantRate:       *tenantRate,
-		TenantBurst:      *tenantBurst,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
-		MaxBatch:         *maxBatch,
-		DefaultArtifact:  *defaultArtifact,
+		CacheSize:       *cacheSize,
+		Workers:         *workers,
+		Obs:             collector,
+		Log:             logger,
+		LogEvery:        *logSample,
+		Ring:            ring,
+		TraceEvery:      *traceSample,
+		DefaultDeadline: *defaultDeadline,
+		TenantRate:      *tenantRate,
+		TenantBurst:     *tenantBurst,
 	}
 	source, open := *artifact, serve.New
 	if *artifactDir != "" {

@@ -96,8 +96,6 @@ func TestScrapeEndToEnd(t *testing.T) {
 		"-default-deadline", "5s",
 		"-tenant-rate", "1000",
 		"-tenant-burst", "500",
-		"-breaker-threshold", "3",
-		"-breaker-cooldown", "2s",
 		"-drain-timeout", "5s",
 	)
 	var stderr strings.Builder
@@ -259,10 +257,9 @@ func TestScrapeEndToEnd(t *testing.T) {
 				t.Errorf("scrape %s missing stage histogram series %q", scrapeURL, stage)
 			}
 		}
-		// The overload-resilience families: the recompute breaker closed
-		// (0), the quota tracking the single anonymous bucket, zero sheds.
+		// The overload-resilience families: the quota tracking the single
+		// anonymous bucket, zero sheds.
 		for _, want := range []string{
-			`flexile_serve_breaker_state{artifact="triangle",breaker="recompute"} 0`,
 			`flexile_serve_quota_tenants{artifact="triangle"} 1`,
 			"flexile_serve_deadline_expired_total 0",
 			"flexile_serve_quota_rejects_total 0",
@@ -271,7 +268,7 @@ func TestScrapeEndToEnd(t *testing.T) {
 				t.Errorf("scrape %s missing %q", scrapeURL, want)
 			}
 		}
-		for _, gone := range []string{"gate_estimated_wait", "deadline_shed", "reloads_skipped", `breaker="reload"`} {
+		for _, gone := range []string{"gate_estimated_wait", "deadline_shed", "reloads_skipped", "breaker", "degraded"} {
 			if strings.Contains(text, gone) {
 				t.Errorf("scrape %s still carries %q", scrapeURL, gone)
 			}

@@ -1,11 +1,12 @@
 // Package admit implements the serving layer's overload-resilience
 // primitives: per-tenant token-bucket quotas, a consecutive-failure
 // circuit breaker, and request-deadline parsing. The allocation server
-// (internal/serve) charges the quota before parsing a query and puts the
-// breaker in front of its recompute path, so overload and failing solves
-// degrade service predictably — refused with a Retry-After hint, or
-// answered from a stale copy marked degraded — while the parsed deadline
-// cuts off a request's wait for its recomputation (DESIGN.md §13).
+// (internal/serve) charges the quota before parsing a query, so overload
+// is refused predictably with a Retry-After hint, and the parsed deadline
+// cuts off a request's wait for its recomputation (DESIGN.md §13). The
+// server uses no breaker: a failed recompute of its immutable state fails
+// again, so there is no fault for one to wait out. Breaker's only
+// non-test caller is the benchmark's admit.breaker_allow_ns probe.
 //
 // Every type takes an injectable clock so tests drive time explicitly;
 // the zero Clock falls back to time.Now. All types are safe for

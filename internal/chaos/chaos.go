@@ -9,9 +9,9 @@
 //
 // Determinism contract: client behavior (artifact and scenario choice,
 // think-time jitter) is a pure function of StormConfig.Seed, so a chaos
-// failure reproduces under the same seed. Faults inside the server are
-// scripted separately with internal/faultinject or a Config.ComputeHook by
-// the individual storm tests.
+// failure reproduces under the same seed. Slow solves inside the server
+// are scripted separately with a Config.ComputeHook by the individual
+// storm tests.
 package chaos
 
 import (
@@ -178,8 +178,8 @@ func (h *Harness) Close() {
 }
 
 // Get issues one clean request for scenario q on the bare route (no
-// deadline, no tenant) and fails unless it is a non-degraded 200
-// bit-identical to the oracle — the post-storm sanity probe.
+// deadline, no tenant) and fails unless it is a 200 bit-identical to the
+// oracle — the post-storm sanity probe.
 func (h *Harness) Get(q int) error {
 	client := load.NewClient(h.TS.URL, 1)
 	defer client.Close()
@@ -190,8 +190,8 @@ func (h *Harness) Get(q int) error {
 	}
 	if class, err := load.Contract(h.Oracle, rq, 0, res.Outcomes[0]); class != load.Exact {
 		out := res.Outcomes[0]
-		return fmt.Errorf("chaos: probe scenario %d: want an exact 200, got status %d degraded=%v shed=%q (%v)",
-			q, out.Status, out.Degraded, out.Shed, err)
+		return fmt.Errorf("chaos: probe scenario %d: want an exact 200, got status %d shed=%q (%v)",
+			q, out.Status, out.Shed, err)
 	}
 	return nil
 }

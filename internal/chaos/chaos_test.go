@@ -1,16 +1,12 @@
 package chaos
 
 import (
-	"context"
-	"net/http"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"flexile/internal/faultinject"
-	"flexile/internal/load"
 	"flexile/internal/obs"
 	"flexile/internal/serve"
 )
@@ -59,7 +55,7 @@ func TestChaosOverloadStorm(t *testing.T) {
 	if rep.OK == 0 || rep.Sheds() == 0 {
 		t.Fatalf("storm must produce both admitted and shed requests: %s", rep)
 	}
-	if rep.Shed["quota"]+rep.Shed["breaker"] != 0 {
+	if rep.Shed["quota"] != 0 {
 		t.Fatalf("only deadline sheds possible here: %s", rep)
 	}
 	if p99 := rep.P99OK(); p99 > time.Second {
@@ -72,16 +68,10 @@ func TestChaosOverloadStorm(t *testing.T) {
 // artifact writes with restores while clients keep querying. The old
 // artifact must keep serving bit-identically through every failed reload,
 // every failure must be counted, and the first reload after each restore
-// must land — a configured breaker threshold guards recomputes, never
-// reloads.
+// must land.
 func TestChaosCorruptReloadStorm(t *testing.T) {
 	collector := obs.New()
-	h := newHarness(t, serve.Config{
-		CacheSize:        4,
-		Obs:              collector,
-		BreakerThreshold: 3,
-		BreakerCooldown:  time.Minute,
-	}, 1)
+	h := newHarness(t, serve.Config{CacheSize: 4, Obs: collector}, 1)
 
 	var failures atomic.Int64
 	cyclerDone := make(chan struct{})
@@ -114,7 +104,7 @@ func TestChaosCorruptReloadStorm(t *testing.T) {
 	if len(rep.Violations) > 0 {
 		t.Fatalf("serving diverged during reload churn:\n%v", rep.Violations)
 	}
-	if rep.OK == 0 || rep.Degraded+rep.Sheds() != 0 {
+	if rep.OK == 0 || rep.Sheds() != 0 {
 		t.Fatalf("reload churn must not touch the serving path: %s", rep)
 	}
 
@@ -124,84 +114,8 @@ func TestChaosCorruptReloadStorm(t *testing.T) {
 	}
 
 	m := collector.Snapshot().Serve
-	if m.ReloadErrors != failures.Load() || m.BreakerTrips != 0 {
-		t.Fatalf("reload errors %d (want the %d failures seen), breaker trips %d (want 0)", m.ReloadErrors, failures.Load(), m.BreakerTrips)
-	}
-	must(t, h.Quiesce())
-}
-
-// TestChaosFailingSolveBreakerStorm: every solve fails while the fault
-// window is open. States warmed before the window must degrade to their
-// marked stale answers (never a 5xx), the recompute breaker must trip,
-// cold states must shed with the breaker reason, and once the faults
-// clear the breaker's probe must restore live bit-identical serving.
-func TestChaosFailingSolveBreakerStorm(t *testing.T) {
-	var faultsOn atomic.Bool
-	var attempts atomic.Int64
-	inj := faultinject.New(11, 1.0, faultinject.SingularBasis)
-	collector := obs.New()
-	h := newHarness(t, serve.Config{
-		CacheSize:        0, // no response cache: every request exercises the solve path
-		Obs:              collector,
-		BreakerThreshold: 3,
-		BreakerCooldown:  600 * time.Millisecond,
-		ComputeHook: func(q int) error {
-			if !faultsOn.Load() {
-				return nil
-			}
-			return inj.Hook(q, int(attempts.Add(1)))
-		},
-	}, 1)
-
-	// Warm the last-known-good store for all but the last scenario; the
-	// cold one is how we observe the breaker-shed path.
-	cold := h.Scenarios() - 1
-	for q := 0; q < cold; q++ {
-		must(t, h.Get(q))
-	}
-
-	faultsOn.Store(true)
-	rep := h.Storm(StormConfig{
-		Seed:     3,
-		Clients:  4,
-		Requests: 10,
-		Scenarios: func() []int {
-			warm := make([]int, cold)
-			for q := range warm {
-				warm[q] = q
-			}
-			return warm
-		}(),
-	})
-	t.Logf("failing-solve storm: %s", rep)
-	if len(rep.Violations) > 0 {
-		t.Fatalf("degraded serving violated the contract:\n%v", rep.Violations)
-	}
-	if rep.OK != 0 || rep.Degraded == 0 {
-		t.Fatalf("with every solve failing, warmed states must all degrade: %s", rep)
-	}
-	if m := collector.Snapshot().Serve; m.BreakerTrips < 1 || m.RecomputeErrors < 3 {
-		t.Fatalf("recompute breaker never engaged: %+v", m)
-	}
-
-	// The cold scenario has no stale answer: with the breaker open it must
-	// shed with the breaker reason, not 500.
-	client := load.NewClient(h.TS.URL, 1)
-	defer client.Close()
-	res := client.Fire(context.Background(), load.Request{Queries: []load.Query{h.Query("", cold)}}, 0)
-	must(t, res.Err)
-	if out := res.Outcomes[0]; out.Status != http.StatusServiceUnavailable || out.Shed != "breaker" {
-		t.Fatalf("cold state under open breaker: %d shed=%q body=%s", out.Status, out.Shed, out.Body)
-	} else if out.RetryAfter < 1 {
-		t.Fatalf("breaker shed without Retry-After: %d", out.RetryAfter)
-	}
-
-	// Faults clear, the cooldown passes, one probe closes the breaker, and
-	// every scenario — including the cold one — serves live and exact.
-	faultsOn.Store(false)
-	time.Sleep(700 * time.Millisecond)
-	for q := 0; q < h.Scenarios(); q++ {
-		must(t, h.Get(q))
+	if m.ReloadErrors != failures.Load() {
+		t.Fatalf("reload errors %d, want the %d failures seen", m.ReloadErrors, failures.Load())
 	}
 	must(t, h.Quiesce())
 }
@@ -238,7 +152,7 @@ func TestChaosClientDisconnectStorm(t *testing.T) {
 		must(t, h.Get(q))
 	}
 	m := collector.Snapshot().Serve
-	if m.RecomputeErrors != 0 || m.Degraded != 0 {
+	if m.RecomputeErrors != 0 {
 		t.Fatalf("disconnects caused server-side failures: %+v", m)
 	}
 	if m.Recomputes == 0 || m.CacheHits == 0 {
@@ -254,12 +168,7 @@ func TestChaosClientDisconnectStorm(t *testing.T) {
 // and reloading cleanly on every sweep — and the whole fleet must quiesce
 // without leaking a goroutine.
 func TestChaosRegistryFlappingArtifact(t *testing.T) {
-	h := newHarness(t, serve.Config{
-		CacheSize:        32,
-		Workers:          4,
-		Obs:              obs.New(),
-		BreakerThreshold: 3,
-	}, 3)
+	h := newHarness(t, serve.Config{CacheSize: 32, Workers: 4, Obs: obs.New()}, 3)
 	flapping := h.Names[0]
 
 	// Flap concurrently with the storm: corrupt the artifact on disk, then

@@ -42,8 +42,8 @@ func All() (*hyp.Registry, error) {
 }
 
 // fireExact fires rq and returns its outcomes and round-trip latency. The
-// serving hypotheses put no pressure on their servers, so anything but an
-// unmarked 200 for every query is an error.
+// serving hypotheses put no pressure on their servers, so anything but a
+// 200 for every query is an error.
 func fireExact(ctx context.Context, c *load.Client, rq load.Request) ([]load.Outcome, time.Duration, error) {
 	res := c.Fire(ctx, rq, 0)
 	if res.Err != nil {

@@ -18,7 +18,7 @@ import (
 	"flexile/internal/serve"
 )
 
-// MissLatency is h-miss-latency, ROADMAP item 2's gate: the online
+// MissLatency is h-miss-latency, the gate on the one-LP ladder: the online
 // allocation behind a cache miss solves its max-min ladder as one LP
 // re-solved in place (DESIGN.md §12) instead of 18 LPs built and solved from
 // the slack basis, and is at least 4× faster for it on the IBM fixture, with

@@ -315,7 +315,7 @@ func reloadDaemon(ctx context.Context, daemon *exec.Cmd, base string) (bool, err
 // fireAll drives one half of the plan closed-loop with a fixed pool of
 // clients — client w takes every workers-th request from w — storing each
 // body at its plan index, so the observed trace is independent of worker
-// count and interleaving. Any answer but an unmarked 200 is an error: the
+// count and interleaving. Any answer but a 200 is an error: the
 // soak plans no overload, so the server has no excuse.
 func fireAll(ctx context.Context, base string, reqs []load.Request, lcfg load.Config, workers int) ([][]byte, error) {
 	workers = max(workers, 1)

@@ -94,9 +94,8 @@ type Outcome struct {
 	// single-request status, and 0 when a 200 envelope held no readable
 	// entry for the query (Body then holds the envelope).
 	Status     int
-	Cache      string // X-Flexile-Cache: hit, miss, shared, stale, dedup
-	Shed       string // X-Flexile-Shed: quota, deadline, breaker
-	Degraded   bool   // X-Flexile-Degraded present
+	Cache      string // X-Flexile-Cache: hit, miss, shared, dedup
+	Shed       string // X-Flexile-Shed: quota, deadline
 	RetryAfter int    // Retry-After in whole seconds; 0 when absent or unparsable
 	Batch      bool   // answered through a batch envelope
 	// RequestID is the server-echoed X-Request-Id — the planned Request.ID
@@ -143,7 +142,6 @@ func (c *Client) fire(ctx context.Context, rq Request, deadline time.Duration, b
 		Status:      resp.StatusCode,
 		Cache:       resp.Header.Get("X-Flexile-Cache"),
 		Shed:        resp.Header.Get("X-Flexile-Shed"),
-		Degraded:    resp.Header.Get("X-Flexile-Degraded") != "",
 		Batch:       batch,
 		RequestID:   resp.Header.Get("X-Request-Id"),
 		TraceParent: resp.Header.Get("traceparent"),
@@ -163,7 +161,6 @@ func (c *Client) fire(ctx context.Context, rq Request, deadline time.Duration, b
 		Results []struct {
 			Status     int             `json:"status"`
 			Cache      string          `json:"cache"`
-			Degraded   bool            `json:"degraded"`
 			Shed       string          `json:"shed"`
 			RetryAfter int             `json:"retry_after"`
 			Body       json.RawMessage `json:"body"`
@@ -179,7 +176,7 @@ func (c *Client) fire(ctx context.Context, rq Request, deadline time.Duration, b
 	}
 	for i, e := range env.Results {
 		o := &res.Outcomes[i]
-		o.Status, o.Cache, o.Shed, o.Degraded, o.RetryAfter, o.Body = e.Status, e.Cache, e.Shed, e.Degraded, e.RetryAfter, e.Body
+		o.Status, o.Cache, o.Shed, o.RetryAfter, o.Body = e.Status, e.Cache, e.Shed, e.RetryAfter, e.Body
 	}
 	return res
 }

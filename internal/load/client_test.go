@@ -16,7 +16,7 @@ import (
 
 // TestFetch pins the single-query wire shape — the request line and headers
 // Fire sends — and the raw status/disposition/body it fetches back,
-// including the shed and degraded variants a Stats would have folded away.
+// including the shed variant a Stats would have folded away.
 func TestFetch(t *testing.T) {
 	var got struct {
 		url, artifact, tenant, deadline, id, traceparent string
@@ -34,10 +34,6 @@ func TestFetch(t *testing.T) {
 			w.Header().Set("X-Flexile-Shed", "quota")
 			w.Header().Set("Retry-After", "2")
 			w.WriteHeader(http.StatusTooManyRequests)
-		case "degraded":
-			w.Header().Set("X-Flexile-Cache", "stale")
-			w.Header().Set("X-Flexile-Degraded", "stale")
-			w.Write([]byte(`{"stale":true}`))
 		default:
 			w.Header().Set("X-Flexile-Cache", "hit")
 			w.Write([]byte(`{"scenario":3}`))
@@ -67,7 +63,7 @@ func TestFetch(t *testing.T) {
 	if got.id != "load-2a-7" || got.traceparent != rq.TraceParent() {
 		t.Errorf("request id %q traceparent %q, want the planned ones", got.id, got.traceparent)
 	}
-	if out.Status != http.StatusOK || out.Cache != "hit" || out.Shed != "" || out.Degraded || out.Batch ||
+	if out.Status != http.StatusOK || out.Cache != "hit" || out.Shed != "" || out.Batch ||
 		out.RequestID != "srv-load-2a-7" || string(out.Body) != `{"scenario":3}` {
 		t.Errorf("outcome = %+v, want 200 hit with body and the echoed id", out)
 	}
@@ -81,10 +77,6 @@ func TestFetch(t *testing.T) {
 	out = one(t, load.Request{Tenant: "over-quota", Queries: []load.Query{{}}}, 0)
 	if out.Status != http.StatusTooManyRequests || out.Shed != "quota" || out.RetryAfter != 2 {
 		t.Errorf("shed outcome = %+v, want 429 shed=quota retry-after 2", out)
-	}
-	out = one(t, load.Request{Tenant: "degraded", Queries: []load.Query{{}}}, 0)
-	if !out.Degraded || out.Cache != "stale" {
-		t.Errorf("degraded outcome = %+v, want stale+degraded", out)
 	}
 
 	// A dead server surfaces the transport error and no outcomes.

@@ -14,12 +14,9 @@ type Oracle func(q Query) []byte
 type Class int
 
 const (
-	// Exact is an unmarked 200: the oracle's bytes, when there is an oracle
-	// to compare with.
+	// Exact is a 200: the oracle's bytes, when there is an oracle to
+	// compare with.
 	Exact Class = iota
-	// Degraded is a 200 the server marked X-Flexile-Degraded: counted,
-	// never compared.
-	Degraded
 	// Shed is an explicit, labelled refusal.
 	Shed
 	// Violation is anything else: a silent wrong answer, an unlabelled
@@ -28,16 +25,15 @@ const (
 )
 
 func (c Class) String() string {
-	return [...]string{"exact", "degraded", "shed", "violation"}[c]
+	return [...]string{"exact", "shed", "violation"}[c]
 }
 
 // Contract is the daemon's serving contract — "an oracle-exact 200 or an
 // explicit, labelled shed, never a silent wrong answer" — checked from the
 // outside on the outcome of rq's i-th query:
 //
-//   - an unmarked 200 must equal oracle's bytes for that artifact and
-//     failure state (a nil oracle, or one with no answer, compares nothing);
-//   - a 200 marked degraded is accepted as such;
+//   - a 200 must equal oracle's bytes for that artifact and failure state
+//     (a nil oracle, or one with no answer, compares nothing);
 //   - a 429 or 503 must name its shed reason and, on the single route,
 //     carry Retry-After >= 1;
 //   - everything else is a violation, and its error names the request id
@@ -53,12 +49,9 @@ func Contract(oracle Oracle, rq Request, i int, out Outcome) (Class, error) {
 	}
 	switch out.Status {
 	case http.StatusOK:
-		if out.Degraded {
-			return Degraded, nil
-		}
 		if oracle != nil {
 			if want := oracle(rq.Queries[i]); want != nil && !bytes.Equal(out.Body, want) {
-				return violation("unmarked 200 differs from oracle")
+				return violation("200 differs from oracle")
 			}
 		}
 		return Exact, nil

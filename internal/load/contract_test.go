@@ -30,11 +30,10 @@ func TestContract(t *testing.T) {
 		{name: "differing unmarked 200", oracle: oracle, out: load.Outcome{Status: 200, Body: []byte(`{"scenario":4}`)}, want: load.Violation, msg: "differs from oracle"},
 		{name: "200 with no oracle answer", i: 1, oracle: oracle, out: load.Outcome{Status: 200, Body: []byte(`anything`)}, want: load.Exact},
 		{name: "200 with no oracle at all", out: load.Outcome{Status: 200, Body: []byte(`anything`)}, want: load.Exact},
-		{name: "degraded is never compared", oracle: oracle, out: load.Outcome{Status: 200, Cache: "stale", Degraded: true, Body: []byte(`old`)}, want: load.Degraded},
 		{name: "shed with reason", out: load.Outcome{Status: 503, Shed: "deadline", RetryAfter: 1}, want: load.Shed},
 		{name: "quota shed", out: load.Outcome{Status: 429, Shed: "quota", RetryAfter: 1000}, want: load.Shed},
 		{name: "shed without reason", out: load.Outcome{Status: 503, RetryAfter: 1, Body: []byte("busy")}, want: load.Violation, msg: "503 without a shed reason: busy"},
-		{name: "single-route shed with Retry-After 0", out: load.Outcome{Status: 503, Shed: "breaker"}, want: load.Violation, msg: "Retry-After"},
+		{name: "single-route shed with Retry-After 0", out: load.Outcome{Status: 503, Shed: "deadline"}, want: load.Violation, msg: "Retry-After"},
 		{name: "batch entry shed without header", out: load.Outcome{Status: 429, Shed: "quota", Batch: true}, want: load.Shed},
 		{name: "batch entry shed without reason", out: load.Outcome{Status: 429, Batch: true}, want: load.Violation, msg: "429 without a shed reason"},
 		{name: "404", out: load.Outcome{Status: 404, Body: []byte("no such scenario")}, want: load.Violation, msg: "status 404: no such scenario"},

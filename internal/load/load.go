@@ -8,8 +8,8 @@
 //   - Client.Fire renders one planned Request as a single GET /v1/alloc or
 //     a POST /v1/alloc/batch and returns one raw Outcome per query.
 //   - Contract is the serving contract checked from the outside: an
-//     oracle-exact 200, a marked degraded answer, or an explicit, labelled
-//     shed — anything else is a violation that names the request.
+//     oracle-exact 200 or an explicit, labelled shed — anything else is a
+//     violation that names the request.
 //   - Two drivers schedule Fire: the open-loop Run (Poisson arrivals, every
 //     latency counted from the request's due time) and the closed-loop
 //     seeded Storm (clients × requests with think-time jitter). Both hand

@@ -26,7 +26,7 @@ const maxListed = 32
 // one per query); latencies and lags are per HTTP round trip. Drivers call
 // Add serially, so a Stats needs no lock.
 type Stats struct {
-	// Oracle is what unmarked 200s are compared with; nil compares nothing.
+	// Oracle is what 200s are compared with; nil compares nothing.
 	Oracle Oracle
 
 	Requests int
@@ -36,8 +36,7 @@ type Stats struct {
 	OK       int
 	Cache    map[string]int
 	Artifact map[string]int
-	Degraded int
-	Shed     map[string]int // by reason: quota, deadline, breaker
+	Shed     map[string]int // by reason: quota, deadline
 	// Disconnect counts entries lost to transport failures — a client-side
 	// timeout, a refused connection. Legal in a disconnect storm, an error
 	// in a load run; the caller decides.
@@ -95,8 +94,6 @@ func (s *Stats) Add(sm Sample) {
 				s.Cache["miss"]++
 			}
 			s.Artifact[sm.Request.Queries[i].Artifact]++
-		case Degraded:
-			s.Degraded++
 		case Shed:
 			s.Shed[out.Shed]++
 		case Violation:
@@ -134,8 +131,8 @@ func (s *Stats) P99OK() time.Duration { return quantile(sorted(s.admitted), 0.99
 
 // String renders a one-line summary for test logs.
 func (s *Stats) String() string {
-	return fmt.Sprintf("ok=%d %v degraded=%d shed=%v disconnect=%d violations=%d",
-		s.OK, s.Cache, s.Degraded, s.Shed, s.Disconnect, s.Violated)
+	return fmt.Sprintf("ok=%d %v shed=%v disconnect=%d violations=%d",
+		s.OK, s.Cache, s.Shed, s.Disconnect, s.Violated)
 }
 
 // quantile is the nearest-rank p-quantile of ascending samples: the
@@ -165,7 +162,6 @@ type Summary struct {
 	Miss       int            `json:"miss"`
 	Shared     int            `json:"shared"`
 	Dedup      int            `json:"dedup"`
-	Degraded   int            `json:"degraded"`
 	Shed       int            `json:"shed"`
 	ShedBy     map[string]int `json:"shed_by,omitempty"`
 	Disconnect int            `json:"disconnects"`
@@ -196,7 +192,6 @@ func (s *Stats) Summary() Summary {
 		Miss:       s.Cache["miss"],
 		Shared:     s.Cache["shared"],
 		Dedup:      s.Cache["dedup"],
-		Degraded:   s.Degraded,
 		Shed:       s.Sheds(),
 		ShedBy:     s.Shed,
 		Disconnect: s.Disconnect,

@@ -42,7 +42,6 @@ func fixedMetrics() obs.SolveMetrics {
 		Requests: 1000, BadRequests: 7, CacheHits: 800, CacheMisses: 200,
 		Recomputes: 150, FlightShared: 50, Reloads: 3, ReloadErrors: 1, GateWaits: 20,
 		QuotaRejects: 13, DeadlineExpired: 6, RecomputeErrors: 4,
-		Degraded: 3, BreakerTrips: 2, BreakerRejects: 8,
 		BatchRequests: 21, BatchEntries: 340, BatchDeduped: 19,
 	}
 	m.Latency.ServeRequest = fixedHist()

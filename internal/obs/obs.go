@@ -204,17 +204,8 @@ type ServeMetrics struct {
 	// computation still ran to completion for later callers.
 	DeadlineExpired int64 `json:"deadline_expired"`
 	// RecomputeErrors counts Online recomputations that failed; each
-	// feeds the recompute circuit breaker's consecutive-failure count.
+	// answered its waiters with HTTP 500 and cached nothing.
 	RecomputeErrors int64 `json:"recompute_errors"`
-	// Degraded counts requests answered from the stale last-known-good
-	// store (marked X-Flexile-Degraded) because the live recompute path
-	// failed or the breaker was open.
-	Degraded int64 `json:"degraded"`
-	// BreakerTrips counts transitions of the recompute circuit breaker to
-	// the open state; BreakerRejects counts requests short-circuited while
-	// it was open.
-	BreakerTrips   int64 `json:"breaker_trips"`
-	BreakerRejects int64 `json:"breaker_rejects"`
 	// BatchRequests counts POST /v1/alloc/batch HTTP requests;
 	// BatchEntries counts the allocation queries they carried (each entry
 	// is also counted in Requests and its disposition counters, so the

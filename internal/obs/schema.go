@@ -101,7 +101,7 @@ func (m *PoolMetrics) Fields() [4]Field {
 // Fields is the serving layer's schema. Every name is
 // flexile_serve_<json key>_total; the server renders the same rows per
 // artifact as flexile_serve_artifact_<json key>_total.
-func (m *ServeMetrics) Fields() [18]Field {
+func (m *ServeMetrics) Fields() [15]Field {
 	return [...]Field{
 		{P: &m.Requests, Name: "flexile_serve_requests_total", Help: "Allocation queries accepted by the HTTP layer."},
 		{P: &m.BadRequests, Name: "flexile_serve_bad_requests_total", Help: "Allocation queries rejected as malformed or unmatched."},
@@ -115,9 +115,6 @@ func (m *ServeMetrics) Fields() [18]Field {
 		{P: &m.QuotaRejects, Name: "flexile_serve_quota_rejects_total", Help: "Requests refused by the per-tenant token-bucket quota."},
 		{P: &m.DeadlineExpired, Name: "flexile_serve_deadline_expired_total", Help: "Admitted requests whose deadline or connection expired before the recomputation finished."},
 		{P: &m.RecomputeErrors, Name: "flexile_serve_recompute_errors_total", Help: "Online recomputations that failed."},
-		{P: &m.Degraded, Name: "flexile_serve_degraded_total", Help: "Requests answered from the stale last-known-good store."},
-		{P: &m.BreakerTrips, Name: "flexile_serve_breaker_trips_total", Help: "Recompute circuit-breaker transitions to the open state."},
-		{P: &m.BreakerRejects, Name: "flexile_serve_breaker_rejects_total", Help: "Requests short-circuited while the recompute breaker was open."},
 		{P: &m.BatchRequests, Name: "flexile_serve_batch_requests_total", Help: "POST /v1/alloc/batch HTTP requests."},
 		{P: &m.BatchEntries, Name: "flexile_serve_batch_entries_total", Help: "Allocation queries carried inside batch requests."},
 		{P: &m.BatchDeduped, Name: "flexile_serve_batch_deduped_total", Help: "Batch entries answered by copying a duplicate entry's result."},

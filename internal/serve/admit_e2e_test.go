@@ -156,95 +156,8 @@ func TestDeadlineDetachedRecompute(t *testing.T) {
 	}
 }
 
-// TestBreakerDegradedAndRecovery walks the recompute breaker through its
-// whole state machine: consecutive solve failures degrade to stale answers
-// and trip the breaker; while open, known states serve stale (without
-// touching the solve path) and unknown states shed; after the cooldown one
-// probe closes it again.
-func TestBreakerDegradedAndRecovery(t *testing.T) {
-	path, _, _, _ := writeArtifact(t)
-	var fail atomic.Bool
-	var hookCalls atomic.Int64
-	collector := obs.New()
-	srv, err := New(path, Config{
-		CacheSize:        8,
-		Obs:              collector,
-		BreakerThreshold: 2,
-		BreakerCooldown:  300 * time.Millisecond,
-		ComputeHook: func(int) error {
-			hookCalls.Add(1)
-			if fail.Load() {
-				return errors.New("scripted solve failure")
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	// Healthy pass: fills the cache and the last-known-good store.
-	_, good := doAlloc(t, ts.URL, "0", nil)
-
-	// Reload the same artifact: the per-artifact cache resets but the
-	// last-known-good store survives — exactly the situation degraded
-	// serving exists for.
-	if err := srv.Reload(); err != nil {
-		t.Fatal(err)
-	}
-
-	fail.Store(true)
-	for i := 0; i < 2; i++ {
-		resp, body := doAlloc(t, ts.URL, "0", nil)
-		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Flexile-Degraded") != "stale" {
-			t.Fatalf("failure %d: %d degraded=%q body=%s", i, resp.StatusCode, resp.Header.Get("X-Flexile-Degraded"), body)
-		}
-		if !bytes.Equal(body, good) {
-			t.Fatalf("degraded answer diverged from last known good")
-		}
-	}
-
-	// Threshold reached: breaker is open. Known state → stale without
-	// invoking the solve; unknown state → shed with Retry-After.
-	calls := hookCalls.Load()
-	resp, body := doAlloc(t, ts.URL, "0", nil)
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Flexile-Degraded") != "stale" || !bytes.Equal(body, good) {
-		t.Fatalf("open breaker, known state: %d %s", resp.StatusCode, body)
-	}
-	if hookCalls.Load() != calls {
-		t.Fatal("open breaker still invoked the solve path")
-	}
-	resp, _ = doAlloc(t, ts.URL, "1", nil)
-	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("X-Flexile-Shed") != "breaker" {
-		t.Fatalf("open breaker, unknown state: %d shed=%q", resp.StatusCode, resp.Header.Get("X-Flexile-Shed"))
-	}
-	if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 {
-		t.Fatalf("Retry-After = %q", resp.Header.Get("Retry-After"))
-	}
-
-	// Cooldown passes, the fault clears: one probe closes the breaker and
-	// live serving resumes bit-identically.
-	fail.Store(false)
-	time.Sleep(350 * time.Millisecond)
-	resp, body = doAlloc(t, ts.URL, "0", nil)
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Flexile-Degraded") != "" {
-		t.Fatalf("post-recovery: %d degraded=%q", resp.StatusCode, resp.Header.Get("X-Flexile-Degraded"))
-	}
-	if !bytes.Equal(body, good) {
-		t.Fatal("post-recovery answer differs")
-	}
-
-	m := collector.Snapshot().Serve
-	if m.BreakerTrips != 1 || m.RecomputeErrors != 2 || m.Degraded != 3 || m.BreakerRejects != 2 {
-		t.Fatalf("breaker counters = %+v, want 1 trip / 2 errors / 3 degraded / 2 rejects", m)
-	}
-}
-
 // TestReloadLandsAfterFailures: reload failures never suppress the next
-// attempt, however many come in a row and whatever BreakerThreshold says
-// (the breaker guards recomputes only). The old artifact keeps serving
+// attempt, however many come in a row. The old artifact keeps serving
 // through the failures, and the first reload after the fault clears swaps
 // the new state in.
 func TestReloadLandsAfterFailures(t *testing.T) {
@@ -252,11 +165,9 @@ func TestReloadLandsAfterFailures(t *testing.T) {
 	var fail atomic.Bool
 	collector := obs.New()
 	srv, err := New(path, Config{
-		CacheSize:        8,
-		Obs:              collector,
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Minute,
-		LoadHook: func(int) error {
+		CacheSize: 8,
+		Obs:       collector,
+		loadHook: func(int) error {
 			if fail.Load() {
 				return errors.New("scripted load failure")
 			}
@@ -300,8 +211,8 @@ func TestReloadLandsAfterFailures(t *testing.T) {
 	}
 
 	m := collector.Snapshot().Serve
-	if m.Reloads != 5 || m.ReloadErrors != 3 || m.BreakerTrips != 0 {
-		t.Fatalf("reload counters = %+v, want 5 reloads / 3 errors / 0 trips", m)
+	if m.Reloads != 5 || m.ReloadErrors != 3 {
+		t.Fatalf("reload counters = %+v, want 5 reloads / 3 errors", m)
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 	"flexile/internal/obs"
 )
 
-// DefaultMaxBatch is the per-request query limit when Config.MaxBatch is
-// zero. Large enough to amortize HTTP+admission overhead across a burst of
+// DefaultMaxBatch is the per-request query limit of POST /v1/alloc/batch.
+// Large enough to amortize HTTP+admission overhead across a burst of
 // failure states, small enough that one envelope stays well under
 // maxBatchBody even for maximum-size failure sets.
 const DefaultMaxBatch = 64
@@ -39,17 +39,15 @@ type BatchRequest struct {
 // BatchEntry is one result in a batch response, positionally matching the
 // request's queries. Status is the entry's would-be single-request HTTP
 // status; for 200s Body holds exactly the bytes GET /v1/alloc would have
-// written, and Cache/Degraded mirror the X-Flexile-Cache and
-// X-Flexile-Degraded headers (plus "dedup" for entries answered by copying
-// an identical earlier entry's result). Non-200 entries carry the
-// single-request error text in Error, and sheds mirror X-Flexile-Shed and
-// Retry-After in Shed/RetryAfter.
+// written, and Cache mirrors the X-Flexile-Cache header (plus "dedup" for
+// entries answered by copying an identical earlier entry's result). Non-200
+// entries carry the single-request error text in Error, and sheds mirror
+// X-Flexile-Shed and Retry-After in Shed/RetryAfter.
 type BatchEntry struct {
 	Status     int             `json:"status"`
 	Artifact   string          `json:"artifact,omitempty"`
 	Scenario   int             `json:"scenario"`
 	Cache      string          `json:"cache,omitempty"`
-	Degraded   bool            `json:"degraded,omitempty"`
 	Shed       string          `json:"shed,omitempty"`
 	RetryAfter int             `json:"retry_after,omitempty"`
 	Error      string          `json:"error,omitempty"`
@@ -96,7 +94,7 @@ func (s *Server) readBatch(r *http.Request) (*BatchRequest, time.Duration, error
 	if err != nil {
 		return nil, 0, fmt.Errorf("reading body: %w", err)
 	}
-	req, err := ParseBatchRequest(body, s.cfg.MaxBatch)
+	req, err := ParseBatchRequest(body, DefaultMaxBatch)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -121,9 +119,9 @@ type batchGroup struct {
 
 // handleBatch serves POST /v1/alloc/batch (DESIGN.md §14). One HTTP
 // request carries many allocation queries; a query that names no artifact
-// rides the request's own addressing (path segment, header, default rule).
+// rides the request's own addressing (path segment, header, sole artifact).
 // Each query keeps per-entry admission semantics (quota on the resolved
-// engine's buckets, deadline, breaker), duplicates of the same (artifact,
+// engine's buckets, deadline), duplicates of the same (artifact,
 // failure-state) pair are answered once, and unique misses fan out
 // concurrently through each engine's existing gate/flight pipeline. Entry
 // bodies are the exact bytes the single-query path would have written.
@@ -221,7 +219,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		acct[g.eng].Add(m)
 		for pos, i := range g.members {
 			e := batchEntry(g.eng.name, g.res)
-			if pos > 0 && e.Status == http.StatusOK && !e.Degraded {
+			if pos > 0 && e.Status == http.StatusOK {
 				e.Cache = "dedup"
 			}
 			entries[i] = e
@@ -275,7 +273,6 @@ func batchEntry(name string, r allocResult) BatchEntry {
 	}
 	if r.status == http.StatusOK {
 		e.Cache = r.cache
-		e.Degraded = r.degraded
 		e.Body = json.RawMessage(r.body)
 	} else {
 		e.Error = r.errMsg

@@ -57,18 +57,9 @@ type engine struct {
 	base       context.Context
 	cancelBase context.CancelFunc
 
-	// quota and the recompute breaker are nil when disabled in Config —
-	// the admit package's nil receivers admit everything.
-	quota       *admit.Quota
-	compBreaker *admit.Breaker
-
-	// stale is the last-known-good store backing degraded responses:
-	// failedKey → the last successfully computed response bytes, kept
-	// across artifact swaps and recompute failures. Entries are only
-	// served with an explicit X-Flexile-Degraded marker when the live
-	// path cannot answer (stale-while-revalidate).
-	staleMu sync.RWMutex
-	stale   map[string][]byte
+	// quota is nil when disabled in Config — the admit package's nil
+	// receiver admits everything.
+	quota *admit.Quota
 
 	reloadMu  sync.Mutex // serializes reload (attempt numbering + swap order)
 	attempts  int
@@ -79,18 +70,17 @@ type engine struct {
 // newEngine builds an empty engine for the artifact file at path; the first
 // load is a reload like any other.
 func newEngine(name, path string, cfg Config, root *obs.Collector) *engine {
-	e := &engine{
-		name:        name,
-		path:        path,
-		cfg:         cfg,
-		col:         obs.NewChild(root),
-		gate:        par.NewGate(cfg.Workers),
-		quota:       admit.NewQuota(admit.QuotaConfig{Rate: cfg.TenantRate, Burst: cfg.TenantBurst}),
-		compBreaker: admit.NewBreaker(admit.BreakerConfig{Threshold: cfg.BreakerThreshold, Cooldown: cfg.BreakerCooldown}),
-		stale:       make(map[string][]byte),
+	base, cancel := context.WithCancel(context.Background())
+	return &engine{
+		name:       name,
+		path:       path,
+		cfg:        cfg,
+		col:        obs.NewChild(root),
+		gate:       par.NewGate(cfg.Workers),
+		base:       base,
+		cancelBase: cancel,
+		quota:      admit.NewQuota(admit.QuotaConfig{Rate: cfg.TenantRate, Burst: cfg.TenantBurst}),
 	}
-	e.base, e.cancelBase = context.WithCancel(context.Background())
-	return e
 }
 
 // log emits one lifecycle event (never sampled) about this artifact when
@@ -144,7 +134,7 @@ func (e *engine) load(attempt int) (st *state, err error) {
 			st, err = nil, fmt.Errorf("serve: reload panic: %v", r)
 		}
 	}()
-	if hook := e.cfg.LoadHook; hook != nil {
+	if hook := e.cfg.loadHook; hook != nil {
 		if herr := hook(attempt); herr != nil {
 			return nil, fmt.Errorf("serve: load hook: %w", herr)
 		}
@@ -177,59 +167,28 @@ func (e *engine) load(attempt int) (st *state, err error) {
 	return st, nil
 }
 
-// ArtifactStatus is one row of GET /v1/artifacts: identity, recompute
-// breaker state and the artifact's own serving and reload counters — what
-// operators (and the chaos harness) use to tell a healthy artifact from a
-// flapping one.
+// ArtifactStatus is one row of GET /v1/artifacts: identity and the
+// artifact's own serving and reload counters — what operators (and the
+// chaos harness) use to tell a healthy artifact from a flapping one.
 type ArtifactStatus struct {
-	Name             string `json:"name"`
-	Checksum         string `json:"checksum"`
-	Topology         string `json:"topology"`
-	Scenarios        int    `json:"scenarios"`
-	LoadedAt         string `json:"loaded_at"`
-	RecomputeBreaker string `json:"recompute_breaker"`
+	Name      string `json:"name"`
+	Checksum  string `json:"checksum"`
+	Topology  string `json:"topology"`
+	Scenarios int    `json:"scenarios"`
+	LoadedAt  string `json:"loaded_at"`
 	obs.ServeMetrics
 }
 
 func (e *engine) status() ArtifactStatus {
 	st := e.st.Load()
 	return ArtifactStatus{
-		Name:             e.name,
-		Checksum:         st.checksum,
-		Topology:         st.art.TopoName,
-		Scenarios:        len(st.art.Scenarios),
-		LoadedAt:         st.loadedAt.UTC().Format(time.RFC3339Nano),
-		RecomputeBreaker: e.compBreaker.State().String(),
-		ServeMetrics:     e.col.Snapshot().Serve,
+		Name:         e.name,
+		Checksum:     st.checksum,
+		Topology:     st.art.TopoName,
+		Scenarios:    len(st.art.Scenarios),
+		LoadedAt:     st.loadedAt.UTC().Format(time.RFC3339Nano),
+		ServeMetrics: e.col.Snapshot().Serve,
 	}
-}
-
-// --- stale last-known-good store (degraded responses) ---
-
-// staleCap bounds the last-known-good store. Keys are enumerated failure
-// states, so the bound is a safety net against pathological artifact
-// churn, not a working-set limit.
-const staleCap = 65536
-
-func (e *engine) staleGet(key string) ([]byte, bool) {
-	e.staleMu.RLock()
-	defer e.staleMu.RUnlock()
-	b, ok := e.stale[key]
-	return b, ok
-}
-
-func (e *engine) stalePut(key string, body []byte) {
-	e.staleMu.Lock()
-	defer e.staleMu.Unlock()
-	if _, exists := e.stale[key]; !exists && len(e.stale) >= staleCap {
-		// At capacity: drop an arbitrary entry. Losing a stale answer only
-		// costs a future degraded response, never a correct one.
-		for k := range e.stale {
-			delete(e.stale, k)
-			break
-		}
-	}
-	e.stale[key] = body
 }
 
 // --- the allocation pipeline ---
@@ -239,12 +198,11 @@ func (e *engine) stalePut(key string, body []byte) {
 type stage uint8
 
 const (
-	stageQuota   stage = iota // tenant token bucket empty
-	stageParse                // malformed deadline or request (the Server's, before the engine)
-	stageLookup               // no enumerated scenario matches the failure state
-	stageCache                // answered from the LRU cache
-	stageBreaker              // recompute breaker open
-	stageFlight               // led or joined a single-flight recomputation
+	stageQuota  stage = iota // tenant token bucket empty
+	stageParse               // malformed deadline or request (the Server's, before the engine)
+	stageLookup              // no enumerated scenario matches the failure state
+	stageCache               // answered from the LRU cache
+	stageFlight              // led or joined a single-flight recomputation
 )
 
 // allocResult is the outcome of one allocation query, independent of how
@@ -255,10 +213,9 @@ type allocResult struct {
 	status   int           // the HTTP status of the single-request rendering
 	body     []byte        // marshaled AllocResponse; nil unless status 200
 	errMsg   string        // error text; "" unless status != 200
-	cache    string        // hit | miss | shared | stale | "" (non-200)
-	shed     string        // quota | deadline | breaker | "" (not shed)
+	cache    string        // hit | miss | shared | "" (non-200)
+	shed     string        // quota | deadline | "" (not shed)
 	retry    time.Duration // Retry-After hint when shed != ""
-	degraded bool          // body came from the stale last-known-good store
 	scenario int           // matched scenario index, -1 when none
 
 	decided  stage     // the pipeline stage that decided the outcome
@@ -278,8 +235,6 @@ func (r allocResult) metrics() obs.ServeMetrics {
 		d.BadRequests = 1
 	case stageCache:
 		d.CacheHits = 1
-	case stageBreaker:
-		d.CacheMisses, d.BreakerRejects = 1, 1
 	case stageFlight:
 		d.CacheMisses = 1
 		if r.shed == "deadline" {
@@ -288,9 +243,6 @@ func (r allocResult) metrics() obs.ServeMetrics {
 	}
 	if r.shared {
 		d.FlightShared = 1
-	}
-	if r.degraded {
-		d.Degraded = 1
 	}
 	return d
 }
@@ -308,15 +260,14 @@ func (e *engine) admit(tenant string) (refusal allocResult, ok bool) {
 
 // allocate runs the engine's stages of the admission pipeline (DESIGN.md
 // §13) for one canonical failure-state query against the currently loaded
-// state: lookup → 404, cache → hit, breaker → stale degraded answer or 503,
-// flight → detached single-flight recompute, where the caller waits at most
+// state: lookup → 404, cache → hit, flight → detached single-flight
+// recompute (a failed one is a 500), where the caller waits at most
 // waitCtx (which carries the request deadline) and the computation always
 // completes. waitCtx also carries the request trace, if any; the leading
 // waiter's trace receives the nested queue/recompute spans.
 func (e *engine) allocate(waitCtx context.Context, req *AllocRequest) allocResult {
 	st := e.st.Load()
-	key := failedKey(req.Failed)
-	q, ok := st.scenIndex[key]
+	q, ok := st.scenIndex[failedKey(req.Failed)]
 	if !ok {
 		return allocResult{status: http.StatusNotFound, scenario: -1, decided: stageLookup,
 			errMsg: fmt.Sprintf("no enumerated scenario matches failed edges %v", req.Failed)}
@@ -326,26 +277,13 @@ func (e *engine) allocate(waitCtx context.Context, req *AllocRequest) allocResul
 	}
 	missedAt := time.Now()
 
-	// Recompute breaker: while open, don't touch the failing solve path —
-	// serve the last known good answer, explicitly marked degraded, or
-	// shed if this failure state has never been answered.
-	if ok, retry := e.compBreaker.Allow(); !ok {
-		if stale, degOK := e.staleGet(key); degOK {
-			return allocResult{status: http.StatusOK, scenario: q, decided: stageBreaker, missedAt: missedAt,
-				cache: "stale", degraded: true, body: stale}
-		}
-		return allocResult{status: http.StatusServiceUnavailable, scenario: q, decided: stageBreaker, missedAt: missedAt,
-			shed: "breaker", retry: retry,
-			errMsg: "recompute breaker open and no stale answer for this failure state"}
-	}
-
-	// Admitted. The wait is bounded by the request deadline and the client
+	// The wait is bounded by the request deadline and the client
 	// connection; the recomputation itself runs detached under the
 	// engine's lifetime, so neither a disconnect nor a deadline can fail
 	// the computation other waiters are riding (or waste the solve — the
 	// result still lands in the cache).
 	body, cerr, shared := st.flight.DoDetached(waitCtx, q, func() ([]byte, error) {
-		return e.recompute(st, q, key, obs.TraceFrom(waitCtx))
+		return e.recompute(st, q, obs.TraceFrom(waitCtx))
 	})
 	res := allocResult{scenario: q, decided: stageFlight, missedAt: missedAt, shared: shared}
 	switch {
@@ -360,28 +298,23 @@ func (e *engine) allocate(waitCtx context.Context, req *AllocRequest) allocResul
 		res.status, res.shed = http.StatusServiceUnavailable, "deadline"
 		res.errMsg = "deadline expired before the allocation completed"
 	default:
-		// The recomputation itself failed: degrade to the last known good
-		// answer when one exists.
-		if stale, degOK := e.staleGet(key); degOK {
-			res.status, res.body, res.cache, res.degraded = http.StatusOK, stale, "stale", true
-		} else {
-			res.status, res.errMsg = http.StatusInternalServerError, cerr.Error()
-		}
+		// The recomputation itself failed. The solve is a pure function of
+		// the loaded state, so it would fail again: answer 500, cache nothing.
+		res.status, res.errMsg = http.StatusInternalServerError, cerr.Error()
 	}
 	return res
 }
 
 // recompute is the detached single-flight executor for one scenario: it
 // queues on the gate under the engine's base context (never a request's),
-// runs the Online solve, feeds the recompute breaker, and on success
-// fills both the per-artifact cache and the last-known-good store — side
-// effects that land even if every waiter has already given up. Its
+// runs the Online solve, and on success fills the per-artifact cache — a
+// side effect that lands even if every waiter has already given up. Its
 // counters flush straight to the collector on return because the executor
 // can outlive the request that spawned it; tr is the leading waiter's trace
 // (possibly nil) and receives nested queue/recompute spans and, through the
 // solve's context, the class rounds, levels and LP solves beneath them —
 // all of which no-op if that request has already finished.
-func (e *engine) recompute(st *state, q int, key string, tr *obs.Trace) ([]byte, error) {
+func (e *engine) recompute(st *state, q int, tr *obs.Trace) ([]byte, error) {
 	var d obs.ServeMetrics
 	defer func() { e.col.AddServe(d) }()
 	if !e.gate.TryEnter() {
@@ -402,18 +335,10 @@ func (e *engine) recompute(st *state, q int, key string, tr *obs.Trace) ([]byte,
 	tr.AddSpan("recompute", entered, solved, true)
 	if err != nil {
 		d.RecomputeErrors = 1
-		if e.compBreaker.Failure() {
-			d.BreakerTrips = 1
-			e.log(slog.LevelError, "recompute breaker opened",
-				slog.Int("scenario", q),
-				slog.String("error", err.Error()))
-		}
 		return nil, err
 	}
-	e.compBreaker.Success()
 	d.Recomputes = 1
 	st.cache.put(q, body)
-	e.stalePut(key, body)
 	return body, nil
 }
 
@@ -421,8 +346,8 @@ func (e *engine) recompute(st *state, q int, key string, tr *obs.Trace) ([]byte,
 // ctx, which carries the leading waiter's trace and no deadline, and
 // marshals the response once; the cached bytes are served verbatim
 // thereafter, so hits and misses are bit-identical by construction. A
-// panicking solve must still feed the breaker, so it is recovered here
-// rather than left to the flight's safety net.
+// panicking solve is recovered here, so it is counted as a recompute error
+// like any other failure.
 func (e *engine) solve(ctx context.Context, st *state, q int) (body []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -15,8 +15,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"flexile/internal/obs"
 	flexscheme "flexile/internal/scheme/flexile"
@@ -166,7 +166,7 @@ func TestFrontEndEquivalence(t *testing.T) {
 			entered, release = append(entered, in), append(release, out)
 			mu.Unlock()
 			cfg := plain()
-			cfg.LoadHook = func(attempt int) error {
+			cfg.loadHook = func(attempt int) error {
 				if attempt > 1 { // attempt 1 is the constructor's initial load
 					close(in)
 					<-out
@@ -224,16 +224,23 @@ func TestFrontEndEquivalence(t *testing.T) {
 		wantPrefix(t, p.same("GET", "/v1/alloc?failed=0", "", map[string]string{"X-Request-Deadline": "soon"}), "400\n")
 	})
 
-	t.Run("breaker shed", func(t *testing.T) {
+	// A failed recompute is a plain 500 carrying the error, and nothing is
+	// cached: asking again for the same state runs the solve again.
+	t.Run("solve failure", func(t *testing.T) {
+		var calls atomic.Int64
 		p := newFrontPair(t, func() Config {
 			cfg := plain()
-			cfg.BreakerThreshold, cfg.BreakerCooldown = 1, 300*time.Second
-			cfg.ComputeHook = func(int) error { return errors.New("scripted solve failure") }
+			cfg.ComputeHook = func(int) error { calls.Add(1); return errors.New("scripted solve failure") }
 			return cfg
 		})
-		wantPrefix(t, p.same("GET", "/v1/alloc?failed=0", "", nil), "500\n")
-		wantPrefix(t, p.same("GET", "/v1/alloc?failed=1", "", nil),
-			"503\nContent-Type: application/json\nRetry-After: 300\nX-Flexile-Shed: breaker\n")
+		for i := int64(1); i <= 2; i++ {
+			if img := p.same("GET", "/v1/alloc?failed=0", "", nil); img != "500\nContent-Type: application/json\n{\"error\":\"scripted solve failure\"}\n" {
+				t.Fatalf("failing solve, attempt %d:\n%s", i, img)
+			}
+			if got := calls.Load(); got != 2*i { // one solve per front end per attempt
+				t.Fatalf("after attempt %d the hook ran %d times, want %d", i, got, 2*i)
+			}
+		}
 	})
 }
 
@@ -307,7 +314,7 @@ func TestFleetAccessLogAndTraceIdentity(t *testing.T) {
 	var buf syncBuffer
 	ring := obs.NewTraceRing(0, 0, 0)
 	reg, err := NewRegistry(dir, Config{
-		CacheSize: 8, Workers: 2, Obs: obs.New(), DefaultArtifact: "alpha",
+		CacheSize: 8, Workers: 2, Obs: obs.New(),
 		Log: slog.New(slog.NewJSONHandler(&buf, nil)), Ring: ring, TraceEvery: 1,
 	})
 	if err != nil {
@@ -317,13 +324,13 @@ func TestFleetAccessLogAndTraceIdentity(t *testing.T) {
 	ts := httptest.NewServer(reg)
 	defer ts.Close()
 
-	getAlloc(t, ts.URL+"/v1/alloc", []int{0}, nil)
+	getAlloc(t, ts.URL+"/v1/alloc", []int{0}, map[string]string{"X-Flexile-Artifact": "alpha"})
 	getAlloc(t, ts.URL+"/v1/artifacts/beta/alloc", []int{0}, nil)
 	postBatch(t, ts.URL+"/v1/alloc/batch", []BatchQuery{{Artifact: "alpha", Failed: []int{0}}, {Artifact: "beta", Failed: []int{1}}})
 
 	recs := accessRecords(t, buf.String())
 	if len(recs) != 3 {
-		t.Fatalf("got %d access records, want 3 (bare GET, named GET, fleet batch):\n%s", len(recs), buf.String())
+		t.Fatalf("got %d access records, want 3 (header-addressed GET, path-addressed GET, fleet batch):\n%s", len(recs), buf.String())
 	}
 	for i, want := range []struct{ path, artifact string }{
 		{"/v1/alloc", "alpha"},

@@ -37,7 +37,7 @@ func (s *Server) routes() {
 }
 
 // addressed returns the artifact name a request carries: the {name} path
-// segment, else the X-Flexile-Artifact header, else "" (the default rule).
+// segment, else the X-Flexile-Artifact header, else "" (the sole artifact).
 func addressed(r *http.Request) string {
 	if name := r.PathValue("name"); name != "" {
 		return name
@@ -87,7 +87,7 @@ type accessRecorder struct {
 	bytes    int
 	artifact string // resolved artifact name, "" on fleet routes
 	scenario int    // matched scenario index, -1 when none
-	cache    string // hit | miss | shared | stale | none
+	cache    string // hit | miss | shared | none
 }
 
 func (a *accessRecorder) WriteHeader(code int) {
@@ -246,12 +246,11 @@ func (s *Server) extraMetrics(e *expo.Encoder) {
 	engs := s.engines.Load().sorted
 	e.Gauge("flexile_registry_artifacts", "Artifacts currently loaded in the registry.", float64(len(engs)))
 	sts, snaps := make([]*state, len(engs)), make([]obs.ServeMetrics, len(engs))
-	var arts, breakers, info [][]expo.Label
+	var arts, info [][]expo.Label
 	for i, eng := range engs {
 		sts[i], snaps[i] = eng.st.Load(), eng.col.Snapshot().Serve
 		art := expo.Label{Name: "artifact", Value: eng.name}
 		arts = append(arts, []expo.Label{art})
-		breakers = append(breakers, []expo.Label{art, {Name: "breaker", Value: "recompute"}})
 		info = append(info, []expo.Label{art,
 			{Name: "version", Value: strconv.Itoa(ArtifactVersion)},
 			{Name: "checksum", Value: sts[i].checksum},
@@ -273,7 +272,6 @@ func (s *Server) extraMetrics(e *expo.Encoder) {
 		{"flexile_serve_gate_capacity", "Total recomputation-gate slots.", arts, func(e *engine, _ *state) int { return e.gate.Cap() }},
 		{"flexile_serve_gate_waiters", "Recomputations currently queued for a gate slot.", arts, func(e *engine, _ *state) int { return e.gate.Waiters() }},
 		{"flexile_serve_quota_tenants", "Tenant token buckets currently tracked.", arts, func(e *engine, _ *state) int { return e.quota.Tenants() }},
-		{"flexile_serve_breaker_state", "Circuit-breaker state (0 closed, 1 open, 2 half-open).", breakers, func(e *engine, _ *state) int { return int(e.compBreaker.State()) }},
 		{"flexile_serve_cache_entries", "Allocation-cache entries resident.", arts, func(_ *engine, st *state) int { return st.cache.len() }},
 		{"flexile_serve_flight_in_flight", "Distinct scenarios with a recomputation in flight.", arts, func(_ *engine, st *state) int { return st.flight.InFlight() }},
 		{"flexile_artifact_info", "Identity of each loaded serving artifact (value is always 1).", info, func(*engine, *state) int { return 1 }},
@@ -378,11 +376,8 @@ func badRequest(err error) allocResult {
 // writeResult renders an allocResult in the single-request wire format;
 // batchEntry is its field-for-field analog for batch envelopes. A refusal
 // at admission carries Retry-After (the backoff hint in whole seconds) and
-// X-Flexile-Shed (the stage that refused: quota | deadline | breaker) so
-// clients and the chaos harness can tell the paths apart; an answer from
-// the last-known-good store is a 200 with the explicit X-Flexile-Degraded
-// marker, so clients can tell a stale answer (possibly computed from a
-// previous artifact) from a live one.
+// X-Flexile-Shed (the stage that refused: quota | deadline) so clients and
+// the chaos harness can tell the paths apart.
 func writeResult(w http.ResponseWriter, res allocResult) {
 	if rec, ok := w.(*accessRecorder); ok {
 		if res.scenario >= 0 {
@@ -407,8 +402,5 @@ func writeResult(w http.ResponseWriter, res allocResult) {
 		cache = "miss"
 	}
 	h.Set("X-Flexile-Cache", cache)
-	if res.degraded {
-		h.Set("X-Flexile-Degraded", "stale")
-	}
 	w.Write(res.body)
 }

@@ -73,7 +73,7 @@ func TestReadyzTracksReloads(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	srv, err := New(path, Config{CacheSize: 8, Obs: obs.New(), LoadHook: func(attempt int) error {
+	srv, err := New(path, Config{CacheSize: 8, Obs: obs.New(), loadHook: func(attempt int) error {
 		if attempt > 1 { // attempt 1 is New()'s initial load
 			once.Do(func() { close(entered) })
 			<-release

@@ -152,9 +152,6 @@ func TestRegistryBatchBitIdentical(t *testing.T) {
 						if e.Status != http.StatusOK {
 							t.Fatalf("batch entry %d: status %d (%s)", off+i, e.Status, e.Error)
 						}
-						if e.Degraded {
-							t.Fatalf("batch entry %d unexpectedly degraded", off+i)
-						}
 						if !bytes.Equal([]byte(e.Body), expect[off+i]) {
 							t.Fatalf("batch entry %d (artifact %s) body diverged from GET /v1/alloc", off+i, e.Artifact)
 						}
@@ -243,12 +240,12 @@ func postBatch(t testing.TB, url string, queries []BatchQuery) []BatchEntry {
 }
 
 // TestRegistryRouting covers the fleet endpoints and addressing rules:
-// default-artifact resolution, stable unknown-name 404 bodies, the status
-// listing, and a lint-clean labeled metrics page.
+// header and path addressing, stable 404 bodies for unknown and missing
+// names, the status listing, and a lint-clean labeled metrics page.
 func TestRegistryRouting(t *testing.T) {
 	t.Parallel()
 	dir := writeRegistryDir(t, "alpha", "beta")
-	reg, err := NewRegistry(dir, Config{CacheSize: 16, Workers: 2, DefaultArtifact: "beta"})
+	reg, err := NewRegistry(dir, Config{CacheSize: 16, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,19 +257,20 @@ func TestRegistryRouting(t *testing.T) {
 		t.Fatalf("Names() = %v", got)
 	}
 
-	// Bare paths resolve through the default artifact: bit-identical to
-	// the named form.
-	scens := getScenarios(t, ts.URL+"/v1/scenarios")
+	// The header names an artifact as the path segment does: bit-identical.
+	scens := getScenarios(t, ts.URL+"/v1/artifacts/beta/scenarios")
 	named := getAlloc(t, ts.URL+"/v1/artifacts/beta/alloc", scens[1], nil)
-	bare := getAlloc(t, ts.URL+"/v1/alloc", scens[1], nil)
-	if !bytes.Equal(named, bare) {
-		t.Error("default-artifact routing diverged from named routing")
+	header := getAlloc(t, ts.URL+"/v1/alloc", scens[1], map[string]string{"X-Flexile-Artifact": "beta"})
+	if !bytes.Equal(named, header) {
+		t.Error("header addressing diverged from path addressing")
 	}
 
-	// Unknown names 404 with the stable error body, in all addressing forms.
-	for _, url := range []string{
-		ts.URL + "/v1/artifacts/nope/alloc?failed=",
-		ts.URL + "/v1/artifacts/nope/scenarios",
+	// Unknown names 404 with the stable error body, in all addressing forms,
+	// and so does a bare path while more than one artifact is loaded.
+	for url, want := range map[string]string{
+		ts.URL + "/v1/artifacts/nope/alloc?failed=": `{"error":"unknown artifact \"nope\""}`,
+		ts.URL + "/v1/artifacts/nope/scenarios":     `{"error":"unknown artifact \"nope\""}`,
+		ts.URL + "/v1/alloc?failed=":                `{"error":"artifact name required: 2 artifacts loaded"}`,
 	} {
 		resp, err := http.Get(url)
 		if err != nil {
@@ -283,8 +281,8 @@ func TestRegistryRouting(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("GET %s: %d", url, resp.StatusCode)
 		}
-		if want := `{"error":"unknown artifact \"nope\""}` + "\n"; string(body) != want {
-			t.Fatalf("unknown-artifact body = %q, want %q", body, want)
+		if string(body) != want+"\n" {
+			t.Fatalf("GET %s: body = %q, want %q", url, body, want)
 		}
 	}
 	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/alloc?failed=", nil)
@@ -307,9 +305,6 @@ func TestRegistryRouting(t *testing.T) {
 	for _, row := range rows {
 		if row.Checksum == "" || row.Topology != "Triangle" || row.Scenarios != 8 {
 			t.Errorf("row %q incomplete: %+v", row.Name, row)
-		}
-		if row.RecomputeBreaker != "closed" {
-			t.Errorf("row %q breaker not closed: %+v", row.Name, row)
 		}
 	}
 
@@ -339,7 +334,7 @@ func TestRegistryRouting(t *testing.T) {
 	for _, want := range []string{
 		`flexile_registry_artifacts 2`,
 		`flexile_serve_artifact_requests_total{artifact="alpha"}`,
-		`flexile_serve_breaker_state{artifact="beta",breaker="recompute"}`,
+		`flexile_serve_cache_entries{artifact="beta"}`,
 		`flexile_artifact_info{artifact="alpha",`,
 		`flexile_serve_batch_requests_total`,
 	} {

@@ -30,15 +30,10 @@ type Config struct {
 	Workers int
 	// Obs receives serving counters; nil falls back to obs.Global().
 	Obs *obs.Collector
-	// LoadHook, when non-nil, runs at the start of every artifact
-	// (re)load with a per-artifact monotonically increasing attempt number.
-	// An error fails the load; tests use it with internal/faultinject to
-	// exercise the reload-failure path.
-	LoadHook func(attempt int) error
 	// Log receives structured access records (one per request, sampled by
 	// LogEvery) and lifecycle events (artifact loads, reload failures,
-	// breaker trips, drain). Nil disables logging entirely — the request hot
-	// path then takes no logging branches at all.
+	// drain). Nil disables logging entirely — the request hot path then
+	// takes no logging branches at all.
 	Log *slog.Logger
 	// LogEvery samples access records: n > 1 logs one request in every n
 	// of the process's traffic. 0 and 1 log every request. Lifecycle events
@@ -60,31 +55,11 @@ type Config struct {
 	// quotas. TenantBurst below 1 is clamped to 1.
 	TenantRate  float64
 	TenantBurst float64
-	// BreakerThreshold consecutive Online failures trip an artifact's
-	// recompute breaker, which then short-circuits misses into degraded
-	// (stale) answers, or breaker sheds for failure states never answered,
-	// until BreakerCooldown has passed (then admits one probe). 0 disables
-	// the breaker.
-	BreakerThreshold int
-	// BreakerCooldown is how long a tripped recompute breaker stays open
-	// before admitting a half-open probe. 0 defaults to 5s.
-	BreakerCooldown time.Duration
 	// ComputeHook, when non-nil, runs at the start of every Online
 	// recomputation with the scenario index; a returned error (or panic)
-	// fails the recomputation. The chaos harness uses it with
-	// internal/faultinject to script slow and failing solves.
+	// fails the recomputation. Tests and the chaos harness use it to
+	// script slow and failing solves.
 	ComputeHook func(scenario int) error
-
-	// --- multi-artifact registry + batch API (DESIGN.md §14) ---
-
-	// MaxBatch bounds how many queries one POST /v1/alloc/batch request
-	// may carry. 0 (or negative) means DefaultMaxBatch.
-	MaxBatch int
-	// DefaultArtifact names the artifact that answers requests carrying
-	// no artifact name (no X-Flexile-Artifact header, bare /v1/... path).
-	// Empty means: the sole artifact when exactly one is loaded, otherwise
-	// named addressing is required.
-	DefaultArtifact string
 
 	// --- request-scoped tracing (DESIGN.md §16) ---
 
@@ -99,6 +74,11 @@ type Config struct {
 	// 2% of a warm-cache hit. An incoming traceparent with the sampled flag
 	// always forces tracing regardless of TraceEvery.
 	TraceEvery int
+
+	// loadHook, when non-nil, runs at the start of every artifact (re)load
+	// with a per-artifact monotonically increasing attempt number. An error
+	// fails the load; tests set it to exercise the reload-failure path.
+	loadHook func(attempt int) error
 }
 
 // DefaultTraceEvery is the production trace sampling rate: one request in
@@ -147,9 +127,8 @@ func ValidArtifactName(name string) bool {
 // neighbors.
 //
 // Routes. A per-artifact route names its artifact by path segment, else by
-// the X-Flexile-Artifact header, else by the default rule
-// (Config.DefaultArtifact, else the sole loaded artifact); the three forms
-// answer byte-identically.
+// the X-Flexile-Artifact header, else it goes to the sole loaded artifact;
+// the three forms answer byte-identically.
 //
 //	GET|POST /v1/alloc        /v1/artifacts/{name}/alloc        one query (?failed=3,7 or {"failed":[3,7]})
 //	POST     /v1/alloc/batch  /v1/artifacts/{name}/alloc/batch  many queries, each naming its artifact
@@ -231,10 +210,6 @@ func newServer(cfg Config, source string, scan func() (map[string]string, error)
 	if len(set.sorted) == 0 {
 		return nil, fmt.Errorf("serve: no %s artifacts in %s", ArtifactExt, source)
 	}
-	if def := cfg.DefaultArtifact; def != "" && set.byName[def] == nil {
-		s.Close()
-		return nil, fmt.Errorf("serve: default artifact %q not found in %s", def, source)
-	}
 	return s, nil
 }
 
@@ -285,19 +260,16 @@ func (s *Server) Reload() error {
 	return errors.Join(errs...)
 }
 
-// resolve maps an artifact name to its engine: "" resolves through the
-// default rule (Config.DefaultArtifact, else the sole loaded artifact),
-// anything else must name a loaded artifact. The error text is stable per
-// name so unknown-artifact 404 bodies are deterministic.
+// resolve maps an artifact name to its engine: "" resolves to the sole
+// loaded artifact, anything else must name a loaded artifact. The error
+// text is stable per name so unknown-artifact 404 bodies are deterministic.
 func (s *Server) resolve(name string) (*engine, error) {
 	set := s.engines.Load()
 	if name == "" {
-		if name = s.cfg.DefaultArtifact; name == "" {
-			if len(set.sorted) == 1 {
-				return set.sorted[0], nil
-			}
-			return nil, fmt.Errorf("artifact name required: %d artifacts loaded and no default configured", len(set.sorted))
+		if len(set.sorted) == 1 {
+			return set.sorted[0], nil
 		}
+		return nil, fmt.Errorf("artifact name required: %d artifacts loaded", len(set.sorted))
 	}
 	if !ValidArtifactName(name) {
 		return nil, fmt.Errorf("invalid artifact name %q", name)

@@ -46,7 +46,7 @@ func TestServeSoakFaultReload(t *testing.T) {
 	srv, err := New(path, Config{
 		CacheSize: 4, // smaller than the scenario count: eviction churn under load
 		Obs:       collector,
-		LoadHook: func(attempt int) error {
+		loadHook: func(attempt int) error {
 			if !faultsOn.Load() {
 				return nil
 			}
@@ -312,8 +312,8 @@ func TestServeSoakSustainedOverload(t *testing.T) {
 	if m.DeadlineExpired != int64(sheds) {
 		t.Fatalf("DeadlineExpired %d doesn't match observed %d sheds", m.DeadlineExpired, sheds)
 	}
-	if m.RecomputeErrors != 0 || m.Degraded != 0 {
-		t.Fatalf("clean overload must not produce errors or degraded answers: %+v", m)
+	if m.RecomputeErrors != 0 {
+		t.Fatalf("clean overload must not produce errors: %+v", m)
 	}
 
 	// Quiesce: detached recomputes finish, connections close, and the

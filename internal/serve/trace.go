@@ -80,7 +80,7 @@ type lapper struct {
 func (l *lapper) Lap(name string, id obs.LatencyID) { l.lapAt(name, id, time.Now()) }
 
 // alloc closes the stages of one engine.allocate call: cache, and — for a
-// query that went past it — flight (admission, breaker, single-flight wait).
+// query that went past it — flight (the single-flight wait).
 func (l *lapper) alloc(res allocResult) {
 	if res.missedAt.IsZero() {
 		l.Lap("cache", obs.LatStageCache)

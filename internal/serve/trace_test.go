@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"flexile/internal/obs"
 )
@@ -71,12 +71,12 @@ func TestTracedMissRequest(t *testing.T) {
 		t.Fatalf("trace summary: %+v", s)
 	}
 
-	var tiling time.Duration
+	var tiling []obs.SpanRec
 	seen := map[string]bool{}
 	for _, sp := range s.Spans {
 		seen[sp.Name] = true
 		if !sp.Nested {
-			tiling += sp.Dur
+			tiling = append(tiling, sp)
 		}
 	}
 	// The recompute descends: the allocation's class round, its levels and
@@ -86,9 +86,23 @@ func TestTracedMissRequest(t *testing.T) {
 			t.Errorf("missing span %q (have %v)", name, s.Spans)
 		}
 	}
-	if tiling > s.Dur || tiling < s.Dur/2 {
-		t.Fatalf("tiling spans sum to %v, served latency %v", tiling, s.Dur)
+	// The lapper's one cursor makes the tiling exact in integer
+	// nanoseconds: each span starts where the previous one ended, the first
+	// no earlier than the request and the last no later than its end.
+	// (A stable sort keeps recording order for a zero-length span.)
+	sort.SliceStable(tiling, func(i, j int) bool { return tiling[i].Start < tiling[j].Start })
+	end := tiling[0].Start
+	for _, sp := range tiling {
+		if sp.Start != end || sp.Start < 0 {
+			t.Fatalf("span %q starts at %v, previous span ended at %v: %+v", sp.Name, sp.Start, end, tiling)
+		}
+		end = sp.Start + sp.Dur
 	}
+	if end > s.Dur {
+		t.Fatalf("tiling spans end at %v, after the served latency %v", end, s.Dur)
+	}
+	covered := end - tiling[0].Start
+	t.Logf("tiling spans cover %v of %v served (%.1f%%)", covered, s.Dur, 100*float64(covered)/float64(s.Dur))
 }
 
 // TestTraceSampling checks the 1-in-N default path and the sampled-parent

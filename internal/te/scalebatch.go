@@ -27,7 +27,7 @@ import (
 // through MaxConcurrentScaleCtx. Its only callers are the benchmark
 // harness's te.scalebatch_compile_ms / te.scaleloss_ms probes
 // (bench/layers.go) and scalebatch_test.go; it goes when a benchmark-only
-// PR drops those probes (ROADMAP item 10).
+// change drops those probes.
 type ScaleBatch struct {
 	inst *Instance
 	bp   *lp.BatchProblem

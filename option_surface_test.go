@@ -33,7 +33,7 @@ func TestOptionSurfacePinned(t *testing.T) {
 		{te.MaxMinOptions{}, "Domain MinFrac FixRoutes Demands FixedUse"},
 		{flexile.DesignOptions{}, "MaxIterations Gamma Workers Timeout FaultHook"},
 		{flexile.AugmentOptions{}, "Target Cost MaxAug MaxIterations"},
-		{serve.Config{}, "CacheSize Workers Obs LoadHook Log LogEvery DefaultDeadline TenantRate TenantBurst BreakerThreshold BreakerCooldown ComputeHook MaxBatch DefaultArtifact Ring TraceEvery"},
+		{serve.Config{}, "CacheSize Workers Obs Log LogEvery DefaultDeadline TenantRate TenantBurst ComputeHook Ring TraceEvery"},
 		{ip.Scheme{}, "MaxNodes Status Objective"},
 		{ffc.Scheme{}, "F Granted"},
 		{cvarflow.St{}, ""},
