@@ -263,15 +263,17 @@ func BenchmarkOfflineParallelMetrics(b *testing.B) {
 // seed 1; five master MIPs): master-ms/op is the wall-clock inside
 // mip.SolveCtx and mip-nodes/op the branch-and-bound nodes it explored.
 // lp-solves/op and pivots/op count the whole Design — the scenario side is
-// the same every run, so a move in them is the master's — and
-// dual-pivots/op the share of those pivots the dual simplex took from warm
-// starts (node re-solves and scenario re-solves).
+// the same every run, so a move in them is the master's —, phase1-pivots/op
+// the share of those pivots spent finding a feasible basis (near zero once
+// the master's roots start from the warm incumbent's basis), and
+// dual-pivots/op the share the dual simplex took from warm starts (node
+// re-solves and scenario re-solves).
 func BenchmarkMasterMIP(b *testing.B) {
 	inst, err := experiments.Config{Scale: experiments.Small, MaxScenarios: 20, Seed: 1}.TwoClass("Sprint")
 	if err != nil {
 		b.Fatal(err)
 	}
-	var masterNanos, nodes, solves, pivots, dual int64
+	var masterNanos, nodes, solves, pivots, phase1, dual int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := flexile.Design(inst, flexile.DesignOptions{})
@@ -283,6 +285,7 @@ func BenchmarkMasterMIP(b *testing.B) {
 		nodes += m.MIP.Nodes
 		solves += m.LP.Solves
 		pivots += m.LP.Pivots
+		phase1 += m.LP.Phase1Pivots
 		dual += m.LP.DualPivots
 	}
 	n := float64(b.N)
@@ -290,6 +293,7 @@ func BenchmarkMasterMIP(b *testing.B) {
 	b.ReportMetric(float64(nodes)/n, "mip-nodes/op")
 	b.ReportMetric(float64(solves)/n, "lp-solves/op")
 	b.ReportMetric(float64(pivots)/n, "pivots/op")
+	b.ReportMetric(float64(phase1)/n, "phase1-pivots/op")
 	b.ReportMetric(float64(dual)/n, "dual-pivots/op")
 }
 

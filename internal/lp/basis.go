@@ -94,3 +94,25 @@ func (s *simplex) installBasis(b *Basis) bool {
 	}
 	return true
 }
+
+// Widened returns b for a problem whose columns cols get back the wider
+// bounds lb/ub (indexed by column) they were fixed inside for b's solve,
+// given that solve's point x: each listed column b holds nonbasic rests on
+// the bound nearest x[j]. A column solved with lb == ub is recorded at its
+// lower bound whatever its value, so without the re-seat a column fixed at
+// its upper bound would drop to its lower one and move the point. The basic
+// set is b's, so x stays the copy's basic solution: when x is feasible for
+// the widened problem the copy is a primal-feasible start. b is not changed.
+func (b *Basis) Widened(cols []int, x, lb, ub []float64) *Basis {
+	w := &Basis{colStat: append([]varStatus(nil), b.colStat...), rowStat: b.rowStat}
+	for _, j := range cols {
+		if w.colStat[j] == basic {
+			continue
+		}
+		w.colStat[j] = nonbasicLower
+		if ub[j]-x[j] < x[j]-lb[j] {
+			w.colStat[j] = nonbasicUpper
+		}
+	}
+	return w
+}

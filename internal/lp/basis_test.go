@@ -1,8 +1,12 @@
 package lp
 
 import (
+	"context"
+	"math"
 	"math/rand"
 	"testing"
+
+	"flexile/internal/obs"
 )
 
 // TestWarmStartSameProblem: re-solving from the optimal basis takes (near)
@@ -73,6 +77,78 @@ func TestWarmStartAfterBoundChange(t *testing.T) {
 	}
 	if warmTotal > coldTotal {
 		t.Logf("warm %d vs cold %d iterations (warm start not helping on tiny LPs is acceptable)", warmTotal, coldTotal)
+	}
+}
+
+// TestWidenedWarmStartIsPrimalFeasible: the branch-and-bound incumbent
+// pattern in reverse — solve with some columns fixed at a bound, then give
+// them back their bounds. The fixed solve's basis, widened onto its point,
+// installs as a primal-feasible start: no phase-1 pivot, and the optimum
+// of a cold solve. Installed as it is, a column fixed at its upper bound
+// drops to its lower one and some trials need phase 1 again.
+func TestWidenedWarmStartIsPrimalFeasible(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	solved, unwidenedPhase1 := 0, 0
+	for trial := 0; trial < 60; trial++ {
+		p, x0 := randomFeasibleLP(rng, 4+rng.Intn(6), 4+rng.Intn(8))
+		n := p.NumCols()
+		lb, ub := make([]float64, n), make([]float64, n)
+		for j := range lb {
+			lb[j], ub[j] = p.ColLB(j), p.ColUB(j)
+		}
+		// Fix about half the columns at the bound nearest x0, so the fixed
+		// problem stays feasible more often than not.
+		var cols []int
+		for j := 0; j < n; j++ {
+			if rng.Intn(2) == 0 {
+				continue
+			}
+			cols = append(cols, j)
+			v := lb[j]
+			if x0[j]-lb[j] > ub[j]-x0[j] {
+				v = ub[j]
+			}
+			p.SetColBounds(j, v, v)
+		}
+		fixed, err := p.Solve()
+		for j := range lb {
+			p.SetColBounds(j, lb[j], ub[j])
+		}
+		if err != nil {
+			t.Fatalf("trial %d: fixed solve: %v", trial, err)
+		}
+		if fixed.Status != Optimal {
+			continue
+		}
+		solved++
+		cold, err := p.Solve()
+		if err != nil || cold.Status != Optimal {
+			t.Fatalf("trial %d: cold solve %v, %v", trial, cold, err)
+		}
+		solveFrom := func(b *Basis) (*Solution, obs.LPMetrics) {
+			col := obs.New()
+			s, err := p.SolveCtx(obs.With(context.Background(), col), Options{StartBasis: b})
+			if err != nil {
+				t.Fatalf("trial %d: warm solve: %v", trial, err)
+			}
+			return s, col.Snapshot().LP
+		}
+		warm, m := solveFrom(fixed.Basis().Widened(cols, fixed.X, lb, ub))
+		if !warm.WarmStarted || m.Phase1Pivots != 0 {
+			t.Fatalf("trial %d: widened basis installed %v with %d phase-1 pivots, want installed with 0",
+				trial, warm.WarmStarted, m.Phase1Pivots)
+		}
+		if warm.Status != Optimal || math.Abs(warm.Objective-cold.Objective) > DefaultTol*(1+math.Abs(cold.Objective)) {
+			t.Fatalf("trial %d: widened start %v %v, cold optimum %v", trial, warm.Status, warm.Objective, cold.Objective)
+		}
+		if _, m := solveFrom(fixed.Basis()); m.Phase1Pivots > 0 {
+			unwidenedPhase1++
+		}
+	}
+	t.Logf("%d fixed solves optimal; %d unwidened starts needed phase 1", solved, unwidenedPhase1)
+	if solved < 20 || unwidenedPhase1 == 0 {
+		t.Fatalf("%d fixed solves optimal, %d unwidened starts needed phase 1: the trials do not exercise the re-seat",
+			solved, unwidenedPhase1)
 	}
 }
 

@@ -1,11 +1,13 @@
 package mip
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
 	"flexile/internal/lp"
+	"flexile/internal/obs"
 )
 
 const consTol = 1e-6
@@ -115,6 +117,41 @@ func TestIncumbentRespectsRelaxationBound(t *testing.T) {
 	}
 }
 
+// bruteForce enumerates every 0/1 assignment of mp's binaries (≤ 8 of
+// them), LP-solving the rest with the binaries fixed: it returns the exact
+// optimum, the first assignment that reaches it, and the feasible
+// assignments in mask order. mp's bounds are restored on return.
+func bruteForce(t *testing.T, trial int, mp *Problem) (float64, []float64, [][]float64) {
+	t.Helper()
+	best := math.Inf(1)
+	var bestBin []float64
+	var feasible [][]float64
+	for mask := 0; mask < 1<<len(mp.Binary); mask++ {
+		bin := make([]float64, len(mp.Binary))
+		for k, j := range mp.Binary {
+			bin[k] = float64((mask >> k) & 1)
+			mp.LP.SetColBounds(j, bin[k], bin[k])
+		}
+		s, err := mp.LP.Solve()
+		if err != nil {
+			t.Fatalf("trial %d mask %d: %v", trial, mask, err)
+		}
+		if s.Status == lp.Optimal {
+			feasible = append(feasible, bin)
+			if s.Objective < best {
+				best, bestBin = s.Objective, bin
+			}
+		}
+	}
+	for _, j := range mp.Binary {
+		mp.LP.SetColBounds(j, 0, 1)
+	}
+	if math.IsInf(best, 1) {
+		t.Fatalf("trial %d: brute force found no feasible assignment (all-zeros should be feasible)", trial)
+	}
+	return best, bestBin, feasible
+}
+
 // TestBranchAndBoundMatchesBruteForce: with ≤8 binaries, enumerating every
 // 0/1 assignment (fix the binaries, LP-solve the rest) gives the exact
 // optimum; the branch-and-bound solver must find it when it claims Optimal.
@@ -125,27 +162,7 @@ func TestBranchAndBoundMatchesBruteForce(t *testing.T) {
 		nCont := rng.Intn(3)
 		m := 2 + rng.Intn(4)
 		mp, rows, rhs := randomBinaryMIP(rng, nBin, nCont, m)
-
-		best := math.Inf(1)
-		for mask := 0; mask < 1<<nBin; mask++ {
-			for k, j := range mp.Binary {
-				v := float64((mask >> k) & 1)
-				mp.LP.SetColBounds(j, v, v)
-			}
-			s, err := mp.LP.Solve()
-			if err != nil {
-				t.Fatalf("trial %d mask %d: %v", trial, mask, err)
-			}
-			if s.Status == lp.Optimal && s.Objective < best {
-				best = s.Objective
-			}
-		}
-		for _, j := range mp.Binary {
-			mp.LP.SetColBounds(j, 0, 1)
-		}
-		if math.IsInf(best, 1) {
-			t.Fatalf("trial %d: brute force found no feasible assignment (all-zeros should be feasible)", trial)
-		}
+		best, _, _ := bruteForce(t, trial, mp)
 
 		sol, err := Solve(mp, Options{})
 		if err != nil {
@@ -162,24 +179,70 @@ func TestBranchAndBoundMatchesBruteForce(t *testing.T) {
 }
 
 // TestWarmStartNeverHurts: seeding the solver with a feasible warm incumbent
-// must not change the optimum it reports.
+// must not change the optimum it reports, and the root relaxation, started
+// from the incumbent's basis with the binaries freed, needs no phase 1 and
+// reaches the relaxation's optimum. The warm starts are all-zeros, the
+// brute-force optimum and the feasible assignment with the most ones, so
+// binaries fixed at 1 are re-seated on their upper bound.
 func TestWarmStartNeverHurts(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
+	ones := 0
 	for trial := 0; trial < 25; trial++ {
 		mp, rows, rhs := randomBinaryMIP(rng, 3+rng.Intn(6), rng.Intn(3), 2+rng.Intn(3))
 		cold, err := Solve(mp, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: cold: %v", trial, err)
 		}
-		warmBin := make([]float64, len(mp.Binary)) // all-zeros is always feasible
-		warm, err := Solve(mp, Options{WarmBinary: warmBin})
-		if err != nil {
-			t.Fatalf("trial %d: warm: %v", trial, err)
+		relax, err := mp.LP.Solve()
+		if err != nil || relax.Status != lp.Optimal {
+			t.Fatalf("trial %d: relaxation %v, %v", trial, relax, err)
 		}
-		checkMIPSolution(t, trial, mp, rows, rhs, warm)
-		if cold.Status == Optimal && warm.Status == Optimal &&
-			math.Abs(cold.Objective-warm.Objective) > consTol*(1+math.Abs(cold.Objective)) {
-			t.Fatalf("trial %d: cold optimum %v, warm optimum %v", trial, cold.Objective, warm.Objective)
+		_, optimum, feasible := bruteForce(t, trial, mp)
+		most := feasible[0]
+		for _, bin := range feasible {
+			if sum(bin) > sum(most) {
+				most = bin
+			}
+		}
+		for _, warmBin := range [][]float64{feasible[0], optimum, most} { // feasible[0] is all-zeros
+			ones += int(sum(warmBin))
+			warm, err := Solve(mp, Options{WarmBinary: warmBin})
+			if err != nil {
+				t.Fatalf("trial %d: warm: %v", trial, err)
+			}
+			checkMIPSolution(t, trial, mp, rows, rhs, warm)
+			if cold.Status == Optimal && warm.Status == Optimal &&
+				math.Abs(cold.Objective-warm.Objective) > consTol*(1+math.Abs(cold.Objective)) {
+				t.Fatalf("trial %d: cold optimum %v, warm %v optimum %v", trial, cold.Objective, warmBin, warm.Objective)
+			}
+
+			// One node: the incumbent's own cold solve, which starts at a
+			// feasible logical basis (≤ rows with nonnegative entries), and
+			// the warm root, unless the incumbent closes the root at its box
+			// bound first. Every phase-1 pivot would be the root's.
+			col := obs.New()
+			root, err := SolveCtx(obs.With(context.Background(), col), mp, Options{WarmBinary: warmBin, MaxNodes: 1})
+			if err != nil {
+				t.Fatalf("trial %d: root: %v", trial, err)
+			}
+			if m := col.Snapshot().LP; m.WarmStarts != m.Solves-1 || m.Phase1Pivots != 0 {
+				t.Fatalf("trial %d: warm %v: %d solves, %d warm, %d phase-1 pivots; want every solve but the incumbent's warm, and 0",
+					trial, warmBin, m.Solves, m.WarmStarts, m.Phase1Pivots)
+			}
+			if math.Abs(root.Bound-relax.Objective) > consTol*(1+math.Abs(relax.Objective)) {
+				t.Fatalf("trial %d: warm %v: root bound %v, relaxation optimum %v", trial, warmBin, root.Bound, relax.Objective)
+			}
 		}
 	}
+	if ones == 0 {
+		t.Fatal("no warm start fixed a binary at 1")
+	}
+}
+
+func sum(v []float64) float64 {
+	t := 0.0
+	for _, x := range v {
+		t += x
+	}
+	return t
 }

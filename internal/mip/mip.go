@@ -130,7 +130,8 @@ type node struct {
 	fixes []fix
 	// basis warm-starts the node's LP from its parent's optimal basis —
 	// the child differs only in one binary's bounds, so re-solving
-	// typically takes a handful of pivots.
+	// typically takes a handful of pivots — and the root's from the warm
+	// incumbent's.
 	basis *lp.Basis
 }
 
@@ -230,7 +231,10 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 	// pruned on a bound that does not hold (TestWarmStartNeverHurts).
 	rootBound := boxBound(lpp, origLB, origUB)
 
-	tryIncumbent := func(binVals []float64, basis *lp.Basis) {
+	// tryIncumbent solves the LP with the binaries fixed at binVals rounded,
+	// keeps its point if it beats the incumbent, and returns the solve when
+	// it is optimal (nil otherwise).
+	tryIncumbent := func(binVals []float64, basis *lp.Basis) *lp.Solution {
 		fixes := make([]fix, nb)
 		for k, j := range p.Binary {
 			v := 0.0
@@ -241,22 +245,28 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 		}
 		ls, err := relax(fixes, basis)
 		if err != nil || ls.Status != lp.Optimal {
-			return
+			return nil
 		}
 		if ls.Objective < sol.Objective {
 			sol.Objective = ls.Objective
 			best = append([]float64(nil), ls.X...)
 			mm.IncumbentUpdates++
 		}
-	}
-
-	if opts.WarmBinary != nil {
-		tryIncumbent(opts.WarmBinary, nil)
+		return ls
 	}
 
 	// A warm incumbent at the box bound closes the root when it is popped,
 	// before its LP: the answer is the one a solved-then-pruned root gives.
-	h := &nodeHeap{{bound: rootBound}}
+	// Otherwise the root starts from the incumbent's basis with the binaries
+	// freed: the incumbent is a feasible point of the root relaxation, so
+	// the root opens primal feasible and phase 1 has nothing to do.
+	root := &node{bound: rootBound}
+	if opts.WarmBinary != nil {
+		if ls := tryIncumbent(opts.WarmBinary, nil); ls != nil {
+			root.basis = ls.Basis().Widened(p.Binary, ls.X, origLB, origUB)
+		}
+	}
+	h := &nodeHeap{root}
 	heap.Init(h)
 
 	for h.Len() > 0 && sol.Nodes < opts.MaxNodes {

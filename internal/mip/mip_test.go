@@ -403,37 +403,47 @@ func TestBoundSandwich(t *testing.T) {
 }
 
 // TestNodeWithoutPointIsNotBranched: a node LP that stops at its iteration
-// limit before it has a primal point (phase 1 of the root here, with one
-// pivot allowed) returns no X. The search must not branch on it, nor drop
-// it: its inherited bound stays in Bound, so with the warm incumbent the MIP
-// is Feasible, not Optimal, and without one it finds nothing.
+// limit before it has a primal point returns no X. The search must not
+// branch on it, nor drop it: its inherited bound stays in Bound.
 func TestNodeWithoutPointIsNotBranched(t *testing.T) {
-	p := lp.NewProblem()
+	// A cold root: phase 1 of a vertex cover, with one pivot allowed. With
+	// no warm incumbent, or one whose LP is infeasible (it leaves edge 1–2
+	// uncovered), the root starts cold and stops without a point, and the
+	// MIP finds nothing.
+	cover := lp.NewProblem()
 	var bins []int
 	for k := 0; k < 3; k++ {
-		bins = append(bins, p.AddCol("x", 0, 1, float64(1+k)))
+		bins = append(bins, cover.AddCol("x", 0, 1, float64(1+k)))
 	}
-	p.AddGE("cover01", 1, lp.Entry{Col: bins[0], Coef: 1}, lp.Entry{Col: bins[1], Coef: 1})
-	p.AddGE("cover12", 1, lp.Entry{Col: bins[1], Coef: 1}, lp.Entry{Col: bins[2], Coef: 1})
-	p.AddGE("cover02", 1, lp.Entry{Col: bins[0], Coef: 1}, lp.Entry{Col: bins[2], Coef: 1})
-	mp := &Problem{LP: p, Binary: bins}
-	opts := Options{maxIters: 1}
+	cover.AddGE("cover01", 1, lp.Entry{Col: bins[0], Coef: 1}, lp.Entry{Col: bins[1], Coef: 1})
+	cover.AddGE("cover12", 1, lp.Entry{Col: bins[1], Coef: 1}, lp.Entry{Col: bins[2], Coef: 1})
+	cover.AddGE("cover02", 1, lp.Entry{Col: bins[0], Coef: 1}, lp.Entry{Col: bins[2], Coef: 1})
+	for _, warm := range [][]float64{nil, {1, 0, 0}} {
+		s, err := Solve(&Problem{LP: cover, Binary: bins}, Options{maxIters: 1, WarmBinary: warm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Status != Infeasible || s.X != nil || s.Nodes != 1 {
+			t.Fatalf("warm %v: status %v, X %v after %d nodes, want infeasible with no X after 1", warm, s.Status, s.X, s.Nodes)
+		}
+	}
 
-	s, err := Solve(mp, opts)
+	// A child without a point: min −2x₀ − x₁ subject to 3x₀ + 3x₁ ≤ 4 and
+	// x₀ + 3x₁ ≤ 3, warm from the integer optimum (1, 0), with two pivots
+	// allowed. The root, started from the incumbent's basis, reaches its
+	// optimum (1, 1/3) at −7/3; the child x₁ = 1 needs more pivots from the
+	// root's basis and stops without a point. It keeps the root's bound, so
+	// the MIP is Feasible at −2 with bound −7/3, not Optimal.
+	knap := lp.NewProblem()
+	x0, x1 := knap.AddCol("x0", 0, 1, -2), knap.AddCol("x1", 0, 1, -1)
+	knap.AddLE("r0", 4, lp.Entry{Col: x0, Coef: 3}, lp.Entry{Col: x1, Coef: 3})
+	knap.AddLE("r1", 3, lp.Entry{Col: x0, Coef: 1}, lp.Entry{Col: x1, Coef: 3})
+	s, err := Solve(&Problem{LP: knap, Binary: []int{x0, x1}}, Options{maxIters: 2, WarmBinary: []float64{1, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Status != Infeasible || s.X != nil {
-		t.Fatalf("no incumbent: status %v, X %v", s.Status, s.X)
-	}
-
-	opts.WarmBinary = []float64{1, 1, 1}
-	s, err = Solve(mp, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Status != Feasible || s.Objective != 6 || s.Bound != 0 || s.Nodes != 1 {
-		t.Fatalf("warm incumbent: status %v objective %v bound %v after %d nodes, want feasible 6 bound 0 (the root's box bound) after 1",
+	if s.Status != Feasible || s.Objective != -2 || math.Abs(s.Bound+7.0/3) > 1e-12 || s.Nodes != 3 {
+		t.Fatalf("warm incumbent: status %v objective %v bound %v after %d nodes, want feasible -2 bound -7/3 (the root's) after 3",
 			s.Status, s.Objective, s.Bound, s.Nodes)
 	}
 }
