@@ -71,16 +71,15 @@ race:
 faults:
 	$(GO) test -race -timeout 15m -run 'Fault|Degraded|Cancel' ./...
 
-# Fuzz smoke for the serving layer's two byte-level decoders (DESIGN.md
-# §10): the artifact decoder and the failure-state request parser must
-# turn arbitrary bytes into errors, never panics. The checked-in seed
+# Fuzz smoke for the serving layer's byte-level decoders (DESIGN.md §10):
+# the artifact decoder, the batch envelope parser and artifact-name
+# resolution must turn arbitrary bytes into errors, never panics. The checked-in seed
 # corpora (internal/serve/testdata/fuzz/) run on every plain `go test`;
 # this adds a short coverage-guided exploration on top. One target per
 # invocation — `go test -fuzz` accepts a single fuzz pattern.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -fuzz 'FuzzDecodeArtifact' -fuzztime $(FUZZTIME) -run '^$$' ./internal/serve/
-	$(GO) test -fuzz 'FuzzParseRequest' -fuzztime $(FUZZTIME) -run '^$$' ./internal/serve/
 	$(GO) test -fuzz 'FuzzParseBatchRequest' -fuzztime $(FUZZTIME) -run '^$$' ./internal/serve/
 	$(GO) test -fuzz 'FuzzResolveArtifactName' -fuzztime $(FUZZTIME) -run '^$$' ./internal/serve/
 
@@ -106,7 +105,7 @@ chaos:
 # Load-generator smoke (DESIGN.md §13): build the real flexile-serve and
 # flexile-load binaries, drive a short seeded open-loop storm at a
 # two-artifact registry, and assert the JSON summary parses with sane
-# p99 latency, zero unexplained sheds, and client-side hit/dedup/entry
+# p99 latency, zero unexplained sheds, and client-side hit/miss/entry
 # counts that exactly match the server's own /metrics counters.
 loadsmoke:
 	$(GO) test -run 'TestLoadEndToEnd' -count=1 ./cmd/flexile-load/

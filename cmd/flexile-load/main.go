@@ -44,7 +44,7 @@ func main() {
 	batch := flag.Int("batch", 1, "queries per request (1 = single GET /v1/alloc, >1 = POST /v1/alloc/batch)")
 	tenants := flag.Int("tenants", 0, "rotate X-Tenant across this many synthetic tenants (0 = no header)")
 	deadline := flag.Duration("deadline", 0, "X-Request-Deadline sent on every request (0 = none)")
-	artifacts := flag.String("artifacts", "", "comma-separated artifact names to spread queries across (empty = the server's default artifact)")
+	artifacts := flag.String("artifacts", "", "comma-separated artifact names to spread queries across (empty = no X-Flexile-Artifact header: the server's sole artifact)")
 	hotFrac := flag.Float64("hot-frac", 0.8, "fraction of queries drawn from the hot scenario set (0 = uniform)")
 	hotSet := flag.Int("hot-set", 4, "hot-set size per artifact")
 	planOnly := flag.Bool("plan", false, "print the materialized request stream as JSON and exit without firing")

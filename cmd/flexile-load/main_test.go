@@ -182,14 +182,14 @@ func TestLoadEndToEnd(t *testing.T) {
 	}
 
 	// Cross-check against the server's own counters: every batch entry is a
-	// request, hit counts agree, dedup counts agree, nothing was shed.
+	// request, hit and miss counts agree, nothing was shed.
 	counters := scrapeCounters(t, base+"/metrics")
 	for metric, want := range map[string]float64{
 		"flexile_serve_requests_total":         num("entries"),
 		"flexile_serve_batch_requests_total":   num("requests"),
 		"flexile_serve_batch_entries_total":    num("entries"),
-		"flexile_serve_batch_deduped_total":    num("dedup"),
 		"flexile_serve_cache_hits_total":       num("hits"),
+		"flexile_serve_cache_misses_total":     num("miss"),
 		"flexile_serve_deadline_expired_total": 0,
 		"flexile_serve_quota_rejects_total":    0,
 	} {

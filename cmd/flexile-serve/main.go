@@ -7,19 +7,17 @@
 //
 //	flexile -topo IBM -artifact ibm.flxa
 //	flexile-serve -artifact ibm.flxa -listen :8080
-//	curl 'localhost:8080/v1/alloc?failed=3'
-//	curl -d '{"failed":[3,7]}' localhost:8080/v1/alloc
+//	curl 'localhost:8080/v1/alloc?failed=3,7'
 //	curl localhost:8080/metrics        # Prometheus exposition
 //	curl localhost:8080/readyz         # readiness (503 during reloads)
 //
 // The daemon is always a registry of named artifacts. -artifact F is a
 // one-entry registry pinned to that file (named after its basename, so
-// the named routes below and /v1/artifacts work there too);
+// the X-Flexile-Artifact header below and /v1/artifacts work there too);
 // -artifact-dir D serves every *.flxa in the directory, and a request
 // that names no artifact is a 404 unless exactly one is loaded:
 //
 //	flexile-serve -artifact-dir ./artifacts -listen :8080
-//	curl 'localhost:8080/v1/artifacts/ibm/alloc?failed=3'
 //	curl -H 'X-Flexile-Artifact: ibm' 'localhost:8080/v1/alloc?failed=3'
 //	curl -d '{"queries":[{"artifact":"ibm","failed":[3]}]}' localhost:8080/v1/alloc/batch
 //	curl localhost:8080/v1/artifacts   # per-artifact status

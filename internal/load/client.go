@@ -94,7 +94,7 @@ type Outcome struct {
 	// single-request status, and 0 when a 200 envelope held no readable
 	// entry for the query (Body then holds the envelope).
 	Status     int
-	Cache      string // X-Flexile-Cache: hit, miss, shared, dedup
+	Cache      string // X-Flexile-Cache: hit, miss
 	Shed       string // X-Flexile-Shed: quota, deadline
 	RetryAfter int    // Retry-After in whole seconds; 0 when absent or unparsable
 	Batch      bool   // answered through a batch envelope
@@ -183,7 +183,8 @@ func (c *Client) fire(ctx context.Context, rq Request, deadline time.Duration, b
 
 // FetchScenarios asks a live server for an artifact's enumerated failure
 // states (GET /v1/scenarios), the input a Plan draws queries from. name ""
-// targets the server's default artifact.
+// sends no X-Flexile-Artifact header, which a server with one artifact
+// answers for it.
 func FetchScenarios(ctx context.Context, baseURL, name string) ([][]int, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/v1/scenarios", nil)
 	if err != nil {

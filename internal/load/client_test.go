@@ -108,7 +108,7 @@ func TestBatchEnvelopes(t *testing.T) {
 	defer client.Close()
 	rq := load.Request{Queries: []load.Query{{Artifact: "a", Failed: []int{1}}, {Failed: []int{}}}}
 
-	reply = `{"results":[{"status":200,"cache":"dedup","body":{"scenario":1}},{"status":429,"shed":"quota","retry_after":3,"error":"slow down"}]}`
+	reply = `{"results":[{"status":200,"cache":"hit","body":{"scenario":1}},{"status":429,"shed":"quota","retry_after":3,"error":"slow down"}]}`
 	res := client.Fire(context.Background(), rq, 0)
 	if sent != `POST /v1/alloc/batch {"queries":[{"artifact":"a","failed":[1]},{"failed":[]}]}` {
 		t.Errorf("wire request = %s", sent)
@@ -116,7 +116,7 @@ func TestBatchEnvelopes(t *testing.T) {
 	if res.Err != nil || len(res.Outcomes) != 2 {
 		t.Fatalf("Fire: %+v", res)
 	}
-	if o := res.Outcomes[0]; o.Status != 200 || o.Cache != "dedup" || !o.Batch || o.RequestID != "env-1" || string(o.Body) != `{"scenario":1}` {
+	if o := res.Outcomes[0]; o.Status != 200 || o.Cache != "hit" || !o.Batch || o.RequestID != "env-1" || string(o.Body) != `{"scenario":1}` {
 		t.Errorf("entry 0 = %+v", o)
 	}
 	if o := res.Outcomes[1]; o.Status != 429 || o.Shed != "quota" || o.RetryAfter != 3 || !o.Batch {

@@ -110,7 +110,8 @@ type Plan struct {
 // Rand is the repository's one seeded stream: splitmix64 — tiny, fast,
 // identical on every platform. Plans, storm clients and hypotheses all
 // draw from it, so a seed reproduces the same traffic everywhere. (The
-// stateless mixers in faultinject, obs and emu are hashes, not streams.)
+// stateless mixers in obs, emu and the flexile fault-injection tests are
+// hashes, not streams.)
 type Rand struct{ s uint64 }
 
 // fork returns the private stream of client w of a storm seeded with

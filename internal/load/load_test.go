@@ -213,7 +213,7 @@ func TestRunAgainstServer(t *testing.T) {
 			}
 
 			sum := stats.Summary()
-			if got := sum.Hits + sum.Miss + sum.Shared + sum.Dedup; got != stats.OK {
+			if got := sum.Hits + sum.Miss; got != stats.OK {
 				t.Errorf("dispositions sum to %d, want OK=%d", got, stats.OK)
 			}
 			if sum.Entries != stats.Entries || sum.OK != stats.OK || sum.Errors != 0 {

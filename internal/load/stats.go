@@ -32,7 +32,7 @@ type Stats struct {
 	Requests int
 	Entries  int
 	// OK counts Exact outcomes, broken down by X-Flexile-Cache disposition
-	// (hit, miss, shared, dedup) and by the artifact queried.
+	// (hit, miss) and by the artifact queried.
 	OK       int
 	Cache    map[string]int
 	Artifact map[string]int
@@ -87,10 +87,9 @@ func (s *Stats) Add(sm Sample) {
 		case Exact:
 			exact++
 			s.OK++
-			switch out.Cache {
-			case "hit", "shared", "dedup":
-				s.Cache[out.Cache]++
-			default:
+			if out.Cache == "hit" {
+				s.Cache["hit"]++
+			} else {
 				s.Cache["miss"]++
 			}
 			s.Artifact[sm.Request.Queries[i].Artifact]++
@@ -160,8 +159,6 @@ type Summary struct {
 	OK         int            `json:"ok"`
 	Hits       int            `json:"hits"`
 	Miss       int            `json:"miss"`
-	Shared     int            `json:"shared"`
-	Dedup      int            `json:"dedup"`
 	Shed       int            `json:"shed"`
 	ShedBy     map[string]int `json:"shed_by,omitempty"`
 	Disconnect int            `json:"disconnects"`
@@ -190,8 +187,6 @@ func (s *Stats) Summary() Summary {
 		OK:         s.OK,
 		Hits:       s.Cache["hit"],
 		Miss:       s.Cache["miss"],
-		Shared:     s.Cache["shared"],
-		Dedup:      s.Cache["dedup"],
 		Shed:       s.Sheds(),
 		ShedBy:     s.Shed,
 		Disconnect: s.Disconnect,

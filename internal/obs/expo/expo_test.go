@@ -42,7 +42,7 @@ func fixedMetrics() obs.SolveMetrics {
 		Requests: 1000, BadRequests: 7, CacheHits: 800, CacheMisses: 200,
 		Recomputes: 150, FlightShared: 50, Reloads: 3, ReloadErrors: 1, GateWaits: 20,
 		QuotaRejects: 13, DeadlineExpired: 6, RecomputeErrors: 4,
-		BatchRequests: 21, BatchEntries: 340, BatchDeduped: 19,
+		BatchRequests: 21, BatchEntries: 340,
 	}
 	m.Latency.ServeRequest = fixedHist()
 	m.Latency.QueueWait = fixedHist()

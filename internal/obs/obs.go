@@ -209,12 +209,9 @@ type ServeMetrics struct {
 	// BatchRequests counts POST /v1/alloc/batch HTTP requests;
 	// BatchEntries counts the allocation queries they carried (each entry
 	// is also counted in Requests and its disposition counters, so the
-	// single-query and batch paths share one accounting). BatchDeduped
-	// counts entries answered by copying another entry's result because
-	// the batch repeated the same (artifact, failure-state) query.
+	// single-query and batch paths share one accounting).
 	BatchRequests int64 `json:"batch_requests"`
 	BatchEntries  int64 `json:"batch_entries"`
-	BatchDeduped  int64 `json:"batch_deduped"`
 }
 
 // Add accumulates d into m. m is a plain (non-atomic) delta a caller builds

@@ -101,7 +101,7 @@ func (m *PoolMetrics) Fields() [4]Field {
 // Fields is the serving layer's schema. Every name is
 // flexile_serve_<json key>_total; the server renders the same rows per
 // artifact as flexile_serve_artifact_<json key>_total.
-func (m *ServeMetrics) Fields() [15]Field {
+func (m *ServeMetrics) Fields() [14]Field {
 	return [...]Field{
 		{P: &m.Requests, Name: "flexile_serve_requests_total", Help: "Allocation queries accepted by the HTTP layer."},
 		{P: &m.BadRequests, Name: "flexile_serve_bad_requests_total", Help: "Allocation queries rejected as malformed or unmatched."},
@@ -117,7 +117,6 @@ func (m *ServeMetrics) Fields() [15]Field {
 		{P: &m.RecomputeErrors, Name: "flexile_serve_recompute_errors_total", Help: "Online recomputations that failed."},
 		{P: &m.BatchRequests, Name: "flexile_serve_batch_requests_total", Help: "POST /v1/alloc/batch HTTP requests."},
 		{P: &m.BatchEntries, Name: "flexile_serve_batch_entries_total", Help: "Allocation queries carried inside batch requests."},
-		{P: &m.BatchDeduped, Name: "flexile_serve_batch_deduped_total", Help: "Batch entries answered by copying a duplicate entry's result."},
 	}
 }
 

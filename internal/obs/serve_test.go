@@ -103,7 +103,7 @@ func TestServeMetricsJSONKeys(t *testing.T) {
 // reason the schema is a concrete array and not a slice.
 func TestFlushAllocatesNothing(t *testing.T) {
 	child := NewChild(New())
-	serve := ServeMetrics{Requests: 1, CacheHits: 1, BatchDeduped: 2}
+	serve := ServeMetrics{Requests: 1, CacheHits: 1, BatchEntries: 2}
 	lp := LPMetrics{Solves: 1, Pivots: 7, SolveNanos: 300}
 	for name, flush := range map[string]func(){
 		"AddServe": func() { child.AddServe(serve) },

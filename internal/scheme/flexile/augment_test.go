@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"flexile/internal/faultinject"
 	"flexile/internal/obs"
 )
 
@@ -182,8 +181,8 @@ func TestAugmentFaultSkippedScenario(t *testing.T) {
 		inst.ScaleDemands(1.5)
 		// Scenario 0, no link failed, carries 97 % of the mass: every flow
 		// is critical there in any critical set that covers β = 0.99.
-		inj := faultinject.Script(map[int][]faultinject.Kind{0: {faultinject.SingularBasis, faultinject.SingularBasis}})
-		res, err := augment(context.Background(), inst, AugmentOptions{MaxIterations: 3}, Options{Workers: 2, FaultHook: inj.Hook})
+		inj := scriptInjector(map[int][]faultKind{0: {faultSingularBasis, faultSingularBasis}})
+		res, err := augment(context.Background(), inst, AugmentOptions{MaxIterations: 3}, Options{Workers: 2, faultHook: inj.hook})
 		if err == nil {
 			t.Fatalf("targets declared met with scenario 0 never solved: %+v", res)
 		}
@@ -206,8 +205,8 @@ func TestAugmentFaultSkippedScenario(t *testing.T) {
 		// Scenario 3 (A–B down) is the one whose cuts price δ. The retry
 		// runs Bland's rule, which may end on another optimal vertex: in a
 		// degenerate scenario (B–C down, at this scale) that moves δ by ulps.
-		inj := faultinject.Script(map[int][]faultinject.Kind{3: {faultinject.SingularBasis}})
-		got, err := augment(context.Background(), inst, AugmentOptions{}, Options{Workers: 2, FaultHook: inj.Hook})
+		inj := scriptInjector(map[int][]faultKind{3: {faultSingularBasis}})
+		got, err := augment(context.Background(), inst, AugmentOptions{}, Options{Workers: 2, faultHook: inj.hook})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,14 +7,12 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"flexile/internal/faultinject"
 )
 
 // allScenarioScript builds a fault script firing the given attempt
 // sequence on every scenario of the instance.
-func allScenarioScript(nq int, kinds ...faultinject.Kind) map[int][]faultinject.Kind {
-	script := make(map[int][]faultinject.Kind, nq)
+func allScenarioScript(nq int, kinds ...faultKind) map[int][]faultKind {
+	script := make(map[int][]faultKind, nq)
 	for q := 0; q < nq; q++ {
 		script[q] = kinds
 	}
@@ -31,8 +29,8 @@ func TestOfflineFaultRetryRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := faultinject.Script(allScenarioScript(len(inst.Scenarios), faultinject.SingularBasis))
-	got, err := Offline(inst, Options{Workers: 2, FaultHook: inj.Hook})
+	inj := scriptInjector(allScenarioScript(len(inst.Scenarios), faultSingularBasis))
+	got, err := Offline(inst, Options{Workers: 2, faultHook: inj.hook})
 	if err != nil {
 		t.Fatalf("faulted solve: %v", err)
 	}
@@ -56,7 +54,7 @@ func TestOfflineFaultRetryRecovers(t *testing.T) {
 	if !reflect.DeepEqual(got.PercLoss, clean.PercLoss) {
 		t.Fatalf("PercLoss %v after recovery, fault-free %v", got.PercLoss, clean.PercLoss)
 	}
-	if fired := inj.Fired()[faultinject.SingularBasis]; fired == 0 {
+	if fired := inj.fired()[faultSingularBasis]; fired == 0 {
 		t.Fatal("injector never fired")
 	}
 }
@@ -67,9 +65,9 @@ func TestOfflineFaultRetryRecovers(t *testing.T) {
 // online phase must produce a feasible allocation from it.
 func TestOfflineFaultSkipDegradedResult(t *testing.T) {
 	inst := triangleInstance()
-	inj := faultinject.Script(allScenarioScript(len(inst.Scenarios),
-		faultinject.SingularBasis, faultinject.SingularBasis))
-	res, err := Offline(inst, Options{Workers: 2, FaultHook: inj.Hook})
+	inj := scriptInjector(allScenarioScript(len(inst.Scenarios),
+		faultSingularBasis, faultSingularBasis))
+	res, err := Offline(inst, Options{Workers: 2, faultHook: inj.hook})
 	if err != nil {
 		t.Fatalf("exhausted retries must degrade, not error: %v", err)
 	}
@@ -100,8 +98,8 @@ func TestOfflineFaultSkipDegradedResult(t *testing.T) {
 func TestOfflineFaultPanicIsolated(t *testing.T) {
 	inst := triangleInstance()
 	const victim = 1
-	inj := faultinject.Script(map[int][]faultinject.Kind{victim: {faultinject.Panic}})
-	res, err := Offline(inst, Options{Workers: 2, FaultHook: inj.Hook})
+	inj := scriptInjector(map[int][]faultKind{victim: {faultPanic}})
+	res, err := Offline(inst, Options{Workers: 2, faultHook: inj.hook})
 	if err != nil {
 		t.Fatalf("panic must be isolated, not fatal: %v", err)
 	}
@@ -163,9 +161,9 @@ func TestOfflineCancelTimeout(t *testing.T) {
 // for every worker count.
 func TestOfflineFaultDeterministicAcrossWorkers(t *testing.T) {
 	inst := sprintInstance(t)
-	run := func(workers int) (*OfflineResult, *faultinject.Injector) {
-		inj := faultinject.New(42, 0.5, faultinject.SingularBasis, faultinject.IterLimit)
-		res, err := Offline(inst, Options{Workers: workers, FaultHook: inj.Hook})
+	run := func(workers int) (*OfflineResult, *injector) {
+		inj := newInjector(42, 0.5, faultSingularBasis, faultIterLimit)
+		res, err := Offline(inst, Options{Workers: workers, faultHook: inj.hook})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -197,8 +195,8 @@ func TestOfflineFaultDeterministicAcrossWorkers(t *testing.T) {
 		if !reflect.DeepEqual(normReport(got.Report), normReport(base.Report)) {
 			t.Fatalf("workers=%d: SolveReport differs:\n%+v\nsequential:\n%+v", workers, got.Report, base.Report)
 		}
-		if !reflect.DeepEqual(inj.Fired(), baseInj.Fired()) {
-			t.Fatalf("workers=%d: injected faults %v, sequential %v", workers, inj.Fired(), baseInj.Fired())
+		if !reflect.DeepEqual(inj.fired(), baseInj.fired()) {
+			t.Fatalf("workers=%d: injected faults %v, sequential %v", workers, inj.fired(), baseInj.fired())
 		}
 	}
 }

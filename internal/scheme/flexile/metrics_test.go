@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"flexile/internal/faultinject"
 	"flexile/internal/te"
 )
 
@@ -103,8 +102,8 @@ func TestFaultMetricsMatchInjector(t *testing.T) {
 	nq := len(inst.Scenarios)
 
 	t.Run("retries", func(t *testing.T) {
-		inj := faultinject.Script(allScenarioScript(nq, faultinject.SingularBasis))
-		res, err := Offline(inst, Options{Workers: 2, FaultHook: inj.Hook})
+		inj := scriptInjector(allScenarioScript(nq, faultSingularBasis))
+		res, err := Offline(inst, Options{Workers: 2, faultHook: inj.hook})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +118,7 @@ func TestFaultMetricsMatchInjector(t *testing.T) {
 		// Every fired fault caused exactly one successful retry (a scenario
 		// re-solved in a later iteration hits the script again, so this can
 		// exceed the scenario count — the injector is the ground truth).
-		if fired := inj.Fired()[faultinject.SingularBasis]; int64(fired) != m.ScenarioRetries {
+		if fired := inj.fired()[faultSingularBasis]; int64(fired) != m.ScenarioRetries {
 			t.Fatalf("injector fired %d faults, metrics recovered %d", fired, m.ScenarioRetries)
 		}
 		if m.ScenarioRetries < int64(nq) {
@@ -128,9 +127,9 @@ func TestFaultMetricsMatchInjector(t *testing.T) {
 	})
 
 	t.Run("skips", func(t *testing.T) {
-		inj := faultinject.Script(allScenarioScript(nq,
-			faultinject.SingularBasis, faultinject.SingularBasis))
-		res, err := Offline(inst, Options{Workers: 2, FaultHook: inj.Hook})
+		inj := scriptInjector(allScenarioScript(nq,
+			faultSingularBasis, faultSingularBasis))
+		res, err := Offline(inst, Options{Workers: 2, faultHook: inj.hook})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +142,7 @@ func TestFaultMetricsMatchInjector(t *testing.T) {
 		}
 		// Two faults per skipped scenario: the original attempt plus the one
 		// retry both hit the script.
-		if fired := inj.Fired()[faultinject.SingularBasis]; int64(fired) != 2*m.ScenarioSkips {
+		if fired := inj.fired()[faultSingularBasis]; int64(fired) != 2*m.ScenarioSkips {
 			t.Fatalf("injector fired %d faults for %d skips (want 2 per skip)", fired, m.ScenarioSkips)
 		}
 	})

@@ -41,13 +41,13 @@ type Options struct {
 	// an error wrapping context.DeadlineExceeded — degraded mode never
 	// swallows cancellation.
 	Timeout time.Duration
-	// FaultHook, when non-nil, runs before every scenario subproblem solve
+	// faultHook, when non-nil, runs before every scenario subproblem solve
 	// with the scenario index and the 0-based attempt number; a non-nil
 	// return (or a panic) is treated exactly like a failure of the real
-	// solve. It exists for deterministic fault injection in tests
-	// (internal/faultinject) and must decide independently of worker
+	// solve. It exists for the package's deterministic fault-injection
+	// tests (faultinject_test.go) and must decide independently of worker
 	// identity or timing to preserve cross-worker-count determinism.
-	FaultHook func(q, attempt int) error
+	faultHook func(q, attempt int) error
 }
 
 // The decomposition's fixed settings.
@@ -462,8 +462,8 @@ func (d *decomp) run(ctx context.Context, m master) error {
 		for attempt := 0; ; attempt++ {
 			out.attempts = attempt + 1
 			var err error
-			if opt.FaultHook != nil {
-				err = opt.FaultHook(q, attempt)
+			if opt.faultHook != nil {
+				err = opt.faultHook(q, attempt)
 			}
 			if err == nil {
 				lpOpts := lp.Options{StartBasis: start}

@@ -23,9 +23,9 @@ const DefaultMaxBatch = 64
 const maxBatchBody = 8 << 20
 
 // BatchQuery is one allocation query inside a batch request. Artifact
-// names the artifact ("" means the one the request itself addresses);
-// Failed is the failure state in the same form as the single-query POST
-// body.
+// names the artifact ("" means the one the request's X-Flexile-Artifact
+// header names, else the sole artifact); Failed is the failure state, the
+// edge list GET /v1/alloc?failed= carries.
 type BatchQuery struct {
 	Artifact string `json:"artifact,omitempty"`
 	Failed   []int  `json:"failed"`
@@ -39,10 +39,9 @@ type BatchRequest struct {
 // BatchEntry is one result in a batch response, positionally matching the
 // request's queries. Status is the entry's would-be single-request HTTP
 // status; for 200s Body holds exactly the bytes GET /v1/alloc would have
-// written, and Cache mirrors the X-Flexile-Cache header (plus "dedup" for
-// entries answered by copying an identical earlier entry's result). Non-200
-// entries carry the single-request error text in Error, and sheds mirror
-// X-Flexile-Shed and Retry-After in Shed/RetryAfter.
+// written, and Cache is the X-Flexile-Cache header's value (hit | miss).
+// Non-200 entries carry the single-request error text in Error, and sheds
+// mirror X-Flexile-Shed and Retry-After in Shed/RetryAfter.
 type BatchEntry struct {
 	Status     int             `json:"status"`
 	Artifact   string          `json:"artifact,omitempty"`
@@ -59,19 +58,28 @@ type BatchResponse struct {
 	Results []BatchEntry `json:"results"`
 }
 
-// ParseBatchRequest decodes and validates a batch envelope. The contract
-// matches ParseRequest: arbitrary bytes yield either a canonical request
-// (every query's Failed sorted, deduplicated, in-range) or a wrapped
-// ErrBadRequest — never a panic. Envelope-level strictness is deliberate:
-// one malformed query rejects the whole batch, so a 200 envelope always
-// answers every query the client sent.
+// ParseBatchRequest decodes and validates a batch envelope: at most
+// maxBatchBody bytes, exactly one JSON object, no unknown fields. The
+// contract matches ParseQuery: arbitrary bytes yield either a canonical
+// request (every query's Failed sorted, deduplicated, in-range) or a
+// wrapped ErrBadRequest — never a panic. Envelope-level strictness is
+// deliberate: one malformed query rejects the whole batch, so a 200
+// envelope always answers every query the client sent.
 func ParseBatchRequest(data []byte, maxBatch int) (*BatchRequest, error) {
 	if maxBatch <= 0 {
 		maxBatch = DefaultMaxBatch
 	}
+	if len(data) > maxBatchBody {
+		return nil, fmt.Errorf("%w: batch body of %d bytes exceeds %d", ErrBadRequest, len(data), maxBatchBody)
+	}
 	var req BatchRequest
-	if err := decodeStrict(data, maxBatchBody, "batch body", "batch", &req); err != nil {
-		return nil, err
+	d := json.NewDecoder(bytes.NewReader(data))
+	d.DisallowUnknownFields()
+	if err := d.Decode(&req); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	if d.More() {
+		return nil, fmt.Errorf("%w: trailing data after batch object", ErrBadRequest)
 	}
 	if len(req.Queries) == 0 {
 		return nil, fmt.Errorf("%w: batch carries no queries", ErrBadRequest)
@@ -102,29 +110,15 @@ func (s *Server) readBatch(r *http.Request) (*BatchRequest, time.Duration, error
 	return req, deadline, err
 }
 
-// groupKey identifies one unique (artifact, failure state) across a batch.
-type groupKey struct {
-	eng *engine
-	key string // failedKey of the query
-}
-
-// batchGroup is the queries of a batch sharing one groupKey: the first
-// computes, later duplicates copy its result.
-type batchGroup struct {
-	groupKey
-	req     *AllocRequest
-	members []int // request positions answered by this group
-	res     allocResult
-}
-
 // handleBatch serves POST /v1/alloc/batch (DESIGN.md §14). One HTTP
 // request carries many allocation queries; a query that names no artifact
-// rides the request's own addressing (path segment, header, sole artifact).
-// Each query keeps per-entry admission semantics (quota on the resolved
-// engine's buckets, deadline), duplicates of the same (artifact,
-// failure-state) pair are answered once, and unique misses fan out
-// concurrently through each engine's existing gate/flight pipeline. Entry
-// bodies are the exact bytes the single-query path would have written.
+// rides the request's own X-Flexile-Artifact header (none: the sole
+// artifact). Each query keeps per-entry admission semantics (quota on the
+// resolved engine's buckets, deadline), and the admitted entries fan out
+// concurrently through each engine's existing cache/gate/flight pipeline,
+// so a state repeated within a batch is answered as repeated single
+// requests are. Entry bodies are the exact bytes the single-query path
+// would have written.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	top := obs.ServeMetrics{BatchRequests: 1}
@@ -133,7 +127,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.col.ObserveLatency(obs.LatServeRequest, time.Since(start))
 	}()
 	// The top-level lapper tiles the serial phases of the batch (parse →
-	// admit → flight barrier → write); each stage-2 group records its own
+	// admit → flight barrier → write); each stage-2 entry records its own
 	// nested spans from its goroutine.
 	tr := obs.TraceFrom(r.Context())
 	lap := &lapper{tr: tr, col: s.col, last: start}
@@ -151,15 +145,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	waitCtx, cancel := waitContext(r, start, deadline)
 	defer cancel()
 
-	// Stage 1 (serial, cheap): resolve each query's artifact, charge its
-	// tenant quota on the owning engine, and group duplicates. Entries
-	// rejected here never reach a worker. acct accumulates each engine's
-	// counters so one batch costs each collector a single add; an entry
-	// naming no loaded artifact is counted on the root alone.
+	// Stage 1 (serial, cheap): resolve each query's artifact and charge its
+	// tenant quota on the owning engine. Entries rejected here never reach
+	// a worker. acct accumulates each engine's counters so one batch costs
+	// each collector a single add; an entry naming no loaded artifact is
+	// counted on the root alone.
 	entries := make([]BatchEntry, len(req.Queries))
-	groups := make(map[groupKey]*batchGroup)
+	engs := make([]*engine, len(req.Queries)) // nil: answered in stage 1
 	acct := make(map[*engine]*obs.ServeMetrics)
-	var order []*batchGroup
 	for i, qy := range req.Queries {
 		name := qy.Artifact
 		if name == "" {
@@ -181,48 +174,36 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			entries[i] = batchEntry(eng.name, refusal)
 			continue
 		}
-		gk := groupKey{eng, failedKey(qy.Failed)}
-		g := groups[gk]
-		if g == nil {
-			g = &batchGroup{groupKey: gk, req: &AllocRequest{Failed: qy.Failed}}
-			groups[gk] = g
-			order = append(order, g)
-		} else {
-			acct[eng].BatchDeduped++
-		}
-		g.members = append(g.members, i)
+		engs[i] = eng
 	}
 	lap.Lap("admit", obs.LatStageAdmit)
 
-	// Stage 2 (concurrent): one allocate per unique group; the per-engine
+	// Stage 2 (concurrent): one allocate per admitted entry; the per-engine
 	// gate still bounds actual recomputation concurrency, so a wide batch
 	// cannot stampede the solver any harder than wide single requests.
+	res := make([]allocResult, len(req.Queries))
 	var wg sync.WaitGroup
-	for _, g := range order {
+	for i, eng := range engs {
+		if eng == nil {
+			continue
+		}
 		wg.Add(1)
-		go func(g *batchGroup) {
+		go func() {
 			defer wg.Done()
-			glap := &lapper{tr: tr, col: g.eng.col, last: time.Now(), nested: true, tag: g.key}
-			g.res = g.eng.allocate(waitCtx, g.req)
-			glap.alloc(g.res)
-		}(g)
+			failed := req.Queries[i].Failed
+			elap := &lapper{tr: tr, col: eng.col, last: time.Now(), nested: true, tag: failedKey(failed)}
+			res[i] = eng.allocate(waitCtx, &AllocRequest{Failed: failed})
+			elap.alloc(res[i])
+		}()
 	}
 	wg.Wait()
 	lap.Lap("flight", obs.LatStageFlight)
 
-	// Every member entry is a request; the group's disposition is counted
-	// once, so per-artifact and fleet counters see batch entries exactly
-	// like single requests plus BatchDeduped copies.
-	for _, g := range order {
-		m := g.res.metrics()
-		m.Requests = int64(len(g.members))
-		acct[g.eng].Add(m)
-		for pos, i := range g.members {
-			e := batchEntry(g.eng.name, g.res)
-			if pos > 0 && e.Status == http.StatusOK {
-				e.Cache = "dedup"
-			}
-			entries[i] = e
+	// Every admitted entry is counted exactly like a single request.
+	for i, eng := range engs {
+		if eng != nil {
+			acct[eng].Add(res[i].metrics())
+			entries[i] = batchEntry(eng.name, res[i])
 		}
 	}
 	for eng, d := range acct {
@@ -272,7 +253,7 @@ func batchEntry(name string, r allocResult) BatchEntry {
 		e.RetryAfter = admit.RetryAfterSeconds(r.retry)
 	}
 	if r.status == http.StatusOK {
-		e.Cache = r.cache
+		e.Cache = r.wireCache()
 		e.Body = json.RawMessage(r.body)
 	} else {
 		e.Error = r.errMsg

@@ -8,9 +8,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"flexile/internal/obs"
 )
@@ -26,16 +28,39 @@ func TestParseBatchRequest(t *testing.T) {
 	if good.Queries[1].Artifact != "ibm" || len(good.Queries[1].Failed) != 0 {
 		t.Errorf("query 1 mangled: %+v", good.Queries[1])
 	}
+	// Each query's failure state is canonicalized on its own.
+	for in, want := range map[string][]int{
+		`{"failed":[]}`:      {},
+		`{"failed":null}`:    {},
+		`{"failed":[2,0,1]}`: {0, 1, 2},
+		`{"failed":[1,1,1]}`: {1},
+	} {
+		req, err := ParseBatchRequest([]byte(`{"queries":[`+in+`]}`), 0)
+		if err != nil {
+			t.Errorf("query %s: %v", in, err)
+			continue
+		}
+		if got := req.Queries[0].Failed; !slices.Equal(got, want) {
+			t.Errorf("query %s = %v, want %v", in, got, want)
+		}
+	}
 
 	bad := []string{
 		``,
+		`{`,
+		`"x"`,
 		`null`,
 		`{}`,
 		`{"queries":[]}`,
 		`[]`,
+		`[0,1,2]`,
+		`{"queries":[[0,1,2]]}`,
 		`{"queries":[{"failed":[0]}]}trailing`,
 		`{"queries":[{"failed":[0]}],"extra":1}`,
 		`{"queries":[{"failed":[-1]}]}`,
+		`{"queries":[{"failed":["a"]}]}`,
+		`{"queries":[{"failed":[99999999999999999999]}]}`,
+		`{"queries":[{"failed":[5000000]}]}`,
 		`{"queries":[{"failed":[0],"unknown":true}]}`,
 		fmt.Sprintf(`{"queries":[%s{"failed":[0]}]}`, strings.Repeat(`{"failed":[0]},`, DefaultMaxBatch)),
 	}
@@ -55,7 +80,8 @@ func TestParseBatchRequest(t *testing.T) {
 }
 
 // TestServerBatch exercises POST /v1/alloc/batch on a standalone server:
-// entry bodies bit-identical to GET, dedup labeling, per-entry 404s for
+// entry bodies bit-identical to GET, a repeated state answered like a
+// repeated GET, per-entry 404s for
 // unknown artifacts and unenumerated scenarios, and the batch counters.
 func TestServerBatch(t *testing.T) {
 	path, _, _, _ := writeArtifact(t)
@@ -74,15 +100,15 @@ func TestServerBatch(t *testing.T) {
 	results := postBatch(t, ts.URL+"/v1/alloc/batch", []BatchQuery{
 		{Failed: []int{}},
 		{Failed: []int{0, 2}},
-		{Failed: []int{2, 0}},           // dedup of the previous entry
+		{Failed: []int{2, 0}},           // the previous entry's state again
 		{Artifact: "nope", Failed: nil}, // unknown artifact on a single-artifact server
 		{Failed: []int{0, 1, 2}},        // all three links down, enumerated by the triangle fixture
 	})
 	if !bytes.Equal([]byte(results[0].Body), want0) {
 		t.Error("entry 0 body diverged from GET")
 	}
-	if results[0].Cache != "hit" && results[0].Cache != "miss" && results[0].Cache != "shared" {
-		t.Errorf("entry 0 cache = %q", results[0].Cache)
+	if results[0].Cache != "hit" {
+		t.Errorf("entry 0 cache = %q, want hit (warmed by the GET oracle)", results[0].Cache)
 	}
 	if !bytes.Equal([]byte(results[1].Body), want02) {
 		t.Error("entry 1 body diverged from GET")
@@ -90,8 +116,8 @@ func TestServerBatch(t *testing.T) {
 	if results[1].Cache != "hit" {
 		t.Errorf("entry 1 cache = %q, want hit (warmed by the GET oracle)", results[1].Cache)
 	}
-	if results[2].Cache != "dedup" || !bytes.Equal([]byte(results[2].Body), want02) {
-		t.Errorf("entry 2 = cache %q, want dedup with identical body", results[2].Cache)
+	if results[2].Cache != "hit" || !bytes.Equal([]byte(results[2].Body), want02) {
+		t.Errorf("entry 2 = cache %q, want hit with identical body", results[2].Cache)
 	}
 	if results[3].Status != http.StatusNotFound || results[3].Error == "" || results[3].Scenario != -1 {
 		t.Errorf("unknown-artifact entry = %+v, want 404 with error", results[3])
@@ -106,9 +132,6 @@ func TestServerBatch(t *testing.T) {
 	}
 	if sm.BatchEntries != 5 {
 		t.Errorf("BatchEntries = %d, want 5", sm.BatchEntries)
-	}
-	if sm.BatchDeduped != 1 {
-		t.Errorf("BatchDeduped = %d, want 1", sm.BatchDeduped)
 	}
 	// 4 of the 5 entries resolved to the server (the unknown-artifact one
 	// never reached it), so per-entry accounting matches single requests:
@@ -131,6 +154,29 @@ func TestServerBatch(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("malformed envelope status = %d, want 400", resp.StatusCode)
+		}
+	}
+}
+
+// TestBatchCacheMirrorsHeader: a batch entry's cache field reads what the
+// X-Flexile-Cache header would for the same outcome. With the cache off, a
+// batch asking for one state twice recomputes it for each entry — alone or
+// by joining the other's flight — and both entries are misses.
+func TestBatchCacheMirrorsHeader(t *testing.T) {
+	path, _, _, _ := writeArtifact(t)
+	s, err := New(path, Config{CacheSize: 0, Workers: 2, Obs: obs.New(),
+		ComputeHook: func(int) error { time.Sleep(20 * time.Millisecond); return nil }}) // lets the twin join
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	results := postBatch(t, ts.URL+"/v1/alloc/batch", []BatchQuery{{Failed: []int{0}}, {Failed: []int{0}}})
+	for i, e := range results {
+		if e.Status != http.StatusOK || e.Cache != "miss" {
+			t.Errorf("entry %d = status %d cache %q, want 200 miss", i, e.Status, e.Cache)
 		}
 	}
 }
@@ -193,10 +239,11 @@ func TestBatchConcurrentRaceClean(t *testing.T) {
 	ts := httptest.NewServer(reg)
 	defer ts.Close()
 
-	scens := getScenarios(t, ts.URL+"/v1/artifacts/alpha/scenarios")
+	alpha := map[string]string{"X-Flexile-Artifact": "alpha"}
+	scens := getScenarios(t, ts.URL+"/v1/scenarios", alpha)
 	want := make([][]byte, len(scens))
 	for q, failed := range scens {
-		want[q] = getAlloc(t, ts.URL+"/v1/artifacts/alpha/alloc", failed, nil)
+		want[q] = getAlloc(t, ts.URL+"/v1/alloc", failed, alpha)
 	}
 
 	var wg sync.WaitGroup
@@ -207,7 +254,7 @@ func TestBatchConcurrentRaceClean(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				q := (c + i) % len(scens)
 				if c%2 == 0 {
-					got := getAlloc(t, ts.URL+"/v1/artifacts/alpha/alloc", scens[q], nil)
+					got := getAlloc(t, ts.URL+"/v1/alloc", scens[q], alpha)
 					if !bytes.Equal(got, want[q]) {
 						t.Errorf("single response diverged for scenario %d", q)
 						return
@@ -230,7 +277,7 @@ func TestBatchConcurrentRaceClean(t *testing.T) {
 					return
 				}
 				if !bytes.Equal([]byte(results[0].Body), []byte(results[2].Body)) {
-					t.Error("dedup entry diverged from its twin")
+					t.Error("repeated entry diverged from its twin")
 					return
 				}
 			}

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -54,13 +53,16 @@ func TestEndToEndBitIdentical(t *testing.T) {
 		}
 		url := "/v1/alloc?failed=" + strings.Join(parts, ",")
 
-		// Cold miss, warm hit, cache-disabled, and POST form: all four
+		// Cold miss, warm hit, cache-disabled, and batch entry: all four
 		// bodies must be bit-identical to the library result.
 		cold := get(t, tsCached.URL+url, "miss")
 		warm := get(t, tsCached.URL+url, "hit")
 		nocache := get(t, tsUncached.URL+url, "miss")
-		posted := post(t, tsCached.URL+"/v1/alloc", fmt.Sprintf(`{"failed":[%s]}`, strings.Join(parts, ",")), "hit")
-		for name, got := range map[string][]byte{"cold": cold, "warm": warm, "no-cache": nocache, "post": posted} {
+		entry := postBatch(t, tsCached.URL+"/v1/alloc/batch", []BatchQuery{{Failed: scen.Failed}})[0]
+		if entry.Cache != "hit" {
+			t.Fatalf("scenario %d: batch entry cache %q, want hit", q, entry.Cache)
+		}
+		for name, got := range map[string][]byte{"cold": cold, "warm": warm, "no-cache": nocache, "batch": entry.Body} {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("scenario %d (%s): served body differs from library Online\n got: %s\nwant: %s", q, name, got, want)
 			}
@@ -110,26 +112,6 @@ func get(t *testing.T, url, wantCache string) []byte {
 		t.Fatalf("GET %s: cache status %q, want %q", url, got, wantCache)
 	}
 	return body
-}
-
-func post(t *testing.T, url, body, wantCache string) []byte {
-	t.Helper()
-	resp, err := http.Post(url, "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST %s %s: %d %s", url, body, resp.StatusCode, out)
-	}
-	if got := resp.Header.Get("X-Flexile-Cache"); got != wantCache {
-		t.Fatalf("POST %s: cache status %q, want %q", url, got, wantCache)
-	}
-	return out
 }
 
 func TestServerEndpoints(t *testing.T) {
@@ -206,14 +188,14 @@ func TestServerEndpoints(t *testing.T) {
 			t.Errorf("GET %s = %d, want %d", c.url, resp.StatusCode, c.code)
 		}
 	}
-	resp, err = http.Post(ts.URL+"/v1/alloc", "application/json", strings.NewReader("not json"))
+	resp, err = http.Post(ts.URL+"/v1/alloc/batch", "application/json", strings.NewReader("not json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("POST garbage = %d, want 400", resp.StatusCode)
+		t.Fatalf("POST garbage batch = %d, want 400", resp.StatusCode)
 	}
 }
 

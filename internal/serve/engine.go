@@ -223,6 +223,17 @@ type allocResult struct {
 	missedAt time.Time // when the query went past the cache; zero if it never did
 }
 
+// wireCache is the one mapping from an outcome to the X-Flexile-Cache
+// value of a 200, for the header and the batch entry alike: a joined
+// flight is still a miss on the wire (the access log and trace keep
+// "shared").
+func (r allocResult) wireCache() string {
+	if r.cache == "shared" {
+		return "miss"
+	}
+	return r.cache
+}
+
 // metrics is the one mapping from an outcome to its counters: every query
 // is a request, and everything past the cache is a miss, whatever became of
 // it afterwards.
@@ -248,8 +259,8 @@ func (r allocResult) metrics() obs.ServeMetrics {
 }
 
 // admit charges one query to tenant's token bucket. Quota is per query as
-// sent — charged before parsing on the single route, per entry before
-// duplicates are grouped on the batch route — hence not part of allocate.
+// sent — charged before parsing on the single route, per entry on the
+// batch route — hence not part of allocate.
 func (e *engine) admit(tenant string) (refusal allocResult, ok bool) {
 	if ok, retry := e.quota.Allow(tenant); !ok {
 		return allocResult{status: http.StatusTooManyRequests, scenario: -1, decided: stageQuota,

@@ -63,36 +63,6 @@ func FuzzDecodeArtifact(f *testing.F) {
 	})
 }
 
-// FuzzParseRequest feeds arbitrary bytes to the failure-state request
-// parser: any input either yields a canonical (sorted, deduplicated,
-// in-range) request or a wrapped ErrBadRequest — never a panic.
-func FuzzParseRequest(f *testing.F) {
-	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := ParseRequest(data)
-		if err != nil {
-			if !errors.Is(err, ErrBadRequest) {
-				t.Fatalf("parse error does not wrap ErrBadRequest: %v", err)
-			}
-			return
-		}
-		if !sort.IntsAreSorted(req.Failed) {
-			t.Fatalf("accepted request not sorted: %v", req.Failed)
-		}
-		for i, e := range req.Failed {
-			if e < 0 || e >= maxEdges {
-				t.Fatalf("accepted edge id %d out of range", e)
-			}
-			if i > 0 && e == req.Failed[i-1] {
-				t.Fatalf("accepted request not deduplicated: %v", req.Failed)
-			}
-		}
-		// The canonical form must map to the same scenario key on re-parse.
-		if again, err := ParseQuery(failedKey(req.Failed)); err != nil || failedKey(again.Failed) != failedKey(req.Failed) {
-			t.Fatalf("canonical form unstable: %v / %v", again, err)
-		}
-	})
-}
-
 // FuzzParseBatchRequest feeds arbitrary bytes to the batch envelope
 // decoder: any input either yields a batch whose every query is canonical
 // (sorted, deduplicated, in-range, within the batch limit) or a wrapped
@@ -123,6 +93,10 @@ func FuzzParseBatchRequest(f *testing.F) {
 				if i > 0 && e == q.Failed[i-1] {
 					t.Fatalf("query %d not deduplicated: %v", qi, q.Failed)
 				}
+			}
+			// The canonical form must map to the same scenario key on re-parse.
+			if again, err := ParseQuery(failedKey(q.Failed)); err != nil || failedKey(again.Failed) != failedKey(q.Failed) {
+				t.Fatalf("query %d canonical form unstable: %v / %v", qi, again, err)
 			}
 		}
 	})

@@ -18,32 +18,23 @@ import (
 )
 
 // routes builds the one mux (route table on Server). Every per-artifact
-// route is registered bare and under /v1/artifacts/{name}/ with the same
-// handler; addressed tells the two apart.
+// route is registered once, bare; addressed names its artifact.
 func (s *Server) routes() {
 	m := http.NewServeMux()
 	m.HandleFunc("GET /healthz", s.handleHealth)
 	m.HandleFunc("GET /readyz", s.handleReady)
 	m.HandleFunc("GET /metrics", s.handleMetrics)
 	m.HandleFunc("GET /v1/artifacts", s.handleArtifacts)
-	for _, prefix := range []string{"/v1/", "/v1/artifacts/{name}/"} {
-		m.HandleFunc("GET "+prefix+"info", s.onEngine(handleInfo))
-		m.HandleFunc("GET "+prefix+"scenarios", s.onEngine(handleScenarios))
-		m.HandleFunc("GET "+prefix+"alloc", s.onEngine(s.handleAlloc))
-		m.HandleFunc("POST "+prefix+"alloc", s.onEngine(s.handleAlloc))
-		m.HandleFunc("POST "+prefix+"alloc/batch", s.handleBatch)
-	}
+	m.HandleFunc("GET /v1/info", s.onEngine(handleInfo))
+	m.HandleFunc("GET /v1/scenarios", s.onEngine(handleScenarios))
+	m.HandleFunc("GET /v1/alloc", s.onEngine(s.handleAlloc))
+	m.HandleFunc("POST /v1/alloc/batch", s.handleBatch)
 	s.mux = m
 }
 
-// addressed returns the artifact name a request carries: the {name} path
-// segment, else the X-Flexile-Artifact header, else "" (the sole artifact).
-func addressed(r *http.Request) string {
-	if name := r.PathValue("name"); name != "" {
-		return name
-	}
-	return r.Header.Get("X-Flexile-Artifact")
-}
+// addressed returns the artifact name a request carries in its
+// X-Flexile-Artifact header; "" resolves to the sole loaded artifact.
+func addressed(r *http.Request) string { return r.Header.Get("X-Flexile-Artifact") }
 
 // onEngine adapts a per-artifact handler to the mux: it resolves the
 // addressed artifact (404 when there is none) and notes its name for the
@@ -348,7 +339,7 @@ func (s *Server) query(r *http.Request, eng *engine, start time.Time, lap *lappe
 	if err != nil {
 		return badRequest(err)
 	}
-	req, err := readRequest(r)
+	req, err := ParseQuery(r.URL.Query().Get("failed"))
 	lap.Lap("parse", obs.LatStageParse)
 	if err != nil {
 		return badRequest(err)
@@ -397,10 +388,6 @@ func writeResult(w http.ResponseWriter, res allocResult) {
 		return
 	}
 	h.Set("Content-Type", "application/json")
-	cache := res.cache
-	if cache == "shared" { // a joined flight is still a miss on the wire
-		cache = "miss"
-	}
-	h.Set("X-Flexile-Cache", cache)
+	h.Set("X-Flexile-Cache", res.wireCache())
 	w.Write(res.body)
 }

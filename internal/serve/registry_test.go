@@ -83,8 +83,8 @@ func TestValidArtifactName(t *testing.T) {
 // TestRegistryBatchBitIdentical is the e2e determinism contract for the
 // fleet layer: for every artifact in a multi-artifact registry, batch
 // entries are byte-identical to looping GET /v1/alloc, across cold/warm
-// caches and worker counts, including deduplicated repeats and all three
-// addressing forms (path, header, batch body).
+// caches and worker counts, including repeated entries and both addressing
+// forms (header, batch body).
 func TestRegistryBatchBitIdentical(t *testing.T) {
 	t.Parallel()
 	names := []string{"alpha", "beta", "gamma"}
@@ -100,7 +100,7 @@ func TestRegistryBatchBitIdentical(t *testing.T) {
 				ts := httptest.NewServer(reg)
 				defer ts.Close()
 
-				// Oracle: loop GET /v1/alloc per artifact via path addressing.
+				// Oracle: loop GET /v1/alloc per artifact via the header.
 				type pair struct {
 					name   string
 					q      int
@@ -109,10 +109,11 @@ func TestRegistryBatchBitIdentical(t *testing.T) {
 				var pairs []pair
 				want := map[string][][]byte{}
 				for _, name := range names {
-					scens := getScenarios(t, ts.URL+"/v1/artifacts/"+name+"/scenarios")
+					hdr := map[string]string{"X-Flexile-Artifact": name}
+					scens := getScenarios(t, ts.URL+"/v1/scenarios", hdr)
 					bodies := make([][]byte, len(scens))
 					for q, failed := range scens {
-						bodies[q] = getAlloc(t, ts.URL+"/v1/artifacts/"+name+"/alloc", failed, nil)
+						bodies[q] = getAlloc(t, ts.URL+"/v1/alloc", failed, hdr)
 						pairs = append(pairs, pair{name, q, failed})
 					}
 					want[name] = bodies
@@ -123,19 +124,8 @@ func TestRegistryBatchBitIdentical(t *testing.T) {
 					t.Fatal("alpha and beta artifacts produced identical allocation sets")
 				}
 
-				// Header addressing must match path addressing byte for byte.
-				for _, name := range names {
-					scens := getScenarios(t, ts.URL+"/v1/artifacts/"+name+"/scenarios")
-					for q, failed := range scens {
-						got := getAlloc(t, ts.URL+"/v1/alloc", failed, map[string]string{"X-Flexile-Artifact": name})
-						if !bytes.Equal(got, want[name][q]) {
-							t.Fatalf("header addressing diverged for %s scenario %d", name, q)
-						}
-					}
-				}
-
 				// Batch: all (artifact, scenario) pairs in one stream of
-				// envelopes, with every pair repeated to exercise dedup.
+				// envelopes, with every pair repeated in the same envelope.
 				var queries []BatchQuery
 				var expect [][]byte
 				for _, p := range pairs {
@@ -164,9 +154,16 @@ func TestRegistryBatchBitIdentical(t *testing.T) {
 
 func flatten(bs [][]byte) []byte { return bytes.Join(bs, nil) }
 
-func getScenarios(t testing.TB, url string) [][]int {
+func getScenarios(t testing.TB, url string, headers map[string]string) [][]int {
 	t.Helper()
-	resp, err := http.Get(url)
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range headers {
+		req.Header.Set(k, v)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,8 +237,8 @@ func postBatch(t testing.TB, url string, queries []BatchQuery) []BatchEntry {
 }
 
 // TestRegistryRouting covers the fleet endpoints and addressing rules:
-// header and path addressing, stable 404 bodies for unknown and missing
-// names, the status listing, and a lint-clean labeled metrics page.
+// header addressing, stable 404 bodies for unknown and missing names, the
+// status listing, and a lint-clean labeled metrics page.
 func TestRegistryRouting(t *testing.T) {
 	t.Parallel()
 	dir := writeRegistryDir(t, "alpha", "beta")
@@ -257,43 +254,39 @@ func TestRegistryRouting(t *testing.T) {
 		t.Fatalf("Names() = %v", got)
 	}
 
-	// The header names an artifact as the path segment does: bit-identical.
-	scens := getScenarios(t, ts.URL+"/v1/artifacts/beta/scenarios")
-	named := getAlloc(t, ts.URL+"/v1/artifacts/beta/alloc", scens[1], nil)
-	header := getAlloc(t, ts.URL+"/v1/alloc", scens[1], map[string]string{"X-Flexile-Artifact": "beta"})
-	if !bytes.Equal(named, header) {
-		t.Error("header addressing diverged from path addressing")
+	// The header picks the artifact: beta's answer is its own, not alpha's.
+	beta := map[string]string{"X-Flexile-Artifact": "beta"}
+	scens := getScenarios(t, ts.URL+"/v1/scenarios", beta)
+	alpha := getAlloc(t, ts.URL+"/v1/alloc", scens[1], map[string]string{"X-Flexile-Artifact": "alpha"})
+	if bytes.Equal(getAlloc(t, ts.URL+"/v1/alloc", scens[1], beta), alpha) {
+		t.Error("header addressing answered beta with alpha's allocation")
 	}
 
-	// Unknown names 404 with the stable error body, in all addressing forms,
-	// and so does a bare path while more than one artifact is loaded.
-	for url, want := range map[string]string{
-		ts.URL + "/v1/artifacts/nope/alloc?failed=": `{"error":"unknown artifact \"nope\""}`,
-		ts.URL + "/v1/artifacts/nope/scenarios":     `{"error":"unknown artifact \"nope\""}`,
-		ts.URL + "/v1/alloc?failed=":                `{"error":"artifact name required: 2 artifacts loaded"}`,
+	// Unknown names 404 with the stable error body on every per-artifact
+	// route, and so does an unaddressed request while more than one
+	// artifact is loaded.
+	for _, c := range []struct{ path, artifact, want string }{
+		{"/v1/alloc?failed=", "nope", `{"error":"unknown artifact \"nope\""}`},
+		{"/v1/scenarios", "nope", `{"error":"unknown artifact \"nope\""}`},
+		{"/v1/info", "nope", `{"error":"unknown artifact \"nope\""}`},
+		{"/v1/alloc?failed=", "", `{"error":"artifact name required: 2 artifacts loaded"}`},
 	} {
-		resp, err := http.Get(url)
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+c.path, nil)
+		if c.artifact != "" {
+			req.Header.Set("X-Flexile-Artifact", c.artifact)
+		}
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("GET %s: %d", url, resp.StatusCode)
+			t.Fatalf("GET %s (artifact %q): %d", c.path, c.artifact, resp.StatusCode)
 		}
-		if string(body) != want+"\n" {
-			t.Fatalf("GET %s: body = %q, want %q", url, body, want)
+		if string(body) != c.want+"\n" {
+			t.Fatalf("GET %s (artifact %q): body = %q, want %q", c.path, c.artifact, body, c.want)
 		}
-	}
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/alloc?failed=", nil)
-	req.Header.Set("X-Flexile-Artifact", "nope")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("header addressing of unknown artifact: %d", resp.StatusCode)
 	}
 
 	// Status listing: one row per artifact with live identity.
@@ -379,8 +372,9 @@ func TestRegistryReload(t *testing.T) {
 	if got := reg.Names(); !reflect.DeepEqual(got, []string{"alpha", "beta"}) {
 		t.Fatalf("Names after add = %v", got)
 	}
-	scens := getScenarios(t, ts.URL+"/v1/artifacts/beta/scenarios")
-	want := getAlloc(t, ts.URL+"/v1/artifacts/beta/alloc", scens[0], nil)
+	beta := map[string]string{"X-Flexile-Artifact": "beta"}
+	scens := getScenarios(t, ts.URL+"/v1/scenarios", beta)
+	want := getAlloc(t, ts.URL+"/v1/alloc", scens[0], beta)
 
 	// Corrupt beta: the rescan reports it, alpha still reloads, and beta
 	// keeps serving its previous state bit-identically.
@@ -391,7 +385,7 @@ func TestRegistryReload(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), `artifact "beta"`) {
 		t.Fatalf("Reload with corrupt beta: %v", err)
 	}
-	if got := getAlloc(t, ts.URL+"/v1/artifacts/beta/alloc", scens[0], nil); !bytes.Equal(got, want) {
+	if got := getAlloc(t, ts.URL+"/v1/alloc", scens[0], beta); !bytes.Equal(got, want) {
 		t.Error("beta stopped serving its previous state after a failed reload")
 	}
 
@@ -405,7 +399,9 @@ func TestRegistryReload(t *testing.T) {
 	if got := reg.Names(); !reflect.DeepEqual(got, []string{"alpha"}) {
 		t.Fatalf("Names after remove = %v", got)
 	}
-	resp, err := http.Get(ts.URL + "/v1/artifacts/beta/alloc?failed=")
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/alloc?failed=", nil)
+	req.Header.Set("X-Flexile-Artifact", "beta")
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,9 +431,9 @@ func getJSON(t testing.TB, url string, out any) {
 	}
 }
 
-// TestBatchCountsPerArtifact: batch entries and dedups land on the
-// artifact that answered them, and the root keeps the fleet totals
-// (entries naming no loaded artifact are counted there alone).
+// TestBatchCountsPerArtifact: batch entries land on the artifact that
+// answered them, and the root keeps the fleet totals (entries naming no
+// loaded artifact are counted there alone).
 func TestBatchCountsPerArtifact(t *testing.T) {
 	dir := writeRegistryDir(t, "alpha", "beta")
 	col := obs.New()
@@ -451,22 +447,21 @@ func TestBatchCountsPerArtifact(t *testing.T) {
 
 	postBatch(t, ts.URL+"/v1/alloc/batch", []BatchQuery{
 		{Artifact: "alpha", Failed: []int{0}},
-		{Artifact: "alpha", Failed: []int{0}}, // dedup
+		{Artifact: "alpha", Failed: []int{0}}, // repeated
 		{Artifact: "alpha", Failed: []int{1}},
 		{Artifact: "beta", Failed: []int{0}},
 		{Artifact: "nope", Failed: []int{0}}, // 404, root only
 	})
 	var rows []ArtifactStatus
 	getJSON(t, ts.URL+"/v1/artifacts", &rows)
-	want := map[string][2]int64{"alpha": {3, 1}, "beta": {1, 0}}
+	want := map[string]int64{"alpha": 3, "beta": 1}
 	for _, row := range rows {
-		if got := [2]int64{row.BatchEntries, row.BatchDeduped}; got != want[row.Name] {
-			t.Errorf("%s: batch entries, deduped = %v, want %v", row.Name, got, want[row.Name])
+		if row.BatchEntries != want[row.Name] {
+			t.Errorf("%s: batch entries = %d, want %d", row.Name, row.BatchEntries, want[row.Name])
 		}
 	}
-	if sm := col.Snapshot().Serve; sm.BatchEntries != 5 || sm.BatchDeduped != 1 || sm.BatchRequests != 1 {
-		t.Errorf("root batch counters = %d entries, %d deduped, %d requests; want 5, 1, 1",
-			sm.BatchEntries, sm.BatchDeduped, sm.BatchRequests)
+	if sm := col.Snapshot().Serve; sm.BatchEntries != 5 || sm.BatchRequests != 1 {
+		t.Errorf("root batch counters = %d entries, %d requests; want 5, 1", sm.BatchEntries, sm.BatchRequests)
 	}
 }
 

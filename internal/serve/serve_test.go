@@ -235,41 +235,6 @@ func TestDecodeRejectsSemanticGarbage(t *testing.T) {
 	}
 }
 
-func TestParseRequest(t *testing.T) {
-	good := map[string][]int{
-		`{"failed":[]}`:      {},
-		`{"failed":null}`:    {},
-		`{"failed":[2,0,1]}`: {0, 1, 2},
-		`{"failed":[1,1,1]}`: {1},
-	}
-	for in, want := range good {
-		req, err := ParseRequest([]byte(in))
-		if err != nil {
-			t.Errorf("ParseRequest(%s): %v", in, err)
-			continue
-		}
-		if len(req.Failed) != len(want) {
-			t.Errorf("ParseRequest(%s) = %v, want %v", in, req.Failed, want)
-			continue
-		}
-		for i := range want {
-			if req.Failed[i] != want[i] {
-				t.Errorf("ParseRequest(%s) = %v, want %v", in, req.Failed, want)
-			}
-		}
-	}
-	bad := []string{
-		``, `{`, `[]`, `"x"`, `{"failed":[-1]}`, `{"failed":["a"]}`,
-		`{"failed":[0],"extra":1}`, `{"failed":[0]} trailing`,
-		`{"failed":[99999999999999999999]}`, `{"failed":[5000000]}`,
-	}
-	for _, in := range bad {
-		if _, err := ParseRequest([]byte(in)); !errors.Is(err, ErrBadRequest) {
-			t.Errorf("ParseRequest(%q) = %v, want ErrBadRequest", in, err)
-		}
-	}
-}
-
 func TestParseQuery(t *testing.T) {
 	req, err := ParseQuery("2, 0,1")
 	if err != nil || len(req.Failed) != 3 || req.Failed[0] != 0 || req.Failed[2] != 2 {

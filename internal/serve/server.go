@@ -126,16 +126,15 @@ func ValidArtifactName(name string) bool {
 // has its own engine, so a corrupt or failing one cannot poison its
 // neighbors.
 //
-// Routes. A per-artifact route names its artifact by path segment, else by
-// the X-Flexile-Artifact header, else it goes to the sole loaded artifact;
-// the three forms answer byte-identically.
+// Routes. A per-artifact route names its artifact by the
+// X-Flexile-Artifact header, else it goes to the sole loaded artifact.
 //
-//	GET|POST /v1/alloc        /v1/artifacts/{name}/alloc        one query (?failed=3,7 or {"failed":[3,7]})
-//	POST     /v1/alloc/batch  /v1/artifacts/{name}/alloc/batch  many queries, each naming its artifact
-//	GET      /v1/info         /v1/artifacts/{name}/info         artifact identity and sizes
-//	GET      /v1/scenarios    /v1/artifacts/{name}/scenarios    enumerated failure states
-//	GET      /v1/artifacts                                      one status row per artifact
-//	GET      /healthz  /readyz  /metrics                        liveness, readiness, exposition page
+//	GET  /v1/alloc                 one query (?failed=3,7)
+//	POST /v1/alloc/batch           many queries, each naming its artifact
+//	GET  /v1/info                  artifact identity and sizes
+//	GET  /v1/scenarios             enumerated failure states
+//	GET  /v1/artifacts             one status row per artifact
+//	GET  /healthz /readyz /metrics liveness, readiness, exposition page
 //
 // The last three answer in one shape however many artifacts are loaded: a
 // name→checksum map, an artifact count, and artifact-labelled families.

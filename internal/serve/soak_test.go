@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -18,7 +19,6 @@ import (
 	"testing"
 	"time"
 
-	"flexile/internal/faultinject"
 	"flexile/internal/obs"
 	flexscheme "flexile/internal/scheme/flexile"
 )
@@ -26,8 +26,8 @@ import (
 // TestServeSoakFaultReload hammers the server from several directions at
 // once: querier goroutines sweep every scenario over a loopback listener
 // while a second goroutine cycles SIGHUP reloads (alternating the artifact
-// file between corrupt and valid content) and a seeded fault injector
-// fails or panics inside the load path. The server must keep answering
+// file between corrupt and valid content) and a seeded fault rule fails or
+// panics inside the load path. The server must keep answering
 // every query with the exact artifact allocation throughout — a failed or
 // faulted reload leaves the previous artifact serving — and the whole run
 // must be clean under -race.
@@ -38,10 +38,12 @@ func TestServeSoakFaultReload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Faults fire only after the initial load so New is deterministic;
-	// the kinds cover both the error return and the panic-recovery path.
+	// Faults fire only after the initial load so New is deterministic. The
+	// rule is a pure function of the seed and the attempt number: a quarter
+	// of the attempts fail, half of those by an error return and half by a
+	// panic, so both the error and the panic-recovery path run.
 	var faultsOn atomic.Bool
-	inj := faultinject.New(7, 0.3, faultinject.SingularBasis, faultinject.Panic)
+	const seed = 7
 	collector := obs.New()
 	srv, err := New(path, Config{
 		CacheSize: 4, // smaller than the scenario count: eviction churn under load
@@ -50,7 +52,13 @@ func TestServeSoakFaultReload(t *testing.T) {
 			if !faultsOn.Load() {
 				return nil
 			}
-			return inj.Hook(0, attempt)
+			switch (uint64(attempt) + seed) * 0x9e3779b97f4a7c15 >> 61 { // one of 8 buckets
+			case 0:
+				return errors.New("injected load failure")
+			case 1:
+				panic("injected load panic")
+			}
+			return nil
 		},
 	})
 	if err != nil {

@@ -140,7 +140,7 @@ func TestTraceSampling(t *testing.T) {
 
 // TestBatchTraceSpans checks that a traceparent on POST /v1/alloc/batch
 // survives the fan-out: one trace covers the envelope with a nested
-// per-group span for every unique failure state.
+// per-entry cache span for every query, repeated states included.
 func TestBatchTraceSpans(t *testing.T) {
 	srv := newTracedServer(t, 1)
 	sentTrace := strings.Repeat("4d", 16)
@@ -168,14 +168,14 @@ func TestBatchTraceSpans(t *testing.T) {
 	if s.TraceID != sentTrace {
 		t.Fatalf("batch trace id %s, want %s", s.TraceID, sentTrace)
 	}
-	groups := 0
+	entries := 0
 	for _, sp := range s.Spans {
 		if sp.Nested && strings.HasPrefix(sp.Name, "cache:") {
-			groups++
+			entries++
 		}
 	}
-	if groups != 2 {
-		t.Fatalf("batch trace has %d per-group spans, want 2 (deduped from 3 queries): %+v", groups, s.Spans)
+	if entries != 3 {
+		t.Fatalf("batch trace has %d per-entry spans, want 3: %+v", entries, s.Spans)
 	}
 }
 

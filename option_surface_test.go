@@ -31,7 +31,7 @@ func TestOptionSurfacePinned(t *testing.T) {
 		{lp.Options{}, "MaxIters RefactorEvery StartBasis Bland"},
 		{mip.Options{}, "MaxNodes RelGap Heuristic WarmBinary"},
 		{te.MaxMinOptions{}, "Domain MinFrac FixRoutes Demands FixedUse"},
-		{flexile.DesignOptions{}, "MaxIterations Gamma Workers Timeout FaultHook"},
+		{flexile.DesignOptions{}, "MaxIterations Gamma Workers Timeout"},
 		{flexile.AugmentOptions{}, "Target Cost MaxAug MaxIterations"},
 		{serve.Config{}, "CacheSize Workers Obs Log LogEvery DefaultDeadline TenantRate TenantBurst ComputeHook Ring TraceEvery"},
 		{ip.Scheme{}, "MaxNodes Status Objective"},
