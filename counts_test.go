@@ -15,13 +15,13 @@ import (
 // pivots, less time" must leave every row untouched; a change that moves
 // one has changed the pivot sequence and says so by editing the row.
 //
-// Last moved by the warm master root (DESIGN.md §2.2): each master's root
-// relaxation starts from the warm incumbent's basis with the binaries
-// freed, so the two searching masters no longer open with a cold phase 1.
-// design-twoclass's pivots fell 8240 → 3906 and its phase-1 pivots
-// 3397 → 94; its master still explores 240 nodes and its PercLoss bits did
-// not move, nor did the design-lp and design-wide rows, whose masters close
-// at the box bound before any LP or do not exist.
+// Last moved by the master's node limit (DESIGN.md §2.2), 120 → 40. The
+// two design-twoclass masters that dive at bound 0 against a warm
+// incumbent they never beat now stop at 40 nodes each instead of 120: nodes
+// 240 → 80, LP solves 308 → 148, refactorizations 291 → 131, pivots
+// 3906 → 3826. Its PercLoss bits did not move, nor did the design-lp and
+// design-wide rows, whose masters close at the box bound before any LP or
+// do not exist.
 func TestDesignCountsPinned(t *testing.T) {
 	type counts struct{ solves, pivots, phase1, dual, flips, degenerate, refactors, refreshes int64 }
 	type master struct{ solves, nodes int64 }
@@ -38,7 +38,7 @@ func TestDesignCountsPinned(t *testing.T) {
 	}{
 		{"design-wide", "ATT", false, 4, 1.3, counts{8, 2439, 301, 43, 240, 1776, 19, 41}, master{0, 0}, []float64{0}, true},
 		{"design-lp", "IBM", false, 20, 1.5, counts{50, 3715, 137, 507, 117, 3291, 50, 171}, master{1, 0}, []float64{8.630249292984615e-16}, false},
-		{"design-twoclass", "Sprint", true, 20, 1.0, counts{308, 3906, 94, 1462, 285, 2948, 291, 809}, master{5, 240}, []float64{2.2204460492503126e-16, 9.43689570931383e-16}, false},
+		{"design-twoclass", "Sprint", true, 20, 1.0, counts{148, 3826, 94, 1382, 227, 2948, 131, 409}, master{5, 80}, []float64{2.2204460492503126e-16, 9.43689570931383e-16}, false},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -9,10 +9,15 @@ import (
 
 // finishedTrace builds a finished trace with a chosen duration (by
 // back-dating Start) and status.
+// finishedTrace is a finished trace that took exactly dur. Finish measures
+// Dur from the clock, which adds the time between the two clock reads; on
+// a loaded machine that can exceed the microsecond steps the ordering
+// tests rely on, so the helper sets the duration it was asked for.
 func finishedTrace(id string, dur time.Duration, status int) *Trace {
 	tr := NewRequestTrace(id)
 	tr.Start = time.Now().Add(-dur)
 	tr.Finish(status, 0, 0, "hit", "")
+	tr.Dur = dur
 	return tr
 }
 

@@ -54,9 +54,12 @@ type Options struct {
 const (
 	// masterNodes bounds the branch-and-bound nodes per master solve: the
 	// master only needs good feasible points, which the descent incumbent
-	// and the greedy-cover rounding provide early. augMasterNodes is
-	// Augment's bound, which has neither.
-	masterNodes    = 120
+	// and the greedy-cover rounding provide early. On design-twoclass the
+	// two masters still open at 40 nodes dive at the box bound against
+	// warm incumbents they never beat; searching on to 120 nodes returned
+	// the same incumbents (DESIGN.md §2.2). augMasterNodes is Augment's
+	// bound, which has neither.
+	masterNodes    = 40
 	augMasterNodes = 200
 	// sharedCutRounds is how many separation rounds materialize violated
 	// shared cuts g^q_{q'} per master solve, and sharedCutLimit how many
@@ -878,9 +881,9 @@ func (m *offlineMaster) next(ctx context.Context, cuts []*cut, zPrev *CriticalSe
 			}
 			k, _ := inst.FlowOf(f)
 			mass := 0.0
-			for q, s := range inst.Scenarios {
+			for q := range inst.Scenarios {
 				if descent.Get(f, q) {
-					mass += s.Prob
+					mass += inst.Scenarios[q].Prob
 				}
 			}
 			spare[f] = mass - inst.Classes[k].Beta

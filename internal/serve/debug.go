@@ -3,7 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"html/template"
+	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -39,10 +39,7 @@ func (s *Server) DebugRequestsHandler() http.Handler {
 		switch r.URL.Query().Get("format") {
 		case "", "html":
 			w.Header().Set("Content-Type", "text/html; charset=utf-8")
-			debugTmpl.Execute(w, struct {
-				Total                    uint64
-				Recent, Slowest, Errored []*obs.Trace
-			}{ring.Total(), recent, slowest, errored})
+			writeDebugPage(w, ring.Total(), recent, slowest, errored)
 		case "json":
 			w.Header().Set("Content-Type", "application/json")
 			enc := json.NewEncoder(w)
@@ -63,14 +60,11 @@ func (s *Server) DebugRequestsHandler() http.Handler {
 	})
 }
 
-// debugTmpl renders the HTML page. html/template contextually escapes
-// every interpolated value, so hostile tenant names, request ids, or
-// traceparent-derived ids cannot inject markup.
-var debugTmpl = template.Must(template.New("debug").Funcs(template.FuncMap{
-	"dur":   fmtDur,
-	"spans": fmtSpans,
-	"when":  func(t time.Time) string { return t.Format("15:04:05.000") },
-}).Parse(`<!DOCTYPE html>
+// The page's fixed text. debugPageHead ends before the trace count,
+// debugTableHead opens each of the three tables, and debugRow is one
+// trace, every %s an escaped value.
+const (
+	debugPageHead = `<!DOCTYPE html>
 <html><head><title>flexile /debug/requests</title><style>
 body { font-family: monospace; margin: 1em 2em; }
 h1 { font-size: 1.2em; } h2 { font-size: 1em; margin-top: 1.5em; }
@@ -80,25 +74,64 @@ th { color: #555; } .num { text-align: right; }
 .spans { color: #666; } .err { color: #a00; } .shed { color: #a60; }
 </style></head><body>
 <h1>flexile request traces</h1>
-<p>{{.Total}} traced since start · <a href="?format=json">json</a> · <a href="?format=chrome">chrome://tracing</a></p>
-{{define "table"}}<table>
+`
+	debugTableHead = `<table>
 <tr><th>start</th><th>method path</th><th class="num">status</th><th class="num">dur</th><th>cache</th><th>tenant</th><th>ids</th><th>stage spans</th></tr>
-{{range .}}<tr>
-<td>{{when .Start}}</td>
-<td>{{.Method}} {{.Path}}</td>
-<td class="num{{if ge .Status 400}} err{{end}}">{{.Status}}{{if .Shed}} <span class="shed">shed={{.Shed}}</span>{{end}}</td>
-<td class="num">{{dur .Dur}}</td>
-<td>{{.Cache}}</td>
-<td>{{.Tenant}}</td>
-<td>req={{.RequestID}}<br>trace={{.TraceID}}</td>
-<td class="spans">{{spans .Spans}}</td>
-</tr>{{end}}
-</table>{{end}}
-<h2>recent ({{len .Recent}})</h2>{{template "table" .Recent}}
-<h2>slowest ({{len .Slowest}})</h2>{{template "table" .Slowest}}
-<h2>errored ({{len .Errored}})</h2>{{template "table" .Errored}}
-</body></html>
-`))
+`
+	debugRow = `<tr>
+<td>%s</td>
+<td>%s %s</td>
+<td class="num%s">%d%s</td>
+<td class="num">%s</td>
+<td>%s</td>
+<td>%s</td>
+<td>req=%s<br>trace=%s</td>
+<td class="spans">%s</td>
+</tr>`
+)
+
+// htmlEscape escapes a value for an HTML text node with html/template's
+// own replacement table: unlike html.EscapeString it also replaces '+'
+// and NUL. Every value the page prints goes through it, so hostile tenant
+// names, request ids, or traceparent-derived ids cannot inject markup.
+// The page is written by hand rather than by html/template, whose
+// reflective method lookup keeps the linker from dropping any unused
+// method from the daemon's binary.
+var htmlEscape = strings.NewReplacer(
+	"\x00", "\uFFFD",
+	`"`, "&#34;",
+	"&", "&amp;",
+	"'", "&#39;",
+	"+", "&#43;",
+	"<", "&lt;",
+	">", "&gt;",
+).Replace
+
+// writeDebugPage renders the HTML page over the ring's three buckets.
+func writeDebugPage(w io.Writer, total uint64, recent, slowest, errored []*obs.Trace) {
+	io.WriteString(w, debugPageHead)
+	fmt.Fprintf(w, "<p>%d traced since start · <a href=\"?format=json\">json</a> · <a href=\"?format=chrome\">chrome://tracing</a></p>\n", total)
+	for _, bucket := range []struct {
+		name   string
+		traces []*obs.Trace
+	}{{"recent", recent}, {"slowest", slowest}, {"errored", errored}} {
+		fmt.Fprintf(w, "\n<h2>%s (%d)</h2>%s", bucket.name, len(bucket.traces), debugTableHead)
+		for _, t := range bucket.traces {
+			errClass, shed := "", ""
+			if t.Status >= 400 {
+				errClass = " err"
+			}
+			if t.Shed != "" {
+				shed = ` <span class="shed">shed=` + htmlEscape(t.Shed) + "</span>"
+			}
+			fmt.Fprintf(w, debugRow, t.Start.Format("15:04:05.000"), htmlEscape(t.Method), htmlEscape(t.Path),
+				errClass, t.Status, shed, htmlEscape(fmtDur(t.Dur)), htmlEscape(t.Cache), htmlEscape(t.Tenant),
+				htmlEscape(t.RequestID), htmlEscape(t.TraceID), htmlEscape(fmtSpans(t.Spans)))
+		}
+		io.WriteString(w, "\n</table>")
+	}
+	io.WriteString(w, "\n</body></html>\n")
+}
 
 func fmtDur(d time.Duration) string {
 	switch {
