@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci changes-check fmt-check vet build test bench-check bench-align race faults obs fuzz scrape chaos loadsmoke golden cover bench hypotheses soak lines
+.PHONY: ci changes-check fmt-check vet build test bench-check bench-align race faults obs fuzz scrape chaos loadsmoke golden cover bench hypotheses lines
 
 ci: changes-check fmt-check vet build bench-check bench-align race faults obs fuzz scrape chaos loadsmoke cover hypotheses
 
@@ -148,22 +148,14 @@ BENCHTIME ?= 1x
 bench:
 	$(GO) test -bench . -run '^$$' -benchtime $(BENCHTIME) .
 
-# The hypothesis gate (DESIGN.md §15): run every named experiment at the
-# quick tier from its fixed seed and require (a) each hypothesis's own
-# checks to pass and (b) the canonical verdict to match the checked-in
+# The hypothesis gate (DESIGN.md §15): run every named experiment from
+# its fixed seed and require (a) each hypothesis's own checks to pass and
+# (b) the canonical verdict to match the checked-in
 # hypotheses/<name>/verdict.json byte for byte. After an intentional
 # change, regenerate with `go run ./cmd/flexile-hyp -update` and commit
 # the diff like any other artifact.
 hypotheses:
 	$(GO) run ./cmd/flexile-hyp
-
-# The long-form tier: soakable hypotheses run their full workloads (the
-# serving soak replays a ~SOAK_DURATION seeded stream through the live
-# daemon) and the volatile perf gates enforce their strict thresholds.
-# Not part of ci; run before cutting anything that claims performance.
-SOAK_DURATION ?= 20s
-soak:
-	$(GO) run ./cmd/flexile-hyp -tier soak -soak-duration $(SOAK_DURATION)
 
 # Go line counts by `wc -l`, the instrument behind the line gates in
 # ROADMAP.md and CHANGES.md: non-test and test lines outside bench/ (and

@@ -9,7 +9,6 @@
 //	flexile-hyp                       # run all, verify against hypotheses/
 //	flexile-hyp -run 'soak|emu'       # subset by name regex
 //	flexile-hyp -update               # rewrite verdict + measurement files
-//	flexile-hyp -tier soak -soak-duration 30s
 //
 // The default mode is the CI gate (`make hypotheses`): every selected
 // hypothesis must pass its own checks AND canonicalize to exactly the
@@ -41,32 +40,21 @@ func main() {
 	list := flag.Bool("list", false, "list hypotheses and exit")
 	run := flag.String("run", "", "only hypotheses whose name matches this regexp")
 	update := flag.Bool("update", false, "write canonical verdicts + measurement records instead of verifying")
-	tier := flag.String("tier", "quick", "workload tier: quick | soak")
 	seed := flag.Uint64("seed", 1, "experiment seed (drives workloads end to end)")
 	workers := flag.Int("workers", 4, "client-side parallelism for serving experiments")
-	soakDur := flag.Duration("soak-duration", 0, "bounds soak-tier workloads (0 = per-hypothesis default)")
 	dir := flag.String("dir", "hypotheses", "directory of checked-in verdict files")
 	flag.Parse()
 
-	if err := realMain(*list, *run, *update, *tier, *seed, *workers, *soakDur, *dir); err != nil {
+	if err := realMain(*list, *run, *update, *seed, *workers, *dir); err != nil {
 		fmt.Fprintf(os.Stderr, "flexile-hyp: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func realMain(list bool, runPat string, update bool, tierName string, seed uint64, workers int, soakDur time.Duration, dir string) error {
+func realMain(list bool, runPat string, update bool, seed uint64, workers int, dir string) error {
 	reg, err := exps.All()
 	if err != nil {
 		return err
-	}
-	var t hyp.Tier
-	switch tierName {
-	case "quick":
-		t = hyp.TierQuick
-	case "soak":
-		t = hyp.TierSoak
-	default:
-		return fmt.Errorf("unknown -tier %q (want quick or soak)", tierName)
 	}
 	pat, err := regexp.Compile(runPat)
 	if err != nil {
@@ -80,11 +68,7 @@ func realMain(list bool, runPat string, update bool, tierName string, seed uint6
 	}
 	if list {
 		for _, h := range selected {
-			soak := ""
-			if h.Soakable {
-				soak = "  [soakable]"
-			}
-			fmt.Printf("%-22s %s%s\n", h.Name, h.Claim, soak)
+			fmt.Printf("%-22s %s\n", h.Name, h.Claim)
 		}
 		return nil
 	}
@@ -95,13 +79,7 @@ func realMain(list bool, runPat string, update bool, tierName string, seed uint6
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	p := hyp.Params{
-		Seed:     seed,
-		Tier:     t,
-		Workers:  workers,
-		Duration: soakDur,
-		Log:      os.Stderr,
-	}
+	p := hyp.Params{Seed: seed, Workers: workers, Log: os.Stderr}
 	failed := 0
 	for _, h := range selected {
 		res := hyp.Run(ctx, h, p)
@@ -123,17 +101,10 @@ func realMain(list bool, runPat string, update bool, tierName string, seed uint6
 		}
 		verified := ""
 		if update {
-			if t != hyp.TierQuick {
-				return fmt.Errorf("-update only makes sense at -tier quick: checked-in verdicts are the quick tier (soak gots depend on -soak-duration)")
-			}
 			if err := v.WriteDir(dir); err != nil {
 				return err
 			}
 			verified = "  (updated)"
-		} else if v.Pass && t != hyp.TierQuick {
-			// Soak-tier verdicts aren't checked in; passing its stricter
-			// thresholds is the whole gate.
-			verified = "  (soak: verdict diff skipped)"
 		} else if v.Pass {
 			switch err := v.Verify(dir); {
 			case errors.Is(err, hyp.ErrDrift):

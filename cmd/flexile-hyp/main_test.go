@@ -5,21 +5,16 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
-// TestRealMainFlagValidation pins the CLI's rejection paths: bad tier,
-// bad regexp, and a -run pattern that selects nothing.
+// TestRealMainFlagValidation pins the CLI's rejection paths: bad regexp,
+// and a -run pattern that selects nothing.
 func TestRealMainFlagValidation(t *testing.T) {
-	if err := realMain(false, "", false, "marathon", 1, 4, 0, t.TempDir()); err == nil ||
-		!strings.Contains(err.Error(), "unknown -tier") {
-		t.Fatalf("bad tier: err = %v, want unknown -tier", err)
-	}
-	if err := realMain(false, "([", false, "quick", 1, 4, 0, t.TempDir()); err == nil ||
+	if err := realMain(false, "([", false, 1, 4, t.TempDir()); err == nil ||
 		!strings.Contains(err.Error(), "-run") {
 		t.Fatalf("bad regexp: err = %v, want -run parse error", err)
 	}
-	if err := realMain(false, "^no-such-hypothesis$", false, "quick", 1, 4, 0, t.TempDir()); err == nil ||
+	if err := realMain(false, "^no-such-hypothesis$", false, 1, 4, t.TempDir()); err == nil ||
 		!strings.Contains(err.Error(), "no hypothesis matches") {
 		t.Fatalf("empty selection: err = %v, want no-match error", err)
 	}
@@ -28,7 +23,7 @@ func TestRealMainFlagValidation(t *testing.T) {
 // TestRealMainList lists without running anything — it must succeed even
 // with no verdict directory at all.
 func TestRealMainList(t *testing.T) {
-	if err := realMain(true, "", false, "quick", 1, 4, 0, filepath.Join(t.TempDir(), "absent")); err != nil {
+	if err := realMain(true, "", false, 1, 4, filepath.Join(t.TempDir(), "absent")); err != nil {
 		t.Fatalf("list: %v", err)
 	}
 }
@@ -36,9 +31,7 @@ func TestRealMainList(t *testing.T) {
 // TestRealMainUpdateVerifyDrift walks the CLI through its whole
 // lifecycle on one fast hypothesis: -update writes the canonical verdict
 // and measurement record, a verify run matches them, and a tampered
-// verdict file turns the same verify run into a drift failure. Also pins
-// that -update is refused at the soak tier (checked-in verdicts are the
-// quick tier by definition).
+// verdict file turns the same verify run into a drift failure.
 func TestRealMainUpdateVerifyDrift(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real experiment three times")
@@ -46,7 +39,7 @@ func TestRealMainUpdateVerifyDrift(t *testing.T) {
 	dir := t.TempDir()
 	const sel = "^h-emu-fidelity$"
 
-	if err := realMain(false, sel, true, "quick", 1, 4, 0, dir); err != nil {
+	if err := realMain(false, sel, true, 1, 4, dir); err != nil {
 		t.Fatalf("-update: %v", err)
 	}
 	verdict := filepath.Join(dir, "h-emu-fidelity", "verdict.json")
@@ -57,20 +50,15 @@ func TestRealMainUpdateVerifyDrift(t *testing.T) {
 		t.Fatalf("-update left no measurement record: %v", err)
 	}
 
-	if err := realMain(false, sel, false, "quick", 1, 4, 0, dir); err != nil {
+	if err := realMain(false, sel, false, 1, 4, dir); err != nil {
 		t.Fatalf("verify after update: %v", err)
 	}
 
 	if err := os.WriteFile(verdict, []byte("{\"tampered\":true}\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err := realMain(false, sel, false, "quick", 1, 4, 0, dir)
+	err := realMain(false, sel, false, 1, 4, dir)
 	if err == nil || !strings.Contains(err.Error(), "1 of 1 hypotheses failed") {
 		t.Fatalf("tampered verdict: err = %v, want drift failure", err)
-	}
-
-	if err := realMain(false, sel, true, "soak", 1, 4, time.Second, dir); err == nil ||
-		!strings.Contains(err.Error(), "-update only makes sense at -tier quick") {
-		t.Fatalf("-update at soak tier: err = %v, want refusal", err)
 	}
 }

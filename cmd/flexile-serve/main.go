@@ -25,9 +25,9 @@
 // SIGHUP reloads every artifact atomically and per name — a failed reload
 // (corrupt or vanished file) keeps the old state serving and never blocks
 // a neighbor, and the next SIGHUP after the file is fixed swaps it in —
-// and with -artifact-dir rescans the directory. SIGINT/SIGTERM flip /readyz to 503 first, drain in-flight
-// requests for up to -drain-timeout, then exit. With -metrics the
-// aggregated serving counters are printed as JSON on exit.
+// and with -artifact-dir rescans the directory. SIGINT/SIGTERM flip
+// /readyz to 503 first, drain in-flight requests for up to -drain-timeout,
+// then exit.
 //
 // Overload resilience (DESIGN.md §13): -default-deadline sheds requests
 // whose recomputation has not finished by their deadline (clients override
@@ -69,8 +69,6 @@ func main() {
 	debugListen := flag.String("debug-listen", "", "optional admin listener serving /metrics and /debug/pprof (keep it private)")
 	cacheSize := flag.Int("cache-size", 1024, "allocation cache entries (0 disables, negative = unbounded)")
 	workers := flag.Int("workers", 0, "concurrent recomputation bound (0 = all cores)")
-	metrics := flag.Bool("metrics", false, "emit the aggregated serving metrics as JSON on stdout at exit")
-	tracePath := flag.String("trace", "", "write a chrome://tracing timeline to this file at exit")
 	logSample := flag.Int("log-sample", 1, "log one access record per N requests (1 = every request)")
 	traceSample := flag.Int("trace-sample", serve.DefaultTraceEvery, "trace one request per N into /debug/requests (1 = every request; sampled traceparents always trace)")
 	logJSON := flag.Bool("logjson", false, "emit logs as JSON instead of text")
@@ -85,14 +83,8 @@ func main() {
 
 	logger := newLogger(*logJSON)
 
-	// The collector always runs: /metrics needs live counters whether or
-	// not the exit-time JSON dump was requested.
+	// The collector feeds the live /metrics page.
 	collector := obs.New()
-	var tracer *obs.Tracer
-	if *tracePath != "" {
-		tracer = obs.NewTracer()
-		collector.AttachTracer(tracer)
-	}
 	obs.SetGlobal(collector)
 
 	// The trace ring always runs too: /debug/requests should answer on a
@@ -180,24 +172,6 @@ func main() {
 		shutCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		admin.Shutdown(shutCtx)
 		cancel()
-	}
-
-	if *metrics {
-		fmt.Printf("%s\n", collector.Snapshot().JSON())
-	}
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := tracer.WriteJSON(f); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		logger.Info("wrote trace", "path", *tracePath)
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 	"flexile/internal/hyp"
 )
 
-// TestQuickTierExperiments runs every non-soak hypothesis in-process at
-// the quick tier and asserts the two halves of the harness contract
+// TestQuickTierExperiments runs every non-soak hypothesis in-process and
+// asserts the two halves of the harness contract
 // separately:
 //
 //   - every deterministic check must pass — these are pure functions of

@@ -49,10 +49,7 @@ func OverloadShed() hyp.Hypothesis {
 		}
 		defer fix.Close()
 
-		clients, requests := 8, 12
-		if p.Tier == hyp.TierSoak {
-			clients, requests = 16, 48
-		}
+		const clients, requests = 8, 12
 		rep := fix.Storm(chaos.StormConfig{
 			Seed:     p.Seed,
 			Clients:  clients,

@@ -45,9 +45,8 @@ import (
 // in soak_test.go pins.
 func ServeSoak() hyp.Hypothesis {
 	h := hyp.Hypothesis{
-		Name:     "h-serve-soak",
-		Claim:    "a live flexile-serve soak's allocations survive a mid-soak SIGHUP bit-identically and match the model within Fig. 9 tolerance under fluid emulation",
-		Soakable: true,
+		Name:  "h-serve-soak",
+		Claim: "a live flexile-serve soak's allocations survive a mid-soak SIGHUP bit-identically and match the model within Fig. 9 tolerance under fluid emulation",
 	}
 	h.Run = func(ctx context.Context, p hyp.Params) (*hyp.Verdict, error) {
 		scratch, cleanup, err := p.ScratchDir()
@@ -96,13 +95,7 @@ func ServeSoak() hyp.Hypothesis {
 			return nil, err
 		}
 
-		planDur := 1500 * time.Millisecond
-		if p.Tier == hyp.TierSoak {
-			planDur = p.Duration
-			if planDur <= 0 {
-				planDur = 20 * time.Second
-			}
-		}
+		const planDur = 1500 * time.Millisecond
 		lcfg := load.Config{
 			Seed:      p.Seed,
 			QPS:       400,

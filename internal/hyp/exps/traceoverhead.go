@@ -215,10 +215,7 @@ func TraceOverhead() hyp.Hypothesis {
 		}
 		// n per chunk is a multiple of the sampling rate so every chunk
 		// traces the same number of requests.
-		chunks, n := 64, 16*serve.DefaultTraceEvery
-		if p.Tier == hyp.TierSoak {
-			chunks = 256
-		}
+		const chunks, n = 64, 16 * serve.DefaultTraceEvery
 		deltas := make([]float64, 0, chunks)
 		for c := 0; c < chunks; c++ {
 			var tPlain, tTraced time.Duration

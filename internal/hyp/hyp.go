@@ -28,45 +28,17 @@ import (
 	"time"
 )
 
-// Tier selects how much work an experiment does.
-type Tier int
-
-const (
-	// TierQuick is the CI tier: seconds per hypothesis, verdicts diffed
-	// against the checked-in files.
-	TierQuick Tier = iota
-	// TierSoak is the long-running tier (`make soak`): same experiments,
-	// larger workloads bounded by Params.Duration. Soak verdicts are
-	// checked for PASS but not diffed (the workload differs from the
-	// checked-in quick-tier one).
-	TierSoak
-)
-
-func (t Tier) String() string {
-	if t == TierSoak {
-		return "soak"
-	}
-	return "quick"
-}
-
 // Params configure one harness run; every hypothesis receives the same
-// Params, so a run is reproducible from (tier, seed, duration) alone.
+// Params, so a run is reproducible from its seed alone.
 type Params struct {
 	// Seed drives every stochastic choice an experiment makes (workload
 	// generation, scenario streams, storm clients). The canonical verdict
-	// is a pure function of Seed (plus Tier/Duration workload knobs).
+	// is a pure function of Seed.
 	Seed uint64
-	// Tier selects quick or soak workloads.
-	Tier Tier
 	// Workers is client-side parallelism (e.g. concurrent soak queriers).
 	// It must never change a canonical verdict — only wall-clock. 0 means
 	// a small default.
 	Workers int
-	// Duration bounds soak-tier workloads. The bound is applied
-	// deterministically (a planned request count derived from Duration,
-	// not a wall-clock cutoff), so the trace stays a pure function of the
-	// seed. 0 means the tier default.
-	Duration time.Duration
 	// Scratch is a directory for build products and artifacts; empty
 	// means os.MkdirTemp per experiment.
 	Scratch string
@@ -113,9 +85,6 @@ type Hypothesis struct {
 	Name string
 	// Claim is the one-sentence statement under test.
 	Claim string
-	// Soakable marks experiments with a distinct soak-tier workload;
-	// `make soak` runs only these at TierSoak.
-	Soakable bool
 	// Run executes the experiment and returns its verdict. An error means
 	// the experiment could not run (build failure, port in use) — distinct
 	// from a FAIL verdict, which means it ran and the claim is false.
@@ -141,7 +110,6 @@ type Check struct {
 type Verdict struct {
 	Hypothesis string `json:"hypothesis"`
 	Claim      string `json:"claim"`
-	Tier       string `json:"tier"`
 	Seed       uint64 `json:"seed"`
 	// Workload describes the experiment's inputs deterministically
 	// (topology, scenario count, stream length, tolerance, ...). JSON maps
@@ -159,7 +127,6 @@ func NewVerdict(h Hypothesis, p Params) *Verdict {
 	return &Verdict{
 		Hypothesis: h.Name,
 		Claim:      h.Claim,
-		Tier:       p.Tier.String(),
 		Seed:       p.Seed,
 		Workload:   map[string]string{},
 		Measured:   map[string]float64{},
@@ -222,7 +189,7 @@ func (v *Verdict) Finalize() *Verdict {
 
 // Canonical renders the deterministic verdict payload: indented JSON with
 // volatile gots zeroed and Measured dropped. Two runs of a hypothesis at
-// the same seed/tier must produce bit-identical canonical payloads; this
+// the same seed must produce bit-identical canonical payloads; this
 // is what hypotheses/<name>/verdict.json pins and CI diffs.
 func (v *Verdict) Canonical() []byte {
 	c := *v

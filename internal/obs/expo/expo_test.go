@@ -35,7 +35,7 @@ func fixedMetrics() obs.SolveMetrics {
 	m.Decomp = obs.DecompMetrics{
 		Solves: 1, Iterations: 6, ScenarioSolves: 60, ScenarioRetries: 2,
 		ScenarioSkips: 1, ScenLossFallbacks: 1, MasterSolves: 6, MasterFailures: 0,
-		CutsGenerated: 55, CutsDeduped: 5, SharedCutRows: 10,
+		CutsGenerated: 55, SharedCutRows: 10,
 	}
 	m.Pool = obs.PoolMetrics{Launches: 4, Items: 64, MaxWorkers: 8, BusyNanos: 2_500_000_000}
 	m.Serve = obs.ServeMetrics{

@@ -133,11 +133,9 @@ type DecompMetrics struct {
 	// MasterFailures counts master steps that failed and ended the
 	// decomposition with the best incumbent.
 	MasterFailures int64 `json:"master_failures"`
-	// CutsGenerated counts Benders cuts extracted from scenario solves;
-	// CutsDeduped of those were exact duplicates of a cut already pooled
-	// (same native scenario, identical coefficients) and were dropped.
+	// CutsGenerated counts Benders cuts extracted from scenario solves, one
+	// per successful scenario solve; every one enters the pool.
 	CutsGenerated int64 `json:"cuts_generated"`
-	CutsDeduped   int64 `json:"cuts_deduped"`
 	// SharedCutRows counts g^q_{q'} rows materialized by the separation
 	// rounds across all master solves.
 	SharedCutRows int64 `json:"shared_cut_rows"`

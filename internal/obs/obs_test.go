@@ -31,7 +31,7 @@ func TestParentChainRollup(t *testing.T) {
 	leaf.AddLP(LPMetrics{Solves: 2, Pivots: 10})
 	mid.AddLP(LPMetrics{Solves: 1, Pivots: 5})
 	leaf.AddMIP(MIPMetrics{Solves: 1, Nodes: 7})
-	leaf.AddDecomp(DecompMetrics{CutsGenerated: 3, CutsDeduped: 1})
+	leaf.AddDecomp(DecompMetrics{CutsGenerated: 3})
 	leaf.PoolLaunch(4)
 	leaf.PoolItem(2, 100)
 	leaf.PoolItem(2, 50)
@@ -52,7 +52,7 @@ func TestParentChainRollup(t *testing.T) {
 	if rm.MIP.Solves != 1 || rm.MIP.Nodes != 7 {
 		t.Fatalf("root MIP = %+v", rm.MIP)
 	}
-	if rm.Decomp.CutsGenerated != 3 || rm.Decomp.CutsDeduped != 1 {
+	if rm.Decomp.CutsGenerated != 3 {
 		t.Fatalf("root Decomp = %+v", rm.Decomp)
 	}
 	if rm.Pool.Launches != 1 || rm.Pool.Items != 3 || rm.Pool.MaxWorkers != 4 || rm.Pool.BusyNanos != 175 {

@@ -71,7 +71,7 @@ func (m *MIPMetrics) Fields() [6]Field {
 }
 
 // Fields is the decomposition group's schema.
-func (m *DecompMetrics) Fields() [11]Field {
+func (m *DecompMetrics) Fields() [10]Field {
 	return [...]Field{
 		{P: &m.Solves, Name: "flexile_decomp_solves_total", Help: "Offline Benders decompositions run."},
 		{P: &m.Iterations, Name: "flexile_decomp_iterations_total", Help: "Benders iterations."},
@@ -82,7 +82,6 @@ func (m *DecompMetrics) Fields() [11]Field {
 		{P: &m.MasterSolves, Name: "flexile_decomp_master_solves_total", Help: "Master MIP solve rounds."},
 		{P: &m.MasterFailures, Name: "flexile_decomp_master_failures_total", Help: "Master steps that ended the decomposition early."},
 		{P: &m.CutsGenerated, Name: "flexile_decomp_cuts_generated_total", Help: "Benders cuts extracted from scenario solves."},
-		{P: &m.CutsDeduped, Name: "flexile_decomp_cuts_deduped_total", Help: "Cuts dropped as exact duplicates."},
 		{P: &m.SharedCutRows, Name: "flexile_decomp_shared_cut_rows_total", Help: "Shared-cut rows materialized by separation rounds."},
 	}
 }

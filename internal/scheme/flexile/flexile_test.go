@@ -249,8 +249,8 @@ func TestOfflineConvergesTriangle(t *testing.T) {
 	if off.SubproblemSolves < len(inst.Scenarios) {
 		t.Fatalf("first iteration must touch every scenario, solves=%d", off.SubproblemSolves)
 	}
-	// Pruning: perfect scenarios are never re-solved, so total solves stay
-	// well below iterations × scenarios.
+	// Pruning: a scenario whose critical column did not change is not
+	// re-solved, so total solves stay well below iterations × scenarios.
 	if off.SubproblemSolves >= off.Iterations*len(inst.Scenarios) && off.Iterations > 1 {
 		t.Fatalf("pruning ineffective: %d solves in %d iterations", off.SubproblemSolves, off.Iterations)
 	}

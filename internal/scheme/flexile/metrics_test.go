@@ -58,9 +58,6 @@ func TestMetricsDeterministicAcrossWorkers(t *testing.T) {
 			if bm.Decomp.CutsGenerated == 0 {
 				t.Fatalf("decomposition counters empty: %+v", bm.Decomp)
 			}
-			if bm.Decomp.CutsDeduped > bm.Decomp.CutsGenerated {
-				t.Fatalf("more cuts deduped (%d) than generated (%d)", bm.Decomp.CutsDeduped, bm.Decomp.CutsGenerated)
-			}
 			if bm.Pool.Launches == 0 || bm.Pool.Items == 0 {
 				t.Fatalf("pool counters empty: %+v", bm.Pool)
 			}

@@ -54,11 +54,11 @@ type Options struct {
 const (
 	// masterNodes bounds the branch-and-bound nodes per master solve: the
 	// master only needs good feasible points, which the descent incumbent
-	// and the greedy-cover rounding provide early. On design-twoclass the
-	// two masters still open at 40 nodes dive at the box bound against
-	// warm incumbents they never beat; searching on to 120 nodes returned
-	// the same incumbents (DESIGN.md §2.2). augMasterNodes is Augment's
-	// bound, which has neither.
+	// provides before the first node. On design-twoclass the two masters
+	// still open at 40 nodes dive at the box bound against warm incumbents
+	// they never beat; searching on to 120 nodes returned the same
+	// incumbents (DESIGN.md §2.2). augMasterNodes is Augment's bound, whose
+	// master has no descent.
 	masterNodes    = 40
 	augMasterNodes = 200
 	// sharedCutRounds is how many separation rounds materialize violated
@@ -326,7 +326,7 @@ func offline(ctx context.Context, inst *te.Instance, opt Options, fixedUse [][]f
 
 // decomp is one run of the Benders decomposition (§4.2), the loop Offline
 // and Augment share: per-scenario subproblems solved in parallel under the
-// retry/skip policy, a deduped cut pool, and a master that decides when to
+// retry/skip policy, a cut pool, and a master that decides when to
 // stop and proposes the next point.
 type decomp struct {
 	inst *te.Instance
@@ -341,10 +341,9 @@ type decomp struct {
 	// γ variant).
 	lossUB [][]float64
 	// movingCaps marks Augment's run, whose capacities move with δ: a
-	// scenario perfect at the warm start is re-solved like any other (at a
-	// new δ its duals can give new cuts), and a failed scenario counts as
-	// loss 1 until solved again rather than keep a solution taken at another
-	// point, as Offline's degraded mode does (DESIGN.md §8).
+	// failed scenario counts as loss 1 until solved again rather than keep a
+	// solution taken at another point, as Offline's degraded mode does
+	// (DESIGN.md §8).
 	movingCaps bool
 
 	report             SolveReport
@@ -490,16 +489,14 @@ func (d *decomp) run(ctx context.Context, m master) error {
 		col  *ScenarioColumn // snapshot of scenario q's column when last solved
 		caps []float64       // and the capacity vector it was solved at
 		sol  *subSolution
-		perf bool // perfect scenario: all connected flows lossless
 	}
 	caches := make([]cache, nq)
-	// The cut pool dedups regenerated cuts (see cutpool.go); appends happen
-	// in ascending scenario order, so the pool is identical for every
-	// worker count.
-	pool := newCutPool()
+	// The cut pool: appends happen in ascending scenario order, so the pool
+	// is identical for every worker count.
+	var pool []*cut
 
 	for iter := 0; iter < opt.MaxIterations; iter++ {
-		// Scenarios surviving the pruning rules this iteration. The solves
+		// Scenarios surviving the pruning rule this iteration. The solves
 		// are independent by construction (z is read-only while they run),
 		// so they fan out across the worker pool; collecting solutions by
 		// index and appending cuts in ascending scenario order afterwards
@@ -508,9 +505,6 @@ func (d *decomp) run(ctx context.Context, m master) error {
 		var pending []int
 		for q := range inst.Scenarios {
 			c := &caches[q]
-			if c.perf {
-				continue // pruned: scenario supports every connected flow losslessly
-			}
 			if c.col != nil && c.col.EqualColumn(z, q) && slices.Equal(c.caps, m.caps(q)) {
 				continue // pruned: critical set and capacities unchanged since last solve
 			}
@@ -602,12 +596,7 @@ func (d *decomp) run(ctx context.Context, m master) error {
 			c.sol = out.sol
 			c.col = z.CloneScenario(q)
 			c.caps = m.caps(q)
-			pool.add(out.sol.cut)
-			// A scenario is perfect when, with every connected flow marked
-			// critical (the warm-start state), the optimum is zero.
-			if iter == 0 && !d.movingCaps && out.sol.optval <= lossless {
-				c.perf = true
-			}
+			pool = append(pool, out.sol.cut)
 		}
 		// Assemble the loss matrix from the cached subproblem solutions (a
 		// fresh one per iteration, so the master may keep it).
@@ -624,8 +613,6 @@ func (d *decomp) run(ctx context.Context, m master) error {
 				case inst.FlowDemand(f) <= 0:
 					l = 0
 				case !d.connected[f][q]:
-				case c.perf:
-					l = 0
 				case c.sol != nil:
 					l = c.sol.loss[f]
 				}
@@ -642,10 +629,9 @@ func (d *decomp) run(ctx context.Context, m master) error {
 		var nz *CriticalSet
 		var converged bool
 		var err error
-		cuts := pool.cuts
-		endMaster := col.Span("master-solve", 0, "iteration", iter, "cuts", len(cuts))
+		endMaster := col.Span("master-solve", 0, "iteration", iter, "cuts", len(pool))
 		pprof.Do(ctx, pprof.Labels("solve", "master", "iteration", strconv.Itoa(iter)), func(context.Context) {
-			nz, converged, err = m.next(ctx, cuts, z)
+			nz, converged, err = m.next(ctx, pool, z)
 		})
 		endMaster()
 		if err != nil {
@@ -669,8 +655,7 @@ func (d *decomp) run(ctx context.Context, m master) error {
 		ScenarioSkips:     int64(len(d.report.Skipped)),
 		ScenLossFallbacks: int64(len(d.report.ScenLossFallback)),
 		MasterFailures:    int64(len(d.report.MasterFailures)),
-		CutsGenerated:     pool.generated,
-		CutsDeduped:       pool.deduped,
+		CutsGenerated:     int64(len(pool)),
 	})
 	d.report.Metrics = col.Snapshot()
 	return nil
@@ -837,33 +822,6 @@ func (m *offlineMaster) next(ctx context.Context, cuts []*cut, zPrev *CriticalSe
 		addCutRow(ct, ct.nativeQ)
 	}
 
-	// Rounding heuristic for the MIP: per flow, greedily pick the
-	// highest-z̃ scenarios until β is covered.
-	// The block lists each flow's binaries as one run, flows in order.
-	weights := make([]float64, len(zb.bins))
-	var groupList [][]int
-	var targets []float64
-	for b, f := range zb.flow {
-		weights[b] = inst.Scenarios[zb.scen[b]].Prob
-		if b == 0 || f != zb.flow[b-1] {
-			k, _ := inst.FlowOf(f)
-			groupList = append(groupList, nil)
-			targets = append(targets, inst.Classes[k].Beta)
-		}
-		groupList[len(groupList)-1] = append(groupList[len(groupList)-1], b)
-	}
-	// The greedy-cover rounding is strong but each invocation costs an LP
-	// solve inside the MIP; cap how often it runs per master solve.
-	baseHeuristic := mip.RoundGreedyCover(groupList, weights, targets)
-	heurCalls := 0
-	heuristic := func(frac []float64) []float64 {
-		if heurCalls >= 3 {
-			return nil
-		}
-		heurCalls++
-		return baseHeuristic(frac)
-	}
-
 	// Cut-guided greedy descent: starting from zPrev, repeatedly find the
 	// binding cut (the scenario whose dual bound dominates the penalty)
 	// and un-mark the critical flow with the largest dual there, as long
@@ -925,7 +883,6 @@ func (m *offlineMaster) next(ctx context.Context, cuts []*cut, zPrev *CriticalSe
 		sol, err := mip.SolveCtx(ctx, &mip.Problem{LP: p, Binary: zb.bins}, mip.Options{
 			MaxNodes:   masterNodes,
 			RelGap:     masterRelGap,
-			Heuristic:  heuristic,
 			WarmBinary: warm,
 		})
 		if err == nil && (sol.Status == mip.Infeasible || sol.Status == mip.Unbounded) {

@@ -138,7 +138,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// The shed reason latches from the response header writeResult set.
 		tr.Finish(rec.status, rec.bytes, rec.scenario, rec.cache, rec.Header().Get("X-Flexile-Shed"))
 		s.cfg.Ring.Add(tr)
-		s.col.TraceSink().Adopt(tr) // onto the -trace timeline, when one is attached
 	}
 }
 
