@@ -258,45 +258,6 @@ func BenchmarkOfflineParallelMetrics(b *testing.B) {
 	b.ReportMetric(float64(m.Decomp.CutsGenerated)/float64(b.N), "cuts/op")
 }
 
-// BenchmarkMasterMIP is the master problem's share of a default-options
-// Design on the design-twoclass instance (Sprint, two classes, 20 scenarios,
-// seed 1; five master MIPs): master-ms/op is the wall-clock inside
-// mip.SolveCtx and mip-nodes/op the branch-and-bound nodes it explored.
-// lp-solves/op and pivots/op count the whole Design — the scenario side is
-// the same every run, so a move in them is the master's —, phase1-pivots/op
-// the share of those pivots spent finding a feasible basis (near zero once
-// the master's roots start from the warm incumbent's basis), and
-// dual-pivots/op the share the dual simplex took from warm starts (node
-// re-solves and scenario re-solves).
-func BenchmarkMasterMIP(b *testing.B) {
-	inst, err := experiments.Config{Scale: experiments.Small, MaxScenarios: 20, Seed: 1}.TwoClass("Sprint")
-	if err != nil {
-		b.Fatal(err)
-	}
-	var masterNanos, nodes, solves, pivots, phase1, dual int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := flexile.Design(inst, flexile.DesignOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		m := res.Report.Metrics
-		masterNanos += m.MIP.SolveNanos
-		nodes += m.MIP.Nodes
-		solves += m.LP.Solves
-		pivots += m.LP.Pivots
-		phase1 += m.LP.Phase1Pivots
-		dual += m.LP.DualPivots
-	}
-	n := float64(b.N)
-	b.ReportMetric(float64(masterNanos)/1e6/n, "master-ms/op")
-	b.ReportMetric(float64(nodes)/n, "mip-nodes/op")
-	b.ReportMetric(float64(solves)/n, "lp-solves/op")
-	b.ReportMetric(float64(pivots)/n, "pivots/op")
-	b.ReportMetric(float64(phase1)/n, "phase1-pivots/op")
-	b.ReportMetric(float64(dual)/n, "dual-pivots/op")
-}
-
 // BenchmarkOnlineAllocation isolates the online phase: one failure
 // reaction, the latency that §4.3 keeps comparable to SWAN.
 func BenchmarkOnlineAllocation(b *testing.B) {

@@ -10,22 +10,21 @@ import (
 )
 
 // TestDesignCountsPinned pins, on the three instances the repository
-// benchmark designs (bench/design.go), the LP counts, the master MIP's
-// solves, nodes and incumbent updates, and the PercLoss bits a
-// default-options Design produces. A change that promises "same pivots,
-// less time" must leave every row untouched; a change that moves one has
-// changed the pivot sequence and says so by editing the row.
+// benchmark designs (bench/design.go), the LP counts, the MIP solves, nodes
+// and incumbent updates, and the PercLoss bits a default-options Design
+// produces. A change that promises "same pivots, less time" must leave
+// every row untouched; a change that moves one has changed the pivot
+// sequence and says so by editing the row.
 //
-// The incumbent updates pin the premise of the master's ledger (DESIGN.md
-// §2.2): every master's one incumbent is the warm descent point, set before
-// the first node. A change that makes a master beat it — a rounding
-// heuristic, a deeper dive than masterNodes — moves that column, and that
-// is where such a mechanism earns its place back.
+// The MIP row is zero: Offline's master is the cut-guided descent, and the
+// MIP master it replaced lives on as a test oracle
+// (internal/scheme/flexile/oracle_test.go). A change that puts a MIP back
+// on the offline path moves that row.
 //
-// Last moved by deleting the master's rounding heuristic, which ran 6 LP
-// solves on design-twoclass and never produced an incumbent: LP solves
-// 148 → 142, pivots 3826 → 3396. Its PercLoss bits and MIP solves and
-// nodes did not move, nor did the design-lp and design-wide rows.
+// Last moved by making the descent the master: design-lp LP solves
+// 50 → 49, design-twoclass LP solves 142 → 57 and pivots 3396 → 3202, the
+// MIP rows {1, 0, 1} and {5, 80, 5} → {0, 0, 0}. No PercLoss bit and no
+// design-wide count moved.
 func TestDesignCountsPinned(t *testing.T) {
 	type counts struct{ solves, pivots, phase1, dual, flips, degenerate, refactors, refreshes int64 }
 	type master struct{ solves, nodes, incumbents int64 }
@@ -41,8 +40,8 @@ func TestDesignCountsPinned(t *testing.T) {
 		long      bool
 	}{
 		{"design-wide", "ATT", false, 4, 1.3, counts{8, 2439, 301, 43, 240, 1776, 19, 41}, master{0, 0, 0}, []float64{0}, true},
-		{"design-lp", "IBM", false, 20, 1.5, counts{50, 3715, 137, 507, 117, 3291, 50, 171}, master{1, 0, 1}, []float64{8.630249292984615e-16}, false},
-		{"design-twoclass", "Sprint", true, 20, 1.0, counts{142, 3396, 94, 952, 227, 2549, 119, 391}, master{5, 80, 5}, []float64{2.2204460492503126e-16, 9.43689570931383e-16}, false},
+		{"design-lp", "IBM", false, 20, 1.5, counts{49, 3715, 137, 507, 117, 3291, 50, 169}, master{0, 0, 0}, []float64{8.630249292984615e-16}, false},
+		{"design-twoclass", "Sprint", true, 20, 1.0, counts{57, 3202, 92, 910, 163, 2546, 39, 175}, master{0, 0, 0}, []float64{2.2204460492503126e-16, 9.43689570931383e-16}, false},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -89,10 +88,10 @@ func TestDesignCountsPinned(t *testing.T) {
 // classes, 20 scenarios) from the outside: the scheme's routing, evaluated
 // scenario by scenario, must lose what the offline phase promised — each
 // class's PercLoss within 1e-6 of the design's own — and the evaluated
-// penalty must stay at or below the pinned one. The master MIP is
-// node-limited, so a change that only perturbs float association in the
-// LPs can land it on a worse design (DESIGN.md §2.2); this is the tier-1
-// guard for that.
+// penalty must stay at or below the pinned one. The design is the fixed
+// point of a greedy descent, with no proven lower bound, so a change that
+// only perturbs float association in the LPs can land it on a worse design
+// (DESIGN.md §2.2); this is the tier-1 guard for that.
 func TestDesignQualityEvaluated(t *testing.T) {
 	const pinPenalty = 0.17382509686758785
 	inst, err := experiments.Config{Scale: experiments.Small, MaxScenarios: 20, Seed: 1}.TwoClass("Sprint")

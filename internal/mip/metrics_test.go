@@ -117,11 +117,33 @@ func TestMIPIntegerInfeasible(t *testing.T) {
 	}
 }
 
+// TestMIPNodeLimitIsNotInfeasible: min −x₁−x₂ s.t. 2x₁+2x₂ ≤ 3, x binary,
+// has integer points, but its root relaxation is fractional. With one node
+// and no heuristic or warm start, the search stops with open nodes and no
+// incumbent: that is NoIncumbent, not a proof of infeasibility.
+func TestMIPNodeLimitIsNotInfeasible(t *testing.T) {
+	p := lp.NewProblem()
+	x1 := p.AddCol("x1", 0, 1, -1)
+	x2 := p.AddCol("x2", 0, 1, -1)
+	p.AddLE("cap", 3, lp.Entry{Col: x1, Coef: 2}, lp.Entry{Col: x2, Coef: 2})
+	sol, err := Solve(&Problem{LP: p, Binary: []int{x1, x2}}, Options{MaxNodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != NoIncumbent || sol.X != nil {
+		t.Fatalf("status %v (x %v) after a one-node search with a fractional root, want no incumbent", sol.Status, sol.X)
+	}
+	if sol.Nodes != 1 {
+		t.Fatalf("%d nodes explored, want 1", sol.Nodes)
+	}
+}
+
 // TestMIPStatusStrings pins the Status stringer.
 func TestMIPStatusStrings(t *testing.T) {
 	for want, s := range map[string]Status{
 		"optimal": Optimal, "feasible": Feasible,
 		"infeasible": Infeasible, "unbounded": Unbounded,
+		"no incumbent": NoIncumbent,
 	} {
 		if s.String() != want {
 			t.Fatalf("Status(%d).String() = %q, want %q", int(s), s.String(), want)

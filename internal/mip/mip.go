@@ -1,13 +1,11 @@
 // Package mip implements a branch-and-bound solver for mixed binary
 // programs on top of the lp package.
 //
-// It supports problems whose integer variables are all binary, which covers
-// both optimization models in the paper: the critical-scenario master
-// problem (M) and the direct formulation (I). The solver offers best-first
-// search with most-fractional branching, a pluggable rounding heuristic for
-// fast incumbents, warm-start incumbents, and node/gap limits — the master
-// problem in the decomposition only needs good feasible solutions quickly,
-// not proofs of optimality.
+// It supports problems whose integer variables are all binary: the paper's
+// direct formulation (I) and the capacity-augmentation master. The solver
+// offers best-first search with most-fractional branching, a pluggable
+// rounding heuristic for fast incumbents, warm-start incumbents, and a node
+// limit.
 package mip
 
 import (
@@ -41,6 +39,9 @@ const (
 	Infeasible
 	// Unbounded means the LP relaxation is unbounded.
 	Unbounded
+	// NoIncumbent means a limit stopped the search before it found any
+	// integer point; the problem may still be feasible.
+	NoIncumbent
 )
 
 func (s Status) String() string {
@@ -53,6 +54,8 @@ func (s Status) String() string {
 		return "infeasible"
 	case Unbounded:
 		return "unbounded"
+	case NoIncumbent:
+		return "no incumbent"
 	default:
 		return fmt.Sprintf("status(%d)", int(s))
 	}
@@ -73,9 +76,6 @@ type Solution struct {
 type Options struct {
 	// MaxNodes bounds the number of explored nodes; 0 means 10000.
 	MaxNodes int
-	// RelGap stops the search when (incumbent − bound) ≤ RelGap·|incumbent|;
-	// 0 means 1e-6.
-	RelGap float64
 	// Heuristic, if set, receives a fractional relaxation solution and may
 	// return suggested 0/1 values for the binary columns (same order as
 	// Problem.Binary). The solver completes the suggestion by fixing the
@@ -96,15 +96,16 @@ type Options struct {
 const (
 	// defaultMaxNodes is the node budget when Options.MaxNodes is zero.
 	defaultMaxNodes = 10000
-	// defaultRelGap is three decades above lp.DefaultTol: a node bound
-	// that trails the incumbent by no more than the relaxation's own noise
-	// (relative) never keeps the search open.
-	defaultRelGap = 1e-6
+	// relGap stops the search when (incumbent − bound) ≤ relGap·|incumbent|.
+	// It is three decades above lp.DefaultTol: a node bound that trails the
+	// incumbent by no more than the relaxation's own noise (relative) never
+	// keeps the search open.
+	relGap = 1e-6
 	// intTol is three decades above lp.DefaultTol: a binary whose
 	// relaxation value sits within the LP's feasibility slack of 0 or 1 is
 	// integral, not a branching candidate.
 	intTol = 1e-6
-	// pruneSlack is the absolute slack beside RelGap·|incumbent|, which is
+	// pruneSlack is the absolute slack beside relGap·|incumbent|, which is
 	// zero at a zero incumbent: three decades under lp.DefaultTol, so it
 	// absorbs the rounding of a bound equal to the incumbent and nothing
 	// the LP could resolve.
@@ -118,9 +119,6 @@ const (
 func (o Options) withDefaults() Options {
 	if o.MaxNodes == 0 {
 		o.MaxNodes = defaultMaxNodes
-	}
-	if o.RelGap == 0 {
-		o.RelGap = defaultRelGap
 	}
 	return o
 }
@@ -222,7 +220,7 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 	// closed reports that a bound leaves no room below the incumbent; with no
 	// incumbent the threshold is NaN and nothing is closed.
 	closed := func(bound float64) bool {
-		return bound >= sol.Objective-opts.RelGap*math.Abs(sol.Objective)-pruneSlack
+		return bound >= sol.Objective-relGap*math.Abs(sol.Objective)-pruneSlack
 	}
 
 	// The root inherits the box bound of the caller's bounds — read from
@@ -351,7 +349,11 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 	}
 
 	if best == nil {
-		sol.Status = Infeasible
+		// Infeasibility is proven only when every node was solved and
+		// closed; otherwise a limit stopped the search first.
+		if h.Len() > 0 || !math.IsInf(unsolved, 1) {
+			sol.Status = NoIncumbent
+		}
 		return sol, nil
 	}
 	sol.X = best

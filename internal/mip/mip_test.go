@@ -409,7 +409,8 @@ func TestNodeWithoutPointIsNotBranched(t *testing.T) {
 	// A cold root: phase 1 of a vertex cover, with one pivot allowed. With
 	// no warm incumbent, or one whose LP is infeasible (it leaves edge 1–2
 	// uncovered), the root starts cold and stops without a point, and the
-	// MIP finds nothing.
+	// MIP finds nothing. The cover is feasible, so that is NoIncumbent: an
+	// unsolved node proves no infeasibility.
 	cover := lp.NewProblem()
 	var bins []int
 	for k := 0; k < 3; k++ {
@@ -423,8 +424,8 @@ func TestNodeWithoutPointIsNotBranched(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.Status != Infeasible || s.X != nil || s.Nodes != 1 {
-			t.Fatalf("warm %v: status %v, X %v after %d nodes, want infeasible with no X after 1", warm, s.Status, s.X, s.Nodes)
+		if s.Status != NoIncumbent || s.X != nil || s.Nodes != 1 {
+			t.Fatalf("warm %v: status %v, X %v after %d nodes, want no incumbent and no X after 1", warm, s.Status, s.X, s.Nodes)
 		}
 	}
 

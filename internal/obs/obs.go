@@ -127,17 +127,19 @@ type DecompMetrics struct {
 	// ScenLossFallbacks counts ScenLoss precomputes that fell back to the
 	// trivial bound.
 	ScenLossFallbacks int64 `json:"scenloss_fallbacks"`
-	// MasterSolves counts master MIP solve rounds (including re-solves after
-	// shared-cut separation).
+	// MasterSolves counts master MIP solves: Augment's δ master, one per
+	// master step. Offline's master is a descent and solves no MIP, so it
+	// reads 0 there.
 	MasterSolves int64 `json:"master_solves"`
 	// MasterFailures counts master steps that failed and ended the
-	// decomposition with the best incumbent.
+	// decomposition early (Augment's only).
 	MasterFailures int64 `json:"master_failures"`
 	// CutsGenerated counts Benders cuts extracted from scenario solves, one
 	// per successful scenario solve; every one enters the pool.
 	CutsGenerated int64 `json:"cuts_generated"`
-	// SharedCutRows counts g^q_{q'} rows materialized by the separation
-	// rounds across all master solves.
+	// SharedCutRows counted the shared cuts g^q_{q'} (eq. 22) a MIP master
+	// materialized by separation. No production master separates them, so
+	// it reads 0; it stays until the benchmark stops reading it.
 	SharedCutRows int64 `json:"shared_cut_rows"`
 }
 

@@ -1,10 +1,9 @@
 // Package par is the concurrency substrate for Flexile's scenario-parallel
 // solve engine and its allocation server. Collect is the deterministic
 // worker pool used by the offline decomposition (per-scenario Benders
-// subproblems, the ScenLoss precompute, the shared-cut separation scan) and
-// by the experiment harness (per-topology fan-out); Flight (detached
-// single-flight) and Gate (a counting semaphore) ration the serving layer's
-// cache-miss recomputations.
+// subproblems, the ScenLoss precompute) and by the experiment harness
+// (per-topology fan-out); Flight (detached single-flight) and Gate (a
+// counting semaphore) ration the serving layer's cache-miss recomputations.
 //
 // Determinism contract: Collect reports results by item index, so the
 // caller observes identical output regardless of the worker count or the

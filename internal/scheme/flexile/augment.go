@@ -190,7 +190,7 @@ func (a *augMaster) next(ctx context.Context, cuts []*cut, zPrev *CriticalSet) (
 	if err != nil {
 		return nil, false, err
 	}
-	if sol.Status == mip.Infeasible || sol.Status == mip.Unbounded {
+	if sol.X == nil { // infeasible, unbounded, or no incumbent within the node limit
 		return nil, false, fmt.Errorf("flexile: augmentation master %v", sol.Status)
 	}
 	nd := make([]float64, g.NumEdges())

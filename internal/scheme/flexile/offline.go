@@ -7,14 +7,12 @@ import (
 	"math"
 	"runtime/pprof"
 	"slices"
-	"sort"
 	"strconv"
 	"time"
 
 	"flexile/internal/eval"
 	"flexile/internal/failure"
 	"flexile/internal/lp"
-	"flexile/internal/mip"
 	"flexile/internal/obs"
 	"flexile/internal/par"
 	"flexile/internal/te"
@@ -26,15 +24,13 @@ type Options struct {
 	// setting).
 	MaxIterations int
 	// Gamma, when > 0, bounds every connected flow's loss in scenario q to
-	// γ + optimal ScenLoss_q (§4.4); 0 or negative disables the bound. Cut
-	// sharing is disabled in this mode (scenario LPs stop sharing a dual
-	// space once their variable bounds differ).
+	// γ + optimal ScenLoss_q (§4.4); 0 or negative disables the bound.
 	Gamma float64
 	// Workers is how many goroutines the scenario-parallel hot loops use
-	// (per-scenario subproblem solves, the ScenLoss precompute, the
-	// shared-cut separation scan). 0 means runtime.NumCPU(); 1 runs every
-	// loop inline, exactly the sequential behavior. Results are identical
-	// for every worker count — parallelism is a pure wall-clock win.
+	// (per-scenario subproblem solves and the ScenLoss precompute). 0 means
+	// runtime.NumCPU(); 1 runs every loop inline, exactly the sequential
+	// behavior. Results are identical for every worker count — parallelism
+	// is a pure wall-clock win.
 	Workers int
 	// Timeout bounds the wall-clock time of the whole offline solve;
 	// 0 means unlimited. An expired deadline aborts the decomposition with
@@ -48,24 +44,17 @@ type Options struct {
 	// tests (faultinject_test.go) and must decide independently of worker
 	// identity or timing to preserve cross-worker-count determinism.
 	faultHook func(q, attempt int) error
+	// wrapMaster, when non-nil, replaces Offline's master with what it
+	// returns for it. It exists for the package's MIP-master oracle
+	// (oracle_test.go), which solves the paper's (M) beside the descent.
+	wrapMaster func(*offlineMaster) master
 }
 
 // The decomposition's fixed settings.
 const (
-	// masterNodes bounds the branch-and-bound nodes per master solve: the
-	// master only needs good feasible points, which the descent incumbent
-	// provides before the first node. On design-twoclass the two masters
-	// still open at 40 nodes dive at the box bound against warm incumbents
-	// they never beat; searching on to 120 nodes returned the same
-	// incumbents (DESIGN.md §2.2). augMasterNodes is Augment's bound, whose
-	// master has no descent.
-	masterNodes    = 40
+	// augMasterNodes bounds the branch-and-bound nodes per Augment master
+	// solve.
 	augMasterNodes = 200
-	// sharedCutRounds is how many separation rounds materialize violated
-	// shared cuts g^q_{q'} per master solve, and sharedCutLimit how many
-	// rows one round may add.
-	sharedCutRounds = 1
-	sharedCutLimit  = 150
 	// scenarioRetries is how many times a failed scenario subproblem is
 	// re-solved under hardened LP settings (hardenLP) before the scenario is
 	// skipped for the iteration. Only retryable failures —
@@ -91,13 +80,7 @@ const (
 	// its spare critical mass covers up to rounding; inside coverSlack, so
 	// the release never breaks a coverage row.
 	spareSlack = lp.DefaultTol / 1000
-	// masterRelGap, 1e5 × lp.DefaultTol, is the master MIP's relative gap:
-	// the master needs good points, not optimality proofs.
-	masterRelGap = 1e5 * lp.DefaultTol
-	// violSlack, 100 × lp.DefaultTol, is how far a shared cut must exceed
-	// the incumbent's penalty to become a row: more than two LPs' noise.
-	violSlack = 100 * lp.DefaultTol
-	// targetSlack, violSlack's 100 × lp.DefaultTol, is how far Augment lets a
+	// targetSlack, 100 × lp.DefaultTol, is how far Augment lets a
 	// class's worst critical loss exceed its target: the noise in the cut
 	// constants its master met the target with.
 	targetSlack = 100 * lp.DefaultTol
@@ -152,7 +135,8 @@ type ScenarioFault struct {
 // solve: which scenarios needed retries, which were skipped outright (and
 // so contributed a conservative loss of 1 until re-solved), which ScenLoss
 // precomputes fell back to the trivial bound, and any master-step failures
-// that ended the decomposition early with the best incumbent.
+// (Augment's; Offline's descent cannot fail) that ended the decomposition
+// early.
 type SolveReport struct {
 	// Retried lists scenario solves that failed and then recovered under
 	// hardened settings; Err is the failure that triggered the retry.
@@ -166,7 +150,8 @@ type SolveReport struct {
 	// failed; their bound falls back to 1 (no constraint in γ mode).
 	ScenLossFallback []int
 	// MasterFailures lists master-step errors ("iteration N: ..."); a
-	// master failure ends the decomposition with the best incumbent.
+	// master failure ends the decomposition early. Only Augment's δ master,
+	// a MIP, can fail; Offline's descent never does.
 	MasterFailures []string
 	// Metrics is the solve's observability snapshot: every LP/MIP/pool/
 	// decomposition counter accumulated during this offline solve. Its
@@ -182,7 +167,8 @@ func (r *SolveReport) Degraded() bool {
 
 // OfflineResult is the output of the offline phase: which scenarios are
 // critical for each flow, the achieved per-class PercLoss, and per-iteration
-// convergence history.
+// convergence history. The critical set is the best iterate of the
+// cut-guided descent; no lower bound on the penalty is proven.
 type OfflineResult struct {
 	// Critical is the flow×scenario bitmap of critical scenarios.
 	Critical *CriticalSet
@@ -233,7 +219,7 @@ func OfflineCtx(ctx context.Context, inst *te.Instance, opt Options) (*OfflineRe
 // offline is OfflineCtx with fixedUse: when non-nil, fixedUse[q][e] is the
 // bandwidth of edge e already claimed in scenario q outside this design
 // (sequential multi-class design, §4.4), and capacities are reduced
-// accordingly. It disables cut sharing.
+// accordingly.
 func offline(ctx context.Context, inst *te.Instance, opt Options, fixedUse [][]float64) (*OfflineResult, error) {
 	start := time.Now()
 	nf, nq := inst.NumFlows(), len(inst.Scenarios)
@@ -309,12 +295,10 @@ func offline(ctx context.Context, inst *te.Instance, opt Options, fixedUse [][]f
 	}
 
 	res := &OfflineResult{ScenLossOpt: scenLossOpt}
-	m := &offlineMaster{
-		d: d, res: res, capv: caps, bestPenalty: math.Inf(1),
-		// Cut sharing requires every scenario's subproblem to differ only in
-		// its right-hand side — per-scenario traffic matrices and the γ bound
-		// both break that.
-		shareCuts: opt.Gamma < 0 && inst.ScenDemand == nil && fixedUse == nil,
+	om := &offlineMaster{d: d, res: res, capv: caps, hamming: max(32, nf*nq/16), bestPenalty: math.Inf(1)}
+	var m master = om
+	if opt.wrapMaster != nil {
+		m = opt.wrapMaster(om)
 	}
 	if err := d.run(ctx, m); err != nil {
 		return nil, err
@@ -661,7 +645,8 @@ func (d *decomp) run(ctx context.Context, m master) error {
 	return nil
 }
 
-// zBlock is the critical-set block both masters share: one binary z_fq per
+// zBlock is the critical-set block of a MIP master over z (Augment's, and
+// the MIP-master oracle in oracle_test.go): one binary z_fq per
 // demanded flow f and scenario q it is connected in, and per demanded flow
 // the coverage row (3) Σ_q p_q·z_fq ≥ β_k.
 type zBlock struct {
@@ -750,15 +735,18 @@ func (zb *zBlock) cutTerms(ct *cut, q int, sign float64, es []lp.Entry, rhs floa
 	return es, rhs
 }
 
-// offlineMaster is Offline's master (M): minimize the penalty subject to
-// coverage (3), the pooled Benders cuts (19) and the hamming-distance
-// stabilization (23), with z binary. It also keeps the best iterate, which
-// is what Offline returns.
+// offlineMaster is Offline's master: the paper's (M) minimizes the penalty
+// subject to coverage (3), the pooled Benders cuts (19) and the
+// hamming-distance stabilization (23), with z binary; this master descends
+// along the cuts within (3) and (23) instead. It also keeps the best
+// iterate, which is what Offline returns.
 type offlineMaster struct {
-	d           *decomp
-	res         *OfflineResult
-	capv        [][]float64 // capv[q] is scenario q's fixed capacity vector
-	shareCuts   bool
+	d    *decomp
+	res  *OfflineResult
+	capv [][]float64 // capv[q] is scenario q's fixed capacity vector
+	// hamming is how many z bits one master step may flip (stabilization,
+	// appendix eq. 23).
+	hamming     int
 	bestPenalty float64
 }
 
@@ -784,173 +772,63 @@ func (m *offlineMaster) done(z *CriticalSet, losses [][]float64) bool {
 	return penalty <= lossless
 }
 
-// next solves (M) around zPrev; the decomposition has converged when the
-// master repeats its proposal.
-func (m *offlineMaster) next(ctx context.Context, cuts []*cut, zPrev *CriticalSet) (*CriticalSet, bool, error) {
-	mcol := obs.From(ctx)
-	var mm obs.DecompMetrics
-	defer func() { mcol.AddDecomp(mm) }()
-	inst, d, opt := m.d.inst, m.d, m.d.opt
-	nf, nq := inst.NumFlows(), len(inst.Scenarios)
-	// At most this many z bits may flip between master solutions
-	// (stabilization, appendix eq. 23).
-	hamming := max(32, nf*nq/16)
-	p := lp.NewProblem()
-	pen := p.AddCol("penalty", 0, lp.Inf, 1)
-	zb := newZBlock(p, d)
-	// Hamming stabilization (23) against zPrev: Σ_{zPrev=0} z − Σ_{zPrev=1} z
-	// ≤ hamming − |zPrev|.
-	prev := zb.warm(zPrev)
-	hes := make([]lp.Entry, len(prev))
-	base := 0.0
-	for b, w := range prev {
-		hes[b] = lp.Entry{Col: zb.bins[b], Coef: 1 - 2*w}
-		base += w
-	}
-	p.AddLE("hamming", float64(hamming)-base, hes...)
-	// Cut rows. Native cuts always; shared cuts via separation below.
-	addCutRow := func(ct *cut, q int) {
-		es, rhs := zb.cutTerms(ct, q, -1, []lp.Entry{{Col: pen, Coef: 1}}, ct.C)
-		for e, cc := range ct.capCoef {
-			if cc != 0 && d.alive[q][e] {
-				rhs += cc
-			}
-		}
-		p.AddGE(fmt.Sprintf("cut[%d@%d]", ct.nativeQ, q), rhs, es...)
-	}
-	for _, ct := range cuts {
-		addCutRow(ct, ct.nativeQ)
-	}
-
-	// Cut-guided greedy descent: starting from zPrev, repeatedly find the
-	// binding cut (the scenario whose dual bound dominates the penalty)
-	// and un-mark the critical flow with the largest dual there, as long
-	// as the flow's remaining critical mass still covers β and the
-	// hamming budget allows. This is exactly Flexile's core move — let a
-	// flow off the hook in a bad scenario and cover its percentile
-	// elsewhere — and it gives the MIP a strong incumbent that plain
-	// branching rarely finds within its node budget.
+// next runs the cut-guided descent from zPrev: it stands in for solving
+// (M), whose MIP returned the descent point on every measured design
+// (DESIGN.md §2.2; oracle_test.go keeps that MIP and checks it still does).
+// The decomposition has converged when the descent leaves zPrev unchanged.
+func (m *offlineMaster) next(_ context.Context, cuts []*cut, zPrev *CriticalSet) (*CriticalSet, bool, error) {
+	inst, d := m.d.inst, m.d
+	nf := inst.NumFlows()
+	// Repeatedly find the binding cut (the scenario whose dual bound
+	// dominates the penalty) and un-mark the critical flow with the largest
+	// dual there, as long as the flow's remaining critical mass still covers
+	// β (coverage, eq. 3) and at most hamming bits have flipped
+	// (stabilization, appendix eq. 23). This is exactly Flexile's core move —
+	// let a flow off the hook in a bad scenario and cover its percentile
+	// elsewhere.
 	descent := zPrev.Clone()
-	{
-		spare := make([]float64, nf)
-		for f := 0; f < nf; f++ {
-			if inst.FlowDemand(f) <= 0 {
-				continue
-			}
-			k, _ := inst.FlowOf(f)
-			mass := 0.0
-			for q := range inst.Scenarios {
-				if descent.Get(f, q) {
-					mass += inst.Scenarios[q].Prob
-				}
-			}
-			spare[f] = mass - inst.Classes[k].Beta
+	spare := make([]float64, nf)
+	for f := 0; f < nf; f++ {
+		if inst.FlowDemand(f) <= 0 {
+			continue
 		}
-		flips := 0
-		for flips < hamming {
-			// Binding cut at the current descent point.
-			bestVal := 0.0
-			var bestCut *cut
-			for _, ct := range cuts {
-				v := ct.value(func(f int) bool { return descent.Get(f, ct.nativeQ) }, d.alive[ct.nativeQ])
-				if v > bestVal {
-					bestVal, bestCut = v, ct
-				}
+		k, _ := inst.FlowOf(f)
+		mass := 0.0
+		for q := range inst.Scenarios {
+			if descent.Get(f, q) {
+				mass += inst.Scenarios[q].Prob
 			}
-			if bestCut == nil || bestVal <= lossless {
-				break
-			}
-			q := bestCut.nativeQ
-			prob := inst.Scenarios[q].Prob
-			cand, candY := -1, 0.0
-			for f, y := range bestCut.yAlpha {
-				if y > candY && descent.Get(f, q) && spare[f] >= prob-spareSlack {
-					cand, candY = f, y
-				}
-			}
-			if cand < 0 {
-				break // no flow can be released without breaking coverage
-			}
-			descent.Set(cand, q, false)
-			spare[cand] -= prob
-			flips++
 		}
+		spare[f] = mass - inst.Classes[k].Beta
 	}
-
-	warm := zb.warm(descent)
-	solveMIP := func(stage string) (*mip.Solution, error) {
-		mm.MasterSolves++
-		sol, err := mip.SolveCtx(ctx, &mip.Problem{LP: p, Binary: zb.bins}, mip.Options{
-			MaxNodes:   masterNodes,
-			RelGap:     masterRelGap,
-			WarmBinary: warm,
-		})
-		if err == nil && (sol.Status == mip.Infeasible || sol.Status == mip.Unbounded) {
-			err = fmt.Errorf("flexile: master problem %v%s", sol.Status, stage)
-		}
-		return sol, err
-	}
-	sol, err := solveMIP("")
-	if err != nil {
-		return nil, false, err
-	}
-	// Separation rounds: materialize the most violated shared cuts
-	// g^{q0}_{q'} at the incumbent and re-solve.
-	if m.shareCuts {
-		type viol struct {
-			ct *cut
-			q  int
-			v  float64
-		}
-		for round := 0; round < sharedCutRounds; round++ {
-			// The cuts × nq scan only reads the incumbent, so it shards
-			// across the worker pool by cut; flattening the per-cut hits in
-			// cut order keeps the violated list — and the sort below —
-			// independent of the worker count.
-			penVal := sol.X[pen]
-			perCut := make([][]viol, len(cuts))
-			for _, serr := range par.Collect(ctx, opt.Workers, len(cuts), func(_, ci int) error {
-				ct := cuts[ci]
-				var hits []viol
-				for q := 0; q < nq; q++ {
-					if q == ct.nativeQ {
-						continue
-					}
-					v := ct.value(func(f int) bool {
-						c := zb.col[f][q]
-						return c >= 0 && sol.X[c] > 0.5
-					}, d.alive[q])
-					if v > penVal+violSlack {
-						hits = append(hits, viol{ct, q, v - penVal})
-					}
-				}
-				perCut[ci] = hits
-				return nil
-			}) {
-				if serr != nil {
-					return nil, false, serr
-				}
-			}
-			var violated []viol
-			for _, hits := range perCut {
-				violated = append(violated, hits...)
-			}
-			if len(violated) == 0 {
-				break
-			}
-			sort.Slice(violated, func(a, b int) bool { return violated[a].v > violated[b].v })
-			if len(violated) > sharedCutLimit {
-				violated = violated[:sharedCutLimit]
-			}
-			mm.SharedCutRows += int64(len(violated))
-			for _, vv := range violated {
-				addCutRow(vv.ct, vv.q)
-			}
-			if sol, err = solveMIP(" after separation"); err != nil {
-				return nil, false, err
+	flips := 0
+	for flips < m.hamming {
+		// Binding cut at the current descent point.
+		bestVal := 0.0
+		var bestCut *cut
+		for _, ct := range cuts {
+			v := ct.value(func(f int) bool { return descent.Get(f, ct.nativeQ) }, d.alive[ct.nativeQ])
+			if v > bestVal {
+				bestVal, bestCut = v, ct
 			}
 		}
+		if bestCut == nil || bestVal <= lossless {
+			break
+		}
+		q := bestCut.nativeQ
+		prob := inst.Scenarios[q].Prob
+		cand, candY := -1, 0.0
+		for f, y := range bestCut.yAlpha {
+			if y > candY && descent.Get(f, q) && spare[f] >= prob-spareSlack {
+				cand, candY = f, y
+			}
+		}
+		if cand < 0 {
+			break // no flow can be released without breaking coverage
+		}
+		descent.Set(cand, q, false)
+		spare[cand] -= prob
+		flips++
 	}
-	nz := zb.read(sol.X, nq)
-	return nz, nz.Equal(zPrev), nil
+	return descent, descent.Equal(zPrev), nil
 }

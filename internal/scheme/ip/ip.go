@@ -127,7 +127,7 @@ func (s *Scheme) Route(inst *te.Instance) (*te.Routing, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sol.Status == mip.Infeasible || sol.Status == mip.Unbounded {
+	if sol.X == nil { // infeasible, unbounded, or no incumbent within the node limit
 		return nil, fmt.Errorf("ip: %v", sol.Status)
 	}
 	s.Status = sol.Status

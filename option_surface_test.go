@@ -29,7 +29,7 @@ func TestOptionSurfacePinned(t *testing.T) {
 		fields string
 	}{
 		{lp.Options{}, "MaxIters RefactorEvery StartBasis Bland"},
-		{mip.Options{}, "MaxNodes RelGap Heuristic WarmBinary"},
+		{mip.Options{}, "MaxNodes Heuristic WarmBinary"},
 		{te.MaxMinOptions{}, "Domain MinFrac FixRoutes Demands FixedUse"},
 		{flexile.DesignOptions{}, "MaxIterations Gamma Workers Timeout"},
 		{flexile.AugmentOptions{}, "Target Cost MaxAug MaxIterations"},
