@@ -8,17 +8,15 @@
 //	flexile-hyp -list                 # what claims exist
 //	flexile-hyp                       # run all, verify against hypotheses/
 //	flexile-hyp -run 'soak|emu'       # subset by name regex
-//	flexile-hyp -update               # rewrite verdict + measurement files
+//	flexile-hyp -update               # rewrite the verdict files
 //
 // The default mode is the CI gate (`make hypotheses`): every selected
 // hypothesis must pass its own checks AND canonicalize to exactly the
 // checked-in verdict bytes; any drift — a changed threshold, a changed
 // deterministic measurement, a new check — fails the run until the file
 // is regenerated with -update and the diff is reviewed like any other
-// code change.
-//
-// Canonical verdicts carry only seed-deterministic content; wall-clock
-// measurements live in the gitignored measured.json next to each verdict.
+// code change. Every check is a pure function of the seed and the code;
+// wall-clock claims are timed by the bench/ harness, not here.
 package main
 
 import (
@@ -39,7 +37,7 @@ import (
 func main() {
 	list := flag.Bool("list", false, "list hypotheses and exit")
 	run := flag.String("run", "", "only hypotheses whose name matches this regexp")
-	update := flag.Bool("update", false, "write canonical verdicts + measurement records instead of verifying")
+	update := flag.Bool("update", false, "write canonical verdicts instead of verifying")
 	seed := flag.Uint64("seed", 1, "experiment seed (drives workloads end to end)")
 	workers := flag.Int("workers", 4, "client-side parallelism for serving experiments")
 	dir := flag.String("dir", "hypotheses", "directory of checked-in verdict files")
@@ -115,10 +113,6 @@ func realMain(list bool, runPat string, update bool, seed uint64, workers int, d
 				return err
 			default:
 				verified = "  (verdict matches)"
-			}
-			// The measurement record is informational either way.
-			if err := v.WriteRecord(dir); err != nil {
-				return err
 			}
 		}
 		fmt.Printf("%s  %-22s %v%s\n", status, h.Name, res.Elapsed.Round(time.Millisecond), verified)

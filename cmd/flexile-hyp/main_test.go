@@ -30,7 +30,7 @@ func TestRealMainList(t *testing.T) {
 
 // TestRealMainUpdateVerifyDrift walks the CLI through its whole
 // lifecycle on one fast hypothesis: -update writes the canonical verdict
-// and measurement record, a verify run matches them, and a tampered
+// and nothing else, a verify run matches it and writes nothing, and a tampered
 // verdict file turns the same verify run into a drift failure.
 func TestRealMainUpdateVerifyDrift(t *testing.T) {
 	if testing.Short() {
@@ -43,16 +43,22 @@ func TestRealMainUpdateVerifyDrift(t *testing.T) {
 		t.Fatalf("-update: %v", err)
 	}
 	verdict := filepath.Join(dir, "h-emu-fidelity", "verdict.json")
-	if _, err := os.Stat(verdict); err != nil {
-		t.Fatalf("-update left no verdict file: %v", err)
+	onlyVerdict := func(when string) {
+		t.Helper()
+		entries, err := os.ReadDir(filepath.Dir(verdict))
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		if len(entries) != 1 || entries[0].Name() != "verdict.json" {
+			t.Fatalf("%s: hypothesis directory holds %v, want only verdict.json", when, entries)
+		}
 	}
-	if _, err := os.Stat(filepath.Join(dir, "h-emu-fidelity", "measured.json")); err != nil {
-		t.Fatalf("-update left no measurement record: %v", err)
-	}
+	onlyVerdict("-update")
 
 	if err := realMain(false, sel, false, 1, 4, dir); err != nil {
 		t.Fatalf("verify after update: %v", err)
 	}
+	onlyVerdict("verify")
 
 	if err := os.WriteFile(verdict, []byte("{\"tampered\":true}\n"), 0o644); err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"time"
 
 	"flexile/internal/experiments"
 	"flexile/internal/hyp"
@@ -14,18 +13,16 @@ import (
 	"flexile/internal/serve"
 )
 
-// BatchAmortization is h-batch-amortization: the PR 8 claim that one POST
-// /v1/alloc/batch round-trip carrying 32 warm-cache queries costs at least
-// 3× less than 32 single GET round-trips at equal query count, over real
-// loopback HTTP (the quantity batching amortizes is per-round-trip
-// overhead: connection handling, parse, header writes, syscalls). The
-// measured ratio on the reference container is ~5-6×. Wall-clock, so the
-// ratio is volatile; the envelope-vs-single bit-identity of the bodies is
-// deterministic and canonical.
+// BatchAmortization is h-batch-amortization: one POST /v1/alloc/batch
+// carrying 32 warm-cache queries answers every entry, each with the bytes a
+// single GET for the same query returns. What batching amortizes — per
+// round-trip connection handling, parse, header writes and syscalls — is
+// wall-clock, which the bench/ harness times (serve.handler_batch_us
+// against serve.handler_hit_us).
 func BatchAmortization() hyp.Hypothesis {
 	h := hyp.Hypothesis{
 		Name:  "h-batch-amortization",
-		Claim: "POST /v1/alloc/batch at batch=32 amortizes >=3x over 32 single GETs on a warm cache",
+		Claim: "POST /v1/alloc/batch at batch=32 on a warm cache answers every entry with the bytes of the single GET for its query",
 	}
 	h.Run = func(ctx context.Context, p hyp.Params) (*hyp.Verdict, error) {
 		cfg := experiments.Config{Scale: experiments.Tiny, Seed: int64(p.Seed)}
@@ -59,29 +56,22 @@ func BatchAmortization() hyp.Hypothesis {
 		for i := range queries {
 			queries[i] = load.Query{Failed: inst.Scenarios[i%len(inst.Scenarios)].Failed}
 		}
-		get := func(i int) ([]load.Outcome, time.Duration, error) {
-			return fireExact(ctx, client, load.Request{Queries: queries[i%batch : i%batch+1]})
-		}
-		postBatch := func() ([]load.Outcome, time.Duration, error) {
-			return fireExact(ctx, client, load.Request{Queries: queries})
-		}
-
 		// Warm every scenario, capturing the single-GET oracle bodies.
 		singleBodies := make([][]byte, batch)
-		for i := 0; i < batch; i++ {
-			outs, _, err := get(i)
+		for i := range queries {
+			outs, err := fireExact(ctx, client, load.Request{Queries: queries[i : i+1]})
 			if err != nil {
 				return nil, err
 			}
 			singleBodies[i] = outs[0].Body
 		}
-		entries, _, err := postBatch()
+		entries, err := fireExact(ctx, client, load.Request{Queries: queries})
 		if err != nil {
 			return nil, err
 		}
 
-		// Deterministic check: every batch-envelope entry's body is
-		// byte-identical to the single-GET answer for the same query.
+		// Every batch-envelope entry's body is byte-identical to the
+		// single-GET answer for the same query.
 		identical, answered := 0, 0
 		for i, e := range entries {
 			if e.Status == http.StatusOK {
@@ -92,53 +82,13 @@ func BatchAmortization() hyp.Hypothesis {
 			}
 		}
 
-		// Timed passes. Each side is scored by its fastest round-trip —
-		// the min is the scheduler-noise-free cost — but the single side still averages its min over the
-		// batch width so one lucky GET can't dominate:
-		// a "pass" on the single side is 32 consecutive GETs.
-		const passes = 8
-		singleBest := time.Duration(1<<63 - 1)
-		for pass := 0; pass < passes; pass++ {
-			var total time.Duration
-			for i := 0; i < batch; i++ {
-				_, lat, err := get(pass*batch + i)
-				if err != nil {
-					return nil, err
-				}
-				total += lat
-			}
-			if total < singleBest {
-				singleBest = total
-			}
-		}
-		batchBest := time.Duration(1<<63 - 1)
-		for pass := 0; pass < passes; pass++ {
-			_, lat, err := postBatch()
-			if err != nil {
-				return nil, err
-			}
-			if lat < batchBest {
-				batchBest = lat
-			}
-		}
-		amort := float64(singleBest) / float64(batchBest)
-		p.Logf("h-batch-amortization: %d singles %v, batch %v: %.2fx", batch, singleBest, batchBest, amort)
-
 		v := hyp.NewVerdict(h, p)
 		v.Workloadf("topology", "IBM")
 		v.Workloadf("scale", "tiny")
 		v.Workloadf("batch", "%d", batch)
 		v.Workloadf("scenarios", "%d", len(inst.Scenarios))
-		v.Workloadf("passes", "min-of-%d per side, warm cache, loopback HTTP", passes)
 		v.Check("batch-entries-answered", "==", float64(answered), batch)
 		v.Check("batch-bodies-identical-to-single", "==", float64(identical), batch)
-		// 3× is the claim; the check — run on every CI push, where
-		// scheduler noise routinely costs tens of percent — gates on a
-		// conservative floor.
-		v.CheckVolatile("amortization-x", ">=", amort, 2)
-		v.Measure("single-best-ns", float64(singleBest))
-		v.Measure("batch-best-ns", float64(batchBest))
-		v.Measure("amortization-x", amort)
 		return v.Finalize(), nil
 	}
 	return h

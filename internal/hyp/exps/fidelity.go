@@ -63,9 +63,6 @@ func EmuFidelity() hyp.Hypothesis {
 		v.Check("fluid-max-flow-loss-gap", "<=", fluidMax, 0.05)
 		v.Check("packet-percloss-gap", "<=", pktPerc, 0.05)
 		v.Check("packet-model-pcc", ">=", corr, 0.95)
-		v.Measure("model-percloss", model.PercLoss[0])
-		v.Measure("fluid-percloss", fluid.PercLoss[0])
-		v.Measure("packet-percloss", pkt.PercLoss[0])
 		return v.Finalize(), nil
 	}
 	return h

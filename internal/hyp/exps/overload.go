@@ -19,9 +19,11 @@ import (
 // explicit shed (429/503 with X-Flexile-Shed and a usable Retry-After) —
 // with zero contract violations. The storm schedule is a pure function of
 // the seed, so the request count and the zero-violation outcome are
-// canonical; how many land on each side of the admit/shed split depends
-// on real time and stays volatile. The fixture, the storm and the
-// classification (load.Contract) are the chaos harness's own.
+// canonical. How many land on each side of the admit/shed split depends on
+// real time, so no check reads it: TestChaosOverloadStorm asserts that the
+// same storm shape both admits and sheds, and the bench/ harness counts
+// sheds under load (load.shed_frac, serve.deadline_shed). The fixture, the
+// storm and the classification (load.Contract) are the chaos harness's own.
 func OverloadShed() hyp.Hypothesis {
 	h := hyp.Hypothesis{
 		Name:  "h-overload-shed",
@@ -70,13 +72,7 @@ func OverloadShed() hyp.Hypothesis {
 		v.Workloadf("storm", "%d clients x %d requests, 120ms deadline, 2ms jitter", clients, requests)
 		v.Check("contract-violations", "==", float64(rep.Violated), 0)
 		v.Check("responses-accounted", "==", float64(accounted), float64(total))
-		v.Check("requests-total", "==", float64(total), float64(total))
-		// The split is timing-dependent; only "both sides exercised" is claimed.
-		v.CheckVolatile("sheds-observed", ">=", float64(rep.Sheds()), 1)
-		v.CheckVolatile("admitted-observed", ">=", float64(rep.OK), 1)
-		v.Measure("ok", float64(rep.OK))
-		v.Measure("shed", float64(rep.Sheds()))
-		v.Measure("disconnect", float64(rep.Disconnect))
+		v.Check("requests-total", "==", float64(rep.Requests), float64(total))
 		return v.Finalize(), nil
 	}
 	return h

@@ -39,10 +39,9 @@ import (
 // Every response body is a pure function of the artifact (itself a pure
 // function of the seed), and the fluid engine is deterministic, so all of
 // this hypothesis's checks — request counts, scenario coverage, body
-// consistency, the emulation gap — are canonical. Only wall-clock
-// measurements are volatile. Worker count shards the client pool but
-// cannot change any canonical value, which is what the determinism test
-// in soak_test.go pins.
+// consistency, the emulation gap — are canonical. Worker count shards the
+// client pool but cannot change any canonical value, which is what the
+// determinism test in soak_test.go pins.
 func ServeSoak() hyp.Hypothesis {
 	h := hyp.Hypothesis{
 		Name:  "h-serve-soak",
@@ -193,9 +192,6 @@ func ServeSoak() hyp.Hypothesis {
 		v.Check("scenarios-seen-in-both-halves", "==", float64(seenBoth), float64(len(inst.Scenarios)))
 		v.Check("scenarios-consistent-across-reload", "==", float64(consistent), float64(seenBoth))
 		v.Check("soak-emu-max-loss-gap", "<=", gap, 0.03)
-		v.Measure("wall-s", wall.Seconds())
-		v.Measure("requests", float64(len(plan.Requests)))
-		v.Measure("soak-emu-max-loss-gap", gap)
 		return v.Finalize(), nil
 	}
 	return h

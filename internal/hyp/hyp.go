@@ -1,19 +1,18 @@
-// Package hyp is the hypothesis harness (DESIGN.md §15): every scale and
-// correctness claim the repository makes — "batch=32 amortizes ≥3×", "every
-// overload response is an explicit shed", "emulated delivered bandwidth
+// Package hyp is the hypothesis harness (DESIGN.md §15): every count and
+// correctness claim the repository makes — "a cache miss is 18 LP solves",
+// "every overload response is an explicit shed", "emulated delivered bandwidth
 // tracks the model within the Fig. 9 tolerance" — is a named, seeded
 // experiment that declares its workload, runs it reproducibly, and evaluates
 // a machine-checkable verdict.
 //
-// The verdict's canonical form (see Verdict.Canonical) contains only
-// deterministic content — the claim, the seed, the workload description,
-// each check's threshold and pass/fail, and measured values that are pure
-// functions of the seed. Wall-clock measurements are recorded separately
-// and never enter the canonical payload, so the canonical verdict of a
-// passing hypothesis is bit-identical across runs, machines, and worker
-// counts. cmd/flexile-hyp re-runs the experiments and diffs the canonical
-// verdicts against the files checked in under hypotheses/; CI fails on
-// drift (`make hypotheses`).
+// Every check is a pure function of the seed and the code — counts, bit
+// identity, fidelity gaps, contract accounting — so the canonical verdict
+// (see Verdict.Canonical) of a passing hypothesis is bit-identical across
+// runs, machines, and worker counts. Wall-clock claims are not checked
+// here; the bench/ harness times them with paired runs. cmd/flexile-hyp
+// re-runs the experiments and diffs the canonical verdicts against the
+// files checked in under hypotheses/; CI fails on drift
+// (`make hypotheses`).
 package hyp
 
 import (
@@ -96,14 +95,8 @@ type Check struct {
 	Name string  `json:"name"`
 	Op   string  `json:"op"` // ">=", "<=", "=="
 	Want float64 `json:"want"`
-	// Got is the measured value. For volatile checks (wall-clock ratios)
-	// it is zeroed in the canonical form; the real value lives in the
-	// per-run measured.json.
-	Got float64 `json:"got"`
-	// Volatile marks checks whose Got varies run to run; only the
-	// threshold and the pass/fail bit are canonical.
-	Volatile bool `json:"volatile,omitempty"`
-	Pass     bool `json:"pass"`
+	Got  float64 `json:"got"`
+	Pass bool    `json:"pass"`
 }
 
 // Verdict is a hypothesis run's machine-checkable outcome.
@@ -117,9 +110,6 @@ type Verdict struct {
 	Workload map[string]string `json:"workload,omitempty"`
 	Checks   []Check           `json:"checks"`
 	Pass     bool              `json:"pass"`
-	// Measured holds volatile observations (latencies, wall-clock,
-	// throughput) for the per-run record; excluded from Canonical.
-	Measured map[string]float64 `json:"measured,omitempty"`
 }
 
 // NewVerdict starts a verdict for h under p.
@@ -129,7 +119,6 @@ func NewVerdict(h Hypothesis, p Params) *Verdict {
 		Claim:      h.Claim,
 		Seed:       p.Seed,
 		Workload:   map[string]string{},
-		Measured:   map[string]float64{},
 	}
 }
 
@@ -152,29 +141,16 @@ func compare(op string, got, want float64) (bool, error) {
 	}
 }
 
-func (v *Verdict) check(name, op string, got, want float64, volatile bool) bool {
+// Check records the comparison got <op> want. Got must be a pure function
+// of the seed: it enters the canonical verdict.
+func (v *Verdict) Check(name, op string, got, want float64) bool {
 	ok, err := compare(op, got, want)
 	if err != nil {
 		panic(err) // ops are compile-time literals in experiment code
 	}
-	v.Checks = append(v.Checks, Check{Name: name, Op: op, Want: want, Got: got, Volatile: volatile, Pass: ok})
+	v.Checks = append(v.Checks, Check{Name: name, Op: op, Want: want, Got: got, Pass: ok})
 	return ok
 }
-
-// Check records a deterministic comparison: Got is a pure function of the
-// seed and enters the canonical verdict.
-func (v *Verdict) Check(name, op string, got, want float64) bool {
-	return v.check(name, op, got, want, false)
-}
-
-// CheckVolatile records a timing-dependent comparison: only the threshold
-// and the outcome are canonical; Got is preserved in measured.json.
-func (v *Verdict) CheckVolatile(name, op string, got, want float64) bool {
-	return v.check(name, op, got, want, true)
-}
-
-// Measure records a volatile observation (never canonical).
-func (v *Verdict) Measure(name string, val float64) { v.Measured[name] = val }
 
 // Finalize computes the overall PASS/FAIL: every check must pass.
 func (v *Verdict) Finalize() *Verdict {
@@ -187,31 +163,13 @@ func (v *Verdict) Finalize() *Verdict {
 	return v
 }
 
-// Canonical renders the deterministic verdict payload: indented JSON with
-// volatile gots zeroed and Measured dropped. Two runs of a hypothesis at
-// the same seed must produce bit-identical canonical payloads; this
-// is what hypotheses/<name>/verdict.json pins and CI diffs.
+// Canonical renders the verdict as indented JSON with a trailing newline.
+// Two runs of a hypothesis at the same seed must produce bit-identical
+// payloads; this is what hypotheses/<name>/verdict.json pins and CI diffs.
 func (v *Verdict) Canonical() []byte {
-	c := *v
-	c.Measured = nil
-	c.Checks = append([]Check(nil), v.Checks...)
-	for i := range c.Checks {
-		if c.Checks[i].Volatile {
-			c.Checks[i].Got = 0
-		}
-	}
-	out, err := json.MarshalIndent(&c, "", "  ")
-	if err != nil {
-		panic(fmt.Sprintf("hyp: canonical marshal: %v", err)) // struct of plain values
-	}
-	return append(out, '\n')
-}
-
-// Record renders the full per-run record (volatile values included).
-func (v *Verdict) Record() []byte {
 	out, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		panic(fmt.Sprintf("hyp: record marshal: %v", err))
+		panic(fmt.Sprintf("hyp: canonical marshal: %v", err)) // struct of plain values
 	}
 	return append(out, '\n')
 }
@@ -221,32 +179,12 @@ func VerdictFile(dir, name string) string {
 	return filepath.Join(dir, name, "verdict.json")
 }
 
-// RecordFile is the per-run volatile record path (gitignored).
-func RecordFile(dir, name string) string {
-	return filepath.Join(dir, name, "measured.json")
-}
-
-// WriteDir writes the canonical verdict and the per-run record under
-// dir/<hypothesis>/.
+// WriteDir writes the canonical verdict to dir/<hypothesis>/verdict.json.
 func (v *Verdict) WriteDir(dir string) error {
-	d := filepath.Join(dir, v.Hypothesis)
-	if err := os.MkdirAll(d, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(dir, v.Hypothesis), 0o755); err != nil {
 		return err
 	}
-	if err := os.WriteFile(VerdictFile(dir, v.Hypothesis), v.Canonical(), 0o644); err != nil {
-		return err
-	}
-	return os.WriteFile(RecordFile(dir, v.Hypothesis), v.Record(), 0o644)
-}
-
-// WriteRecord writes only the per-run record (every run, even verify-only
-// ones, leaves its measurements behind for inspection).
-func (v *Verdict) WriteRecord(dir string) error {
-	d := filepath.Join(dir, v.Hypothesis)
-	if err := os.MkdirAll(d, 0o755); err != nil {
-		return err
-	}
-	return os.WriteFile(RecordFile(dir, v.Hypothesis), v.Record(), 0o644)
+	return os.WriteFile(VerdictFile(dir, v.Hypothesis), v.Canonical(), 0o644)
 }
 
 // ErrDrift is wrapped by Verify when a recomputed canonical verdict

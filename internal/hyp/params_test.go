@@ -41,15 +41,13 @@ func TestParamsScratchAndLog(t *testing.T) {
 	}
 }
 
-// TestWriteDirAndRecord covers the two persistence paths: WriteDir lays
-// down both the canonical verdict and the measurement record, and
-// WriteRecord refreshes only the record, leaving the verdict untouched.
+// TestWriteDirAndRecord covers persistence: WriteDir lays down the
+// canonical verdict as the hypothesis directory's one file, and a plain file
+// where that directory should be is an error, not a panic.
 func TestWriteDirAndRecord(t *testing.T) {
 	h := Hypothesis{Name: "h-files", Claim: "files are written", Run: nil}
 	v := NewVerdict(h, Params{Seed: 3}.withDefaults())
 	v.Check("count", "==", 2, 2)
-	v.CheckVolatile("speedup-x", ">=", 2.5, 2)
-	v.Measure("wall-ns", 123456)
 	v.Finalize()
 
 	dir := t.TempDir()
@@ -63,36 +61,19 @@ func TestWriteDirAndRecord(t *testing.T) {
 	if string(verdict) != string(v.Canonical()) {
 		t.Error("verdict file is not the canonical payload")
 	}
-	record, err := os.ReadFile(RecordFile(dir, "h-files"))
+	entries, err := os.ReadDir(filepath.Join(dir, "h-files"))
 	if err != nil {
-		t.Fatalf("record file: %v", err)
+		t.Fatal(err)
 	}
-	if !strings.Contains(string(record), "wall-ns") || !strings.Contains(string(record), "2.5") {
-		t.Errorf("record dropped measured values:\n%s", record)
-	}
-
-	// WriteRecord into a fresh dir creates only the record.
-	dir2 := t.TempDir()
-	if err := v.WriteRecord(dir2); err != nil {
-		t.Fatalf("WriteRecord: %v", err)
-	}
-	if _, err := os.Stat(RecordFile(dir2, "h-files")); err != nil {
-		t.Fatalf("record not written: %v", err)
-	}
-	if _, err := os.Stat(VerdictFile(dir2, "h-files")); !os.IsNotExist(err) {
-		t.Fatalf("WriteRecord wrote a verdict (stat err %v)", err)
+	if len(entries) != 1 || entries[0].Name() != "verdict.json" {
+		t.Errorf("WriteDir wrote %v, want only verdict.json", entries)
 	}
 
-	// A file where the hypothesis directory should be is an error, not a
-	// panic, on both paths.
 	blocked := filepath.Join(t.TempDir(), "flat")
-	if err := os.WriteFile(filepath.Join(blocked), []byte("x"), 0o644); err != nil {
+	if err := os.WriteFile(blocked, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := v.WriteDir(filepath.Join(blocked, "sub")); err == nil {
 		t.Error("WriteDir under a plain file succeeded")
-	}
-	if err := v.WriteRecord(filepath.Join(blocked, "sub")); err == nil {
-		t.Error("WriteRecord under a plain file succeeded")
 	}
 }

@@ -218,8 +218,7 @@ func TestWarmStartNeverHurts(t *testing.T) {
 
 			// One node: the incumbent's own cold solve, which starts at a
 			// feasible logical basis (≤ rows with nonnegative entries), and
-			// the warm root, unless the incumbent closes the root at its box
-			// bound first. Every phase-1 pivot would be the root's.
+			// the warm root. Every phase-1 pivot would be the root's.
 			col := obs.New()
 			root, err := SolveCtx(obs.With(context.Background(), col), mp, Options{WarmBinary: warmBin, MaxNodes: 1})
 			if err != nil {

@@ -124,7 +124,7 @@ func (o Options) withDefaults() Options {
 }
 
 type node struct {
-	bound float64 // LP bound inherited from the parent; the root's is boxBound
+	bound float64 // LP bound inherited from the parent; the root's is −Inf
 	fixes []fix
 	// basis warm-starts the node's LP from its parent's optimal basis —
 	// the child differs only in one binary's bounds, so re-solving
@@ -223,12 +223,6 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 		return bound >= sol.Objective-relGap*math.Abs(sol.Objective)-pruneSlack
 	}
 
-	// The root inherits the box bound of the caller's bounds — read from
-	// origLB/origUB, never from lb/ub: once tryIncumbent has fixed the
-	// binaries there, the box is the incumbent's own cost and the root is
-	// pruned on a bound that does not hold (TestWarmStartNeverHurts).
-	rootBound := boxBound(lpp, origLB, origUB)
-
 	// tryIncumbent solves the LP with the binaries fixed at binVals rounded,
 	// keeps its point if it beats the incumbent, and returns the solve when
 	// it is optimal (nil otherwise).
@@ -253,12 +247,10 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 		return ls
 	}
 
-	// A warm incumbent at the box bound closes the root when it is popped,
-	// before its LP: the answer is the one a solved-then-pruned root gives.
-	// Otherwise the root starts from the incumbent's basis with the binaries
+	// The root starts from the warm incumbent's basis with the binaries
 	// freed: the incumbent is a feasible point of the root relaxation, so
 	// the root opens primal feasible and phase 1 has nothing to do.
-	root := &node{bound: rootBound}
+	root := &node{bound: math.Inf(-1)}
 	if opts.WarmBinary != nil {
 		if ls := tryIncumbent(opts.WarmBinary, nil); ls != nil {
 			root.basis = ls.Basis().Widened(p.Binary, ls.X, origLB, origUB)
@@ -376,26 +368,6 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 		}
 	}
 	return sol, nil
-}
-
-// boxBound is Σⱼ min(cⱼ·lbⱼ, cⱼ·ubⱼ) over p's costs and the given column
-// bounds: no point inside the bounds costs less, so it bounds the root
-// before any LP is solved. It is −Inf when a costed column is unbounded in
-// the direction its cost improves.
-func boxBound(p *lp.Problem, lb, ub []float64) float64 {
-	b := 0.0
-	for j := range lb {
-		c := p.Cost(j)
-		if c == 0 {
-			continue
-		}
-		t := math.Min(c*lb[j], c*ub[j])
-		if math.IsInf(t, 0) {
-			return math.Inf(-1)
-		}
-		b += t
-	}
-	return b
 }
 
 // RoundGreedyCover is a heuristic builder for covering problems of the form

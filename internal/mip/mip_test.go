@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"flexile/internal/lp"
-	"flexile/internal/obs"
 )
 
 func approx(a, b float64) bool { return math.Abs(a-b) <= 1e-6*(1+math.Abs(a)+math.Abs(b)) }
@@ -294,68 +293,15 @@ func TestBoundsRestoredAfterSolve(t *testing.T) {
 	}
 }
 
-// TestBoxBoundClosesRoot: a master-shaped MIP (zero-cost binaries, one
-// penalty column ≥ 0 carrying all the cost) whose warm incumbent reaches
-// penalty 0 — the box bound Σ min(cⱼ·lbⱼ, cⱼ·ubⱼ) — is Optimal without
-// exploring a node: the only LP solved is the warm start's completion.
-//
-// The box must come from the caller's bounds, not from the relaxation's
-// bounds after the warm start fixed every binary: there it is the warm
-// incumbent's own cost, and the root is pruned while a better assignment
-// exists (TestWarmStartNeverHurts catches that).
-func TestBoxBoundClosesRoot(t *testing.T) {
-	p := lp.NewProblem()
-	b1 := p.AddCol("b1", 0, 1, 0)
-	b2 := p.AddCol("b2", 0, 1, 0)
-	pen := p.AddCol("pen", 0, lp.Inf, 1)
-	// pen ≥ 1 − b1 − 0.5·b2: covering with b1 costs nothing.
-	p.AddGE("cover", 1, lp.Entry{Col: pen, Coef: 1}, lp.Entry{Col: b1, Coef: 1}, lp.Entry{Col: b2, Coef: 0.5})
-	mp := &Problem{LP: p, Binary: []int{b1, b2}}
-	if got := boxBound(p, []float64{0, 0, 0}, []float64{1, 1, lp.Inf}); got != 0 {
-		t.Fatalf("boxBound = %v, want 0", got)
-	}
-
-	col := obs.New()
-	sol, err := SolveCtx(obs.With(context.Background(), col), mp, Options{WarmBinary: []float64{1, 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != Optimal || sol.Objective != 0 || sol.Bound != sol.Objective || sol.Nodes != 0 {
-		t.Fatalf("status %v objective %v bound %v nodes %d, want optimal 0 = bound with 0 nodes",
-			sol.Status, sol.Objective, sol.Bound, sol.Nodes)
-	}
-	if sol.X[b1] != 1 || sol.X[b2] != 0 || sol.X[pen] != 0 {
-		t.Fatalf("X = %v, want the warm incumbent [1 0 0]", sol.X)
-	}
-	m := col.Snapshot()
-	if m.MIP.Nodes != 0 || m.MIP.PrunedNodes != 1 || m.LP.Solves != 1 {
-		t.Fatalf("mip %+v, lp solves %d: want 0 nodes, the root pruned, and only the warm start's LP",
-			m.MIP, m.LP.Solves)
-	}
-
-	// A warm incumbent above the box bound leaves the search as it was.
-	above, err := Solve(mp, Options{WarmBinary: []float64{0, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if above.Status != Optimal || !approx(above.Objective, 0) || above.Nodes == 0 {
-		t.Fatalf("warm start at penalty 0.5: status %v objective %v nodes %d, want optimal 0 after ≥1 node",
-			above.Status, above.Objective, above.Nodes)
-	}
-}
-
-// TestBoxBoundUnbounded: a negative cost on a column with no upper bound
-// makes the box −Inf, so the root is solved as before: min −x + 2b with
-// x ≤ 1 + 3b and x ≥ 0 unbounded above; the warm b = 0 gives −1 and the
-// root relaxation reaches the optimum −2 at b = 1.
-func TestBoxBoundUnbounded(t *testing.T) {
+// TestWarmIncumbentBeatenAtRoot: a warm incumbent that is not optimal is
+// improved by the root relaxation, which is solved before anything is
+// pruned: min −x + 2b with x ≤ 1 + 3b and x ≥ 0 unbounded above; the warm
+// b = 0 gives −1 and the root relaxation reaches the optimum −2 at b = 1.
+func TestWarmIncumbentBeatenAtRoot(t *testing.T) {
 	p := lp.NewProblem()
 	x := p.AddCol("x", 0, lp.Inf, -1)
 	b := p.AddCol("b", 0, 1, 2)
 	p.AddLE("r", 1, lp.Entry{Col: x, Coef: 1}, lp.Entry{Col: b, Coef: -3})
-	if got := boxBound(p, []float64{0, 0}, []float64{lp.Inf, 1}); !math.IsInf(got, -1) {
-		t.Fatalf("boxBound = %v, want -Inf", got)
-	}
 	sol, err := Solve(&Problem{LP: p, Binary: []int{b}}, Options{WarmBinary: []float64{0}})
 	if err != nil {
 		t.Fatal(err)

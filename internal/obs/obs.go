@@ -101,7 +101,9 @@ type MIPMetrics struct {
 	// IncumbentUpdates counts strict improvements of the best integer
 	// solution (warm starts, heuristic completions and integral nodes).
 	IncumbentUpdates int64 `json:"incumbent_updates"`
-	// HeuristicCalls counts rounding-heuristic invocations.
+	// HeuristicCalls counts rounding-heuristic invocations. Only the
+	// direct IP (internal/scheme/ip) sets mip.Options.Heuristic, so it
+	// counts that scheme's rounding alone.
 	HeuristicCalls int64 `json:"heuristic_calls"`
 	// SolveNanos is total wall-clock time inside SolveCtx. Zeroed by
 	// Canonical().

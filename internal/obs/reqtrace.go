@@ -87,8 +87,8 @@ func hexByte(s string) byte {
 // Trace and span ids must be unique, not cryptographically unpredictable:
 // a per-process random base mixed with an atomic counter through splitmix64
 // costs a few nanoseconds per id, versus ~1µs for a crypto/rand read —
-// which matters because ids are minted on the warm-cache hot path the
-// h-trace-overhead hypothesis budgets at ≤2%.
+// which matters because ids are minted on the warm-cache hot path, where
+// tracing is budgeted at ≤2% (bench/'s obs.trace_overhead_frac).
 
 var traceIDBase = func() uint64 {
 	var b [8]byte

@@ -70,8 +70,8 @@ type Config struct {
 	// TraceEvery samples request tracing: n > 1 traces one request in
 	// every n of the process's traffic, 1 (or any negative value) traces
 	// every request, and 0 picks DefaultTraceEvery — sampling is the
-	// h-trace-overhead budget's lever, amortizing the per-trace cost below
-	// 2% of a warm-cache hit. An incoming traceparent with the sampled flag
+	// tracing budget's lever, amortizing the per-trace cost below 2% of a
+	// warm-cache hit. An incoming traceparent with the sampled flag
 	// always forces tracing regardless of TraceEvery.
 	TraceEvery int
 
@@ -85,7 +85,7 @@ type Config struct {
 // every 16 (plus every request arriving with a sampled traceparent). Dense
 // enough that /debug/requests is always populated on a busy server, sparse
 // enough that tracing stays within its ≤2% warm-path overhead budget
-// (hypotheses/h-trace-overhead).
+// (bench/'s obs.trace_overhead_frac).
 const DefaultTraceEvery = 16
 
 // ArtifactExt is the artifact file extension NewRegistry scans for; the

@@ -10,7 +10,7 @@ import (
 
 // BenchmarkWarmAlloc pins the server-side cost of the warm-cache hit path
 // with tracing off (no ring) and on (every request traced) — the in-process
-// counterpart of the h-trace-overhead hypothesis, useful for attributing
+// counterpart of bench/'s obs.trace_overhead_frac, useful for attributing
 // the delta to allocations rather than loopback-HTTP noise.
 func BenchmarkWarmAlloc(b *testing.B) {
 	for _, bc := range []struct {
