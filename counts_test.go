@@ -21,10 +21,12 @@ import (
 // (internal/scheme/flexile/oracle_test.go). A change that puts a MIP back
 // on the offline path moves that row.
 //
-// Last moved by making the descent the master: design-lp LP solves
-// 50 → 49, design-twoclass LP solves 142 → 57 and pivots 3396 → 3202, the
-// MIP rows {1, 0, 1} and {5, 80, 5} → {0, 0, 0}. No PercLoss bit and no
-// design-wide count moved.
+// Last moved by running the ScenLoss precompute only for the γ variant: a
+// default design no longer solves one max-concurrent-flow LP per scenario.
+// LP solves 8/49/57 → 4/29/37, pivots 2439/3715/3202 → 896/879/1170 and
+// degenerate pivots 1776/3291/2546 → 576/628/778 (design-wide/-lp/
+// -twoclass), with refactorizations and price refreshes; phase-1, dual and
+// bound-flip pivots did not move. No PercLoss bit and no MIP row moved.
 func TestDesignCountsPinned(t *testing.T) {
 	type counts struct{ solves, pivots, phase1, dual, flips, degenerate, refactors, refreshes int64 }
 	type master struct{ solves, nodes, incumbents int64 }
@@ -39,9 +41,9 @@ func TestDesignCountsPinned(t *testing.T) {
 		percLoss  []float64
 		long      bool
 	}{
-		{"design-wide", "ATT", false, 4, 1.3, counts{8, 2439, 301, 43, 240, 1776, 19, 41}, master{0, 0, 0}, []float64{0}, true},
-		{"design-lp", "IBM", false, 20, 1.5, counts{49, 3715, 137, 507, 117, 3291, 50, 169}, master{0, 0, 0}, []float64{8.630249292984615e-16}, false},
-		{"design-twoclass", "Sprint", true, 20, 1.0, counts{57, 3202, 92, 910, 163, 2546, 39, 175}, master{0, 0, 0}, []float64{2.2204460492503126e-16, 9.43689570931383e-16}, false},
+		{"design-wide", "ATT", false, 4, 1.3, counts{4, 896, 301, 43, 240, 576, 8, 18}, master{0, 0, 0}, []float64{0}, true},
+		{"design-lp", "IBM", false, 20, 1.5, counts{29, 879, 137, 507, 117, 628, 30, 90}, master{0, 0, 0}, []float64{8.630249292984615e-16}, false},
+		{"design-twoclass", "Sprint", true, 20, 1.0, counts{37, 1170, 92, 910, 163, 778, 38, 114}, master{0, 0, 0}, []float64{2.2204460492503126e-16, 9.43689570931383e-16}, false},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -186,8 +186,9 @@ func Design(inst *Instance, opt DesignOptions) (*DesignResult, error) {
 
 // ExportArtifact serializes an instance plus its offline design result in
 // the versioned, checksummed binary format that flexile-serve loads: the
-// critical-set bitmap, ScenLossOpt vector, subproblem losses, tunnel
-// tables, demands and failure scenarios. The returned bytes round-trip
+// critical-set bitmap, subproblem losses, tunnel tables, demands, failure
+// scenarios and γ, plus the ScenLossOpt vector when the design ran with
+// γ on (a default design computes none). The returned bytes round-trip
 // losslessly — a server loading them produces allocations bit-identical to
 // AllocateOnFailure on the original instance.
 func ExportArtifact(inst *Instance, design *DesignResult, opt DesignOptions) ([]byte, error) {

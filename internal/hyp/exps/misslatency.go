@@ -49,14 +49,10 @@ func MissLatency() hyp.Hypothesis {
 			return nil, err
 		}
 		// Cache off: both fetches of a scenario are solves. Warm: the second
-		// is a hit. All four bodies must be the same bytes. As in
-		// flexile-serve, the cache-off server's collector is also the
-		// process-global one, which the LP solves beneath a recompute report
-		// to.
+		// is a hit. All four bodies must be the same bytes. The LP solves
+		// beneath a recompute report to the cache-off server's collector.
 		col := obs.New()
-		obs.SetGlobal(col)
 		off, err := fetchAllTwice(ctx, path, serve.Config{CacheSize: 0, Workers: 1, Obs: col}, inst)
-		obs.SetGlobal(nil)
 		if err != nil {
 			return nil, err
 		}

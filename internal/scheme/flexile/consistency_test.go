@@ -8,11 +8,11 @@ import (
 	"flexile/internal/te"
 )
 
-// TestScenLossOptMatchesBruteForce: the ScenLossOpt vector the offline solve
-// precomputes through the parallel pool must agree, scenario by scenario,
-// with a fresh sequential max-concurrent-scale solve — the brute-force
-// definition ScenLoss*_q = max(0, 1 − z*_q). Catches any index or plumbing
-// mix-up between the pool's work items and the result slots.
+// TestScenLossOptMatchesBruteForce: the ScenLossOpt vector a γ-variant
+// offline solve precomputes through the parallel pool must agree, scenario
+// by scenario, with a fresh sequential max-concurrent-scale solve — the
+// brute-force definition ScenLoss*_q = max(0, 1 − z*_q). Catches any index or
+// plumbing mix-up between the pool's work items and the result slots.
 func TestScenLossOptMatchesBruteForce(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -23,7 +23,7 @@ func TestScenLossOptMatchesBruteForce(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			inst := tc.inst
-			off, err := Offline(inst, Options{Workers: 4})
+			off, err := Offline(inst, Options{Workers: 4, Gamma: 0.3})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -24,13 +24,15 @@ type Options struct {
 	// setting).
 	MaxIterations int
 	// Gamma, when > 0, bounds every connected flow's loss in scenario q to
-	// γ + optimal ScenLoss_q (§4.4); 0 or negative disables the bound.
+	// γ + optimal ScenLoss_q (§4.4), which costs the offline phase one
+	// max-concurrent-flow LP per scenario up front (the ScenLoss
+	// precompute); 0 or negative disables the bound and the precompute.
 	Gamma float64
 	// Workers is how many goroutines the scenario-parallel hot loops use
-	// (per-scenario subproblem solves and the ScenLoss precompute). 0 means
-	// runtime.NumCPU(); 1 runs every loop inline, exactly the sequential
-	// behavior. Results are identical for every worker count — parallelism
-	// is a pure wall-clock win.
+	// (per-scenario subproblem solves and, with γ on, the ScenLoss
+	// precompute). 0 means runtime.NumCPU(); 1 runs every loop inline,
+	// exactly the sequential behavior. Results are identical for every
+	// worker count — parallelism is a pure wall-clock win.
 	Workers int
 	// Timeout bounds the wall-clock time of the whole offline solve;
 	// 0 means unlimited. An expired deadline aborts the decomposition with
@@ -147,7 +149,8 @@ type SolveReport struct {
 	// iteration.
 	Skipped []ScenarioFault
 	// ScenLossFallback lists scenarios whose optimal-ScenLoss precompute
-	// failed; their bound falls back to 1 (no constraint in γ mode).
+	// failed; their bound falls back to 1 (no loss cap). Always empty with
+	// γ off, which runs no precompute.
 	ScenLossFallback []int
 	// MasterFailures lists master-step errors ("iteration N: ..."); a
 	// master failure ends the decomposition early. Only Augment's δ master,
@@ -176,7 +179,9 @@ type OfflineResult struct {
 	// final subproblem routings (post-analysis).
 	PercLoss []float64
 	// ScenLossOpt[q] is the optimal ScenLoss of scenario q over connected
-	// flows (used by the γ generalization and by loss-penalty analyses).
+	// flows, 1 where its precompute failed. Only the γ variant reads it
+	// (offline as the subproblems' loss caps, online as floors), so it is
+	// computed only with γ on and is nil otherwise.
 	ScenLossOpt []float64
 	// SubLosses[f][q] are the flow losses from the final subproblem
 	// routings.
@@ -237,39 +242,14 @@ func offline(ctx context.Context, inst *te.Instance, opt Options, fixedUse [][]f
 		return nil, err
 	}
 
-	// Per-scenario optimal ScenLoss over connected flows (for γ and for
-	// reporting). Each solve builds its own LP, so the scenarios fan out
-	// across the worker pool; results land at index q regardless of order.
-	// A failed precompute degrades to the trivial bound ScenLoss = 1
-	// (which in γ mode relaxes the scenario's loss cap to no constraint)
-	// instead of aborting the whole solve.
-	scenLossOpt := make([]float64, nq)
-	endPre := d.col.Span("scenloss-precompute", 0, "scenarios", nq)
-	preErrs := par.Collect(ctx, opt.Workers, nq, func(worker, q int) error {
-		defer d.col.Span("scenloss", int64(worker)+1, "scenario", q)()
-		var capUse []float64
-		if fixedUse != nil {
-			capUse = fixedUse[q]
-		}
-		zScale, _, _, err := te.MaxConcurrentScaleCtx(ctx, inst, inst.Scenarios[q], nil, inst.ScenDemandVector(q), capUse)
-		if err != nil {
-			return err
-		}
-		scenLossOpt[q] = math.Max(0, 1-math.Min(1, zScale))
-		return nil
-	})
-	endPre()
-	for q, err := range preErrs {
-		if err == nil {
-			continue
-		}
-		if isCtxErr(err) {
-			return nil, fmt.Errorf("flexile: offline solve canceled: %w", err)
-		}
-		scenLossOpt[q] = 1
-		d.report.ScenLossFallback = append(d.report.ScenLossFallback, q)
-	}
+	// Only the γ variant (§4.4) reads the per-scenario optimal ScenLoss, so
+	// with γ off the precompute is skipped and ScenLossOpt stays nil.
+	var scenLossOpt []float64
 	if opt.Gamma >= 0 {
+		if scenLossOpt, err = d.scenLossPrecompute(ctx, fixedUse); err != nil {
+			return nil, err
+		}
+		// Cap every connected flow's loss in scenario q at γ + its optimum.
 		for q := range inst.Scenarios {
 			d.lossUB[q] = make([]float64, nf)
 			for f := range d.lossUB[q] {
@@ -306,6 +286,45 @@ func offline(ctx context.Context, inst *te.Instance, opt Options, fixedUse [][]f
 	res.Iterations, res.SubproblemSolves, res.Report = d.iterations, d.solves, d.report
 	res.Elapsed = time.Since(start)
 	return res, nil
+}
+
+// scenLossPrecompute is the γ variant's first step (§4.4): it solves one
+// max-concurrent-flow LP per scenario and returns each scenario's optimal
+// ScenLoss over connected flows. Each solve builds its own LP, so the
+// scenarios fan out across the worker pool; results land at index q
+// regardless of order. A failed solve degrades to the trivial bound
+// ScenLoss = 1 (no loss cap for the scenario) instead of aborting the
+// whole solve; only cancellation is an error.
+func (d *decomp) scenLossPrecompute(ctx context.Context, fixedUse [][]float64) ([]float64, error) {
+	inst, opt := d.inst, d.opt
+	nq := len(inst.Scenarios)
+	scenLossOpt := make([]float64, nq)
+	endPre := d.col.Span("scenloss-precompute", 0, "scenarios", nq)
+	preErrs := par.Collect(ctx, opt.Workers, nq, func(worker, q int) error {
+		defer d.col.Span("scenloss", int64(worker)+1, "scenario", q)()
+		var capUse []float64
+		if fixedUse != nil {
+			capUse = fixedUse[q]
+		}
+		zScale, _, _, err := te.MaxConcurrentScaleCtx(ctx, inst, inst.Scenarios[q], nil, inst.ScenDemandVector(q), capUse)
+		if err != nil {
+			return err
+		}
+		scenLossOpt[q] = math.Max(0, 1-math.Min(1, zScale))
+		return nil
+	})
+	endPre()
+	for q, err := range preErrs {
+		if err == nil {
+			continue
+		}
+		if isCtxErr(err) {
+			return nil, fmt.Errorf("flexile: offline solve canceled: %w", err)
+		}
+		scenLossOpt[q] = 1
+		d.report.ScenLossFallback = append(d.report.ScenLossFallback, q)
+	}
+	return scenLossOpt, nil
 }
 
 // decomp is one run of the Benders decomposition (§4.2), the loop Offline

@@ -88,17 +88,24 @@ func TestOfflineDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeded := seededFirstIteration(t, func(workers int) (obs.SolveMetrics, error) {
-		res, err := Offline(inst, Options{Workers: workers, MaxIterations: 1})
-		if err != nil {
-			return obs.SolveMetrics{}, err
+	// With γ off the first iteration solves only the subproblems; the γ
+	// variant's ScenLoss precompute adds one cold LP per scenario beside
+	// them.
+	for _, tc := range []struct {
+		gamma       float64
+		perScenario int64
+	}{{0, 1}, {0.3, 2}} {
+		m := seededFirstIteration(t, func(workers int) (obs.SolveMetrics, error) {
+			res, err := Offline(inst, Options{Workers: workers, MaxIterations: 1, Gamma: tc.gamma})
+			if err != nil {
+				return obs.SolveMetrics{}, err
+			}
+			return res.Report.Metrics, nil
+		})
+		if m.LP.Solves != tc.perScenario*m.Decomp.ScenarioSolves {
+			t.Fatalf("first iteration, γ=%v: %d LP solves for %d scenario solves, want %d×",
+				tc.gamma, m.LP.Solves, m.Decomp.ScenarioSolves, tc.perScenario)
 		}
-		return res.Report.Metrics, nil
-	})
-	// ScenLoss's precompute solves one LP per scenario cold, beside the
-	// subproblems.
-	if m := seeded; m.LP.Solves != 2*m.Decomp.ScenarioSolves {
-		t.Fatalf("first iteration: %d LP solves for %d scenario solves", m.LP.Solves, m.Decomp.ScenarioSolves)
 	}
 	for _, workers := range []int{2, 8} {
 		got, err := Offline(inst, Options{Workers: workers})

@@ -8,11 +8,11 @@
 //
 //   - Artifact: a versioned, checksummed, self-contained binary encoding
 //     of everything the online phase needs — topology, classes, tunnels,
-//     demands, failure scenarios, the critical-set bitmap, the ScenLossOpt
-//     vector and the subproblem loss matrix. Decode accepts arbitrary
-//     bytes and returns an error for anything malformed; it never panics
-//     and never yields an artifact whose indices are out of range
-//     (fuzz-tested, see FuzzDecodeArtifact).
+//     demands, failure scenarios, the critical-set bitmap, the subproblem
+//     loss matrix and, for a γ design, the ScenLossOpt vector. Decode
+//     accepts arbitrary bytes and returns an error for anything malformed;
+//     it never panics and never yields an artifact whose indices are out
+//     of range (fuzz-tested, see FuzzDecodeArtifact).
 //
 //   - Server: a long-running HTTP daemon (cmd/flexile-serve) answering
 //     allocation queries from a per-scenario cache with single-flight
@@ -108,8 +108,8 @@ type Artifact struct {
 	// CriticalWords is the flow×scenario critical-set bitmap, serialized
 	// as its backing words (dimensions are NumFlows()×len(Scenarios)).
 	CriticalWords []uint64
-	// ScenLossOpt[q] is the optimal ScenLoss of scenario q (empty when the
-	// offline solve degraded past it).
+	// ScenLossOpt[q] is the optimal ScenLoss of scenario q, which only the
+	// γ floors read; empty when the design ran with γ off and computed none.
 	ScenLossOpt []float64
 	// SubLosses[f][q] are the offline subproblem losses — the per-scenario
 	// bandwidth promise for critical flows (nil when unavailable).
@@ -124,8 +124,9 @@ func (a *Artifact) NumFlows() int { return len(a.Classes) * len(a.Pairs) }
 
 // Build captures a solved instance as an artifact. The offline result must
 // carry a critical set with matching dimensions; ScenLossOpt and SubLosses
-// are optional (a degraded solve may lack them — the online phase then
-// promises no floors, exactly as the library call would). Gamma is taken
+// are optional (a design with γ off computes no ScenLossOpt, and a degraded
+// solve may lack either — the online phase then promises no floors from
+// the missing one, exactly as the library call would). Gamma is taken
 // from opt with the same normalization Options applies: the zero value
 // means "disabled" (-1).
 func Build(inst *te.Instance, off *flexscheme.OfflineResult, opt flexscheme.Options) (*Artifact, error) {

@@ -15,6 +15,33 @@ import (
 	flexscheme "flexile/internal/scheme/flexile"
 )
 
+// TestMissLPSolvesReachServerCollector: the LP solves beneath a cache miss
+// count in the collector the Server was configured with, and in its
+// artifact's, even when no process-global collector is installed.
+func TestMissLPSolvesReachServerCollector(t *testing.T) {
+	if obs.Global() != nil {
+		t.Fatal("a process-global collector is installed; this test needs none")
+	}
+	path, _, _, _ := writeArtifact(t)
+	collector := obs.New()
+	srv, err := New(path, Config{CacheSize: 0, Workers: 1, Obs: collector})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	get(t, ts.URL+"/v1/alloc?failed=", "miss")
+	m := collector.Snapshot()
+	if m.Serve.Recomputes != 1 || m.LP.Solves == 0 || m.LP.Pivots == 0 {
+		t.Fatalf("after one miss: %d recomputes, %d LP solves, %d pivots; want 1 and the solves beneath it",
+			m.Serve.Recomputes, m.LP.Solves, m.LP.Pivots)
+	}
+	if got := soleEngine(t, srv).col.Snapshot().LP; got != m.LP {
+		t.Fatalf("artifact collector LP counters %+v, server's %+v", got, m.LP)
+	}
+}
+
 // TestEndToEndBitIdentical is the offline→artifact→server pipeline proof:
 // the allocation served over a real loopback listener is byte-for-byte the
 // JSON encoding of the library's Online result, for every enumerated

@@ -324,7 +324,9 @@ func (e *engine) allocate(waitCtx context.Context, req *AllocRequest) allocResul
 // can outlive the request that spawned it; tr is the leading waiter's trace
 // (possibly nil) and receives nested queue/recompute spans and, through the
 // solve's context, the class rounds, levels and LP solves beneath them —
-// all of which no-op if that request has already finished.
+// all of which no-op if that request has already finished. The solve's
+// context also carries the engine's collector, so the LP counters beneath
+// a miss land in this artifact's counters and roll up into the Server's.
 func (e *engine) recompute(st *state, q int, tr *obs.Trace) ([]byte, error) {
 	var d obs.ServeMetrics
 	defer func() { e.col.AddServe(d) }()
@@ -340,7 +342,7 @@ func (e *engine) recompute(st *state, q int, tr *obs.Trace) ([]byte, error) {
 	entered := time.Now()
 	defer e.gate.Leave()
 
-	body, err := e.solve(obs.WithTrace(context.Background(), tr), st, q)
+	body, err := e.solve(obs.With(obs.WithTrace(context.Background(), tr), e.col), st, q)
 	solved := time.Now()
 	e.col.ObserveLatency(obs.LatStageRecompute, solved.Sub(entered))
 	tr.AddSpan("recompute", entered, solved, true)
@@ -354,11 +356,11 @@ func (e *engine) recompute(st *state, q int, tr *obs.Trace) ([]byte, error) {
 }
 
 // solve runs the ComputeHook and the online allocation for scenario q under
-// ctx, which carries the leading waiter's trace and no deadline, and
-// marshals the response once; the cached bytes are served verbatim
-// thereafter, so hits and misses are bit-identical by construction. A
-// panicking solve is recovered here, so it is counted as a recompute error
-// like any other failure.
+// ctx, which carries the engine's collector, the leading waiter's trace and
+// no deadline, and marshals the response once; the cached bytes are served
+// verbatim thereafter, so hits and misses are bit-identical by construction.
+// A panicking solve is recovered here, so it is counted as a recompute
+// error like any other failure.
 func (e *engine) solve(ctx context.Context, st *state, q int) (body []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -30,22 +30,17 @@ func triangleInstance() *te.Instance {
 	return inst
 }
 
-// solvedTriangle runs the offline phase once per test binary and hands out
-// the instance, its design and the encoded artifact.
-var solvedTriangle = sync.OnceValues(func() (struct {
+// triangleDesign is a solved triangle: the instance, its design under opt
+// and the encoded artifact.
+type triangleDesign struct {
 	inst *te.Instance
 	off  *flexscheme.OfflineResult
 	opt  flexscheme.Options
 	blob []byte
-}, error) {
-	var out struct {
-		inst *te.Instance
-		off  *flexscheme.OfflineResult
-		opt  flexscheme.Options
-		blob []byte
-	}
-	out.inst = triangleInstance()
-	out.opt = flexscheme.Options{Workers: 2}
+}
+
+func solveTriangle(opt flexscheme.Options) (triangleDesign, error) {
+	out := triangleDesign{inst: triangleInstance(), opt: opt}
 	off, err := flexscheme.Offline(out.inst, out.opt)
 	if err != nil {
 		return out, err
@@ -57,6 +52,18 @@ var solvedTriangle = sync.OnceValues(func() (struct {
 	}
 	out.blob = art.Encode()
 	return out, nil
+}
+
+// solvedTriangle runs the offline phase once per test binary with default
+// options (γ off, so the artifact carries no ScenLossOpt vector).
+var solvedTriangle = sync.OnceValues(func() (triangleDesign, error) {
+	return solveTriangle(flexscheme.Options{Workers: 2})
+})
+
+// solvedTriangleGamma is the γ-variant design of the same triangle, whose
+// artifact carries the ScenLossOpt vector the online γ floors read.
+var solvedTriangleGamma = sync.OnceValues(func() (triangleDesign, error) {
+	return solveTriangle(flexscheme.Options{Workers: 2, Gamma: 0.3})
 })
 
 // writeArtifact materializes the solved triangle's artifact in a temp file
@@ -85,59 +92,78 @@ func soleEngine(t testing.TB, s *Server) *engine {
 	return eng
 }
 
+// TestArtifactRoundTrip: a decoded artifact instantiates the instance, the
+// design and the options it was built from, and serves bit-identical
+// allocations. A default design computes no ScenLossOpt vector and its
+// artifact carries none (a zero Gamma normalizes to -1, disabled); a γ
+// design's artifact carries one entry per scenario.
 func TestArtifactRoundTrip(t *testing.T) {
-	s, err := solvedTriangle()
-	if err != nil {
-		t.Fatalf("offline solve: %v", err)
-	}
-	art, err := Decode(s.blob)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	inst2, off2, opt2, err := art.Instantiate()
-	if err != nil {
-		t.Fatalf("Instantiate: %v", err)
-	}
+	for _, tc := range []struct {
+		name     string
+		solved   func() (triangleDesign, error)
+		scenLoss int
+		gamma    float64
+	}{
+		{"gamma-off", solvedTriangle, 0, -1},
+		{"gamma-on", solvedTriangleGamma, 8, 0.3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := tc.solved()
+			if err != nil {
+				t.Fatalf("offline solve: %v", err)
+			}
+			art, err := Decode(s.blob)
+			if err != nil {
+				t.Fatalf("Decode: %v", err)
+			}
+			inst2, off2, opt2, err := art.Instantiate()
+			if err != nil {
+				t.Fatalf("Instantiate: %v", err)
+			}
 
-	if inst2.Topo.Name != s.inst.Topo.Name || inst2.Topo.G.NumNodes() != s.inst.Topo.G.NumNodes() {
-		t.Fatalf("topology mismatch: %s/%d", inst2.Topo.Name, inst2.Topo.G.NumNodes())
-	}
-	if !reflect.DeepEqual(inst2.Pairs, s.inst.Pairs) || !reflect.DeepEqual(inst2.Demand, s.inst.Demand) {
-		t.Fatal("pairs or demands did not round-trip")
-	}
-	if !reflect.DeepEqual(inst2.Tunnels, s.inst.Tunnels) {
-		t.Fatal("tunnel tables did not round-trip")
-	}
-	if !reflect.DeepEqual(inst2.Scenarios, s.inst.Scenarios) {
-		t.Fatal("scenarios did not round-trip")
-	}
-	if !off2.Critical.Equal(s.off.Critical) {
-		t.Fatal("critical set did not round-trip")
-	}
-	if !reflect.DeepEqual(off2.ScenLossOpt, s.off.ScenLossOpt) {
-		t.Fatalf("ScenLossOpt did not round-trip: %v vs %v", off2.ScenLossOpt, s.off.ScenLossOpt)
-	}
-	if !reflect.DeepEqual(off2.SubLosses, s.off.SubLosses) {
-		t.Fatal("SubLosses did not round-trip")
-	}
-	if opt2.Gamma != -1 {
-		t.Fatalf("zero-value Gamma must normalize to -1 (disabled), got %v", opt2.Gamma)
-	}
+			if inst2.Topo.Name != s.inst.Topo.Name || inst2.Topo.G.NumNodes() != s.inst.Topo.G.NumNodes() {
+				t.Fatalf("topology mismatch: %s/%d", inst2.Topo.Name, inst2.Topo.G.NumNodes())
+			}
+			if !reflect.DeepEqual(inst2.Pairs, s.inst.Pairs) || !reflect.DeepEqual(inst2.Demand, s.inst.Demand) {
+				t.Fatal("pairs or demands did not round-trip")
+			}
+			if !reflect.DeepEqual(inst2.Tunnels, s.inst.Tunnels) {
+				t.Fatal("tunnel tables did not round-trip")
+			}
+			if !reflect.DeepEqual(inst2.Scenarios, s.inst.Scenarios) {
+				t.Fatal("scenarios did not round-trip")
+			}
+			if !off2.Critical.Equal(s.off.Critical) {
+				t.Fatal("critical set did not round-trip")
+			}
+			if !reflect.DeepEqual(off2.ScenLossOpt, s.off.ScenLossOpt) {
+				t.Fatalf("ScenLossOpt did not round-trip: %v vs %v", off2.ScenLossOpt, s.off.ScenLossOpt)
+			}
+			if !reflect.DeepEqual(off2.SubLosses, s.off.SubLosses) {
+				t.Fatal("SubLosses did not round-trip")
+			}
+			if len(off2.ScenLossOpt) != tc.scenLoss || opt2.Gamma != tc.gamma {
+				t.Fatalf("%d ScenLossOpt entries and Gamma %v, want %d and %v",
+					len(off2.ScenLossOpt), opt2.Gamma, tc.scenLoss, tc.gamma)
+			}
 
-	// Allocations from the reconstructed pieces must be bit-identical to the
-	// originals for every scenario — the serving determinism contract.
-	for q := range s.inst.Scenarios {
-		want, err := flexscheme.Online(s.inst, s.off, q, s.opt)
-		if err != nil {
-			t.Fatalf("Online(original, %d): %v", q, err)
-		}
-		got, err := flexscheme.Online(inst2, off2, q, opt2)
-		if err != nil {
-			t.Fatalf("Online(decoded, %d): %v", q, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("scenario %d: decoded allocation differs from original", q)
-		}
+			// Allocations from the reconstructed pieces must be bit-identical
+			// to the originals for every scenario — the serving determinism
+			// contract.
+			for q := range s.inst.Scenarios {
+				want, err := flexscheme.Online(s.inst, s.off, q, s.opt)
+				if err != nil {
+					t.Fatalf("Online(original, %d): %v", q, err)
+				}
+				got, err := flexscheme.Online(inst2, off2, q, opt2)
+				if err != nil {
+					t.Fatalf("Online(decoded, %d): %v", q, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("scenario %d: decoded allocation differs from original", q)
+				}
+			}
+		})
 	}
 }
 
@@ -201,7 +227,9 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 }
 
 func TestDecodeRejectsSemanticGarbage(t *testing.T) {
-	s, err := solvedTriangle()
+	// The γ-variant artifact, so the ScenLossOpt range check has a vector to
+	// reject.
+	s, err := solvedTriangleGamma()
 	if err != nil {
 		t.Fatal(err)
 	}
