@@ -242,20 +242,48 @@ func offline(ctx context.Context, inst *te.Instance, opt Options, fixedUse [][]f
 		return nil, err
 	}
 
-	// Only the γ variant (§4.4) reads the per-scenario optimal ScenLoss, so
-	// with γ off the precompute is skipped and ScenLossOpt stays nil.
+	// Per-scenario optimal ScenLoss over connected flows. Only the γ variant
+	// (§4.4) reads it, so with γ off the precompute is skipped and
+	// ScenLossOpt stays nil. Each solve builds its own LP, so the scenarios
+	// fan out across the worker pool; results land at index q regardless of
+	// order. A failed precompute degrades to the trivial bound ScenLoss = 1
+	// (no loss cap for the scenario) instead of aborting the whole solve.
 	var scenLossOpt []float64
 	if opt.Gamma >= 0 {
-		if scenLossOpt, err = d.scenLossPrecompute(ctx, fixedUse); err != nil {
-			return nil, err
+		scenLossOpt = make([]float64, nq)
+		endPre := d.col.Span("scenloss-precompute", 0, "scenarios", nq)
+		preErrs := par.Collect(ctx, opt.Workers, nq, func(worker, q int) error {
+			defer d.col.Span("scenloss", int64(worker)+1, "scenario", q)()
+			var capUse []float64
+			if fixedUse != nil {
+				capUse = fixedUse[q]
+			}
+			zScale, _, _, err := te.MaxConcurrentScaleCtx(ctx, inst, inst.Scenarios[q], nil, inst.ScenDemandVector(q), capUse)
+			if err != nil {
+				return err
+			}
+			scenLossOpt[q] = math.Max(0, 1-math.Min(1, zScale))
+			return nil
+		})
+		endPre()
+		for q, err := range preErrs {
+			if err == nil {
+				continue
+			}
+			if isCtxErr(err) {
+				return nil, fmt.Errorf("flexile: offline solve canceled: %w", err)
+			}
+			scenLossOpt[q] = 1
+			d.report.ScenLossFallback = append(d.report.ScenLossFallback, q)
 		}
 		// Cap every connected flow's loss in scenario q at γ + its optimum.
 		for q := range inst.Scenarios {
+			ub := math.Min(1, opt.Gamma+scenLossOpt[q])
 			d.lossUB[q] = make([]float64, nf)
 			for f := range d.lossUB[q] {
 				d.lossUB[q][f] = 1
 				if d.connected[f][q] {
-					d.lossUB[q][f] = math.Min(1, opt.Gamma+scenLossOpt[q])
+					d.lossUB[q][f] = ub
 				}
 			}
 		}
@@ -286,45 +314,6 @@ func offline(ctx context.Context, inst *te.Instance, opt Options, fixedUse [][]f
 	res.Iterations, res.SubproblemSolves, res.Report = d.iterations, d.solves, d.report
 	res.Elapsed = time.Since(start)
 	return res, nil
-}
-
-// scenLossPrecompute is the γ variant's first step (§4.4): it solves one
-// max-concurrent-flow LP per scenario and returns each scenario's optimal
-// ScenLoss over connected flows. Each solve builds its own LP, so the
-// scenarios fan out across the worker pool; results land at index q
-// regardless of order. A failed solve degrades to the trivial bound
-// ScenLoss = 1 (no loss cap for the scenario) instead of aborting the
-// whole solve; only cancellation is an error.
-func (d *decomp) scenLossPrecompute(ctx context.Context, fixedUse [][]float64) ([]float64, error) {
-	inst, opt := d.inst, d.opt
-	nq := len(inst.Scenarios)
-	scenLossOpt := make([]float64, nq)
-	endPre := d.col.Span("scenloss-precompute", 0, "scenarios", nq)
-	preErrs := par.Collect(ctx, opt.Workers, nq, func(worker, q int) error {
-		defer d.col.Span("scenloss", int64(worker)+1, "scenario", q)()
-		var capUse []float64
-		if fixedUse != nil {
-			capUse = fixedUse[q]
-		}
-		zScale, _, _, err := te.MaxConcurrentScaleCtx(ctx, inst, inst.Scenarios[q], nil, inst.ScenDemandVector(q), capUse)
-		if err != nil {
-			return err
-		}
-		scenLossOpt[q] = math.Max(0, 1-math.Min(1, zScale))
-		return nil
-	})
-	endPre()
-	for q, err := range preErrs {
-		if err == nil {
-			continue
-		}
-		if isCtxErr(err) {
-			return nil, fmt.Errorf("flexile: offline solve canceled: %w", err)
-		}
-		scenLossOpt[q] = 1
-		d.report.ScenLossFallback = append(d.report.ScenLossFallback, q)
-	}
-	return scenLossOpt, nil
 }
 
 // decomp is one run of the Benders decomposition (§4.2), the loop Offline

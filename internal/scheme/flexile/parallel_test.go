@@ -95,16 +95,39 @@ func TestOfflineDeterministicAcrossWorkers(t *testing.T) {
 		gamma       float64
 		perScenario int64
 	}{{0, 1}, {0.3, 2}} {
+		// The precompute runs whole in the first iteration, so its vector
+		// is compared across worker counts here.
+		scenLoss := map[int][]float64{}
 		m := seededFirstIteration(t, func(workers int) (obs.SolveMetrics, error) {
 			res, err := Offline(inst, Options{Workers: workers, MaxIterations: 1, Gamma: tc.gamma})
 			if err != nil {
 				return obs.SolveMetrics{}, err
 			}
+			scenLoss[workers] = res.ScenLossOpt
 			return res.Report.Metrics, nil
 		})
 		if m.LP.Solves != tc.perScenario*m.Decomp.ScenarioSolves {
 			t.Fatalf("first iteration, γ=%v: %d LP solves for %d scenario solves, want %d×",
 				tc.gamma, m.LP.Solves, m.Decomp.ScenarioSolves, tc.perScenario)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			got := scenLoss[workers]
+			if tc.gamma == 0 {
+				if got != nil {
+					t.Fatalf("γ off, workers=%d: ScenLossOpt = %v, want nil", workers, got)
+				}
+				continue
+			}
+			if len(got) != len(inst.Scenarios) {
+				t.Fatalf("γ=%v, workers=%d: ScenLossOpt has %d entries for %d scenarios",
+					tc.gamma, workers, len(got), len(inst.Scenarios))
+			}
+			for q := range got {
+				if got[q] != scenLoss[1][q] {
+					t.Fatalf("γ=%v, workers=%d: ScenLossOpt[%d] = %v, sequential %v",
+						tc.gamma, workers, q, got[q], scenLoss[1][q])
+				}
+			}
 		}
 	}
 	for _, workers := range []int{2, 8} {
@@ -135,10 +158,8 @@ func TestOfflineDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatalf("workers=%d: IterPenalty[%d] = %v, sequential %v", workers, it, got.IterPenalty[it], base.IterPenalty[it])
 			}
 		}
-		for q := range base.ScenLossOpt {
-			if got.ScenLossOpt[q] != base.ScenLossOpt[q] {
-				t.Fatalf("workers=%d: ScenLossOpt[%d] = %v, sequential %v", workers, q, got.ScenLossOpt[q], base.ScenLossOpt[q])
-			}
+		if got.ScenLossOpt != nil || base.ScenLossOpt != nil {
+			t.Fatalf("workers=%d: γ off computed a ScenLossOpt vector", workers)
 		}
 		for f := range base.SubLosses {
 			for q := range base.SubLosses[f] {
@@ -164,6 +185,15 @@ func TestOfflineDeterministicTriangleGamma(t *testing.T) {
 	}
 	if !got.Critical.Equal(base.Critical) || got.PercLoss[0] != base.PercLoss[0] {
 		t.Fatalf("γ mode: workers=4 diverges: PercLoss %v vs %v", got.PercLoss[0], base.PercLoss[0])
+	}
+	if len(base.ScenLossOpt) != len(inst.Scenarios) || len(got.ScenLossOpt) != len(inst.Scenarios) {
+		t.Fatalf("γ mode: ScenLossOpt has %d and %d entries for %d scenarios",
+			len(base.ScenLossOpt), len(got.ScenLossOpt), len(inst.Scenarios))
+	}
+	for q := range base.ScenLossOpt {
+		if got.ScenLossOpt[q] != base.ScenLossOpt[q] {
+			t.Fatalf("γ mode: workers=4 ScenLossOpt[%d] = %v, sequential %v", q, got.ScenLossOpt[q], base.ScenLossOpt[q])
+		}
 	}
 }
 

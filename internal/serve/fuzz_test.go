@@ -11,8 +11,14 @@ import (
 // re-encodable artifact or returns a wrapped ErrArtifact — never a panic,
 // never an out-of-range index surviving into the instance.
 func FuzzDecodeArtifact(f *testing.F) {
-	if s, err := solvedTriangle(); err == nil {
-		f.Add(s.blob) // a genuine artifact keeps the fuzzer in deep payload territory
+	// Genuine artifacts keep the fuzzer in deep payload territory; the γ
+	// design's also carries the ScenLossOpt vector.
+	for _, solved := range []func() (triangleDesign, error){solvedTriangle, solvedTriangleGamma} {
+		s, err := solved()
+		if err != nil {
+			continue
+		}
+		f.Add(s.blob)
 		trunc := append([]byte(nil), s.blob[:len(s.blob)/2]...)
 		f.Add(trunc)
 		flip := append([]byte(nil), s.blob...)

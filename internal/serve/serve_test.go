@@ -167,24 +167,34 @@ func TestArtifactRoundTrip(t *testing.T) {
 	}
 }
 
+// TestArtifactEncodeDeterministic: encoding is a function of the design,
+// and decode→encode is the identity, both without and with the γ design's
+// ScenLossOpt vector.
 func TestArtifactEncodeDeterministic(t *testing.T) {
-	s, err := solvedTriangle()
-	if err != nil {
-		t.Fatal(err)
-	}
-	art, err := Build(s.inst, s.off, s.opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(art.Encode(), s.blob) {
-		t.Fatal("two Encode calls of the same design differ")
-	}
-	art2, err := Decode(s.blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(art2.Encode(), s.blob) {
-		t.Fatal("decode→encode is not the identity")
+	for name, solved := range map[string]func() (triangleDesign, error){
+		"gamma-off": solvedTriangle,
+		"gamma-on":  solvedTriangleGamma,
+	} {
+		t.Run(name, func(t *testing.T) {
+			s, err := solved()
+			if err != nil {
+				t.Fatal(err)
+			}
+			art, err := Build(s.inst, s.off, s.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(art.Encode(), s.blob) {
+				t.Fatal("two Encode calls of the same design differ")
+			}
+			art2, err := Decode(s.blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(art2.Encode(), s.blob) {
+				t.Fatal("decode→encode is not the identity")
+			}
+		})
 	}
 }
 

@@ -23,8 +23,9 @@ import (
 // but the simplex may reach it along a different pivot path, so values
 // agree to solver tolerance rather than bit-for-bit.
 //
-// No production code calls it: the offline precompute solves every scenario
-// through MaxConcurrentScaleCtx. Its only callers are the benchmark
+// No production code calls it: the offline ScenLoss precompute, which runs
+// only for γ designs (Options.Gamma > 0), solves every scenario through
+// MaxConcurrentScaleCtx. Its only callers are the benchmark
 // harness's te.scalebatch_compile_ms / te.scaleloss_ms probes
 // (bench/layers.go) and scalebatch_test.go; it goes when a benchmark-only
 // change drops those probes.
