@@ -67,7 +67,9 @@ type (
 	Scenario = failure.Scenario
 	// Scheme is any TE scheme (Flexile or a baseline).
 	Scheme = scheme.Scheme
-	// TunnelPolicy selects tunnels for a node pair.
+	// TunnelPolicy selects tunnels for a node pair. NewInstance may call
+	// a class's policy concurrently for different pairs, so a policy must
+	// not write shared state; the built-in ones are pure.
 	TunnelPolicy = tunnels.Policy
 	// DesignResult is the offline phase's output: critical scenario sets,
 	// achieved PercLoss and convergence history.

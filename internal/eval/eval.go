@@ -14,6 +14,7 @@ import (
 	"sort"
 
 	"flexile/internal/failure"
+	"flexile/internal/lp"
 	"flexile/internal/te"
 )
 
@@ -191,11 +192,21 @@ func Median(values []float64) float64 {
 	return s[len(s)/2]
 }
 
-// ReductionPercent returns the relative reduction 100·(base−new)/base,
-// with 0 when base is 0.
+// zeroLoss, 1e-6 (1000 × lp.DefaultTol), is the PercLoss ReductionPercent
+// counts as zero, the floor flexile's zeroPercLoss uses too: allocations
+// come through te.MaxMin, whose frozen flows may sink 1e-6 below their
+// level, so a smaller loss is solver noise, and a reduction measured
+// against it is noise divided by noise.
+const zeroLoss = 1000 * lp.DefaultTol
+
+// ReductionPercent returns the relative reduction 100·(base−new)/base, with
+// a value below zeroLoss in magnitude read as 0, and 0 when base is 0.
 func ReductionPercent(base, new float64) float64 {
-	if base <= 0 {
+	if base < zeroLoss {
 		return 0
+	}
+	if math.Abs(new) < zeroLoss {
+		new = 0
 	}
 	return 100 * (base - new) / base
 }

@@ -227,6 +227,15 @@ func TestMedianAndReduction(t *testing.T) {
 	if got := ReductionPercent(0, 0.1); got != 0 {
 		t.Fatalf("zero-base reduction = %v", got)
 	}
+	// Both losses are solver noise: no reduction, where 100·(b−n)/b read
+	// −73 %.
+	if got := ReductionPercent(1e-16, 1.73e-16); got != 0 {
+		t.Fatalf("reduction over a 1e-16 base = %v, want 0", got)
+	}
+	// A real base against a noise-level new loss is a full reduction.
+	if got := ReductionPercent(0.2, 3e-12); got != 100 {
+		t.Fatalf("reduction to a 3e-12 loss = %v, want 100", got)
+	}
 }
 
 func TestFlowLossAllSkipsZeroDemand(t *testing.T) {

@@ -6,3 +6,7 @@ var (
 	RefKShortestPaths = refKShortestPaths
 	SamePaths         = samePaths
 )
+
+// HasParallelEdges reports whether g has two edges between one pair of
+// nodes, the case in which KShortestPaths runs every spur index.
+func HasParallelEdges(g *Graph) bool { return g.parallel }

@@ -23,6 +23,9 @@ type Graph struct {
 	names []string
 	edges []Edge
 	adj   [][]half
+	// parallel is set once two edges join the same pair of nodes; Yen's
+	// deviation-index skip holds only while it is false.
+	parallel bool
 }
 
 type half struct {
@@ -50,6 +53,11 @@ func (g *Graph) NodeName(v int) string { return g.names[v] }
 func (g *Graph) AddEdge(a, b int, capacity float64) int {
 	if a == b {
 		panic("graph: self loop")
+	}
+	for _, h := range g.adj[a] {
+		if h.to == b {
+			g.parallel = true
+		}
 	}
 	id := len(g.edges)
 	g.edges = append(g.edges, Edge{a, b, capacity})
@@ -142,9 +150,12 @@ type heapItem struct {
 
 // push and pop are container/heap's Push and Pop on a slice ordered by
 // dist alone: the same sift-up and sift-down, so equal distances leave the
-// heap in the same order, and Dijkstra settles the same tree.
-func (s *search) push(it heapItem) {
-	h := append(s.heap, it)
+// heap in the same order, and Dijkstra settles the same tree. They work on
+// a local slice, not on a field of the search: a slice stored into the heap
+// object on every push and pop costs a write barrier each while the
+// collector runs.
+func push(h []heapItem, it heapItem) []heapItem {
+	h = append(h, it)
 	j := len(h) - 1
 	for j > 0 {
 		i := (j - 1) / 2
@@ -154,11 +165,10 @@ func (s *search) push(it heapItem) {
 		h[i], h[j] = h[j], h[i]
 		j = i
 	}
-	s.heap = h
+	return h
 }
 
-func (s *search) pop() heapItem {
-	h := s.heap
+func pop(h []heapItem) ([]heapItem, heapItem) {
 	n := len(h) - 1
 	h[0], h[n] = h[n], h[0]
 	i := 0
@@ -176,9 +186,7 @@ func (s *search) pop() heapItem {
 		h[i], h[j] = h[j], h[i]
 		i = j
 	}
-	it := h[n]
-	s.heap = h[:n]
-	return it
+	return h[:n], h[n]
 }
 
 // dijkstra finds a fewest-hop path from u to v over edges that are not
@@ -192,9 +200,10 @@ func (s *search) dijkstra(u, v int) bool {
 		s.prev[i] = -1
 	}
 	s.dist[u] = 0
-	s.heap = append(s.heap[:0], heapItem{u, 0})
-	for len(s.heap) > 0 {
-		it := s.pop()
+	heap := append(s.heap[:0], heapItem{u, 0})
+	for len(heap) > 0 {
+		var it heapItem
+		heap, it = pop(heap)
 		if it.dist > s.dist[it.node] {
 			continue
 		}
@@ -208,19 +217,21 @@ func (s *search) dijkstra(u, v int) bool {
 			}
 			s.dist[h.to] = nd
 			s.prev[h.to] = h.edge
-			s.push(heapItem{h.to, nd})
+			heap = push(heap, heapItem{h.to, nd})
 		}
 	}
+	s.heap = heap
 	if s.dist[v] == unreached {
 		return false
 	}
-	s.spur = s.spur[:0]
+	spur := s.spur[:0]
 	for x := v; x != u; {
 		e := s.prev[x]
-		s.spur = append(s.spur, e)
+		spur = append(spur, e)
 		x = s.g.other(e, x)
 	}
-	reverseInts(s.spur)
+	reverseInts(spur)
+	s.spur = spur
 	return true
 }
 
@@ -276,6 +287,11 @@ func reverseInts(a []int) {
 // count, ties broken by the heap order of the Dijkstra beneath and by the
 // candidate sort. The order does not depend on k, so the first k paths of
 // a larger call are this call's paths.
+//
+// On a graph without parallel edges a round starts at the last accepted
+// path's deviation index (Lawler): below it, the spur search at each index
+// is one an earlier round already ran with the same bans, off-limit nodes
+// and root, and its candidate would be dropped as a duplicate.
 func (g *Graph) KShortestPaths(u, v, k int) []Path {
 	if k <= 0 {
 		return nil
@@ -285,10 +301,11 @@ func (g *Graph) KShortestPaths(u, v, k int) []Path {
 		return nil
 	}
 	result := []Path{g.path([]int{u}, nil, s.spur)}
-	var candidates []Path
+	var c candidates
+	dev := 0 // where the next round starts: 0 on a multigraph
 	for len(result) < k {
 		last := result[len(result)-1]
-		for i := 0; i < len(last.Nodes)-1; i++ {
+		for i := dev; i < len(last.Nodes)-1; i++ {
 			spurNode := last.Nodes[i]
 			rootNodes := last.Nodes[:i+1]
 			rootEdges := last.Edges[:i]
@@ -312,23 +329,68 @@ func (g *Graph) KShortestPaths(u, v, k int) []Path {
 			for _, nn := range rootNodes[:i] {
 				s.offLimit[nn] = false
 			}
-			if found && !joinedIn(candidates, rootEdges, s.spur) && !joinedIn(result, rootEdges, s.spur) {
-				candidates = append(candidates, g.path(rootNodes, rootEdges, s.spur))
+			if found && !c.has(rootEdges, s.spur) && !joinedIn(result, rootEdges, s.spur) {
+				c.add(rootEdges, s.spur, i)
 			}
 		}
-		if len(candidates) == 0 {
+		if len(c.list) == 0 {
 			break
 		}
-		// sort.Slice is not stable: the candidates' order going in is part
+		// The sort is not stable: the candidates' order going in is part
 		// of the tie order, so it is kept as Yen leaves it.
-		sort.Slice(candidates, func(a, b int) bool {
-			return candidates[a].Len() < candidates[b].Len()
-		})
-		result = append(result, candidates[0])
-		candidates = candidates[1:]
+		sort.Sort(byHops(c.list))
+		best := c.list[0]
+		result = append(result, g.path([]int{u}, nil, c.edges[best.off:best.off+best.hops]))
+		if !g.parallel {
+			dev = best.dev
+		}
+		c.list = c.list[1:]
 	}
 	return result
 }
+
+// candidates is Yen's candidate list. A candidate is not built into a Path
+// until it is accepted: its edges sit in one buffer the call shares, so the
+// list holds no pointers and the sort swaps plain words.
+type candidates struct {
+	list  []candidate
+	edges []int
+}
+
+// candidate is a path of hops edges, edges[off:off+hops], with its
+// deviation index: the spur index it left its parent path at.
+type candidate struct {
+	hops, dev, off int
+}
+
+// add appends the candidate with the edges root then spur, built at spur
+// index dev.
+func (c *candidates) add(root, spur []int, dev int) {
+	c.list = append(c.list, candidate{hops: len(root) + len(spur), dev: dev, off: len(c.edges)})
+	c.edges = append(append(c.edges, root...), spur...)
+}
+
+// has reports whether some candidate has the edges root then spur.
+func (c *candidates) has(root, spur []int) bool {
+	for _, x := range c.list {
+		if x.hops == len(root)+len(spur) {
+			e := c.edges[x.off : x.off+x.hops]
+			if sameInts(e[:len(root)], root) && sameInts(e[len(root):], spur) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// byHops sorts candidates by hop count. sort.Sort over it runs the same
+// pdqsort, comparison for comparison and swap for swap, as sort.Slice by
+// Path.Len over the candidates' paths.
+type byHops []candidate
+
+func (b byHops) Len() int           { return len(b) }
+func (b byHops) Less(i, j int) bool { return b[i].hops < b[j].hops }
+func (b byHops) Swap(i, j int)      { b[i], b[j] = b[j], b[i] }
 
 // joinedIn reports whether some path in ps has the edges root then spur.
 func joinedIn(ps []Path, root, spur []int) bool {

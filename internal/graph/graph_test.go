@@ -276,12 +276,27 @@ func samePaths(got, want []Path) (bool, string) {
 // edge closes a cycle over it) plus extra edges, a third of which
 // duplicate an existing link. One graph in four has two components, so
 // some pairs are disconnected.
-func randomMultigraph(rng *rand.Rand) *Graph {
+func randomMultigraph(rng *rand.Rand) *Graph { return randomGraph(rng, true) }
+
+// randomSimpleGraph is randomMultigraph without parallel edges: no extra
+// edge duplicates a link, and one that would join two linked nodes is
+// dropped.
+func randomSimpleGraph(rng *rand.Rand) *Graph { return randomGraph(rng, false) }
+
+func randomGraph(rng *rand.Rand, parallel bool) *Graph {
 	n := 4 + rng.Intn(12)
 	g := New(n)
 	split := n
 	if rng.Intn(4) == 0 {
 		split = 2 + rng.Intn(n-3)
+	}
+	linked := func(a, b int) bool {
+		for _, h := range g.adj[a] {
+			if h.to == b {
+				return true
+			}
+		}
+		return false
 	}
 	for _, c := range [][2]int{{0, split}, {split, n}} {
 		lo, size := c[0], c[1]-c[0]
@@ -292,12 +307,12 @@ func randomMultigraph(rng *rand.Rand) *Graph {
 			g.AddEdge(lo+i, lo+rng.Intn(i), 1)
 		}
 		for extra := rng.Intn(2 * size); extra > 0; extra-- {
-			if g.NumEdges() > 0 && rng.Intn(3) == 0 {
+			if parallel && g.NumEdges() > 0 && rng.Intn(3) == 0 {
 				e := g.Edge(rng.Intn(g.NumEdges()))
 				g.AddEdge(e.A, e.B, 1)
 				continue
 			}
-			if a, b := lo+rng.Intn(size), lo+rng.Intn(size); a != b {
+			if a, b := lo+rng.Intn(size), lo+rng.Intn(size); a != b && (parallel || !linked(a, b)) {
 				g.AddEdge(a, b, 1)
 			}
 		}
@@ -336,6 +351,56 @@ func TestKShortestPathsMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestKShortestPathsSimpleMatchesReference: on random graphs without
+// parallel edges, where each Yen round starts at the last path's deviation
+// index, KShortestPaths returns the reference Yen's paths in the
+// reference's order for every ordered pair (disconnected ones included)
+// and several k.
+func TestKShortestPathsSimpleMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for trial := 0; trial < 60; trial++ {
+		g := randomSimpleGraph(rng)
+		if g.parallel {
+			t.Fatalf("trial %d: the simple graph has parallel edges", trial)
+		}
+		for u := 0; u < g.NumNodes(); u++ {
+			for v := 0; v < g.NumNodes(); v++ {
+				if u == v {
+					continue
+				}
+				for _, k := range []int{1, 3, 12, 15} {
+					if ok, diff := samePaths(g.KShortestPaths(u, v, k), refKShortestPaths(g, u, v, k)); !ok {
+						t.Fatalf("trial %d, %d-%d, k=%d: %s", trial, u, v, k, diff)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestKShortestPathsMultigraphFullLoop: a multigraph runs every spur index
+// of every round. On this one (links 1-4 and 5-6 are doubled or tripled),
+// a round started at the deviation index would skip a spur whose root has
+// the same nodes as an earlier search's but other edges, and return the
+// paths in another order than the reference.
+func TestKShortestPathsMultigraphFullLoop(t *testing.T) {
+	g := New(7)
+	for _, e := range [][2]int{{1, 0}, {2, 1}, {3, 0}, {4, 1}, {5, 4}, {6, 5}, {4, 1}, {4, 0}, {4, 1}, {4, 5}, {6, 5}, {2, 3}} {
+		g.AddEdge(e[0], e[1], 1)
+	}
+	if !g.parallel {
+		t.Fatal("parallel edges not detected")
+	}
+	want := refKShortestPaths(g, 6, 3, 15)
+	if ok, diff := samePaths(g.KShortestPaths(6, 3, 15), want); !ok {
+		t.Fatalf("full loop: %s", diff)
+	}
+	g.parallel = false
+	if ok, _ := samePaths(g.KShortestPaths(6, 3, 15), want); ok {
+		t.Fatal("the deviation-index skip also matches here, so this graph does not show why multigraphs keep the full loop")
 	}
 }
 

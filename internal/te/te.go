@@ -9,12 +9,15 @@
 package te
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 
 	"flexile/internal/failure"
 	"flexile/internal/graph"
 	"flexile/internal/lp"
+	"flexile/internal/par"
 	"flexile/internal/topo"
 	"flexile/internal/tunnels"
 )
@@ -58,6 +61,9 @@ type Instance struct {
 
 // NewInstance builds pairs and tunnels for each class; demands start at
 // zero (use the traffic package to populate them) and scenarios empty.
+// The class policies run concurrently over the pairs, one worker per core;
+// each pair's tunnels land at its index, so the instance is the one a
+// sequential build gives. A policy's panic is re-raised with its value.
 func NewInstance(t *topo.Topology, classes []Class) *Instance {
 	inst := &Instance{Topo: t, Classes: classes}
 	n := t.G.NumNodes()
@@ -68,11 +74,20 @@ func NewInstance(t *topo.Topology, classes []Class) *Instance {
 	}
 	inst.Tunnels = make([][][]graph.Path, len(classes))
 	inst.Demand = make([][]float64, len(classes))
-	for k, c := range classes {
+	for k := range classes {
 		inst.Tunnels[k] = make([][]graph.Path, len(inst.Pairs))
 		inst.Demand[k] = make([]float64, len(inst.Pairs))
-		for i, pr := range inst.Pairs {
-			inst.Tunnels[k][i] = c.Tunnels(t.G, pr[0], pr[1])
+	}
+	errs := par.Collect(context.Background(), 0, inst.NumFlows(), func(_, f int) error {
+		k, i := inst.FlowOf(f)
+		pr := inst.Pairs[i]
+		inst.Tunnels[k][i] = classes[k].Tunnels(t.G, pr[0], pr[1])
+		return nil
+	})
+	for _, err := range errs {
+		var pe *par.PanicError
+		if errors.As(err, &pe) {
+			panic(pe.Value)
 		}
 	}
 	return inst

@@ -129,24 +129,28 @@ var pinPolicies = [3]struct {
 
 // TestTunnelsPinned checks that tunnel selection on all 20 Table-2
 // topologies is byte-for-byte what it was when the digests were recorded.
+// The topologies run as parallel subtests.
 func TestTunnelsPinned(t *testing.T) {
 	for _, name := range topo.Names() {
-		g := topo.MustLoad(name).G
-		want := pinnedTunnels[name]
-		for c, pp := range pinPolicies {
-			h := sha256.New()
-			for u := 0; u < g.NumNodes(); u++ {
-				for v := u + 1; v < g.NumNodes(); v++ {
-					fmt.Fprintf(h, "%d-%d:", u, v)
-					for _, p := range pp.policy(g, u, v) {
-						fmt.Fprintf(h, "%v%v;", p.Nodes, p.Edges)
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			g := topo.MustLoad(name).G
+			want := pinnedTunnels[name]
+			for c, pp := range pinPolicies {
+				h := sha256.New()
+				for u := 0; u < g.NumNodes(); u++ {
+					for v := u + 1; v < g.NumNodes(); v++ {
+						fmt.Fprintf(h, "%d-%d:", u, v)
+						for _, p := range pp.policy(g, u, v) {
+							fmt.Fprintf(h, "%v%v;", p.Nodes, p.Edges)
+						}
+						fmt.Fprintln(h)
 					}
-					fmt.Fprintln(h)
+				}
+				if got := hex.EncodeToString(h.Sum(nil)); got != want[c] {
+					t.Errorf("%s: tunnels digest %s, want %s", pp.name, got, want[c])
 				}
 			}
-			if got := hex.EncodeToString(h.Sum(nil)); got != want[c] {
-				t.Errorf("%s %s: tunnels digest %s, want %s", name, pp.name, got, want[c])
-			}
-		}
+		})
 	}
 }

@@ -18,14 +18,17 @@ import "flexile/internal/graph"
 // per pair before the selection heuristics run.
 const PoolSize = 12
 
-// Policy selects tunnels for one node pair.
+// Policy selects tunnels for one node pair. te.NewInstance may call a
+// policy concurrently for different pairs of one graph, so a policy must
+// not write shared state. Every policy here is a pure function of its
+// arguments: it reads the graph and allocates what it returns.
 type Policy func(g *graph.Graph, u, v int) []graph.Path
 
 // SingleClass returns up to n tunnels that are as edge-disjoint as
 // possible, preferring shorter paths among equally disjoint choices.
 func SingleClass(n int) Policy {
 	return func(g *graph.Graph, u, v int) []graph.Path {
-		return greedyDisjoint(g.KShortestPaths(u, v, PoolSize), nil, n)
+		return greedyDisjoint(g, g.KShortestPaths(u, v, PoolSize), nil, n)
 	}
 }
 
@@ -46,12 +49,16 @@ func highPriority(g *graph.Graph, u, v int, pool []graph.Path, n int) []graph.Pa
 		return nil
 	}
 	sel := []graph.Path{pool[0]}
-	common := map[int]bool{}
-	for _, e := range pool[0].Edges {
-		common[e] = true
+	// common lists the edges of the running intersection of the picks;
+	// inCommon marks them.
+	common := append([]int(nil), pool[0].Edges...)
+	inCommon := make([]bool, g.NumEdges())
+	for _, e := range common {
+		inCommon[e] = true
 	}
-	used := map[int]bool{0: true}
-	for len(sel) < n && len(used) < len(pool) {
+	used := make([]bool, len(pool))
+	used[0] = true
+	for nUsed := 1; len(sel) < n && nUsed < len(pool); nUsed++ {
 		// Greedy: the earliest (shortest) pool path that shrinks the
 		// running intersection the most.
 		best, bestCommon := -1, 1<<30
@@ -61,7 +68,7 @@ func highPriority(g *graph.Graph, u, v int, pool []graph.Path, n int) []graph.Pa
 			}
 			c := 0
 			for _, e := range p.Edges {
-				if common[e] {
+				if inCommon[e] {
 					c++
 				}
 			}
@@ -74,11 +81,17 @@ func highPriority(g *graph.Graph, u, v int, pool []graph.Path, n int) []graph.Pa
 		}
 		used[best] = true
 		sel = append(sel, pool[best])
-		next := map[int]bool{}
+		var next []int
 		for _, e := range pool[best].Edges {
-			if common[e] {
-				next[e] = true
+			if inCommon[e] {
+				next = append(next, e)
 			}
+		}
+		for _, e := range common {
+			inCommon[e] = false
+		}
+		for _, e := range next {
+			inCommon[e] = true
 		}
 		common = next
 	}
@@ -88,7 +101,7 @@ func highPriority(g *graph.Graph, u, v int, pool []graph.Path, n int) []graph.Pa
 	// The shortest-path pool cannot break the intersection; fall back
 	// to a graph-wide detour avoiding the shared edges and swap it in
 	// for the last pick.
-	if alt, ok := g.ShortestPath(u, v, func(e int) bool { return !common[e] }); ok {
+	if alt, ok := g.ShortestPath(u, v, func(e int) bool { return !inCommon[e] }); ok {
 		sel[len(sel)-1] = alt
 	}
 	return sel
@@ -115,7 +128,7 @@ func LowPriority(n, extra int) Policy {
 				rest = append(rest, p)
 			}
 		}
-		more := greedyDisjoint(rest, sel, extra)
+		more := greedyDisjoint(g, rest, sel, extra)
 		return append(sel, more...)
 	}
 }
@@ -123,11 +136,11 @@ func LowPriority(n, extra int) Policy {
 // greedyDisjoint picks up to n paths from pool minimizing edge overlap with
 // already-used edges (from base plus earlier picks), breaking ties by hop
 // count then pool order.
-func greedyDisjoint(pool, base []graph.Path, n int) []graph.Path {
-	used := map[int]int{}
+func greedyDisjoint(g *graph.Graph, pool, base []graph.Path, n int) []graph.Path {
+	used := make([]bool, g.NumEdges())
 	for _, p := range base {
 		for _, e := range p.Edges {
-			used[e]++
+			used[e] = true
 		}
 	}
 	remaining := append([]graph.Path(nil), pool...)
@@ -137,7 +150,7 @@ func greedyDisjoint(pool, base []graph.Path, n int) []graph.Path {
 		for i, p := range remaining {
 			ov := 0
 			for _, e := range p.Edges {
-				if used[e] > 0 {
+				if used[e] {
 					ov++
 				}
 			}
@@ -148,7 +161,7 @@ func greedyDisjoint(pool, base []graph.Path, n int) []graph.Path {
 		p := remaining[bestIdx]
 		out = append(out, p)
 		for _, e := range p.Edges {
-			used[e]++
+			used[e] = true
 		}
 		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
 	}

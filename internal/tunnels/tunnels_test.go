@@ -156,7 +156,7 @@ func TestGreedyDisjointRespectsBase(t *testing.T) {
 	pool := tp.G.KShortestPaths(0, 1, 3) // direct + via C
 	// With the direct path as base, the via-C path must be picked first.
 	base := []graph.Path{pool[0]}
-	out := greedyDisjoint(pool, base, 1)
+	out := greedyDisjoint(tp.G, pool, base, 1)
 	if len(out) != 1 || out[0].Len() != 2 {
 		t.Fatalf("want the disjoint 2-hop path, got %v", out)
 	}
