@@ -134,9 +134,9 @@ func TestWidenedWarmStartIsPrimalFeasible(t *testing.T) {
 			return s, col.Snapshot().LP
 		}
 		warm, m := solveFrom(fixed.Basis().Widened(cols, fixed.X, lb, ub))
-		if !warm.WarmStarted || m.Phase1Pivots != 0 {
-			t.Fatalf("trial %d: widened basis installed %v with %d phase-1 pivots, want installed with 0",
-				trial, warm.WarmStarted, m.Phase1Pivots)
+		if m.WarmStarts != 1 || m.Phase1Pivots != 0 {
+			t.Fatalf("trial %d: widened basis installed %d times with %d phase-1 pivots, want installed with 0",
+				trial, m.WarmStarts, m.Phase1Pivots)
 		}
 		if warm.Status != Optimal || math.Abs(warm.Objective-cold.Objective) > DefaultTol*(1+math.Abs(cold.Objective)) {
 			t.Fatalf("trial %d: widened start %v %v, cold optimum %v", trial, warm.Status, warm.Objective, cold.Objective)

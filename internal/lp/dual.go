@@ -27,8 +27,8 @@ import (
 
 // dualStallLimit is how many consecutive dual iterations may pass without
 // raising the dual objective before the dual hands the basis it reached to
-// the primal: the cost perturbation makes a stall rare, and the primal
-// (with its own anti-stalling) is a sound place to finish.
+// the primal: the cost perturbation makes a stall rare, and the primal's
+// phase 1 and perturbed phase 2, bounded by MaxIters, finish from there.
 const dualStallLimit = 200
 
 // stalled is the dual loop's hand-over verdict: the basis is fine, but the

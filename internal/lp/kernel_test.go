@@ -498,9 +498,6 @@ func (l *lockstep) run(phase int, iters *int) (Status, error) {
 	s := l.s
 	tol := DefaultTol
 	dualTol := DefaultTol
-	bland := s.opts.Bland
-	stall := 0
-	lastObj := math.Inf(1)
 	stale := true
 	for {
 		if *iters >= s.opts.MaxIters {
@@ -512,33 +509,19 @@ func (l *lockstep) run(phase int, iters *int) (Status, error) {
 			}
 			stale = true
 		}
-		var obj float64
-		if phase == 1 {
-			if obj = s.infeasibility(); obj <= tol*float64(1+s.m) {
-				return Optimal, nil
-			}
-		} else {
-			obj = s.currentObjective()
-		}
-		if obj < lastObj-tol {
-			lastObj, stall = obj, 0
-		} else {
-			stall++
-		}
-		if stall > 2000 && !bland {
-			bland = true
-			s.blandActs++
+		if phase == 1 && s.infeasibility() <= tol*float64(1+s.m) {
+			return Optimal, nil
 		}
 		fresh := stale || l.everyIter
 		if fresh {
 			l.refresh(phase)
 			stale = false
 		}
-		q := l.price(dualTol, bland)
+		q := l.price(dualTol, s.opts.Bland)
 		if q < 0 && !fresh {
 			l.refresh(phase)
 			fresh = true
-			q = l.price(dualTol, bland)
+			q = l.price(dualTol, s.opts.Bland)
 		}
 		if q < 0 {
 			if phase == 1 {

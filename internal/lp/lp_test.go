@@ -222,9 +222,11 @@ func TestRowDualSigns(t *testing.T) {
 	}
 }
 
-// TestLagrangianIdentity checks c·x* = Σ y_i·rowValue_i + Σ d_j·x_j on a
-// nontrivial LP: the identity holds for any basic solution and validates
-// the dual extraction used for Benders cuts.
+// TestLagrangianIdentity checks that RowDual is the final basis's
+// multiplier vector y = c_B·B⁻¹, the dual extraction Benders cuts read: the
+// reduced cost c_j − y·A_j of every basic column and the dual of every row
+// whose logical is basic vanish, so c·x* = Σ y_i·a_i·x* + Σ d_j·x_j is
+// carried by the nonbasic variables at their bounds alone.
 func TestLagrangianIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 25; trial++ {
@@ -236,16 +238,29 @@ func TestLagrangianIdentity(t *testing.T) {
 		if s.Status != Optimal {
 			continue
 		}
-		lhs := s.Objective
+		b := s.Basis()
+		rc, acts := reducedCosts(p, s.RowDual), rowActivity(p, s.X)
 		rhs := 0.0
-		for i := 0; i < p.NumRows(); i++ {
-			rhs += s.RowDual[i] * s.RowValue[i]
+		for j, d := range rc {
+			if b.colStat[j] == basic {
+				if !approx(d, 0) {
+					t.Fatalf("trial %d: basic column %d has reduced cost %v", trial, j, d)
+				}
+				continue
+			}
+			rhs += d * s.X[j]
 		}
-		for j := 0; j < p.NumCols(); j++ {
-			rhs += s.ColDual[j] * s.X[j]
+		for i, y := range s.RowDual {
+			if b.rowStat[i] == basic {
+				if !approx(y, 0) {
+					t.Fatalf("trial %d: row %d, its logical basic, has dual %v", trial, i, y)
+				}
+				continue
+			}
+			rhs += y * acts[i]
 		}
-		if !approx(lhs, rhs) {
-			t.Fatalf("trial %d: lagrangian identity broken: %v vs %v", trial, lhs, rhs)
+		if !approx(s.Objective, rhs) {
+			t.Fatalf("trial %d: lagrangian identity broken: %v vs %v", trial, s.Objective, rhs)
 		}
 	}
 }
@@ -310,6 +325,29 @@ func TestPrimalVsDualizedRandom(t *testing.T) {
 	}
 }
 
+// reducedCosts is c_j − y·A_j for every column of p at row duals y: a
+// solution's reduced costs, from its RowDual.
+func reducedCosts(p *Problem, y []float64) []float64 {
+	d := append([]float64(nil), p.obj...)
+	for i, row := range p.rows {
+		for _, e := range row {
+			d[e.Col] -= y[i] * e.Coef
+		}
+	}
+	return d
+}
+
+// rowActivity is a_i·x for every row of p.
+func rowActivity(p *Problem, x []float64) []float64 {
+	acts := make([]float64, p.NumRows())
+	for i, row := range p.rows {
+		for _, e := range row {
+			acts[i] += e.Coef * x[e.Col]
+		}
+	}
+	return acts
+}
+
 func checkFeasible(t *testing.T, p *Problem, x []float64, trial int) {
 	t.Helper()
 	const ftol = 1e-6
@@ -318,11 +356,7 @@ func checkFeasible(t *testing.T, p *Problem, x []float64, trial int) {
 			t.Fatalf("trial %d: x[%d]=%v outside [%v,%v]", trial, j, x[j], p.colLB[j], p.colUB[j])
 		}
 	}
-	for i, row := range p.rows {
-		act := 0.0
-		for _, e := range row {
-			act += e.Coef * x[e.Col]
-		}
+	for i, act := range rowActivity(p, x) {
 		if act < p.rowLB[i]-ftol || act > p.rowUB[i]+ftol {
 			t.Fatalf("trial %d: row %d activity %v outside [%v,%v]", trial, i, act, p.rowLB[i], p.rowUB[i])
 		}

@@ -10,9 +10,9 @@
 // Range rows subsume ≤, ≥ and = constraints. The implementation holds the
 // basis as a sparse LU factorization with a product-form eta file appended
 // per pivot, refactorized periodically, with sparse column storage for the
-// constraint matrix. Both primal values and row duals /
-// reduced costs are reported, which is what the Benders-style decomposition
-// in the flexile scheme needs for cut generation.
+// constraint matrix. Primal values and row duals are reported, which is
+// what the Benders-style decomposition in the flexile scheme needs for cut
+// generation.
 //
 // Everything is deterministic: no randomized pivoting is used.
 package lp
@@ -179,20 +179,9 @@ type Solution struct {
 	// For a minimization problem, y_i ≥ 0 on binding ≥-rows and y_i ≤ 0 on
 	// binding ≤-rows.
 	RowDual []float64
-	// ColDual has the reduced cost of every column at the final basis.
-	ColDual []float64
-	// RowValue has the final activity a_i·x of every row.
-	RowValue []float64
 	// Iterations is the total simplex pivot count: the primal's two phases
 	// and the dual simplex a warm start runs.
 	Iterations int
-	// WarmStarted reports whether Options.StartBasis was actually
-	// installed: false when no start basis was given, and — the case
-	// callers care about — when one was given but rejected as incompatible
-	// (wrong shape, wrong basic count, or a singular basic set). Rejection
-	// also increments the obs WarmStartRejected counter, so silent
-	// cache-miss storms show up in /metrics.
-	WarmStarted bool
 	// FactorNonzeros is the number of nonzeros the basis factorization
 	// held when the solve ended: L, U and the eta file of the pivots since
 	// the last refactorization. The simplex solves cost time in proportion
@@ -215,9 +204,12 @@ type Options struct {
 	// basis that still prices out runs the dual simplex; an incompatible
 	// basis is ignored.
 	StartBasis *Basis
-	// Bland starts every phase under Bland's rule immediately instead of
-	// waiting for a stall, trading speed for guaranteed anti-cycling — the
-	// hardened setting retry policies use after a numerical failure.
+	// Bland prices every phase by Bland's rule (the lowest-index improving
+	// variable) and skips the dual simplex, trading speed for guaranteed
+	// anti-cycling — the hardened setting retry policies use after a
+	// numerical failure, and the only way a solve runs Bland's rule. A solve
+	// without it is bounded by MaxIters; an IterLimit is what such a retry
+	// policy catches.
 	Bland bool
 }
 
@@ -239,6 +231,21 @@ const (
 	// pivotTol: the ratio tests never pivot on |w_i| at or below this — the
 	// eta's pivot divides every later solve, so a tiny one amplifies noise.
 	pivotTol = 1e-10
+)
+
+// The simplex's two tie-breaking scales, both DefaultTol: each moves which of
+// several near-equal choices is taken, never what counts as feasible or
+// optimal.
+const (
+	// perturbScale is the cost jitter of phase 2 and the dual (perturbCosts):
+	// c_j moves by perturbScale·ξ_j·(1+|c_j|), ξ_j ∈ [0.5, 1.5) — about one
+	// DefaultTol per unit cost, so the polish under the true costs that
+	// follows only has to undo ties.
+	perturbScale = DefaultTol
+	// tieStep: phase 1's long-step ratio test takes the breakpoints within
+	// tieStep of the stopping step as one tie and pivots on the largest |w_i|
+	// among them; a step is a primal move, so DefaultTol is its noise floor.
+	tieStep = DefaultTol
 )
 
 func (o Options) withDefaults(m, n int) Options {

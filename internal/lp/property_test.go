@@ -13,14 +13,15 @@ import (
 const propertyTrials = 200
 
 // dualObjective recomputes the dual objective from the reported row duals
-// and reduced costs: Σ_i y_i·b_i + Σ_j d_j·l_j, where each multiplier pays
-// the bound its sign says is binding (y_i > 0 ⇒ the ≥ side, y_i < 0 ⇒ the
-// ≤ side; reduced costs likewise against the column box). By LP duality
-// this must equal the primal objective at an optimal basis.
+// and the reduced costs they price: Σ_i y_i·b_i + Σ_j d_j·l_j, where each
+// multiplier pays the bound its sign says is binding (y_i > 0 ⇒ the ≥ side,
+// y_i < 0 ⇒ the ≤ side; reduced costs likewise against the column box). By
+// LP duality this must equal the primal objective at an optimal basis.
 func dualObjective(t *testing.T, trial int, p *Problem, s *Solution) float64 {
 	t.Helper()
 	const dtol = 1e-7
 	obj := 0.0
+	rc := reducedCosts(p, s.RowDual)
 	for i := 0; i < p.NumRows(); i++ {
 		y := s.RowDual[i]
 		if math.Abs(y) <= dtol {
@@ -36,7 +37,7 @@ func dualObjective(t *testing.T, trial int, p *Problem, s *Solution) float64 {
 		obj += y * b
 	}
 	for j := 0; j < p.NumCols(); j++ {
-		d := s.ColDual[j]
+		d := rc[j]
 		if math.Abs(d) <= dtol {
 			continue
 		}
@@ -61,8 +62,9 @@ func checkComplementarySlackness(t *testing.T, trial int, p *Problem, s *Solutio
 	t.Helper()
 	const dtol = 1e-7
 	const atol = 1e-6
+	acts, rc := rowActivity(p, s.X), reducedCosts(p, s.RowDual)
 	for i := 0; i < p.NumRows(); i++ {
-		y, act := s.RowDual[i], s.RowValue[i]
+		y, act := s.RowDual[i], acts[i]
 		switch {
 		case y > dtol:
 			if math.Abs(act-p.rowLB[i]) > atol*(1+math.Abs(p.rowLB[i])) {
@@ -77,7 +79,7 @@ func checkComplementarySlackness(t *testing.T, trial int, p *Problem, s *Solutio
 		}
 	}
 	for j := 0; j < p.NumCols(); j++ {
-		d, x := s.ColDual[j], s.X[j]
+		d, x := rc[j], s.X[j]
 		// A fixed column (lb == ub) is trivially at both bounds.
 		switch {
 		case d > dtol:

@@ -50,7 +50,8 @@ func TestPropertyResolveAgreesWithCold(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d round %d: cold: %v", trial, round, err)
 			}
-			hot, err := solver.ResolveCtx(context.Background(), Variant{}, Options{})
+			ctx, col := obsCtx()
+			hot, err := solver.ResolveCtx(ctx, Variant{}, Options{})
 			if err != nil {
 				t.Fatalf("trial %d round %d: resolve: %v", trial, round, err)
 			}
@@ -58,8 +59,8 @@ func TestPropertyResolveAgreesWithCold(t *testing.T) {
 				t.Fatalf("trial %d round %d: resolve finished %v, cold %v", trial, round, hot.Status, cold.Status)
 			}
 			if cold.Status == Optimal {
-				if hot.WarmStarted != (round > 0) {
-					t.Fatalf("trial %d round %d: WarmStarted = %v", trial, round, hot.WarmStarted)
+				if warm := col.Snapshot().LP.WarmStarts; (warm == 1) != (round > 0) {
+					t.Fatalf("trial %d round %d: %d warm starts", trial, round, warm)
 				}
 				if !approx(hot.Objective, cold.Objective) {
 					t.Fatalf("trial %d round %d: resolve obj %v, cold %v", trial, round, hot.Objective, cold.Objective)

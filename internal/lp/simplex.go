@@ -211,8 +211,8 @@ func (s *simplex) solve() (*Solution, error) {
 			s.warmAccepted = true
 		} else {
 			// Fall back to the cold start: rebuild the trivial basis. The
-			// rejection is surfaced through Solution.WarmStarted and the
-			// WarmStartRejected counter rather than silently swallowed.
+			// rejection is surfaced through the WarmStartRejected counter
+			// rather than silently swallowed.
 			s.warmRejected = true
 			s.resetToLogicalBasis()
 		}
@@ -375,12 +375,11 @@ func (s *simplex) optimize(iters *int, warm bool) (*Solution, error) {
 // absolute jitter) to break degenerate ties.
 func (s *simplex) perturbCosts() {
 	s.trueCost = append(s.trueCost[:0], s.cost...)
-	const base = 1e-9
 	for j := range s.cost {
 		h := uint64(j)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
 		h ^= h >> 33
 		xi := 0.5 + float64(h%1024)/1024 // ∈ [0.5, 1.5)
-		s.cost[j] += base * xi * (1 + math.Abs(s.cost[j]))
+		s.cost[j] += perturbScale * xi * (1 + math.Abs(s.cost[j]))
 	}
 }
 
@@ -502,13 +501,11 @@ func (s *simplex) ftran(q int) {
 // maintained reduced costs d; stale marks them for recomputation — on entry
 // (the costs are new) and after a refactorization (which also bounds their
 // drift) — and no verdict is reached on maintained values: an empty pricing
-// pass is repeated on fresh ones.
+// pass is repeated on fresh ones. The rule is Dantzig's, or Bland's under
+// Options.Bland (the hardened retry); MaxIters bounds a cycle.
 func (s *simplex) run(phase int, iters *int) (Status, error) {
 	tol := DefaultTol
 	dualTol := DefaultTol
-	bland := s.opts.Bland
-	stall := 0
-	lastObj := math.Inf(1)
 	stale := true
 
 	for {
@@ -526,29 +523,8 @@ func (s *simplex) run(phase int, iters *int) (Status, error) {
 			}
 			stale = true
 		}
-		if phase == 1 {
-			inf := s.infeasibility()
-			if inf <= tol*float64(1+s.m) {
-				return Optimal, nil // feasible; caller proceeds to phase 2
-			}
-			if inf < lastObj-tol {
-				lastObj = inf
-				stall = 0
-			} else {
-				stall++
-			}
-		} else {
-			obj := s.currentObjective()
-			if obj < lastObj-tol {
-				lastObj = obj
-				stall = 0
-			} else {
-				stall++
-			}
-		}
-		if stall > 2000 && !bland {
-			bland = true
-			s.blandActs++
+		if phase == 1 && s.infeasibility() <= tol*float64(1+s.m) {
+			return Optimal, nil // feasible; caller proceeds to phase 2
 		}
 
 		fresh := stale
@@ -556,11 +532,11 @@ func (s *simplex) run(phase int, iters *int) (Status, error) {
 			s.refreshD(phase)
 			stale = false
 		}
-		q := s.price(dualTol, bland)
+		q := s.price(dualTol, s.opts.Bland)
 		if q < 0 && !fresh {
 			s.refreshD(phase)
 			fresh = true
-			q = s.price(dualTol, bland)
+			q = s.price(dualTol, s.opts.Bland)
 		}
 		if q < 0 {
 			if phase == 1 {
@@ -880,10 +856,10 @@ func (s *simplex) longStepRatio(q int, dir, dq float64) (float64, int) {
 	// and eventually make refactorization singular.
 	bestT, bestR, bestRate := bps[stop].t, bps[stop].i, bps[stop].rate
 	for _, bp := range bps {
-		if bp.t > bestT+1e-9 {
+		if bp.t > bestT+tieStep {
 			break
 		}
-		if bp.t >= bestT-1e-9 && bp.i >= 0 && bp.rate > bestRate {
+		if bp.t >= bestT-tieStep && bp.i >= 0 && bp.rate > bestRate {
 			bestR, bestRate = bp.i, bp.rate
 		}
 	}
@@ -977,15 +953,15 @@ func (s *simplex) resetToLogicalBasis() {
 	s.recomputeXB()
 }
 
-// extract builds the public solution from the final basis.
+// extract builds the public solution from the final basis: the primal point
+// and the row duals y = c_B·B⁻¹ (one btran). Reduced costs and row
+// activities follow from them and the Problem (c_j − y·A_j, a_i·x).
 func (s *simplex) extract(st Status) *Solution {
-	n, m := s.n, s.m
+	n := s.n
 	sol := &Solution{
-		Status:   st,
-		X:        make([]float64, n),
-		RowDual:  make([]float64, m),
-		ColDual:  make([]float64, n),
-		RowValue: make([]float64, m),
+		Status:  st,
+		X:       make([]float64, n),
+		RowDual: make([]float64, s.m),
 	}
 	for j := 0; j < n; j++ {
 		if s.status[j] == basic {
@@ -994,32 +970,14 @@ func (s *simplex) extract(st Status) *Solution {
 			sol.X[j] = s.xval[j]
 		}
 	}
-	for i := 0; i < m; i++ {
-		lv := n + i
-		if s.status[lv] == basic {
-			sol.RowValue[i] = s.xB[s.inBpos[lv]]
-		} else {
-			sol.RowValue[i] = s.xval[lv]
-		}
-	}
 	copy(s.cc, s.cost)
 	s.computeY()
-	for i := 0; i < m; i++ {
-		sol.RowDual[i] = s.y[i]
-	}
-	for j := 0; j < n; j++ {
-		if s.status[j] == basic {
-			sol.ColDual[j] = 0
-		} else {
-			sol.ColDual[j] = s.reducedCost(j)
-		}
-	}
+	copy(sol.RowDual, s.y)
 	obj := 0.0
 	for j := 0; j < n; j++ {
 		obj += s.cost[j] * sol.X[j]
 	}
 	sol.Objective = obj
-	sol.WarmStarted = s.warmAccepted
 	sol.FactorNonzeros = s.lu.nnz()
 	sol.basis = s.snapshotBasis()
 	return sol

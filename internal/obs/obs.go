@@ -65,8 +65,8 @@ type LPMetrics struct {
 	DegeneratePivots int64 `json:"degenerate_pivots"`
 	// Refactorizations counts full basis-inverse rebuilds.
 	Refactorizations int64 `json:"refactorizations"`
-	// BlandActivations counts switches to Bland's anti-cycling rule (either
-	// requested up front via Options.Bland or triggered by a stall).
+	// BlandActivations counts solves run under Bland's anti-cycling rule:
+	// those with lp.Options.Bland set, the hardened retry.
 	BlandActivations int64 `json:"bland_activations"`
 	// SingularRestarts counts recoveries from a singular basis via the
 	// logical-basis restart.

@@ -47,13 +47,15 @@ type AugmentResult struct {
 }
 
 // Augment computes a minimum-cost capacity augmentation meeting the
-// per-class PercLoss targets. It is Offline's decomposition with another
-// master: subproblem duals give cuts linear in both the critical-scenario
-// indicators and the added capacities (appendix, eq. 21 with c_e replaced
-// by c_e+δ_e), and the loop stops once every class's worst critical loss
-// meets its target. When the targets are not met within MaxIterations, or
-// a master solve fails, the error comes with a result holding only
-// Iterations and Report.
+// per-class PercLoss targets. When Offline's design already meets every
+// target (within targetSlack), no capacity is needed: Augment returns that
+// design with δ = 0, its PercLoss, iterations and report. Otherwise it runs
+// Offline's decomposition with another master: subproblem duals give cuts
+// linear in both the critical-scenario indicators and the added capacities
+// (appendix, eq. 21 with c_e replaced by c_e+δ_e), and the loop stops once
+// every class's worst critical loss meets its target. When the targets are
+// not met within MaxIterations, or a master solve fails, the error comes
+// with a result holding only Iterations and Report.
 func Augment(inst *te.Instance, opt AugmentOptions) (*AugmentResult, error) {
 	return augment(context.Background(), inst, opt, Options{})
 }
@@ -62,7 +64,7 @@ func Augment(inst *te.Instance, opt AugmentOptions) (*AugmentResult, error) {
 func augment(ctx context.Context, inst *te.Instance, aopt AugmentOptions, opt Options) (*AugmentResult, error) {
 	opt.MaxIterations = cmp.Or(aopt.MaxIterations, 8)
 	opt = opt.withDefaults()
-	d, ctx, err := newDecomp(ctx, inst, opt)
+	d, dctx, err := newDecomp(ctx, inst, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -81,7 +83,21 @@ func augment(ctx context.Context, inst *te.Instance, aopt AugmentOptions, opt Op
 		}
 	}
 	a.setDelta(make([]float64, g.NumEdges()))
-	if err := d.run(ctx, a); err != nil {
+	// The δ master starts from the all-critical set, which can need capacity
+	// where Offline's critical set does not.
+	off, err := offline(ctx, inst, opt, nil)
+	if err != nil {
+		return nil, err
+	}
+	met := true
+	for k, pl := range off.PercLoss {
+		met = met && pl <= a.target[k]+targetSlack
+	}
+	if met {
+		return &AugmentResult{Delta: a.delta, Critical: off.Critical, AchievedPercLoss: off.PercLoss,
+			Iterations: off.Iterations, Report: off.Report}, nil
+	}
+	if err := d.run(dctx, a); err != nil {
 		return nil, err
 	}
 	res := a.res

@@ -13,7 +13,8 @@ import (
 )
 
 // TestAugmentPinned pins capacity augmentation bit for bit on Sprint at two
-// demand scales where the decomposition needs several master rounds: the
+// demand scales where Offline's design misses the target (PercLoss 1/6 at
+// ×2, 1/3 at ×2.5) and the decomposition needs several master rounds: the
 // iteration count, the total cost, every edge's δ and the critical bitmap.
 func TestAugmentPinned(t *testing.T) {
 	for _, tc := range []struct {
@@ -23,11 +24,11 @@ func TestAugmentPinned(t *testing.T) {
 		delta []float64
 		words []uint64
 	}{
-		{1.3, 4, 67.92717006348937,
-			[]float64{0, 0, 0, 0, 33.92717006348934, 0, 0, 0, 0.07282993651068692, 0, 0, 0, 0, 0, 33.92717006348934, 0, 0},
+		{2, 5, 475.05269530387795,
+			[]float64{0, 0, 0, 0, 110.0761397530415, 68.7724627270517, 0, 49.811814190788326, 49.923860246958405, 86.39227863299645, 0, 0, 0, 0, 110.07613975304157, 0, 0},
 			allCritical(45 * 12)},
-		{1.6, 5, 220.04215624310234,
-			[]float64{0, 0, 0, 0, 87.9103631550638, 0, 15.01797018164137, 0, 0.08963684493623006, 29.113822906397125, 0, 0, 0, 0, 87.91036315506382, 0, 0},
+		{2.5, 5, 795.75405890776005,
+			[]float64{0, 0, 0, 1.938189777913276, 114.53336446921492, 21.43221393959962, 114.53336446921469, 135.3265779605722, 135.4666355307851, 107.89676243269768, 0, 0, 0, 0, 114.53336446921492, 0, 50.09358585854773},
 			allCritical(45 * 12)},
 	} {
 		inst := sprintInstance(t)
@@ -52,6 +53,31 @@ func TestAugmentPinned(t *testing.T) {
 			if pl > 1e-6 {
 				t.Errorf("×%v: class %d residual loss %v", tc.scale, k, pl)
 			}
+		}
+	}
+}
+
+// TestAugmentOfflineMeetsTargets: on Sprint ×1.3 and ×1.6 Offline's design
+// alone reaches PercLoss ~1e-15, so the minimum-cost augmentation is none.
+// Augment returns Offline's design, bit for bit, with δ = 0.
+func TestAugmentOfflineMeetsTargets(t *testing.T) {
+	for _, scale := range []float64{1.3, 1.6} {
+		inst := sprintInstance(t)
+		inst.ScaleDemands(scale)
+		off, err := Offline(inst, Options{MaxIterations: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Augment(inst, AugmentOptions{})
+		if err != nil {
+			t.Fatalf("×%v: %v", scale, err)
+		}
+		if res.TotalCost != 0 || slices.ContainsFunc(res.Delta, func(d float64) bool { return d != 0 }) {
+			t.Errorf("×%v: TotalCost %v, δ %v; Offline's design has PercLoss %v", scale, res.TotalCost, res.Delta, off.PercLoss)
+		}
+		if !res.Critical.Equal(off.Critical) || !slices.Equal(res.AchievedPercLoss, off.PercLoss) || res.Iterations != off.Iterations {
+			t.Errorf("×%v: result is not Offline's design: PercLoss %v in %d iterations, Offline %v in %d",
+				scale, res.AchievedPercLoss, res.Iterations, off.PercLoss, off.Iterations)
 		}
 	}
 }
@@ -133,7 +159,7 @@ func sameAugment(t *testing.T, what string, got, want *AugmentResult) {
 // changes nothing but wall-clock. It is part of `make race`.
 func TestAugmentDeterministicAcrossWorkers(t *testing.T) {
 	inst := sprintInstance(t)
-	inst.ScaleDemands(1.6)
+	inst.ScaleDemands(2)
 	base, err := augment(context.Background(), inst, AugmentOptions{}, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)

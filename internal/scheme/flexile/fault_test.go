@@ -57,6 +57,14 @@ func TestOfflineFaultRetryRecovers(t *testing.T) {
 	if fired := inj.fired()[faultSingularBasis]; fired == 0 {
 		t.Fatal("injector never fired")
 	}
+	// Bland's rule runs only as the hardened retry: one activation per
+	// retried scenario solve, none in the fault-free run.
+	if n := got.Report.Metrics.LP.BlandActivations; n != int64(len(got.Report.Retried)) {
+		t.Fatalf("%d Bland activations for %d hardened retries", n, len(got.Report.Retried))
+	}
+	if n := clean.Report.Metrics.LP.BlandActivations; n != 0 {
+		t.Fatalf("fault-free run counted %d Bland activations", n)
+	}
 }
 
 // TestOfflineFaultSkipDegradedResult: when every attempt of every
